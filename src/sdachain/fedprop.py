@@ -21,14 +21,13 @@ from .astro import (
     KeplerianElements,
     StateVector,
     cross,
-    norm,
     propagate_j2,
     site_eci,
     unit,
 )
 from .errors import SdaError
 from .tdm import Tdm
-from .wire import Writer, sha256
+from .wire import Reader, Writer, sha256
 
 MODEL_ROWS = 3
 MODEL_COLS = 6
@@ -73,13 +72,6 @@ class ResidualModel:
         """W @ x, km in the RSW frame."""
         return tuple(sum(wij * xj for wij, xj in zip(row, x)) for row in self.W)
 
-    def canonical_bytes(self) -> bytes:
-        w = Writer().u64(self.version).u64(self.trained_on)
-        for row in self.W:
-            for v in row:
-                w.f64(v)
-        return w.bytes()
-
 
 @dataclass(frozen=True)
 class ModelProposal:
@@ -104,6 +96,19 @@ class ModelProposal:
             for v in row:
                 w.f64(v)
         return w.bytes()
+
+
+def read_proposal(raw: bytes) -> ModelProposal:
+    """Decode a ModelProposal from its canonical_bytes layout."""
+    r = Reader(raw)
+    proposer = r.string()
+    claimed = r.f64()
+    parent = r.u64()
+    W = tuple(tuple(r.f64() for _ in range(MODEL_COLS))
+              for _ in range(MODEL_ROWS))
+    r.done()
+    return ModelProposal(W_new=W, proposer=proposer, claimed_rms=claimed,
+                         parent_version=parent)
 
 
 @dataclass(frozen=True)

@@ -19,32 +19,29 @@ mined into the catalog for a minted reward.
 
 import copy
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .astro import (
     DecayError,
     Epoch,
     GroundSite,
     J2_EARTH,
-    KeplerianElements,
     OrbitRecord,
     propagate_j2,
     state_to_kepler,
 )
 from .errors import SdaError
-from .fedprop import ModelProposal, ResidualModel, merge_model
+from .fedprop import ModelProposal, ResidualModel, merge_model, read_proposal
 from .iod import IodSolution
 from .tasking import (
-    INTERNAL_TASK_FEE,
-    IodRegion,
     Task,
+    internal_retask,
     is_expired,
+    read_target,
     read_task,
-    region_from_solution,
     task_identity,
+    write_target,
     write_task,
 )
 from .tdm import TdmError, parse_tdm, serialize_tdm
@@ -53,15 +50,17 @@ from .validation import (
     ValidationReport,
     associate_uct,
     mine_object,
+    read_elements,
     read_report,
+    read_validation_params,
     validate_tdm,
+    write_elements,
 )
 from .wire import (
     Reader,
     WireError,
     Writer,
     ZERO_DIGEST,
-    append_chain_log,
     read_chain_log,
     sha256,
     write_chain_log,
@@ -132,6 +131,19 @@ class EconomicsParams:
             w.u64(f.numerator).u64(f.denominator)
         w.u64(self.r_mint).u64(self.r_model).u64(self.block_subsidy)
         return w.bytes()
+
+
+def read_economics_params(raw: bytes) -> EconomicsParams:
+    """Decode EconomicsParams from its canonical_bytes layout."""
+    r = Reader(raw)
+    stake_min = r.u64()
+    fracs = [Fraction(r.u64(), r.u64()) for _ in range(3)]
+    params = EconomicsParams(
+        observer_stake_min=stake_min, slash_fraction=fracs[0],
+        validator_fee_cut=fracs[1], r_mint=r.u64(), r_model=r.u64(),
+        block_subsidy=r.u64(), attestation_quorum=fracs[2])
+    r.done()
+    return params
 
 
 @dataclass
@@ -230,38 +242,6 @@ class Transaction:
             raise LedgerError("nonce must be a nonnegative integer")
 
 
-def _write_region(w: Writer, region: IodRegion) -> None:
-    el = region.elements
-    for v in (el.a, el.e, el.i, el.raan, el.argp, el.M, el.epoch.t,
-              region.tol_a, region.tol_e, region.tol_i, region.tol_raan):
-        w.f64(v)
-
-
-def _read_region(r: Reader) -> IodRegion:
-    v = [r.f64() for _ in range(11)]
-    el = KeplerianElements(a=v[0], e=v[1], i=v[2], raan=v[3], argp=v[4],
-                           M=v[5], epoch=Epoch(v[6]))
-    return IodRegion(elements=el, tol_a=v[7], tol_e=v[8], tol_i=v[9],
-                     tol_raan=v[10])
-
-
-def _write_target(w: Writer, target) -> None:
-    if isinstance(target, str):
-        w.u8(0).string(target)
-    else:
-        w.u8(1)
-        _write_region(w, target)
-
-
-def _read_target(r: Reader):
-    tag = r.u8()
-    if tag == 0:
-        return r.string()
-    if tag == 1:
-        return _read_region(r)
-    raise WireError(f"unknown target tag {tag}")
-
-
 def write_transaction(w: Writer, tx: Transaction) -> None:
     w.u8(TX_KINDS.index(tx.kind)).string(tx.sender).u64(tx.nonce)
     p = tx.payload
@@ -270,7 +250,7 @@ def write_transaction(w: Writer, tx: Transaction) -> None:
     elif tx.kind == "submit_tdm":
         w.string(p.tdm_text).blob(p.task_id)
     elif tx.kind == "post_task":
-        _write_target(w, p.target)
+        write_target(w, p.target)
         w.u64(p.fee).u8(1 if p.urgency else 0).string(p.origin)
     elif tx.kind == "register_stake":
         w.u64(p.amount).string(p.role)
@@ -282,17 +262,6 @@ def write_transaction(w: Writer, tx: Transaction) -> None:
         w.digest(p.proposal_hash).string(p.vote)
     else:   # claim_reward
         w.digest(p.task_id)
-
-
-def _read_proposal(raw: bytes) -> ModelProposal:
-    r = Reader(raw)
-    proposer = r.string()
-    claimed = r.f64()
-    parent = r.u64()
-    W = tuple(tuple(r.f64() for _ in range(6)) for _ in range(3))
-    r.done()
-    return ModelProposal(W_new=W, proposer=proposer, claimed_rms=claimed,
-                         parent_version=parent)
 
 
 def read_transaction(r: Reader) -> Transaction:
@@ -307,7 +276,7 @@ def read_transaction(r: Reader) -> Transaction:
     elif kind == "submit_tdm":
         payload = SubmitTdm(tdm_text=r.string(), task_id=r.blob())
     elif kind == "post_task":
-        target = _read_target(r)
+        target = read_target(r)
         payload = PostTask(target=target, fee=r.u64(), urgency=r.u8() != 0,
                            origin=r.string())
     elif kind == "register_stake":
@@ -316,7 +285,7 @@ def read_transaction(r: Reader) -> Transaction:
         sub = Reader(r.blob())
         payload = AttestValidation(report=read_report(sub))
     elif kind == "propose_model":
-        payload = ProposeModel(proposal=_read_proposal(r.blob()))
+        payload = ProposeModel(proposal=read_proposal(r.blob()))
     elif kind == "vote_model":
         payload = VoteModel(proposal_hash=r.digest(), vote=r.string())
     else:
@@ -486,17 +455,6 @@ def conservation_delta(state: LedgerState) -> int:
     return held + escrowed + state.burned - state.minted - state.genesis_supply
 
 
-def _write_elements(w: Writer, el: KeplerianElements) -> None:
-    for v in (el.a, el.e, el.i, el.raan, el.argp, el.M, el.epoch.t):
-        w.f64(v)
-
-
-def _read_elements(r: Reader) -> KeplerianElements:
-    v = [r.f64() for _ in range(7)]
-    return KeplerianElements(a=v[0], e=v[1], i=v[2], raan=v[3], argp=v[4],
-                             M=v[5], epoch=Epoch(v[6]))
-
-
 def encode_state(state: LedgerState) -> bytes:
     """Canonical state snapshot; chain position (height, last_hash) is
     recoverable from the blocks themselves and stays out of the root."""
@@ -528,7 +486,7 @@ def encode_state(state: LedgerState) -> bytes:
     for oid in sorted(state.catalog):
         rec = state.catalog[oid]
         w.string(oid)
-        _write_elements(w, rec.elements)
+        write_elements(w, rec.elements)
         w.f64(rec.bstar).string(rec.source)
 
     w.u32(len(state.tasks))
@@ -586,24 +544,8 @@ def decode_state(raw: bytes) -> LedgerState:
     if r.u8() != 1:
         raise WireError("unsupported state version")
 
-    pr = Reader(r.blob())
-    stake_min = pr.u64()
-    fracs = [Fraction(pr.u64(), pr.u64()) for _ in range(3)]
-    params = EconomicsParams(
-        observer_stake_min=stake_min, slash_fraction=fracs[0],
-        validator_fee_cut=fracs[1], r_mint=pr.u64(), r_model=pr.u64(),
-        block_subsidy=pr.u64(), attestation_quorum=fracs[2])
-    pr.done()
-
-    vr = Reader(r.blob())
-    vvals = [vr.f64() for _ in range(8)]
-    vparams = ValidationParams(
-        theta_verify=vvals[0], theta_reject=vvals[1], theta_gate=vvals[2],
-        d_assoc=vvals[3], w_a_per_km=vvals[4], w_e=vvals[5],
-        w_i_per_deg=vvals[6], w_raan_per_deg=vvals[7])
-    vr.done()
-
-    state = LedgerState(params=params, vparams=vparams)
+    state = LedgerState(params=read_economics_params(r.blob()),
+                        vparams=read_validation_params(r.blob()))
     state.step_s = r.f64()
     state.time = r.f64()
     state.burned = r.u64()
@@ -626,7 +568,7 @@ def decode_state(raw: bytes) -> LedgerState:
                                       alt=r.f64())
     for _ in range(r.u32()):
         oid = r.string()
-        el = _read_elements(r)
+        el = read_elements(r)
         state.catalog[oid] = OrbitRecord(object_id=oid, elements=el,
                                          bstar=r.f64(), source=r.string())
     for _ in range(r.u32()):
@@ -655,7 +597,7 @@ def decode_state(raw: bytes) -> LedgerState:
     state.model = ResidualModel(W=W, version=r.u64(), trained_on=r.u64())
 
     for _ in range(r.u32()):
-        proposal = _read_proposal(r.blob())
+        proposal = read_proposal(r.blob())
         ps = ProposalState(proposal=proposal)
         for _ in range(r.u32()):
             voter = r.string()
@@ -761,30 +703,11 @@ def _frac_mul(amount: int, f: Fraction) -> int:
     return amount * f.numerator // f.denominator
 
 
-def _spawn_task(state: LedgerState, task: Task) -> None:
+def _spawn_retask(state: LedgerState, report: ValidationReport) -> None:
     # internal tasks are subsidy-funded at payout; nothing escrows here
-    if task.task_id not in state.tasks:
+    task = internal_retask(report, Epoch(state.time))
+    if task is not None and task.task_id not in state.tasks:
         state.tasks[task.task_id] = task
-
-
-def _retask_from_report(state: LedgerState, report: ValidationReport) -> None:
-    """Internal follow-up task for an ambiguous or uct settlement."""
-    now = Epoch(state.time)
-    ref = bytes.fromhex(report.report_hash)
-    if report.verdict == "ambiguous" and report.matched_object:
-        target = report.matched_object
-    elif (report.proposed_elements is not None
-          and math.isfinite(report.rms_residual)):
-        sol = IodSolution(elements=report.proposed_elements,
-                          rms_residual=report.rms_residual,
-                          method="refined", n_obs=0)
-        target = region_from_solution(sol)
-    else:
-        return
-    tid = task_identity(target, INTERNAL_TASK_FEE, False, "internal", now, ref)
-    _spawn_task(state, Task(task_id=tid, target=target,
-                            fee=INTERNAL_TASK_FEE, urgency=False,
-                            origin="internal", created_at=now))
 
 
 def _pay_task(state: LedgerState, pend: PendingTdm, attesters: list) -> None:
@@ -839,7 +762,7 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
             except DecayError:
                 pass
     elif verdict == "ambiguous":
-        _retask_from_report(state, report)
+        _spawn_retask(state, report)
     elif verdict == "uct":
         mined = None
         pool_tdms = []
@@ -867,7 +790,7 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
         else:
             state.uct_pool[tdm_hash_hex] = PoolEntry(tdm_text=pend.tdm_text,
                                                      submitter=pend.submitter)
-            _retask_from_report(state, report)
+            _spawn_retask(state, report)
 
     state.settlements.append(SettlementRecord(
         height=state.height, tdm_hash=tdm_hash_hex, verdict=verdict,
@@ -1153,68 +1076,67 @@ def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,
     return work, block
 
 
-def verify_chain(blocks: list):
-    """Replay a chain from its genesis snapshot; None when every link,
-    root, lottery pick, and transaction checks out, else the first bad
-    height."""
+def _replay(blocks: list) -> tuple:
+    """Replay a chain from its genesis snapshot, checking every link, root,
+    lottery pick, and transaction. Returns (first bad height or None, the
+    state after the last good block or None when genesis is bad)."""
     if not blocks:
-        return 0
+        return 0, None
     b0 = blocks[0]
     if (b0.height != 0 or b0.prev_hash != ZERO_DIGEST or len(b0.txs) != 1
             or b0.txs[0].kind != "genesis"):
-        return 0
+        return 0, None
     snapshot = b0.txs[0].payload.snapshot
     if (b0.state_root != sha256(snapshot)
             or b0.tx_root != compute_tx_root(b0.txs)):
-        return 0
+        return 0, None
     try:
         state = decode_state(snapshot)
     except (WireError, SdaError, ValueError):
-        return 0
+        return 0, None
     state.height = 1
     state.last_hash = block_hash(b0)
 
     for k, b in enumerate(blocks[1:], start=1):
         if b.height != k or b.prev_hash != state.last_hash:
-            return k
+            return k, state
         if b.time < state.time:
-            return k
+            return k, state
         try:
             proposer = select_validator(state.last_hash, k,
                                         compute_stakes(state))
         except LedgerError:
-            return k
+            return k, state
         if b.proposer != proposer:
-            return k
+            return k, state
         if b.tx_root != compute_tx_root(b.txs):
-            return k
+            return k, state
         work = state.clone()
         try:
             applied, _ = _advance(work, b.txs, proposer, b.time)
         except SdaError:
-            return k
+            return k, state
         if tuple(applied) != tuple(b.txs):
-            return k
+            return k, state
         if b.state_root != state_root(work):
-            return k
+            return k, state
         work.height = k + 1
         work.last_hash = block_hash(b)
         state = work
-    return None
+    return None, state
+
+
+def verify_chain(blocks: list):
+    """None when every block of the chain replays and checks out, else the
+    first bad height."""
+    return _replay(blocks)[0]
 
 
 def replay_state(blocks: list) -> LedgerState:
     """State after replaying a verified chain; raises on a bad chain."""
-    bad = verify_chain(blocks)
+    bad, state = _replay(blocks)
     if bad is not None:
         raise LedgerError(f"chain fails verification at height {bad}")
-    state = decode_state(blocks[0].txs[0].payload.snapshot)
-    state.height = 1
-    state.last_hash = block_hash(blocks[0])
-    for b in blocks[1:]:
-        _advance(state, b.txs, b.proposer, b.time)
-        state.height = b.height + 1
-        state.last_hash = block_hash(b)
     return state
 
 
@@ -1222,10 +1144,6 @@ def replay_state(blocks: list) -> LedgerState:
 
 def save_chain(path: str, blocks: list) -> None:
     write_chain_log(path, [block_bytes(b) for b in blocks])
-
-
-def append_block(path: str, block: Block) -> None:
-    append_chain_log(path, block_bytes(block))
 
 
 def load_chain(path: str) -> list:

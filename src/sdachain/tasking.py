@@ -26,8 +26,8 @@ from .astro import (
 from .errors import SdaError
 from .iod import IodSolution
 from .tdm import ELEVATION_MASK_RAD
-from .validation import ValidationReport
-from .wire import Reader, Writer, sha256
+from .validation import ValidationReport, read_elements, write_elements
+from .wire import Reader, WireError, Writer, sha256
 
 TASK_ORIGINS = ("external", "internal", "calibration")
 TASK_STATUSES = ("open", "assigned", "fulfilled", "expired")
@@ -164,36 +164,27 @@ class Task:
         return dataclasses.replace(self, status=status)
 
 
-def _write_elements(w: Writer, el: KeplerianElements) -> None:
-    for v in (el.a, el.e, el.i, el.raan, el.argp, el.M, el.epoch.t):
-        w.f64(v)
-
-
-def _read_elements(r: Reader) -> KeplerianElements:
-    vals = [r.f64() for _ in range(7)]
-    return KeplerianElements(a=vals[0], e=vals[1], i=vals[2], raan=vals[3],
-                             argp=vals[4], M=vals[5], epoch=Epoch(vals[6]))
-
-
-def _write_target(w: Writer, target) -> None:
+def write_target(w: Writer, target) -> None:
+    """The one on-chain target layout: tag 0 + object_id string, or tag 1 +
+    region elements + tol_a, tol_e, tol_i, tol_raan as f64."""
     if isinstance(target, str):
         w.u8(0).string(target)
     else:
         w.u8(1)
-        _write_elements(w, target.elements)
+        write_elements(w, target.elements)
         for v in (target.tol_a, target.tol_e, target.tol_i, target.tol_raan):
             w.f64(v)
 
 
-def _read_target(r: Reader):
+def read_target(r: Reader):
     tag = r.u8()
     if tag == 0:
         return r.string()
     if tag == 1:
-        el = _read_elements(r)
+        el = read_elements(r)
         tols = [r.f64() for _ in range(4)]
         return IodRegion(el, *tols)
-    raise TaskingError(f"unknown target tag {tag}")
+    raise WireError(f"unknown target tag {tag}")
 
 
 def task_identity(target, fee: int, urgency: bool, origin: str,
@@ -205,7 +196,7 @@ def task_identity(target, fee: int, urgency: bool, origin: str,
     internal follow-ups (so identical reports spawn the identical task).
     """
     w = Writer().raw(b"TASK")
-    _write_target(w, target)
+    write_target(w, target)
     w.u64(fee).u8(1 if urgency else 0).string(origin).f64(created_at.t)
     w.blob(ref)
     return sha256(w.bytes())
@@ -213,14 +204,14 @@ def task_identity(target, fee: int, urgency: bool, origin: str,
 
 def write_task(w: Writer, task: Task) -> None:
     w.digest(task.task_id)
-    _write_target(w, task.target)
+    write_target(w, task.target)
     w.u64(task.fee).u8(1 if task.urgency else 0)
     w.string(task.origin).f64(task.created_at.t).string(task.status)
 
 
 def read_task(r: Reader) -> Task:
     task_id = r.digest()
-    target = _read_target(r)
+    target = read_target(r)
     fee = r.u64()
     urgency = r.u8() != 0
     origin = r.string()
@@ -326,19 +317,29 @@ def assign(queue, sensor: Sensor, window, catalog: dict, *,
     return None
 
 
-def spawn_internal_retask(report: ValidationReport, iod: IodSolution) -> Task:
-    """Follow-up task for an orbit that validation could not resolve.
+def internal_retask(report: ValidationReport, now: Epoch) -> Task | None:
+    """Follow-up task for a settlement that left an orbit unresolved, or
+    None when the report gives nothing to point at.
 
-    Identical reports spawn byte-identical tasks, so replaying a chain
-    reproduces the queue exactly.
+    An ambiguous report with a matched object retasks that object;
+    otherwise the target is a region around the report's proposed
+    elements. The task is created at chain time now and keyed by the
+    report hash, so replaying a chain reproduces the queue exactly.
     """
     if report.verdict not in ("ambiguous", "uct"):
         raise TaskingError(
             f"retask requires an ambiguous or uct report, got {report.verdict!r}")
-    region = region_from_solution(iod)
-    created_at = iod.elements.epoch
+    if report.verdict == "ambiguous" and report.matched_object:
+        target = report.matched_object
+    elif (report.proposed_elements is not None
+          and math.isfinite(report.rms_residual)):
+        target = region_from_solution(IodSolution(
+            elements=report.proposed_elements,
+            rms_residual=report.rms_residual, method="refined", n_obs=0))
+    else:
+        return None
     ref = bytes.fromhex(report.report_hash)
-    task_id = task_identity(region, INTERNAL_TASK_FEE, False, "internal",
-                            created_at, ref)
-    return Task(task_id=task_id, target=region, fee=INTERNAL_TASK_FEE,
-                urgency=False, origin="internal", created_at=created_at)
+    task_id = task_identity(target, INTERNAL_TASK_FEE, False, "internal",
+                            now, ref)
+    return Task(task_id=task_id, target=target, fee=INTERNAL_TASK_FEE,
+                urgency=False, origin="internal", created_at=now)

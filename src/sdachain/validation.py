@@ -27,7 +27,7 @@ from .errors import SdaError
 from .fedprop import ResidualModel, corrected_propagate
 from .iod import IodError, IodSolution, iod_from_tdm, refine_elements
 from .tdm import Tdm
-from .wire import Writer, sha256
+from .wire import Reader, Writer, sha256
 
 VERDICTS = ("verified", "rejected", "ambiguous", "uct")
 UNKNOWN_CLAIM = "UNKNOWN"
@@ -66,15 +66,27 @@ class ValidationParams:
         return w.bytes()
 
 
-def _encode_elements(w: Writer, el: KeplerianElements) -> None:
-    w.f64(el.a).f64(el.e).f64(el.i).f64(el.raan).f64(el.argp).f64(el.M)
-    w.f64(el.epoch.t)
+def read_validation_params(raw: bytes) -> ValidationParams:
+    """Decode ValidationParams from its canonical_bytes layout."""
+    r = Reader(raw)
+    v = [r.f64() for _ in range(8)]
+    r.done()
+    return ValidationParams(
+        theta_verify=v[0], theta_reject=v[1], theta_gate=v[2], d_assoc=v[3],
+        w_a_per_km=v[4], w_e=v[5], w_i_per_deg=v[6], w_raan_per_deg=v[7])
 
 
-def _decode_elements(r) -> KeplerianElements:
-    a, e, i, raan, argp, M = (r.f64() for _ in range(6))
+def write_elements(w: Writer, el: KeplerianElements) -> None:
+    """The one on-chain element layout: a, e, i, raan, argp, M, epoch.t
+    as seven f64."""
+    for v in (el.a, el.e, el.i, el.raan, el.argp, el.M, el.epoch.t):
+        w.f64(v)
+
+
+def read_elements(r: Reader) -> KeplerianElements:
+    a, e, i, raan, argp, M, t = (r.f64() for _ in range(7))
     return KeplerianElements(a=a, e=e, i=i, raan=raan, argp=argp, M=M,
-                             epoch=Epoch(r.f64()))
+                             epoch=Epoch(t))
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,7 @@ class ValidationReport:
         w.u32(self.candidates_checked)
         w.u8(1 if self.proposed_elements is not None else 0)
         if self.proposed_elements is not None:
-            _encode_elements(w, self.proposed_elements)
+            write_elements(w, self.proposed_elements)
         w.u32(len(self.uct_matches))
         for h in self.uct_matches:
             w.string(h)
@@ -123,14 +135,14 @@ class ValidationReport:
         return w.bytes()
 
 
-def read_report(r) -> ValidationReport:
+def read_report(r: Reader) -> ValidationReport:
     """Decode a report from its canonical_bytes layout."""
     tdm_hash = r.string()
     verdict = r.string()
     matched = r.string() if r.u8() else None
     rms = r.f64()
     checked = r.u32()
-    elements = _decode_elements(r) if r.u8() else None
+    elements = read_elements(r) if r.u8() else None
     uct_matches = tuple(r.string() for _ in range(r.u32()))
     notes = tuple(r.string() for _ in range(r.u32()))
     return ValidationReport(tdm_hash=tdm_hash, verdict=verdict,

@@ -46,10 +46,6 @@ class Writer:
         self._parts.append(struct.pack(">Q", v))
         return self
 
-    def i64(self, v: int) -> "Writer":
-        self._parts.append(struct.pack(">q", v))
-        return self
-
     def f64(self, v: float) -> "Writer":
         self._parts.append(struct.pack(">d", v))
         return self
@@ -103,9 +99,6 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack(">Q", self._take(8))[0]
 
-    def i64(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
-
     def f64(self) -> float:
         return struct.unpack(">d", self._take(8))[0]
 
@@ -131,10 +124,6 @@ class Reader:
             raise WireError(f"{len(self._data) - self._pos} trailing bytes "
                             "after record")
 
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -146,12 +135,6 @@ def write_chain_log(path: str, block_records: list) -> None:
         for rec in block_records:
             f.write(struct.pack(">I", len(rec)))
             f.write(rec)
-
-
-def append_chain_log(path: str, rec: bytes) -> None:
-    with open(path, "ab") as f:
-        f.write(struct.pack(">I", len(rec)))
-        f.write(rec)
 
 
 def read_chain_log(path: str) -> list:

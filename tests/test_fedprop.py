@@ -109,11 +109,6 @@ class TestResidualModel:
         with pytest.raises(FedpropError):
             ResidualModel(W=((math.nan,) * 6,) * 3)
 
-    def test_canonical_bytes_stable(self):
-        a = ResidualModel(W=W_TRUE, version=3, trained_on=17)
-        b = ResidualModel(W=W_TRUE, version=3, trained_on=17)
-        assert a.canonical_bytes() == b.canonical_bytes()
-
     def test_proposal_hash_tracks_content(self):
         p1 = ModelProposal(W_new=W_TRUE, proposer="n1", claimed_rms=0.1,
                            parent_version=0)

@@ -18,6 +18,7 @@ from sdachain.ledger import (
     ProposeModel,
     RegisterStake,
     SubmitTdm,
+    TX_KINDS,
     Transaction,
     TxRejected,
     VoteModel,
@@ -47,7 +48,7 @@ from sdachain.fedprop import ModelProposal, ResidualModel
 from sdachain.tasking import INTERNAL_TASK_FEE, IodRegion
 from sdachain.tdm import serialize_tdm, synth_tdm
 from sdachain.validation import ValidationParams, ValidationReport
-from sdachain.wire import Reader, Writer, sha256
+from sdachain.wire import Reader, WireError, Writer, sha256
 
 
 def fresh_chain(time=0.0, alice_balance=100):
@@ -163,6 +164,12 @@ class TestCodecs:
                           VoteModel(proposal_hash=bytes(32), vote="accept")))
         self.roundtrip(tx("claim_reward", "rita", 2,
                           ClaimReward(task_id=bytes(32))))
+
+    def test_unknown_target_tag_rejected_in_post_task(self):
+        raw = Writer().u8(TX_KINDS.index("post_task")).string("rita").u64(0)
+        raw.u8(9).u64(25).u8(0).string("external")
+        with pytest.raises(WireError):
+            read_transaction(Reader(raw.bytes()))
 
     def test_tx_hash_sensitivity(self):
         a = tx("register_stake", "x", 0, RegisterStake(amount=5, role="compute"))

@@ -6,12 +6,11 @@ import pytest
 from conftest import leo_record, site_under
 from sdachain.astro import (
     Epoch,
-    GroundSite,
     propagate_j2,
     state_to_kepler,
     topocentric_angles,
 )
-from sdachain.iod import IodSolution, iod_from_tdm, refine_elements
+from sdachain.iod import iod_from_tdm, refine_elements
 from sdachain.tasking import (
     INTERNAL_TASK_FEE,
     IodRegion,
@@ -19,19 +18,19 @@ from sdachain.tasking import (
     Task,
     TaskingError,
     assign,
+    internal_retask,
     is_expired,
     order_queue,
     priority,
     read_task,
     region_from_solution,
-    spawn_internal_retask,
     task_identity,
     visible_epochs,
     write_task,
 )
 from sdachain.tdm import synth_tdm
 from sdachain.validation import ValidationReport
-from sdachain.wire import Reader, Writer
+from sdachain.wire import Reader, WireError, Writer
 
 
 def object_task(target="SAT-1", fee=0, urgency=False, created_at=Epoch(0.0),
@@ -145,7 +144,7 @@ class TestCodec:
 
     def test_unknown_target_tag_rejected(self):
         w = Writer().digest(bytes(32)).u8(9)
-        with pytest.raises(TaskingError):
+        with pytest.raises(WireError):
             read_task(Reader(w.bytes()))
 
 
@@ -314,6 +313,8 @@ class TestAssign:
 
 
 class TestRetask:
+    NOW = Epoch(5000.0)     # chain time at settlement
+
     def refined_solution(self, noise=0.0, seed=1, range_noise=0.0):
         ghost = leo_record(random.Random(11), "GHOST")
         site = site_under(ghost, Epoch(700.0), site_id="G1")
@@ -324,27 +325,28 @@ class TestRetask:
                               {site.site_id: site})
         return ghost, tdm, sol
 
-    def uct_report(self, tdm, sol):
-        return ValidationReport(tdm_hash=tdm.hex_hash(), verdict="uct",
-                                matched_object=None,
-                                rms_residual=sol.rms_residual,
-                                candidates_checked=0,
-                                proposed_elements=sol.elements)
+    def uct_report(self, tdm, sol, **kw):
+        fields = dict(tdm_hash=tdm.hex_hash(), verdict="uct",
+                      matched_object=None, rms_residual=sol.rms_residual,
+                      candidates_checked=0, proposed_elements=sol.elements)
+        fields.update(kw)
+        return ValidationReport(**fields)
 
     def test_noiseless_region_contains_truth(self):
         ghost, tdm, sol = self.refined_solution()
-        task = spawn_internal_retask(self.uct_report(tdm, sol), sol)
+        task = internal_retask(self.uct_report(tdm, sol), self.NOW)
         truth = state_to_kepler(propagate_j2(ghost.elements, ghost.bstar,
                                              sol.elements.epoch))
         assert task.origin == "internal" and not task.urgency
         assert task.fee == INTERNAL_TASK_FEE
-        assert task.created_at == sol.elements.epoch
+        assert task.created_at == self.NOW
+        assert task.target == region_from_solution(sol)
         assert task.target.contains(truth)
 
     def test_noisy_region_still_contains_truth(self):
         ghost, tdm, sol = self.refined_solution(noise=1e-4, seed=2,
                                                 range_noise=0.05)
-        task = spawn_internal_retask(self.uct_report(tdm, sol), sol)
+        task = internal_retask(self.uct_report(tdm, sol), self.NOW)
         truth = state_to_kepler(propagate_j2(ghost.elements, ghost.bstar,
                                              sol.elements.epoch))
         assert task.target.contains(truth)
@@ -353,7 +355,7 @@ class TestRetask:
 
     def test_region_floors_apply_when_noiseless(self):
         _, tdm, sol = self.refined_solution()
-        region = region_from_solution(sol)
+        region = internal_retask(self.uct_report(tdm, sol), self.NOW).target
         assert region.tol_a == pytest.approx(1.0, rel=1e-6)
         assert region.tol_e == pytest.approx(1e-3, rel=1e-6)
 
@@ -364,18 +366,39 @@ class TestRetask:
                                   rms_residual=sol.rms_residual,
                                   candidates_checked=1)
         with pytest.raises(TaskingError):
-            spawn_internal_retask(report, sol)
+            internal_retask(report, self.NOW)
 
     def test_idempotent_task_id(self):
         _, tdm, sol = self.refined_solution()
         report = self.uct_report(tdm, sol)
-        t1 = spawn_internal_retask(report, sol)
-        t2 = spawn_internal_retask(report, sol)
+        t1 = internal_retask(report, self.NOW)
+        t2 = internal_retask(report, self.NOW)
         assert t1.task_id == t2.task_id and t1 == t2
 
     def test_different_reports_different_ids(self):
         _, tdm, sol = self.refined_solution()
         _, tdm2, sol2 = self.refined_solution(noise=1e-5, seed=3)
-        t1 = spawn_internal_retask(self.uct_report(tdm, sol), sol)
-        t2 = spawn_internal_retask(self.uct_report(tdm2, sol2), sol2)
+        t1 = internal_retask(self.uct_report(tdm, sol), self.NOW)
+        t2 = internal_retask(self.uct_report(tdm2, sol2), self.NOW)
         assert t1.task_id != t2.task_id
+
+    def test_ambiguous_match_targets_the_object(self):
+        _, tdm, sol = self.refined_solution()
+        report = self.uct_report(tdm, sol, verdict="ambiguous",
+                                 matched_object="SAT-7")
+        task = internal_retask(report, self.NOW)
+        assert task.target == "SAT-7" and not task.is_followup()
+        assert task.created_at == self.NOW
+        assert task.task_id == task_identity(
+            "SAT-7", INTERNAL_TASK_FEE, False, "internal", self.NOW,
+            bytes.fromhex(report.report_hash))
+
+    def test_nothing_to_point_at_returns_none(self):
+        _, tdm, sol = self.refined_solution()
+        no_elements = self.uct_report(tdm, sol, proposed_elements=None)
+        infinite_rms = self.uct_report(tdm, sol, rms_residual=math.inf)
+        failed_fit = self.uct_report(tdm, sol, verdict="ambiguous",
+                                     proposed_elements=None,
+                                     rms_residual=math.inf)
+        for report in (no_elements, infinite_rms, failed_fit):
+            assert internal_retask(report, self.NOW) is None
