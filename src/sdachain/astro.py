@@ -94,9 +94,6 @@ class Epoch:
         if not math.isfinite(self.t):
             raise ValueError("epoch must be finite")
 
-    def plus(self, seconds: float) -> "Epoch":
-        return Epoch(self.t + seconds)
-
     def iso(self) -> str:
         """ISO-8601 text with microsecond resolution (the canonical form)."""
         dt = _J2000_DATETIME + timedelta(seconds=self.t)
@@ -528,11 +525,6 @@ def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
         _check_altitude(state, t.t)
 
     return StateVector(epoch=t, r=state[:3], v=state[3:])
-
-
-def propagate_record(record: OrbitRecord, t: Epoch, step_s: float = 10.0) -> StateVector:
-    """Propagate a catalog record with its own ballistic coefficient."""
-    return propagate_j2(record.elements, record.bstar, t, step_s)
 
 
 # --- observation geometry ---

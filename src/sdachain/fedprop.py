@@ -73,6 +73,29 @@ class ResidualModel:
         return tuple(sum(wij * xj for wij, xj in zip(row, x)) for row in self.W)
 
 
+def _write_matrix(w: Writer, W: tuple) -> None:
+    for row in W:
+        for v in row:
+            w.f64(v)
+
+
+def _read_matrix(r: Reader) -> tuple:
+    return tuple(tuple(r.f64() for _ in range(MODEL_COLS))
+                 for _ in range(MODEL_ROWS))
+
+
+def write_model(w: Writer, model: ResidualModel) -> None:
+    """The residual model inside the state encoding: W row by row, then
+    version and trained_on."""
+    _write_matrix(w, model.W)
+    w.u64(model.version).u64(model.trained_on)
+
+
+def read_model(r: Reader) -> ResidualModel:
+    W = _read_matrix(r)
+    return ResidualModel(W=W, version=r.u64(), trained_on=r.u64())
+
+
 @dataclass(frozen=True)
 class ModelProposal:
     W_new: tuple
@@ -92,9 +115,7 @@ class ModelProposal:
     def canonical_bytes(self) -> bytes:
         w = Writer().string(self.proposer).f64(self.claimed_rms)
         w.u64(self.parent_version)
-        for row in self.W_new:
-            for v in row:
-                w.f64(v)
+        _write_matrix(w, self.W_new)
         return w.bytes()
 
 
@@ -104,8 +125,7 @@ def read_proposal(raw: bytes) -> ModelProposal:
     proposer = r.string()
     claimed = r.f64()
     parent = r.u64()
-    W = tuple(tuple(r.f64() for _ in range(MODEL_COLS))
-              for _ in range(MODEL_ROWS))
+    W = _read_matrix(r)
     r.done()
     return ModelProposal(W_new=W, proposer=proposer, claimed_rms=claimed,
                          parent_version=parent)

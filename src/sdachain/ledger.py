@@ -9,9 +9,8 @@ tolerance. Blocks serialize to a documented big-endian binary layout;
 every digest is SHA-256 of canonical bytes, and replaying a persisted
 chain from its genesis snapshot reproduces each state root bit for bit.
 
-Settlement happens inside apply_transaction the moment attestations for
-a TDM reach the stake quorum on an identical (verdict, report hash)
-pair: verified tracks return their escrow and collect task fees,
+Settlement happens inside the ``_apply`` of the attestation that brings
+a TDM to the stake quorum on an identical (verdict, report hash) pair: verified tracks return their escrow and collect task fees,
 rejected tracks burn their escrow, unresolved tracks join the UCT pool
 and spawn internal follow-up tasks, and pool tracks that associate get
 mined into the catalog for a minted reward.
@@ -19,6 +18,7 @@ mined into the catalog for a minted reward.
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +32,14 @@ from .astro import (
     state_to_kepler,
 )
 from .errors import SdaError
-from .fedprop import ModelProposal, ResidualModel, merge_model, read_proposal
+from .fedprop import (
+    ModelProposal,
+    ResidualModel,
+    merge_model,
+    read_model,
+    read_proposal,
+    write_model,
+)
 from .iod import IodSolution
 from .tasking import (
     Task,
@@ -321,6 +328,8 @@ class Block:
         for name in ("prev_hash", "tx_root", "state_root"):
             if len(getattr(self, name)) != 32:
                 raise LedgerError(f"{name} must be a 32-byte digest")
+        if not math.isfinite(self.time):
+            raise LedgerError("block time must be finite")
 
 
 def compute_tx_root(txs) -> bytes:
@@ -516,10 +525,7 @@ def encode_state(state: LedgerState) -> bytes:
     for h in sorted(state.seen_tdms):
         w.string(h)
 
-    for row in state.model.W:
-        for v in row:
-            w.f64(v)
-    w.u64(state.model.version).u64(state.model.trained_on)
+    write_model(w, state.model)
 
     w.u32(len(state.model_proposals))
     for h in sorted(state.model_proposals):
@@ -593,8 +599,7 @@ def decode_state(raw: bytes) -> LedgerState:
                                       submitter=r.string())
     state.seen_tdms = {r.string() for _ in range(r.u32())}
 
-    W = tuple(tuple(r.f64() for _ in range(6)) for _ in range(3))
-    state.model = ResidualModel(W=W, version=r.u64(), trained_on=r.u64())
+    state.model = read_model(r)
 
     for _ in range(r.u32()):
         proposal = read_proposal(r.blob())
@@ -1031,55 +1036,54 @@ def _sweep_expired(state: LedgerState) -> None:
             state.tasks[tid] = task.with_status("expired")
 
 
-def _advance(state: LedgerState, txs, proposer: str, time: float) -> tuple:
-    """Shared block transition: returns (applied, excluded) after mutating
-    state through the expiry sweep, the txs, and the proposer subsidy."""
-    state.time = time
-    _sweep_expired(state)
-    applied = []
-    excluded = []
-    for tx in sorted(txs, key=lambda t: (t.sender, t.nonce, tx_hash(t))):
-        try:
-            _apply(state, tx)
-            applied.append(tx)
-        except TxRejected as exc:
-            excluded.append((tx, str(exc)))
-    state.minted += state.params.block_subsidy
-    state.account(proposer).balance += state.params.block_subsidy
-    return applied, excluded
-
-
 def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,
                   time: float = None) -> tuple:
-    """Run the round's lottery, apply what fits, and seal a block.
+    """Run the round's lottery, apply what fits, and seal a block: the one
+    block transition, for producers and for replay alike.
 
-    Returns (new_state, block). Invalid transactions are excluded
-    deterministically; the block subsidy mints to the proposer even when
-    no transaction applies.
+    Mutates ``state`` in place and returns (state, block). Invalid txs are
+    excluded deterministically; ``_apply`` raises TxRejected only before
+    its first mutation, so exclusion needs no copy. The block subsidy
+    mints to the proposer even when no transaction applies. The round,
+    time and lottery checks raise LedgerError before any mutation; after
+    any later exception the state is half applied and must be discarded.
     """
     if round_no != state.height:
         raise LedgerError(f"round {round_no} != next height {state.height}")
     if time is None:
         time = state.time
-    if time < state.time:
-        raise LedgerError("block time cannot run backwards")
+    if not math.isfinite(time) or time < state.time:
+        raise LedgerError("block time must be finite and cannot run "
+                          "backwards")
     proposer = select_validator(state.last_hash, round_no,
                                 compute_stakes(state))
-    work = state.clone()
-    applied, _ = _advance(work, pending_txs, proposer, time)
-    block = Block(height=round_no, prev_hash=state.last_hash,
+    prev_hash = state.last_hash
+    state.time = time
+    _sweep_expired(state)
+    applied = []
+    for tx in sorted(pending_txs, key=lambda t: (t.sender, t.nonce,
+                                                 tx_hash(t))):
+        try:
+            _apply(state, tx)
+        except TxRejected:
+            continue
+        applied.append(tx)
+    state.minted += state.params.block_subsidy
+    state.account(proposer).balance += state.params.block_subsidy
+    block = Block(height=round_no, prev_hash=prev_hash,
                   tx_root=compute_tx_root(applied),
-                  state_root=state_root(work), proposer=proposer, time=time,
+                  state_root=state_root(state), proposer=proposer, time=time,
                   txs=tuple(applied))
-    work.height = round_no + 1
-    work.last_hash = block_hash(block)
-    return work, block
+    state.height = round_no + 1
+    state.last_hash = block_hash(block)
+    return state, block
 
 
 def _replay(blocks: list) -> tuple:
-    """Replay a chain from its genesis snapshot, checking every link, root,
-    lottery pick, and transaction. Returns (first bad height or None, the
-    state after the last good block or None when genesis is bad)."""
+    """Replay a chain from its genesis snapshot, re-producing each block
+    from its txs and time; a block checks out when the re-produced one has
+    the same hash (link, time, proposer, tx_root, txs and state_root).
+    Returns (None, final state), or (first bad height, None)."""
     if not blocks:
         return 0, None
     b0 = blocks[0]
@@ -1098,37 +1102,18 @@ def _replay(blocks: list) -> tuple:
     state.last_hash = block_hash(b0)
 
     for k, b in enumerate(blocks[1:], start=1):
-        if b.height != k or b.prev_hash != state.last_hash:
-            return k, state
-        if b.time < state.time:
-            return k, state
         try:
-            proposer = select_validator(state.last_hash, k,
-                                        compute_stakes(state))
-        except LedgerError:
-            return k, state
-        if b.proposer != proposer:
-            return k, state
-        if b.tx_root != compute_tx_root(b.txs):
-            return k, state
-        work = state.clone()
-        try:
-            applied, _ = _advance(work, b.txs, proposer, b.time)
+            produce_block(state, b.txs, k, time=b.time)
         except SdaError:
-            return k, state
-        if tuple(applied) != tuple(b.txs):
-            return k, state
-        if b.state_root != state_root(work):
-            return k, state
-        work.height = k + 1
-        work.last_hash = block_hash(b)
-        state = work
+            return k, None
+        if state.last_hash != block_hash(b):
+            return k, None
     return None, state
 
 
 def verify_chain(blocks: list):
-    """None when every block of the chain replays and checks out, else the
-    first bad height."""
+    """None when re-producing every block of the chain gives the same
+    bytes, else the first bad height."""
     return _replay(blocks)[0]
 
 
@@ -1146,28 +1131,32 @@ def save_chain(path: str, blocks: list) -> None:
     write_chain_log(path, [block_bytes(b) for b in blocks])
 
 
+def decode_block(raw: bytes) -> Block:
+    """One chain-log record to a Block; raises on trailing bytes."""
+    r = Reader(raw)
+    block = read_block(r)
+    r.done()
+    return block
+
+
 def load_chain(path: str) -> list:
-    blocks = []
-    for raw in read_chain_log(path):
-        r = Reader(raw)
-        blocks.append(read_block(r))
-        r.done()
-    return blocks
+    return [decode_block(raw) for raw in read_chain_log(path)]
 
 
 def verify_chain_file(path: str):
-    """Like verify_chain, but a record that fails to decode counts as the
-    first bad height."""
+    """Like verify_chain, but a record that fails to decode is a bad height
+    too: the first bad height of the blocks before it, else its index."""
     try:
         records = read_chain_log(path)
     except WireError:
         return 0
     blocks = []
-    for k, raw in enumerate(records):
+    for raw in records:
         try:
-            r = Reader(raw)
-            blocks.append(read_block(r))
-            r.done()
+            blocks.append(decode_block(raw))
         except (WireError, SdaError, ValueError):
-            return k
-    return verify_chain(blocks)
+            break
+    bad = verify_chain(blocks)
+    if bad is None and len(blocks) < len(records):
+        return len(blocks)
+    return bad

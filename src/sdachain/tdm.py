@@ -163,12 +163,6 @@ class Tdm:
     def hex_hash(self) -> str:
         return self.content_hash.hex()
 
-    def first_epoch(self) -> Epoch:
-        return self.records[0].epoch
-
-    def last_epoch(self) -> Epoch:
-        return self.records[-1].epoch
-
 
 def serialize_tdm(tdm: Tdm) -> str:
     """Canonical KVN text; parse_tdm(serialize_tdm(t)) == t byte-for-byte."""

@@ -3,14 +3,15 @@
 Each case pins the full SHA-256 of the persisted chain.log and report.json
 plus the final state root. A refactor that is meant to keep behaviour
 must leave all three unchanged; a change that alters consensus bytes on
-purpose re-pins them and says why.
+purpose re-pins them and says why. Each case also replays the chain.log it
+wrote and checks that replay reaches the same final state root.
 """
 import hashlib
 import os
 
 import pytest
 
-from sdachain.ledger import state_root
+from sdachain.ledger import load_chain, replay_state, state_root, verify_chain
 from sdachain.netsim import (
     fl_scenario,
     reference_scenario,
@@ -56,3 +57,6 @@ def test_golden_bytes(name, tmp_path):
            _sha256_file(os.path.join(out, "report.json")),
            report.state_root)
     assert got == (chain_sha, report_sha, root)
+    blocks = load_chain(os.path.join(out, "chain.log"))
+    assert verify_chain(blocks) is None
+    assert state_root(replay_state(blocks)).hex() == report.state_root

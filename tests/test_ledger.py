@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 from conftest import leo_record, site_under
+from sdachain import ledger
 from sdachain.astro import Epoch, OrbitRecord
 from sdachain.ledger import (
     Account,
@@ -48,7 +50,7 @@ from sdachain.fedprop import ModelProposal, ResidualModel
 from sdachain.tasking import INTERNAL_TASK_FEE, IodRegion
 from sdachain.tdm import serialize_tdm, synth_tdm
 from sdachain.validation import ValidationParams, ValidationReport
-from sdachain.wire import Reader, WireError, Writer, sha256
+from sdachain.wire import Reader, WireError, Writer, sha256, write_chain_log
 
 
 def fresh_chain(time=0.0, alice_balance=100):
@@ -589,6 +591,15 @@ class TestBlocks:
         with pytest.raises(LedgerError):
             produce_block(state, [], 1, time=-5.0)
 
+    def test_non_finite_time_rejected(self):
+        state, gblock, _, _ = fresh_chain()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(LedgerError):
+                dataclasses.replace(gblock, time=bad)
+            with pytest.raises(LedgerError):
+                produce_block(state, [], 1, time=bad)
+        assert state.height == 1 and state.time == 0.0
+
     def build_chain(self, tmp_path=None):
         state, gblock, rec, site = fresh_chain()
         tdm = honest_tdm(rec, site)
@@ -634,6 +645,20 @@ class TestBlocks:
         chain[3] = dataclasses.replace(chain[3], prev_hash=bytes(32))
         assert verify_chain(chain) == 3
 
+    @pytest.mark.parametrize("tamper", [
+        lambda b, parent: dataclasses.replace(b, height=b.height + 1),
+        lambda b, parent: dataclasses.replace(b, tx_root=sha256(b"x")),
+        lambda b, parent: dataclasses.replace(b, state_root=sha256(b"x")),
+        lambda b, parent: dataclasses.replace(b, time=parent.time - 1.0),
+        lambda b, parent: dataclasses.replace(b, txs=b.txs[::-1]),
+    ], ids=["height", "tx_root", "state_root", "time_before_parent",
+            "tx_order"])
+    def test_tampered_field_detected(self, tamper):
+        _, chain = self.build_chain()
+        assert len(chain[2].txs) == 2     # tx_order swaps two attestations
+        chain[2] = tamper(chain[2], chain[1])
+        assert verify_chain(chain) == 2
+
     def test_persistence_roundtrip(self, tmp_path):
         s3, chain = self.build_chain()
         path = str(tmp_path / "chain.log")
@@ -654,18 +679,54 @@ class TestBlocks:
         bad = verify_chain_file(path)
         assert bad == 3
 
+    def test_earlier_bad_block_reported_before_undecodable_record(
+            self, tmp_path):
+        _, chain = self.build_chain()
+        chain[1] = dataclasses.replace(chain[1], state_root=sha256(b"x"))
+        records = [block_bytes(b) for b in chain]
+        records[3] += b"\x00"     # trailing byte: record 3 fails to decode
+        path = str(tmp_path / "chain.log")
+        write_chain_log(path, records)
+        assert verify_chain_file(path) == 1
+
+    @pytest.mark.parametrize("bad_time", [math.nan, math.inf])
+    def test_non_finite_block_time_on_disk_detected(self, tmp_path, bad_time):
+        _, chain = self.build_chain()
+        records = [block_bytes(b) for b in chain]
+        b2 = chain[2]
+        # time follows height, three digests and the proposer string
+        at = 8 + 3 * 32 + 4 + len(b2.proposer.encode("utf-8"))
+        rec = bytearray(records[2])
+        assert struct.unpack(">d", rec[at:at + 8])[0] == b2.time
+        rec[at:at + 8] = struct.pack(">d", bad_time)
+        records[2] = bytes(rec)
+        path = str(tmp_path / "chain.log")
+        write_chain_log(path, records)
+        assert verify_chain_file(path) == 2
+
 
 class TestFuzzProperties:
     def test_no_negative_balances_and_conservation(self):
+        """Random transactions go through ledger._apply on the live state,
+        the path every block takes. An applied one conserves tokens; a
+        rejected one must leave the state exactly as it was, because blocks
+        exclude it without a copy."""
         state, _, rec, site = fresh_chain(alice_balance=2000)
         rng = random.Random(99)
         senders = ["alice", "rita", "val-a", "val-b", "val-c"]
-        kinds = ["register_stake", "post_task", "submit_tdm", "claim_reward"]
+        kinds = ["register_stake", "post_task", "submit_tdm", "claim_reward",
+                 "attest_validation", "propose_model", "vote_model"]
         s = state
-        applied = 0
-        for k in range(300):
+        applied = dict.fromkeys(kinds, 0)
+        reports = {}    # tdm hash -> the honest report, computed once
+        for k in range(400):
+            if k % 100 == 99:   # two days pass: posted tasks expire
+                s.time += 2 * 86400.0
+                ledger._sweep_expired(s)
             sender = rng.choice(senders)
             kind = rng.choice(kinds)
+            if kind == "attest_validation" and not (s.pending or reports):
+                kind = "submit_tdm"
             good_nonce = s.nonces.get(sender, 0)
             nonce = good_nonce if rng.random() < 0.8 else rng.randrange(5)
             if kind == "register_stake":
@@ -679,21 +740,46 @@ class TestFuzzProperties:
             elif kind == "submit_tdm":
                 payload = SubmitTdm(
                     tdm_text=serialize_tdm(honest_tdm(rec, site, seed=k)))
-            else:
+            elif kind == "claim_reward":
                 tid = (rng.choice(sorted(s.tasks)) if s.tasks and rng.random()
                        < 0.8 else bytes(32))
                 payload = ClaimReward(task_id=tid)
+            elif kind == "attest_validation":
+                # mostly a pending TDM; else a settled one, now unknown
+                h = rng.choice(sorted(s.pending) if s.pending
+                               and rng.random() < 0.9 else sorted(reports))
+                if h not in reports:
+                    reports[h] = compute_attestation(s, h)
+                payload = AttestValidation(reports[h])
+            elif kind == "propose_model":
+                W = tuple(tuple(rng.uniform(-0.01, 0.01) for _ in range(6))
+                          for _ in range(3))
+                parent = s.model.version + (rng.random() < 0.2)
+                proposer = sender if rng.random() < 0.9 else "val-c"
+                payload = ProposeModel(ModelProposal(
+                    W_new=W, proposer=proposer, claimed_rms=0.5,
+                    parent_version=parent))
+            else:
+                # votes gather on the oldest open proposal so some settle
+                ph = (next(iter(s.model_proposals))
+                      if s.model_proposals and rng.random() < 0.9
+                      else bytes(32))
+                payload = VoteModel(ph, rng.choice(("accept", "accept",
+                                                    "reject", "abstain")))
             before = encode_state(s)
             try:
-                s = apply_transaction(s, Transaction(kind=kind, sender=sender,
-                                                     nonce=nonce,
-                                                     payload=payload))
-                applied += 1
+                ledger._apply(s, Transaction(kind=kind, sender=sender,
+                                             nonce=nonce, payload=payload))
             except TxRejected:
-                # a rejected transaction must not mutate the input state
+                # check-first: a rejected transaction must not mutate state
                 assert encode_state(s) == before
                 continue
+            applied[kind] += 1
             assert conservation_delta(s) == 0
             for a in s.accounts.values():
                 assert a.balance >= 0 and a.staked >= 0
-        assert applied > 50    # the generator is not vacuous
+        # the generator is not vacuous: every kind applies, TDMs settle and
+        # a model proposal merges
+        assert sum(applied.values()) > 50
+        assert all(applied.values()), applied
+        assert s.settlements and s.model.version >= 1
