@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -74,6 +75,15 @@ class UnsupportedRegimeError(AstroError):
 
 class DecayError(AstroError):
     """Trajectory dropped below the decay altitude during integration."""
+
+
+class PropagationLimitError(AstroError, ValueError):
+    """Step size or propagation span outside the propagator's limits.
+
+    Also a ValueError, so callers that catch ValueError for bad input
+    (refine_elements' trial orbits, the chain decoders, the simulated
+    sensors) still catch it.
+    """
 
 
 def wrap_two_pi(angle: float) -> float:
@@ -343,36 +353,55 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # through exactly the same intermediate states as propagating to any t1
 # between the anchor and t2, which makes the per-orbit grid cacheable without
 # changing results.
+#
+# A _Grid holds one orbit's grid for one (elements, bstar, step, j2): the
+# anchor state is computed and altitude-checked once, when the grid is built,
+# and the forward and backward grids are flat array('d') buffers, six doubles
+# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Grids either
+# live in the shared LRU _grid_cache, which counts the points they hold, or
+# are private to one propagate_many pass (use_cache=False) and are dropped
+# with it, leaving the cache and its point count untouched.
 
 
-def _deriv(x, y, z, vx, vy, vz, bstar, j2):
+def _drag(x, y, z, vx, vy, vz, r, bstar):
+    rho = DRAG_RHO0 * math.exp(-((r - R_EARTH) - DRAG_H0) / DRAG_SCALE_H)
+    rvx = vx + EARTH_ROT * y
+    rvy = vy - EARTH_ROT * x
+    vr = math.sqrt(rvx * rvx + rvy * rvy + vz * vz)
+    d = -bstar * rho * vr
+    return d * rvx, d * rvy, d * vz
+
+
+def _j2_coeff(j2: float) -> float:
+    """-1.5 * j2 * mu * Re^2, the J2 acceleration's numerator (0 when j2 is)."""
+    return -1.5 * j2 * MU_EARTH * R_EARTH * R_EARTH
+
+
+def _rk4_step(state, h, bstar, kj):
+    """One RK4 step of the force model; kj is _j2_coeff(j2).
+
+    Each of the four stages sums gravity, then J2 (when kj != 0), then
+    drag (when bstar != 0), in that order: the order fixes the bits of
+    every propagated state, which tests/test_astro.py pins.
+    """
+    x, y, z, vx, vy, vz = state
     r2 = x * x + y * y + z * z
     r = math.sqrt(r2)
     c = -MU_EARTH / (r2 * r)
-    ax = c * x
-    ay = c * y
-    az = c * z
-    if j2 != 0.0:
-        k = -1.5 * j2 * MU_EARTH * R_EARTH * R_EARTH / (r2 * r2 * r)
-        five_z2_r2 = 5.0 * z * z / r2
-        ax += k * x * (1.0 - five_z2_r2)
-        ay += k * y * (1.0 - five_z2_r2)
-        az += k * z * (3.0 - five_z2_r2)
-    if bstar != 0.0:
-        rho = DRAG_RHO0 * math.exp(-((r - R_EARTH) - DRAG_H0) / DRAG_SCALE_H)
-        rvx = vx + EARTH_ROT * y
-        rvy = vy - EARTH_ROT * x
-        vr = math.sqrt(rvx * rvx + rvy * rvy + vz * vz)
-        d = -bstar * rho * vr
-        ax += d * rvx
-        ay += d * rvy
-        az += d * vz
-    return ax, ay, az
-
-
-def _rk4_step(state, h, bstar, j2):
-    x, y, z, vx, vy, vz = state
-    ax1, ay1, az1 = _deriv(x, y, z, vx, vy, vz, bstar, j2)
+    ax1 = c * x
+    ay1 = c * y
+    az1 = c * z
+    if kj:
+        k = kj / (r2 * r2 * r)
+        f = 5.0 * z * z / r2
+        ax1 += k * x * (1.0 - f)
+        ay1 += k * y * (1.0 - f)
+        az1 += k * z * (3.0 - f)
+    if bstar:
+        dx, dy, dz = _drag(x, y, z, vx, vy, vz, r, bstar)
+        ax1 += dx
+        ay1 += dy
+        az1 += dz
 
     h2 = 0.5 * h
     x2 = x + h2 * vx
@@ -381,7 +410,23 @@ def _rk4_step(state, h, bstar, j2):
     vx2 = vx + h2 * ax1
     vy2 = vy + h2 * ay1
     vz2 = vz + h2 * az1
-    ax2, ay2, az2 = _deriv(x2, y2, z2, vx2, vy2, vz2, bstar, j2)
+    r2 = x2 * x2 + y2 * y2 + z2 * z2
+    r = math.sqrt(r2)
+    c = -MU_EARTH / (r2 * r)
+    ax2 = c * x2
+    ay2 = c * y2
+    az2 = c * z2
+    if kj:
+        k = kj / (r2 * r2 * r)
+        f = 5.0 * z2 * z2 / r2
+        ax2 += k * x2 * (1.0 - f)
+        ay2 += k * y2 * (1.0 - f)
+        az2 += k * z2 * (3.0 - f)
+    if bstar:
+        dx, dy, dz = _drag(x2, y2, z2, vx2, vy2, vz2, r, bstar)
+        ax2 += dx
+        ay2 += dy
+        az2 += dz
 
     x3 = x + h2 * vx2
     y3 = y + h2 * vy2
@@ -389,7 +434,23 @@ def _rk4_step(state, h, bstar, j2):
     vx3 = vx + h2 * ax2
     vy3 = vy + h2 * ay2
     vz3 = vz + h2 * az2
-    ax3, ay3, az3 = _deriv(x3, y3, z3, vx3, vy3, vz3, bstar, j2)
+    r2 = x3 * x3 + y3 * y3 + z3 * z3
+    r = math.sqrt(r2)
+    c = -MU_EARTH / (r2 * r)
+    ax3 = c * x3
+    ay3 = c * y3
+    az3 = c * z3
+    if kj:
+        k = kj / (r2 * r2 * r)
+        f = 5.0 * z3 * z3 / r2
+        ax3 += k * x3 * (1.0 - f)
+        ay3 += k * y3 * (1.0 - f)
+        az3 += k * z3 * (3.0 - f)
+    if bstar:
+        dx, dy, dz = _drag(x3, y3, z3, vx3, vy3, vz3, r, bstar)
+        ax3 += dx
+        ay3 += dy
+        az3 += dz
 
     x4 = x + h * vx3
     y4 = y + h * vy3
@@ -397,7 +458,23 @@ def _rk4_step(state, h, bstar, j2):
     vx4 = vx + h * ax3
     vy4 = vy + h * ay3
     vz4 = vz + h * az3
-    ax4, ay4, az4 = _deriv(x4, y4, z4, vx4, vy4, vz4, bstar, j2)
+    r2 = x4 * x4 + y4 * y4 + z4 * z4
+    r = math.sqrt(r2)
+    c = -MU_EARTH / (r2 * r)
+    ax4 = c * x4
+    ay4 = c * y4
+    az4 = c * z4
+    if kj:
+        k = kj / (r2 * r2 * r)
+        f = 5.0 * z4 * z4 / r2
+        ax4 += k * x4 * (1.0 - f)
+        ay4 += k * y4 * (1.0 - f)
+        az4 += k * z4 * (3.0 - f)
+    if bstar:
+        dx, dy, dz = _drag(x4, y4, z4, vx4, vy4, vz4, r, bstar)
+        ax4 += dx
+        ay4 += dy
+        az4 += dz
 
     k = h / 6.0
     return (
@@ -419,15 +496,84 @@ def _check_altitude(state, epoch_t):
         )
 
 
-class _GridEntry:
-    __slots__ = ("anchor", "forward", "backward", "decay_fwd", "decay_bwd")
+def _check_limits(el: KeplerianElements, t: Epoch, step_s: float) -> None:
+    if not MIN_STEP_S <= step_s <= MAX_STEP_S:
+        raise PropagationLimitError(
+            f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}], got {step_s}")
+    dt = t.t - el.epoch.t
+    if abs(dt) > MAX_SPAN_S:
+        raise PropagationLimitError(
+            f"span {dt / 86400.0:.1f} days exceeds {MAX_SPAN_S / 86400.0:.0f}-day limit")
 
-    def __init__(self, anchor):
-        self.anchor = anchor        # 6-tuple at the element epoch
-        self.forward = [anchor]     # grid states at epoch + k*step
-        self.backward = [anchor]    # grid states at epoch - k*step
-        self.decay_fwd = None       # grid index at which decay was hit
+
+def _anchor(el: KeplerianElements) -> tuple:
+    """Altitude-checked 6-tuple state at the element epoch."""
+    sv = kepler_to_state(el, el.epoch)
+    anchor = (*sv.r, *sv.v)
+    _check_altitude(anchor, el.epoch.t)
+    return anchor
+
+
+class _Grid:
+    """One orbit's step grid: anchor, forward and backward array('d') grids."""
+
+    __slots__ = ("t0", "step_s", "bstar", "kj", "forward", "backward",
+                 "decay_fwd", "decay_bwd", "cache")
+
+    def __init__(self, el: KeplerianElements, bstar: float, step_s: float,
+                 j2: float, cache=None):
+        anchor = _anchor(el)
+        self.t0 = el.epoch.t
+        self.step_s = step_s
+        self.bstar = bstar
+        self.kj = _j2_coeff(j2)
+        self.forward = array("d", anchor)     # point k at epoch + k*step
+        self.backward = array("d", anchor)    # point k at epoch - k*step
+        self.decay_fwd = None                 # grid index at which decay was hit
         self.decay_bwd = None
+        self.cache = cache                    # owning _GridCache, None if private
+
+    def state_at(self, t: float) -> tuple:
+        """6-tuple state at t, extending the grid as far as t needs."""
+        dt = t - self.t0
+        step_s = self.step_s
+        n_full = int(abs(dt) // step_s)
+        rem = abs(dt) - n_full * step_s
+        sign = 1.0 if dt >= 0.0 else -1.0
+        grid = self.forward if dt >= 0.0 else self.backward
+        decay_at = self.decay_fwd if dt >= 0.0 else self.decay_bwd
+        if decay_at is not None and n_full >= decay_at:
+            raise DecayError(
+                f"altitude below {DECAY_ALTITUDE:.0f} km at grid step {decay_at} "
+                f"(t={self.t0 + sign * decay_at * step_s:.1f})"
+            )
+        held = len(grid) // 6
+        if held <= n_full:
+            h = sign * step_s
+            state = grid[-6:]
+            k = held
+            try:
+                while k <= n_full:
+                    state = _rk4_step(state, h, self.bstar, self.kj)
+                    _check_altitude(state, self.t0 + sign * k * step_s)
+                    grid.extend(state)
+                    k += 1
+            except DecayError:
+                if dt >= 0.0:
+                    self.decay_fwd = k
+                else:
+                    self.decay_bwd = k
+                raise
+            finally:
+                if self.cache is not None:
+                    self.cache.grew(k - held)
+        i = 6 * n_full
+        state = grid[i:i + 6]
+        if rem > 0.0:
+            state = _rk4_step(state, sign * rem, self.bstar, self.kj)
+            _check_altitude(state, t)
+            return state
+        return tuple(state)
 
 
 class _GridCache:
@@ -439,20 +585,24 @@ class _GridCache:
         self._points = 0
 
     def clear(self):
+        for grid in self._entries.values():
+            grid.cache = None
         self._entries.clear()
         self._points = 0
 
-    def get(self, key, anchor) -> _GridEntry:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            entry = _GridEntry(anchor)
+    def get(self, el: KeplerianElements, bstar: float, step_s: float,
+            j2: float) -> _Grid:
+        key = (el.key(), bstar, step_s, j2)
+        grid = self._entries.pop(key, None)
+        if grid is None:
+            grid = _Grid(el, bstar, step_s, j2, self)
             self._points += 2
-        self._entries[key] = entry    # reinsert = mark most recent
+        self._entries[key] = grid    # reinsert = mark most recent
         while self._points > self.max_points and len(self._entries) > 1:
-            oldest_key = next(iter(self._entries))
-            old = self._entries.pop(oldest_key)
-            self._points -= len(old.forward) + len(old.backward)
-        return entry
+            old = self._entries.pop(next(iter(self._entries)))
+            old.cache = None
+            self._points -= (len(old.forward) + len(old.backward)) // 6
+        return grid
 
     def grew(self, n: int):
         self._points += n
@@ -473,58 +623,53 @@ def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
 
     The force model is the chain's reference propagator; j2 is exposed as
     a test hook to recover the pure two-body limit.  Deterministic for
-    fixed inputs whether or not the grid cache is used.
+    fixed inputs whether or not the grid cache is used: use_cache=True
+    reads and extends the orbit's shared grid in _grid_cache (its anchor
+    computed once, when the grid is built); use_cache=False steps from a
+    freshly computed anchor and stores nothing.  Raises
+    PropagationLimitError (also a ValueError) for a step or span outside
+    the limits, DecayError when the orbit decays before t.
     """
-    if not MIN_STEP_S <= step_s <= MAX_STEP_S:
-        raise ValueError(f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}], got {step_s}")
+    _check_limits(el, t, step_s)
+    if use_cache:
+        state = _grid_cache.get(el, bstar, step_s, j2).state_at(t.t)
+        return StateVector(epoch=t, r=state[:3], v=state[3:])
+
+    kj = _j2_coeff(j2)
     dt = t.t - el.epoch.t
-    if abs(dt) > MAX_SPAN_S:
-        raise ValueError(f"span {dt / 86400.0:.1f} days exceeds {MAX_SPAN_S / 86400.0:.0f}-day limit")
-
-    anchor_sv = kepler_to_state(el, el.epoch)
-    anchor = (*anchor_sv.r, *anchor_sv.v)
-    _check_altitude(anchor, el.epoch.t)
-
     n_full = int(abs(dt) // step_s)
     rem = abs(dt) - n_full * step_s
     sign = 1.0 if dt >= 0.0 else -1.0
     h = sign * step_s
-
-    if use_cache:
-        key = (el.key(), bstar, step_s, j2)
-        entry = _grid_cache.get(key, anchor)
-        states = entry.forward if dt >= 0.0 else entry.backward
-        decay_at = entry.decay_fwd if dt >= 0.0 else entry.decay_bwd
-        if decay_at is not None and n_full >= decay_at:
-            raise DecayError(
-                f"altitude below {DECAY_ALTITUDE:.0f} km at grid step {decay_at} "
-                f"(t={el.epoch.t + sign * decay_at * step_s:.1f})"
-            )
-        while len(states) <= n_full:
-            k = len(states)
-            nxt = _rk4_step(states[-1], h, bstar, j2)
-            try:
-                _check_altitude(nxt, el.epoch.t + sign * k * step_s)
-            except DecayError:
-                if dt >= 0.0:
-                    entry.decay_fwd = k
-                else:
-                    entry.decay_bwd = k
-                raise
-            states.append(nxt)
-            _grid_cache.grew(1)
-        state = states[n_full]
-    else:
-        state = anchor
-        for k in range(1, n_full + 1):
-            state = _rk4_step(state, h, bstar, j2)
-            _check_altitude(state, el.epoch.t + sign * k * step_s)
-
+    state = _anchor(el)
+    for k in range(1, n_full + 1):
+        state = _rk4_step(state, h, bstar, kj)
+        _check_altitude(state, el.epoch.t + sign * k * step_s)
     if rem > 0.0:
-        state = _rk4_step(state, sign * rem, bstar, j2)
+        state = _rk4_step(state, sign * rem, bstar, kj)
         _check_altitude(state, t.t)
-
     return StateVector(epoch=t, r=state[:3], v=state[3:])
+
+
+def propagate_many(el: KeplerianElements, bstar: float, epochs,
+                   step_s: float = 10.0, *, j2: float = J2_EARTH,
+                   use_cache: bool = True):
+    """Yield propagate_j2's state at each epoch, in the given order.
+
+    One grid serves the whole pass: the orbit's shared grid in
+    _grid_cache when use_cache is true, else a private grid that is
+    dropped with the generator and never enters the cache.  Each epoch
+    raises the error propagate_j2 would raise for it, when it is reached;
+    the states yielded before it are unaffected.
+    """
+    grid = None
+    for t in epochs:
+        _check_limits(el, t, step_s)
+        if grid is None:
+            grid = (_grid_cache.get(el, bstar, step_s, j2) if use_cache
+                    else _Grid(el, bstar, step_s, j2))
+        state = grid.state_at(t.t)
+        yield StateVector(epoch=t, r=state[:3], v=state[3:])
 
 
 # --- observation geometry ---

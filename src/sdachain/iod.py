@@ -41,6 +41,7 @@ from .astro import (
     kepler_to_state,
     norm,
     propagate_j2,
+    propagate_many,
     radec_to_unit_vector,
     site_eci,
     state_to_kepler,
@@ -412,23 +413,30 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
 
     ranged = [idx for idx, (rec, _, _) in enumerate(entries)
               if rec.range_km is not None]
+    epochs = [rec.epoch for rec, _, _ in entries]
 
     def residuals(x):
         # angle terms first (2 per record), then one relative range term
-        # per ranged record; the reported RMS uses only the angle block
+        # per ranged record; the reported RMS uses only the angle block.
+        # Every trial x is a new orbit used once, so its grid stays private.
         el = make_elements(x)
         out = np.empty(2 * n + len(ranged))
-        for idx, (rec, site, mode) in enumerate(entries):
-            p1, p2 = _predicted_angles(el, bstar, rec.epoch, site, mode, step_s, j2)
+        states = propagate_many(el, bstar, epochs, step_s=step_s, j2=j2,
+                                use_cache=False)
+        j = 2 * n
+        for idx, ((rec, site, mode), sv) in enumerate(zip(entries, states)):
+            if mode == "AZEL":
+                p1, p2, _ = topocentric_angles(sv, site)
+            else:
+                p1, p2, _ = topocentric_radec(sv, site)
             d1 = (rec.angle1 - p1 + math.pi) % (2.0 * math.pi) - math.pi
             out[2 * idx] = d1 * math.cos(rec.angle2)
             out[2 * idx + 1] = rec.angle2 - p2
-        for j, idx in enumerate(ranged):
-            rec, site, mode = entries[idx]
-            sv = propagate_j2(el, bstar, rec.epoch, step_s=step_s, j2=j2)
-            r_site = site_eci(site, rec.epoch)
-            rho = norm(tuple(sv.r[k] - r_site[k] for k in range(3)))
-            out[2 * n + j] = (rec.range_km - rho) / rec.range_km
+            if rec.range_km is not None:
+                r_site = site_eci(site, rec.epoch)
+                rho = norm(tuple(sv.r[k] - r_site[k] for k in range(3)))
+                out[j] = (rec.range_km - rho) / rec.range_km
+                j += 1
         return out
 
     def try_cost(x):

@@ -20,7 +20,7 @@ from .astro import (
     J2_EARTH,
     KeplerianElements,
     DecayError,
-    propagate_j2,
+    propagate_many,
     topocentric_angles,
 )
 from .errors import SdaError
@@ -271,21 +271,22 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     if cadence_s < MIN_EPOCH_SPACING_S:
         raise TaskingError(f"cadence_s must be >= {MIN_EPOCH_SPACING_S}")
     t0, t1 = window
-    out = []
+    epochs = []
     k = 0
     while True:
         t = t0.t + k * cadence_s
         if t > t1.t:
             break
-        epoch = Epoch(t)
-        try:
-            sv = propagate_j2(elements, bstar, epoch, step_s=step_s, j2=j2)
-        except DecayError:
-            break
-        _, el, _ = topocentric_angles(sv, site)
-        if el > ELEVATION_MASK_RAD:
-            out.append(epoch)
+        epochs.append(Epoch(t))
         k += 1
+    out = []
+    try:
+        for sv in propagate_many(elements, bstar, epochs, step_s=step_s, j2=j2):
+            _, el, _ = topocentric_angles(sv, site)
+            if el > ELEVATION_MASK_RAD:
+                out.append(sv.epoch)
+    except DecayError:
+        pass
     return tuple(out)
 
 

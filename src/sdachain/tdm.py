@@ -22,7 +22,7 @@ from .astro import (
     GroundSite,
     J2_EARTH,
     OrbitRecord,
-    propagate_j2,
+    propagate_many,
     topocentric_angles,
     topocentric_radec,
     wrap_two_pi,
@@ -370,8 +370,8 @@ def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: fl
     if j2 is None:
         j2 = J2_EARTH
     ordered = sorted(epochs, key=lambda e: e.t)
-    states = [propagate_j2(record.elements, record.bstar, ep, step_s=step_s, j2=j2)
-              for ep in ordered]
+    states = list(propagate_many(record.elements, record.bstar, ordered,
+                                 step_s=step_s, j2=j2))
     offending = [ep for ep, sv in zip(ordered, states)
                  if topocentric_angles(sv, site)[1] <= ELEVATION_MASK_RAD]
     if offending:

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from sdachain import astro
 from sdachain.astro import (
+    AstroError,
     DecayError,
     Epoch,
     GroundSite,
@@ -23,6 +25,7 @@ from sdachain.astro import (
     kepler_to_state,
     norm,
     propagate_j2,
+    propagate_many,
     radec_to_unit_vector,
     site_eci,
     solve_kepler,
@@ -31,6 +34,7 @@ from sdachain.astro import (
     topocentric_radec,
     wrap_two_pi,
 )
+from sdachain.errors import SdaError
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,6 +267,200 @@ class TestPropagator:
         # Second query hits the memoized decay index.
         with pytest.raises(DecayError):
             propagate_j2(el, 1e-3, Epoch(5 * 86400.0), step_s=30.0)
+
+
+# float.hex of propagate_j2(_PIN_ELEMENTS, bstar, Epoch(t), step_s, j2=j2)
+# as (x, y, z, vx, vy, vz); any change to the force model or its operation
+# order moves these bits, and every golden hash with them.
+_PIN_ELEMENTS = KeplerianElements(a=6878.0, e=0.012, i=0.9, raan=1.1, argp=0.7,
+                                  M=2.3, epoch=Epoch(1000.0))
+_PINNED_STATES = [
+    ("drag_on_partial", 2e-05, 6437.25, 10.0, J2_EARTH,
+     ("-0x1.0f8abc2bfb33dp+12",
+      "-0x1.38d4aed6aaaeap+12",
+      "0x1.ed76cd8d5b443p+10",
+      "0x1.4a03a636e42d9p+1",
+      "-0x1.214dc50a14636p+2",
+      "-0x1.5fdf13e503ea1p+2")),
+    ("drag_off_on_grid", 0.0, 8200.0, 10.0, J2_EARTH,
+     ("0x1.d2067c01d5d8cp+11",
+      "-0x1.0e8e5fd6015bep+11",
+      "-0x1.52abd843ddfb0p+12",
+      "0x1.c7464ecf67dccp+1",
+      "0x1.aa871e13c344dp+2",
+      "-0x1.ed9ec3fcc05ecp-4")),
+    ("two_body_partial", 0.0, 4333.3, 7.0, 0.0,
+     ("0x1.587cc2c7f8848p+10",
+      "0x1.8b823729b4f1cp+12",
+      "0x1.02b5181af6123p+11",
+      "-0x1.52c8bfd312211p+2",
+      "-0x1.620b0a5b28a4ap-1",
+      "0x1.632de16aa7d73p+2")),
+    ("backward_partial", 1e-05, -3321.5, 30.0, J2_EARTH,
+     ("0x1.7882982a198dep+11",
+      "-0x1.a215ac3043802p+11",
+      "-0x1.49e8f41cc9b28p+12",
+      "0x1.1055560ab8e52p+2",
+      "0x1.851dc63729d8dp+2",
+      "-0x1.57f883fc4a19bp+0")),
+    ("drag_only_partial", 3e-05, 1901.5, 10.0, 0.0,
+     ("0x1.9cbf1a65941e3p+9",
+      "-0x1.5b73954ec702fp+12",
+      "-0x1.008bf880ce0ffp+12",
+      "0x1.53dbe8e6e30f4p+2",
+      "0x1.d4e689ace2320p+1",
+      "-0x1.ef573a4a6a57ap+1")),
+    ("backward_on_grid", 0.0, 400.0, 60.0, J2_EARTH,
+     ("-0x1.3263d716ba2a5p+12",
+      "-0x1.753042dcfdd4ep+11",
+      "0x1.dabe5103348e5p+11",
+      "0x1.f881c0e814436p-2",
+      "-0x1.95aebdb95d987p+2",
+      "-0x1.0b04232ee0607p+2")),
+]
+
+
+class TestPropagatorBits:
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("name,bstar,t,step_s,j2,expected", _PINNED_STATES,
+                             ids=[c[0] for c in _PINNED_STATES])
+    def test_pinned_state_bits(self, name, bstar, t, step_s, j2, expected, use_cache):
+        clear_propagation_cache()
+        sv = propagate_j2(_PIN_ELEMENTS, bstar, Epoch(t), step_s=step_s, j2=j2,
+                          use_cache=use_cache)
+        assert tuple(c.hex() for c in (*sv.r, *sv.v)) == expected
+
+
+def state_bits(sv):
+    return tuple(c.hex() for c in (sv.epoch.t, *sv.r, *sv.v))
+
+
+def cache_snapshot():
+    """Keys in LRU order, the counted points, and each grid's held points."""
+    entries = astro._grid_cache._entries
+    return (list(entries), astro._grid_cache._points,
+            [(len(g.forward), len(g.backward)) for g in entries.values()])
+
+
+def held_points():
+    return sum((len(g.forward) + len(g.backward)) // 6
+               for g in astro._grid_cache._entries.values())
+
+
+_MANY_ELEMENTS = KeplerianElements(a=6900.0, e=0.015, i=1.1, raan=0.3, argp=2.0,
+                                   M=4.0, epoch=Epoch(5000.0))
+# unsorted, forward and backward of the element epoch, on the step grid
+# (rem == 0) and between grid points, with a repeat
+_MANY_EPOCHS = [Epoch(5000.0 + dt) for dt in
+                (3605.5, -120.0, 0.0, 60.0, -7777.7, 3605.5, 12.25, 86400.0,
+                 -30.0, 1e-3)]
+
+
+class TestPropagateMany:
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("bstar,j2", [(0.0, J2_EARTH), (2e-5, J2_EARTH), (1e-5, 0.0)])
+    def test_matches_propagate_j2_bit_for_bit(self, use_cache, bstar, j2):
+        clear_propagation_cache()
+        many = list(propagate_many(_MANY_ELEMENTS, bstar, _MANY_EPOCHS, step_s=10.0,
+                                   j2=j2, use_cache=use_cache))
+        clear_propagation_cache()
+        single = [propagate_j2(_MANY_ELEMENTS, bstar, t, step_s=10.0, j2=j2,
+                               use_cache=False) for t in _MANY_EPOCHS]
+        assert [state_bits(sv) for sv in many] == [state_bits(sv) for sv in single]
+        assert all(sv.epoch is t for sv, t in zip(many, _MANY_EPOCHS))
+
+    def test_empty_epochs_yield_nothing(self):
+        assert list(propagate_many(_MANY_ELEMENTS, 0.0, [], step_s=0.1)) == []
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_decay_yields_states_before_then_raises(self, use_cache):
+        el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
+                               argp=0.0, M=0.0, epoch=Epoch(0.0))
+        epochs = [Epoch(k * 6 * 3600.0) for k in range(21)]
+        clear_propagation_cache()
+        expected = []
+        for t in epochs:
+            try:
+                expected.append(propagate_j2(el, 1e-3, t, step_s=30.0, use_cache=False))
+            except DecayError:
+                break
+        assert 0 < len(expected) < len(epochs)
+        got = []
+        gen = propagate_many(el, 1e-3, epochs, step_s=30.0, use_cache=use_cache)
+        with pytest.raises(DecayError):
+            for sv in gen:
+                got.append(sv)
+        assert [state_bits(sv) for sv in got] == [state_bits(sv) for sv in expected]
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_limit_errors_match_propagate_j2(self, use_cache):
+        el = _MANY_ELEMENTS
+        bad_step = propagate_many(el, 0.0, [Epoch(5100.0)], step_s=0.5,
+                                  use_cache=use_cache)
+        with pytest.raises(astro.PropagationLimitError) as many_exc:
+            next(bad_step)
+        with pytest.raises(astro.PropagationLimitError) as single_exc:
+            propagate_j2(el, 0.0, Epoch(5100.0), step_s=0.5)
+        assert str(many_exc.value) == str(single_exc.value)
+
+        far = Epoch(5000.0 - 31 * 86400.0)
+        gen = propagate_many(el, 0.0, [Epoch(5100.0), Epoch(4000.0), far, Epoch(5200.0)],
+                             use_cache=use_cache)
+        assert next(gen).epoch.t == 5100.0
+        assert next(gen).epoch.t == 4000.0
+        with pytest.raises(astro.PropagationLimitError) as many_exc:
+            next(gen)
+        with pytest.raises(astro.PropagationLimitError) as single_exc:
+            propagate_j2(el, 0.0, far)
+        assert str(many_exc.value) == str(single_exc.value)
+
+    def test_limit_error_is_domain_and_value_error(self):
+        assert issubclass(astro.PropagationLimitError, AstroError)
+        assert issubclass(astro.PropagationLimitError, SdaError)
+        assert issubclass(astro.PropagationLimitError, ValueError)
+
+
+class TestGridCacheAccounting:
+    def test_uncached_passes_leave_cache_untouched(self):
+        clear_propagation_cache()
+        propagate_j2(_MANY_ELEMENTS, 0.0, Epoch(9000.0))
+        list(propagate_many(_MANY_ELEMENTS, 1e-6, _MANY_EPOCHS[:3]))
+        before = cache_snapshot()
+        list(propagate_many(_MANY_ELEMENTS, 0.0, _MANY_EPOCHS, use_cache=False))
+        list(propagate_many(_MANY_ELEMENTS, 3e-6, _MANY_EPOCHS, use_cache=False))
+        propagate_j2(_MANY_ELEMENTS, 3e-6, Epoch(20000.0), use_cache=False)
+        assert cache_snapshot() == before
+
+    def test_points_counted_equal_points_held(self, monkeypatch):
+        monkeypatch.setattr(astro._grid_cache, "max_points", 2000)
+        clear_propagation_cache()
+        rng = random.Random(9)
+        orbits = [leo_elements(rng) for _ in range(4)]
+        epochs = [Epoch(60.0 * k) for k in range(0, 200, 7)]
+        # a cached pass stays live while other orbits evict its grid
+        live = propagate_many(orbits[0], 0.0, epochs, step_s=10.0)
+        for k, t in enumerate(epochs):
+            next(live)
+            propagate_j2(orbits[1 + k % 3], 0.0, Epoch(-t.t), step_s=10.0)
+            assert astro._grid_cache._points == held_points()
+        # a decay after grid growth counts the points it appended
+        low = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
+                                argp=0.0, M=0.0, epoch=Epoch(0.0))
+        with pytest.raises(DecayError):
+            list(propagate_many(low, 1e-3, [Epoch(86400.0), Epoch(5 * 86400.0)],
+                                step_s=30.0))
+        assert astro._grid_cache._points == held_points()
+        clear_propagation_cache()
+        assert astro._grid_cache._points == held_points() == 0
+
+    def test_decayed_anchor_is_never_cached(self):
+        clear_propagation_cache()
+        sunk = KeplerianElements(a=R_EARTH + 50.0, e=0.0, i=0.9, raan=0.0,
+                                 argp=0.0, M=0.0, epoch=Epoch(0.0))
+        for _ in range(2):
+            with pytest.raises(DecayError):
+                propagate_j2(sunk, 0.0, Epoch(10.0))
+        assert cache_snapshot() == ([], 0, [])
 
 
 class TestObservationGeometry:

@@ -11,6 +11,7 @@ from conftest import site_under as _site_under
 # every observation in this module is generated from two-body states, so
 # site placement must use the same dynamics
 site_under = functools.partial(_site_under, j2=0.0)
+from sdachain import astro
 from sdachain.astro import (
     Epoch,
     GroundSite,
@@ -291,6 +292,23 @@ class TestRefine:
                         0.0, seed=1, j2=0.0)
         with pytest.raises(IodError):
             refine_elements(rec.elements, [tdm], {"A": site}, bstar=0.0, j2=0.0)
+
+    def test_leaves_grid_cache_untouched(self):
+        rng = random.Random(66)
+        rec = leo_record(rng)
+        tdms, sites = self.two_pass_tdms(rec, seed=500, noise=1e-4)
+        el = rec.elements
+        start = KeplerianElements(a=el.a + 5.0, e=el.e, i=el.i, raan=el.raan,
+                                  argp=el.argp, M=el.M, epoch=el.epoch)
+        cache = astro._grid_cache
+
+        def snapshot():
+            return (list(cache._entries), cache._points,
+                    [(len(g.forward), len(g.backward)) for g in cache._entries.values()])
+
+        before = snapshot()
+        refine_elements(start, tdms, sites, bstar=0.0, j2=0.0)
+        assert snapshot() == before
 
     def test_rejects_unknown_site(self):
         rng = random.Random(65)

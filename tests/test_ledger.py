@@ -48,7 +48,8 @@ from sdachain.ledger import (
 )
 from sdachain.fedprop import ModelProposal, ResidualModel
 from sdachain.tasking import INTERNAL_TASK_FEE, IodRegion
-from sdachain.tdm import serialize_tdm, synth_tdm
+from sdachain.errors import SdaError
+from sdachain.tdm import ObservationRecord, Tdm, TdmMeta, serialize_tdm, synth_tdm
 from sdachain.validation import ValidationParams, ValidationReport
 from sdachain.wire import Reader, WireError, Writer, sha256, write_chain_log
 
@@ -353,6 +354,25 @@ class TestSubmitAndSettle:
         with pytest.raises(TxRejected):    # one attestation per validator
             apply_transaction(s2, tx("attest_validation", "val-a", 1,
                                      AttestValidation(rep)))
+
+
+def future_tdm(object_id, site_id, days_ahead=40.0):
+    """Canonical TDM claiming object_id with epochs days_ahead in the future."""
+    t0 = days_ahead * 86400.0
+    records = tuple(ObservationRecord(epoch=Epoch(t0 + 30.0 * k), angle1=1.0,
+                                      angle2=0.5) for k in range(8))
+    return Tdm(meta=TdmMeta(site_id=site_id, participant=object_id, mode="AZEL"),
+               records=records)
+
+
+class TestHostileTdm:
+    def test_future_dated_claim_raises_domain_error(self):
+        state, _, rec, site = fresh_chain()
+        tdm = future_tdm(rec.object_id, site.site_id)
+        s1 = apply_transaction(state, submit_tx(tdm))
+        assert tdm.hex_hash() in s1.pending
+        with pytest.raises(SdaError):
+            compute_attestation(s1, tdm.hex_hash())
 
 
 class TestTaskEconomics:

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from sdachain import astro, netsim
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.ledger import (
+    SubmitTdm,
+    Transaction,
+    apply_transaction,
     block_bytes,
     load_chain,
     replay_state,
@@ -28,6 +32,7 @@ from sdachain.netsim import (
     uct_scenario,
     validate_scenario,
 )
+from sdachain.tdm import ObservationRecord, Tdm, TdmMeta, serialize_tdm
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +196,24 @@ class TestUctRun:
         g = chain[0]
         chain[0] = dataclasses.replace(g, time=g.time - 1.0)
         assert verify_chain(chain) == 1
+
+    def test_grid_cache_counts_points_held(self, uct_report):
+        cache = astro._grid_cache
+        assert cache._entries
+        assert cache._points == sum((len(g.forward) + len(g.backward)) // 6
+                                    for g in cache._entries.values())
+
+    def test_future_dated_claim_gets_no_attestation(self):
+        sim = netsim._Sim(uct_scenario(1))
+        tdm = Tdm(meta=TdmMeta(site_id="E1", participant="OBJ-01", mode="AZEL"),
+                  records=tuple(ObservationRecord(epoch=Epoch(40 * 86400.0 + 30.0 * k),
+                                                  angle1=1.0, angle2=0.5)
+                                for k in range(8)))
+        tx = Transaction(kind="submit_tdm", sender="alice", nonce=0,
+                         payload=SubmitTdm(tdm_text=serialize_tdm(tdm)))
+        sim.state = apply_transaction(sim.state, tx)
+        assert tdm.hex_hash() in sim.state.pending
+        assert sim.attestation_for(sim.state, tdm.hex_hash()) is None
 
     def test_rerun_is_bit_identical(self, uct_report):
         again = run_scenario(uct_scenario(7))
