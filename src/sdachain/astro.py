@@ -81,8 +81,8 @@ class PropagationLimitError(AstroError, ValueError):
     """Step size or propagation span outside the propagator's limits.
 
     Also a ValueError, so callers that catch ValueError for bad input
-    (refine_elements' trial orbits, the chain decoders, the simulated
-    sensors) still catch it.
+    (refine_elements' start point and line-search trials, the chain
+    decoders, the simulated sensors) still catch it.
     """
 
 

@@ -21,12 +21,14 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 from .astro import (
     DecayError,
     Epoch,
     GroundSite,
     J2_EARTH,
+    KeplerianElements,
     OrbitRecord,
     propagate_j2,
     state_to_kepler,
@@ -40,7 +42,6 @@ from .fedprop import (
     read_proposal,
     write_model,
 )
-from .iod import IodSolution
 from .tasking import (
     Task,
     internal_retask,
@@ -389,10 +390,15 @@ class PendingTdm:
 
 @dataclass
 class PoolEntry:
-    """An uncorrelated track parked until association mines it."""
+    """An uncorrelated track parked until association mines it.
+
+    elements is the settled uct report's proposed_elements, the track's
+    own fit; attestations associate against it without re-fitting.
+    """
 
     tdm_text: str
     submitter: str
+    elements: Optional[KeplerianElements]
 
 
 @dataclass
@@ -520,6 +526,9 @@ def encode_state(state: LedgerState) -> bytes:
     for h in sorted(state.uct_pool):
         e = state.uct_pool[h]
         w.string(h).string(e.tdm_text).string(e.submitter)
+        w.u8(1 if e.elements is not None else 0)
+        if e.elements is not None:
+            write_elements(w, e.elements)
 
     w.u32(len(state.seen_tdms))
     for h in sorted(state.seen_tdms):
@@ -595,8 +604,10 @@ def decode_state(raw: bytes) -> LedgerState:
         state.pending[h] = p
     for _ in range(r.u32()):
         h = r.string()
-        state.uct_pool[h] = PoolEntry(tdm_text=r.string(),
-                                      submitter=r.string())
+        text, submitter = r.string(), r.string()
+        state.uct_pool[h] = PoolEntry(
+            tdm_text=text, submitter=submitter,
+            elements=read_elements(r) if r.u8() else None)
     state.seen_tdms = {r.string() for _ in range(r.u32())}
 
     state.model = read_model(r)
@@ -793,8 +804,9 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
             if pend.task_id:
                 _pay_task(state, pend, attesters)
         else:
-            state.uct_pool[tdm_hash_hex] = PoolEntry(tdm_text=pend.tdm_text,
-                                                     submitter=pend.submitter)
+            state.uct_pool[tdm_hash_hex] = PoolEntry(
+                tdm_text=pend.tdm_text, submitter=pend.submitter,
+                elements=report.proposed_elements)
             _spawn_retask(state, report)
 
     state.settlements.append(SettlementRecord(
@@ -855,11 +867,11 @@ def compute_attestation(state: LedgerState, tdm_hash_hex: str,
 
     Runs the deterministic validation pipeline against the current
     catalog and, for uncorrelated tracks, associates against the on-chain
-    UCT pool so settlement knows which tracks to mine together. Every
-    honest node holding the same state produces the identical report.
+    UCT pool so settlement knows which tracks to mine together. Pool
+    entries carry the fit their own settled report proposed, so the only
+    fit here is the new track's. Every honest node holding the same state
+    produces the identical report.
     """
-    from .validation import _refined_iod     # shared per-track fit
-
     pend = state.pending.get(tdm_hash_hex)
     if pend is None:
         raise LedgerError(f"no pending TDM {tdm_hash_hex[:12]}")
@@ -869,18 +881,9 @@ def compute_attestation(state: LedgerState, tdm_hash_hex: str,
                           state.model, step_s=state.step_s, j2=j2)
     if report.verdict != "uct" or not state.uct_pool:
         return report
-    pool_sols = []
-    for h in sorted(state.uct_pool):
-        entry = state.uct_pool[h]
-        p_tdm = parse_tdm(entry.tdm_text)
-        sol = _refined_iod(p_tdm, state.sites[p_tdm.meta.site_id],
-                           state.step_s, j2)
-        if sol is not None:
-            pool_sols.append((h, sol))
-    new_sol = IodSolution(elements=report.proposed_elements,
-                          rms_residual=report.rms_residual,
-                          method="refined", n_obs=len(tdm.records))
-    matches = associate_uct(new_sol, pool_sols, state.vparams,
+    pool = [(h, e.elements) for h, e in sorted(state.uct_pool.items())
+            if e.elements is not None]
+    matches = associate_uct(report.proposed_elements, pool, state.vparams,
                             step_s=state.step_s, j2=j2)
     if not matches:
         return report

@@ -299,19 +299,19 @@ def element_distance(a: KeplerianElements, b: KeplerianElements,
             + params.w_raan_per_deg * math.degrees(d_raan))
 
 
-def associate_uct(new_sol: IodSolution, uct_pool: list,
+def associate_uct(new_elements: KeplerianElements, uct_pool: list,
                   params: ValidationParams, *, step_s: float = 10.0,
                   j2: float = J2_EARTH) -> list:
-    """Pool entries matching the new track, as (tdm_hash, distance).
+    """Pool entries matching the new track's fit, as (tdm_hash, distance).
 
-    uct_pool holds (tdm_hash, IodSolution) pairs. Sorted ascending by
-    distance, ties broken by hash; entries the comparison orbit decays
-    against are unmatched.
+    uct_pool holds (tdm_hash, KeplerianElements) pairs, one fit per
+    pooled track. Sorted ascending by distance, ties broken by hash;
+    entries the comparison orbit decays against are unmatched.
     """
     matches = []
-    for tdm_hash, sol in uct_pool:
+    for tdm_hash, elements in uct_pool:
         try:
-            d = element_distance(new_sol.elements, sol.elements, params,
+            d = element_distance(new_elements, elements, params,
                                  step_s=step_s, j2=j2)
         except DecayError:
             continue

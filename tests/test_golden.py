@@ -29,9 +29,9 @@ GOLDEN = {
     ),
     "uct": (
         uct_scenario,
-        "bf29b68e933cdffcdecb8b4a66906b210d0ab161fc2f5b913de00b21c669e930",
-        "a567f6ea0b225036619fb6a76b640262bc0193fef9015563785a29fd482ad281",
-        "3cc24fa78dc9dba66295dc0bebcb9fc434f996b11206b9feabcf8bbb7eebc30f",
+        "05c87dc05fc765abc24b51967c316b96da1033b52b5c8fec9539a0cd272306d9",
+        "989c2f9417f9413d3ae10ea12f35d3c7e5c2f0b21ae1b9c2b992b96f975191e6",
+        "3c445f6b0636a51f1661e8d23933c4b0f0d770f3f1ab36ebe0b70adb4a656f16",
     ),
     "fl": (
         fl_scenario,

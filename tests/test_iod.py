@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 import functools
@@ -11,7 +13,8 @@ from conftest import site_under as _site_under
 # every observation in this module is generated from two-body states, so
 # site placement must use the same dynamics
 site_under = functools.partial(_site_under, j2=0.0)
-from sdachain import astro
+import test_validation
+from sdachain import astro, iod, validation
 from sdachain.astro import (
     Epoch,
     GroundSite,
@@ -21,6 +24,7 @@ from sdachain.astro import (
     StateVector,
     kepler_to_state,
     norm,
+    propagate_many,
     topocentric_angles,
 )
 from sdachain.iod import (
@@ -317,6 +321,105 @@ class TestRefine:
         del sites["B"]
         with pytest.raises(IodError):
             refine_elements(rec.elements, tdms, sites, bstar=0.0, j2=0.0)
+
+
+def radar_arc(seed=23):
+    """One 8-record radar track under the full force model (the consensus
+    per-track fit's input) and the IOD start it is refined from."""
+    rec = leo_record(random.Random(seed))
+    site = _site_under(rec, Epoch(720.0), site_id="A")
+    tdm = synth_tdm(rec, site, [Epoch(600.0 + 30.0 * k) for k in range(8)],
+                    1e-5, 930, with_range=True)
+    return iod_from_tdm(tdm, site).elements, [tdm], {"A": site}
+
+
+def mining_fixture():
+    """TestMining's two radar tracks of one object, 6 h apart, with the
+    IOD start of each end track."""
+    _, tdms, sites = test_validation.TestMining().mine_inputs()
+    starts = [iod_from_tdm(t, sites[t.meta.site_id]).elements for t in tdms]
+    return starts, tdms, sites
+
+
+# float.hex of refine_elements(*radar_arc()): elements (a, e, i, raan,
+# argp, M, epoch.t) and RMS. Any change to the fit's arithmetic moves
+# these bits and re-pins them on purpose, with the uct golden hashes.
+PINNED_FIT = ["0x1.d7aed1ff7ec14p+12", "0x1.4775b8b61458ep-6",
+              "0x1.704635b17aa2ap+0", "0x1.0cc1d7d6f82a9p-1",
+              "0x1.da038bcbeefaep+1", "0x1.afa840ca4087ep+1",
+              "0x1.6800000000000p+9"]
+PINNED_FIT_RMS = "0x1.5094ce1d0192bp-17"
+
+
+class TestReducedModelJacobian:
+    def test_no_integration_for_partials(self, monkeypatch):
+        # R: refine_elements entered, P: one arc integration, S: one
+        # Gauss-Newton iteration's SVD. Each fit integrates once at its
+        # start point, then only for each line-search trial (1 to 11 per
+        # iteration); the Jacobian adds no P, and propagate_j2 is unused.
+        log = []
+
+        def logged(tag, fn):
+            def wrapper(*args, **kwargs):
+                log.append(tag)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(iod, "propagate_many", logged("P", iod.propagate_many))
+        monkeypatch.setattr(iod, "propagate_j2", logged("J", iod.propagate_j2))
+        monkeypatch.setattr(np.linalg, "svd", logged("S", np.linalg.svd))
+        monkeypatch.setattr(validation, "refine_elements",
+                            logged("R", validation.refine_elements))
+        one_fit = r"RP(SP{1,%d})+" % (iod.REFINE_MAX_HALVINGS + 1)
+
+        validation.refine_elements(*radar_arc())
+        assert re.fullmatch(one_fit, "".join(log)), "".join(log)
+
+        log.clear()
+        _, tdms, sites = mining_fixture()
+        assert validation.mine_object(tdms, sites, validation.ValidationParams())
+        assert re.fullmatch(f"({one_fit}){{2}}", "".join(log)), "".join(log)
+
+    @pytest.mark.parametrize("fixture", ["radar_arc", "mining"])
+    def test_agrees_with_numerical_jacobian(self, fixture):
+        # Column-wise relative 2-norm error against central differences of
+        # the reference-propagator residuals (the Jacobian used before).
+        # Tolerance 5e-2: the reduced model drops the J2 short-period
+        # terms, which measured 4e-4 to 1.2e-2 on radar arcs and up to
+        # 4.2e-2 on the 6 h two-track arc; a Keplerian model without the
+        # secular rates misses the two-track arc by 0.6 to 1.1.
+        if fixture == "radar_arc":
+            start, tdms, sites = radar_arc()
+            starts = [start]
+        else:
+            starts, tdms, sites = mining_fixture()
+        entries = iod._collect_records(tdms, sites)
+        epochs = [rec.epoch for rec, _, _ in entries]
+        n_terms = 2 * len(entries) + sum(rec.range_km is not None
+                                         for rec, _, _ in entries)
+
+        def numerical(x, epoch):
+            return iod._residuals(
+                entries, propagate_many(iod._make_elements(x, epoch), 0.0,
+                                        epochs, use_cache=False), n_terms)
+
+        for el in starts:
+            x = np.array(el.key()[:6])
+            model = iod._model_jacobian(x, el.epoch, entries, n_terms,
+                                        astro.J2_EARTH)
+            for k, h in enumerate((1e-3, 1e-7, 1e-7, 1e-7, 1e-7, 1e-7)):
+                xp = x.copy()
+                xm = x.copy()
+                xp[k] += h
+                xm[k] -= h
+                col = (numerical(xm, el.epoch) - numerical(xp, el.epoch)) / (2.0 * h)
+                err = np.linalg.norm(model[:, k] - col) / np.linalg.norm(col)
+                assert err < 5e-2, (iod._ELEMENT_NAMES[k], err)
+
+    def test_pinned_fit_bits(self):
+        sol = refine_elements(*radar_arc())
+        assert [v.hex() for v in sol.elements.key()] == PINNED_FIT
+        assert sol.rms_residual.hex() == PINNED_FIT_RMS
 
 
 class TestAngularRms:

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import leo_record, site_under
-from sdachain import ledger
-from sdachain.astro import Epoch, OrbitRecord
+from sdachain import ledger, validation
+from sdachain.astro import J2_EARTH, Epoch, OrbitRecord
 from sdachain.ledger import (
     Account,
     AttestValidation,
@@ -49,7 +49,14 @@ from sdachain.ledger import (
 from sdachain.fedprop import ModelProposal, ResidualModel
 from sdachain.tasking import INTERNAL_TASK_FEE, IodRegion
 from sdachain.errors import SdaError
-from sdachain.tdm import ObservationRecord, Tdm, TdmMeta, serialize_tdm, synth_tdm
+from sdachain.tdm import (
+    ObservationRecord,
+    Tdm,
+    TdmMeta,
+    parse_tdm,
+    serialize_tdm,
+    synth_tdm,
+)
 from sdachain.validation import ValidationParams, ValidationReport
 from sdachain.wire import Reader, WireError, Writer, sha256, write_chain_log
 
@@ -453,7 +460,7 @@ class TestTaskEconomics:
 
 
 class TestUctMining:
-    def two_track_setup(self):
+    def two_track_setup(self, extra_sites=()):
         ghost = leo_record(random.Random(30), "GHOST")
         cat_rec = leo_record(random.Random(5), "SAT-1")
         g1 = site_under(ghost, Epoch(700.0), site_id="G1")
@@ -464,7 +471,7 @@ class TestUctMining:
             Account("val-a", balance=0, staked=40, roles={"compute"}),
             Account("val-b", balance=0, staked=40, roles={"compute"}),
         ]
-        state, _ = make_genesis(accounts, [cat_rec], [g1, g2],
+        state, _ = make_genesis(accounts, [cat_rec], [g1, g2, *extra_sites],
                                 EconomicsParams(), ValidationParams(),
                                 step_s=10.0, time=0.0)
         t1 = synth_tdm(ghost, g1, [Epoch(600.0 + 30 * k) for k in range(8)],
@@ -521,6 +528,42 @@ class TestUctMining:
         s, rep = attest_until_settled(s, t3.hex_hash())
         assert rep.verdict == "verified"
         assert rep.matched_object == f"MINED-{t1.hex_hash()[:8]}"
+
+    def test_pool_fits_come_from_settled_reports(self, monkeypatch):
+        # two pooled UCTs of different objects; a third UCT's attestation
+        # fits only its own track and associates against the stored fits
+        other = leo_record(random.Random(31), "OTHER")
+        g3 = site_under(other, Epoch(700.0), site_id="G3")
+        state, t1, t2 = self.two_track_setup(extra_sites=[g3])
+        t_other = synth_tdm(other, g3, [Epoch(600.0 + 30 * k) for k in range(8)],
+                            1e-5, 7, with_range=True, range_noise_km=0.05,
+                            participant="UNKNOWN")
+        s = apply_transaction(state, submit_tx(t1))
+        s, _ = attest_until_settled(s, t1.hex_hash())
+        s = apply_transaction(s, submit_tx(t_other, nonce=0, sender="oscar"))
+        s, rep = attest_until_settled(s, t_other.hex_hash())
+        assert rep.verdict == "uct" and rep.uct_matches == ()
+        assert sorted(s.uct_pool) == sorted([t1.hex_hash(), t_other.hex_hash()])
+        for entry in s.uct_pool.values():
+            p_tdm = parse_tdm(entry.tdm_text)
+            refit = validation._refined_iod(p_tdm, s.sites[p_tdm.meta.site_id],
+                                            s.step_s, J2_EARTH)
+            assert entry.elements.key() == refit.elements.key()
+        assert decode_state(encode_state(s)).uct_pool == s.uct_pool
+
+        s = apply_transaction(s, submit_tx(t2, nonce=1))
+        fitted = []
+        real_refine = validation.refine_elements
+
+        def counting_refine(initial, tdms, *args, **kwargs):
+            fitted.append([t.hex_hash() for t in tdms])
+            return real_refine(initial, tdms, *args, **kwargs)
+
+        monkeypatch.setattr(validation, "refine_elements", counting_refine)
+        rep = compute_attestation(s, t2.hex_hash())
+        assert rep.verdict == "uct"
+        assert rep.uct_matches == (t1.hex_hash(),)
+        assert fitted == [[t2.hex_hash()]]
 
 
 class TestModelGovernance:

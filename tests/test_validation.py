@@ -236,11 +236,8 @@ class TestAssociation:
                                    i=far.elements.i, raan=far.elements.raan,
                                    argp=far.elements.argp, M=far.elements.M,
                                    epoch=far.elements.epoch)
-        from sdachain.iod import IodSolution
-        far_sol = IodSolution(elements=far_el, rms_residual=0.0,
-                              method="gibbs", n_obs=3)
-        pool = [("hash-far", far_sol), ("hash-a", sol_a)]
-        matches = associate_uct(sol_b, pool, P)
+        pool = [("hash-far", far_el), ("hash-a", sol_a.elements)]
+        matches = associate_uct(sol_b.elements, pool, P)
         assert [h for h, _ in matches] == ["hash-a"]
         assert matches[0][1] <= P.d_assoc
 
@@ -248,20 +245,12 @@ class TestAssociation:
         rng = random.Random(25)
         rec1 = leo_record(rng)
         rec2 = leo_record(rng)
-        from sdachain.iod import IodSolution
-        s1 = IodSolution(elements=rec1.elements, rms_residual=0.0,
-                         method="gibbs", n_obs=3)
-        s2 = IodSolution(elements=rec2.elements, rms_residual=0.0,
-                         method="gibbs", n_obs=3)
-        assert associate_uct(s1, [("h2", s2)], P) == []
+        assert associate_uct(rec1.elements, [("h2", rec2.elements)], P) == []
 
     def test_tie_break_by_hash(self):
         rec = leo_record(random.Random(26))
-        from sdachain.iod import IodSolution
-        sol = IodSolution(elements=rec.elements, rms_residual=0.0,
-                          method="gibbs", n_obs=3)
-        pool = [("zz", sol), ("aa", sol)]
-        matches = associate_uct(sol, pool, P)
+        pool = [("zz", rec.elements), ("aa", rec.elements)]
+        matches = associate_uct(rec.elements, pool, P)
         assert [h for h, _ in matches] == ["aa", "zz"]
 
 
@@ -317,3 +306,4 @@ class TestMining:
         del sites["B"]
         with pytest.raises(ValidationError):
             mine_object(tdms, sites, P)
+
