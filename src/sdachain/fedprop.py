@@ -22,11 +22,10 @@ from .astro import (
     StateVector,
     cross,
     propagate_j2,
-    site_eci,
     unit,
 )
 from .errors import SdaError
-from .tdm import Tdm
+from .tdm import Tdm, observed_position
 from .wire import Reader, Writer, sha256
 
 MODEL_ROWS = 3
@@ -188,16 +187,11 @@ def samples_from_range_tdm(tdm: Tdm, site, record, *, step_s: float = 10.0,
     """
     if not tdm.meta.has_range:
         raise FedpropError("calibration samples need range observations")
-    if tdm.meta.mode != "AZEL":
-        raise FedpropError("calibration samples are AZEL-only")
-    from .astro import angles_to_unit_vector
     out = []
     el = record.elements
     for rec in tdm.records:
         sv = propagate_j2(el, record.bstar, rec.epoch, step_s=step_s, j2=j2)
-        los = angles_to_unit_vector(rec.angle1, rec.angle2, site, rec.epoch)
-        r_site = site_eci(site, rec.epoch)
-        observed = tuple(r_site[k] + rec.range_km * los[k] for k in range(3))
+        observed = observed_position(rec, site, tdm.meta.mode)
         diff = tuple(observed[k] - sv.r[k] for k in range(3))
         r_hat, s_hat, w_hat = rsw_axes(sv)
         y = (sum(diff[k] * r_hat[k] for k in range(3)),

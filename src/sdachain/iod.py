@@ -37,23 +37,18 @@ from .astro import (
     R_EARTH,
     StateVector,
     UnsupportedRegimeError,
-    angles_to_unit_vector,
-    angular_separation,
     cross,
     dot,
     kepler_to_state,
     norm,
     propagate_j2,
     propagate_many,
-    radec_to_unit_vector,
     site_eci,
     state_to_kepler,
-    topocentric_angles,
-    topocentric_radec,
     unit,
 )
 from .errors import SdaError
-from .tdm import Tdm
+from .tdm import Tdm, line_of_sight, observe, observed_position, separation_rms
 
 MIN_ALTITUDE_KM = 100.0
 MAX_ALTITUDE_KM = 100000.0
@@ -119,32 +114,9 @@ class IodSolution:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _los_unit(rec, site: GroundSite, mode: str) -> tuple:
-    if mode == "AZEL":
-        return angles_to_unit_vector(rec.angle1, rec.angle2, site, rec.epoch)
-    return radec_to_unit_vector(rec.angle1, rec.angle2)
-
-
-def _predicted_angles(el: KeplerianElements, bstar: float, epoch: Epoch,
-                      site: GroundSite, mode: str, step_s: float, j2: float) -> tuple:
-    sv = propagate_j2(el, bstar, epoch, step_s=step_s, j2=j2)
-    if mode == "AZEL":
-        a1, a2, _ = topocentric_angles(sv, site)
-    else:
-        a1, a2, _ = topocentric_radec(sv, site)
-    return a1, a2
-
-
 def _two_body_rms(el: KeplerianElements, obs, site: GroundSite, mode: str) -> float:
-    acc = 0.0
-    for rec in obs:
-        sv = kepler_to_state(el, rec.epoch)
-        if mode == "AZEL":
-            a1, a2, _ = topocentric_angles(sv, site)
-        else:
-            a1, a2, _ = topocentric_radec(sv, site)
-        acc += angular_separation(rec.angle1, rec.angle2, a1, a2) ** 2
-    return math.sqrt(acc / len(obs))
+    return separation_rms([(rec, site, mode) for rec in obs],
+                          (kepler_to_state(el, rec.epoch) for rec in obs))
 
 
 def angular_rms(elements: KeplerianElements, bstar: float, tdms: list, sites: dict,
@@ -155,20 +127,12 @@ def angular_rms(elements: KeplerianElements, bstar: float, tdms: list, sites: di
     DecayError if the orbit decays before some record epoch; KeyError on
     an unknown site is converted to IodError.
     """
-    acc = 0.0
-    n = 0
-    for tdm in tdms:
-        site = sites.get(tdm.meta.site_id)
-        if site is None:
-            raise IodError(f"unknown site {tdm.meta.site_id!r}")
-        for rec in tdm.records:
-            p1, p2 = _predicted_angles(elements, bstar, rec.epoch, site,
-                                       tdm.meta.mode, step_s, j2)
-            acc += angular_separation(rec.angle1, rec.angle2, p1, p2) ** 2
-            n += 1
-    if n == 0:
+    entries = _collect_records(tdms, sites)
+    if not entries:
         raise IodError("no observation records")
-    return math.sqrt(acc / n)
+    return separation_rms(entries, (
+        propagate_j2(elements, bstar, rec.epoch, step_s=step_s, j2=j2)
+        for rec, _, _ in entries))
 
 
 def _sorted_triple(obs):
@@ -189,12 +153,7 @@ def iod_gibbs(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
         if rec.range_km is None:
             raise IodGeometryError("Gibbs needs slant ranges on all three observations")
 
-    rs = []
-    for rec in (o1, o2, o3):
-        u = _los_unit(rec, site, mode)
-        sp = site_eci(site, rec.epoch)
-        rs.append(tuple(sp[k] + rec.range_km * u[k] for k in range(3)))
-    r1, r2, r3 = rs
+    r1, r2, r3 = (observed_position(rec, site, mode) for rec in (o1, o2, o3))
     m1, m2, m3 = norm(r1), norm(r2), norm(r3)
 
     # Pairwise geocentric separation.
@@ -261,7 +220,7 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
                 f"epoch separation {names} of {sep:.1f} s outside "
                 f"[{GAUSS_MIN_SEP_S:.0f}, {GAUSS_MAX_SEP_S:.0f}] s")
 
-    los = [_los_unit(rec, site, mode) for rec in (o1, o2, o3)]
+    los = [line_of_sight(rec, site, mode) for rec in (o1, o2, o3)]
     for (ua, ub, names) in ((los[0], los[1], "1-2"), (los[1], los[2], "2-3"),
                             (los[0], los[2], "1-3")):
         ang = math.degrees(math.acos(max(-1.0, min(1.0, dot(ua, ub)))))
@@ -404,10 +363,7 @@ def _residuals(entries, states, n_terms: int) -> np.ndarray:
     out = np.empty(n_terms)
     j = 2 * len(entries)
     for idx, ((rec, site, mode), sv) in enumerate(zip(entries, states)):
-        if mode == "AZEL":
-            p1, p2, _ = topocentric_angles(sv, site)
-        else:
-            p1, p2, _ = topocentric_radec(sv, site)
+        p1, p2, _ = observe(sv, site, mode)
         d1 = (rec.angle1 - p1 + math.pi) % (2.0 * math.pi) - math.pi
         out[2 * idx] = d1 * math.cos(rec.angle2)
         out[2 * idx + 1] = rec.angle2 - p2

@@ -732,13 +732,11 @@ def _pay_task(state: LedgerState, pend: PendingTdm, attesters: list) -> None:
     task = state.tasks.get(pend.task_id)
     if task is None or task.status not in ("open", "assigned"):
         return
-    fee = task.fee
     if task.origin == "internal":
+        fee = task.fee
         state.minted += fee     # subsidy-funded
     else:
-        amount, _ = state.task_escrows.pop(task.task_id, (0, ""))
-        if amount != fee:       # escrow always equals fee by construction
-            fee = amount
+        fee, _ = state.task_escrows.pop(task.task_id, (0, ""))
     cut = _frac_mul(fee, state.params.validator_fee_cut)
     weights = {aid: state.accounts[aid].staked for aid in attesters
                if aid in state.accounts}

@@ -508,32 +508,39 @@ class _Node:
         submitted = False
         if got is not None:
             task, epochs = got
-            submitted = self._observe_task(state, t, task, epochs, sensor)
+            submitted = self._observe_task(state, t, window, task, epochs,
+                                           sensor)
         if not submitted:
             self._observe_untasked(state, t, window, sensor)
         if self.spec.behavior != "spoofer":
             self._survey(state, t, window, sensor)
 
-    def _observe_task(self, state, t, task, epochs, sensor) -> bool:
+    def _track(self, elements, bstar, sensor, window, min_epochs):
+        """The epochs of one track: the first max_track_len visible epochs
+        of the window, or None when fewer than min_epochs remain."""
+        sc = self.sim.sc
+        eps = visible_epochs(elements, bstar, sensor.site, window,
+                             step_s=sc.step_s)[:sc.max_track_len]
+        return eps if len(eps) >= min_epochs else None
+
+    def _observe_task(self, state, t, window, task, epochs, sensor) -> bool:
         epochs = list(epochs)[:self.sim.sc.max_track_len]
         if isinstance(task.target, IodRegion):
             rec = self._region_candidate(state, task.target,
                                          (epochs[0], epochs[-1]), sensor)
             if rec is None:
                 return False
-            eps = visible_epochs(rec.elements, rec.bstar, sensor.site,
-                                 (Epoch(t), Epoch(t + self.sim.sc.cycle_s)),
-                                 step_s=self.sim.sc.step_s)
-            if len(eps) < SURVEY_MIN_EPOCHS:
+            eps = self._track(rec.elements, rec.bstar, sensor, window,
+                              SURVEY_MIN_EPOCHS)
+            if eps is None:
                 return False
-            return self._submit_track(t, rec, "UNKNOWN",
-                                      list(eps)[:self.sim.sc.max_track_len],
+            return self._submit_track(t, window, rec, "UNKNOWN", eps,
                                       sensor, task.task_id)
         rec = self.sim.truth.get(task.target)
         if rec is None:
             return False
-        return self._submit_track(t, rec, task.target, epochs, sensor,
-                                  task.task_id)
+        return self._submit_track(t, window, rec, task.target, epochs,
+                                  sensor, task.task_id)
 
     def _region_candidate(self, state, region, window, sensor):
         """What is actually inside the requested element box: the first
@@ -546,34 +553,31 @@ class _Node:
         return None
 
     def _observe_untasked(self, state, t, window, sensor) -> bool:
-        sc = self.sim.sc
         for oid in sorted(state.catalog):
             rec = self.sim.truth.get(oid)
             if rec is None:
                 continue    # mined objects have no independent truth entry
-            eps = visible_epochs(rec.elements, rec.bstar, sensor.site, window,
-                                 step_s=sc.step_s)
-            if len(eps) >= MIN_TRACK_EPOCHS:
-                return self._submit_track(t, rec, oid,
-                                          list(eps)[:sc.max_track_len],
-                                          sensor, b"")
+            eps = self._track(rec.elements, rec.bstar, sensor, window,
+                              MIN_TRACK_EPOCHS)
+            if eps is not None:
+                return self._submit_track(t, window, rec, oid, eps, sensor,
+                                          b"")
         return False
 
     def _survey(self, state, t, window, sensor) -> None:
         """Serendipitous detection of whatever uncataloged object crosses
         the sensor's sky this cycle."""
-        sc = self.sim.sc
         for rec in self.sim.truth_sorted:
             if rec.object_id in state.catalog:
                 continue
-            eps = visible_epochs(rec.elements, rec.bstar, sensor.site, window,
-                                 step_s=sc.step_s)
-            if len(eps) >= SURVEY_MIN_EPOCHS:
-                self._submit_track(t, rec, "UNKNOWN",
-                                   list(eps)[:sc.max_track_len], sensor, b"")
+            eps = self._track(rec.elements, rec.bstar, sensor, window,
+                              SURVEY_MIN_EPOCHS)
+            if eps is not None:
+                self._submit_track(t, window, rec, "UNKNOWN", eps, sensor,
+                                   b"")
                 return
 
-    def _submit_track(self, t, rec, participant, epochs, sensor,
+    def _submit_track(self, t, window, rec, participant, epochs, sensor,
                       task_id) -> bool:
         sc = self.sim.sc
         data_rec = self.sim.observed_record(rec)
@@ -583,12 +587,10 @@ class _Node:
                 % (2.0 * math.pi))
             data_rec = OrbitRecord(object_id=rec.object_id, elements=spoofed,
                                    bstar=rec.bstar)
-            eps = visible_epochs(spoofed, rec.bstar, sensor.site,
-                                 (Epoch(t), Epoch(t + sc.cycle_s)),
-                                 step_s=sc.step_s)
-            if len(eps) < MIN_TRACK_EPOCHS:
+            epochs = self._track(spoofed, rec.bstar, sensor, window,
+                                 MIN_TRACK_EPOCHS)
+            if epochs is None:
                 return False
-            epochs = list(eps)[:sc.max_track_len]
         seed = self.rng.randrange(2 ** 31)
         with_range = sensor.mode == "radar"
         try:

@@ -7,6 +7,12 @@ content hash over those bytes. The parser accepts cosmetic variation
 (whitespace, digit count, record order) but rejects anything outside the
 profile; see docs/tdm-profile.md for the grammar.
 
+The module also owns the observation model, the one definition of what a
+record's two angles mean in each ANGLE_TYPE: observe is the forward map
+from a state to a record's angles and range, line_of_sight and
+observed_position are its inverse, and separation_rms is the residual
+every validation threshold is stated in.
+
 Angles are degrees in files and radians in memory.
 """
 
@@ -22,7 +28,12 @@ from .astro import (
     GroundSite,
     J2_EARTH,
     OrbitRecord,
+    StateVector,
+    angles_to_unit_vector,
+    angular_separation,
     propagate_many,
+    radec_to_unit_vector,
+    site_eci,
     topocentric_angles,
     topocentric_radec,
     wrap_two_pi,
@@ -351,10 +362,50 @@ def parse_tdm(text: str) -> Tdm:
         raise TdmValidationError(str(exc)) from exc
 
 
+def observe(sv: StateVector, site: GroundSite, mode: str) -> tuple:
+    """(angle1, angle2, slant range) of a state as a site sees it.
+
+    AZEL gives azimuth and elevation; RADEC gives the topocentric right
+    ascension and declination.
+    """
+    if mode == "AZEL":
+        return topocentric_angles(sv, site)
+    return topocentric_radec(sv, site)
+
+
+def line_of_sight(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:
+    """ECI unit vector along a record's two angles."""
+    if mode == "AZEL":
+        return angles_to_unit_vector(rec.angle1, rec.angle2, site, rec.epoch)
+    return radec_to_unit_vector(rec.angle1, rec.angle2)
+
+
+def observed_position(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:
+    """ECI position of a ranged record: the site plus the slant range
+    along the line of sight."""
+    u = line_of_sight(rec, site, mode)
+    sp = site_eci(site, rec.epoch)
+    return tuple(sp[k] + rec.range_km * u[k] for k in range(3))
+
+
+def separation_rms(entries: list, states) -> float:
+    """RMS great-circle separation between records and predicted states.
+
+    entries holds (record, site, mode) triples; states yields one
+    predicted state per entry, in the same order.
+    """
+    acc = 0.0
+    for (rec, site, mode), sv in zip(entries, states):
+        p1, p2, _ = observe(sv, site, mode)
+        sep = angular_separation(rec.angle1, rec.angle2, p1, p2)
+        acc += sep * sep
+    return math.sqrt(acc / len(entries))
+
+
 def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: float,
               seed: int, *, mode: str = "AZEL", with_range: bool = False,
               participant: str = None, range_noise_km: float = 0.0,
-              step_s: float = 10.0, j2: float = None) -> Tdm:
+              step_s: float = 10.0, j2: float = J2_EARTH) -> Tdm:
     """Simulated sensor: observe a cataloged orbit and emit a canonical Tdm.
 
     Angles come from the reference propagator plus zero-mean Gaussian noise
@@ -367,8 +418,6 @@ def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: fl
         raise ValueError("noise levels must be nonnegative")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if j2 is None:
-        j2 = J2_EARTH
     ordered = sorted(epochs, key=lambda e: e.t)
     states = list(propagate_many(record.elements, record.bstar, ordered,
                                  step_s=step_s, j2=j2))
@@ -381,10 +430,7 @@ def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: fl
     half_pi = math.pi / 2.0
     records = []
     for ep, sv in zip(ordered, states):
-        if mode == "AZEL":
-            a1, a2, rho = topocentric_angles(sv, site)
-        else:
-            a1, a2, rho = topocentric_radec(sv, site)
+        a1, a2, rho = observe(sv, site, mode)
         if noise_std > 0.0:
             a1 = wrap_two_pi(a1 + rng.gauss(0.0, noise_std))
             a2 = max(-half_pi, min(half_pi, a2 + rng.gauss(0.0, noise_std)))

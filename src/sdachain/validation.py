@@ -20,13 +20,11 @@ from .astro import (
     angular_separation,
     propagate_j2,
     state_to_kepler,
-    topocentric_angles,
-    topocentric_radec,
 )
 from .errors import SdaError
 from .fedprop import ResidualModel, corrected_propagate
 from .iod import IodError, IodSolution, iod_from_tdm, refine_elements
-from .tdm import Tdm
+from .tdm import Tdm, observe, separation_rms
 from .wire import Reader, Writer, sha256
 
 VERDICTS = ("verified", "rejected", "ambiguous", "uct")
@@ -152,33 +150,6 @@ def read_report(r: Reader) -> ValidationReport:
                             uct_matches=uct_matches, notes=notes)
 
 
-def _predicted_angles(el: KeplerianElements, bstar: float, t: Epoch,
-                      site: GroundSite, mode: str, model: ResidualModel,
-                      step_s: float, j2: float) -> tuple:
-    sv = corrected_propagate(el, bstar, t, model, step_s=step_s, j2=j2)
-    if mode == "AZEL":
-        a1, a2, _ = topocentric_angles(sv, site)
-        return a1, a2
-    return topocentric_radec(sv, site)
-
-
-def _candidate_rms(cand: OrbitRecord, obs: list, sites: dict,
-                   model: ResidualModel, step_s: float, j2: float) -> float:
-    """RMS angular separation over (record, site_id, mode) triples."""
-    acc = 0.0
-    for rec, site_id, mode in obs:
-        site = sites[site_id]
-        p1, p2 = _predicted_angles(cand.elements, cand.bstar, rec.epoch, site,
-                                   mode, model, step_s, j2)
-        sep = angular_separation(rec.angle1, rec.angle2, p1, p2)
-        acc += sep * sep
-    return math.sqrt(acc / len(obs))
-
-
-def _tdm_obs(tdm: Tdm) -> list:
-    return [(rec, tdm.meta.site_id, tdm.meta.mode) for rec in tdm.records]
-
-
 def _refined_iod(tdm: Tdm, site: GroundSite, step_s: float,
                  j2: float) -> Optional[IodSolution]:
     """Best per-track orbit estimate, or None when geometry defeats IOD."""
@@ -212,7 +183,8 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
     if tdm.meta.site_id not in sites:
         raise ValidationError(f"unregistered site {tdm.meta.site_id!r}")
     site = sites[tdm.meta.site_id]
-    obs_self = _tdm_obs(tdm)
+    mode = tdm.meta.mode
+    obs_self = [(rec, site, mode) for rec in tdm.records]
     first = tdm.records[0]
     notes = []
 
@@ -224,9 +196,12 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
     claim_rms = None
     for cand in sorted(catalog, key=lambda c: c.object_id):
         is_claim = cand.object_id == claim
+
+        def predict(t: Epoch):
+            return corrected_propagate(cand.elements, cand.bstar, t, model,
+                                       step_s=step_s, j2=j2)
         try:
-            p1, p2 = _predicted_angles(cand.elements, cand.bstar, first.epoch,
-                                       site, tdm.meta.mode, model, step_s, j2)
+            p1, p2, _ = observe(predict(first.epoch), site, mode)
             gate_sep = angular_separation(first.angle1, first.angle2, p1, p2)
             if gate_sep > params.theta_gate and not is_claim:
                 continue
@@ -235,8 +210,10 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
                 for p_tdm, p_site_id in prior_obs[cand.object_id]:
                     if p_site_id not in sites:
                         raise ValidationError(f"unregistered site {p_site_id!r}")
-                    obs.extend(_tdm_obs(p_tdm))
-            rms = _candidate_rms(cand, obs, sites, model, step_s, j2)
+                    p_site = sites[p_tdm.meta.site_id]
+                    obs.extend((rec, p_site, p_tdm.meta.mode)
+                               for rec in p_tdm.records)
+            rms = separation_rms(obs, (predict(rec.epoch) for rec, _, _ in obs))
         except DecayError:
             notes.append(f"candidate {cand.object_id} decayed; skipped")
             continue

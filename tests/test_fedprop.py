@@ -27,7 +27,7 @@ from sdachain.fedprop import (
     train_local,
     verify_proposal,
 )
-from sdachain.tdm import ObservationRecord, Tdm, TdmMeta
+from sdachain.tdm import ObservationRecord, Tdm, TdmMeta, observe
 
 CAL_ELEMENTS = KeplerianElements(a=7100.0, e=0.01, i=0.9, raan=0.4, argp=1.0,
                                  M=0.2, epoch=Epoch(0.0))
@@ -39,14 +39,14 @@ W_TRUE = ((0.0,) * 6,
           (0.0,) * 6)
 
 
-def range_tdm_of_truth(truth_model, epochs, site):
+def range_tdm_of_truth(truth_model, epochs, site, mode="AZEL"):
     obs = []
     for t in epochs:
         sv = corrected_propagate(CAL_ELEMENTS, 0.0, t, truth_model)
-        az, el, rng_km = topocentric_angles(sv, site)
-        obs.append(ObservationRecord(epoch=t, angle1=az, angle2=el,
+        a1, a2, rng_km = observe(sv, site, mode)
+        obs.append(ObservationRecord(epoch=t, angle1=a1, angle2=a2,
                                      range_km=rng_km))
-    meta = TdmMeta(site_id=site.site_id, participant="CAL-1", mode="AZEL",
+    meta = TdmMeta(site_id=site.site_id, participant="CAL-1", mode=mode,
                    has_range=True)
     return Tdm(meta=meta, records=obs)
 
@@ -296,3 +296,16 @@ class TestSampleConstruction:
         samples = samples_from_range_tdm(tdm, site, CAL_RECORD)
         worst = max(norm(s.y) for s in samples)
         assert worst < 1e-5   # limited by 9-dp angle quantization
+
+    def test_radec_matches_azel(self):
+        # one truth seen in either angle type gives the same supervision
+        truth = ResidualModel(W=W_TRUE)
+        site = site_under(CAL_RECORD, Epoch(600.0))
+        epochs = [Epoch(500.0 + 60.0 * j) for j in range(5)]
+        azel, radec = (samples_from_range_tdm(
+            range_tdm_of_truth(truth, epochs, site, mode), site, CAL_RECORD)
+            for mode in ("AZEL", "RADEC"))
+        assert max(norm(s.y) for s in azel) > 1e-3
+        for a, r in zip(azel, radec):
+            assert a.x == r.x
+            assert norm(tuple(u - v for u, v in zip(a.y, r.y))) < 1e-5

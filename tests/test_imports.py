@@ -1,0 +1,68 @@
+"""No module of the sdachain package imports a name it never uses.
+
+No linter ships with the project's toolchain, so this reads each module's
+syntax tree: every name an import binds must be read somewhere in the
+module or be listed in its ``__all__``. ``from __future__`` imports are
+exempt.
+"""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sdachain"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _exported(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets) \
+                and isinstance(value, (ast.List, ast.Tuple)):
+            names.update(e.value for e in value.elts
+                         if isinstance(e, ast.Constant))
+    return names
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_modules_found():
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json as j\n"
+              "from math import pi, tau\n"
+              "from .x import kept\n"
+              "__all__ = ['kept']\n"
+              "print(pi, os.path.sep)\n")
+    assert unused_imports(source) == [(3, "j"), (4, "tau")]

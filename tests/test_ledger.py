@@ -79,11 +79,11 @@ def fresh_chain(time=0.0, alice_balance=100):
 
 
 def honest_tdm(rec, site, seed=3, noise=1e-5, t0=600.0, participant=None,
-               with_range=False):
+               with_range=False, mode="AZEL"):
     epochs = [Epoch(t0 + 30.0 * k) for k in range(8)]
     return synth_tdm(rec, site, epochs, noise, seed, participant=participant,
                      with_range=with_range, range_noise_km=0.05 if with_range
-                     else 0.0)
+                     else 0.0, mode=mode)
 
 
 def tx(kind, sender, nonce, payload):
@@ -380,6 +380,20 @@ class TestHostileTdm:
         assert tdm.hex_hash() in s1.pending
         with pytest.raises(SdaError):
             compute_attestation(s1, tdm.hex_hash())
+
+    def test_radec_track_settles(self):
+        state, _, rec, site = fresh_chain()
+        tdm = honest_tdm(rec, site, mode="RADEC")
+        s1 = apply_transaction(state, submit_tx(tdm))
+        assert isinstance(compute_attestation(s1, tdm.hex_hash()),
+                          ValidationReport)
+        s2, rep = attest_until_settled(s1, tdm.hex_hash())
+        assert rep.verdict == "verified"
+        assert rep.matched_object == rec.object_id
+        assert tdm.hex_hash() not in s2.pending
+        assert s2.settlements[-1].verdict == "verified"
+        assert s2.accounts["alice"].balance == 100    # escrow returned
+        assert conservation_delta(s2) == 0
 
 
 class TestTaskEconomics:

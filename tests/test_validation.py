@@ -6,7 +6,7 @@ import pytest
 from conftest import leo_record, site_under
 from sdachain.astro import Epoch, KeplerianElements, OrbitRecord
 from sdachain.iod import iod_from_tdm, refine_elements
-from sdachain.tdm import ObservationRecord, Tdm, synth_tdm
+from sdachain.tdm import MODES, ObservationRecord, Tdm, synth_tdm
 from sdachain.validation import (
     ValidationError,
     ValidationParams,
@@ -26,12 +26,13 @@ def catalog_of(seed, n):
 
 
 def observe(rec, seed, noise, offset_deg=0.0, claim=None, site_id="S1",
-            t0=None, with_range=False, n_rec=8):
+            t0=None, with_range=False, n_rec=8, mode="AZEL"):
     t0 = 600.0 + (seed % 7) * 400.0 if t0 is None else t0
     site = site_under(rec, Epoch(t0 + 120.0), site_id=site_id)
     epochs = [Epoch(t0 + 30.0 * k) for k in range(n_rec)]
     tdm = synth_tdm(rec, site, epochs, noise, seed=seed,
-                    participant=claim or rec.object_id, with_range=with_range)
+                    participant=claim or rec.object_id, with_range=with_range,
+                    mode=mode)
     if offset_deg:
         off = math.radians(offset_deg)
         recs = [ObservationRecord(epoch=r.epoch, angle1=r.angle1,
@@ -84,13 +85,14 @@ class TestReport:
 class TestValidateTdm:
     def test_honest_verified(self):
         catalog = catalog_of(11, 6)
-        for k in range(5):
-            rec = catalog[k % len(catalog)]
-            tdm, site = observe(rec, 5000 + k, 1e-4)
-            rep = validate_tdm(tdm, catalog, {"S1": site}, P)
-            assert rep.verdict == "verified"
-            assert rep.matched_object == rec.object_id
-            assert rep.rms_residual <= P.theta_verify
+        for mode in MODES:
+            for k in range(5):
+                rec = catalog[k % len(catalog)]
+                tdm, site = observe(rec, 5000 + k, 1e-4, mode=mode)
+                rep = validate_tdm(tdm, catalog, {"S1": site}, P)
+                assert rep.verdict == "verified", mode
+                assert rep.matched_object == rec.object_id
+                assert rep.rms_residual <= P.theta_verify
 
     def test_noiseless_self_consistency(self):
         catalog = catalog_of(12, 3)
@@ -101,13 +103,15 @@ class TestValidateTdm:
 
     def test_spoof_rejected(self):
         catalog = catalog_of(11, 6)
-        for k in range(5):
-            rec = catalog[k % len(catalog)]
-            tdm, site = observe(rec, 6000 + k, 1e-4, offset_deg=1.0)
-            rep = validate_tdm(tdm, catalog, {"S1": site}, P)
-            assert rep.verdict == "rejected"
-            assert rep.matched_object == rec.object_id
-            assert rep.rms_residual > P.theta_reject
+        for mode in MODES:
+            for k in range(5):
+                rec = catalog[k % len(catalog)]
+                tdm, site = observe(rec, 6000 + k, 1e-4, offset_deg=1.0,
+                                    mode=mode)
+                rep = validate_tdm(tdm, catalog, {"S1": site}, P)
+                assert rep.verdict == "rejected", mode
+                assert rep.matched_object == rec.object_id
+                assert rep.rms_residual > P.theta_reject
 
     def test_borderline_ambiguous_never_rejected(self):
         catalog = catalog_of(11, 6)
