@@ -496,11 +496,11 @@ def _check_altitude(state, epoch_t):
         )
 
 
-def _check_limits(el: KeplerianElements, t: Epoch, step_s: float) -> None:
+def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
     if not MIN_STEP_S <= step_s <= MAX_STEP_S:
         raise PropagationLimitError(
             f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}], got {step_s}")
-    dt = t.t - el.epoch.t
+    dt = t - el.epoch.t
     if abs(dt) > MAX_SPAN_S:
         raise PropagationLimitError(
             f"span {dt / 86400.0:.1f} days exceeds {MAX_SPAN_S / 86400.0:.0f}-day limit")
@@ -533,8 +533,11 @@ class _Grid:
         self.decay_bwd = None
         self.cache = cache                    # owning _GridCache, None if private
 
-    def state_at(self, t: float) -> tuple:
-        """6-tuple state at t, extending the grid as far as t needs."""
+    def point(self, t: float) -> tuple:
+        """(points, i, h): the last grid point from the anchor toward t is
+        points[i:i + 6], and the state at t is that point stepped by h
+        seconds (h is 0.0 when t is on the grid).  Extends the grid to
+        that point and no further."""
         dt = t - self.t0
         step_s = self.step_s
         n_full = int(abs(dt) // step_s)
@@ -567,13 +570,20 @@ class _Grid:
             finally:
                 if self.cache is not None:
                     self.cache.grew(k - held)
-        i = 6 * n_full
-        state = grid[i:i + 6]
-        if rem > 0.0:
-            state = _rk4_step(state, sign * rem, self.bstar, self.kj)
+        return grid, 6 * n_full, sign * rem
+
+    def finish(self, state, h: float, t: float) -> tuple:
+        """A grid point's state stepped by h to t, altitude-checked."""
+        if h:
+            state = _rk4_step(state, h, self.bstar, self.kj)
             _check_altitude(state, t)
             return state
         return tuple(state)
+
+    def state_at(self, t: float) -> tuple:
+        """6-tuple state at t, extending the grid as far as t needs."""
+        points, i, h = self.point(t)
+        return self.finish(points[i:i + 6], h, t)
 
 
 class _GridCache:
@@ -630,7 +640,7 @@ def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
     PropagationLimitError (also a ValueError) for a step or span outside
     the limits, DecayError when the orbit decays before t.
     """
-    _check_limits(el, t, step_s)
+    _check_limits(el, t.t, step_s)
     if use_cache:
         state = _grid_cache.get(el, bstar, step_s, j2).state_at(t.t)
         return StateVector(epoch=t, r=state[:3], v=state[3:])
@@ -664,12 +674,80 @@ def propagate_many(el: KeplerianElements, bstar: float, epochs,
     """
     grid = None
     for t in epochs:
-        _check_limits(el, t, step_s)
+        _check_limits(el, t.t, step_s)
         if grid is None:
             grid = (_grid_cache.get(el, bstar, step_s, j2) if use_cache
                     else _Grid(el, bstar, step_s, j2))
         state = grid.state_at(t.t)
         yield StateVector(epoch=t, r=state[:3], v=state[3:])
+
+
+_HORIZON_MARGIN_KM = 1e-3   # covers rounding in the screen and in topocentric_angles
+_SPEED_SLACK = 1.0          # km/s a remainder step may add to the grid point's speed
+
+
+def propagate_above_horizon(el: KeplerianElements, bstar: float,
+                            site: GroundSite, times, step_s: float = 10.0, *,
+                            j2: float = J2_EARTH):
+    """Yield propagate_j2's state at each time (seconds) of times, in order,
+    skipping times at which the orbit is provably below site's horizon.
+
+    A skipped time's state, as propagate_j2 would return it, has
+    topocentric_angles elevation <= 0, so a caller that keeps states
+    above a non-negative elevation mask gets exactly the states it would
+    get from propagate_many.  Each time is screened on the grid point
+    the state at t is stepped from, which the pass computes anyway: the
+    grid point at t_g = t -/+ rem (0 <= rem < step_s), with position r_g
+    and speed v_g, is stepped by one RK4 step of rem seconds, which moves
+    the position by at most rem*v_g + rem**2/2 * a_max, with a_max
+    bounding gravity, J2 and drag at every stage above the decay
+    altitude.  The site's zenith turns by at most EARTH_ROT*rem, and
+    site_eci is (R_EARTH + alt) times the zenith, so the time is skipped
+    only when
+
+        r_g . up(t_g) + rem*v_g + rem**2/2 * a_max + |r_g|*EARTH_ROT*rem
+            + _HORIZON_MARGIN_KM < R_EARTH + alt,
+
+    which puts the object below the site's horizontal plane at t.  A
+    time is screened only when every RK4 stage stays at least
+    _HORIZON_MARGIN_KM above the decay altitude and gains at most
+    _SPEED_SLACK km/s, which is what makes a_max a bound and leaves the
+    remainder step's altitude check unable to fire; otherwise the time
+    takes the exact path.  Non-finite states make every test false and
+    take the exact path too.  Limits, the grid points reached, the cache
+    accounting and each error are those of propagate_many, at the same
+    time.
+    """
+    floor_r = R_EARTH + DECAY_ALTITUDE
+    site_r = R_EARTH + site.alt
+    cos_lat, sin_lat = math.cos(site.lat), math.sin(site.lat)
+    lam0 = site.lon + GMST_J2000
+    a_grav = (MU_EARTH / floor_r ** 2
+              + 2.0 * abs(_j2_coeff(j2)) / floor_r ** 4)
+    drag = abs(bstar) * DRAG_RHO0 * math.exp(
+        -(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
+    grid = None
+    for t in times:
+        _check_limits(el, t, step_s)
+        if grid is None:
+            grid = _grid_cache.get(el, bstar, step_s, j2)
+        points, i, h = grid.point(t)
+        state = points[i:i + 6]
+        x, y, z, vx, vy, vz = state
+        rem = abs(h)
+        r = math.sqrt(x * x + y * y + z * z)
+        v = math.sqrt(vx * vx + vy * vy + vz * vz)
+        w = v + _SPEED_SLACK
+        vr = w + EARTH_ROT * (r + rem * w)
+        a_max = a_grav + drag * vr * vr
+        reach = rem * (v + 0.5 * rem * a_max) + _HORIZON_MARGIN_KM
+        lam = lam0 + EARTH_ROT * (t - h)
+        up_r = cos_lat * (x * math.cos(lam) + y * math.sin(lam)) + sin_lat * z
+        if (rem * a_max <= _SPEED_SLACK and r - reach > floor_r
+                and up_r + reach + EARTH_ROT * rem * r < site_r):
+            continue
+        state = grid.finish(state, h, t)
+        yield StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
 
 
 # --- observation geometry ---

@@ -20,7 +20,7 @@ from .astro import (
     J2_EARTH,
     KeplerianElements,
     DecayError,
-    propagate_many,
+    propagate_above_horizon,
     topocentric_angles,
 )
 from .errors import SdaError
@@ -267,21 +267,32 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
 
     Samples every cadence_s seconds, so returned epochs are spaced at
     least that far apart. A decayed target is simply never visible.
+
+    Samples are screened before the exact test: propagate_above_horizon
+    skips a sample only when its grid point's height above the site's
+    horizontal plane, r_g.up(t_g) - (R_EARTH + alt), stays negative after
+    adding the most the remainder step can move it (|v_g|*rem +
+    a_max*rem**2/2, plus the site's turn |r_g|*EARTH_ROT*rem). Such a
+    sample's elevation is at most 0, below ELEVATION_MASK_RAD (10 deg),
+    so skipping it cannot change the answer. Every other sample gets the
+    exact propagated state and elevation, so the returned epochs, and
+    the errors raised, are those of testing every sample exactly.
     """
     if cadence_s < MIN_EPOCH_SPACING_S:
         raise TaskingError(f"cadence_s must be >= {MIN_EPOCH_SPACING_S}")
     t0, t1 = window
-    epochs = []
+    times = []
     k = 0
     while True:
         t = t0.t + k * cadence_s
         if t > t1.t:
             break
-        epochs.append(Epoch(t))
+        times.append(t)
         k += 1
     out = []
     try:
-        for sv in propagate_many(elements, bstar, epochs, step_s=step_s, j2=j2):
+        for sv in propagate_above_horizon(elements, bstar, site, times,
+                                          step_s=step_s, j2=j2):
             _, el, _ = topocentric_angles(sv, site)
             if el > ELEVATION_MASK_RAD:
                 out.append(sv.epoch)

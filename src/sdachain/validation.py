@@ -178,7 +178,9 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
 
     prior_obs maps object_id to a list of (Tdm, site_id) pairs whose
     records are folded into that candidate's RMS (the back-propagation
-    check against earlier on-chain tracks of the same object).
+    check against earlier on-chain tracks of the same object). Each
+    prior track is observed from its own meta.site_id, which must be in
+    sites.
     """
     if tdm.meta.site_id not in sites:
         raise ValidationError(f"unregistered site {tdm.meta.site_id!r}")
@@ -207,10 +209,11 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
                 continue
             obs = list(obs_self)
             if prior_obs and cand.object_id in prior_obs:
-                for p_tdm, p_site_id in prior_obs[cand.object_id]:
+                for p_tdm, _ in prior_obs[cand.object_id]:
+                    p_site_id = p_tdm.meta.site_id
                     if p_site_id not in sites:
                         raise ValidationError(f"unregistered site {p_site_id!r}")
-                    p_site = sites[p_tdm.meta.site_id]
+                    p_site = sites[p_site_id]
                     obs.extend((rec, p_site, p_tdm.meta.mode)
                                for rec in p_tdm.records)
             rms = separation_rms(obs, (predict(rec.epoch) for rec, _, _ in obs))

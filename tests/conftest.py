@@ -1,6 +1,9 @@
 """Shared helpers for building observable geometries in tests."""
+import dataclasses
 import math
 import random
+
+from hypothesis import strategies as st
 
 from sdachain.astro import (
     Epoch,
@@ -47,3 +50,63 @@ def leo_record(rng: random.Random, object_id: str = "LEO") -> OrbitRecord:
         epoch=Epoch(0.0),
     )
     return OrbitRecord(object_id=object_id, elements=el)
+
+
+def lon_offset_for_peak(record: OrbitRecord, t: Epoch, el_deg: float) -> float:
+    """site_under's longitude offset (deg) that puts the object el_deg above
+    the horizon at t, seen from a site at the sub-satellite latitude."""
+    sv = propagate_j2(record.elements, record.bstar, t)
+    r = norm(sv.r)
+    el = math.radians(el_deg)
+    central = math.acos(R_EARTH / r * math.cos(el)) - el
+    lat = math.asin(sv.r[2] / r)
+    c = (math.cos(central) - math.sin(lat) ** 2) / math.cos(lat) ** 2
+    return math.degrees(math.acos(max(-1.0, min(1.0, c))))
+
+
+@st.composite
+def visibility_cases(draw):
+    """(elements, bstar, site, window, step_s, cadence_s) for sampling an
+    orbit's sky track: random LEO orbits and sites (latitudes to +-89 deg,
+    altitudes to 5 km), grazing passes that peak near the 10 deg mask, and
+    drag orbits that decay inside the window. Windows fall before and
+    after the element epoch."""
+    kind = draw(st.sampled_from(("random", "grazing", "decaying")))
+    unit = st.floats(0.0, 1.0)
+    epoch = Epoch(draw(st.floats(-1e6, 1e6)))
+    if kind == "decaying":
+        # down from 160-200 km in about 0.5-4.5 h
+        a = R_EARTH + draw(st.floats(160.0, 200.0))
+        e = 0.001
+        bstar = 10.0 ** draw(st.floats(-4.5, -4.0))
+        start = draw(st.floats(-3600.0, 3600.0))
+        duration = draw(st.floats(3600.0, 5.0 * 3600.0))
+    else:
+        a = R_EARTH + draw(st.floats(300.0, 1500.0))
+        e = draw(st.floats(0.0, min(0.02, 1.0 - (R_EARTH + 250.0) / a)))
+        # the grazing geometry is placed on the orbit, which must not decay
+        bstar = draw(st.sampled_from(
+            (0.0, 1e-6) if kind == "grazing" else (0.0, 1e-6, 1e-4)))
+        start = draw(st.floats(-86400.0, 86400.0))
+        duration = draw(st.floats(0.0, 4.0 * 3600.0))
+    el = KeplerianElements(a=a, e=e, i=draw(st.floats(0.0, math.pi)),
+                           raan=2.0 * math.pi * draw(unit),
+                           argp=2.0 * math.pi * draw(unit),
+                           M=2.0 * math.pi * draw(unit), epoch=epoch)
+    t0 = epoch.t + start
+    alt = draw(st.floats(0.0, 5.0))
+    if kind == "grazing":
+        rec = OrbitRecord(object_id="GRAZE", elements=el, bstar=bstar)
+        t_peak = Epoch(t0 + draw(unit) * duration)
+        peak_deg = 10.0 + draw(st.floats(-0.5, 0.5))
+        site = site_under(rec, t_peak,
+                          lon_off_deg=lon_offset_for_peak(rec, t_peak, peak_deg))
+        site = dataclasses.replace(site, alt=alt)
+    else:
+        site = GroundSite(site_id="S",
+                          lat=math.radians(draw(st.floats(-89.0, 89.0))),
+                          lon=math.radians(draw(st.floats(-180.0, 180.0))),
+                          alt=alt)
+    step_s = draw(st.sampled_from((10.0, 30.0, 60.0)))
+    cadence_s = draw(st.sampled_from((60.0, 90.0, 150.0)))
+    return el, bstar, site, (Epoch(t0), Epoch(t0 + duration)), step_s, cadence_s

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import visibility_cases
 from sdachain import astro
 from sdachain.astro import (
     AstroError,
@@ -24,6 +26,7 @@ from sdachain.astro import (
     gmst,
     kepler_to_state,
     norm,
+    propagate_above_horizon,
     propagate_j2,
     propagate_many,
     radec_to_unit_vector,
@@ -418,6 +421,67 @@ class TestPropagateMany:
         assert issubclass(astro.PropagationLimitError, AstroError)
         assert issubclass(astro.PropagationLimitError, SdaError)
         assert issubclass(astro.PropagationLimitError, ValueError)
+
+
+def drain(states):
+    """The states a pass yields, and the SdaError that ends it, if any."""
+    got = []
+    try:
+        for sv in states:
+            got.append(sv)
+    except SdaError as exc:
+        return got, (type(exc).__name__, str(exc))
+    return got, None
+
+
+class TestPropagateAboveHorizon:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(visibility_cases())
+    def test_skips_only_states_below_the_horizon(self, case):
+        el, bstar, site, (w0, w1), step_s, cadence_s = case
+        times = [w0.t + k * cadence_s
+                 for k in range(int((w1.t - w0.t) // cadence_s) + 1)
+                 if w0.t + k * cadence_s <= w1.t]
+        clear_propagation_cache()
+        got, got_err = drain(propagate_above_horizon(el, bstar, site, times,
+                                                     step_s=step_s))
+        screened_cache = cache_snapshot()
+        clear_propagation_cache()
+        want, want_err = drain(propagate_many(el, bstar,
+                                              [Epoch(t) for t in times],
+                                              step_s=step_s))
+        assert got_err == want_err
+        assert cache_snapshot() == screened_cache
+        exact = {sv.epoch.t: sv for sv in want}
+        assert [state_bits(sv) for sv in got] == [
+            state_bits(exact[sv.epoch.t]) for sv in got]
+        kept = {sv.epoch.t for sv in got}
+        assert all(topocentric_angles(sv, site)[1] <= 0.0
+                   for sv in want if sv.epoch.t not in kept)
+
+    def test_remainder_step_decay_is_never_screened(self):
+        # a time past the last grid point above the decay altitude, seen
+        # from the far side of the Earth: only the remainder step from that
+        # grid point decays, and it must, as in propagate_many
+        el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
+                               argp=0.0, M=0.0, epoch=Epoch(0.0))
+        clear_propagation_cache()
+        with pytest.raises(DecayError):
+            propagate_j2(el, 3e-3, Epoch(86400.0), step_s=30.0)
+        (grid,) = astro._grid_cache._entries.values()
+        t = (grid.decay_fwd - 1) * 30.0 + 29.0
+        last = propagate_j2(el, 3e-3, Epoch(t - 29.0), step_s=30.0)
+        lat = math.asin(last.r[2] / norm(last.r))
+        lon = math.atan2(last.r[1], last.r[0]) - gmst(last.epoch)
+        far = GroundSite(site_id="FAR", lat=-lat, lon=lon + math.pi)
+        with pytest.raises(DecayError) as exact:
+            propagate_j2(el, 3e-3, Epoch(t), step_s=30.0)
+        assert f"t={t:.1f}" in str(exact.value)
+        clear_propagation_cache()
+        with pytest.raises(DecayError) as screened:
+            list(propagate_above_horizon(el, 3e-3, far, [t], step_s=30.0))
+        assert str(screened.value) == str(exact.value)
 
 
 class TestGridCacheAccounting:

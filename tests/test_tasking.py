@@ -2,11 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from conftest import leo_record, site_under
+from conftest import leo_record, site_under, visibility_cases
+from sdachain import astro, tasking
 from sdachain.astro import (
+    DecayError,
     Epoch,
+    J2_EARTH,
+    PropagationLimitError,
+    clear_propagation_cache,
     propagate_j2,
+    propagate_many,
     state_to_kepler,
     topocentric_angles,
 )
@@ -28,7 +35,7 @@ from sdachain.tasking import (
     visible_epochs,
     write_task,
 )
-from sdachain.tdm import synth_tdm
+from sdachain.tdm import ELEVATION_MASK_RAD, synth_tdm
 from sdachain.validation import ValidationReport
 from sdachain.wire import Reader, WireError, Writer
 
@@ -310,6 +317,127 @@ class TestAssign:
         assert Sensor(site=site, mode="radar").mode == "radar"
         with pytest.raises(TaskingError):
             Sensor(site=site, mode="lidar")
+
+
+def exact_visible_epochs(elements, bstar, site, window, *, step_s=30.0,
+                         cadence_s=60.0, j2=J2_EARTH):
+    """Reference for visible_epochs: every sample propagated and tested
+    exactly, with no screening."""
+    t0, t1 = window
+    epochs = []
+    k = 0
+    while True:
+        t = t0.t + k * cadence_s
+        if t > t1.t:
+            break
+        epochs.append(Epoch(t))
+        k += 1
+    out = []
+    try:
+        for sv in propagate_many(elements, bstar, epochs, step_s=step_s, j2=j2):
+            if topocentric_angles(sv, site)[1] > ELEVATION_MASK_RAD:
+                out.append(sv.epoch)
+    except DecayError:
+        pass
+    return tuple(out)
+
+
+def grid_cache_state():
+    """Points counted and, per grid, the points held and decay indices."""
+    cache = astro._grid_cache
+    return cache._points, [(len(g.forward), len(g.backward), g.decay_fwd,
+                            g.decay_bwd) for g in cache._entries.values()]
+
+
+def cold_run(fn, *args, **kw):
+    """fn's result (or its PropagationLimitError text) on an empty grid
+    cache, and the cache it leaves behind."""
+    clear_propagation_cache()
+    try:
+        result = fn(*args, **kw)
+    except PropagationLimitError as exc:
+        result = ("PropagationLimitError", str(exc))
+    return result, grid_cache_state()
+
+
+class TestScreenedVisibility:
+    """visible_epochs screens samples on the propagation grid; it must return
+    exactly what testing every sample does, and leave the same grids."""
+
+    def test_mask_is_above_the_horizon(self):
+        # the screen only skips samples at or below 0 deg elevation
+        assert ELEVATION_MASK_RAD > 0.0
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(visibility_cases())
+    def test_equals_exact_loop(self, case):
+        el, bstar, site, window, step_s, cadence_s = case
+        kw = dict(step_s=step_s, cadence_s=cadence_s)
+        got = cold_run(visible_epochs, el, bstar, site, window, **kw)
+        want = cold_run(exact_visible_epochs, el, bstar, site, window, **kw)
+        assert got == want
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_span_limit_raises_at_the_same_sample(self, direction):
+        # the window crosses the 30-day span: the same samples are reached
+        # before the same PropagationLimitError (at the first sample when
+        # the window starts past the span, before the element epoch)
+        rec = leo_record(random.Random(7), "TGT")
+        edge = rec.elements.epoch.t + direction * astro.MAX_SPAN_S
+        window = (Epoch(edge - 1800.0), Epoch(edge + 1800.0))
+        site = astro.GroundSite(site_id="S", lat=0.3, lon=1.0)
+        want, cache = cold_run(exact_visible_epochs, rec.elements, rec.bstar,
+                               site, window, step_s=60.0)
+        with pytest.raises(PropagationLimitError) as exc:
+            visible_epochs(rec.elements, rec.bstar, site, window, step_s=60.0)
+        assert want == ("PropagationLimitError", str(exc.value))
+        assert grid_cache_state() == cache
+
+
+class TestVisibilityWork:
+    """Host-independent work counts of one visible_epochs call."""
+
+    def counted(self, monkeypatch, fn, *args):
+        calls = {"angles": 0, "rk4": 0}
+        angles_fn, rk4_fn = astro.topocentric_angles, astro._rk4_step
+
+        def angles(sv, site):
+            calls["angles"] += 1
+            return angles_fn(sv, site)
+
+        def rk4(*a):
+            calls["rk4"] += 1
+            return rk4_fn(*a)
+
+        monkeypatch.setattr(tasking, "topocentric_angles", angles)
+        # the reference loop calls this module's binding
+        monkeypatch.setitem(globals(), "topocentric_angles", angles)
+        monkeypatch.setattr(astro, "_rk4_step", rk4)
+        clear_propagation_cache()
+        result = fn(*args)
+        monkeypatch.undo()
+        return result, calls, grid_cache_state()
+
+    def test_exact_test_on_few_samples(self, monkeypatch):
+        rec, site = TestAssign().pass_setup()
+        # 6 h of samples, each 10 s past a 30 s grid point
+        window = (Epoch(10.0), Epoch(10.0 + 6 * 3600.0))
+        samples = 361
+        got, work, cache = self.counted(monkeypatch, visible_epochs,
+                                        rec.elements, rec.bstar, site, window)
+        want, exact_work, exact_cache = self.counted(
+            monkeypatch, exact_visible_epochs, rec.elements, rec.bstar, site,
+            window)
+        assert got == want and got
+        assert exact_work["angles"] == samples
+        assert work["angles"] <= 0.15 * samples
+        assert cache == exact_cache
+        # the same grid steps, plus one remainder step per exactly tested
+        # sample
+        grid_steps = cache[0] - 2
+        assert exact_work["rk4"] == grid_steps + samples
+        assert work["rk4"] == grid_steps + work["angles"]
 
 
 class TestRetask:
