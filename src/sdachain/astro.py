@@ -23,8 +23,8 @@ from datetime import datetime, timedelta
 
 from .errors import SdaError
 
-# Geophysical constants (WGS-84 / EGM96 values).  Immutable for a run and
-# echoed into every scenario report for provenance.
+# Geophysical constants (WGS-84 / EGM96 values).  Immutable for a run;
+# constants_dict() lists them with the drag and decay settings.
 MU_EARTH = 398600.4418        # km^3/s^2
 J2_EARTH = 1.08262668e-3      # oblateness coefficient, dimensionless
 R_EARTH = 6378.137            # km, equatorial radius
@@ -47,7 +47,7 @@ _J2000_DATETIME = datetime(2000, 1, 1, 12, 0, 0)
 
 
 def constants_dict() -> dict:
-    """Constants and force-model settings, echoed into scenario reports."""
+    """Constants and force-model settings; no report carries them yet."""
     return {
         "mu_km3_s2": MU_EARTH,
         "j2": J2_EARTH,
@@ -204,6 +204,8 @@ class GroundSite:
     def __post_init__(self):
         if not self.site_id:
             raise ValueError("site_id must be nonempty")
+        if not all(math.isfinite(x) for x in (self.lat, self.lon, self.alt)):
+            raise ValueError("site coordinates must be finite")
         if abs(self.lat) > math.pi / 2:
             raise ValueError(f"latitude out of range: {self.lat}")
         if self.alt < 0.0:
@@ -363,7 +365,7 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # with it, leaving the cache and its point count untouched.
 
 
-def _drag(x, y, z, vx, vy, vz, r, bstar):
+def _drag(x, y, vx, vy, vz, r, bstar):
     rho = DRAG_RHO0 * math.exp(-((r - R_EARTH) - DRAG_H0) / DRAG_SCALE_H)
     rvx = vx + EARTH_ROT * y
     rvy = vy - EARTH_ROT * x
@@ -398,7 +400,7 @@ def _rk4_step(state, h, bstar, kj):
         ay1 += k * y * (1.0 - f)
         az1 += k * z * (3.0 - f)
     if bstar:
-        dx, dy, dz = _drag(x, y, z, vx, vy, vz, r, bstar)
+        dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
         ax1 += dx
         ay1 += dy
         az1 += dz
@@ -423,7 +425,7 @@ def _rk4_step(state, h, bstar, kj):
         ay2 += k * y2 * (1.0 - f)
         az2 += k * z2 * (3.0 - f)
     if bstar:
-        dx, dy, dz = _drag(x2, y2, z2, vx2, vy2, vz2, r, bstar)
+        dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
         ax2 += dx
         ay2 += dy
         az2 += dz
@@ -447,7 +449,7 @@ def _rk4_step(state, h, bstar, kj):
         ay3 += k * y3 * (1.0 - f)
         az3 += k * z3 * (3.0 - f)
     if bstar:
-        dx, dy, dz = _drag(x3, y3, z3, vx3, vy3, vz3, r, bstar)
+        dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
         ax3 += dx
         ay3 += dy
         az3 += dz
@@ -471,7 +473,7 @@ def _rk4_step(state, h, bstar, kj):
         ay4 += k * y4 * (1.0 - f)
         az4 += k * z4 * (3.0 - f)
     if bstar:
-        dx, dy, dz = _drag(x4, y4, z4, vx4, vy4, vz4, r, bstar)
+        dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
         ax4 += dx
         ay4 += dy
         az4 += dz
@@ -687,8 +689,7 @@ _SPEED_SLACK = 1.0          # km/s a remainder step may add to the grid point's 
 
 
 def propagate_above_horizon(el: KeplerianElements, bstar: float,
-                            site: GroundSite, times, step_s: float = 10.0, *,
-                            j2: float = J2_EARTH):
+                            site: GroundSite, times, step_s: float = 10.0):
     """Yield propagate_j2's state at each time (seconds) of times, in order,
     skipping times at which the orbit is provably below site's horizon.
 
@@ -723,14 +724,14 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
     cos_lat, sin_lat = math.cos(site.lat), math.sin(site.lat)
     lam0 = site.lon + GMST_J2000
     a_grav = (MU_EARTH / floor_r ** 2
-              + 2.0 * abs(_j2_coeff(j2)) / floor_r ** 4)
+              + 2.0 * abs(_j2_coeff(J2_EARTH)) / floor_r ** 4)
     drag = abs(bstar) * DRAG_RHO0 * math.exp(
         -(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
     grid = None
     for t in times:
         _check_limits(el, t, step_s)
         if grid is None:
-            grid = _grid_cache.get(el, bstar, step_s, j2)
+            grid = _grid_cache.get(el, bstar, step_s, J2_EARTH)
         points, i, h = grid.point(t)
         state = points[i:i + 6]
         x, y, z, vx, vy, vz = state

@@ -17,7 +17,6 @@ import numpy as np
 
 from .astro import (
     Epoch,
-    J2_EARTH,
     KeplerianElements,
     StateVector,
     cross,
@@ -165,10 +164,10 @@ def rsw_axes(sv: StateVector) -> tuple:
 
 
 def corrected_propagate(el: KeplerianElements, bstar: float, t: Epoch,
-                        model: ResidualModel, *, step_s: float = 10.0,
-                        j2: float = J2_EARTH) -> StateVector:
+                        model: ResidualModel, *,
+                        step_s: float = 10.0) -> StateVector:
     """propagate_j2 plus the model's RSW position correction; velocity untouched."""
-    sv = propagate_j2(el, bstar, t, step_s=step_s, j2=j2)
+    sv = propagate_j2(el, bstar, t, step_s=step_s)
     x = features(el, bstar, t.t - el.epoch.t)
     dr, ds, dw = model.correction(x)
     r_hat, s_hat, w_hat = rsw_axes(sv)
@@ -177,8 +176,8 @@ def corrected_propagate(el: KeplerianElements, bstar: float, t: Epoch,
     return StateVector(epoch=t, r=r, v=sv.v)
 
 
-def samples_from_range_tdm(tdm: Tdm, site, record, *, step_s: float = 10.0,
-                           j2: float = J2_EARTH) -> list:
+def samples_from_range_tdm(tdm: Tdm, site, record, *,
+                           step_s: float = 10.0) -> list:
     """Supervision pairs from a range-bearing TDM of a calibration object.
 
     The observed ECI position comes from the measured line of sight and
@@ -190,7 +189,7 @@ def samples_from_range_tdm(tdm: Tdm, site, record, *, step_s: float = 10.0,
     out = []
     el = record.elements
     for rec in tdm.records:
-        sv = propagate_j2(el, record.bstar, rec.epoch, step_s=step_s, j2=j2)
+        sv = propagate_j2(el, record.bstar, rec.epoch, step_s=step_s)
         observed = observed_position(rec, site, tdm.meta.mode)
         diff = tuple(observed[k] - sv.r[k] for k in range(3))
         r_hat, s_hat, w_hat = rsw_axes(sv)

@@ -27,7 +27,6 @@ from .astro import (
     DecayError,
     Epoch,
     GroundSite,
-    J2_EARTH,
     KeplerianElements,
     OrbitRecord,
     propagate_j2,
@@ -637,14 +636,11 @@ def state_root(state: LedgerState) -> bytes:
 
 def make_genesis(accounts: list, catalog: list, sites: list,
                  params: EconomicsParams, vparams: ValidationParams, *,
-                 model: ResidualModel = None, step_s: float = 30.0,
-                 time: float = 0.0) -> tuple:
+                 step_s: float = 30.0, time: float = 0.0) -> tuple:
     """Initial state plus block 0, whose single pseudo-transaction carries
     the canonical state snapshot every replay starts from."""
     state = LedgerState(params=params, vparams=vparams, step_s=step_s,
                         time=time)
-    if model is not None:
-        state.model = model
     for a in accounts:
         if a.account_id in state.accounts:
             raise LedgerError(f"duplicate account {a.account_id!r}")
@@ -859,8 +855,8 @@ def _settle_proposal(state: LedgerState, proposal_hash: bytes) -> None:
         return
 
 
-def compute_attestation(state: LedgerState, tdm_hash_hex: str,
-                        *, j2: float = J2_EARTH) -> ValidationReport:
+def compute_attestation(state: LedgerState,
+                        tdm_hash_hex: str) -> ValidationReport:
     """The report an honest validator attests to for a pending TDM.
 
     Runs the deterministic validation pipeline against the current
@@ -876,13 +872,13 @@ def compute_attestation(state: LedgerState, tdm_hash_hex: str,
     tdm = parse_tdm(pend.tdm_text)
     catalog = [state.catalog[k] for k in sorted(state.catalog)]
     report = validate_tdm(tdm, catalog, state.sites, state.vparams,
-                          state.model, step_s=state.step_s, j2=j2)
+                          state.model, step_s=state.step_s)
     if report.verdict != "uct" or not state.uct_pool:
         return report
     pool = [(h, e.elements) for h, e in sorted(state.uct_pool.items())
             if e.elements is not None]
     matches = associate_uct(report.proposed_elements, pool, state.vparams,
-                            step_s=state.step_s, j2=j2)
+                            step_s=state.step_s)
     if not matches:
         return report
     return dataclasses.replace(report,

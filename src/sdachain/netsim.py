@@ -69,7 +69,7 @@ from .ledger import (
     state_root,
     tx_hash,
 )
-from .tasking import IodRegion, Sensor, TaskingError, assign, visible_epochs
+from .tasking import IodRegion, TaskingError, assign, visible_epochs
 from .tdm import parse_tdm, serialize_tdm, synth_tdm
 from .validation import ValidationParams
 
@@ -411,6 +411,7 @@ class _Node:
     def __init__(self, spec: NodeSpec, sim: "_Sim"):
         self.spec = spec
         self.sim = sim
+        self.site = sim.sites.get(spec.site)
         self.rng = random.Random(f"{sim.sc.seed}:node:{spec.account}")
         self.queue: list = []
 
@@ -495,54 +496,50 @@ class _Node:
             return
         sc = self.sim.sc
         window = (Epoch(t), Epoch(t + sc.cycle_s))
-        sensor = Sensor(site=self.sim.sites[self.spec.site],
-                        mode=self.spec.mode)
         queue = [task for task in state.tasks.values()
                  if task.status == "open"]
         got = None
         try:
-            got = assign(queue, sensor, window, state.catalog,
+            got = assign(queue, self.site, window, state.catalog,
                          step_s=sc.step_s)
         except TaskingError:
             got = None
         submitted = False
         if got is not None:
             task, epochs = got
-            submitted = self._observe_task(state, t, window, task, epochs,
-                                           sensor)
+            submitted = self._observe_task(state, t, window, task, epochs)
         if not submitted:
-            self._observe_untasked(state, t, window, sensor)
+            self._observe_untasked(state, t, window)
         if self.spec.behavior != "spoofer":
-            self._survey(state, t, window, sensor)
+            self._survey(state, t, window)
 
-    def _track(self, elements, bstar, sensor, window, min_epochs):
+    def _track(self, elements, bstar, window, min_epochs):
         """The epochs of one track: the first max_track_len visible epochs
         of the window, or None when fewer than min_epochs remain."""
         sc = self.sim.sc
-        eps = visible_epochs(elements, bstar, sensor.site, window,
+        eps = visible_epochs(elements, bstar, self.site, window,
                              step_s=sc.step_s)[:sc.max_track_len]
         return eps if len(eps) >= min_epochs else None
 
-    def _observe_task(self, state, t, window, task, epochs, sensor) -> bool:
+    def _observe_task(self, state, t, window, task, epochs) -> bool:
         epochs = list(epochs)[:self.sim.sc.max_track_len]
         if isinstance(task.target, IodRegion):
-            rec = self._region_candidate(state, task.target,
-                                         (epochs[0], epochs[-1]), sensor)
+            rec = self._region_candidate(state, task.target)
             if rec is None:
                 return False
-            eps = self._track(rec.elements, rec.bstar, sensor, window,
+            eps = self._track(rec.elements, rec.bstar, window,
                               SURVEY_MIN_EPOCHS)
             if eps is None:
                 return False
             return self._submit_track(t, window, rec, "UNKNOWN", eps,
-                                      sensor, task.task_id)
+                                      task.task_id)
         rec = self.sim.truth.get(task.target)
         if rec is None:
             return False
         return self._submit_track(t, window, rec, task.target, epochs,
-                                  sensor, task.task_id)
+                                  task.task_id)
 
-    def _region_candidate(self, state, region, window, sensor):
+    def _region_candidate(self, state, region):
         """What is actually inside the requested element box: the first
         uncataloged truth object, if any."""
         for rec in self.sim.truth_sorted:
@@ -552,32 +549,30 @@ class _Node:
                 return rec
         return None
 
-    def _observe_untasked(self, state, t, window, sensor) -> bool:
+    def _observe_untasked(self, state, t, window) -> bool:
         for oid in sorted(state.catalog):
             rec = self.sim.truth.get(oid)
             if rec is None:
                 continue    # mined objects have no independent truth entry
-            eps = self._track(rec.elements, rec.bstar, sensor, window,
+            eps = self._track(rec.elements, rec.bstar, window,
                               MIN_TRACK_EPOCHS)
             if eps is not None:
-                return self._submit_track(t, window, rec, oid, eps, sensor,
-                                          b"")
+                return self._submit_track(t, window, rec, oid, eps, b"")
         return False
 
-    def _survey(self, state, t, window, sensor) -> None:
+    def _survey(self, state, t, window) -> None:
         """Serendipitous detection of whatever uncataloged object crosses
         the sensor's sky this cycle."""
         for rec in self.sim.truth_sorted:
             if rec.object_id in state.catalog:
                 continue
-            eps = self._track(rec.elements, rec.bstar, sensor, window,
+            eps = self._track(rec.elements, rec.bstar, window,
                               SURVEY_MIN_EPOCHS)
             if eps is not None:
-                self._submit_track(t, window, rec, "UNKNOWN", eps, sensor,
-                                   b"")
+                self._submit_track(t, window, rec, "UNKNOWN", eps, b"")
                 return
 
-    def _submit_track(self, t, window, rec, participant, epochs, sensor,
+    def _submit_track(self, t, window, rec, participant, epochs,
                       task_id) -> bool:
         sc = self.sim.sc
         data_rec = self.sim.observed_record(rec)
@@ -587,14 +582,13 @@ class _Node:
                 % (2.0 * math.pi))
             data_rec = OrbitRecord(object_id=rec.object_id, elements=spoofed,
                                    bstar=rec.bstar)
-            epochs = self._track(spoofed, rec.bstar, sensor, window,
-                                 MIN_TRACK_EPOCHS)
+            epochs = self._track(spoofed, rec.bstar, window, MIN_TRACK_EPOCHS)
             if epochs is None:
                 return False
         seed = self.rng.randrange(2 ** 31)
-        with_range = sensor.mode == "radar"
+        with_range = self.spec.mode == "radar"
         try:
-            tdm = synth_tdm(data_rec, sensor.site, epochs,
+            tdm = synth_tdm(data_rec, self.site, epochs,
                             self.spec.noise_std, seed,
                             participant=participant, with_range=with_range,
                             range_noise_km=RANGE_NOISE_KM if with_range

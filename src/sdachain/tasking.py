@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from .astro import (
     Epoch,
     GroundSite,
-    J2_EARTH,
     KeplerianElements,
     DecayError,
     propagate_above_horizon,
     topocentric_angles,
 )
 from .errors import SdaError
-from .iod import IodSolution
 from .tdm import ELEVATION_MASK_RAD
 from .validation import ValidationReport, read_elements, write_elements
 from .wire import Reader, WireError, Writer, sha256
@@ -97,31 +95,17 @@ class IodRegion:
                 and _wrapped_diff(el.raan, self.elements.raan) <= self.tol_raan)
 
 
-def region_from_solution(sol: IodSolution) -> IodRegion:
-    """Follow-up region sized from an IOD solution's angular residual."""
-    s = REGION_RMS_FACTOR * sol.rms_residual
+def region_from_solution(elements: KeplerianElements,
+                         rms_residual: float) -> IodRegion:
+    """Follow-up region around an orbit fit, sized from its angular rms."""
+    s = REGION_RMS_FACTOR * rms_residual
     return IodRegion(
-        elements=sol.elements,
-        tol_a=s * sol.elements.a + REGION_FLOOR_A_KM,
+        elements=elements,
+        tol_a=s * elements.a + REGION_FLOOR_A_KM,
         tol_e=s + REGION_FLOOR_E,
         tol_i=s + REGION_FLOOR_ANGLE_RAD,
         tol_raan=s + REGION_FLOOR_ANGLE_RAD,
     )
-
-
-@dataclass(frozen=True)
-class Sensor:
-    """A ground site plus its observing mode.
-
-    Optical sensors report angles only; radar sensors add slant range.
-    """
-
-    site: GroundSite
-    mode: str = "optical"
-
-    def __post_init__(self):
-        if self.mode not in ("optical", "radar"):
-            raise TaskingError(f"unknown sensor mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -261,8 +245,8 @@ def is_expired(task: Task, now: Epoch) -> bool:
 
 
 def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
-                   window, *, step_s: float = 30.0, cadence_s: float = 60.0,
-                   j2: float = J2_EARTH) -> tuple:
+                   window, *, step_s: float = 30.0,
+                   cadence_s: float = 60.0) -> tuple:
     """Epochs in the window where the orbit clears the elevation mask.
 
     Samples every cadence_s seconds, so returned epochs are spaced at
@@ -292,7 +276,7 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     out = []
     try:
         for sv in propagate_above_horizon(elements, bstar, site, times,
-                                          step_s=step_s, j2=j2):
+                                          step_s=step_s):
             _, el, _ = topocentric_angles(sv, site)
             if el > ELEVATION_MASK_RAD:
                 out.append(sv.epoch)
@@ -301,10 +285,9 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     return tuple(out)
 
 
-def assign(queue, sensor: Sensor, window, catalog: dict, *,
-           step_s: float = 30.0, cadence_s: float = 60.0,
-           j2: float = J2_EARTH):
-    """Pick the highest-priority open task visible from the sensor.
+def assign(queue, site: GroundSite, window, catalog: dict, *,
+           step_s: float = 30.0):
+    """Pick the highest-priority open task visible from the site.
 
     Returns (task marked assigned, observation epochs) or None when no
     target clears the elevation mask for at least three epochs in the
@@ -322,8 +305,7 @@ def assign(queue, sensor: Sensor, window, catalog: dict, *,
             if rec is None:
                 continue    # nothing to point at yet
             el, bstar = rec.elements, rec.bstar
-        epochs = visible_epochs(el, bstar, sensor.site, window,
-                                step_s=step_s, cadence_s=cadence_s, j2=j2)
+        epochs = visible_epochs(el, bstar, site, window, step_s=step_s)
         if len(epochs) >= MIN_VISIBLE_EPOCHS:
             return task.with_status("assigned"), epochs
     return None
@@ -345,9 +327,8 @@ def internal_retask(report: ValidationReport, now: Epoch) -> Task | None:
         target = report.matched_object
     elif (report.proposed_elements is not None
           and math.isfinite(report.rms_residual)):
-        target = region_from_solution(IodSolution(
-            elements=report.proposed_elements,
-            rms_residual=report.rms_residual, method="refined", n_obs=0))
+        target = region_from_solution(report.proposed_elements,
+                                      report.rms_residual)
     else:
         return None
     ref = bytes.fromhex(report.report_hash)

@@ -14,7 +14,6 @@ from .astro import (
     DecayError,
     Epoch,
     GroundSite,
-    J2_EARTH,
     KeplerianElements,
     OrbitRecord,
     angular_separation,
@@ -150,8 +149,8 @@ def read_report(r: Reader) -> ValidationReport:
                             uct_matches=uct_matches, notes=notes)
 
 
-def _refined_iod(tdm: Tdm, site: GroundSite, step_s: float,
-                 j2: float) -> Optional[IodSolution]:
+def _refined_iod(tdm: Tdm, site: GroundSite,
+                 step_s: float) -> Optional[IodSolution]:
     """Best per-track orbit estimate, or None when geometry defeats IOD."""
     try:
         sol = iod_from_tdm(tdm, site)
@@ -161,7 +160,7 @@ def _refined_iod(tdm: Tdm, site: GroundSite, step_s: float,
         try:
             return refine_elements(sol.elements, [tdm],
                                    {tdm.meta.site_id: site}, bstar=0.0,
-                                   step_s=step_s, j2=j2)
+                                   step_s=step_s)
         except (IodError, DecayError):
             # a refinement step that wanders below the decay altitude is
             # a failed fit, not a validator crash
@@ -171,22 +170,19 @@ def _refined_iod(tdm: Tdm, site: GroundSite, step_s: float,
 
 def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
                  params: ValidationParams,
-                 model: ResidualModel = ResidualModel(),
-                 prior_obs: Optional[dict] = None, *,
-                 step_s: float = 10.0, j2: float = J2_EARTH) -> ValidationReport:
+                 model: ResidualModel = ResidualModel(), *,
+                 step_s: float = 10.0) -> ValidationReport:
     """Correlate one TDM against the catalog and issue a verdict.
 
-    prior_obs maps object_id to a list of (Tdm, site_id) pairs whose
-    records are folded into that candidate's RMS (the back-propagation
-    check against earlier on-chain tracks of the same object). Each
-    prior track is observed from its own meta.site_id, which must be in
-    sites.
+    Each candidate's RMS covers this track's records only; earlier
+    tracks of an object reach it through the catalog orbit that
+    settlement refreshes.
     """
     if tdm.meta.site_id not in sites:
         raise ValidationError(f"unregistered site {tdm.meta.site_id!r}")
     site = sites[tdm.meta.site_id]
     mode = tdm.meta.mode
-    obs_self = [(rec, site, mode) for rec in tdm.records]
+    obs = [(rec, site, mode) for rec in tdm.records]
     first = tdm.records[0]
     notes = []
 
@@ -201,21 +197,12 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
 
         def predict(t: Epoch):
             return corrected_propagate(cand.elements, cand.bstar, t, model,
-                                       step_s=step_s, j2=j2)
+                                       step_s=step_s)
         try:
             p1, p2, _ = observe(predict(first.epoch), site, mode)
             gate_sep = angular_separation(first.angle1, first.angle2, p1, p2)
             if gate_sep > params.theta_gate and not is_claim:
                 continue
-            obs = list(obs_self)
-            if prior_obs and cand.object_id in prior_obs:
-                for p_tdm, _ in prior_obs[cand.object_id]:
-                    p_site_id = p_tdm.meta.site_id
-                    if p_site_id not in sites:
-                        raise ValidationError(f"unregistered site {p_site_id!r}")
-                    p_site = sites[p_site_id]
-                    obs.extend((rec, p_site, p_tdm.meta.mode)
-                               for rec in p_tdm.records)
             rms = separation_rms(obs, (predict(rec.epoch) for rec, _, _ in obs))
         except DecayError:
             notes.append(f"candidate {cand.object_id} decayed; skipped")
@@ -248,7 +235,7 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
             matched_object=best[1], rms_residual=best[0],
             candidates_checked=len(gated), notes=tuple(notes))
 
-    sol = _refined_iod(tdm, site, step_s, j2)
+    sol = _refined_iod(tdm, site, step_s)
     if sol is None:
         notes.append("orbit fit failed; retask needed")
         return ValidationReport(
@@ -262,15 +249,15 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
 
 
 def element_distance(a: KeplerianElements, b: KeplerianElements,
-                     params: ValidationParams, *, step_s: float = 10.0,
-                     j2: float = J2_EARTH) -> float:
+                     params: ValidationParams, *,
+                     step_s: float = 10.0) -> float:
     """Weighted element-space distance with both orbits at b's epoch.
 
     Osculating elements drift secularly under J2, so a is propagated to
     b's epoch before differencing; raises DecayError if it decays first.
     """
     if a.epoch.t != b.epoch.t:
-        sv = propagate_j2(a, 0.0, b.epoch, step_s=step_s, j2=j2)
+        sv = propagate_j2(a, 0.0, b.epoch, step_s=step_s)
         a = state_to_kepler(sv)
     d_raan = abs((a.raan - b.raan + math.pi) % (2.0 * math.pi) - math.pi)
     return (params.w_a_per_km * abs(a.a - b.a)
@@ -280,8 +267,8 @@ def element_distance(a: KeplerianElements, b: KeplerianElements,
 
 
 def associate_uct(new_elements: KeplerianElements, uct_pool: list,
-                  params: ValidationParams, *, step_s: float = 10.0,
-                  j2: float = J2_EARTH) -> list:
+                  params: ValidationParams, *,
+                  step_s: float = 10.0) -> list:
     """Pool entries matching the new track's fit, as (tdm_hash, distance).
 
     uct_pool holds (tdm_hash, KeplerianElements) pairs, one fit per
@@ -292,7 +279,7 @@ def associate_uct(new_elements: KeplerianElements, uct_pool: list,
     for tdm_hash, elements in uct_pool:
         try:
             d = element_distance(new_elements, elements, params,
-                                 step_s=step_s, j2=j2)
+                                 step_s=step_s)
         except DecayError:
             continue
         if d <= params.d_assoc:
@@ -302,7 +289,7 @@ def associate_uct(new_elements: KeplerianElements, uct_pool: list,
 
 
 def mine_object(tdms: list, sites: dict, params: ValidationParams, *,
-                step_s: float = 10.0, j2: float = J2_EARTH) -> Optional[OrbitRecord]:
+                step_s: float = 10.0) -> Optional[OrbitRecord]:
     """Fit one orbit to associated UCT tracks; None when the fit fails.
 
     The object_id is derived from the chronologically first track's
@@ -321,7 +308,7 @@ def mine_object(tdms: list, sites: dict, params: ValidationParams, *,
         try:
             start = iod_from_tdm(pick, sites[pick.meta.site_id])
             sol = refine_elements(start.elements, list(ordered), sites,
-                                  bstar=0.0, step_s=step_s, j2=j2)
+                                  bstar=0.0, step_s=step_s)
         except (IodError, DecayError):
             continue
         if best is None or sol.rms_residual < best.rms_residual:

@@ -14,7 +14,6 @@ from conftest import leo_record, site_under
 from sdachain.astro import (
     Epoch,
     GroundSite,
-    J2_EARTH,
     OrbitRecord,
     kepler_to_state,
     topocentric_angles,
@@ -85,7 +84,7 @@ class TestFitPathProperties:
     @given(canonical_tracks())
     def test_refined_iod_never_raises(self, track):
         tdm, site = track
-        sol = _refined_iod(tdm, site, 10.0, J2_EARTH)
+        sol = _refined_iod(tdm, site, 10.0)
         assert sol is None or isinstance(sol, IodSolution)
 
     @FIT_PATH_SETTINGS

@@ -1,9 +1,11 @@
-"""No module of the sdachain package imports a name it never uses.
+"""No module of the sdachain package imports a name it never uses, and
+no function in it declares a parameter it never reads.
 
 No linter ships with the project's toolchain, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
-module or be listed in its ``__all__``. ``from __future__`` imports are
-exempt.
+module or be listed in its ``__all__``, and every parameter of a function
+or lambda must be read somewhere in its body. ``from __future__`` imports
+are exempt.
 """
 import ast
 import pathlib
@@ -48,6 +50,28 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def unused_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter its body never reads.
+
+    A read in a nested function or lambda counts for the enclosing one.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out.extend((node.lineno, name, p.arg) for p in params
+                   if p.arg not in read)
+    return sorted(out)
+
+
 def test_modules_found():
     assert len(MODULES) > 5
 
@@ -66,3 +90,23 @@ def test_checker_flags_unused_names():
               "__all__ = ['kept']\n"
               "print(pi, os.path.sep)\n")
     assert unused_imports(source) == [(3, "j"), (4, "tau")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameter(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_unread_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    c = 2\n"
+              "    return a + kw['x']\n"
+              "class K:\n"
+              "    def m(self, used, unused):\n"
+              "        g = lambda x, y: x + used\n"
+              "        def inner():\n"
+              "            return self\n"
+              "        return g, inner\n")
+    assert unused_parameters(source) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
+        (5, "m", "unused"), (6, "<lambda>", "y")]

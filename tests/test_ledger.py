@@ -8,7 +8,7 @@ import pytest
 
 from conftest import leo_record, site_under
 from sdachain import ledger, validation
-from sdachain.astro import J2_EARTH, Epoch, OrbitRecord
+from sdachain.astro import Epoch, OrbitRecord
 from sdachain.ledger import (
     Account,
     AttestValidation,
@@ -561,7 +561,7 @@ class TestUctMining:
         for entry in s.uct_pool.values():
             p_tdm = parse_tdm(entry.tdm_text)
             refit = validation._refined_iod(p_tdm, s.sites[p_tdm.meta.site_id],
-                                            s.step_s, J2_EARTH)
+                                            s.step_s)
             assert entry.elements.key() == refit.elements.key()
         assert decode_state(encode_state(s)).uct_pool == s.uct_pool
 

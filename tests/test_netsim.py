@@ -92,6 +92,8 @@ class TestScenarioValidation:
             NetworkParams(latency_ms=(500.0, 50.0))
         with pytest.raises(NetsimError):
             NodeSpec("x", "wizard")
+        with pytest.raises(NetsimError):
+            NodeSpec("x", "observer", mode="lidar")
 
     def test_scripted_tasks_need_requester(self):
         sc = uct_scenario(1)    # no requester node
@@ -113,6 +115,18 @@ class TestScenarioJson:
         p = tmp_path / "scenario.json"
         p.write_text(json.dumps(scenario_to_json(sc)))
         assert load_scenario(str(p)) == sc
+
+    def test_nonfinite_site_rejected(self):
+        for bad in ({"lat": math.nan}, {"lon": math.inf}, {"alt": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                GroundSite(**{"site_id": "X", "lat": 0.0, "lon": 0.0, **bad})
+        # json parses the NaN literal, so a scenario file can carry one
+        d = scenario_to_json(uct_scenario(4))
+        d["sites"][0]["lat_rad"] = math.nan
+        text = json.dumps(d)
+        assert '"lat_rad": NaN' in text
+        with pytest.raises(ValueError, match="finite"):
+            scenario_from_json(json.loads(text))
 
 
 class TestBreakup:

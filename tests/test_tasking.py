@@ -18,10 +18,10 @@ from sdachain.astro import (
     topocentric_angles,
 )
 from sdachain.iod import iod_from_tdm, refine_elements
+from sdachain.netsim import NetsimError, NodeSpec
 from sdachain.tasking import (
     INTERNAL_TASK_FEE,
     IodRegion,
-    Sensor,
     Task,
     TaskingError,
     assign,
@@ -250,7 +250,7 @@ class TestAssign:
     def test_assign_returns_pass_and_marks_assigned(self):
         rec, site = self.pass_setup()
         task = object_task(target="TGT")
-        got = assign([task], Sensor(site=site), (Epoch(3100.0), Epoch(4900.0)),
+        got = assign([task], site, (Epoch(3100.0), Epoch(4900.0)),
                      {"TGT": rec})
         assert got is not None
         picked, eps = got
@@ -264,7 +264,7 @@ class TestAssign:
         period = 2.0 * math.pi * math.sqrt(rec.elements.a ** 3 / 398600.4418)
         w0 = 4000.0 + period / 2.0 - 900.0
         task = object_task(target="TGT")
-        got = assign([task], Sensor(site=site), (Epoch(w0), Epoch(w0 + 1800.0)),
+        got = assign([task], site, (Epoch(w0), Epoch(w0 + 1800.0)),
                      {"TGT": rec})
         assert got is None
 
@@ -272,7 +272,7 @@ class TestAssign:
         rec, site = self.pass_setup()
         low = object_task(target="TGT", fee=0, ref=b"low")
         high = object_task(target="TGT", fee=150, urgency=True, ref=b"high")
-        got = assign([low, high], Sensor(site=site),
+        got = assign([low, high], site,
                      (Epoch(3100.0), Epoch(4900.0)), {"TGT": rec})
         assert got[0].task_id == high.task_id
 
@@ -288,7 +288,7 @@ class TestAssign:
                              (Epoch(3100.0), Epoch(4900.0)))
         if len(vis) >= 3:
             pytest.skip("seed geometry unexpectedly visible")
-        got = assign([urgent, plain], Sensor(site=site),
+        got = assign([urgent, plain], site,
                      (Epoch(3100.0), Epoch(4900.0)),
                      {"TGT": rec, "FAR": other})
         assert got[0].task_id == plain.task_id
@@ -297,26 +297,26 @@ class TestAssign:
         rec, site = self.pass_setup()
         ghost = object_task(target="NOT-IN-CATALOG", urgency=True, ref=b"g")
         plain = object_task(target="TGT", ref=b"p")
-        got = assign([ghost, plain], Sensor(site=site),
+        got = assign([ghost, plain], site,
                      (Epoch(3100.0), Epoch(4900.0)), {"TGT": rec})
         assert got[0].task_id == plain.task_id
 
     def test_window_validation(self):
         rec, site = self.pass_setup()
         with pytest.raises(TaskingError):
-            assign([], Sensor(site=site), (Epoch(100.0), Epoch(0.0)), {})
+            assign([], site, (Epoch(100.0), Epoch(0.0)), {})
         with pytest.raises(TaskingError):
-            assign([], Sensor(site=site),
-                   (Epoch(0.0), Epoch(25.0 * 3600.0)), {})
+            assign([], site, (Epoch(0.0), Epoch(25.0 * 3600.0)), {})
         with pytest.raises(TaskingError):
             visible_epochs(rec.elements, rec.bstar, site,
                            (Epoch(0.0), Epoch(600.0)), cadence_s=30.0)
 
     def test_sensor_mode_checked(self):
-        _, site = self.pass_setup()
-        assert Sensor(site=site, mode="radar").mode == "radar"
-        with pytest.raises(TaskingError):
-            Sensor(site=site, mode="lidar")
+        # assign takes only the site; the sensor mode that decides on range
+        # lives on the node spec, which rejects unknown modes.
+        assert NodeSpec("x", "observer", mode="radar").mode == "radar"
+        with pytest.raises(NetsimError):
+            NodeSpec("x", "observer", mode="lidar")
 
 
 def exact_visible_epochs(elements, bstar, site, window, *, step_s=30.0,
@@ -468,7 +468,7 @@ class TestRetask:
         assert task.origin == "internal" and not task.urgency
         assert task.fee == INTERNAL_TASK_FEE
         assert task.created_at == self.NOW
-        assert task.target == region_from_solution(sol)
+        assert task.target == region_from_solution(sol.elements, sol.rms_residual)
         assert task.target.contains(truth)
 
     def test_noisy_region_still_contains_truth(self):

@@ -186,33 +186,6 @@ class TestValidateTdm:
         assert rep.verdict == "verified"
         assert any("DECAYED" in n for n in rep.notes)
 
-    def test_prior_tdms_fold_into_rms(self):
-        catalog = catalog_of(14, 3)
-        rec = catalog[0]
-        prior, site_p = observe(rec, 910, 1e-4, site_id="SP", t0=600.0)
-        tdm, site = observe(rec, 911, 1e-4, site_id="S1", t0=4200.0)
-        sites = {"S1": site, "SP": site_p}
-        rep = validate_tdm(tdm, catalog, sites, P,
-                           prior_obs={rec.object_id: [(prior, "SP")]})
-        assert rep.verdict == "verified"
-        # a prior track that contradicts the claim drags the rms up
-        bad_prior, _ = observe(rec, 912, 1e-4, offset_deg=2.0, site_id="SP",
-                               t0=600.0)
-        rep2 = validate_tdm(tdm, catalog, sites, P,
-                            prior_obs={rec.object_id: [(bad_prior, "SP")]})
-        assert rep2.verdict == "rejected"
-
-    def test_prior_track_site_must_be_registered(self):
-        # the pair names a registered site, but the prior track was taken
-        # from SP, which is not: a ValidationError, not a bare KeyError
-        catalog = catalog_of(14, 3)
-        rec = catalog[0]
-        prior, _ = observe(rec, 910, 1e-4, site_id="SP", t0=600.0)
-        tdm, site = observe(rec, 911, 1e-4, site_id="S1", t0=4200.0)
-        with pytest.raises(ValidationError, match="'SP'"):
-            validate_tdm(tdm, catalog, {"S1": site}, P,
-                         prior_obs={rec.object_id: [(prior, "S1")]})
-
 
 class TestAssociation:
     def test_same_elements_zero_distance(self):
