@@ -25,7 +25,7 @@ from .astro import (
 )
 from .errors import SdaError
 from .tdm import Tdm, observed_position
-from .wire import Reader, Writer, sha256
+from .wire import F64, STRING, U64, fixed, record, sha256
 
 MODEL_ROWS = 3
 MODEL_COLS = 6
@@ -71,27 +71,15 @@ class ResidualModel:
         return tuple(sum(wij * xj for wij, xj in zip(row, x)) for row in self.W)
 
 
-def _write_matrix(w: Writer, W: tuple) -> None:
-    for row in W:
-        for v in row:
-            w.f64(v)
+# W row by row as MODEL_ROWS * MODEL_COLS f64
+MATRIX = fixed(f"{MODEL_ROWS * MODEL_COLS}d",
+               to=lambda W: [v for row in W for v in row],
+               frm=lambda *v: tuple(v[k:k + MODEL_COLS]
+                                    for k in range(0, len(v), MODEL_COLS)))
 
-
-def _read_matrix(r: Reader) -> tuple:
-    return tuple(tuple(r.f64() for _ in range(MODEL_COLS))
-                 for _ in range(MODEL_ROWS))
-
-
-def write_model(w: Writer, model: ResidualModel) -> None:
-    """The residual model inside the state encoding: W row by row, then
-    version and trained_on."""
-    _write_matrix(w, model.W)
-    w.u64(model.version).u64(model.trained_on)
-
-
-def read_model(r: Reader) -> ResidualModel:
-    W = _read_matrix(r)
-    return ResidualModel(W=W, version=r.u64(), trained_on=r.u64())
+# The residual model inside the state encoding.
+MODEL = record(ResidualModel, ("W", MATRIX), ("version", U64),
+               ("trained_on", U64))
 
 
 @dataclass(frozen=True)
@@ -111,22 +99,11 @@ class ModelProposal:
         object.__setattr__(self, "proposal_hash", sha256(self.canonical_bytes()))
 
     def canonical_bytes(self) -> bytes:
-        w = Writer().string(self.proposer).f64(self.claimed_rms)
-        w.u64(self.parent_version)
-        _write_matrix(w, self.W_new)
-        return w.bytes()
+        return PROPOSAL.encode(self)
 
 
-def read_proposal(raw: bytes) -> ModelProposal:
-    """Decode a ModelProposal from its canonical_bytes layout."""
-    r = Reader(raw)
-    proposer = r.string()
-    claimed = r.f64()
-    parent = r.u64()
-    W = _read_matrix(r)
-    r.done()
-    return ModelProposal(W_new=W, proposer=proposer, claimed_rms=claimed,
-                         parent_version=parent)
+PROPOSAL = record(ModelProposal, ("proposer", STRING), ("claimed_rms", F64),
+                  ("parent_version", U64), ("W_new", MATRIX))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .astro import (
     DecayError,
@@ -34,52 +36,58 @@ from .astro import (
 )
 from .errors import SdaError
 from .fedprop import (
+    MODEL,
+    PROPOSAL,
     ModelProposal,
     ResidualModel,
     merge_model,
-    read_model,
-    read_proposal,
-    write_model,
 )
 from .tasking import (
+    TARGET,
+    TASK,
     Task,
     internal_retask,
     is_expired,
-    read_target,
-    read_task,
     task_identity,
-    write_target,
-    write_task,
 )
 from .tdm import TdmError, parse_tdm, serialize_tdm
 from .validation import (
+    ELEMENTS,
+    REPORT,
+    VALIDATION_PARAMS,
     ValidationParams,
     ValidationReport,
     associate_uct,
     mine_object,
-    read_elements,
-    read_report,
-    read_validation_params,
     validate_tdm,
-    write_elements,
 )
 from .wire import (
-    Reader,
+    BLOB,
+    BOOL,
+    DIGEST,
+    F64,
+    FRACTION,
+    STRING,
+    U64,
+    U8,
     WireError,
     Writer,
     ZERO_DIGEST,
+    optional,
     read_chain_log,
+    record,
+    seq,
     sha256,
+    sorted_map,
+    sorted_set,
+    union,
+    wrapped,
     write_chain_log,
 )
 
 ROLES = ("observer", "compute", "requester")
 
-TX_KINDS = ("genesis", "submit_tdm", "post_task", "register_stake",
-            "attest_validation", "propose_model", "vote_model",
-            "claim_reward")
-
-STATE_MAGIC = b"SDASTATE"
+STATE_HEADER = b"SDASTATE\x01"     # magic, then the version byte
 
 
 class LedgerError(SdaError):
@@ -132,25 +140,13 @@ class EconomicsParams:
             raise LedgerError("attestation_quorum must lie in (1/2, 1]")
 
     def canonical_bytes(self) -> bytes:
-        w = Writer().u64(self.observer_stake_min)
-        for f in (self.slash_fraction, self.validator_fee_cut,
-                  self.attestation_quorum):
-            w.u64(f.numerator).u64(f.denominator)
-        w.u64(self.r_mint).u64(self.r_model).u64(self.block_subsidy)
-        return w.bytes()
+        return ECONOMICS_PARAMS.encode(self)
 
 
-def read_economics_params(raw: bytes) -> EconomicsParams:
-    """Decode EconomicsParams from its canonical_bytes layout."""
-    r = Reader(raw)
-    stake_min = r.u64()
-    fracs = [Fraction(r.u64(), r.u64()) for _ in range(3)]
-    params = EconomicsParams(
-        observer_stake_min=stake_min, slash_fraction=fracs[0],
-        validator_fee_cut=fracs[1], r_mint=r.u64(), r_model=r.u64(),
-        block_subsidy=r.u64(), attestation_quorum=fracs[2])
-    r.done()
-    return params
+ECONOMICS_PARAMS = record(
+    EconomicsParams, ("observer_stake_min", U64), ("slash_fraction", FRACTION),
+    ("validator_fee_cut", FRACTION), ("attestation_quorum", FRACTION),
+    ("r_mint", U64), ("r_model", U64), ("block_subsidy", U64))
 
 
 @dataclass
@@ -221,16 +217,20 @@ class ClaimReward:
     task_id: bytes
 
 
-_PAYLOAD_TYPES = {
-    "genesis": GenesisPayload,
-    "submit_tdm": SubmitTdm,
-    "post_task": PostTask,
-    "register_stake": RegisterStake,
-    "attest_validation": AttestValidation,
-    "propose_model": ProposeModel,
-    "vote_model": VoteModel,
-    "claim_reward": ClaimReward,
+# tx kind -> payload type and its fields in wire order; the order of the
+# kinds is their wire tag
+_PAYLOADS = {
+    "genesis": (GenesisPayload, ("snapshot", BLOB)),
+    "submit_tdm": (SubmitTdm, ("tdm_text", STRING), ("task_id", BLOB)),
+    "post_task": (PostTask, ("target", TARGET), ("fee", U64),
+                  ("urgency", BOOL), ("origin", STRING)),
+    "register_stake": (RegisterStake, ("amount", U64), ("role", STRING)),
+    "attest_validation": (AttestValidation, ("report", wrapped(REPORT))),
+    "propose_model": (ProposeModel, ("proposal", wrapped(PROPOSAL))),
+    "vote_model": (VoteModel, ("proposal_hash", DIGEST), ("vote", STRING)),
+    "claim_reward": (ClaimReward, ("task_id", DIGEST)),
 }
+TX_KINDS = tuple(_PAYLOADS)
 
 
 @dataclass(frozen=True)
@@ -243,67 +243,22 @@ class Transaction:
     def __post_init__(self):
         if self.kind not in TX_KINDS:
             raise LedgerError(f"unknown tx kind {self.kind!r}")
-        if not isinstance(self.payload, _PAYLOAD_TYPES[self.kind]):
+        if not isinstance(self.payload, _PAYLOADS[self.kind][0]):
             raise LedgerError(f"payload type mismatch for {self.kind}")
         if not isinstance(self.nonce, int) or self.nonce < 0:
             raise LedgerError("nonce must be a nonnegative integer")
 
 
-def write_transaction(w: Writer, tx: Transaction) -> None:
-    w.u8(TX_KINDS.index(tx.kind)).string(tx.sender).u64(tx.nonce)
-    p = tx.payload
-    if tx.kind == "genesis":
-        w.blob(p.snapshot)
-    elif tx.kind == "submit_tdm":
-        w.string(p.tdm_text).blob(p.task_id)
-    elif tx.kind == "post_task":
-        write_target(w, p.target)
-        w.u64(p.fee).u8(1 if p.urgency else 0).string(p.origin)
-    elif tx.kind == "register_stake":
-        w.u64(p.amount).string(p.role)
-    elif tx.kind == "attest_validation":
-        w.blob(p.report.canonical_bytes())
-    elif tx.kind == "propose_model":
-        w.blob(p.proposal.canonical_bytes())
-    elif tx.kind == "vote_model":
-        w.digest(p.proposal_hash).string(p.vote)
-    else:   # claim_reward
-        w.digest(p.task_id)
-
-
-def read_transaction(r: Reader) -> Transaction:
-    tag = r.u8()
-    if tag >= len(TX_KINDS):
-        raise WireError(f"unknown tx kind tag {tag}")
-    kind = TX_KINDS[tag]
-    sender = r.string()
-    nonce = r.u64()
-    if kind == "genesis":
-        payload = GenesisPayload(snapshot=r.blob())
-    elif kind == "submit_tdm":
-        payload = SubmitTdm(tdm_text=r.string(), task_id=r.blob())
-    elif kind == "post_task":
-        target = read_target(r)
-        payload = PostTask(target=target, fee=r.u64(), urgency=r.u8() != 0,
-                           origin=r.string())
-    elif kind == "register_stake":
-        payload = RegisterStake(amount=r.u64(), role=r.string())
-    elif kind == "attest_validation":
-        sub = Reader(r.blob())
-        payload = AttestValidation(report=read_report(sub))
-    elif kind == "propose_model":
-        payload = ProposeModel(proposal=read_proposal(r.blob()))
-    elif kind == "vote_model":
-        payload = VoteModel(proposal_hash=r.digest(), vote=r.string())
-    else:
-        payload = ClaimReward(task_id=r.digest())
-    return Transaction(kind=kind, sender=sender, nonce=nonce, payload=payload)
+# u8 kind tag, sender, nonce, then the kind's payload
+TRANSACTION = union(
+    lambda tx: TX_KINDS.index(tx.kind),
+    *(record(partial(Transaction, kind), ("sender", STRING), ("nonce", U64),
+             ("payload", record(cls, *fields)))
+      for kind, (cls, *fields) in _PAYLOADS.items()))
 
 
 def transaction_bytes(tx: Transaction) -> bytes:
-    w = Writer()
-    write_transaction(w, tx)
-    return w.bytes()
+    return TRANSACTION.encode(tx)
 
 
 def tx_hash(tx: Transaction) -> bytes:
@@ -339,35 +294,14 @@ def compute_tx_root(txs) -> bytes:
     return sha256(w.bytes())
 
 
-def write_block(w: Writer, b: Block) -> None:
-    w.u64(b.height).digest(b.prev_hash).digest(b.tx_root)
-    w.digest(b.state_root).string(b.proposer).f64(b.time)
-    w.u32(len(b.txs))
-    for tx in b.txs:
-        w.blob(transaction_bytes(tx))
-
-
-def read_block(r: Reader) -> Block:
-    height = r.u64()
-    prev_hash = r.digest()
-    tx_root = r.digest()
-    state_root = r.digest()
-    proposer = r.string()
-    time = r.f64()
-    txs = []
-    for _ in range(r.u32()):
-        sub = Reader(r.blob())
-        txs.append(read_transaction(sub))
-        sub.done()
-    return Block(height=height, prev_hash=prev_hash, tx_root=tx_root,
-                 state_root=state_root, proposer=proposer, time=time,
-                 txs=tuple(txs))
+BLOCK = record(Block, ("height", U64), ("prev_hash", DIGEST),
+               ("tx_root", DIGEST), ("state_root", DIGEST),
+               ("proposer", STRING), ("time", F64),
+               ("txs", seq(wrapped(TRANSACTION))))
 
 
 def block_bytes(b: Block) -> bytes:
-    w = Writer()
-    write_block(w, b)
-    return w.bytes()
+    return BLOCK.encode(b)
 
 
 def block_hash(b: Block) -> bytes:
@@ -406,6 +340,13 @@ class ProposalState:
     votes: dict = field(default_factory=dict)           # voter -> vote
 
 
+class Escrow(NamedTuple):
+    """A posted task's fee, held until it is paid out or reclaimed."""
+
+    amount: int
+    requester: str
+
+
 @dataclass(frozen=True)
 class SettlementRecord:
     """One quorum outcome, kept in state for sustainability scoring."""
@@ -429,7 +370,7 @@ class LedgerState:
     catalog: dict = field(default_factory=dict)
     sites: dict = field(default_factory=dict)
     tasks: dict = field(default_factory=dict)
-    task_escrows: dict = field(default_factory=dict)    # task_id -> (amount, requester)
+    task_escrows: dict = field(default_factory=dict)    # task_id -> Escrow
     pending: dict = field(default_factory=dict)         # tdm_hash -> PendingTdm
     uct_pool: dict = field(default_factory=dict)        # tdm_hash -> PoolEntry
     seen_tdms: set = field(default_factory=set)
@@ -454,10 +395,23 @@ class LedgerState:
         return acct
 
 
+def _is_validator(acct: Account) -> bool:
+    """Staked compute accounts attest, propose, vote and enter the lottery."""
+    return "compute" in acct.roles and acct.staked > 0
+
+
 def compute_stakes(state: LedgerState) -> dict:
     """Stake weights of accounts eligible for validation and the lottery."""
     return {a.account_id: a.staked for a in state.accounts.values()
-            if "compute" in a.roles and a.staked > 0}
+            if _is_validator(a)}
+
+
+def _reaches_quorum(state: LedgerState, stakes: dict, voters) -> bool:
+    """True when voters hold at least the attestation quorum of all stake."""
+    total = sum(stakes.values())
+    weight = sum(stakes.get(a, 0) for a in voters)
+    q = state.params.attestation_quorum
+    return total > 0 and weight * q.denominator >= total * q.numerator
 
 
 def conservation_delta(state: LedgerState) -> int:
@@ -469,163 +423,57 @@ def conservation_delta(state: LedgerState) -> int:
     return held + escrowed + state.burned - state.minted - state.genesis_supply
 
 
+ACCOUNT = record(Account, ("account_id", STRING), ("balance", U64),
+                 ("staked", U64), ("roles", sorted_set(STRING, count=U8)))
+SITE = record(GroundSite, ("site_id", STRING), ("lat", F64), ("lon", F64),
+              ("alt", F64))
+ORBIT = record(OrbitRecord, ("object_id", STRING), ("elements", ELEMENTS),
+               ("bstar", F64), ("source", STRING))
+ESCROW = record(Escrow, ("amount", U64), ("requester", STRING))
+PENDING = record(PendingTdm, ("tdm_text", STRING), ("submitter", STRING),
+                 ("escrow", U64), ("task_id", BLOB),
+                 ("attestations", sorted_map(wrapped(REPORT), key=STRING)))
+POOL_ENTRY = record(PoolEntry, ("tdm_text", STRING), ("submitter", STRING),
+                    ("elements", optional(ELEMENTS)))
+PROPOSAL_STATE = record(ProposalState, ("proposal", wrapped(PROPOSAL)),
+                        ("votes", sorted_map(STRING, key=STRING)))
+SETTLEMENT = record(SettlementRecord, ("height", U64), ("tdm_hash", STRING),
+                    ("verdict", STRING), ("object_id", STRING),
+                    ("site_id", STRING), ("submitter", STRING),
+                    ("rms", F64), ("first_epoch_t", F64))
+
+# The state after STATE_HEADER. The chain position (height, last_hash) is
+# recoverable from the blocks themselves and stays out of the root.
+STATE = record(
+    LedgerState,
+    ("params", wrapped(ECONOMICS_PARAMS)),
+    ("vparams", wrapped(VALIDATION_PARAMS)),
+    ("step_s", F64), ("time", F64),
+    ("burned", U64), ("minted", U64), ("genesis_supply", U64),
+    ("accounts", sorted_map(ACCOUNT, key_of=attrgetter("account_id"))),
+    ("nonces", sorted_map(U64, key=STRING)),
+    ("sites", sorted_map(SITE, key_of=attrgetter("site_id"))),
+    ("catalog", sorted_map(ORBIT, key_of=attrgetter("object_id"))),
+    ("tasks", sorted_map(TASK, key_of=attrgetter("task_id"))),
+    ("task_escrows", sorted_map(ESCROW, key=DIGEST)),
+    ("pending", sorted_map(PENDING, key=STRING)),
+    ("uct_pool", sorted_map(POOL_ENTRY, key=STRING)),
+    ("seen_tdms", sorted_set(STRING)),
+    ("model", MODEL),
+    ("model_proposals", sorted_map(
+        PROPOSAL_STATE, key_of=attrgetter("proposal.proposal_hash"))),
+    ("settlements", seq(SETTLEMENT, make=list)))
+
+
 def encode_state(state: LedgerState) -> bytes:
-    """Canonical state snapshot; chain position (height, last_hash) is
-    recoverable from the blocks themselves and stays out of the root."""
-    w = Writer().raw(STATE_MAGIC).u8(1)
-    w.blob(state.params.canonical_bytes())
-    w.blob(state.vparams.canonical_bytes())
-    w.f64(state.step_s).f64(state.time)
-    w.u64(state.burned).u64(state.minted).u64(state.genesis_supply)
-
-    w.u32(len(state.accounts))
-    for aid in sorted(state.accounts):
-        a = state.accounts[aid]
-        w.string(aid).u64(a.balance).u64(a.staked)
-        roles = sorted(a.roles)
-        w.u8(len(roles))
-        for role in roles:
-            w.string(role)
-
-    w.u32(len(state.nonces))
-    for aid in sorted(state.nonces):
-        w.string(aid).u64(state.nonces[aid])
-
-    w.u32(len(state.sites))
-    for sid in sorted(state.sites):
-        s = state.sites[sid]
-        w.string(sid).f64(s.lat).f64(s.lon).f64(s.alt)
-
-    w.u32(len(state.catalog))
-    for oid in sorted(state.catalog):
-        rec = state.catalog[oid]
-        w.string(oid)
-        write_elements(w, rec.elements)
-        w.f64(rec.bstar).string(rec.source)
-
-    w.u32(len(state.tasks))
-    for tid in sorted(state.tasks):
-        write_task(w, state.tasks[tid])
-
-    w.u32(len(state.task_escrows))
-    for tid in sorted(state.task_escrows):
-        amount, requester = state.task_escrows[tid]
-        w.digest(tid).u64(amount).string(requester)
-
-    w.u32(len(state.pending))
-    for h in sorted(state.pending):
-        p = state.pending[h]
-        w.string(h).string(p.tdm_text).string(p.submitter)
-        w.u64(p.escrow).blob(p.task_id)
-        w.u32(len(p.attestations))
-        for attester in sorted(p.attestations):
-            w.string(attester).blob(p.attestations[attester].canonical_bytes())
-
-    w.u32(len(state.uct_pool))
-    for h in sorted(state.uct_pool):
-        e = state.uct_pool[h]
-        w.string(h).string(e.tdm_text).string(e.submitter)
-        w.u8(1 if e.elements is not None else 0)
-        if e.elements is not None:
-            write_elements(w, e.elements)
-
-    w.u32(len(state.seen_tdms))
-    for h in sorted(state.seen_tdms):
-        w.string(h)
-
-    write_model(w, state.model)
-
-    w.u32(len(state.model_proposals))
-    for h in sorted(state.model_proposals):
-        ps = state.model_proposals[h]
-        w.blob(ps.proposal.canonical_bytes())
-        w.u32(len(ps.votes))
-        for voter in sorted(ps.votes):
-            w.string(voter).string(ps.votes[voter])
-
-    w.u32(len(state.settlements))
-    for s in state.settlements:
-        w.u64(s.height).string(s.tdm_hash).string(s.verdict)
-        w.string(s.object_id).string(s.site_id).string(s.submitter)
-        w.f64(s.rms).f64(s.first_epoch_t)
-    return w.bytes()
+    """Canonical state snapshot: STATE_HEADER, then STATE."""
+    return STATE_HEADER + STATE.encode(state)
 
 
 def decode_state(raw: bytes) -> LedgerState:
-    r = Reader(raw)
-    if r.raw(len(STATE_MAGIC)) != STATE_MAGIC:
-        raise WireError("bad state magic")
-    if r.u8() != 1:
-        raise WireError("unsupported state version")
-
-    state = LedgerState(params=read_economics_params(r.blob()),
-                        vparams=read_validation_params(r.blob()))
-    state.step_s = r.f64()
-    state.time = r.f64()
-    state.burned = r.u64()
-    state.minted = r.u64()
-    state.genesis_supply = r.u64()
-
-    for _ in range(r.u32()):
-        aid = r.string()
-        balance = r.u64()
-        staked = r.u64()
-        roles = {r.string() for _ in range(r.u8())}
-        state.accounts[aid] = Account(account_id=aid, balance=balance,
-                                      staked=staked, roles=roles)
-    for _ in range(r.u32()):
-        aid = r.string()
-        state.nonces[aid] = r.u64()
-    for _ in range(r.u32()):
-        sid = r.string()
-        state.sites[sid] = GroundSite(site_id=sid, lat=r.f64(), lon=r.f64(),
-                                      alt=r.f64())
-    for _ in range(r.u32()):
-        oid = r.string()
-        el = read_elements(r)
-        state.catalog[oid] = OrbitRecord(object_id=oid, elements=el,
-                                         bstar=r.f64(), source=r.string())
-    for _ in range(r.u32()):
-        task = read_task(r)
-        state.tasks[task.task_id] = task
-    for _ in range(r.u32()):
-        tid = r.digest()
-        state.task_escrows[tid] = (r.u64(), r.string())
-    for _ in range(r.u32()):
-        h = r.string()
-        p = PendingTdm(tdm_text=r.string(), submitter=r.string(),
-                       escrow=r.u64(), task_id=r.blob())
-        for _ in range(r.u32()):
-            attester = r.string()
-            sub = Reader(r.blob())
-            p.attestations[attester] = read_report(sub)
-            sub.done()
-        state.pending[h] = p
-    for _ in range(r.u32()):
-        h = r.string()
-        text, submitter = r.string(), r.string()
-        state.uct_pool[h] = PoolEntry(
-            tdm_text=text, submitter=submitter,
-            elements=read_elements(r) if r.u8() else None)
-    state.seen_tdms = {r.string() for _ in range(r.u32())}
-
-    state.model = read_model(r)
-
-    for _ in range(r.u32()):
-        proposal = read_proposal(r.blob())
-        ps = ProposalState(proposal=proposal)
-        for _ in range(r.u32()):
-            voter = r.string()
-            ps.votes[voter] = r.string()
-        state.model_proposals[proposal.proposal_hash] = ps
-
-    for _ in range(r.u32()):
-        state.settlements.append(SettlementRecord(
-            height=r.u64(), tdm_hash=r.string(), verdict=r.string(),
-            object_id=r.string(), site_id=r.string(), submitter=r.string(),
-            rms=r.f64(), first_epoch_t=r.f64()))
-    r.done()
-    return state
+    if raw[:len(STATE_HEADER)] != STATE_HEADER:
+        raise WireError("bad state magic or version")
+    return STATE.decode(raw[len(STATE_HEADER):])
 
 
 def state_root(state: LedgerState) -> bytes:
@@ -813,18 +661,13 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
 def _check_quorum(state: LedgerState, tdm_hash_hex: str) -> None:
     pend = state.pending[tdm_hash_hex]
     stakes = compute_stakes(state)
-    total = sum(stakes.values())
-    if total <= 0:
-        return
     groups = {}
     for attester, report in pend.attestations.items():
         key = (report.verdict, report.report_hash)
         groups.setdefault(key, []).append(attester)
-    q = state.params.attestation_quorum
     for key in sorted(groups):
         attesters = sorted(groups[key])
-        weight = sum(stakes.get(a, 0) for a in attesters)
-        if weight * q.denominator >= total * q.numerator:
+        if _reaches_quorum(state, stakes, attesters):
             _settle(state, tdm_hash_hex, pend.attestations[attesters[0]],
                     attesters)
             return
@@ -833,14 +676,9 @@ def _check_quorum(state: LedgerState, tdm_hash_hex: str) -> None:
 def _settle_proposal(state: LedgerState, proposal_hash: bytes) -> None:
     ps = state.model_proposals[proposal_hash]
     stakes = compute_stakes(state)
-    total = sum(stakes.values())
-    if total <= 0:
-        return
-    q = state.params.attestation_quorum
     for choice in ("accept", "reject"):
-        weight = sum(stakes.get(v, 0) for v, vote in ps.votes.items()
-                     if vote == choice)
-        if weight * q.denominator < total * q.numerator:
+        voters = [v for v, vote in ps.votes.items() if vote == choice]
+        if not _reaches_quorum(state, stakes, voters):
             continue
         del state.model_proposals[proposal_hash]
         if choice == "accept":
@@ -947,7 +785,7 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
                     urgency=p.urgency, origin=p.origin, created_at=created_at)
         sender.balance -= p.fee
         state.tasks[tid] = task
-        state.task_escrows[tid] = (p.fee, tx.sender)
+        state.task_escrows[tid] = Escrow(p.fee, tx.sender)
 
     elif tx.kind == "register_stake":
         if p.role not in ROLES:
@@ -961,7 +799,7 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
         sender.roles.add(p.role)
 
     elif tx.kind == "attest_validation":
-        if "compute" not in sender.roles or sender.staked <= 0:
+        if not _is_validator(sender):
             raise TxRejected("attestation requires a staked compute account")
         h = p.report.tdm_hash
         pend = state.pending.get(h)
@@ -973,7 +811,7 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
         _check_quorum(state, h)
 
     elif tx.kind == "propose_model":
-        if "compute" not in sender.roles or sender.staked <= 0:
+        if not _is_validator(sender):
             raise TxRejected("proposal requires a staked compute account")
         if p.proposal.proposer != tx.sender:
             raise TxRejected("proposal must be signed by its proposer")
@@ -987,7 +825,7 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
             proposal=p.proposal)
 
     elif tx.kind == "vote_model":
-        if "compute" not in sender.roles or sender.staked <= 0:
+        if not _is_validator(sender):
             raise TxRejected("vote requires a staked compute account")
         if p.vote not in ("accept", "reject"):
             raise TxRejected(f"vote must be accept or reject, got {p.vote!r}")
@@ -1130,10 +968,7 @@ def save_chain(path: str, blocks: list) -> None:
 
 def decode_block(raw: bytes) -> Block:
     """One chain-log record to a Block; raises on trailing bytes."""
-    r = Reader(raw)
-    block = read_block(r)
-    r.done()
-    return block
+    return BLOCK.decode(raw)
 
 
 def load_chain(path: str) -> list:

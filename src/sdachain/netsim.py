@@ -58,6 +58,7 @@ from .ledger import (
     EconomicsParams,
     PostTask,
     ProposeModel,
+    ROLES,
     SubmitTdm,
     Transaction,
     VoteModel,
@@ -93,7 +94,6 @@ __all__ = [
 ]
 
 BEHAVIORS = ("honest", "spoofer", "lazy_validator", "model_poisoner")
-NODE_ROLES = ("observer", "compute", "requester")
 
 MIN_TRACK_EPOCHS = 4        # shortest arc worth submitting
 SURVEY_MIN_EPOCHS = 6       # UNKNOWN tracks must support batch refinement
@@ -134,7 +134,7 @@ class NodeSpec:
     mode: str = "optical"
 
     def __post_init__(self):
-        if self.role not in NODE_ROLES:
+        if self.role not in ROLES:
             raise NetsimError(f"unknown role {self.role!r}")
         if self.behavior not in BEHAVIORS:
             raise NetsimError(f"unknown behavior {self.behavior!r}")
@@ -273,11 +273,62 @@ def inject_breakup(sc: Scenario, parent: str, n_fragments: int,
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 
-def _angle(d: dict, name: str) -> float:
+def _angles(*names: str) -> dict:
     # canonical files store radians; hand-written ones may use degrees
+    return {f"{n}_{unit}": float for n in names for unit in ("rad", "deg")}
+
+
+def _angle(d: dict, name: str) -> float:
     if f"{name}_rad" in d:
-        return float(d[f"{name}_rad"])
-    return math.radians(float(d[f"{name}_deg"]))
+        return d[f"{name}_rad"]
+    return math.radians(d[f"{name}_deg"])
+
+
+# Top-level keys that map one to one onto Scenario fields.
+_SCALARS = {"cycle_s": float, "block_interval_s": float,
+            "task_interval_s": float, "task_fee": int, "fl_interval_s": float,
+            "fl_start_s": float, "drag_injection": float,
+            "max_track_len": int, "step_s": float, "intent_ttl_s": float}
+# Every key a scenario file may carry, with its JSON kind: a type, a list
+# of one kind, or an object.
+_SCENARIO = {
+    "seed": int, "duration_s": float, **_SCALARS, **_angles("spoof_offset"),
+    "truth_orbits": [{"object_id": str, "a_km": float, "e": float,
+                      "epoch_s": float, "bstar": float,
+                      **_angles("i", "raan", "argp", "M")}],
+    "initial_catalog": [str], "calibration_ids": [str],
+    "sites": [{"site_id": str, "alt_km": float, **_angles("lat", "lon")}],
+    "nodes": [{"account": str, "role": str, "behavior": str, "site": str,
+               "noise_std": float, "balance": int, "stake": int,
+               "mode": str}],
+    "network": {"latency_ms": [float], "drop_prob": float},
+    "economics": {"observer_stake_min": int, "r_mint": int, "r_model": int,
+                  "block_subsidy": int, "slash_fraction": str,
+                  "validator_fee_cut": str, "attestation_quorum": str},
+    "validation": {f.name: float for f in dataclasses.fields(ValidationParams)},
+    "scripted_tasks": [{"t": float, "target": str, "fee": int,
+                        "urgency": bool}],
+}
+
+
+def _json_of_kind(where: str, v, kind):
+    """v, checked to be of this JSON kind (an int counts as a float); a
+    value of another kind, or an unknown key, raises NetsimError."""
+    if isinstance(kind, list):
+        return [_json_of_kind(f"{where}[{k}]", x, kind[0])
+                for k, x in enumerate(_json_of_kind(where, v, list))]
+    if isinstance(kind, dict):
+        for key in _json_of_kind(where, v, dict):
+            if key not in kind:
+                raise NetsimError(f"unknown key {key!r} in {where}")
+        return {k: _json_of_kind(f"{where}.{k}", x, kind[k])
+                for k, x in v.items()}
+    if kind is float and type(v) is int:
+        v = float(v)
+    if not isinstance(v, kind) or (type(v) is bool and kind is not bool):
+        raise NetsimError(f"{where} must be a JSON {kind.__name__}, "
+                          f"got {v!r}")
+    return v
 
 
 def _elements_to_json(el: KeplerianElements) -> dict:
@@ -287,33 +338,20 @@ def _elements_to_json(el: KeplerianElements) -> dict:
 
 def _elements_from_json(d: dict) -> KeplerianElements:
     return KeplerianElements(
-        a=float(d["a_km"]), e=float(d["e"]), i=_angle(d, "i"),
-        raan=_angle(d, "raan"), argp=_angle(d, "argp"), M=_angle(d, "M"),
-        epoch=Epoch(float(d["epoch_s"])))
+        a=d["a_km"], e=d["e"], i=_angle(d, "i"), raan=_angle(d, "raan"),
+        argp=_angle(d, "argp"), M=_angle(d, "M"), epoch=Epoch(d["epoch_s"]))
 
 
-def _economics_to_json(ec: EconomicsParams) -> dict:
-    # Fractions travel as "num/den" strings; floats are refused downstream
-    out = {}
-    for f in dataclasses.fields(ec):
-        v = getattr(ec, f.name)
-        out[f.name] = str(v) if isinstance(v, Fraction) else v
-    return out
-
-
-def _economics_from_json(e: dict) -> EconomicsParams:
-    kw: dict = {}
-    for name in ("observer_stake_min", "r_mint", "r_model", "block_subsidy"):
-        if name in e:
-            kw[name] = int(e[name])
+def _economics_from_json(kw: dict) -> EconomicsParams:
     for name in ("slash_fraction", "validator_fee_cut", "attestation_quorum"):
-        if name in e:
-            kw[name] = Fraction(str(e[name]))
+        if name in kw:
+            try:
+                kw[name] = Fraction(kw[name])
+            except (ValueError, ZeroDivisionError):
+                raise NetsimError(f"economics.{name} must be a fraction "
+                                  f"such as \"2/3\", got {kw[name]!r}") \
+                    from None
     return EconomicsParams(**kw)
-
-
-def _validation_from_json(v: dict) -> ValidationParams:
-    return ValidationParams(**{k: float(x) for k, x in v.items()})
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -332,54 +370,45 @@ def scenario_to_json(sc: Scenario) -> dict:
         "nodes": [dataclasses.asdict(n) for n in sc.nodes],
         "network": {"latency_ms": list(sc.network.latency_ms),
                     "drop_prob": sc.network.drop_prob},
-        "economics": _economics_to_json(sc.economics),
+        # fractions travel as "num/den" strings
+        "economics": {k: str(v) if isinstance(v, Fraction) else v
+                      for k, v in dataclasses.asdict(sc.economics).items()},
         "validation": dataclasses.asdict(sc.validation),
-        "cycle_s": sc.cycle_s,
-        "block_interval_s": sc.block_interval_s,
-        "task_interval_s": sc.task_interval_s,
-        "task_fee": sc.task_fee,
         "spoof_offset_rad": sc.spoof_offset_rad,
-        "fl_interval_s": sc.fl_interval_s,
-        "fl_start_s": sc.fl_start_s,
         "calibration_ids": list(sc.calibration_ids),
-        "drag_injection": sc.drag_injection,
         "scripted_tasks": [dataclasses.asdict(s) for s in sc.scripted_tasks],
-        "max_track_len": sc.max_track_len,
-        "step_s": sc.step_s,
-        "intent_ttl_s": sc.intent_ttl_s,
+        **{name: getattr(sc, name) for name in _SCALARS},
     }
 
 
 def scenario_from_json(d: dict) -> Scenario:
-    orbits = tuple(OrbitRecord(object_id=o["object_id"],
-                               elements=_elements_from_json(o),
-                               bstar=float(o.get("bstar", 0.0)))
-                   for o in d["truth_orbits"])
-    sites = tuple(GroundSite(site_id=s["site_id"], lat=_angle(s, "lat"),
-                             lon=_angle(s, "lon"),
-                             alt=float(s.get("alt_km", 0.0)))
-                  for s in d["sites"])
-    nodes = tuple(NodeSpec(**n) for n in d["nodes"])
-    net = d.get("network", {})
-    kwargs = {}
-    for name in ("cycle_s", "block_interval_s", "task_interval_s",
-                 "task_fee", "fl_interval_s", "fl_start_s", "drag_injection",
-                 "max_track_len", "step_s", "intent_ttl_s"):
-        if name in d:
-            kwargs[name] = d[name]
+    """The scenario of its JSON form. Scenario files are outside input: an
+    unknown key, or a value of another JSON kind than docs/scenario.md
+    gives it (a string for a number, a fraction for an integer), raises
+    NetsimError."""
+    d = _json_of_kind("scenario", d, _SCENARIO)
+    kwargs = {name: d[name] for name in _SCALARS if name in d}
     if "spoof_offset_rad" in d or "spoof_offset_deg" in d:
         kwargs["spoof_offset_rad"] = _angle(d, "spoof_offset")
     if "economics" in d:
         kwargs["economics"] = _economics_from_json(d["economics"])
     if "validation" in d:
-        kwargs["validation"] = _validation_from_json(d["validation"])
+        kwargs["validation"] = ValidationParams(**d["validation"])
+    net = d.get("network", {})
     return Scenario(
-        seed=int(d["seed"]), duration_s=float(d["duration_s"]),
-        truth_orbits=orbits, initial_catalog=tuple(d["initial_catalog"]),
-        sites=sites, nodes=nodes,
+        seed=d["seed"], duration_s=d["duration_s"],
+        truth_orbits=tuple(OrbitRecord(object_id=o["object_id"],
+                                       elements=_elements_from_json(o),
+                                       bstar=o.get("bstar", 0.0))
+                           for o in d["truth_orbits"]),
+        initial_catalog=tuple(d["initial_catalog"]),
+        sites=tuple(GroundSite(site_id=s["site_id"], lat=_angle(s, "lat"),
+                               lon=_angle(s, "lon"),
+                               alt=s.get("alt_km", 0.0)) for s in d["sites"]),
+        nodes=tuple(NodeSpec(**n) for n in d["nodes"]),
         network=NetworkParams(
             latency_ms=tuple(net.get("latency_ms", (50.0, 500.0))),
-            drop_prob=float(net.get("drop_prob", 0.01))),
+            drop_prob=net.get("drop_prob", 0.01)),
         calibration_ids=tuple(d.get("calibration_ids", ())),
         scripted_tasks=tuple(ScriptedTask(**s)
                              for s in d.get("scripted_tasks", ())),

@@ -24,8 +24,19 @@ from .astro import (
 )
 from .errors import SdaError
 from .tdm import ELEVATION_MASK_RAD
-from .validation import ValidationReport, read_elements, write_elements
-from .wire import Reader, WireError, Writer, sha256
+from .validation import ELEMENTS, ValidationReport
+from .wire import (
+    BOOL,
+    DIGEST,
+    EPOCH,
+    F64,
+    STRING,
+    U64,
+    Writer,
+    record,
+    sha256,
+    union,
+)
 
 TASK_ORIGINS = ("external", "internal", "calibration")
 TASK_STATUSES = ("open", "assigned", "fulfilled", "expired")
@@ -148,27 +159,12 @@ class Task:
         return dataclasses.replace(self, status=status)
 
 
-def write_target(w: Writer, target) -> None:
-    """The one on-chain target layout: tag 0 + object_id string, or tag 1 +
-    region elements + tol_a, tol_e, tol_i, tol_raan as f64."""
-    if isinstance(target, str):
-        w.u8(0).string(target)
-    else:
-        w.u8(1)
-        write_elements(w, target.elements)
-        for v in (target.tol_a, target.tol_e, target.tol_i, target.tol_raan):
-            w.f64(v)
+REGION = record(IodRegion, ("elements", ELEMENTS), ("tol_a", F64),
+                ("tol_e", F64), ("tol_i", F64), ("tol_raan", F64))
 
-
-def read_target(r: Reader):
-    tag = r.u8()
-    if tag == 0:
-        return r.string()
-    if tag == 1:
-        el = read_elements(r)
-        tols = [r.f64() for _ in range(4)]
-        return IodRegion(el, *tols)
-    raise WireError(f"unknown target tag {tag}")
+# The one on-chain target layout: tag 0 and an object_id, or tag 1 and a
+# region.
+TARGET = union(lambda t: 0 if isinstance(t, str) else 1, STRING, REGION)
 
 
 def task_identity(target, fee: int, urgency: bool, origin: str,
@@ -180,29 +176,15 @@ def task_identity(target, fee: int, urgency: bool, origin: str,
     internal follow-ups (so identical reports spawn the identical task).
     """
     w = Writer().raw(b"TASK")
-    write_target(w, target)
+    TARGET.write(w, target)
     w.u64(fee).u8(1 if urgency else 0).string(origin).f64(created_at.t)
     w.blob(ref)
     return sha256(w.bytes())
 
 
-def write_task(w: Writer, task: Task) -> None:
-    w.digest(task.task_id)
-    write_target(w, task.target)
-    w.u64(task.fee).u8(1 if task.urgency else 0)
-    w.string(task.origin).f64(task.created_at.t).string(task.status)
-
-
-def read_task(r: Reader) -> Task:
-    task_id = r.digest()
-    target = read_target(r)
-    fee = r.u64()
-    urgency = r.u8() != 0
-    origin = r.string()
-    created_at = Epoch(r.f64())
-    status = r.string()
-    return Task(task_id=task_id, target=target, fee=fee, urgency=urgency,
-                origin=origin, created_at=created_at, status=status)
+TASK = record(Task, ("task_id", DIGEST), ("target", TARGET), ("fee", U64),
+              ("urgency", BOOL), ("origin", STRING), ("created_at", EPOCH),
+              ("status", STRING))
 
 
 def priority(task: Task, catalog: dict, now: Epoch) -> float:

@@ -24,7 +24,7 @@ from .errors import SdaError
 from .fedprop import ResidualModel, corrected_propagate
 from .iod import IodError, IodSolution, iod_from_tdm, refine_elements
 from .tdm import Tdm, observe, separation_rms
-from .wire import Reader, Writer, sha256
+from .wire import EPOCH, F64, STRING, U32, optional, record, seq, sha256
 
 VERDICTS = ("verified", "rejected", "ambiguous", "uct")
 UNKNOWN_CLAIM = "UNKNOWN"
@@ -55,35 +55,17 @@ class ValidationParams:
                 raise ValidationError(f"{name} must be positive")
 
     def canonical_bytes(self) -> bytes:
-        w = Writer()
-        for v in (self.theta_verify, self.theta_reject, self.theta_gate,
-                  self.d_assoc, self.w_a_per_km, self.w_e, self.w_i_per_deg,
-                  self.w_raan_per_deg):
-            w.f64(v)
-        return w.bytes()
+        return VALIDATION_PARAMS.encode(self)
 
 
-def read_validation_params(raw: bytes) -> ValidationParams:
-    """Decode ValidationParams from its canonical_bytes layout."""
-    r = Reader(raw)
-    v = [r.f64() for _ in range(8)]
-    r.done()
-    return ValidationParams(
-        theta_verify=v[0], theta_reject=v[1], theta_gate=v[2], d_assoc=v[3],
-        w_a_per_km=v[4], w_e=v[5], w_i_per_deg=v[6], w_raan_per_deg=v[7])
+VALIDATION_PARAMS = record(ValidationParams, *(
+    (name, F64) for name in (
+        "theta_verify", "theta_reject", "theta_gate", "d_assoc",
+        "w_a_per_km", "w_e", "w_i_per_deg", "w_raan_per_deg")))
 
-
-def write_elements(w: Writer, el: KeplerianElements) -> None:
-    """The one on-chain element layout: a, e, i, raan, argp, M, epoch.t
-    as seven f64."""
-    for v in (el.a, el.e, el.i, el.raan, el.argp, el.M, el.epoch.t):
-        w.f64(v)
-
-
-def read_elements(r: Reader) -> KeplerianElements:
-    a, e, i, raan, argp, M, t = (r.f64() for _ in range(7))
-    return KeplerianElements(a=a, e=e, i=i, raan=raan, argp=argp, M=M,
-                             epoch=Epoch(t))
+# The one on-chain element layout.
+ELEMENTS = record(KeplerianElements, ("a", F64), ("e", F64), ("i", F64),
+                  ("raan", F64), ("argp", F64), ("M", F64), ("epoch", EPOCH))
 
 
 @dataclass(frozen=True)
@@ -114,39 +96,15 @@ class ValidationReport:
                            sha256(self.canonical_bytes()).hex())
 
     def canonical_bytes(self) -> bytes:
-        w = Writer().string(self.tdm_hash).string(self.verdict)
-        w.u8(1 if self.matched_object is not None else 0)
-        if self.matched_object is not None:
-            w.string(self.matched_object)
-        w.f64(self.rms_residual)
-        w.u32(self.candidates_checked)
-        w.u8(1 if self.proposed_elements is not None else 0)
-        if self.proposed_elements is not None:
-            write_elements(w, self.proposed_elements)
-        w.u32(len(self.uct_matches))
-        for h in self.uct_matches:
-            w.string(h)
-        w.u32(len(self.notes))
-        for n in self.notes:
-            w.string(n)
-        return w.bytes()
+        return REPORT.encode(self)
 
 
-def read_report(r: Reader) -> ValidationReport:
-    """Decode a report from its canonical_bytes layout."""
-    tdm_hash = r.string()
-    verdict = r.string()
-    matched = r.string() if r.u8() else None
-    rms = r.f64()
-    checked = r.u32()
-    elements = read_elements(r) if r.u8() else None
-    uct_matches = tuple(r.string() for _ in range(r.u32()))
-    notes = tuple(r.string() for _ in range(r.u32()))
-    return ValidationReport(tdm_hash=tdm_hash, verdict=verdict,
-                            matched_object=matched, rms_residual=rms,
-                            candidates_checked=checked,
-                            proposed_elements=elements,
-                            uct_matches=uct_matches, notes=notes)
+REPORT = record(ValidationReport,
+                ("tdm_hash", STRING), ("verdict", STRING),
+                ("matched_object", optional(STRING)), ("rms_residual", F64),
+                ("candidates_checked", U32),
+                ("proposed_elements", optional(ELEMENTS)),
+                ("uct_matches", seq(STRING)), ("notes", seq(STRING)))
 
 
 def _refined_iod(tdm: Tdm, site: GroundSite,

@@ -3,76 +3,31 @@
 All multi-byte integers are big-endian. Floats are IEEE-754 binary64
 big-endian bit patterns, so identical values always produce identical
 bytes. Strings are UTF-8 with a u32 length prefix. Digests are raw
-32-byte SHA-256 values with no prefix. The full layout of each record
-type lives in docs/wire.md.
+32-byte SHA-256 values with no prefix.
+
+Each layout is declared once, as a ``Codec`` built from the combinators
+below, and that one declaration both writes and reads it; docs/wire.md
+names each one. Decoding is strict: bytes that do not re-encode to
+themselves raise ``WireError``, so every value has one encoding.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
+from fractions import Fraction
 
+from .astro import Epoch
 from .errors import SdaError
 
 DIGEST_LEN = 32
 ZERO_DIGEST = b"\x00" * DIGEST_LEN
 CHAIN_MAGIC = b"SDACHAIN"
 
+_U32 = struct.Struct(">I")
+
 
 class WireError(SdaError):
     """Malformed or truncated canonical bytes."""
-
-
-class Writer:
-    """Append-only canonical byte builder."""
-
-    def __init__(self):
-        self._parts = []
-
-    def u8(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFF:
-            raise WireError(f"u8 out of range: {v}")
-        self._parts.append(struct.pack(">B", v))
-        return self
-
-    def u32(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFFFFFFFF:
-            raise WireError(f"u32 out of range: {v}")
-        self._parts.append(struct.pack(">I", v))
-        return self
-
-    def u64(self, v: int) -> "Writer":
-        if not 0 <= v <= 0xFFFFFFFFFFFFFFFF:
-            raise WireError(f"u64 out of range: {v}")
-        self._parts.append(struct.pack(">Q", v))
-        return self
-
-    def f64(self, v: float) -> "Writer":
-        self._parts.append(struct.pack(">d", v))
-        return self
-
-    def string(self, s: str) -> "Writer":
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self._parts.append(raw)
-        return self
-
-    def blob(self, raw: bytes) -> "Writer":
-        self.u32(len(raw))
-        self._parts.append(raw)
-        return self
-
-    def digest(self, d: bytes) -> "Writer":
-        if len(d) != DIGEST_LEN:
-            raise WireError(f"digest must be {DIGEST_LEN} bytes, got {len(d)}")
-        self._parts.append(d)
-        return self
-
-    def raw(self, b: bytes) -> "Writer":
-        self._parts.append(b)
-        return self
-
-    def bytes(self) -> bytes:
-        return b"".join(self._parts)
 
 
 class Reader:
@@ -82,7 +37,7 @@ class Reader:
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
             raise WireError(f"truncated record: wanted {n} bytes at offset "
                             f"{self._pos}, have {len(self._data) - self._pos}")
@@ -90,68 +45,308 @@ class Reader:
         self._pos += n
         return out
 
-    def u8(self) -> int:
-        return struct.unpack(">B", self._take(1))[0]
+    def unpack(self, st: struct.Struct) -> tuple:
+        return st.unpack(self.take(st.size))
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
+    def blob(self) -> bytes:
+        (n,) = _U32.unpack(self.take(4))
+        return self.take(n)
 
     def string(self) -> str:
-        n = self.u32()
         try:
-            return self._take(n).decode("utf-8")
+            return self.blob().decode("utf-8")
         except UnicodeDecodeError as e:
             raise WireError(f"invalid UTF-8 in string field: {e}") from e
 
-    def blob(self) -> bytes:
-        return self._take(self.u32())
-
-    def digest(self) -> bytes:
-        return self._take(DIGEST_LEN)
-
-    def raw(self, n: int) -> bytes:
-        """Exactly n unframed bytes (mirror of Writer.raw)."""
-        return self._take(n)
+    def at_end(self) -> bool:
+        return self._pos == len(self._data)
 
     def done(self) -> None:
-        if self._pos != len(self._data):
+        if not self.at_end():
             raise WireError(f"{len(self._data) - self._pos} trailing bytes "
                             "after record")
+
+
+class Codec:
+    """One wire layout: ``write(w, v)`` appends the bytes of v to a Writer,
+    ``read(r)`` consumes them from a Reader and returns the value.
+
+    The combinators compose ``put(parts, v)``, which appends to a list of
+    byte strings and lets ``struct.error`` escape for ``write`` and
+    ``encode`` to turn into ``WireError``. A fixed-width codec also has a
+    struct format ``fmt``, and may convert the value into its struct slots
+    (``to(v)``, a tuple) and back (``frm(*slots)``).
+    """
+
+    def __init__(self, put, read, fmt=None, to=None, frm=None):
+        self.put, self.read = put, read
+        self.fmt, self.to, self.frm = fmt, to, frm
+
+    def write(self, w: "Writer", v) -> None:
+        try:
+            self.put(w._parts, v)
+        except struct.error as e:
+            raise WireError(f"value out of range: {e}") from None
+
+    def encode(self, v) -> bytes:
+        w = Writer()
+        self.write(w, v)
+        return w.bytes()
+
+    def decode(self, raw: bytes):
+        """The value of exactly these bytes, which must be its encoding:
+        trailing bytes, an unsorted set, a bool byte of 2 and the like
+        raise WireError."""
+        r = Reader(raw)
+        v = self.read(r)
+        r.done()
+        if self.encode(v) != raw:
+            raise WireError("bytes are not the canonical encoding")
+        return v
+
+
+def fixed(fmt: str, to=None, frm=None) -> Codec:
+    """A fixed-width value in struct format ``fmt``, big-endian."""
+    st = struct.Struct(">" + fmt)
+
+    def put(parts, v):
+        parts.append(st.pack(v) if to is None else st.pack(*to(v)))
+
+    def read(r):
+        slots = r.unpack(st)
+        return slots[0] if frm is None else frm(*slots)
+
+    return Codec(put, read, fmt, to, frm)
+
+
+def _digest(d: bytes) -> tuple:
+    if len(d) != DIGEST_LEN:
+        raise WireError(f"digest must be {DIGEST_LEN} bytes, got {len(d)}")
+    return (d,)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    if den == 0:
+        raise WireError(f"fraction {num}/0 has a zero denominator")
+    return Fraction(num, den)
+
+
+def _put_blob(parts, raw: bytes):
+    parts.append(_U32.pack(len(raw)))
+    parts.append(raw)
+
+
+U8 = fixed("B")
+U32 = fixed("I")
+U64 = fixed("Q")
+F64 = fixed("d")
+DIGEST = fixed(f"{DIGEST_LEN}s", to=_digest)
+BOOL = fixed("B", to=lambda b: (1 if b else 0,), frm=bool)
+EPOCH = fixed("d", to=lambda e: (e.t,), frm=Epoch)
+FRACTION = fixed("QQ", to=lambda f: (f.numerator, f.denominator),
+                 frm=_fraction)
+BLOB = Codec(_put_blob, Reader.blob)
+STRING = Codec(lambda parts, s: _put_blob(parts, s.encode("utf-8")),
+               Reader.string)
+
+
+def _appends(codec: Codec):
+    """A Writer method that appends one value through codec."""
+    def method(self, v):
+        codec.write(self, v)
+        return self
+    return method
+
+
+class Writer:
+    """Append-only canonical byte builder."""
+
+    u8, u32, u64 = _appends(U8), _appends(U32), _appends(U64)
+    f64, digest = _appends(F64), _appends(DIGEST)
+    string, blob = _appends(STRING), _appends(BLOB)
+
+    def __init__(self):
+        self._parts = []
+
+    def raw(self, b: bytes) -> "Writer":
+        self._parts.append(b)
+        return self
+
+    def bytes(self) -> bytes:
+        return b"".join(self._parts)
+
+
+def seq(item: Codec, make=tuple, count: Codec = U32) -> Codec:
+    """A count, then each item in order; read back through make."""
+    def put(parts, v):
+        count.put(parts, len(v))
+        for x in v:
+            item.put(parts, x)
+
+    def read(r):
+        return make([item.read(r) for _ in range(count.read(r))])
+
+    return Codec(put, read)
+
+
+def sorted_set(item: Codec, count: Codec = U32) -> Codec:
+    """A set as the ``seq`` of its items in increasing order."""
+    items = seq(item, set, count)
+    return Codec(lambda parts, v: items.put(parts, sorted(v)), items.read)
+
+
+def sorted_map(value: Codec, key: Codec = None, key_of=None) -> Codec:
+    """A dict as a ``u32`` count, then its entries in increasing key order:
+    with ``key``, each entry is its key and its value; with ``key_of``, the
+    value alone, and reading takes the key from it."""
+    def put(parts, m):
+        parts.append(_U32.pack(len(m)))
+        for k in sorted(m):
+            if key is not None:
+                key.put(parts, k)
+            value.put(parts, m[k])
+
+    def read(r):
+        out = {}
+        for _ in range(r.unpack(_U32)[0]):
+            k = key.read(r) if key is not None else None
+            v = value.read(r)
+            out[k if key is not None else key_of(v)] = v
+        return out
+
+    return Codec(put, read)
+
+
+def wrapped(inner: Codec) -> Codec:
+    """The value's bytes as a ``blob``, which must hold exactly one value."""
+    def put(parts, v):
+        sub = []
+        inner.put(sub, v)
+        _put_blob(parts, b"".join(sub))
+
+    def read(r):
+        sub = Reader(r.blob())
+        v = inner.read(sub)
+        sub.done()
+        return v
+
+    return Codec(put, read)
+
+
+def union(tag_of, *variants: Codec) -> Codec:
+    """``u8`` tag, then that variant's layout; ``tag_of(v)`` picks the tag."""
+    tags = [bytes([tag]) for tag in range(len(variants))]
+
+    def put(parts, v):
+        tag = tag_of(v)
+        parts.append(tags[tag])
+        variants[tag].put(parts, v)
+
+    def read(r):
+        tag = r.take(1)[0]
+        if tag >= len(variants):
+            raise WireError(f"unknown union tag {tag}")
+        return variants[tag].read(r)
+
+    return Codec(put, read)
+
+
+def record(make, *fields) -> Codec:
+    """Fields in wire order, each an ``(attribute, codec)`` pair. Writing
+    takes each attribute of the value; reading passes them to ``make`` as
+    keywords.
+
+    The layout is compiled once, on first use, into one Python function
+    that writes it and one that reads it: each run of consecutive
+    fixed-width fields is packed by one precompiled struct, strings are
+    appended directly, and any other field calls its codec. Compiling on
+    first use keeps layouts a program never touches out of its import.
+    """
+    codec = Codec(None, None)
+
+    def first(method: str):
+        def call(*args):
+            codec.put, codec.read = _compile(make, fields)
+            return getattr(codec, method)(*args)
+        return call
+
+    codec.put, codec.read = first("put"), first("read")
+    return codec
+
+
+def _compile(make, fields) -> tuple:
+    env = {"make": make, "u32": _U32.pack}
+    put = ["def put(parts, v):", "    append = parts.append"]
+    read = ["def read(r):"]
+    args = []       # make's keyword arguments
+    run = []        # (index, name, codec) of the pending fixed-width run
+
+    def end_run():
+        if not run:
+            return
+        st = f"s{run[0][0]}"
+        env[st] = struct.Struct(">" + "".join(c.fmt for _, _, c in run))
+        packed, slots = [], []
+        for i, name, c in run:
+            one = struct.Struct(">" + c.fmt)
+            xs = [f"x{i}_{k}" for k in range(len(one.unpack(bytes(one.size))))]
+            slots += xs
+            env[f"to{i}"], env[f"frm{i}"] = c.to, c.frm
+            packed.append(f"v.{name}" if c.to is None else f"*to{i}(v.{name})")
+            args.append(f"{name}={xs[0]}" if c.frm is None
+                        else f"{name}=frm{i}({', '.join(xs)})")
+        put.append(f"    append({st}.pack({', '.join(packed)}))")
+        read.append(f"    {', '.join(slots)}, = r.unpack({st})")
+        run.clear()
+
+    for i, (name, codec) in enumerate(fields):
+        if codec.fmt is not None:
+            run.append((i, name, codec))
+            continue
+        end_run()
+        if codec is STRING:
+            put += [f"    raw = v.{name}.encode('utf-8')",
+                    "    append(u32(len(raw)))", "    append(raw)"]
+            read.append(f"    x{i} = r.string()")
+        else:
+            env[f"c{i}"] = codec
+            put.append(f"    c{i}.put(parts, v.{name})")
+            read.append(f"    x{i} = c{i}.read(r)")
+        args.append(f"{name}=x{i}")
+    end_run()
+    read.append(f"    return make({', '.join(args)})")
+    exec("\n".join(put + read), env)
+    return env["put"], env["read"]
+
+
+_NOTHING = record(type(None))    # no bytes; reads back None
+
+
+def optional(inner: Codec) -> Codec:
+    """``u8`` 0 for None, else ``u8`` 1 and the value."""
+    return union(lambda v: 0 if v is None else 1, _NOTHING, inner)
+
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
 def write_chain_log(path: str, block_records: list) -> None:
-    """Persist length-prefixed canonical block records, magic first."""
+    """Persist the block records, magic first, each as a ``blob``."""
+    w = Writer().raw(CHAIN_MAGIC)
+    for rec in block_records:
+        w.blob(rec)
     with open(path, "wb") as f:
-        f.write(CHAIN_MAGIC)
-        for rec in block_records:
-            f.write(struct.pack(">I", len(rec)))
-            f.write(rec)
+        f.write(w.bytes())
 
 
 def read_chain_log(path: str) -> list:
     """Read back the raw block records; digests are checked by verify_chain."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:len(CHAIN_MAGIC)] != CHAIN_MAGIC:
+        r = Reader(f.read())
+    if r.take(len(CHAIN_MAGIC)) != CHAIN_MAGIC:
         raise WireError("bad chain log magic")
     out = []
-    pos = len(CHAIN_MAGIC)
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise WireError("truncated length prefix in chain log")
-        (n,) = struct.unpack(">I", data[pos:pos + 4])
-        pos += 4
-        if pos + n > len(data):
-            raise WireError("truncated block record in chain log")
-        out.append(data[pos:pos + n])
-        pos += n
+    while not r.at_end():
+        out.append(r.blob())
     return out

@@ -12,6 +12,7 @@ from sdachain.astro import Epoch, OrbitRecord
 from sdachain.ledger import (
     Account,
     AttestValidation,
+    BLOCK,
     Block,
     ClaimReward,
     EconomicsParams,
@@ -20,6 +21,7 @@ from sdachain.ledger import (
     ProposeModel,
     RegisterStake,
     SubmitTdm,
+    TRANSACTION,
     TX_KINDS,
     Transaction,
     TxRejected,
@@ -35,8 +37,6 @@ from sdachain.ledger import (
     load_chain,
     make_genesis,
     produce_block,
-    read_block,
-    read_transaction,
     replay_state,
     save_chain,
     select_validator,
@@ -142,7 +142,7 @@ class TestParamsAndAccounts:
 class TestCodecs:
     def roundtrip(self, t):
         r = Reader(transaction_bytes(t))
-        back = read_transaction(r)
+        back = TRANSACTION.read(r)
         r.done()
         assert back == t
         return back
@@ -179,7 +179,7 @@ class TestCodecs:
         raw = Writer().u8(TX_KINDS.index("post_task")).string("rita").u64(0)
         raw.u8(9).u64(25).u8(0).string("external")
         with pytest.raises(WireError):
-            read_transaction(Reader(raw.bytes()))
+            TRANSACTION.read(Reader(raw.bytes()))
 
     def test_tx_hash_sensitivity(self):
         a = tx("register_stake", "x", 0, RegisterStake(amount=5, role="compute"))
@@ -190,7 +190,7 @@ class TestCodecs:
     def test_block_roundtrip(self):
         state, gblock, _, _ = fresh_chain()
         r = Reader(block_bytes(gblock))
-        assert read_block(r) == gblock
+        assert BLOCK.read(r) == gblock
         r.done()
 
     def test_payload_kind_mismatch(self):

@@ -128,6 +128,33 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match="finite"):
             scenario_from_json(json.loads(text))
 
+    def test_unknown_key_rejected(self):
+        d = scenario_to_json(uct_scenario(4))
+        d["cycle_sec"] = 900.0
+        with pytest.raises(NetsimError, match="cycle_sec"):
+            scenario_from_json(d)
+        d = scenario_to_json(uct_scenario(4))
+        d["nodes"][0]["stake_amount"] = 5
+        with pytest.raises(NetsimError, match="stake_amount"):
+            scenario_from_json(d)
+
+    def test_fractional_integer_rejected(self):
+        d = scenario_to_json(uct_scenario(4))
+        d["economics"]["r_mint"] = 5.7
+        with pytest.raises(NetsimError, match="r_mint"):
+            scenario_from_json(d)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(max_track_len="8"),
+        lambda d: d.update(block_interval_s="600"),
+        lambda d: d["nodes"][0].update(noise_std="big"),
+    ], ids=["max_track_len", "block_interval_s", "noise_std"])
+    def test_string_number_rejected(self, edit):
+        d = scenario_to_json(uct_scenario(4))
+        edit(d)
+        with pytest.raises(NetsimError):
+            scenario_from_json(d)
+
 
 class TestBreakup:
     def test_unknown_parent_raises(self):

@@ -22,6 +22,7 @@ from sdachain.netsim import NetsimError, NodeSpec
 from sdachain.tasking import (
     INTERNAL_TASK_FEE,
     IodRegion,
+    TASK,
     Task,
     TaskingError,
     assign,
@@ -29,11 +30,9 @@ from sdachain.tasking import (
     is_expired,
     order_queue,
     priority,
-    read_task,
     region_from_solution,
     task_identity,
     visible_epochs,
-    write_task,
 )
 from sdachain.tdm import ELEVATION_MASK_RAD, synth_tdm
 from sdachain.validation import ValidationReport
@@ -137,22 +136,22 @@ class TestCodec:
     def test_object_target_roundtrip(self):
         t = object_task(target="SAT-9", fee=25, urgency=True, status="assigned")
         w = Writer()
-        write_task(w, t)
+        TASK.write(w, t)
         r = Reader(w.bytes())
-        assert read_task(r) == t
+        assert TASK.read(r) == t
         r.done()
 
     def test_region_target_roundtrip(self):
         t = region_task(leo_record(random.Random(4)), fee=INTERNAL_TASK_FEE)
         w = Writer()
-        write_task(w, t)
-        back = read_task(Reader(w.bytes()))
+        TASK.write(w, t)
+        back = TASK.read(Reader(w.bytes()))
         assert back == t and back.is_followup()
 
     def test_unknown_target_tag_rejected(self):
         w = Writer().digest(bytes(32)).u8(9)
         with pytest.raises(WireError):
-            read_task(Reader(w.bytes()))
+            TASK.read(Reader(w.bytes()))
 
 
 class TestPriority:
