@@ -976,19 +976,16 @@ def load_chain(path: str) -> list:
 
 
 def verify_chain_file(path: str):
-    """Like verify_chain, but a record that fails to decode is a bad height
-    too: the first bad height of the blocks before it, else its index."""
+    """Like verify_chain, but a record that fails to decode or is cut short
+    is a bad height too: the first bad height of the blocks before it, else
+    its index. A log with bad magic is bad at 0."""
+    blocks, whole = [], True
     try:
-        records = read_chain_log(path)
-    except WireError:
-        return 0
-    blocks = []
-    for raw in records:
-        try:
+        for raw in read_chain_log(path):
             blocks.append(decode_block(raw))
-        except (WireError, SdaError, ValueError):
-            break
+    except (WireError, SdaError, ValueError):
+        whole = False
     bad = verify_chain(blocks)
-    if bad is None and len(blocks) < len(records):
+    if bad is None and not whole:
         return len(blocks)
     return bad

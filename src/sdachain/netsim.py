@@ -113,6 +113,9 @@ class NetworkParams:
 
     def __post_init__(self):
         object.__setattr__(self, "latency_ms", tuple(self.latency_ms))
+        if len(self.latency_ms) != 2:
+            raise NetsimError(f"latency_ms must be a (min, max) pair: "
+                              f"{self.latency_ms}")
         lo, hi = self.latency_ms
         if not 0.0 <= lo <= hi:
             raise NetsimError(f"bad latency range: {self.latency_ms}")
@@ -281,7 +284,9 @@ def _angles(*names: str) -> dict:
 def _angle(d: dict, name: str) -> float:
     if f"{name}_rad" in d:
         return d[f"{name}_rad"]
-    return math.radians(d[f"{name}_deg"])
+    if f"{name}_deg" in d:
+        return math.radians(d[f"{name}_deg"])
+    raise KeyError(f"{name}_rad or {name}_deg")
 
 
 # Top-level keys that map one to one onto Scenario fields.
@@ -383,10 +388,20 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 def scenario_from_json(d: dict) -> Scenario:
     """The scenario of its JSON form. Scenario files are outside input: an
-    unknown key, or a value of another JSON kind than docs/scenario.md
-    gives it (a string for a number, a fraction for an integer), raises
-    NetsimError."""
+    unknown key, a missing required key, or a value of another JSON kind
+    than docs/scenario.md gives it (a string for a number, a fraction for
+    an integer), raises NetsimError."""
     d = _json_of_kind("scenario", d, _SCENARIO)
+    try:
+        return _scenario_of(d)
+    except (KeyError, TypeError) as e:
+        # a required key is absent: a bare lookup raises KeyError, a
+        # dataclass built from the entry's keywords TypeError
+        raise NetsimError(f"scenario file lacks a required key: {e}") \
+            from None
+
+
+def _scenario_of(d: dict) -> Scenario:
     kwargs = {name: d[name] for name in _SCALARS if name in d}
     if "spoof_offset_rad" in d or "spoof_offset_deg" in d:
         kwargs["spoof_offset_rad"] = _angle(d, "spoof_offset")

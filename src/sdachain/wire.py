@@ -12,9 +12,12 @@ themselves raise ``WireError``, so every value has one encoding.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import struct
 from fractions import Fraction
+from functools import partial
 
 from .astro import Epoch
 from .errors import SdaError
@@ -261,6 +264,12 @@ def record(make, *fields) -> Codec:
     fixed-width fields is packed by one precompiled struct, strings are
     appended directly, and any other field calls its codec. Compiling on
     first use keeps layouts a program never touches out of its import.
+
+    When ``make`` is a frozen dataclass, or a ``functools.partial`` of
+    one, each instance is encoded once per layout: the first write stores
+    its bytes on the instance, under a name private to this layout, and
+    every later write appends them. Reading stores nothing, so
+    ``Codec.decode`` still re-encodes what it read.
     """
     codec = Codec(None, None)
 
@@ -316,7 +325,37 @@ def _compile(make, fields) -> tuple:
     end_run()
     read.append(f"    return make({', '.join(args)})")
     exec("\n".join(put + read), env)
+    cls = make.func if isinstance(make, partial) else make
+    if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen:
+        return _memoized(cls, env["put"]), env["read"]
     return env["put"], env["read"]
+
+
+_memo_names = itertools.count()
+
+
+def _memoized(cls, put):
+    """put, writing each instance of the frozen cls from the bytes kept
+    on it; instances of any other type are written as put writes them."""
+    name = f"_wire_bytes_{next(_memo_names)}"
+
+    def memo_put(parts, v):
+        if type(v) is not cls:
+            return put(parts, v)
+        d = v.__dict__
+        raw = d.get(name)
+        if raw is None:
+            raw = d[name] = _fields_bytes(put, v)
+        parts.append(raw)
+
+    return memo_put
+
+
+def _fields_bytes(put, v) -> bytes:
+    """The bytes put writes for v: a memo miss."""
+    parts = []
+    put(parts, v)
+    return b"".join(parts)
 
 
 _NOTHING = record(type(None))    # no bytes; reads back None
@@ -340,13 +379,13 @@ def write_chain_log(path: str, block_records: list) -> None:
         f.write(w.bytes())
 
 
-def read_chain_log(path: str) -> list:
-    """Read back the raw block records; digests are checked by verify_chain."""
+def read_chain_log(path: str):
+    """Yield the raw block records in order; digests are checked by
+    verify_chain. Bad magic, or a record cut short, raises WireError when
+    the reader reaches it, after the records before it."""
     with open(path, "rb") as f:
         r = Reader(f.read())
     if r.take(len(CHAIN_MAGIC)) != CHAIN_MAGIC:
         raise WireError("bad chain log magic")
-    out = []
     while not r.at_end():
-        out.append(r.blob())
-    return out
+        yield r.blob()

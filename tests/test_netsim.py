@@ -155,6 +155,33 @@ class TestScenarioJson:
         with pytest.raises(NetsimError):
             scenario_from_json(d)
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.pop("seed"), "seed"),
+        (lambda d: d.pop("nodes"), "nodes"),
+        (lambda d: d["truth_orbits"][0].pop("a_km"), "a_km"),
+        (lambda d: d["truth_orbits"][0].pop("raan_rad"), "raan_rad"),
+        (lambda d: d["sites"][0].pop("site_id"), "site_id"),
+        (lambda d: d["nodes"][0].pop("account"), "account"),
+        (lambda d: d.update(scripted_tasks=[{"t": 60.0, "fee": 5}]),
+         "target"),
+    ], ids=["seed", "nodes", "a_km", "raan", "site_id", "account",
+            "scripted_target"])
+    def test_missing_key_rejected(self, edit, key):
+        d = scenario_to_json(uct_scenario(4))
+        edit(d)
+        with pytest.raises(NetsimError, match=key):
+            scenario_from_json(d)
+
+    @pytest.mark.parametrize("latency", [[], [50.0], [50.0, 100.0, 500.0]],
+                             ids=["empty", "one", "three"])
+    def test_latency_must_be_a_pair(self, latency):
+        d = scenario_to_json(uct_scenario(4))
+        d["network"]["latency_ms"] = latency
+        with pytest.raises(NetsimError, match="latency"):
+            scenario_from_json(d)
+        with pytest.raises(NetsimError, match="latency"):
+            NetworkParams(latency_ms=latency)
+
 
 class TestBreakup:
     def test_unknown_parent_raises(self):

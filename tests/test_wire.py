@@ -3,11 +3,14 @@ both writes and reads it.
 
 Covers state round trips over states that together fill every section of
 the state encoding, the strict reader (non-canonical bytes in a chain.log,
-a hostile genesis snapshot), range checks in compiled records, and that
-every owner docs/wire.md names exists in the package.
+a hostile genesis snapshot), range checks in compiled records, the bytes
+frozen records keep per layout, and that every owner docs/wire.md names
+exists in the package.
 """
 import collections
+import copy
 import dataclasses
+import functools
 import importlib
 import pathlib
 import re
@@ -15,10 +18,15 @@ import struct
 
 import pytest
 
+from sdachain import wire
+from sdachain.astro import Epoch
 from sdachain.ledger import (
+    ACCOUNT,
     STATE_HEADER,
     TX_KINDS,
+    Account,
     Block,
+    Transaction,
     block_bytes,
     block_hash,
     compute_tx_root,
@@ -36,6 +44,7 @@ from sdachain.netsim import (
     run_scenario,
     uct_scenario,
 )
+from sdachain.tasking import TASK, Task
 from sdachain.validation import ELEMENTS, ValidationReport
 from sdachain.wire import (
     BOOL,
@@ -122,6 +131,112 @@ def test_state_roundtrip_over_every_section(chains):
     assert filled == set(SECTIONS) | {
         "pending attestations", "pool elements", "proposal votes",
         "region targets"}
+
+
+def _drop_memos(obj, seen) -> int:
+    """Delete from obj, and from everything it holds, each attribute that
+    is not a dataclass field: the bytes a record keeps. Returns how many
+    went."""
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
+        return 0
+    seen.add(id(obj))
+    dropped = 0
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = list(obj)
+    elif dataclasses.is_dataclass(obj):
+        names = {f.name for f in dataclasses.fields(obj)}
+        for name in set(vars(obj)) - names:
+            del vars(obj)[name]
+            dropped += 1
+        items = [getattr(obj, name) for name in names]
+    else:
+        items = []
+    return dropped + sum(_drop_memos(x, seen) for x in items)
+
+
+def test_kept_bytes_equal_a_fresh_encoding(chains):
+    """Every post-block state of the uct and fl runs, and the final
+    reference state, encodes as it does with every kept byte string
+    dropped first: no record changed after its bytes were kept."""
+    paths, reference_final = chains
+    dropped = 0
+
+    def check(state):
+        nonlocal dropped
+        raw = encode_state(state)
+        fresh = copy.deepcopy(state)
+        dropped += _drop_memos(fresh, set())
+        assert encode_state(fresh) == raw
+
+    for path in paths.values():
+        for state in _post_block_states(load_chain(path)):
+            check(state)
+    check(reference_final)
+    assert dropped > 0
+
+
+@dataclasses.dataclass(frozen=True)
+class Frozen:
+    a: int
+    b: str
+
+
+def _ab(a: int, b: str) -> bytes:
+    return struct.pack(">QI", a, len(b)) + b.encode()
+
+
+def test_frozen_record_keeps_bytes_per_layout():
+    ab = record(Frozen, ("a", U64), ("b", STRING))
+    ba = record(Frozen, ("b", STRING), ("a", U32))
+    b_only = record(functools.partial(Frozen, 1), ("b", STRING))
+    v = Frozen(1, "xy")
+    want = {ab: _ab(1, "xy"),
+            ba: struct.pack(">I", 2) + b"xy" + struct.pack(">I", 1),
+            b_only: struct.pack(">I", 2) + b"xy"}
+    for _ in range(2):
+        for codec, raw in want.items():
+            assert codec.encode(v) == raw
+            assert codec.decode(raw) == v
+
+
+def test_replaced_instance_encodes_its_new_fields():
+    ab = record(Frozen, ("a", U64), ("b", STRING))
+    v = Frozen(1, "x")
+    assert ab.encode(v) == _ab(1, "x")
+    assert ab.encode(dataclasses.replace(v, b="y")) == _ab(1, "y")
+    task = Task(task_id=bytes(32), target="OBJ-01", fee=5, urgency=False,
+                origin="external", created_at=Epoch(60.0))
+    raw = TASK.encode(task)
+    done = task.with_status("fulfilled")
+    assert TASK.encode(done) != raw
+    assert TASK.decode(TASK.encode(done)) == done
+    assert TASK.encode(task) == raw
+    # a mutable record is written from its fields every time
+    acct = Account("obs-1", balance=3)
+    before = ACCOUNT.encode(acct)
+    acct.balance = 4
+    assert ACCOUNT.encode(acct) != before
+    assert ACCOUNT.decode(ACCOUNT.encode(acct)) == acct
+
+
+def test_replay_encodes_each_transaction_once(chains, monkeypatch):
+    """Loading and verifying the uct chain produces each transaction's
+    bytes once, and each block's at most twice: its canonical check, and
+    the block replay re-produces. Counts encodings, not codec calls."""
+    made = collections.Counter()
+    fields_bytes = wire._fields_bytes
+
+    def counting(put, v):
+        made[type(v)] += 1
+        return fields_bytes(put, v)
+
+    monkeypatch.setattr(wire, "_fields_bytes", counting)
+    blocks = load_chain(chains[0]["uct"])
+    assert verify_chain(blocks) is None
+    assert made[Transaction] == sum(len(b.txs) for b in blocks) == 13
+    assert len(blocks) <= made[Block] <= 2 * len(blocks)
 
 
 def test_padded_report_blob_is_a_bad_height(chains, tmp_path):
