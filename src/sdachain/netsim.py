@@ -16,10 +16,22 @@ production. Node behaviors concretize the adversary taxonomy: honest,
 spoofer (corrupts claimed tracks by a configured element offset),
 lazy_validator (never attests or votes), and model_poisoner (proposes
 garbage weights and votes accept on everything).
+
+A spoofer's claimed track is the object's orbit with its RAAN turned by
+spoof_offset_rad, seen from the spoofer's site. The simulator applies
+the offset to the site instead: it observes the true orbit from a copy
+of the site at longitude lon - spoof_offset_rad. Gravity, J2 and drag in
+the co-rotating atmosphere are all unchanged by a rotation about the
+polar axis, so the RK4 map on the epoch-0 grid turns the RAAN-shifted
+orbit into the true orbit rotated by the offset; azimuth, elevation and
+range are unchanged when the object and the site turn together. The two
+agree up to rounding, and the spoofer reads the truth grid the honest
+observers already built instead of integrating a grid of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import heapq
 import itertools
@@ -190,6 +202,11 @@ class Scenario:
         return 4.0 * self.block_interval_s
 
 
+_FLOAT_FIELDS = ("duration_s", "cycle_s", "block_interval_s", "task_interval_s",
+                 "spoof_offset_rad", "fl_interval_s", "fl_start_s",
+                 "drag_injection", "step_s", "intent_ttl_s")
+
+
 def validate_scenario(sc: Scenario) -> list:
     """Every configuration problem, collected before any event runs."""
     errs = []
@@ -219,10 +236,16 @@ def validate_scenario(sc: Scenario) -> list:
             errs.append(f"{n.behavior} {n.account} must be a compute node")
         if n.role == "compute" and n.stake <= 0:
             errs.append(f"compute node {n.account} needs positive stake")
-        if n.noise_std < 0.0:
+        if not math.isfinite(n.noise_std):
+            errs.append(f"non-finite noise_std on {n.account}")
+        elif n.noise_std < 0.0:
             errs.append(f"negative noise_std on {n.account}")
     if not any(n.role == "compute" for n in sc.nodes):
         errs.append("need at least one compute node")
+    # NaN passes every range test below, so finiteness is checked first
+    for name in _FLOAT_FIELDS:
+        if not math.isfinite(getattr(sc, name)):
+            errs.append(f"{name} must be finite")
     if sc.duration_s <= 0.0:
         errs.append("duration must be positive")
     if sc.cycle_s < 180.0:
@@ -388,9 +411,10 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 def scenario_from_json(d: dict) -> Scenario:
     """The scenario of its JSON form. Scenario files are outside input: an
-    unknown key, a missing required key, or a value of another JSON kind
+    unknown key, a missing required key, a value of another JSON kind
     than docs/scenario.md gives it (a string for a number, a fraction for
-    an integer), raises NetsimError."""
+    an integer), or an orbit or site value out of its range (an
+    eccentricity of 1.5, a NaN latitude), raises NetsimError."""
     d = _json_of_kind("scenario", d, _SCENARIO)
     try:
         return _scenario_of(d)
@@ -401,7 +425,29 @@ def scenario_from_json(d: dict) -> Scenario:
             from None
 
 
+@contextlib.contextmanager
+def _entry(where: str):
+    """Raise the ValueError an out-of-range value makes a record raise (an
+    eccentricity of 1.5, a NaN latitude) as a NetsimError naming where."""
+    try:
+        yield
+    except ValueError as e:
+        raise NetsimError(f"{where}: {e}") from None
+
+
 def _scenario_of(d: dict) -> Scenario:
+    truth_orbits = []
+    for k, o in enumerate(d["truth_orbits"]):
+        with _entry(f"truth_orbits[{k}]"):
+            truth_orbits.append(OrbitRecord(object_id=o["object_id"],
+                                            elements=_elements_from_json(o),
+                                            bstar=o.get("bstar", 0.0)))
+    sites = []
+    for k, s in enumerate(d["sites"]):
+        with _entry(f"sites[{k}]"):
+            sites.append(GroundSite(site_id=s["site_id"], lat=_angle(s, "lat"),
+                                    lon=_angle(s, "lon"),
+                                    alt=s.get("alt_km", 0.0)))
     kwargs = {name: d[name] for name in _SCALARS if name in d}
     if "spoof_offset_rad" in d or "spoof_offset_deg" in d:
         kwargs["spoof_offset_rad"] = _angle(d, "spoof_offset")
@@ -412,14 +458,9 @@ def _scenario_of(d: dict) -> Scenario:
     net = d.get("network", {})
     return Scenario(
         seed=d["seed"], duration_s=d["duration_s"],
-        truth_orbits=tuple(OrbitRecord(object_id=o["object_id"],
-                                       elements=_elements_from_json(o),
-                                       bstar=o.get("bstar", 0.0))
-                           for o in d["truth_orbits"]),
+        truth_orbits=tuple(truth_orbits),
         initial_catalog=tuple(d["initial_catalog"]),
-        sites=tuple(GroundSite(site_id=s["site_id"], lat=_angle(s, "lat"),
-                               lon=_angle(s, "lon"),
-                               alt=s.get("alt_km", 0.0)) for s in d["sites"]),
+        sites=tuple(sites),
         nodes=tuple(NodeSpec(**n) for n in d["nodes"]),
         network=NetworkParams(
             latency_ms=tuple(net.get("latency_ms", (50.0, 500.0))),
@@ -456,6 +497,11 @@ class _Node:
         self.spec = spec
         self.sim = sim
         self.site = sim.sites.get(spec.site)
+        if spec.behavior == "spoofer":
+            # the RAAN-shifted orbit seen from the site is the true orbit
+            # seen from the site turned back by the offset (module docstring)
+            self.spoof_site = dataclasses.replace(
+                self.site, lon=self.site.lon - sim.sc.spoof_offset_rad)
         self.rng = random.Random(f"{sim.sc.seed}:node:{spec.account}")
         self.queue: list = []
 
@@ -557,12 +603,13 @@ class _Node:
         if self.spec.behavior != "spoofer":
             self._survey(state, t, window)
 
-    def _track(self, elements, bstar, window, min_epochs):
-        """The epochs of one track: the first max_track_len visible epochs
-        of the window, or None when fewer than min_epochs remain."""
+    def _track(self, rec, window, min_epochs, site=None):
+        """The epochs of one track of rec from site (default: the node's
+        own): the first max_track_len visible epochs of the window, or None
+        when fewer than min_epochs remain."""
         sc = self.sim.sc
-        eps = visible_epochs(elements, bstar, self.site, window,
-                             step_s=sc.step_s)[:sc.max_track_len]
+        eps = visible_epochs(rec.elements, rec.bstar, site or self.site,
+                             window, step_s=sc.step_s)[:sc.max_track_len]
         return eps if len(eps) >= min_epochs else None
 
     def _observe_task(self, state, t, window, task, epochs) -> bool:
@@ -571,8 +618,7 @@ class _Node:
             rec = self._region_candidate(state, task.target)
             if rec is None:
                 return False
-            eps = self._track(rec.elements, rec.bstar, window,
-                              SURVEY_MIN_EPOCHS)
+            eps = self._track(rec, window, SURVEY_MIN_EPOCHS)
             if eps is None:
                 return False
             return self._submit_track(t, window, rec, "UNKNOWN", eps,
@@ -598,8 +644,7 @@ class _Node:
             rec = self.sim.truth.get(oid)
             if rec is None:
                 continue    # mined objects have no independent truth entry
-            eps = self._track(rec.elements, rec.bstar, window,
-                              MIN_TRACK_EPOCHS)
+            eps = self._track(rec, window, MIN_TRACK_EPOCHS)
             if eps is not None:
                 return self._submit_track(t, window, rec, oid, eps, b"")
         return False
@@ -610,8 +655,7 @@ class _Node:
         for rec in self.sim.truth_sorted:
             if rec.object_id in state.catalog:
                 continue
-            eps = self._track(rec.elements, rec.bstar, window,
-                              SURVEY_MIN_EPOCHS)
+            eps = self._track(rec, window, SURVEY_MIN_EPOCHS)
             if eps is not None:
                 self._submit_track(t, window, rec, "UNKNOWN", eps, b"")
                 return
@@ -620,19 +664,18 @@ class _Node:
                       task_id) -> bool:
         sc = self.sim.sc
         data_rec = self.sim.observed_record(rec)
+        site = self.site
         if self.spec.behavior == "spoofer" and participant != "UNKNOWN":
-            spoofed = dataclasses.replace(
-                rec.elements, raan=(rec.elements.raan + sc.spoof_offset_rad)
-                % (2.0 * math.pi))
-            data_rec = OrbitRecord(object_id=rec.object_id, elements=spoofed,
-                                   bstar=rec.bstar)
-            epochs = self._track(spoofed, rec.bstar, window, MIN_TRACK_EPOCHS)
+            # rec, not observed_record(rec): the spoofed track never
+            # carried the injected drag
+            data_rec, site = rec, self.spoof_site
+            epochs = self._track(rec, window, MIN_TRACK_EPOCHS, site)
             if epochs is None:
                 return False
         seed = self.rng.randrange(2 ** 31)
         with_range = self.spec.mode == "radar"
         try:
-            tdm = synth_tdm(data_rec, self.site, epochs,
+            tdm = synth_tdm(data_rec, site, epochs,
                             self.spec.noise_std, seed,
                             participant=participant, with_range=with_range,
                             range_noise_km=RANGE_NOISE_KM if with_range

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import visibility_cases
 from sdachain import astro
@@ -525,6 +526,48 @@ class TestGridCacheAccounting:
             with pytest.raises(DecayError):
                 propagate_j2(sunk, 0.0, Epoch(10.0))
         assert cache_snapshot() == ([], 0, [])
+
+
+@st.composite
+def rotation_cases(draw):
+    """(elements, bstar, site, offset, epochs): a random LEO orbit at epoch
+    0, a random site, an offset in [0, 2*pi), and epochs within 2 days."""
+    unit = st.floats(0.0, 1.0)
+    a = R_EARTH + draw(st.floats(300.0, 1500.0))
+    el = KeplerianElements(a=a, e=draw(st.floats(0.0, min(0.02, 1.0 - (R_EARTH + 250.0) / a))),
+                           i=draw(st.floats(0.0, math.pi)), raan=TWO_PI * draw(unit),
+                           argp=TWO_PI * draw(unit), M=TWO_PI * draw(unit), epoch=Epoch(0.0))
+    site = GroundSite(site_id="S", lat=math.radians(draw(st.floats(-89.0, 89.0))),
+                      lon=math.radians(draw(st.floats(-180.0, 180.0))),
+                      alt=draw(st.floats(0.0, 5.0)))
+    offset = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    epochs = sorted(draw(st.lists(st.floats(0.0, 2.0 * 86400.0), min_size=1, max_size=4)))
+    return el, draw(st.sampled_from((0.0, 1e-6))), site, offset, [Epoch(t) for t in epochs]
+
+
+class TestRotationAboutThePole:
+    """Gravity, J2 and drag in the co-rotating atmosphere are unchanged by a
+    rotation about the polar axis, so an orbit with its RAAN turned by an
+    offset, seen from a site, looks like the orbit itself seen from the site
+    turned back by the offset. netsim's spoofer relies on this."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rotation_cases())
+    def test_raan_offset_equals_site_rotation(self, case):
+        el, bstar, site, offset, epochs = case
+        turned = KeplerianElements(a=el.a, e=el.e, i=el.i, raan=el.raan + offset,
+                                   argp=el.argp, M=el.M, epoch=el.epoch)
+        phantom = GroundSite(site_id=site.site_id, lat=site.lat,
+                             lon=site.lon - offset, alt=site.alt)
+        spoofed = propagate_many(turned, bstar, epochs, step_s=30.0, use_cache=False)
+        truth = propagate_many(el, bstar, epochs, step_s=30.0, use_cache=False)
+        for a, b in zip(spoofed, truth):
+            az1, el1, rng1 = topocentric_angles(a, site)
+            az2, el2, rng2 = topocentric_angles(b, phantom)
+            assert abs(wrap_two_pi(az1 - az2 + math.pi) - math.pi) < 1e-9
+            assert abs(el1 - el2) < 1e-9
+            assert abs(rng1 - rng2) < 1e-6
 
 
 class TestObservationGeometry:

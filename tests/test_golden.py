@@ -23,9 +23,9 @@ from sdachain.netsim import (
 GOLDEN = {
     "reference": (
         reference_scenario,
-        "3a073ec705c9e0b0ca80f516d2d98c1ee9d1d5daf21d16c18f237f59e5b4063a",
-        "1692f4854f82433122279e86ebadd9474fbb9bab8daad2d28ba2abb1c748590a",
-        "62b0171b9d0e4e2e5015f081f332fe2ccbed26420b137f40bc2852322bf6d67d",
+        "82156dc1d146d0b4d7d032380d0627dd79a1abb38b079f7a3436f02e20fe2c6c",
+        "2db80977797d4b2482bcca7f87943faa990277d5259da6f84ccdf7d4b49cbf61",
+        "a6f1ad5e1c9a0748b08451bf8b330dfa37fdf2060f0110788454f4b6444895bc",
     ),
     "uct": (
         uct_scenario,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sdachain import astro, netsim
+from sdachain import astro, ledger, netsim
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.ledger import (
     SubmitTdm,
@@ -95,6 +95,25 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError):
             NodeSpec("x", "observer", mode="lidar")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", [
+        "duration_s", "cycle_s", "block_interval_s", "task_interval_s",
+        "spoof_offset_rad", "fl_interval_s", "fl_start_s", "drag_injection",
+        "step_s", "intent_ttl_s", "noise_std"])
+    def test_nonfinite_value_rejected(self, name, value):
+        # NaN passes every range comparison, so finiteness needs its own
+        # check; a NaN offset would otherwise fail only mid-run
+        sc = reference_scenario(1)
+        if name == "noise_std":
+            nodes = (dataclasses.replace(sc.nodes[0], noise_std=value),)
+            bad = dataclasses.replace(sc, nodes=nodes + sc.nodes[1:])
+        else:
+            bad = dataclasses.replace(sc, **{name: value})
+        assert any(name in e and "finite" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match=name):
+            run_scenario(bad)
+
     def test_scripted_tasks_need_requester(self):
         sc = uct_scenario(1)    # no requester node
         with_task = dataclasses.replace(
@@ -125,8 +144,20 @@ class TestScenarioJson:
         d["sites"][0]["lat_rad"] = math.nan
         text = json.dumps(d)
         assert '"lat_rad": NaN' in text
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(NetsimError, match="finite"):
             scenario_from_json(json.loads(text))
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["truth_orbits"][0].update(e=1.5), r"truth_orbits\[0\]"),
+        (lambda d: d["truth_orbits"][0].update(i_rad=4.0),
+         r"truth_orbits\[0\]"),
+        (lambda d: d["sites"][0].update(lat_rad=math.nan), r"sites\[0\]"),
+    ], ids=["eccentricity", "inclination", "nan_latitude"])
+    def test_out_of_range_value_rejected(self, edit, where):
+        d = scenario_to_json(uct_scenario(4))
+        edit(d)
+        with pytest.raises(NetsimError, match=where):
+            scenario_from_json(d)
 
     def test_unknown_key_rejected(self):
         d = scenario_to_json(uct_scenario(4))
@@ -304,6 +335,28 @@ class TestUctRun:
         assert header == "height,time,tdm_hash,verdict,object_id,submitter"
         with open(f"{out}/balances.csv") as f:
             assert f.readline().startswith("height,time,account")
+
+
+class TestSpoofer:
+    def test_spoofer_integrates_no_grid_of_its_own(self, monkeypatch):
+        # the spoofer observes the truth orbit from a turned copy of its
+        # site, so every cached grid belongs to a truth orbit or to an
+        # orbit the catalog held at some point; settlement is what
+        # refreshes catalog entries, sometimes twice within one block
+        sc = dataclasses.replace(reference_scenario(1), duration_s=43200.0)
+        known = {r.elements.key() for r in sc.truth_orbits}
+        settle = ledger._settle
+
+        def recording(state, *args):
+            settle(state, *args)
+            known.update(r.elements.key() for r in state.catalog.values())
+
+        monkeypatch.setattr(ledger, "_settle", recording)
+        astro.clear_propagation_cache()
+        rep = run_scenario(sc)
+        assert rep.verdicts.get("rejected", 0) > 0
+        cached = {key[0] for key in astro._grid_cache._entries}
+        assert cached and cached <= known
 
 
 class TestEconomicsDay:
