@@ -361,8 +361,16 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # and the forward and backward grids are flat array('d') buffers, six doubles
 # (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Grids either
 # live in the shared LRU _grid_cache, which counts the points they hold, or
-# are private to one propagate_many pass (use_cache=False) and are dropped
-# with it, leaving the cache and its point count untouched.
+# are private to one propagate_j2 or propagate_many call (use_cache=False)
+# and are dropped with it, leaving the cache and its point count untouched.
+#
+# _rk4_steps is the one RK4 implementation and the one stepping loop: a grid
+# extension runs all its steps in a single call over local floats, and the
+# remainder step to a time between grid points is a call with n = 1.  Each
+# step's altitude check reuses the radius that the next step's first stage
+# needs, and a grid extension's new points reach the grid in bulk appends
+# of at most _APPEND_STEPS points, so even a first extension across the
+# whole span buffers only that many.
 
 
 def _drag(x, y, vx, vy, vz, r, bstar):
@@ -379,8 +387,21 @@ def _j2_coeff(j2: float) -> float:
     return -1.5 * j2 * MU_EARTH * R_EARTH * R_EARTH
 
 
-def _rk4_step(state, h, bstar, kj):
-    """One RK4 step of the force model; kj is _j2_coeff(j2).
+def _decay_error(alt: float, t: float) -> DecayError:
+    return DecayError(
+        f"altitude {alt:.1f} km below {DECAY_ALTITUDE:.0f} km at t={t:.1f}")
+
+
+_APPEND_STEPS = 256     # grid points buffered between bulk appends
+
+
+def _rk4_steps(state, h, n, bstar, kj, t0, k0, out=None):
+    """n RK4 steps of h seconds from state; returns the last state.
+
+    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE.  When out is an array('d'), the n states are appended
+    to it; on a DecayError, only the states before the decayed one are.
 
     Each of the four stages sums gravity, then J2 (when kj != 0), then
     drag (when bstar != 0), in that order: the order fixes the bits of
@@ -389,113 +410,119 @@ def _rk4_step(state, h, bstar, kj):
     x, y, z, vx, vy, vz = state
     r2 = x * x + y * y + z * z
     r = math.sqrt(r2)
-    c = -MU_EARTH / (r2 * r)
-    ax1 = c * x
-    ay1 = c * y
-    az1 = c * z
-    if kj:
-        k = kj / (r2 * r2 * r)
-        f = 5.0 * z * z / r2
-        ax1 += k * x * (1.0 - f)
-        ay1 += k * y * (1.0 - f)
-        az1 += k * z * (3.0 - f)
-    if bstar:
-        dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
-        ax1 += dx
-        ay1 += dy
-        az1 += dz
-
     h2 = 0.5 * h
-    x2 = x + h2 * vx
-    y2 = y + h2 * vy
-    z2 = z + h2 * vz
-    vx2 = vx + h2 * ax1
-    vy2 = vy + h2 * ay1
-    vz2 = vz + h2 * az1
-    r2 = x2 * x2 + y2 * y2 + z2 * z2
-    r = math.sqrt(r2)
-    c = -MU_EARTH / (r2 * r)
-    ax2 = c * x2
-    ay2 = c * y2
-    az2 = c * z2
-    if kj:
-        k = kj / (r2 * r2 * r)
-        f = 5.0 * z2 * z2 / r2
-        ax2 += k * x2 * (1.0 - f)
-        ay2 += k * y2 * (1.0 - f)
-        az2 += k * z2 * (3.0 - f)
-    if bstar:
-        dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
-        ax2 += dx
-        ay2 += dy
-        az2 += dz
+    h6 = h / 6.0
+    buf = []
+    full = 6 * _APPEND_STEPS
+    try:
+        for k in range(k0 + 1, k0 + n + 1):
+            c = -MU_EARTH / (r2 * r)
+            ax1 = c * x
+            ay1 = c * y
+            az1 = c * z
+            if kj:
+                kr = kj / (r2 * r2 * r)
+                f = 5.0 * z * z / r2
+                ax1 += kr * x * (1.0 - f)
+                ay1 += kr * y * (1.0 - f)
+                az1 += kr * z * (3.0 - f)
+            if bstar:
+                dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
+                ax1 += dx
+                ay1 += dy
+                az1 += dz
 
-    x3 = x + h2 * vx2
-    y3 = y + h2 * vy2
-    z3 = z + h2 * vz2
-    vx3 = vx + h2 * ax2
-    vy3 = vy + h2 * ay2
-    vz3 = vz + h2 * az2
-    r2 = x3 * x3 + y3 * y3 + z3 * z3
-    r = math.sqrt(r2)
-    c = -MU_EARTH / (r2 * r)
-    ax3 = c * x3
-    ay3 = c * y3
-    az3 = c * z3
-    if kj:
-        k = kj / (r2 * r2 * r)
-        f = 5.0 * z3 * z3 / r2
-        ax3 += k * x3 * (1.0 - f)
-        ay3 += k * y3 * (1.0 - f)
-        az3 += k * z3 * (3.0 - f)
-    if bstar:
-        dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
-        ax3 += dx
-        ay3 += dy
-        az3 += dz
+            x2 = x + h2 * vx
+            y2 = y + h2 * vy
+            z2 = z + h2 * vz
+            vx2 = vx + h2 * ax1
+            vy2 = vy + h2 * ay1
+            vz2 = vz + h2 * az1
+            r2 = x2 * x2 + y2 * y2 + z2 * z2
+            r = math.sqrt(r2)
+            c = -MU_EARTH / (r2 * r)
+            ax2 = c * x2
+            ay2 = c * y2
+            az2 = c * z2
+            if kj:
+                kr = kj / (r2 * r2 * r)
+                f = 5.0 * z2 * z2 / r2
+                ax2 += kr * x2 * (1.0 - f)
+                ay2 += kr * y2 * (1.0 - f)
+                az2 += kr * z2 * (3.0 - f)
+            if bstar:
+                dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
+                ax2 += dx
+                ay2 += dy
+                az2 += dz
 
-    x4 = x + h * vx3
-    y4 = y + h * vy3
-    z4 = z + h * vz3
-    vx4 = vx + h * ax3
-    vy4 = vy + h * ay3
-    vz4 = vz + h * az3
-    r2 = x4 * x4 + y4 * y4 + z4 * z4
-    r = math.sqrt(r2)
-    c = -MU_EARTH / (r2 * r)
-    ax4 = c * x4
-    ay4 = c * y4
-    az4 = c * z4
-    if kj:
-        k = kj / (r2 * r2 * r)
-        f = 5.0 * z4 * z4 / r2
-        ax4 += k * x4 * (1.0 - f)
-        ay4 += k * y4 * (1.0 - f)
-        az4 += k * z4 * (3.0 - f)
-    if bstar:
-        dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
-        ax4 += dx
-        ay4 += dy
-        az4 += dz
+            x3 = x + h2 * vx2
+            y3 = y + h2 * vy2
+            z3 = z + h2 * vz2
+            vx3 = vx + h2 * ax2
+            vy3 = vy + h2 * ay2
+            vz3 = vz + h2 * az2
+            r2 = x3 * x3 + y3 * y3 + z3 * z3
+            r = math.sqrt(r2)
+            c = -MU_EARTH / (r2 * r)
+            ax3 = c * x3
+            ay3 = c * y3
+            az3 = c * z3
+            if kj:
+                kr = kj / (r2 * r2 * r)
+                f = 5.0 * z3 * z3 / r2
+                ax3 += kr * x3 * (1.0 - f)
+                ay3 += kr * y3 * (1.0 - f)
+                az3 += kr * z3 * (3.0 - f)
+            if bstar:
+                dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
+                ax3 += dx
+                ay3 += dy
+                az3 += dz
 
-    k = h / 6.0
-    return (
-        x + k * (vx + 2.0 * (vx2 + vx3) + vx4),
-        y + k * (vy + 2.0 * (vy2 + vy3) + vy4),
-        z + k * (vz + 2.0 * (vz2 + vz3) + vz4),
-        vx + k * (ax1 + 2.0 * (ax2 + ax3) + ax4),
-        vy + k * (ay1 + 2.0 * (ay2 + ay3) + ay4),
-        vz + k * (az1 + 2.0 * (az2 + az3) + az4),
-    )
+            x4 = x + h * vx3
+            y4 = y + h * vy3
+            z4 = z + h * vz3
+            vx4 = vx + h * ax3
+            vy4 = vy + h * ay3
+            vz4 = vz + h * az3
+            r2 = x4 * x4 + y4 * y4 + z4 * z4
+            r = math.sqrt(r2)
+            c = -MU_EARTH / (r2 * r)
+            ax4 = c * x4
+            ay4 = c * y4
+            az4 = c * z4
+            if kj:
+                kr = kj / (r2 * r2 * r)
+                f = 5.0 * z4 * z4 / r2
+                ax4 += kr * x4 * (1.0 - f)
+                ay4 += kr * y4 * (1.0 - f)
+                az4 += kr * z4 * (3.0 - f)
+            if bstar:
+                dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
+                ax4 += dx
+                ay4 += dy
+                az4 += dz
 
-
-def _check_altitude(state, epoch_t):
-    r = math.sqrt(state[0] ** 2 + state[1] ** 2 + state[2] ** 2)
-    alt = r - R_EARTH
-    if alt < DECAY_ALTITUDE:
-        raise DecayError(
-            f"altitude {alt:.1f} km below {DECAY_ALTITUDE:.0f} km at t={epoch_t:.1f}"
-        )
+            x += h6 * (vx + 2.0 * (vx2 + vx3) + vx4)
+            y += h6 * (vy + 2.0 * (vy2 + vy3) + vy4)
+            z += h6 * (vz + 2.0 * (vz2 + vz3) + vz4)
+            vx += h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
+            vy += h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+            vz += h6 * (az1 + 2.0 * (az2 + az3) + az4)
+            r2 = x * x + y * y + z * z
+            r = math.sqrt(r2)
+            if r - R_EARTH < DECAY_ALTITUDE:
+                raise _decay_error(r - R_EARTH, t0 + k * h)
+            if out is not None:
+                buf += (x, y, z, vx, vy, vz)
+                if len(buf) >= full:
+                    out.fromlist(buf)
+                    buf.clear()
+    finally:
+        if buf:
+            out.fromlist(buf)
+    return x, y, z, vx, vy, vz
 
 
 def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
@@ -511,9 +538,10 @@ def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
 def _anchor(el: KeplerianElements) -> tuple:
     """Altitude-checked 6-tuple state at the element epoch."""
     sv = kepler_to_state(el, el.epoch)
-    anchor = (*sv.r, *sv.v)
-    _check_altitude(anchor, el.epoch.t)
-    return anchor
+    alt = norm(sv.r) - R_EARTH
+    if alt < DECAY_ALTITUDE:
+        raise _decay_error(alt, el.epoch.t)
+    return (*sv.r, *sv.v)
 
 
 class _Grid:
@@ -554,32 +582,25 @@ class _Grid:
             )
         held = len(grid) // 6
         if held <= n_full:
-            h = sign * step_s
-            state = grid[-6:]
-            k = held
             try:
-                while k <= n_full:
-                    state = _rk4_step(state, h, self.bstar, self.kj)
-                    _check_altitude(state, self.t0 + sign * k * step_s)
-                    grid.extend(state)
-                    k += 1
+                _rk4_steps(grid[-6:], sign * step_s, n_full + 1 - held,
+                           self.bstar, self.kj, self.t0, held - 1, grid)
             except DecayError:
                 if dt >= 0.0:
-                    self.decay_fwd = k
+                    self.decay_fwd = len(grid) // 6
                 else:
-                    self.decay_bwd = k
+                    self.decay_bwd = len(grid) // 6
                 raise
             finally:
                 if self.cache is not None:
-                    self.cache.grew(k - held)
+                    self.cache.grew(len(grid) // 6 - held)
         return grid, 6 * n_full, sign * rem
 
     def finish(self, state, h: float, t: float) -> tuple:
         """A grid point's state stepped by h to t, altitude-checked."""
         if h:
-            state = _rk4_step(state, h, self.bstar, self.kj)
-            _check_altitude(state, t)
-            return state
+            # one step, k = 0, which lands at t + 0*h = t
+            return _rk4_steps(state, h, 1, self.bstar, self.kj, t, -1)
         return tuple(state)
 
     def state_at(self, t: float) -> tuple:
@@ -637,29 +658,16 @@ def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
     a test hook to recover the pure two-body limit.  Deterministic for
     fixed inputs whether or not the grid cache is used: use_cache=True
     reads and extends the orbit's shared grid in _grid_cache (its anchor
-    computed once, when the grid is built); use_cache=False steps from a
-    freshly computed anchor and stores nothing.  Raises
+    computed once, when the grid is built); use_cache=False steps a
+    private grid that is dropped on return and never enters the cache.
+    Raises
     PropagationLimitError (also a ValueError) for a step or span outside
     the limits, DecayError when the orbit decays before t.
     """
     _check_limits(el, t.t, step_s)
-    if use_cache:
-        state = _grid_cache.get(el, bstar, step_s, j2).state_at(t.t)
-        return StateVector(epoch=t, r=state[:3], v=state[3:])
-
-    kj = _j2_coeff(j2)
-    dt = t.t - el.epoch.t
-    n_full = int(abs(dt) // step_s)
-    rem = abs(dt) - n_full * step_s
-    sign = 1.0 if dt >= 0.0 else -1.0
-    h = sign * step_s
-    state = _anchor(el)
-    for k in range(1, n_full + 1):
-        state = _rk4_step(state, h, bstar, kj)
-        _check_altitude(state, el.epoch.t + sign * k * step_s)
-    if rem > 0.0:
-        state = _rk4_step(state, sign * rem, bstar, kj)
-        _check_altitude(state, t.t)
+    grid = (_grid_cache.get(el, bstar, step_s, j2) if use_cache
+            else _Grid(el, bstar, step_s, j2))
+    state = grid.state_at(t.t)
     return StateVector(epoch=t, r=state[:3], v=state[3:])
 
 

@@ -129,7 +129,8 @@ class NetworkParams:
             raise NetsimError(f"latency_ms must be a (min, max) pair: "
                               f"{self.latency_ms}")
         lo, hi = self.latency_ms
-        if not 0.0 <= lo <= hi:
+        # an infinite maximum passes lo <= hi but delivers nothing
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo <= hi):
             raise NetsimError(f"bad latency range: {self.latency_ms}")
         if not 0.0 <= self.drop_prob < 1.0:
             raise NetsimError(f"drop_prob must be in [0,1): {self.drop_prob}")
@@ -266,6 +267,10 @@ def validate_scenario(sc: Scenario) -> list:
     for st in sc.scripted_tasks:
         if st.target not in sc.initial_catalog:
             errs.append(f"scripted task target not cataloged: {st.target}")
+        # a NaN time passes no comparison, so the task is never posted
+        if not (math.isfinite(st.t) and st.t >= 0.0):
+            errs.append(f"scripted task time must be finite and "
+                        f"nonnegative: {st.t}")
     return errs
 
 

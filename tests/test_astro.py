@@ -1,5 +1,6 @@
 """Tests for time, Kepler machinery, the propagator, and observation geometry."""
 
+import hashlib
 import math
 import random
 
@@ -526,6 +527,101 @@ class TestGridCacheAccounting:
             with pytest.raises(DecayError):
                 propagate_j2(sunk, 0.0, Epoch(10.0))
         assert cache_snapshot() == ([], 0, [])
+
+
+_LOW = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0, argp=0.0,
+                         M=0.0, epoch=Epoch(0.0))
+# propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0) on a cold cache:
+# the grid index that decays, the DecayError text, and the SHA-256 of the
+# forward grid left behind (comma-joined float.hex of its doubles), as the
+# loop that stepped and appended one grid point at a time produced them
+_DECAY_PINS = [
+    (1e-3, 23, "altitude 99.9 km below 100 km at t=690.0",
+     "8133207a1a1d3f2206eb96640c80310170343ad21e61a0e33a9dc051af0fb2a7"),
+    (3e-3, 17, "altitude 92.6 km below 100 km at t=510.0",
+     "1eba43994d3fead1cc6f822c8819a7a0dddec01a1eb73cb9a91faf8f7644e3b1"),
+]
+
+
+def points_hash(points):
+    return hashlib.sha256(",".join(v.hex() for v in points).encode()).hexdigest()
+
+
+class TestGridStepping:
+    """A grid extension runs all its steps in one _rk4_steps call and
+    appends them in bulk; the grid must hold what stepping one point per
+    call holds, and decay where and as that does."""
+
+    @pytest.mark.parametrize("append_steps", [astro._APPEND_STEPS, 7])
+    @pytest.mark.parametrize("bstar,j2", [(0.0, J2_EARTH), (2e-5, J2_EARTH),
+                                          (0.0, 0.0), (2e-5, 0.0)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_extension_equals_one_step_per_call(self, monkeypatch, sign,
+                                                    bstar, j2, append_steps):
+        n, t0 = 50, _PIN_ELEMENTS.epoch.t
+        stepped = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
+        for k in range(1, n + 1):
+            stepped.point(t0 + sign * k * 10.0)
+        # a small append size makes the one extension flush mid-way
+        monkeypatch.setattr(astro, "_APPEND_STEPS", append_steps)
+        whole = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
+        whole.point(t0 + sign * n * 10.0)
+        grown = stepped.forward if sign > 0 else stepped.backward
+        assert len(grown) == 6 * (n + 1)
+        assert whole.forward.tobytes() == stepped.forward.tobytes()
+        assert whole.backward.tobytes() == stepped.backward.tobytes()
+
+    @pytest.mark.parametrize("append_steps", [astro._APPEND_STEPS, 5])
+    @pytest.mark.parametrize("bstar,decay_at,message,points", _DECAY_PINS)
+    def test_decay_matches_pins(self, monkeypatch, bstar, decay_at, message,
+                                points, append_steps):
+        monkeypatch.setattr(astro, "_APPEND_STEPS", append_steps)
+        clear_propagation_cache()
+        with pytest.raises(DecayError) as first:
+            propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0)
+        assert str(first.value) == message
+        (grid,) = astro._grid_cache._entries.values()
+        assert (grid.decay_fwd, grid.decay_bwd) == (decay_at, None)
+        assert len(grid.forward) == 6 * decay_at
+        assert points_hash(grid.forward) == points
+        assert astro._grid_cache._points == held_points() == decay_at + 1
+        with pytest.raises(DecayError) as again:
+            propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0)
+        assert str(again.value) == (f"altitude below 100 km at grid step "
+                                    f"{decay_at} (t={decay_at * 30.0:.1f})")
+        with pytest.raises(DecayError) as cold:
+            propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0,
+                         use_cache=False)
+        assert str(cold.value) == message
+
+    def test_remainder_step_decay_message(self):
+        # grid point 16 (t=480) is above the decay altitude, the 29 s
+        # remainder step from it is not; pinned as above
+        clear_propagation_cache()
+        for use_cache in (True, False):
+            with pytest.raises(DecayError) as exc:
+                propagate_j2(_LOW, 3e-3, Epoch(509.0), step_s=30.0,
+                             use_cache=use_cache)
+            assert str(exc.value) == "altitude 92.9 km below 100 km at t=509.0"
+
+    def test_uncached_propagate_j2_leaves_cache_untouched(self):
+        clear_propagation_cache()
+        propagate_j2(_MANY_ELEMENTS, 0.0, Epoch(9000.0))
+        propagate_j2(_LOW, 1e-3, Epoch(300.0), step_s=30.0)
+        before = cache_snapshot()
+        bytes_before = [(g.forward.tobytes(), g.backward.tobytes())
+                        for g in astro._grid_cache._entries.values()]
+        # the same keys as the cached grids, past their ends, both ways
+        for t in (20000.0, -3000.0, 9000.0, 5012.5):
+            propagate_j2(_MANY_ELEMENTS, 0.0, Epoch(t), use_cache=False)
+        with pytest.raises(DecayError):
+            propagate_j2(_LOW, 1e-3, Epoch(86400.0), step_s=30.0,
+                         use_cache=False)
+        assert cache_snapshot() == before
+        assert [(g.forward.tobytes(), g.backward.tobytes())
+                for g in astro._grid_cache._entries.values()] == bytes_before
+        assert all(g.decay_fwd is None
+                   for g in astro._grid_cache._entries.values())
 
 
 @st.composite

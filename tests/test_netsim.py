@@ -114,6 +114,30 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError, match=name):
             run_scenario(bad)
 
+    @pytest.mark.parametrize("latency", [(50.0, math.inf), (math.inf, math.inf),
+                                         (math.nan, 50.0), (50.0, math.nan)],
+                             ids=["inf_max", "inf_both", "nan_min", "nan_max"])
+    def test_nonfinite_latency_rejected(self, latency):
+        # an infinite maximum used to pass 0 <= lo <= hi, and a run with it
+        # delivered no message at all
+        with pytest.raises(NetsimError, match="latency"):
+            NetworkParams(latency_ms=latency)
+        d = scenario_to_json(uct_scenario(1))
+        d["network"]["latency_ms"] = list(latency)
+        with pytest.raises(NetsimError, match="latency"):
+            scenario_from_json(d)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_scripted_task_time_checked(self, t):
+        # a NaN task time used to validate, and the task was never posted
+        sc = reference_scenario(1)
+        bad = dataclasses.replace(sc, scripted_tasks=(
+            ScriptedTask(t=t, target=sc.initial_catalog[0], fee=5),))
+        assert any("scripted task time" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match="scripted task time"):
+            run_scenario(bad)
+
     def test_scripted_tasks_need_requester(self):
         sc = uct_scenario(1)    # no requester node
         with_task = dataclasses.replace(

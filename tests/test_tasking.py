@@ -398,21 +398,28 @@ class TestVisibilityWork:
     """Host-independent work counts of one visible_epochs call."""
 
     def counted(self, monkeypatch, fn, *args):
-        calls = {"angles": 0, "rk4": 0}
-        angles_fn, rk4_fn = astro.topocentric_angles, astro._rk4_step
+        """fn's result, its topocentric_angles calls and RK4 steps, and the
+        grid cache it leaves.  Steps are summed over the n of _rk4_steps
+        calls: "grid" those that append to a grid, "rk4" all of them,
+        which adds the n = 1 remainder steps to a time between grid
+        points."""
+        calls = {"angles": 0, "grid": 0, "rk4": 0}
+        angles_fn, rk4_fn = astro.topocentric_angles, astro._rk4_steps
 
         def angles(sv, site):
             calls["angles"] += 1
             return angles_fn(sv, site)
 
-        def rk4(*a):
-            calls["rk4"] += 1
-            return rk4_fn(*a)
+        def rk4(state, h, n, bstar, kj, t0, k0, out=None):
+            calls["rk4"] += n
+            if out is not None:
+                calls["grid"] += n
+            return rk4_fn(state, h, n, bstar, kj, t0, k0, out)
 
         monkeypatch.setattr(tasking, "topocentric_angles", angles)
         # the reference loop calls this module's binding
         monkeypatch.setitem(globals(), "topocentric_angles", angles)
-        monkeypatch.setattr(astro, "_rk4_step", rk4)
+        monkeypatch.setattr(astro, "_rk4_steps", rk4)
         clear_propagation_cache()
         result = fn(*args)
         monkeypatch.undo()
@@ -435,6 +442,7 @@ class TestVisibilityWork:
         # the same grid steps, plus one remainder step per exactly tested
         # sample
         grid_steps = cache[0] - 2
+        assert work["grid"] == exact_work["grid"] == grid_steps
         assert exact_work["rk4"] == grid_steps + samples
         assert work["rk4"] == grid_steps + work["angles"]
 
