@@ -50,7 +50,7 @@ from .tasking import (
     is_expired,
     task_identity,
 )
-from .tdm import TdmError, parse_tdm, serialize_tdm
+from .tdm import Tdm, TdmError, parse_tdm
 from .validation import (
     ELEMENTS,
     REPORT,
@@ -314,7 +314,7 @@ def block_hash(b: Block) -> bytes:
 class PendingTdm:
     """A submitted track awaiting attestation quorum."""
 
-    tdm_text: str
+    tdm: Tdm
     submitter: str
     escrow: int
     task_id: bytes = b""
@@ -329,7 +329,7 @@ class PoolEntry:
     own fit; attestations associate against it without re-fitting.
     """
 
-    tdm_text: str
+    tdm: Tdm
     submitter: str
     elements: Optional[KeplerianElements]
 
@@ -430,10 +430,12 @@ SITE = record(GroundSite, ("site_id", STRING), ("lat", F64), ("lon", F64),
 ORBIT = record(OrbitRecord, ("object_id", STRING), ("elements", ELEMENTS),
                ("bstar", F64), ("source", STRING))
 ESCROW = record(Escrow, ("amount", U64), ("requester", STRING))
-PENDING = record(PendingTdm, ("tdm_text", STRING), ("submitter", STRING),
+# a held Tdm is written as its canonical text, and parsed once on read
+TDM = record(parse_tdm, ("text", STRING))
+PENDING = record(PendingTdm, ("tdm", TDM), ("submitter", STRING),
                  ("escrow", U64), ("task_id", BLOB),
                  ("attestations", sorted_map(wrapped(REPORT), key=STRING)))
-POOL_ENTRY = record(PoolEntry, ("tdm_text", STRING), ("submitter", STRING),
+POOL_ENTRY = record(PoolEntry, ("tdm", TDM), ("submitter", STRING),
                     ("elements", optional(ELEMENTS)))
 PROPOSAL_STATE = record(ProposalState, ("proposal", wrapped(PROPOSAL)),
                         ("votes", sorted_map(STRING, key=STRING)))
@@ -574,7 +576,7 @@ def _pay_task(state: LedgerState, pend: PendingTdm, attesters: list) -> None:
     """Fee payout when a tracked task is serviced: the validator cut is
     split pro rata by stake, the rest goes to the submitting observer."""
     task = state.tasks.get(pend.task_id)
-    if task is None or task.status not in ("open", "assigned"):
+    if task is None or task.status != "open":
         return
     if task.origin == "internal":
         fee = task.fee
@@ -594,7 +596,7 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
             attesters: list) -> None:
     pend = state.pending.pop(tdm_hash_hex)
     submitter = state.account(pend.submitter)
-    tdm = parse_tdm(pend.tdm_text)
+    tdm = pend.tdm
     verdict = report.verdict
     object_id = report.matched_object or ""
 
@@ -623,10 +625,8 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
         _spawn_retask(state, report)
     elif verdict == "uct":
         mined = None
-        pool_tdms = []
         pool_hashes = [h for h in report.uct_matches if h in state.uct_pool]
-        for h in pool_hashes:
-            pool_tdms.append(parse_tdm(state.uct_pool[h].tdm_text))
+        pool_tdms = [state.uct_pool[h].tdm for h in pool_hashes]
         if pool_tdms:
             mined = mine_object(pool_tdms + [tdm], state.sites, state.vparams,
                                 step_s=state.step_s)
@@ -647,7 +647,7 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
                 _pay_task(state, pend, attesters)
         else:
             state.uct_pool[tdm_hash_hex] = PoolEntry(
-                tdm_text=pend.tdm_text, submitter=pend.submitter,
+                tdm=tdm, submitter=pend.submitter,
                 elements=report.proposed_elements)
             _spawn_retask(state, report)
 
@@ -707,9 +707,8 @@ def compute_attestation(state: LedgerState,
     pend = state.pending.get(tdm_hash_hex)
     if pend is None:
         raise LedgerError(f"no pending TDM {tdm_hash_hex[:12]}")
-    tdm = parse_tdm(pend.tdm_text)
     catalog = [state.catalog[k] for k in sorted(state.catalog)]
-    report = validate_tdm(tdm, catalog, state.sites, state.vparams,
+    report = validate_tdm(pend.tdm, catalog, state.sites, state.vparams,
                           state.model, step_s=state.step_s)
     if report.verdict != "uct" or not state.uct_pool:
         return report
@@ -744,10 +743,10 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
         if sender.balance < stake_min:
             raise TxRejected("insufficient balance for observer escrow")
         try:
-            tdm = parse_tdm(p.tdm_text)
+            tdm = parse_tdm(p.tdm_text)     # the one parse of a submission
         except TdmError as exc:
             raise TxRejected(f"malformed TDM: {exc}")
-        if serialize_tdm(tdm) != p.tdm_text:
+        if tdm.text != p.tdm_text:
             raise TxRejected("TDM text is not in canonical form")
         if tdm.meta.site_id not in state.sites:
             raise TxRejected(f"unregistered site {tdm.meta.site_id!r}")
@@ -758,18 +757,17 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
             task = state.tasks.get(p.task_id)
             if task is None:
                 raise TxRejected("unknown task reference")
-            if task.status not in ("open", "assigned"):
+            if task.status != "open":
                 raise TxRejected(f"task is {task.status}, not serviceable")
         sender.balance -= stake_min
         state.seen_tdms.add(h)
-        state.pending[h] = PendingTdm(tdm_text=p.tdm_text,
-                                      submitter=tx.sender, escrow=stake_min,
-                                      task_id=p.task_id)
+        state.pending[h] = PendingTdm(tdm=tdm, submitter=tx.sender,
+                                      escrow=stake_min, task_id=p.task_id)
 
     elif tx.kind == "post_task":
         if "requester" not in sender.roles:
             raise TxRejected(f"{tx.sender!r} lacks the requester role")
-        if p.origin not in ("external", "calibration"):
+        if p.origin != "external":
             raise TxRejected(f"requesters cannot post {p.origin!r} tasks")
         if not isinstance(p.fee, int) or p.fee < 0:
             raise TxRejected("fee must be a nonnegative integer")

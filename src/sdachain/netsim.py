@@ -83,7 +83,7 @@ from .ledger import (
     tx_hash,
 )
 from .tasking import IodRegion, TaskingError, assign, visible_epochs
-from .tdm import parse_tdm, serialize_tdm, synth_tdm
+from .tdm import synth_tdm
 from .validation import ValidationParams
 
 __all__ = [
@@ -237,6 +237,9 @@ def validate_scenario(sc: Scenario) -> list:
             errs.append(f"{n.behavior} {n.account} must be a compute node")
         if n.role == "compute" and n.stake <= 0:
             errs.append(f"compute node {n.account} needs positive stake")
+        for name in ("balance", "stake"):
+            if not 0 <= getattr(n, name) < 2 ** 64:
+                errs.append(f"{name} of {n.account} must be in [0, 2**64)")
         if not math.isfinite(n.noise_std):
             errs.append(f"non-finite noise_std on {n.account}")
         elif n.noise_std < 0.0:
@@ -258,8 +261,8 @@ def validate_scenario(sc: Scenario) -> list:
         errs.append("task series configured but no requester node")
     if sc.scripted_tasks and not has_requester:
         errs.append("scripted tasks configured but no requester node")
-    if sc.task_fee < 0:
-        errs.append("task_fee must be nonnegative")
+    if not 0 <= sc.task_fee < 2 ** 64:
+        errs.append("task_fee must be in [0, 2**64)")
     if sc.spoof_offset_rad < 0.0:
         errs.append("spoof_offset_rad must be nonnegative")
     if sc.max_track_len < MIN_TRACK_EPOCHS:
@@ -271,6 +274,8 @@ def validate_scenario(sc: Scenario) -> list:
         if not (math.isfinite(st.t) and st.t >= 0.0):
             errs.append(f"scripted task time must be finite and "
                         f"nonnegative: {st.t}")
+        if not 0 <= st.fee < 2 ** 64:
+            errs.append(f"scripted task fee must be in [0, 2**64): {st.fee}")
     return errs
 
 
@@ -460,16 +465,13 @@ def _scenario_of(d: dict) -> Scenario:
         kwargs["economics"] = _economics_from_json(d["economics"])
     if "validation" in d:
         kwargs["validation"] = ValidationParams(**d["validation"])
-    net = d.get("network", {})
     return Scenario(
         seed=d["seed"], duration_s=d["duration_s"],
         truth_orbits=tuple(truth_orbits),
         initial_catalog=tuple(d["initial_catalog"]),
         sites=tuple(sites),
         nodes=tuple(NodeSpec(**n) for n in d["nodes"]),
-        network=NetworkParams(
-            latency_ms=tuple(net.get("latency_ms", (50.0, 500.0))),
-            drop_prob=net.get("drop_prob", 0.01)),
+        network=NetworkParams(**d.get("network", {})),
         calibration_ids=tuple(d.get("calibration_ids", ())),
         scripted_tasks=tuple(ScriptedTask(**s)
                              for s in d.get("scripted_tasks", ())),
@@ -688,8 +690,9 @@ class _Node:
         except (SdaError, ValueError):
             return False
         h = tdm.hex_hash()
+        self.sim.tdm_cache[h] = tdm
         self._enqueue("submit_tdm",
-                      SubmitTdm(tdm_text=serialize_tdm(tdm), task_id=task_id),
+                      SubmitTdm(tdm_text=tdm.text, task_id=task_id),
                       ("submit", h), lambda s, h=h: h in s.seen_tdms, t)
         return True
 
@@ -752,7 +755,7 @@ class _Sim:
         self.events: list = []
         self.seq = itertools.count()
         self.mempool: dict = {}
-        self.tdm_cache: dict = {}       # hex hash -> parsed Tdm
+        self.tdm_cache: dict = {}       # hex hash -> Tdm sent, until settled
         self.calib_samples: list = []
         self.attest_cache: dict = {}    # (height, tdm hash) -> report | None
         self.settled_seen = 0
@@ -809,10 +812,6 @@ class _Sim:
         self.state, block = produce_block(self.state, txs, self.state.height,
                                           time=t)
         self.blocks.append(block)
-        for tx in block.txs:
-            if tx.kind == "submit_tdm":
-                tdm = parse_tdm(tx.payload.tdm_text)
-                self.tdm_cache[tdm.hex_hash()] = tdm
         if self.state.model.version != (self.version_log[-1]["version"]
                                         if self.version_log else 0):
             self.version_log.append({"time": t, "height": block.height,
@@ -831,12 +830,12 @@ class _Sim:
         for s in new:
             self.verdict_rows.append((s.height, t, s.tdm_hash, s.verdict,
                                       s.object_id, s.submitter))
+            tdm = self.tdm_cache.pop(s.tdm_hash, None)
             if s.verdict not in ("verified", "ambiguous"):
                 continue
             oid = s.object_id
             if oid not in self.sc.calibration_ids:
                 continue
-            tdm = self.tdm_cache.get(s.tdm_hash)
             site = self.sites.get(s.site_id)
             rec = self.genesis_catalog.get(oid)
             if tdm is None or site is None or rec is None \

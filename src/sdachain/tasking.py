@@ -1,8 +1,8 @@
 """Prioritized observation task queue and sensor assignment.
 
 Tasks are observation requests carried on the ledger: external requests
-paid by a requester, internal follow-ups spawned when validation leaves
-an orbit unresolved, and calibration passes injected by scenario config.
+paid by a requester, and internal follow-ups spawned when validation
+leaves an orbit unresolved.
 A task targets either a cataloged object (by id) or an element-space
 region around an initial orbit estimate. Priority is an explicit
 weighted sum so scenarios can study alternative weightings; ordering is
@@ -38,8 +38,8 @@ from .wire import (
     union,
 )
 
-TASK_ORIGINS = ("external", "internal", "calibration")
-TASK_STATUSES = ("open", "assigned", "fulfilled", "expired")
+TASK_ORIGINS = ("external", "internal")
+TASK_STATUSES = ("open", "fulfilled", "expired")
 
 TASK_EXPIRY_S = 48.0 * 3600.0
 INTERNAL_TASK_FEE = 10          # tokens, funded from protocol subsidy
@@ -220,10 +220,8 @@ def order_queue(tasks, catalog: dict, now: Epoch) -> list:
 
 
 def is_expired(task: Task, now: Epoch) -> bool:
-    """True when an unfulfilled task has outlived the 48 h service window."""
-    if task.status not in ("open", "assigned"):
-        return False
-    return now.t - task.created_at.t > TASK_EXPIRY_S
+    """True when an open task has outlived the 48 h service window."""
+    return task.status == "open" and now.t - task.created_at.t > TASK_EXPIRY_S
 
 
 def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
@@ -271,10 +269,8 @@ def assign(queue, site: GroundSite, window, catalog: dict, *,
            step_s: float = 30.0):
     """Pick the highest-priority open task visible from the site.
 
-    Returns (task marked assigned, observation epochs) or None when no
-    target clears the elevation mask for at least three epochs in the
-    window. Pure over its inputs: the caller writes the returned task
-    back into its queue.
+    Returns (the task, observation epochs) or None when no target clears
+    the elevation mask for at least three epochs in the window.
     """
     t0, t1 = window
     if t1.t < t0.t or t1.t - t0.t > MAX_WINDOW_S:
@@ -289,7 +285,7 @@ def assign(queue, site: GroundSite, window, catalog: dict, *,
             el, bstar = rec.elements, rec.bstar
         epochs = visible_epochs(el, bstar, site, window, step_s=step_s)
         if len(epochs) >= MIN_VISIBLE_EPOCHS:
-            return task.with_status("assigned"), epochs
+            return task, epochs
     return None
 
 

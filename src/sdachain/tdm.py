@@ -127,13 +127,14 @@ class Tdm:
 
     Construction canonicalizes: records are sorted by epoch, epochs snapped
     to the microsecond grid, angles and ranges to the 9-decimal-degree/km
-    grid of the file form. content_hash is the SHA-256 of the canonical
-    serialization and is therefore identical for any two Tdms with the same
-    observable content.
+    grid of the file form. text is the canonical serialization, built once
+    here; content_hash is its SHA-256 and is therefore identical for any
+    two Tdms with the same observable content.
     """
 
     meta: TdmMeta
     records: tuple
+    text: str = field(init=False, compare=False, repr=False)
     content_hash: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -168,33 +169,36 @@ class Tdm:
             if cur.epoch.t <= prev.epoch.t:
                 raise TdmValidationError(f"epochs not strictly increasing at {cur.epoch.iso()}")
         object.__setattr__(self, "records", tuple(canon))
+        meta = self.meta
+        lines = [f"CCSDS_TDM_VERS = {TDM_VERSION}", "META_START",
+                 f"TIME_SYSTEM = {TIME_SYSTEM}",
+                 f"PARTICIPANT_1 = {meta.participant}",
+                 f"PARTICIPANT_2 = {meta.site_id}",
+                 "MODE = SEQUENTIAL",
+                 f"ANGLE_TYPE = {meta.mode}"]
+        if meta.has_range:
+            lines.append("RANGE_UNITS = km")
+        lines.append("META_STOP")
+        lines.append("DATA_START")
+        for rec in canon:
+            iso = rec.epoch.iso()
+            lines.append(f"ANGLE_1 = {iso} {_fmt(math.degrees(rec.angle1))}")
+            lines.append(f"ANGLE_2 = {iso} {_fmt(math.degrees(rec.angle2))}")
+            if meta.has_range:
+                lines.append(f"RANGE = {iso} {_fmt(rec.range_km)}")
+        lines.append("DATA_STOP")
+        object.__setattr__(self, "text", "\n".join(lines) + "\n")
         object.__setattr__(self, "content_hash",
-                           hashlib.sha256(serialize_tdm(self).encode()).digest())
+                           hashlib.sha256(self.text.encode()).digest())
 
     def hex_hash(self) -> str:
         return self.content_hash.hex()
 
 
 def serialize_tdm(tdm: Tdm) -> str:
-    """Canonical KVN text; parse_tdm(serialize_tdm(t)) == t byte-for-byte."""
-    lines = [f"CCSDS_TDM_VERS = {TDM_VERSION}", "META_START",
-             f"TIME_SYSTEM = {TIME_SYSTEM}",
-             f"PARTICIPANT_1 = {tdm.meta.participant}",
-             f"PARTICIPANT_2 = {tdm.meta.site_id}",
-             "MODE = SEQUENTIAL",
-             f"ANGLE_TYPE = {tdm.meta.mode}"]
-    if tdm.meta.has_range:
-        lines.append("RANGE_UNITS = km")
-    lines.append("META_STOP")
-    lines.append("DATA_START")
-    for rec in tdm.records:
-        iso = rec.epoch.iso()
-        lines.append(f"ANGLE_1 = {iso} {_fmt(math.degrees(rec.angle1))}")
-        lines.append(f"ANGLE_2 = {iso} {_fmt(math.degrees(rec.angle2))}")
-        if tdm.meta.has_range:
-            lines.append(f"RANGE = {iso} {_fmt(rec.range_km)}")
-    lines.append("DATA_STOP")
-    return "\n".join(lines) + "\n"
+    """Canonical KVN text, tdm.text; parse_tdm(serialize_tdm(t)) == t
+    byte-for-byte."""
+    return tdm.text
 
 
 def _split_kv(line: str, line_no: int) -> tuple:

@@ -23,16 +23,34 @@ def _worker(monkeypatch):
     return mod
 
 
+def _resolve(name: str):
+    """The object a traced name binds, or None. Each attribute is looked
+    up in its owner's own __dict__, as bench/tracer.py patches it: an
+    inherited method has no entry there."""
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"sdachain.{module}")
+    for attr in attrs:
+        obj = vars(obj).get(attr)
+        if obj is None:
+            return None
+    return obj
+
+
 def test_traced_names_resolve(monkeypatch):
     worker = _worker(monkeypatch)
     names = set(worker.TRACED + worker.SAMPLED + worker.COUNTED
                 + worker.SPEED_HOOKS)
     assert names
     for name in sorted(names):
-        module, *attrs = name.split(".")
-        obj = importlib.import_module(f"sdachain.{module}")
-        for attr in attrs:
-            obj = getattr(obj, attr, None)
-            if obj is None:
-                pytest.fail(f"bench traces {name!r}, which sdachain lacks")
+        obj = _resolve(name)
+        if obj is None:
+            pytest.fail(f"bench traces {name!r}, which sdachain lacks")
         assert callable(obj), name
+
+
+def test_inherited_method_does_not_resolve():
+    # getattr finds it, but the tracer's cls.__dict__[meth] would not
+    from sdachain.ledger import TxRejected
+    assert callable(getattr(TxRejected, "with_traceback"))
+    assert _resolve("ledger.TxRejected.with_traceback") is None
+    assert _resolve("ledger.LedgerState.clone") is not None

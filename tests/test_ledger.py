@@ -415,6 +415,10 @@ class TestTaskEconomics:
         with pytest.raises(TxRejected):    # cannot afford the fee
             apply_transaction(state, tx("post_task", "rita", 0,
                                         PostTask(target="SAT-1", fee=501)))
+        for origin in ("internal", "calibration"):
+            with pytest.raises(TxRejected, match="cannot post"):
+                apply_transaction(state, tx("post_task", "rita", 0, PostTask(
+                    target="SAT-1", fee=0, origin=origin)))
 
     def test_fee_flows_on_verified_fulfillment(self):
         state, _, rec, site = fresh_chain()
@@ -559,7 +563,7 @@ class TestUctMining:
         assert rep.verdict == "uct" and rep.uct_matches == ()
         assert sorted(s.uct_pool) == sorted([t1.hex_hash(), t_other.hex_hash()])
         for entry in s.uct_pool.values():
-            p_tdm = parse_tdm(entry.tdm_text)
+            p_tdm = entry.tdm
             refit = validation._refined_iod(p_tdm, s.sites[p_tdm.meta.site_id],
                                             s.step_s)
             assert entry.elements.key() == refit.elements.key()
@@ -578,6 +582,40 @@ class TestUctMining:
         assert rep.verdict == "uct"
         assert rep.uct_matches == (t1.hex_hash(),)
         assert fitted == [[t2.hex_hash()]]
+
+    def pending_and_pooled(self):
+        """A state holding t1 in the UCT pool and t2 pending."""
+        state, t1, t2 = self.two_track_setup()
+        s = apply_transaction(state, submit_tx(t1))
+        s, _ = attest_until_settled(s, t1.hex_hash())
+        s = apply_transaction(s, submit_tx(t2, nonce=0, sender="oscar"))
+        assert list(s.uct_pool) == [t1.hex_hash()]
+        assert list(s.pending) == [t2.hex_hash()]
+        return s, t1, t2
+
+    def test_held_tdms_roundtrip(self):
+        s, t1, t2 = self.pending_and_pooled()
+        raw = encode_state(s)
+        back = decode_state(raw)
+        assert encode_state(back) == raw
+        assert back.uct_pool == s.uct_pool and back.pending == s.pending
+        assert back.uct_pool[t1.hex_hash()].tdm.text == t1.text
+        assert back.pending[t2.hex_hash()].tdm.text == t2.text
+
+    @pytest.mark.parametrize("held", ["pending", "pool"])
+    def test_noncanonical_held_text_fails_to_decode(self, held):
+        # the parser accepts the padded text, but it re-encodes as the
+        # canonical text, so the snapshot is not the encoding of its value
+        s, t1, t2 = self.pending_and_pooled()
+        text = (t2 if held == "pending" else t1).text
+        padded = text.replace("= ", "=  ", 1)
+        assert parse_tdm(padded).text == text
+        raw = encode_state(s)
+        framed = Writer().string(text).bytes()
+        assert raw.count(framed) == 1
+        bad = raw.replace(framed, Writer().string(padded).bytes())
+        with pytest.raises(WireError, match="canonical"):
+            decode_state(bad)
 
 
 class TestModelGovernance:

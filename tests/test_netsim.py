@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sdachain import astro, ledger, netsim
+from sdachain import astro, ledger, netsim, tdm as tdm_module
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.ledger import (
     SubmitTdm,
@@ -136,6 +136,36 @@ class TestScenarioValidation:
             ScriptedTask(t=t, target=sc.initial_catalog[0], fee=5),))
         assert any("scripted task time" in e for e in validate_scenario(bad))
         with pytest.raises(NetsimError, match="scripted task time"):
+            run_scenario(bad)
+
+    @pytest.mark.parametrize("value", [-1, 2 ** 64],
+                             ids=["negative", "2**64"])
+    @pytest.mark.parametrize("name", ["balance", "stake"])
+    def test_node_holdings_checked(self, name, value):
+        # these used to validate, and the run then failed in make_genesis
+        sc = reference_scenario(1)
+        nodes = (dataclasses.replace(sc.nodes[0], **{name: value}),)
+        bad = dataclasses.replace(sc, nodes=nodes + sc.nodes[1:])
+        assert any(name in e and "alice" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match=name):
+            run_scenario(bad)
+
+    @pytest.mark.parametrize("fee", [-1, 2 ** 64], ids=["negative", "2**64"])
+    def test_scripted_task_fee_checked(self, fee):
+        # these used to validate, and the run then failed mid-run when the
+        # requester's post_task was hashed
+        sc = reference_scenario(1)
+        bad = dataclasses.replace(sc, scripted_tasks=(
+            ScriptedTask(t=10.0, target=sc.initial_catalog[0], fee=fee),))
+        assert any("scripted task fee" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match="scripted task fee"):
+            run_scenario(bad)
+
+    @pytest.mark.parametrize("fee", [-1, 2 ** 64], ids=["negative", "2**64"])
+    def test_task_fee_checked(self, fee):
+        bad = dataclasses.replace(reference_scenario(1), task_fee=fee)
+        assert any("task_fee" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match="task_fee"):
             run_scenario(bad)
 
     def test_scripted_tasks_need_requester(self):
@@ -337,6 +367,28 @@ class TestUctRun:
         sim.state = apply_transaction(sim.state, tx)
         assert tdm.hex_hash() in sim.state.pending
         assert sim.attestation_for(sim.state, tdm.hex_hash()) is None
+
+    def test_each_admitted_tdm_is_parsed_once(self, monkeypatch, tmp_path):
+        # the state and the simulator hold the parsed message: the only
+        # parse is _apply's, once per submit_tdm a block admits
+        calls = []
+        parse = tdm_module.parse_tdm
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        for mod in (tdm_module, ledger, netsim):
+            if hasattr(mod, "parse_tdm"):
+                monkeypatch.setattr(mod, "parse_tdm", counting)
+        rep = run_scenario(uct_scenario(1), out_dir=str(tmp_path))
+        admitted = sorted(tx.payload.tdm_text for b in rep.blocks
+                          for tx in b.txs if tx.kind == "submit_tdm")
+        assert len(admitted) == 4
+        assert sorted(calls) == admitted
+        calls.clear()
+        assert verify_chain(load_chain(str(tmp_path / "chain.log"))) is None
+        assert sorted(calls) == admitted
 
     def test_rerun_is_bit_identical(self, uct_report):
         again = run_scenario(uct_scenario(7))

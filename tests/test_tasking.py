@@ -81,19 +81,25 @@ class TestTask:
             object_task(origin="unknown")
         with pytest.raises(TaskingError):
             object_task(status="stuck")
+        # neither value was ever stored: assign returns the queued task,
+        # and nothing posted a calibration task
+        with pytest.raises(TaskingError):
+            object_task(status="assigned")
+        with pytest.raises(TaskingError):
+            object_task(origin="calibration")
 
     def test_with_status_keeps_identity(self):
         t = object_task()
-        assigned = t.with_status("assigned")
-        assert assigned.task_id == t.task_id
-        assert assigned.status == "assigned" and t.status == "open"
+        done = t.with_status("fulfilled")
+        assert done.task_id == t.task_id
+        assert done.status == "fulfilled" and t.status == "open"
 
     def test_identity_sensitive_to_every_field(self):
         base = task_identity("SAT-1", 5, False, "external", Epoch(0.0), b"n")
         assert task_identity("SAT-2", 5, False, "external", Epoch(0.0), b"n") != base
         assert task_identity("SAT-1", 6, False, "external", Epoch(0.0), b"n") != base
         assert task_identity("SAT-1", 5, True, "external", Epoch(0.0), b"n") != base
-        assert task_identity("SAT-1", 5, False, "calibration", Epoch(0.0), b"n") != base
+        assert task_identity("SAT-1", 5, False, "internal", Epoch(0.0), b"n") != base
         assert task_identity("SAT-1", 5, False, "external", Epoch(1.0), b"n") != base
         assert task_identity("SAT-1", 5, False, "external", Epoch(0.0), b"m") != base
         assert task_identity("SAT-1", 5, False, "external", Epoch(0.0), b"n") == base
@@ -134,7 +140,7 @@ class TestRegion:
 
 class TestCodec:
     def test_object_target_roundtrip(self):
-        t = object_task(target="SAT-9", fee=25, urgency=True, status="assigned")
+        t = object_task(target="SAT-9", fee=25, urgency=True, status="expired")
         w = Writer()
         TASK.write(w, t)
         r = Reader(w.bytes())
@@ -223,7 +229,8 @@ class TestExpiry:
     def test_fulfilled_never_expires(self):
         t = object_task(created_at=Epoch(0.0), status="fulfilled")
         assert not is_expired(t, Epoch(10.0 * 86400.0))
-        assert is_expired(t.with_status("assigned"), Epoch(10.0 * 86400.0))
+        assert not is_expired(t.with_status("expired"), Epoch(10.0 * 86400.0))
+        assert is_expired(t.with_status("open"), Epoch(10.0 * 86400.0))
 
 
 class TestAssign:
@@ -246,16 +253,14 @@ class TestAssign:
             sv = propagate_j2(rec.elements, rec.bstar, e)
             assert topocentric_angles(sv, site)[1] > math.radians(10.0)
 
-    def test_assign_returns_pass_and_marks_assigned(self):
+    def test_assign_returns_pass_and_the_queued_task(self):
         rec, site = self.pass_setup()
         task = object_task(target="TGT")
         got = assign([task], site, (Epoch(3100.0), Epoch(4900.0)),
                      {"TGT": rec})
         assert got is not None
         picked, eps = got
-        assert picked.task_id == task.task_id
-        assert picked.status == "assigned"
-        assert task.status == "open"    # pure: caller writes the copy back
+        assert picked is task and task.status == "open"
         assert len(eps) >= 3
 
     def test_below_horizon_all_window_is_empty(self):
