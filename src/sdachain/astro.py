@@ -778,7 +778,8 @@ def site_eci(site: GroundSite, epoch: Epoch) -> tuple:
     )
 
 
-def _enu_basis(site: GroundSite, epoch: Epoch):
+def enu_basis(site: GroundSite, epoch: Epoch):
+    """ECI unit vectors (east, north, up) of a site at an epoch."""
     lam = site.lon + gmst(epoch)
     sl, cl = math.sin(lam), math.cos(lam)
     sp, cp = math.sin(site.lat), math.cos(site.lat)
@@ -794,9 +795,14 @@ def topocentric_angles(s: StateVector, site: GroundSite) -> tuple:
     Azimuth is clockwise from north in [0, 2*pi); elevation in
     [-pi/2, pi/2]; range in km.
     """
-    rs = site_eci(site, s.epoch)
-    rho = (s.r[0] - rs[0], s.r[1] - rs[1], s.r[2] - rs[2])
-    east, north, up = _enu_basis(site, s.epoch)
+    return azel_from(s.r, site_eci(site, s.epoch), enu_basis(site, s.epoch))
+
+
+def azel_from(r, rs, basis) -> tuple:
+    """topocentric_angles of an ECI position r, from the site's ECI
+    position rs and (east, north, up) basis at r's epoch."""
+    rho = (r[0] - rs[0], r[1] - rs[1], r[2] - rs[2])
+    east, north, up = basis
     e = dot(rho, east)
     n = dot(rho, north)
     u = dot(rho, up)
@@ -808,8 +814,13 @@ def topocentric_angles(s: StateVector, site: GroundSite) -> tuple:
 
 def topocentric_radec(s: StateVector, site: GroundSite) -> tuple:
     """(right ascension, declination, slant range) of the line of sight."""
-    rs = site_eci(site, s.epoch)
-    rho = (s.r[0] - rs[0], s.r[1] - rs[1], s.r[2] - rs[2])
+    return radec_from(s.r, site_eci(site, s.epoch))
+
+
+def radec_from(r, rs) -> tuple:
+    """topocentric_radec of an ECI position r, from the site's ECI
+    position rs at r's epoch."""
+    rho = (r[0] - rs[0], r[1] - rs[1], r[2] - rs[2])
     rng = norm(rho)
     ra = wrap_two_pi(math.atan2(rho[1], rho[0]))
     dec = math.asin(max(-1.0, min(1.0, rho[2] / rng)))
@@ -820,7 +831,7 @@ def angles_to_unit_vector(az: float, el: float, site: GroundSite, epoch: Epoch) 
     """ECI line-of-sight unit vector for an az/el observation."""
     ce = math.cos(el)
     u_enu = (ce * math.sin(az), ce * math.cos(az), math.sin(el))
-    east, north, up = _enu_basis(site, epoch)
+    east, north, up = enu_basis(site, epoch)
     return (
         u_enu[0] * east[0] + u_enu[1] * north[0] + u_enu[2] * up[0],
         u_enu[0] * east[1] + u_enu[1] * north[1] + u_enu[2] * up[1],

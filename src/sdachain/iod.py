@@ -44,11 +44,20 @@ from .astro import (
     propagate_j2,
     propagate_many,
     site_eci,
+    solve_kepler,
     state_to_kepler,
     unit,
+    wrap_two_pi,
 )
 from .errors import SdaError
-from .tdm import Tdm, line_of_sight, observe, observed_position, separation_rms
+from .tdm import (
+    Tdm,
+    line_of_sight,
+    observe_from,
+    observed_position,
+    separation_rms,
+    site_geometry,
+)
 
 MIN_ALTITUDE_KM = 100.0
 MAX_ALTITUDE_KM = 100000.0
@@ -354,50 +363,78 @@ def _make_elements(x, epoch: Epoch) -> KeplerianElements:
                              M=x[5], epoch=epoch)
 
 
-def _residuals(entries, states, n_terms: int) -> np.ndarray:
-    """Observed minus predicted, from one predicted state per entry.
+def _fit_records(entries) -> list:
+    """Per record, what every residual evaluation of one fit reuses: the
+    record, the cosine of its second angle and its site geometry."""
+    return [(rec, math.cos(rec.angle2), site_geometry(site, rec.epoch, mode))
+            for rec, site, mode in entries]
+
+
+def _residuals(records, positions) -> np.ndarray:
+    """Observed minus predicted, from one predicted ECI position per record.
 
     Angle terms first (2 per record), then one relative range term per
     ranged record; the reported RMS uses only the angle block.
     """
-    out = np.empty(n_terms)
-    j = 2 * len(entries)
-    for idx, ((rec, site, mode), sv) in enumerate(zip(entries, states)):
-        p1, p2, _ = observe(sv, site, mode)
+    out = []
+    ranges = []
+    for (rec, cos2, geometry), r in zip(records, positions):
+        p1, p2, _ = observe_from(r, geometry)
         d1 = (rec.angle1 - p1 + math.pi) % (2.0 * math.pi) - math.pi
-        out[2 * idx] = d1 * math.cos(rec.angle2)
-        out[2 * idx + 1] = rec.angle2 - p2
+        out.append(d1 * cos2)
+        out.append(rec.angle2 - p2)
         if rec.range_km is not None:
-            r_site = site_eci(site, rec.epoch)
-            rho = norm(tuple(sv.r[k] - r_site[k] for k in range(3)))
-            out[j] = (rec.range_km - rho) / rec.range_km
-            j += 1
-    return out
+            rs = geometry[0]
+            rho = norm((r[0] - rs[0], r[1] - rs[1], r[2] - rs[2]))
+            ranges.append((rec.range_km - rho) / rec.range_km)
+    return np.array(out + ranges)
 
 
-def _secular_states(x, epoch: Epoch, epochs, j2: float):
-    """Yield the reduced model's state at each epoch, in closed form.
+def _secular_positions(x, epoch: Epoch, epochs, j2: float):
+    """Yield the reduced model's ECI position at each epoch, in closed form.
 
     Two-body motion plus the J2 secular rates of raan, argp and M
-    (Vallado, eq. 9-41), with no short-period terms and no drag.
+    (Vallado, eq. 9-41), with no short-period terms and no drag. Each
+    position is kepler_to_state's on the drifted elements, operation for
+    operation, without building the elements or the state; velocity is
+    left out because observe reads none. Drifted angles that are not
+    finite raise ValueError, as constructing those elements would.
     """
     el = _make_elements(x, epoch)
-    eta = math.sqrt(1.0 - el.e * el.e)
-    k = 1.5 * j2 * el.mean_motion() * (R_EARTH / (el.a * eta * eta)) ** 2
+    a, e = el.a, el.e
+    n = el.mean_motion()
+    eta = math.sqrt(1.0 - e * e)
+    a_eta = a * eta
+    k = 1.5 * j2 * n * (R_EARTH / (a * eta * eta)) ** 2
     s2 = math.sin(el.i) ** 2
     raan_dot = -k * math.cos(el.i)
     argp_dot = k * (2.0 - 2.5 * s2)
-    m_dot = k * eta * (1.0 - 1.5 * s2)    # beyond the mean motion kepler_to_state adds
+    m_dot = k * eta * (1.0 - 1.5 * s2)    # beyond the mean motion n
+    ci, si = math.cos(el.i), math.sin(el.i)
     for t in epochs:
         dt = t.t - epoch.t
-        drifted = KeplerianElements(a=el.a, e=el.e, i=el.i,
-                                    raan=el.raan + raan_dot * dt,
-                                    argp=el.argp + argp_dot * dt,
-                                    M=el.M + m_dot * dt, epoch=epoch)
-        yield kepler_to_state(drifted, t)
+        raan = el.raan + raan_dot * dt
+        argp = el.argp + argp_dot * dt
+        m = el.M + m_dot * dt
+        if not (math.isfinite(raan) and math.isfinite(argp) and math.isfinite(m)):
+            raise ValueError("elements must be finite")
+        E = solve_kepler(wrap_two_pi(wrap_two_pi(m) + n * dt), e)
+        cosE, sinE = math.cos(E), math.sin(E)
+        xp = a * (cosE - e)
+        yp = a_eta * sinE
+        raan = wrap_two_pi(raan)
+        argp = wrap_two_pi(argp)
+        cO, sO = math.cos(raan), math.sin(raan)
+        co, so = math.cos(argp), math.sin(argp)
+        r11 = cO * co - sO * so * ci
+        r12 = -cO * so - sO * co * ci
+        r21 = sO * co + cO * so * ci
+        r22 = -sO * so + cO * co * ci
+        yield (r11 * xp + r12 * yp, r21 * xp + r22 * yp,
+               so * si * xp + co * si * yp)
 
 
-def _model_jacobian(x, epoch: Epoch, entries, n_terms: int,
+def _model_jacobian(x, epoch: Epoch, records, n_terms: int,
                     j2: float) -> np.ndarray:
     """d(predicted)/dx of the reduced model at the record epochs.
 
@@ -408,12 +445,11 @@ def _model_jacobian(x, epoch: Epoch, entries, n_terms: int,
     test raised the singular-value ratio from about 1e-12 to 1.7e-10,
     above it).
     """
-    epochs = [rec.epoch for rec, _, _ in entries]
+    epochs = [rec.epoch for rec, _, _ in records]
 
     def model(xk):
         try:
-            return _residuals(entries, _secular_states(xk, epoch, epochs, j2),
-                              n_terms)
+            return _residuals(records, _secular_positions(xk, epoch, epochs, j2))
         except (ValueError, KeplerConvergenceError):
             return None
 
@@ -471,6 +507,7 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
 
     n_terms = 2 * n + sum(1 for rec, _, _ in entries if rec.range_km is not None)
     epochs = [rec.epoch for rec, _, _ in entries]
+    records = _fit_records(entries)
 
     def try_cost(x):
         # Every trial x is a new orbit used once, so its grid stays private.
@@ -478,7 +515,7 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
             states = propagate_many(_make_elements(x, initial.epoch), bstar,
                                     epochs, step_s=step_s, j2=j2,
                                     use_cache=False)
-            r = _residuals(entries, states, n_terms)
+            r = _residuals(records, (sv.r for sv in states))
         except (ValueError, DecayError, KeplerConvergenceError, UnsupportedRegimeError):
             return None, math.inf
         return r, float(r @ r)
@@ -494,7 +531,7 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
     # a fully rejected iteration signals the numerical floor: converged.
     progressed = False
     for _ in range(REFINE_MAX_ITER):
-        jac = _model_jacobian(x, initial.epoch, entries, n_terms, j2)
+        jac = _model_jacobian(x, initial.epoch, records, n_terms, j2)
         u_svd, sig, vh = np.linalg.svd(jac, full_matrices=False)
         if sig[0] <= 0.0 or sig[-1] / sig[0] < 1e-10:
             weak = _ELEMENT_NAMES[int(np.argmax(np.abs(vh[-1])))]

@@ -9,9 +9,10 @@ profile; see docs/tdm-profile.md for the grammar.
 
 The module also owns the observation model, the one definition of what a
 record's two angles mean in each ANGLE_TYPE: observe is the forward map
-from a state to a record's angles and range, line_of_sight and
-observed_position are its inverse, and separation_rms is the residual
-every validation threshold is stated in.
+from a state to a record's angles and range (observe_from is the same map
+for a bare position, given the site geometry that site_geometry computes
+once), line_of_sight and observed_position are its inverse, and
+separation_rms is the residual every validation threshold is stated in.
 
 Angles are degrees in files and radians in memory.
 """
@@ -31,7 +32,10 @@ from .astro import (
     StateVector,
     angles_to_unit_vector,
     angular_separation,
+    azel_from,
+    enu_basis,
     propagate_many,
+    radec_from,
     radec_to_unit_vector,
     site_eci,
     topocentric_angles,
@@ -375,6 +379,21 @@ def observe(sv: StateVector, site: GroundSite, mode: str) -> tuple:
     if mode == "AZEL":
         return topocentric_angles(sv, site)
     return topocentric_radec(sv, site)
+
+
+def site_geometry(site: GroundSite, epoch: Epoch, mode: str) -> tuple:
+    """What observe needs of a site at one epoch: its ECI position and,
+    for AZEL, its (east, north, up) basis (None for RADEC)."""
+    return site_eci(site, epoch), (enu_basis(site, epoch) if mode == "AZEL" else None)
+
+
+def observe_from(r, geometry) -> tuple:
+    """observe for a bare ECI position r, given site_geometry at r's
+    epoch; the same bits as observe on a state at that position."""
+    rs, basis = geometry
+    if basis is None:
+        return radec_from(r, rs)
+    return azel_from(r, rs, basis)
 
 
 def line_of_sight(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:

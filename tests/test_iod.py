@@ -20,6 +20,7 @@ from sdachain.astro import (
     GroundSite,
     KeplerianElements,
     MU_EARTH,
+    KeplerConvergenceError,
     OrbitRecord,
     StateVector,
     kepler_to_state,
@@ -39,7 +40,7 @@ from sdachain.iod import (
     iod_gibbs,
     refine_elements,
 )
-from sdachain.tdm import ObservationRecord, synth_tdm
+from sdachain.tdm import ObservationRecord, observe, synth_tdm
 
 
 def ranged_records(record, site, epochs):
@@ -341,6 +342,63 @@ def mining_fixture():
     return starts, tdms, sites
 
 
+def circular_arc():
+    """radar_arc started from e = 0, where the e partial is one-sided."""
+    start, tdms, sites = radar_arc()
+    el = start
+    return (KeplerianElements(a=el.a, e=0.0, i=el.i, raan=el.raan, argp=el.argp,
+                              M=el.M, epoch=el.epoch), tdms, sites)
+
+
+def oracle_jacobian(x, epoch, entries, j2=astro.J2_EARTH):
+    """The reduced-model Jacobian from public pieces: drifted
+    KeplerianElements, kepler_to_state and observe, one state per record,
+    with the fit's differences and order of operations."""
+    def residuals(xk):
+        try:
+            el = KeplerianElements(a=xk[0], e=xk[1], i=xk[2], raan=xk[3],
+                                   argp=xk[4], M=xk[5], epoch=epoch)
+            eta = math.sqrt(1.0 - el.e * el.e)
+            k = 1.5 * j2 * el.mean_motion() * (astro.R_EARTH / (el.a * eta * eta)) ** 2
+            s2 = math.sin(el.i) ** 2
+            raan_dot = -k * math.cos(el.i)
+            argp_dot = k * (2.0 - 2.5 * s2)
+            m_dot = k * eta * (1.0 - 1.5 * s2)
+            angles, ranges = [], []
+            for rec, site, mode in entries:
+                dt = rec.epoch.t - epoch.t
+                sv = kepler_to_state(KeplerianElements(
+                    a=el.a, e=el.e, i=el.i, raan=el.raan + raan_dot * dt,
+                    argp=el.argp + argp_dot * dt, M=el.M + m_dot * dt,
+                    epoch=epoch), rec.epoch)
+                p1, p2, _ = observe(sv, site, mode)
+                d1 = (rec.angle1 - p1 + math.pi) % (2.0 * math.pi) - math.pi
+                angles += [d1 * math.cos(rec.angle2), rec.angle2 - p2]
+                if rec.range_km is not None:
+                    rs = astro.site_eci(site, rec.epoch)
+                    rho = norm(tuple(sv.r[c] - rs[c] for c in range(3)))
+                    ranges.append((rec.range_km - rho) / rec.range_km)
+            return np.array(angles + ranges)
+        except (ValueError, KeplerConvergenceError):
+            return None
+
+    base = residuals(x)
+    columns = []
+    for k, h in enumerate(iod._MODEL_STEPS):
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += h
+        xm[k] -= h
+        rp, rm = residuals(xp), residuals(xm)
+        if rp is not None and rm is not None:
+            columns.append((rm - rp) / (2.0 * h))
+        elif rp is not None:
+            columns.append((base - rp) / h)
+        else:
+            columns.append((rm - base) / h)
+    return np.column_stack(columns)
+
+
 # float.hex of refine_elements(*radar_arc()): elements (a, e, i, raan,
 # argp, M, epoch.t) and RMS. Any change to the fit's arithmetic moves
 # these bits and re-pins them on purpose, with the uct golden hashes.
@@ -380,6 +438,25 @@ class TestReducedModelJacobian:
         assert validation.mine_object(tdms, sites, validation.ValidationParams())
         assert re.fullmatch(f"({one_fit}){{2}}", "".join(log)), "".join(log)
 
+    @pytest.mark.parametrize("fixture", ["radar_arc", "mining", "circular"])
+    def test_equals_public_model_bit_for_bit(self, fixture):
+        # The fit's Jacobian reuses each record's site geometry and builds
+        # no elements or states per record; its bytes must still be those
+        # of the model built from the public functions.
+        if fixture == "mining":
+            starts, tdms, sites = mining_fixture()
+        else:
+            start, tdms, sites = radar_arc() if fixture == "radar_arc" else circular_arc()
+            starts = [start]
+        entries = iod._collect_records(tdms, sites)
+        records = iod._fit_records(entries)
+        n_terms = 2 * len(entries) + sum(rec.range_km is not None
+                                         for rec, _, _ in entries)
+        for el in starts:
+            x = np.array(el.key()[:6])
+            got = iod._model_jacobian(x, el.epoch, records, n_terms, astro.J2_EARTH)
+            assert got.tobytes() == oracle_jacobian(x, el.epoch, entries).tobytes()
+
     @pytest.mark.parametrize("fixture", ["radar_arc", "mining"])
     def test_agrees_with_numerical_jacobian(self, fixture):
         # Column-wise relative 2-norm error against central differences of
@@ -394,18 +471,19 @@ class TestReducedModelJacobian:
         else:
             starts, tdms, sites = mining_fixture()
         entries = iod._collect_records(tdms, sites)
+        records = iod._fit_records(entries)
         epochs = [rec.epoch for rec, _, _ in entries]
         n_terms = 2 * len(entries) + sum(rec.range_km is not None
                                          for rec, _, _ in entries)
 
         def numerical(x, epoch):
             return iod._residuals(
-                entries, propagate_many(iod._make_elements(x, epoch), 0.0,
-                                        epochs, use_cache=False), n_terms)
+                records, (sv.r for sv in propagate_many(
+                    iod._make_elements(x, epoch), 0.0, epochs, use_cache=False)))
 
         for el in starts:
             x = np.array(el.key()[:6])
-            model = iod._model_jacobian(x, el.epoch, entries, n_terms,
+            model = iod._model_jacobian(x, el.epoch, records, n_terms,
                                         astro.J2_EARTH)
             for k, h in enumerate((1e-3, 1e-7, 1e-7, 1e-7, 1e-7, 1e-7)):
                 xp = x.copy()
