@@ -16,7 +16,11 @@ Validators turn staked observation messages into orbits with three tools:
 The IOD methods are two-body constructions and report two-body residuals;
 refinement evaluates residuals with the full reference force model so its
 RMS is directly comparable to the validation thresholds. Only its partials
-come from the reduced model, which needs no integration.
+come from the reduced model, which needs no integration. Each record's
+site geometry is computed once per fit and serves every residual
+evaluation. A fit stops when the step its SVD predicts would lower the
+cost by at most a relative REFINE_PRED_TOL, so an iteration's
+integrations are its line-search trials: at most REFINE_MAX_HALVINGS + 1.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .astro import (
     dot,
     kepler_to_state,
     norm,
-    propagate_j2,
     propagate_many,
     site_eci,
     solve_kepler,
@@ -70,8 +73,10 @@ GIBBS_MIN_SEP_DEG = 1.0
 GAUSS_MIN_LOS_SEP_DEG = 0.5
 REFINE_MIN_RECORDS = 6
 REFINE_MAX_ITER = 25
-REFINE_MAX_HALVINGS = 10
-REFINE_COST_TOL = 1e-10
+REFINE_MAX_HALVINGS = 4
+# Stop when the Gauss-Newton step predicts at most this relative cost
+# reduction: ||U^T r||^2 <= REFINE_PRED_TOL * ||r||^2.
+REFINE_PRED_TOL = 1e-6
 
 _ELEMENT_NAMES = ("a", "e", "i", "raan", "argp", "M")
 # Difference steps for the reduced-model partials: km for a, radians or
@@ -126,22 +131,6 @@ class IodSolution:
 def _two_body_rms(el: KeplerianElements, obs, site: GroundSite, mode: str) -> float:
     return separation_rms([(rec, site, mode) for rec in obs],
                           (kepler_to_state(el, rec.epoch) for rec in obs))
-
-
-def angular_rms(elements: KeplerianElements, bstar: float, tdms: list, sites: dict,
-                *, step_s: float = 10.0, j2: float = J2_EARTH) -> float:
-    """RMS great-circle separation between messages and a propagated orbit.
-
-    This is the quantity every validation threshold is stated in. Raises
-    DecayError if the orbit decays before some record epoch; KeyError on
-    an unknown site is converted to IodError.
-    """
-    entries = _collect_records(tdms, sites)
-    if not entries:
-        raise IodError("no observation records")
-    return separation_rms(entries, (
-        propagate_j2(elements, bstar, rec.epoch, step_s=step_s, j2=j2)
-        for rec, _, _ in entries))
 
 
 def _sorted_triple(obs):
@@ -493,12 +482,22 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
     line-search trials. Partials may come from a simpler force model
     than the residuals (Montenbruck & Gill, "Satellite Orbits", 2000,
     ch. 7); the fit still converges to the reference-propagator
-    minimum. Candidate steps are halved until the cost decreases (10
-    halvings max), so the returned RMS never exceeds the initial RMS. A
-    fully rejected iteration before any progress raises a divergence
-    error; after progress it means the numerical floor was reached. A
-    singular normal system raises a rank error naming the weakest
-    element direction. The reported rms_residual is always angular-only.
+    minimum. Each record's site position and ENU basis are computed once
+    per fit, and the trial residuals and the Jacobian both reuse them.
+
+    Each iteration first tests convergence on the SVD it already has:
+    with J = U S V^T, the full step's linear model lowers the cost
+    ||r||^2 by ||U^T r||^2, and the fit stops, before any trial, when
+    that is at most REFINE_PRED_TOL (1e-6) of the cost (Dennis &
+    Schnabel 1983, section 7.2; Nocedal & Wright 2006, section 10.3). A
+    start that is already converged is returned after one integration.
+    Otherwise candidate steps are halved until the cost decreases
+    (REFINE_MAX_HALVINGS, 4, halvings max), so the returned RMS never
+    exceeds the initial RMS. A fully rejected iteration before any
+    progress raises a divergence error; after progress it means the
+    numerical floor was reached. A singular normal system raises a rank
+    error naming the weakest element direction. The reported
+    rms_residual is always angular-only.
     """
     entries = _collect_records(tdms, sites)
     n = len(entries)
@@ -536,7 +535,11 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
         if sig[0] <= 0.0 or sig[-1] / sig[0] < 1e-10:
             weak = _ELEMENT_NAMES[int(np.argmax(np.abs(vh[-1])))]
             raise IodRankError(weak, f"singular values {sig[0]:.3e} .. {sig[-1]:.3e}")
-        step = vh.T @ ((u_svd.T @ res) / sig)
+        u_res = u_svd.T @ res
+        # The full step's linear model lowers the cost by ||U^T r||^2.
+        if float(u_res @ u_res) <= REFINE_PRED_TOL * cost:
+            break
+        step = vh.T @ (u_res / sig)
 
         accepted = False
         scale = 1.0
@@ -544,19 +547,17 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
             cand = x + scale * step
             rc, cand_cost = try_cost(cand)
             if cand_cost < cost:
-                x, res, prev_cost, cost = cand, rc, cost, cand_cost
+                x, res, cost = cand, rc, cand_cost
                 accepted = True
                 break
             scale *= 0.5
         if not accepted:
-            if progressed or cost == 0.0:
+            if progressed:
                 break
             raise IodDivergenceError(
                 "no descent step from the initial elements after "
                 f"{REFINE_MAX_HALVINGS} halvings (guess outside convergence basin)")
         progressed = True
-        if abs(prev_cost - cost) <= REFINE_COST_TOL * max(prev_cost, 1e-30):
-            break
 
     ang_cost = float(res[:2 * n] @ res[:2 * n]) if n_terms > 2 * n else cost
     return IodSolution(elements=_make_elements(x, initial.epoch),

@@ -29,9 +29,9 @@ GOLDEN = {
     ),
     "uct": (
         uct_scenario,
-        "05c87dc05fc765abc24b51967c316b96da1033b52b5c8fec9539a0cd272306d9",
-        "989c2f9417f9413d3ae10ea12f35d3c7e5c2f0b21ae1b9c2b992b96f975191e6",
-        "3c445f6b0636a51f1661e8d23933c4b0f0d770f3f1ab36ebe0b70adb4a656f16",
+        "1ae95ec4a753274adb0c6bef1ec17b7dbbe557101f85dea943bfabcdd8b9066c",
+        "b15b91c9a85ba224f99e4a440cd1d7094a3f7510aabc6c5e5be68bfdc2f45269",
+        "df1bccd2d82ae6a4b56d827709ca91f4c1155e4bffad75f282e4d05f717046d6",
     ),
     "fl": (
         fl_scenario,

@@ -25,6 +25,7 @@ from sdachain.astro import (
     StateVector,
     kepler_to_state,
     norm,
+    propagate_j2,
     propagate_many,
     topocentric_angles,
 )
@@ -34,13 +35,21 @@ from sdachain.iod import (
     IodGeometryError,
     IodNoSolutionError,
     IodRankError,
-    angular_rms,
     iod_from_tdm,
     iod_gauss,
     iod_gibbs,
     refine_elements,
 )
-from sdachain.tdm import ObservationRecord, observe, synth_tdm
+from sdachain.tdm import ObservationRecord, observe, separation_rms, synth_tdm
+
+
+def angular_rms(elements, bstar, tdms, sites, *, step_s=10.0, j2=astro.J2_EARTH):
+    """RMS great-circle separation between messages and a propagated orbit,
+    the quantity every validation threshold is stated in."""
+    entries = iod._collect_records(tdms, sites)
+    return separation_rms(entries, (
+        propagate_j2(elements, bstar, rec.epoch, step_s=step_s, j2=j2)
+        for rec, _, _ in entries))
 
 
 def ranged_records(record, site, epochs):
@@ -402,19 +411,26 @@ def oracle_jacobian(x, epoch, entries, j2=astro.J2_EARTH):
 # float.hex of refine_elements(*radar_arc()): elements (a, e, i, raan,
 # argp, M, epoch.t) and RMS. Any change to the fit's arithmetic moves
 # these bits and re-pins them on purpose, with the uct golden hashes.
-PINNED_FIT = ["0x1.d7aed1ff7ec14p+12", "0x1.4775b8b61458ep-6",
-              "0x1.704635b17aa2ap+0", "0x1.0cc1d7d6f82a9p-1",
-              "0x1.da038bcbeefaep+1", "0x1.afa840ca4087ep+1",
+PINNED_FIT = ["0x1.d7aed200f084cp+12", "0x1.4775b88281e7ep-6",
+              "0x1.704635b1a0904p+0", "0x1.0cc1d7d746027p-1",
+              "0x1.da038bca2186ap+1", "0x1.afa840cbee47ap+1",
               "0x1.6800000000000p+9"]
-PINNED_FIT_RMS = "0x1.5094ce1d0192bp-17"
+PINNED_FIT_RMS = "0x1.5094cf14f5704p-17"
+
+# float.hex of the RMS each fixture's fits reached when the fit stopped
+# only on a 1e-10 relative cost change, after up to 10 halvings (radar_arc;
+# mining_fixture from each start, all tracks).
+TIGHT_STOP_RMS = {
+    "radar_arc": ["0x1.5094ce1d0192bp-17"],
+    "mining": ["0x1.99acb1fc77700p-38", "0x1.e78dd3037df7ap-37"],
+}
 
 
 class TestReducedModelJacobian:
-    def test_no_integration_for_partials(self, monkeypatch):
+    @staticmethod
+    def fit_log(monkeypatch):
         # R: refine_elements entered, P: one arc integration, S: one
-        # Gauss-Newton iteration's SVD. Each fit integrates once at its
-        # start point, then only for each line-search trial (1 to 11 per
-        # iteration); the Jacobian adds no P, and propagate_j2 is unused.
+        # Gauss-Newton iteration's SVD.
         log = []
 
         def logged(tag, fn):
@@ -424,11 +440,21 @@ class TestReducedModelJacobian:
             return wrapper
 
         monkeypatch.setattr(iod, "propagate_many", logged("P", iod.propagate_many))
-        monkeypatch.setattr(iod, "propagate_j2", logged("J", iod.propagate_j2))
         monkeypatch.setattr(np.linalg, "svd", logged("S", np.linalg.svd))
         monkeypatch.setattr(validation, "refine_elements",
                             logged("R", validation.refine_elements))
-        one_fit = r"RP(SP{1,%d})+" % (iod.REFINE_MAX_HALVINGS + 1)
+        return log
+
+    def test_no_integration_for_partials(self, monkeypatch):
+        # Each fit integrates once at its start point, then only for each
+        # line-search trial (1 to REFINE_MAX_HALVINGS + 1 per iteration);
+        # the Jacobian adds no P. A fit that stops on the predicted
+        # reduction ends with an S and no trial. iod has no single-epoch
+        # propagator to fall back on.
+        assert not hasattr(iod, "propagate_j2")
+        log = self.fit_log(monkeypatch)
+        trials = iod.REFINE_MAX_HALVINGS + 1
+        one_fit = r"RP(SP{1,%d})*SP{0,%d}" % (trials, trials)
 
         validation.refine_elements(*radar_arc())
         assert re.fullmatch(one_fit, "".join(log)), "".join(log)
@@ -493,6 +519,26 @@ class TestReducedModelJacobian:
                 col = (numerical(xm, el.epoch) - numerical(xp, el.epoch)) / (2.0 * h)
                 err = np.linalg.norm(model[:, k] - col) / np.linalg.norm(col)
                 assert err < 5e-2, (iod._ELEMENT_NAMES[k], err)
+
+    def test_converged_start_makes_no_trial(self, monkeypatch):
+        start, tdms, sites = radar_arc()
+        sol = refine_elements(start, tdms, sites)
+        log = self.fit_log(monkeypatch)
+        assert validation.refine_elements(sol.elements, tdms, sites) == sol
+        assert "".join(log) == "RPS"
+
+    @pytest.mark.parametrize("fixture", ["radar_arc", "mining"])
+    def test_rms_matches_the_tight_stop(self, fixture):
+        # Stopping on the predicted reduction costs at most a relative
+        # 1e-6 of RMS against the fits that ran to a 1e-10 cost change.
+        if fixture == "radar_arc":
+            start, tdms, sites = radar_arc()
+            starts = [start]
+        else:
+            starts, tdms, sites = mining_fixture()
+        for start, tight in zip(starts, TIGHT_STOP_RMS[fixture], strict=True):
+            sol = refine_elements(start, tdms, sites)
+            assert sol.rms_residual <= (1.0 + 1e-6) * float.fromhex(tight)
 
     def test_pinned_fit_bits(self):
         sol = refine_elements(*radar_arc())
