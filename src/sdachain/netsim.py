@@ -244,6 +244,9 @@ def validate_scenario(sc: Scenario) -> list:
             errs.append(f"non-finite noise_std on {n.account}")
         elif n.noise_std < 0.0:
             errs.append(f"negative noise_std on {n.account}")
+    if sum(n.balance + n.stake for n in sc.nodes) >= 2 ** 64:
+        errs.append("node balances and stakes must sum to less than 2**64 "
+                    "(the genesis supply)")
     if not any(n.role == "compute" for n in sc.nodes):
         errs.append("need at least one compute node")
     # NaN passes every range test below, so finiteness is checked first

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from conftest import leo_record, site_under
+import sdachain
 from sdachain.astro import Epoch
 from sdachain.dit import (
     DitError,
@@ -251,8 +253,11 @@ class TestOnChain:
 
     def test_recompute_across_processes_is_byte_identical(self, tmp_path):
         path, _ = self.settled_chain_dir(tmp_path)
+        # the child imports the package this process imported
+        src = os.path.dirname(os.path.dirname(sdachain.__file__))
         script = (
             "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
             "from sdachain.ledger import load_chain, replay_state\n"
             "from sdachain.dit import dit_leaderboard, leaderboard_csv\n"
             f"state = replay_state(load_chain({path!r}))\n"

@@ -150,6 +150,18 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError, match=name):
             run_scenario(bad)
 
+    def test_genesis_supply_checked(self):
+        # each holding fits a u64 but their sum, which make_genesis stores
+        # as the u64 genesis_supply, does not; this used to validate and
+        # then fail while encoding the genesis snapshot
+        sc = uct_scenario(1)
+        nodes = tuple(dataclasses.replace(n, balance=2 ** 63)
+                      if n.account in ("alice", "bob") else n for n in sc.nodes)
+        bad = dataclasses.replace(sc, nodes=nodes)
+        assert any("genesis supply" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match="genesis supply"):
+            run_scenario(bad)
+
     @pytest.mark.parametrize("fee", [-1, 2 ** 64], ids=["negative", "2**64"])
     def test_scripted_task_fee_checked(self, fee):
         # these used to validate, and the run then failed mid-run when the
