@@ -18,9 +18,9 @@ from sdachain import astro, iod, validation
 from sdachain.astro import (
     Epoch,
     GroundSite,
+    KeplerConvergenceError,
     KeplerianElements,
     MU_EARTH,
-    KeplerConvergenceError,
     OrbitRecord,
     StateVector,
     kepler_to_state,
@@ -353,8 +353,7 @@ def mining_fixture():
 
 def circular_arc():
     """radar_arc started from e = 0, where the e partial is one-sided."""
-    start, tdms, sites = radar_arc()
-    el = start
+    el, tdms, sites = radar_arc()
     return (KeplerianElements(a=el.a, e=0.0, i=el.i, raan=el.raan, argp=el.argp,
                               M=el.M, epoch=el.epoch), tdms, sites)
 
@@ -482,6 +481,13 @@ class TestReducedModelJacobian:
             x = np.array(el.key()[:6])
             got = iod._model_jacobian(x, el.epoch, records, n_terms, astro.J2_EARTH)
             assert got.tobytes() == oracle_jacobian(x, el.epoch, entries).tobytes()
+
+    def test_nonfinite_drift_raises(self):
+        # a = 1e-100 km overflows the J2 rates; at the element epoch the
+        # drift is inf * 0 = NaN, which drifted elements would reject
+        x = np.array([1e-100, 0.01, 0.5, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            list(iod._secular_positions(x, Epoch(0.0), [Epoch(0.0)], astro.J2_EARTH))
 
     @pytest.mark.parametrize("fixture", ["radar_arc", "mining"])
     def test_agrees_with_numerical_jacobian(self, fixture):
