@@ -96,10 +96,7 @@ class ModelProposal:
             raise FedpropError("claimed_rms must be finite and nonnegative")
         if self.parent_version < 0:
             raise FedpropError("parent_version must be nonnegative")
-        object.__setattr__(self, "proposal_hash", sha256(self.canonical_bytes()))
-
-    def canonical_bytes(self) -> bytes:
-        return PROPOSAL.encode(self)
+        object.__setattr__(self, "proposal_hash", sha256(PROPOSAL.encode(self)))
 
 
 PROPOSAL = record(ModelProposal, ("proposer", STRING), ("claimed_rms", F64),

@@ -71,7 +71,6 @@ from .wire import (
     U64,
     U8,
     WireError,
-    Writer,
     ZERO_DIGEST,
     optional,
     read_chain_log,
@@ -138,9 +137,6 @@ class EconomicsParams:
             raise LedgerError("validator_fee_cut must lie in [0, 1]")
         if not Fraction(1, 2) < self.attestation_quorum <= 1:
             raise LedgerError("attestation_quorum must lie in (1/2, 1]")
-
-    def canonical_bytes(self) -> bytes:
-        return ECONOMICS_PARAMS.encode(self)
 
 
 ECONOMICS_PARAMS = record(
@@ -257,12 +253,8 @@ TRANSACTION = union(
       for kind, (cls, *fields) in _PAYLOADS.items()))
 
 
-def transaction_bytes(tx: Transaction) -> bytes:
-    return TRANSACTION.encode(tx)
-
-
 def tx_hash(tx: Transaction) -> bytes:
-    return sha256(transaction_bytes(tx))
+    return sha256(TRANSACTION.encode(tx))
 
 
 # -- blocks -----------------------------------------------------------------
@@ -287,25 +279,22 @@ class Block:
             raise LedgerError("block time must be finite")
 
 
+# a block's transactions: a u32 count, then one blob per transaction
+TXS = seq(wrapped(TRANSACTION))
+
+
 def compute_tx_root(txs) -> bytes:
-    w = Writer().u32(len(txs))
-    for tx in txs:
-        w.blob(transaction_bytes(tx))
-    return sha256(w.bytes())
+    """SHA-256 of the block's ``txs`` field."""
+    return sha256(TXS.encode(txs))
 
 
 BLOCK = record(Block, ("height", U64), ("prev_hash", DIGEST),
                ("tx_root", DIGEST), ("state_root", DIGEST),
-               ("proposer", STRING), ("time", F64),
-               ("txs", seq(wrapped(TRANSACTION))))
-
-
-def block_bytes(b: Block) -> bytes:
-    return BLOCK.encode(b)
+               ("proposer", STRING), ("time", F64), ("txs", TXS))
 
 
 def block_hash(b: Block) -> bytes:
-    return sha256(block_bytes(b))
+    return sha256(BLOCK.encode(b))
 
 
 # -- state ------------------------------------------------------------------
@@ -961,16 +950,11 @@ def replay_state(blocks: list) -> LedgerState:
 # -- persistence ------------------------------------------------------------
 
 def save_chain(path: str, blocks: list) -> None:
-    write_chain_log(path, [block_bytes(b) for b in blocks])
-
-
-def decode_block(raw: bytes) -> Block:
-    """One chain-log record to a Block; raises on trailing bytes."""
-    return BLOCK.decode(raw)
+    write_chain_log(path, [BLOCK.encode(b) for b in blocks])
 
 
 def load_chain(path: str) -> list:
-    return [decode_block(raw) for raw in read_chain_log(path)]
+    return [BLOCK.decode(raw) for raw in read_chain_log(path)]
 
 
 def verify_chain_file(path: str):
@@ -980,7 +964,7 @@ def verify_chain_file(path: str):
     blocks, whole = [], True
     try:
         for raw in read_chain_log(path):
-            blocks.append(decode_block(raw))
+            blocks.append(BLOCK.decode(raw))
     except (WireError, SdaError, ValueError):
         whole = False
     bad = verify_chain(blocks)

@@ -26,13 +26,13 @@ from .errors import SdaError
 from .tdm import ELEVATION_MASK_RAD
 from .validation import ELEMENTS, ValidationReport
 from .wire import (
+    BLOB,
     BOOL,
     DIGEST,
     EPOCH,
     F64,
     STRING,
     U64,
-    Writer,
     record,
     sha256,
     union,
@@ -175,11 +175,9 @@ def task_identity(target, fee: int, urgency: bool, origin: str,
     and nonce for external tasks, the validation report hash for
     internal follow-ups (so identical reports spawn the identical task).
     """
-    w = Writer().raw(b"TASK")
-    TARGET.write(w, target)
-    w.u64(fee).u8(1 if urgency else 0).string(origin).f64(created_at.t)
-    w.blob(ref)
-    return sha256(w.bytes())
+    return sha256(b"TASK" + TARGET.encode(target) + U64.encode(fee)
+                  + BOOL.encode(urgency) + STRING.encode(origin)
+                  + EPOCH.encode(created_at) + BLOB.encode(ref))
 
 
 TASK = record(Task, ("task_id", DIGEST), ("target", TARGET), ("fee", U64),

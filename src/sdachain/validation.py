@@ -54,9 +54,6 @@ class ValidationParams:
             if getattr(self, name) <= 0.0:
                 raise ValidationError(f"{name} must be positive")
 
-    def canonical_bytes(self) -> bytes:
-        return VALIDATION_PARAMS.encode(self)
-
 
 VALIDATION_PARAMS = record(ValidationParams, *(
     (name, F64) for name in (
@@ -93,10 +90,7 @@ class ValidationReport:
         if self.rms_residual < 0.0:
             raise ValidationError("rms_residual must be nonnegative")
         object.__setattr__(self, "report_hash",
-                           sha256(self.canonical_bytes()).hex())
-
-    def canonical_bytes(self) -> bytes:
-        return REPORT.encode(self)
+                           sha256(REPORT.encode(self)).hex())
 
 
 REPORT = record(ValidationReport,

@@ -71,30 +71,27 @@ class Reader:
 
 
 class Codec:
-    """One wire layout: ``write(w, v)`` appends the bytes of v to a Writer,
-    ``read(r)`` consumes them from a Reader and returns the value.
+    """One wire layout: ``encode(v)`` returns the bytes of v, ``read(r)``
+    consumes them from a Reader and returns the value.
 
     The combinators compose ``put(parts, v)``, which appends to a list of
-    byte strings and lets ``struct.error`` escape for ``write`` and
-    ``encode`` to turn into ``WireError``. A fixed-width codec also has a
-    struct format ``fmt``, and may convert the value into its struct slots
-    (``to(v)``, a tuple) and back (``frm(*slots)``).
+    byte strings and lets ``struct.error`` escape for ``encode`` to turn
+    into ``WireError``. A fixed-width codec also has a struct format
+    ``fmt``, and may convert the value into its struct slots (``to(v)``, a
+    tuple) and back (``frm(*slots)``).
     """
 
     def __init__(self, put, read, fmt=None, to=None, frm=None):
         self.put, self.read = put, read
         self.fmt, self.to, self.frm = fmt, to, frm
 
-    def write(self, w: "Writer", v) -> None:
+    def encode(self, v) -> bytes:
+        parts = []
         try:
-            self.put(w._parts, v)
+            self.put(parts, v)
         except struct.error as e:
             raise WireError(f"value out of range: {e}") from None
-
-    def encode(self, v) -> bytes:
-        w = Writer()
-        self.write(w, v)
-        return w.bytes()
+        return b"".join(parts)
 
     def decode(self, raw: bytes):
         """The value of exactly these bytes, which must be its encoding:
@@ -151,32 +148,6 @@ FRACTION = fixed("QQ", to=lambda f: (f.numerator, f.denominator),
 BLOB = Codec(_put_blob, Reader.blob)
 STRING = Codec(lambda parts, s: _put_blob(parts, s.encode("utf-8")),
                Reader.string)
-
-
-def _appends(codec: Codec):
-    """A Writer method that appends one value through codec."""
-    def method(self, v):
-        codec.write(self, v)
-        return self
-    return method
-
-
-class Writer:
-    """Append-only canonical byte builder."""
-
-    u8, u32, u64 = _appends(U8), _appends(U32), _appends(U64)
-    f64, digest = _appends(F64), _appends(DIGEST)
-    string, blob = _appends(STRING), _appends(BLOB)
-
-    def __init__(self):
-        self._parts = []
-
-    def raw(self, b: bytes) -> "Writer":
-        self._parts.append(b)
-        return self
-
-    def bytes(self) -> bytes:
-        return b"".join(self._parts)
 
 
 def seq(item: Codec, make=tuple, count: Codec = U32) -> Codec:
@@ -372,11 +343,10 @@ def sha256(data: bytes) -> bytes:
 
 def write_chain_log(path: str, block_records: list) -> None:
     """Persist the block records, magic first, each as a ``blob``."""
-    w = Writer().raw(CHAIN_MAGIC)
-    for rec in block_records:
-        w.blob(rec)
     with open(path, "wb") as f:
-        f.write(w.bytes())
+        f.write(CHAIN_MAGIC)
+        for rec in block_records:
+            f.write(BLOB.encode(rec))
 
 
 def read_chain_log(path: str):

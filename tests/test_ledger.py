@@ -27,7 +27,6 @@ from sdachain.ledger import (
     TxRejected,
     VoteModel,
     apply_transaction,
-    block_bytes,
     block_hash,
     compute_attestation,
     compute_stakes,
@@ -41,7 +40,6 @@ from sdachain.ledger import (
     save_chain,
     select_validator,
     state_root,
-    transaction_bytes,
     tx_hash,
     verify_chain,
     verify_chain_file,
@@ -58,7 +56,15 @@ from sdachain.tdm import (
     synth_tdm,
 )
 from sdachain.validation import ValidationParams, ValidationReport
-from sdachain.wire import Reader, WireError, Writer, sha256, write_chain_log
+from sdachain.wire import (
+    STRING,
+    U64,
+    U8,
+    Reader,
+    WireError,
+    sha256,
+    write_chain_log,
+)
 
 
 def fresh_chain(time=0.0, alice_balance=100):
@@ -141,7 +147,7 @@ class TestParamsAndAccounts:
 
 class TestCodecs:
     def roundtrip(self, t):
-        r = Reader(transaction_bytes(t))
+        r = Reader(TRANSACTION.encode(t))
         back = TRANSACTION.read(r)
         r.done()
         assert back == t
@@ -176,10 +182,11 @@ class TestCodecs:
                           ClaimReward(task_id=bytes(32))))
 
     def test_unknown_target_tag_rejected_in_post_task(self):
-        raw = Writer().u8(TX_KINDS.index("post_task")).string("rita").u64(0)
-        raw.u8(9).u64(25).u8(0).string("external")
+        raw = (U8.encode(TX_KINDS.index("post_task")) + STRING.encode("rita")
+               + U64.encode(0) + U8.encode(9) + U64.encode(25) + U8.encode(0)
+               + STRING.encode("external"))
         with pytest.raises(WireError):
-            TRANSACTION.read(Reader(raw.bytes()))
+            TRANSACTION.read(Reader(raw))
 
     def test_tx_hash_sensitivity(self):
         a = tx("register_stake", "x", 0, RegisterStake(amount=5, role="compute"))
@@ -189,7 +196,7 @@ class TestCodecs:
 
     def test_block_roundtrip(self):
         state, gblock, _, _ = fresh_chain()
-        r = Reader(block_bytes(gblock))
+        r = Reader(BLOCK.encode(gblock))
         assert BLOCK.read(r) == gblock
         r.done()
 
@@ -611,9 +618,9 @@ class TestUctMining:
         padded = text.replace("= ", "=  ", 1)
         assert parse_tdm(padded).text == text
         raw = encode_state(s)
-        framed = Writer().string(text).bytes()
+        framed = STRING.encode(text)
         assert raw.count(framed) == 1
-        bad = raw.replace(framed, Writer().string(padded).bytes())
+        bad = raw.replace(framed, STRING.encode(padded))
         with pytest.raises(WireError, match="canonical"):
             decode_state(bad)
 
@@ -689,7 +696,7 @@ class TestBlocks:
         txs = [submit_tx(honest_tdm(rec, site))]
         _, b1 = produce_block(state.clone(), list(txs), 1, time=30.0)
         _, b2 = produce_block(state.clone(), list(reversed(txs)), 1, time=30.0)
-        assert block_bytes(b1) == block_bytes(b2)
+        assert BLOCK.encode(b1) == BLOCK.encode(b2)
 
     def test_invalid_tx_excluded(self):
         state, _, rec, site = fresh_chain()
@@ -798,7 +805,7 @@ class TestBlocks:
             self, tmp_path):
         _, chain = self.build_chain()
         chain[1] = dataclasses.replace(chain[1], state_root=sha256(b"x"))
-        records = [block_bytes(b) for b in chain]
+        records = [BLOCK.encode(b) for b in chain]
         records[3] += b"\x00"     # trailing byte: record 3 fails to decode
         path = str(tmp_path / "chain.log")
         write_chain_log(path, records)
@@ -807,7 +814,7 @@ class TestBlocks:
     @pytest.mark.parametrize("bad_time", [math.nan, math.inf])
     def test_non_finite_block_time_on_disk_detected(self, tmp_path, bad_time):
         _, chain = self.build_chain()
-        records = [block_bytes(b) for b in chain]
+        records = [BLOCK.encode(b) for b in chain]
         b2 = chain[2]
         # time follows height, three digests and the proposer string
         at = 8 + 3 * 32 + 4 + len(b2.proposer.encode("utf-8"))

@@ -7,10 +7,10 @@ import pytest
 from sdachain import astro, ledger, netsim, tdm as tdm_module
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.ledger import (
+    BLOCK,
     SubmitTdm,
     Transaction,
     apply_transaction,
-    block_bytes,
     load_chain,
     replay_state,
     encode_state,
@@ -404,8 +404,8 @@ class TestUctRun:
 
     def test_rerun_is_bit_identical(self, uct_report):
         again = run_scenario(uct_scenario(7))
-        a = b"".join(block_bytes(x) for x in uct_report.blocks)
-        b = b"".join(block_bytes(x) for x in again.blocks)
+        a = b"".join(BLOCK.encode(x) for x in uct_report.blocks)
+        b = b"".join(BLOCK.encode(x) for x in again.blocks)
         assert a == b
         assert again.state_root == uct_report.state_root
 

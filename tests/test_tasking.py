@@ -36,7 +36,7 @@ from sdachain.tasking import (
 )
 from sdachain.tdm import ELEVATION_MASK_RAD, synth_tdm
 from sdachain.validation import ValidationReport
-from sdachain.wire import Reader, WireError, Writer
+from sdachain.wire import DIGEST, U8, Reader, WireError
 
 
 def object_task(target="SAT-1", fee=0, urgency=False, created_at=Epoch(0.0),
@@ -141,23 +141,19 @@ class TestRegion:
 class TestCodec:
     def test_object_target_roundtrip(self):
         t = object_task(target="SAT-9", fee=25, urgency=True, status="expired")
-        w = Writer()
-        TASK.write(w, t)
-        r = Reader(w.bytes())
+        r = Reader(TASK.encode(t))
         assert TASK.read(r) == t
         r.done()
 
     def test_region_target_roundtrip(self):
         t = region_task(leo_record(random.Random(4)), fee=INTERNAL_TASK_FEE)
-        w = Writer()
-        TASK.write(w, t)
-        back = TASK.read(Reader(w.bytes()))
+        back = TASK.read(Reader(TASK.encode(t)))
         assert back == t and back.is_followup()
 
     def test_unknown_target_tag_rejected(self):
-        w = Writer().digest(bytes(32)).u8(9)
+        raw = DIGEST.encode(bytes(32)) + U8.encode(9)
         with pytest.raises(WireError):
-            TASK.read(Reader(w.bytes()))
+            TASK.read(Reader(raw))
 
 
 class TestPriority:

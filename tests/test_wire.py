@@ -22,19 +22,19 @@ from sdachain import wire
 from sdachain.astro import Epoch
 from sdachain.ledger import (
     ACCOUNT,
+    BLOCK,
     STATE_HEADER,
+    TRANSACTION,
     TX_KINDS,
     Account,
     Block,
     Transaction,
-    block_bytes,
     block_hash,
     compute_tx_root,
     decode_state,
     encode_state,
     load_chain,
     produce_block,
-    transaction_bytes,
     verify_chain,
     verify_chain_file,
 )
@@ -45,9 +45,11 @@ from sdachain.netsim import (
     uct_scenario,
 )
 from sdachain.tasking import TASK, Task
-from sdachain.validation import ELEMENTS, ValidationReport
+from sdachain.validation import ELEMENTS, REPORT, ValidationReport
 from sdachain.wire import (
+    BLOB,
     BOOL,
+    DIGEST,
     F64,
     FRACTION,
     STRING,
@@ -55,7 +57,6 @@ from sdachain.wire import (
     U64,
     U8,
     WireError,
-    Writer,
     ZERO_DIGEST,
     optional,
     record,
@@ -249,17 +250,17 @@ def test_padded_report_blob_is_a_bad_height(chains, tmp_path):
     assert "attest_validation" in kinds
     k = kinds.index("attest_validation")
     tx = b.txs[k]
-    padded = Writer().u8(TX_KINDS.index(tx.kind)).string(tx.sender)
-    padded.u64(tx.nonce).blob(tx.payload.report.canonical_bytes() + b"\x00")
-    txs = [transaction_bytes(t) for t in b.txs]
-    txs[k] = padded.bytes()
-    w = Writer().u64(b.height).digest(b.prev_hash).digest(b.tx_root)
-    w.digest(b.state_root).string(b.proposer).f64(b.time).u32(len(txs))
-    for raw in txs:
-        w.blob(raw)
-    records = [block_bytes(x) for x in blocks]
-    assert w.bytes() != records[3]
-    records[3] = w.bytes()
+    txs = [TRANSACTION.encode(t) for t in b.txs]
+    txs[k] = (U8.encode(TX_KINDS.index(tx.kind)) + STRING.encode(tx.sender)
+              + U64.encode(tx.nonce)
+              + BLOB.encode(REPORT.encode(tx.payload.report) + b"\x00"))
+    raw = (U64.encode(b.height) + DIGEST.encode(b.prev_hash)
+           + DIGEST.encode(b.tx_root) + DIGEST.encode(b.state_root)
+           + STRING.encode(b.proposer) + F64.encode(b.time)
+           + U32.encode(len(txs)) + b"".join(BLOB.encode(t) for t in txs))
+    records = [BLOCK.encode(x) for x in blocks]
+    assert raw != records[3]
+    records[3] = raw
     path = str(tmp_path / "chain.log")
     write_chain_log(path, records)
     assert verify_chain_file(path) == 3
@@ -283,7 +284,7 @@ def test_zero_denominator_genesis_is_a_bad_height(chains, tmp_path):
         decode_state(bytes(raw))
     assert verify_chain([bad]) == 0
     path = str(tmp_path / "chain.log")
-    write_chain_log(path, [block_bytes(bad)])
+    write_chain_log(path, [BLOCK.encode(bad)])
     assert verify_chain_file(path) == 0
 
 
