@@ -137,6 +137,11 @@ class EconomicsParams:
             raise LedgerError("validator_fee_cut must lie in [0, 1]")
         if not Fraction(1, 2) < self.attestation_quorum <= 1:
             raise LedgerError("attestation_quorum must lie in (1/2, 1]")
+        try:
+            ECONOMICS_PARAMS.encode(self)   # every value fits its u64s
+        except WireError as e:
+            raise LedgerError(f"economics parameters do not fit their "
+                              f"layout: {e}") from None
 
 
 ECONOMICS_PARAMS = record(
@@ -241,6 +246,8 @@ class Transaction:
             raise LedgerError(f"unknown tx kind {self.kind!r}")
         if not isinstance(self.payload, _PAYLOADS[self.kind][0]):
             raise LedgerError(f"payload type mismatch for {self.kind}")
+        if not isinstance(self.sender, str):
+            raise LedgerError("sender must be a string")
         if not isinstance(self.nonce, int) or self.nonce < 0:
             raise LedgerError("nonce must be a nonnegative integer")
 
@@ -864,9 +871,11 @@ def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,
     block transition, for producers and for replay alike.
 
     Mutates ``state`` in place and returns (state, block). Invalid txs are
-    excluded deterministically; ``_apply`` raises TxRejected only before
-    its first mutation, so exclusion needs no copy. The block subsidy
-    mints to the proposer even when no transaction applies. The round,
+    excluded deterministically: one whose encoding raises WireError when
+    it is hashed, before the first mutation, and one that ``_apply``
+    rejects; ``_apply`` raises TxRejected only before its first mutation,
+    so exclusion needs no copy. The block subsidy mints to the proposer
+    even when no transaction applies. The round,
     time and lottery checks raise LedgerError before any mutation; after
     any later exception the state is half applied and must be discarded.
     """
@@ -879,12 +888,18 @@ def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,
                           "backwards")
     proposer = select_validator(state.last_hash, round_no,
                                 compute_stakes(state))
+    ordered = []
+    for tx in pending_txs:
+        try:
+            ordered.append((tx.sender, tx.nonce, tx_hash(tx), tx))
+        except WireError:
+            continue
+    ordered.sort(key=lambda k: k[:3])
     prev_hash = state.last_hash
     state.time = time
     _sweep_expired(state)
     applied = []
-    for tx in sorted(pending_txs, key=lambda t: (t.sender, t.nonce,
-                                                 tx_hash(t))):
+    for *_, tx in ordered:
         try:
             _apply(state, tx)
         except TxRejected:

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .astro import (
+    MAX_STEP_S,
+    MIN_STEP_S,
     Epoch,
     GroundSite,
     KeplerianElements,
@@ -259,6 +261,10 @@ def validate_scenario(sc: Scenario) -> list:
         errs.append("cycle_s must be at least 180 s (three 60 s epochs)")
     if sc.block_interval_s <= 0.0:
         errs.append("block_interval_s must be positive")
+    if not MIN_STEP_S <= sc.step_s <= MAX_STEP_S:
+        errs.append(f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}]")
+    if sc.intent_ttl_s <= 0.0:
+        errs.append("intent_ttl_s must be positive")
     has_requester = any(n.role == "requester" for n in sc.nodes)
     if sc.task_interval_s > 0.0 and not has_requester:
         errs.append("task series configured but no requester node")

@@ -7,7 +7,7 @@ same report hash.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .astro import (
@@ -48,6 +48,10 @@ class ValidationParams:
     w_raan_per_deg: float = 1.0
 
     def __post_init__(self):
+        # NaN makes every comparison false, so finiteness is checked first
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         if not (0.0 < self.theta_verify < self.theta_reject <= self.theta_gate):
             raise ValidationError("need 0 < theta_verify < theta_reject <= theta_gate")
         for name in ("d_assoc", "w_a_per_km", "w_e", "w_i_per_deg", "w_raan_per_deg"):

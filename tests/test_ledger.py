@@ -13,6 +13,7 @@ from sdachain.ledger import (
     Account,
     AttestValidation,
     BLOCK,
+    ECONOMICS_PARAMS,
     Block,
     ClaimReward,
     EconomicsParams,
@@ -134,6 +135,20 @@ class TestParamsAndAccounts:
         p = EconomicsParams(attestation_quorum=Fraction(1))
         assert p.attestation_quorum == 1
 
+    @pytest.mark.parametrize("kw", [
+        {"r_mint": 2 ** 70}, {"observer_stake_min": 2 ** 64},
+        {"slash_fraction": Fraction(1, 2 ** 70)},
+        {"validator_fee_cut": Fraction(1, 2 ** 64)}],
+        ids=["r_mint", "stake_min", "slash_fraction", "fee_cut"])
+    def test_params_fit_their_u64_layout(self, kw):
+        # these used to construct, and the run then failed at genesis
+        # with a WireError while encoding the state snapshot
+        with pytest.raises(LedgerError, match="layout"):
+            EconomicsParams(**kw)
+        top = 2 ** 64 - 1
+        p = EconomicsParams(r_mint=top, slash_fraction=Fraction(1, top))
+        assert ECONOMICS_PARAMS.decode(ECONOMICS_PARAMS.encode(p)) == p
+
     def test_account_validation(self):
         with pytest.raises(LedgerError):
             Account("x", balance=-1)
@@ -204,6 +219,10 @@ class TestCodecs:
         with pytest.raises(LedgerError):
             Transaction(kind="submit_tdm", sender="a", nonce=0,
                         payload=RegisterStake(amount=1, role="observer"))
+
+    def test_sender_must_be_a_string(self):
+        with pytest.raises(LedgerError, match="sender"):
+            tx("register_stake", 7, 0, RegisterStake(amount=1, role="observer"))
 
 
 class TestGenesis:
@@ -705,6 +724,23 @@ class TestBlocks:
         s1, b1 = produce_block(state, [good, bad], 1, time=30.0)
         assert b1.txs == (good,)
         assert conservation_delta(s1) == 0
+
+    @pytest.mark.parametrize("bad", [
+        tx("post_task", "rita", 0, PostTask(target="SAT-1", fee=2 ** 64)),
+        tx("register_stake", "alice", 2 ** 64,
+           RegisterStake(amount=5, role="observer")),
+        tx("post_task", "rita", 0, PostTask(target="SAT-1", fee=1.5))],
+        ids=["fee_2**64", "nonce_2**64", "fee_1.5"])
+    def test_unencodable_tx_excluded(self, bad):
+        # hashing one of these for the tx order used to raise WireError
+        # after the block time had advanced, with the height left behind
+        state, gblock, rec, site = fresh_chain()
+        good = submit_tx(honest_tdm(rec, site))
+        s1, b1 = produce_block(state, [bad, good], 1, time=30.0)
+        assert b1.txs == (good,)
+        assert (s1.height, s1.time) == (2, 30.0)
+        assert conservation_delta(s1) == 0
+        assert verify_chain([gblock, b1]) is None
 
     def test_round_must_match_height(self):
         state, _, _, _ = fresh_chain()

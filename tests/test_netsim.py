@@ -6,6 +6,7 @@ import pytest
 
 from sdachain import astro, ledger, netsim, tdm as tdm_module
 from sdachain.astro import Epoch, GroundSite, propagate_j2
+from sdachain.errors import SdaError
 from sdachain.ledger import (
     BLOCK,
     SubmitTdm,
@@ -180,6 +181,24 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError, match="task_fee"):
             run_scenario(bad)
 
+    @pytest.mark.parametrize("step_s", [0.5, 120.0])
+    def test_step_s_outside_integrator_range_rejected(self, step_s):
+        # these used to validate, and the run then raised
+        # PropagationLimitError at its first propagation
+        bad = dataclasses.replace(uct_scenario(1), step_s=step_s)
+        assert any("step_s must be in" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match="step_s"):
+            run_scenario(bad)
+
+    @pytest.mark.parametrize("ttl", [0.0, -5.0])
+    def test_nonpositive_intent_ttl_rejected(self, ttl):
+        # -5 used to validate, and the run made its blocks with every
+        # transaction expired before sending, settling nothing
+        bad = dataclasses.replace(uct_scenario(1), intent_ttl_s=ttl)
+        assert any("intent_ttl_s" in e for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match="intent_ttl_s"):
+            run_scenario(bad)
+
     def test_scripted_tasks_need_requester(self):
         sc = uct_scenario(1)    # no requester node
         with_task = dataclasses.replace(
@@ -212,6 +231,13 @@ class TestScenarioJson:
         assert '"lat_rad": NaN' in text
         with pytest.raises(NetsimError, match="finite"):
             scenario_from_json(json.loads(text))
+
+    def test_nonfinite_validation_param_rejected(self):
+        # json parses NaN, and a NaN d_assoc used to load
+        d = scenario_to_json(uct_scenario(4))
+        d["validation"]["d_assoc"] = math.nan
+        with pytest.raises(SdaError, match="d_assoc must be finite"):
+            scenario_from_json(json.loads(json.dumps(d)))
 
     @pytest.mark.parametrize("edit, where", [
         (lambda d: d["truth_orbits"][0].update(e=1.5), r"truth_orbits\[0\]"),

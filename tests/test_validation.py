@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -56,6 +57,16 @@ class TestParams:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValidationError):
             ValidationParams(d_assoc=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ValidationParams)])
+    def test_nonfinite_value_rejected(self, name, value):
+        # NaN passes `<= 0.0`, and a NaN d_assoc made association never
+        # match; an infinite theta_gate or weight passed as well
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            ValidationParams(**{name: value})
 
 
 class TestReport:
