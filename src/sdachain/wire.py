@@ -343,10 +343,9 @@ def sha256(data: bytes) -> bytes:
 
 def write_chain_log(path: str, block_records: list) -> None:
     """Persist the block records, magic first, each as a ``blob``."""
+    data = CHAIN_MAGIC + b"".join(map(BLOB.encode, block_records))
     with open(path, "wb") as f:
-        f.write(CHAIN_MAGIC)
-        for rec in block_records:
-            f.write(BLOB.encode(rec))
+        f.write(data)
 
 
 def read_chain_log(path: str):
