@@ -170,7 +170,7 @@ class KeplerianElements:
         return TWO_PI / self.mean_motion()
 
     def key(self) -> tuple:
-        """Hashable identity used for caching and canonical serialization."""
+        """The element values as a hashable tuple, epoch last."""
         return (self.a, self.e, self.i, self.raan, self.argp, self.M, self.epoch.t)
 
 
@@ -353,16 +353,16 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # epoch (grid point k sits at epoch + k*step), with one partial RK4 step from
 # the last grid point to the target.  Propagating to t2 therefore passes
 # through exactly the same intermediate states as propagating to any t1
-# between the anchor and t2, which makes the per-orbit grid cacheable without
-# changing results.
+# between the anchor and t2, so one grid serves every later query of the
+# same orbit without changing results.
 #
 # A _Grid holds one orbit's grid for one (elements, bstar, step, j2): the
 # anchor state is computed and altitude-checked once, when the grid is built,
 # and the forward and backward grids are flat array('d') buffers, six doubles
-# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Grids either
-# live in the shared LRU _grid_cache, which counts the points they hold, or
-# are private to one propagate_j2 or propagate_many call (use_cache=False)
-# and are dropped with it, leaving the cache and its point count untouched.
+# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Each grid is
+# kept on its KeplerianElements instance, in a dict keyed by (bstar, step,
+# j2), so it lives exactly as long as its elements do; elements built anew,
+# even with equal values, start with no grid.
 #
 # _rk4_steps is the one RK4 implementation and the one stepping loop: a grid
 # extension runs all its steps in a single call over local floats, and the
@@ -548,10 +548,10 @@ class _Grid:
     """One orbit's step grid: anchor, forward and backward array('d') grids."""
 
     __slots__ = ("t0", "step_s", "bstar", "kj", "forward", "backward",
-                 "decay_fwd", "decay_bwd", "cache")
+                 "decay_fwd", "decay_bwd")
 
     def __init__(self, el: KeplerianElements, bstar: float, step_s: float,
-                 j2: float, cache=None):
+                 j2: float):
         anchor = _anchor(el)
         self.t0 = el.epoch.t
         self.step_s = step_s
@@ -561,7 +561,6 @@ class _Grid:
         self.backward = array("d", anchor)    # point k at epoch - k*step
         self.decay_fwd = None                 # grid index at which decay was hit
         self.decay_bwd = None
-        self.cache = cache                    # owning _GridCache, None if private
 
     def point(self, t: float) -> tuple:
         """(points, i, h): the last grid point from the anchor toward t is
@@ -591,9 +590,6 @@ class _Grid:
                 else:
                     self.decay_bwd = len(grid) // 6
                 raise
-            finally:
-                if self.cache is not None:
-                    self.cache.grew(len(grid) // 6 - held)
         return grid, 6 * n_full, sign * rem
 
     def finish(self, state, h: float, t: float) -> tuple:
@@ -609,85 +605,55 @@ class _Grid:
         return self.finish(points[i:i + 6], h, t)
 
 
-class _GridCache:
-    """LRU cache of per-orbit step grids, bounded by total grid points."""
-
-    def __init__(self, max_points: int = 2_500_000):
-        self.max_points = max_points
-        self._entries: dict = {}
-        self._points = 0
-
-    def clear(self):
-        for grid in self._entries.values():
-            grid.cache = None
-        self._entries.clear()
-        self._points = 0
-
-    def get(self, el: KeplerianElements, bstar: float, step_s: float,
-            j2: float) -> _Grid:
-        key = (el.key(), bstar, step_s, j2)
-        grid = self._entries.pop(key, None)
-        if grid is None:
-            grid = _Grid(el, bstar, step_s, j2, self)
-            self._points += 2
-        self._entries[key] = grid    # reinsert = mark most recent
-        while self._points > self.max_points and len(self._entries) > 1:
-            old = self._entries.pop(next(iter(self._entries)))
-            old.cache = None
-            self._points -= (len(old.forward) + len(old.backward)) // 6
-        return grid
-
-    def grew(self, n: int):
-        self._points += n
+_GRIDS = "_grids"   # the name of each KeplerianElements' dict of grids
 
 
-_grid_cache = _GridCache()
+def _grid(el: KeplerianElements, bstar: float, step_s: float,
+          j2: float) -> _Grid:
+    """el's grid for (bstar, step_s, j2), built on first use and kept on el."""
+    grids = el.__dict__.setdefault(_GRIDS, {})
+    key = (bstar, step_s, j2)
+    grid = grids.get(key)
+    if grid is None:
+        grid = grids[key] = _Grid(el, bstar, step_s, j2)
+    return grid
 
 
 def clear_propagation_cache():
-    """Drop all cached step grids (results are unaffected, only speed)."""
-    _grid_cache.clear()
+    """Does nothing: each grid lives and dies with its elements, so no
+    process-wide cache is left to clear.  bench/worker.py still calls it
+    before each phase."""
 
 
 def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
-                 step_s: float = 10.0, *, j2: float = J2_EARTH,
-                 use_cache: bool = True) -> StateVector:
+                 step_s: float = 10.0, *, j2: float = J2_EARTH) -> StateVector:
     """Numerically propagated state at t: two-body + J2 + drag, RK4.
 
     The force model is the chain's reference propagator; j2 is exposed as
-    a test hook to recover the pure two-body limit.  Deterministic for
-    fixed inputs whether or not the grid cache is used: use_cache=True
-    reads and extends the orbit's shared grid in _grid_cache (its anchor
-    computed once, when the grid is built); use_cache=False steps a
-    private grid that is dropped on return and never enters the cache.
-    Raises
-    PropagationLimitError (also a ValueError) for a step or span outside
-    the limits, DecayError when the orbit decays before t.
+    a test hook to recover the pure two-body limit.  Reads and extends
+    el's grid for (bstar, step_s, j2), built with its anchor on first
+    use; the result is the same bits whether the grid was new or not.
+    Raises PropagationLimitError (also a ValueError) for a step or span
+    outside the limits, DecayError when the orbit decays before t.
     """
     _check_limits(el, t.t, step_s)
-    grid = (_grid_cache.get(el, bstar, step_s, j2) if use_cache
-            else _Grid(el, bstar, step_s, j2))
-    state = grid.state_at(t.t)
+    state = _grid(el, bstar, step_s, j2).state_at(t.t)
     return StateVector(epoch=t, r=state[:3], v=state[3:])
 
 
 def propagate_many(el: KeplerianElements, bstar: float, epochs,
-                   step_s: float = 10.0, *, j2: float = J2_EARTH,
-                   use_cache: bool = True):
+                   step_s: float = 10.0, *, j2: float = J2_EARTH):
     """Yield propagate_j2's state at each epoch, in the given order.
 
-    One grid serves the whole pass: the orbit's shared grid in
-    _grid_cache when use_cache is true, else a private grid that is
-    dropped with the generator and never enters the cache.  Each epoch
-    raises the error propagate_j2 would raise for it, when it is reached;
-    the states yielded before it are unaffected.
+    One grid, el's own, serves the whole pass.  Each epoch raises the
+    error propagate_j2 would raise for it, when it is reached; the states
+    yielded before it are unaffected.
     """
     grid = None
     for t in epochs:
         _check_limits(el, t.t, step_s)
         if grid is None:
-            grid = (_grid_cache.get(el, bstar, step_s, j2) if use_cache
-                    else _Grid(el, bstar, step_s, j2))
+            grid = _grid(el, bstar, step_s, j2)
         state = grid.state_at(t.t)
         yield StateVector(epoch=t, r=state[:3], v=state[3:])
 
@@ -723,9 +689,8 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
     _SPEED_SLACK km/s, which is what makes a_max a bound and leaves the
     remainder step's altitude check unable to fire; otherwise the time
     takes the exact path.  Non-finite states make every test false and
-    take the exact path too.  Limits, the grid points reached, the cache
-    accounting and each error are those of propagate_many, at the same
-    time.
+    take the exact path too.  Limits, the grid points reached on el's
+    grid and each error are those of propagate_many, at the same time.
     """
     floor_r = R_EARTH + DECAY_ALTITUDE
     site_r = R_EARTH + site.alt
@@ -739,7 +704,7 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
     for t in times:
         _check_limits(el, t, step_s)
         if grid is None:
-            grid = _grid_cache.get(el, bstar, step_s, J2_EARTH)
+            grid = _grid(el, bstar, step_s, J2_EARTH)
         points, i, h = grid.point(t)
         state = points[i:i + 6]
         x, y, z, vx, vy, vz = state

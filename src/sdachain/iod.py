@@ -509,11 +509,11 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
     records = _fit_records(entries)
 
     def try_cost(x):
-        # Every trial x is a new orbit used once, so its grid stays private.
+        # Every trial x is a new elements instance used once, so its grid
+        # dies with it.
         try:
             states = propagate_many(_make_elements(x, initial.epoch), bstar,
-                                    epochs, step_s=step_s, j2=j2,
-                                    use_cache=False)
+                                    epochs, step_s=step_s, j2=j2)
             r = _residuals(records, (sv.r for sv in states))
         except (ValueError, DecayError, KeplerConvergenceError, UnsupportedRegimeError):
             return None, math.inf

@@ -112,6 +112,10 @@ BEHAVIORS = ("honest", "spoofer", "lazy_validator", "model_poisoner")
 MIN_TRACK_EPOCHS = 4        # shortest arc worth submitting
 SURVEY_MIN_EPOCHS = 6       # UNKNOWN tracks must support batch refinement
 RANGE_NOISE_KM = 0.05
+MAX_BLOCKS = 20_000         # duration_s / block_interval_s; reference needs 1008
+# 1/km.  Drag only slows an orbit, and at or below this its RK4 stages stay
+# stable, so finite, down to the decay altitude at any step up to MAX_STEP_S.
+BSTAR_MAX = 0.1
 
 
 class NetsimError(SdaError):
@@ -261,6 +265,15 @@ def validate_scenario(sc: Scenario) -> list:
         errs.append("cycle_s must be at least 180 s (three 60 s epochs)")
     if sc.block_interval_s <= 0.0:
         errs.append("block_interval_s must be positive")
+    elif sc.duration_s > MAX_BLOCKS * sc.block_interval_s:
+        errs.append(f"duration_s / block_interval_s must be at most "
+                    f"{MAX_BLOCKS} blocks")
+    for r in sc.truth_orbits:
+        sensed = r.bstar + (sc.drag_injection
+                            if r.object_id in sc.calibration_ids else 0.0)
+        if not (0.0 <= r.bstar <= BSTAR_MAX and 0.0 <= sensed <= BSTAR_MAX):
+            errs.append(f"bstar of {r.object_id}, and its sum with "
+                        f"drag_injection, must be in [0, {BSTAR_MAX}]")
     if not MIN_STEP_S <= sc.step_s <= MAX_STEP_S:
         errs.append(f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}]")
     if sc.intent_ttl_s <= 0.0:

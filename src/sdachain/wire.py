@@ -75,8 +75,9 @@ class Codec:
     consumes them from a Reader and returns the value.
 
     The combinators compose ``put(parts, v)``, which appends to a list of
-    byte strings and lets ``struct.error`` escape for ``encode`` to turn
-    into ``WireError``. A fixed-width codec also has a struct format
+    byte strings and lets ``struct.error`` (a value out of range) and
+    ``AttributeError`` or ``TypeError`` (a value of the wrong type) escape
+    for ``encode`` to turn into ``WireError``. A fixed-width codec also has a struct format
     ``fmt``, and may convert the value into its struct slots (``to(v)``, a
     tuple) and back (``frm(*slots)``).
     """
@@ -91,6 +92,8 @@ class Codec:
             self.put(parts, v)
         except struct.error as e:
             raise WireError(f"value out of range: {e}") from None
+        except (AttributeError, TypeError) as e:
+            raise WireError(f"value of the wrong type: {e}") from None
         return b"".join(parts)
 
     def decode(self, raw: bytes):

@@ -1,10 +1,12 @@
 """Shared helpers for building observable geometries in tests."""
 import dataclasses
+import gc
 import math
 import random
 
 from hypothesis import strategies as st
 
+from sdachain import astro
 from sdachain.astro import (
     Epoch,
     GroundSite,
@@ -15,6 +17,21 @@ from sdachain.astro import (
     norm,
     propagate_j2,
 )
+
+
+def grids(el: KeplerianElements) -> dict:
+    """The propagation grids kept on el, by (bstar, step_s, j2)."""
+    return el.__dict__.get(astro._GRIDS, {})
+
+
+def fresh(el: KeplerianElements) -> KeplerianElements:
+    """Equal elements that hold no grid. copy.copy would share el's."""
+    return dataclasses.replace(el)
+
+
+def live_grids() -> int:
+    """How many propagation grids are alive in the process."""
+    return sum(isinstance(o, astro._Grid) for o in gc.get_objects())
 
 
 def site_under(record: OrbitRecord, t: Epoch, site_id: str = "SITE",

@@ -3,12 +3,13 @@
 import hashlib
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import visibility_cases
+from conftest import fresh, grids, visibility_cases
 from sdachain import astro
 from sdachain.astro import (
     AstroError,
@@ -23,7 +24,6 @@ from sdachain.astro import (
     UnsupportedRegimeError,
     angles_to_unit_vector,
     angular_separation,
-    clear_propagation_cache,
     dot,
     gmst,
     kepler_to_state,
@@ -230,14 +230,13 @@ class TestPropagator:
     def test_cache_does_not_change_results(self):
         el = KeplerianElements(a=7050.0, e=0.01, i=1.0, raan=0.2, argp=0.4,
                                M=0.6, epoch=Epoch(0.0))
-        clear_propagation_cache()
         # Warm the grid with a long query, then check a shorter one agrees
-        # bit-for-bit with an uncached run.
+        # bit-for-bit with a run on equal elements that hold no grid.
         long = propagate_j2(el, 1e-6, Epoch(7200.0), step_s=10.0)
         short = propagate_j2(el, 1e-6, Epoch(1805.0), step_s=10.0)
-        cold = propagate_j2(el, 1e-6, Epoch(1805.0), step_s=10.0, use_cache=False)
+        cold = propagate_j2(fresh(el), 1e-6, Epoch(1805.0), step_s=10.0)
         assert short.r == cold.r and short.v == cold.v
-        cold_long = propagate_j2(el, 1e-6, Epoch(7200.0), step_s=10.0, use_cache=False)
+        cold_long = propagate_j2(fresh(el), 1e-6, Epoch(7200.0), step_s=10.0)
         assert long.r == cold_long.r
 
     def test_partial_step_continuity(self):
@@ -266,7 +265,6 @@ class TestPropagator:
     def test_decay_deterministic_through_cache(self):
         el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
                                argp=0.0, M=0.0, epoch=Epoch(0.0))
-        clear_propagation_cache()
         with pytest.raises(DecayError):
             propagate_j2(el, 1e-3, Epoch(5 * 86400.0), step_s=30.0)
         # Second query hits the memoized decay index.
@@ -325,14 +323,23 @@ _PINNED_STATES = [
 ]
 
 
+def pick(el, warm):
+    """el itself when warm (its grids outlive each test), else equal
+    elements that hold no grid."""
+    return el if warm else fresh(el)
+
+
 class TestPropagatorBits:
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("warm", [True, False])
     @pytest.mark.parametrize("name,bstar,t,step_s,j2,expected", _PINNED_STATES,
                              ids=[c[0] for c in _PINNED_STATES])
-    def test_pinned_state_bits(self, name, bstar, t, step_s, j2, expected, use_cache):
-        clear_propagation_cache()
-        sv = propagate_j2(_PIN_ELEMENTS, bstar, Epoch(t), step_s=step_s, j2=j2,
-                          use_cache=use_cache)
+    def test_pinned_state_bits(self, name, bstar, t, step_s, j2, expected, warm):
+        el = pick(_PIN_ELEMENTS, warm)
+        if warm:
+            # grow the grid past t first
+            far = Epoch(2.0 * t - el.epoch.t)
+            propagate_j2(el, bstar, far, step_s=step_s, j2=j2)
+        sv = propagate_j2(el, bstar, Epoch(t), step_s=step_s, j2=j2)
         assert tuple(c.hex() for c in (*sv.r, *sv.v)) == expected
 
 
@@ -340,16 +347,11 @@ def state_bits(sv):
     return tuple(c.hex() for c in (sv.epoch.t, *sv.r, *sv.v))
 
 
-def cache_snapshot():
-    """Keys in LRU order, the counted points, and each grid's held points."""
-    entries = astro._grid_cache._entries
-    return (list(entries), astro._grid_cache._points,
-            [(len(g.forward), len(g.backward)) for g in entries.values()])
-
-
-def held_points():
-    return sum((len(g.forward) + len(g.backward)) // 6
-               for g in astro._grid_cache._entries.values())
+def grid_state(el):
+    """Each grid kept on el, by key: the doubles it holds each way and
+    its decay indices."""
+    return {key: (g.forward.tobytes(), g.backward.tobytes(), g.decay_fwd,
+                  g.decay_bwd) for key, g in grids(el).items()}
 
 
 _MANY_ELEMENTS = KeplerianElements(a=6900.0, e=0.015, i=1.1, raan=0.3, argp=2.0,
@@ -362,46 +364,46 @@ _MANY_EPOCHS = [Epoch(5000.0 + dt) for dt in
 
 
 class TestPropagateMany:
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("warm", [True, False])
     @pytest.mark.parametrize("bstar,j2", [(0.0, J2_EARTH), (2e-5, J2_EARTH), (1e-5, 0.0)])
-    def test_matches_propagate_j2_bit_for_bit(self, use_cache, bstar, j2):
-        clear_propagation_cache()
-        many = list(propagate_many(_MANY_ELEMENTS, bstar, _MANY_EPOCHS, step_s=10.0,
-                                   j2=j2, use_cache=use_cache))
-        clear_propagation_cache()
-        single = [propagate_j2(_MANY_ELEMENTS, bstar, t, step_s=10.0, j2=j2,
-                               use_cache=False) for t in _MANY_EPOCHS]
+    def test_matches_propagate_j2_bit_for_bit(self, warm, bstar, j2):
+        many = list(propagate_many(pick(_MANY_ELEMENTS, warm), bstar, _MANY_EPOCHS,
+                                   step_s=10.0, j2=j2))
+        single = [propagate_j2(fresh(_MANY_ELEMENTS), bstar, t, step_s=10.0, j2=j2)
+                  for t in _MANY_EPOCHS]
         assert [state_bits(sv) for sv in many] == [state_bits(sv) for sv in single]
         assert all(sv.epoch is t for sv, t in zip(many, _MANY_EPOCHS))
 
     def test_empty_epochs_yield_nothing(self):
         assert list(propagate_many(_MANY_ELEMENTS, 0.0, [], step_s=0.1)) == []
 
-    @pytest.mark.parametrize("use_cache", [True, False])
-    def test_decay_yields_states_before_then_raises(self, use_cache):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_decay_yields_states_before_then_raises(self, warm):
         el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
                                argp=0.0, M=0.0, epoch=Epoch(0.0))
         epochs = [Epoch(k * 6 * 3600.0) for k in range(21)]
-        clear_propagation_cache()
         expected = []
         for t in epochs:
             try:
-                expected.append(propagate_j2(el, 1e-3, t, step_s=30.0, use_cache=False))
+                expected.append(propagate_j2(fresh(el), 1e-3, t, step_s=30.0))
             except DecayError:
                 break
         assert 0 < len(expected) < len(epochs)
+        if warm:
+            # the grid then already holds the decay index
+            with pytest.raises(DecayError):
+                propagate_j2(el, 1e-3, epochs[-1], step_s=30.0)
         got = []
-        gen = propagate_many(el, 1e-3, epochs, step_s=30.0, use_cache=use_cache)
+        gen = propagate_many(pick(el, warm), 1e-3, epochs, step_s=30.0)
         with pytest.raises(DecayError):
             for sv in gen:
                 got.append(sv)
         assert [state_bits(sv) for sv in got] == [state_bits(sv) for sv in expected]
 
-    @pytest.mark.parametrize("use_cache", [True, False])
-    def test_limit_errors_match_propagate_j2(self, use_cache):
-        el = _MANY_ELEMENTS
-        bad_step = propagate_many(el, 0.0, [Epoch(5100.0)], step_s=0.5,
-                                  use_cache=use_cache)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_limit_errors_match_propagate_j2(self, warm):
+        el = pick(_MANY_ELEMENTS, warm)
+        bad_step = propagate_many(el, 0.0, [Epoch(5100.0)], step_s=0.5)
         with pytest.raises(astro.PropagationLimitError) as many_exc:
             next(bad_step)
         with pytest.raises(astro.PropagationLimitError) as single_exc:
@@ -409,8 +411,7 @@ class TestPropagateMany:
         assert str(many_exc.value) == str(single_exc.value)
 
         far = Epoch(5000.0 - 31 * 86400.0)
-        gen = propagate_many(el, 0.0, [Epoch(5100.0), Epoch(4000.0), far, Epoch(5200.0)],
-                             use_cache=use_cache)
+        gen = propagate_many(el, 0.0, [Epoch(5100.0), Epoch(4000.0), far, Epoch(5200.0)])
         assert next(gen).epoch.t == 5100.0
         assert next(gen).epoch.t == 4000.0
         with pytest.raises(astro.PropagationLimitError) as many_exc:
@@ -445,16 +446,14 @@ class TestPropagateAboveHorizon:
         times = [w0.t + k * cadence_s
                  for k in range(int((w1.t - w0.t) // cadence_s) + 1)
                  if w0.t + k * cadence_s <= w1.t]
-        clear_propagation_cache()
-        got, got_err = drain(propagate_above_horizon(el, bstar, site, times,
+        screened, exact_el = fresh(el), fresh(el)
+        got, got_err = drain(propagate_above_horizon(screened, bstar, site, times,
                                                      step_s=step_s))
-        screened_cache = cache_snapshot()
-        clear_propagation_cache()
-        want, want_err = drain(propagate_many(el, bstar,
+        want, want_err = drain(propagate_many(exact_el, bstar,
                                               [Epoch(t) for t in times],
                                               step_s=step_s))
         assert got_err == want_err
-        assert cache_snapshot() == screened_cache
+        assert grid_state(screened) == grid_state(exact_el)
         exact = {sv.epoch.t: sv for sv in want}
         assert [state_bits(sv) for sv in got] == [
             state_bits(exact[sv.epoch.t]) for sv in got]
@@ -468,10 +467,9 @@ class TestPropagateAboveHorizon:
         # grid point decays, and it must, as in propagate_many
         el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
                                argp=0.0, M=0.0, epoch=Epoch(0.0))
-        clear_propagation_cache()
         with pytest.raises(DecayError):
             propagate_j2(el, 3e-3, Epoch(86400.0), step_s=30.0)
-        (grid,) = astro._grid_cache._entries.values()
+        (grid,) = grids(el).values()
         t = (grid.decay_fwd - 1) * 30.0 + 29.0
         last = propagate_j2(el, 3e-3, Epoch(t - 29.0), step_s=30.0)
         lat = math.asin(last.r[2] / norm(last.r))
@@ -480,53 +478,9 @@ class TestPropagateAboveHorizon:
         with pytest.raises(DecayError) as exact:
             propagate_j2(el, 3e-3, Epoch(t), step_s=30.0)
         assert f"t={t:.1f}" in str(exact.value)
-        clear_propagation_cache()
         with pytest.raises(DecayError) as screened:
-            list(propagate_above_horizon(el, 3e-3, far, [t], step_s=30.0))
+            list(propagate_above_horizon(fresh(el), 3e-3, far, [t], step_s=30.0))
         assert str(screened.value) == str(exact.value)
-
-
-class TestGridCacheAccounting:
-    def test_uncached_passes_leave_cache_untouched(self):
-        clear_propagation_cache()
-        propagate_j2(_MANY_ELEMENTS, 0.0, Epoch(9000.0))
-        list(propagate_many(_MANY_ELEMENTS, 1e-6, _MANY_EPOCHS[:3]))
-        before = cache_snapshot()
-        list(propagate_many(_MANY_ELEMENTS, 0.0, _MANY_EPOCHS, use_cache=False))
-        list(propagate_many(_MANY_ELEMENTS, 3e-6, _MANY_EPOCHS, use_cache=False))
-        propagate_j2(_MANY_ELEMENTS, 3e-6, Epoch(20000.0), use_cache=False)
-        assert cache_snapshot() == before
-
-    def test_points_counted_equal_points_held(self, monkeypatch):
-        monkeypatch.setattr(astro._grid_cache, "max_points", 2000)
-        clear_propagation_cache()
-        rng = random.Random(9)
-        orbits = [leo_elements(rng) for _ in range(4)]
-        epochs = [Epoch(60.0 * k) for k in range(0, 200, 7)]
-        # a cached pass stays live while other orbits evict its grid
-        live = propagate_many(orbits[0], 0.0, epochs, step_s=10.0)
-        for k, t in enumerate(epochs):
-            next(live)
-            propagate_j2(orbits[1 + k % 3], 0.0, Epoch(-t.t), step_s=10.0)
-            assert astro._grid_cache._points == held_points()
-        # a decay after grid growth counts the points it appended
-        low = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
-                                argp=0.0, M=0.0, epoch=Epoch(0.0))
-        with pytest.raises(DecayError):
-            list(propagate_many(low, 1e-3, [Epoch(86400.0), Epoch(5 * 86400.0)],
-                                step_s=30.0))
-        assert astro._grid_cache._points == held_points()
-        clear_propagation_cache()
-        assert astro._grid_cache._points == held_points() == 0
-
-    def test_decayed_anchor_is_never_cached(self):
-        clear_propagation_cache()
-        sunk = KeplerianElements(a=R_EARTH + 50.0, e=0.0, i=0.9, raan=0.0,
-                                 argp=0.0, M=0.0, epoch=Epoch(0.0))
-        for _ in range(2):
-            with pytest.raises(DecayError):
-                propagate_j2(sunk, 0.0, Epoch(10.0))
-        assert cache_snapshot() == ([], 0, [])
 
 
 _LOW = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0, argp=0.0,
@@ -576,52 +530,68 @@ class TestGridStepping:
     def test_decay_matches_pins(self, monkeypatch, bstar, decay_at, message,
                                 points, append_steps):
         monkeypatch.setattr(astro, "_APPEND_STEPS", append_steps)
-        clear_propagation_cache()
+        low = fresh(_LOW)
         with pytest.raises(DecayError) as first:
-            propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0)
+            propagate_j2(low, bstar, Epoch(86400.0), step_s=30.0)
         assert str(first.value) == message
-        (grid,) = astro._grid_cache._entries.values()
+        (grid,) = grids(low).values()
         assert (grid.decay_fwd, grid.decay_bwd) == (decay_at, None)
         assert len(grid.forward) == 6 * decay_at
         assert points_hash(grid.forward) == points
-        assert astro._grid_cache._points == held_points() == decay_at + 1
+        assert len(grid.backward) == 6
         with pytest.raises(DecayError) as again:
-            propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0)
+            propagate_j2(low, bstar, Epoch(86400.0), step_s=30.0)
         assert str(again.value) == (f"altitude below 100 km at grid step "
                                     f"{decay_at} (t={decay_at * 30.0:.1f})")
         with pytest.raises(DecayError) as cold:
-            propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0,
-                         use_cache=False)
+            propagate_j2(fresh(_LOW), bstar, Epoch(86400.0), step_s=30.0)
         assert str(cold.value) == message
 
     def test_remainder_step_decay_message(self):
         # grid point 16 (t=480) is above the decay altitude, the 29 s
-        # remainder step from it is not; pinned as above
-        clear_propagation_cache()
-        for use_cache in (True, False):
+        # remainder step from it is not; pinned as above, on a new grid
+        # and on the grid that query left
+        low = fresh(_LOW)
+        for _ in range(2):
             with pytest.raises(DecayError) as exc:
-                propagate_j2(_LOW, 3e-3, Epoch(509.0), step_s=30.0,
-                             use_cache=use_cache)
+                propagate_j2(low, 3e-3, Epoch(509.0), step_s=30.0)
             assert str(exc.value) == "altitude 92.9 km below 100 km at t=509.0"
 
-    def test_uncached_propagate_j2_leaves_cache_untouched(self):
-        clear_propagation_cache()
-        propagate_j2(_MANY_ELEMENTS, 0.0, Epoch(9000.0))
-        propagate_j2(_LOW, 1e-3, Epoch(300.0), step_s=30.0)
-        before = cache_snapshot()
-        bytes_before = [(g.forward.tobytes(), g.backward.tobytes())
-                        for g in astro._grid_cache._entries.values()]
-        # the same keys as the cached grids, past their ends, both ways
+
+class TestGridOwnership:
+    """Each grid is kept on its elements instance and lives as long as it."""
+
+    def test_fresh_elements_leave_grids_untouched(self):
+        el, low = fresh(_MANY_ELEMENTS), fresh(_LOW)
+        propagate_j2(el, 0.0, Epoch(9000.0))
+        list(propagate_many(el, 1e-6, _MANY_EPOCHS[:3]))
+        propagate_j2(low, 1e-3, Epoch(300.0), step_s=30.0)
+        before = grid_state(el), grid_state(low)
+        assert len(before[0]) == 2 and len(before[1]) == 1
+        # equal elements past the kept grids' ends, both ways, and to decay
         for t in (20000.0, -3000.0, 9000.0, 5012.5):
-            propagate_j2(_MANY_ELEMENTS, 0.0, Epoch(t), use_cache=False)
+            propagate_j2(fresh(el), 0.0, Epoch(t))
+        list(propagate_many(fresh(el), 0.0, _MANY_EPOCHS))
+        list(propagate_many(fresh(el), 3e-6, _MANY_EPOCHS))
         with pytest.raises(DecayError):
-            propagate_j2(_LOW, 1e-3, Epoch(86400.0), step_s=30.0,
-                         use_cache=False)
-        assert cache_snapshot() == before
-        assert [(g.forward.tobytes(), g.backward.tobytes())
-                for g in astro._grid_cache._entries.values()] == bytes_before
-        assert all(g.decay_fwd is None
-                   for g in astro._grid_cache._entries.values())
+            propagate_j2(fresh(low), 1e-3, Epoch(86400.0), step_s=30.0)
+        assert (grid_state(el), grid_state(low)) == before
+
+    def test_grid_dies_with_its_elements(self):
+        el = fresh(_MANY_ELEMENTS)
+        list(propagate_many(el, 0.0, _MANY_EPOCHS))
+        (grid,) = grids(el).values()
+        points = weakref.ref(grid.forward)
+        del el, grid
+        assert points() is None
+
+    def test_decayed_anchor_is_never_kept(self):
+        sunk = KeplerianElements(a=R_EARTH + 50.0, e=0.0, i=0.9, raan=0.0,
+                                 argp=0.0, M=0.0, epoch=Epoch(0.0))
+        for _ in range(2):
+            with pytest.raises(DecayError):
+                propagate_j2(sunk, 0.0, Epoch(10.0))
+        assert grids(sunk) == {}
 
 
 @st.composite
@@ -656,8 +626,8 @@ class TestRotationAboutThePole:
                                    argp=el.argp, M=el.M, epoch=el.epoch)
         phantom = GroundSite(site_id=site.site_id, lat=site.lat,
                              lon=site.lon - offset, alt=site.alt)
-        spoofed = propagate_many(turned, bstar, epochs, step_s=30.0, use_cache=False)
-        truth = propagate_many(el, bstar, epochs, step_s=30.0, use_cache=False)
+        spoofed = propagate_many(turned, bstar, epochs, step_s=30.0)
+        truth = propagate_many(el, bstar, epochs, step_s=30.0)
         for a, b in zip(spoofed, truth):
             az1, el1, rng1 = topocentric_angles(a, site)
             az2, el2, rng2 = topocentric_angles(b, phantom)

@@ -1,9 +1,11 @@
-"""Every function the benchmark traces must exist in sdachain.
+"""Every sdachain name the benchmark traces or calls must exist.
 
 bench/worker.py names the functions it wraps as "<module>.<attribute>"
-strings relative to the package. A rename or deletion that breaks one of
-them should fail here rather than only inside a benchmark run.
+strings relative to the package, and the bench scripts call some
+functions directly. A rename or deletion that breaks one of them should
+fail here rather than only inside a benchmark run.
 """
+import ast
 import importlib
 import importlib.util
 import os
@@ -46,6 +48,46 @@ def test_traced_names_resolve(monkeypatch):
         if obj is None:
             pytest.fail(f"bench traces {name!r}, which sdachain lacks")
         assert callable(obj), name
+
+
+def _direct_names(path: str) -> set:
+    """The "<module>.<attribute>" names a bench script uses directly:
+    names it imports from an sdachain module, and attributes it reads off
+    a name bound to one (by ``from sdachain import m`` or by
+    ``importlib.import_module("sdachain.m")``)."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "sdachain":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("sdachain."):
+            module = node.module.split(".", 1)[1]
+            names.update(f"{module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                and getattr(node.value.func, "attr", None) == "import_module":
+            (arg,) = node.value.args
+            if arg.value.startswith("sdachain."):
+                for target in node.targets:
+                    modules[target.id] = arg.value.split(".", 1)[1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return names
+
+
+@pytest.mark.parametrize("script,known", [
+    ("worker.py", {"astro.clear_propagation_cache", "ledger.load_chain",
+                   "netsim.validate_scenario", "netsim.run_scenario"}),
+    ("workloads.py", {"astro.KeplerianElements", "netsim.inject_breakup"})],
+    ids=["worker", "workloads"])
+def test_directly_used_names_resolve(script, known):
+    names = _direct_names(os.path.join(BENCH_DIR, script))
+    assert known <= names
+    missing = sorted(n for n in names if _resolve(n) is None)
+    assert not missing, f"bench/{script} uses {missing}, which sdachain lacks"
 
 
 def test_inherited_method_does_not_resolve():

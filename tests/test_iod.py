@@ -7,7 +7,7 @@ import pytest
 
 import functools
 
-from conftest import leo_record
+from conftest import grids, leo_record, live_grids
 from conftest import site_under as _site_under
 
 # every observation in this module is generated from two-body states, so
@@ -307,22 +307,19 @@ class TestRefine:
         with pytest.raises(IodError):
             refine_elements(rec.elements, [tdm], {"A": site}, bstar=0.0, j2=0.0)
 
-    def test_leaves_grid_cache_untouched(self):
+    def test_leaves_no_grid_alive(self):
+        # every trial integrates fresh elements, whose grids die with them
         rng = random.Random(66)
         rec = leo_record(rng)
         tdms, sites = self.two_pass_tdms(rec, seed=500, noise=1e-4)
         el = rec.elements
         start = KeplerianElements(a=el.a + 5.0, e=el.e, i=el.i, raan=el.raan,
                                   argp=el.argp, M=el.M, epoch=el.epoch)
-        cache = astro._grid_cache
-
-        def snapshot():
-            return (list(cache._entries), cache._points,
-                    [(len(g.forward), len(g.backward)) for g in cache._entries.values()])
-
-        before = snapshot()
-        refine_elements(start, tdms, sites, bstar=0.0, j2=0.0)
-        assert snapshot() == before
+        before = live_grids()
+        sol = refine_elements(start, tdms, sites, bstar=0.0, j2=0.0)
+        assert sol.method == "refined"
+        assert grids(start) == grids(sol.elements) == {}
+        assert live_grids() == before
 
     def test_rejects_unknown_site(self):
         rng = random.Random(65)
@@ -511,7 +508,7 @@ class TestReducedModelJacobian:
         def numerical(x, epoch):
             return iod._residuals(
                 records, (sv.r for sv in propagate_many(
-                    iod._make_elements(x, epoch), 0.0, epochs, use_cache=False)))
+                    iod._make_elements(x, epoch), 0.0, epochs)))
 
         for el in starts:
             x = np.array(el.key()[:6])

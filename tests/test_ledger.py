@@ -742,6 +742,19 @@ class TestBlocks:
         assert conservation_delta(s1) == 0
         assert verify_chain([gblock, b1]) is None
 
+    @pytest.mark.parametrize("bad", [
+        tx("post_task", "rita", 0, PostTask(target=5, fee=1)),
+        tx("submit_tdm", "alice", 0, SubmitTdm(tdm_text=5))],
+        ids=["target_int", "tdm_text_int"])
+    def test_wrong_typed_tx_excluded(self, bad):
+        # a field of the wrong type used to raise AttributeError from
+        # tx_hash; now the block leaves it out and applies as if empty
+        state, _, _, _ = fresh_chain()
+        s1, b1 = produce_block(state, [bad], 1, time=30.0)
+        assert b1.txs == ()
+        empty, _ = produce_block(fresh_chain()[0], [], 1, time=30.0)
+        assert encode_state(s1) == encode_state(empty)
+
     def test_round_must_match_height(self):
         state, _, _, _ = fresh_chain()
         with pytest.raises(LedgerError):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import pytest
 
+from conftest import grids
 from sdachain import astro, ledger, netsim, tdm as tdm_module
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.errors import SdaError
@@ -199,6 +201,26 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError, match="intent_ttl_s"):
             run_scenario(bad)
 
+    # The three scenarios below used to validate.  Run, the first two would
+    # schedule more block events than memory holds and the third overflows
+    # the drag term mid-run, so these tests only validate them.
+    def test_huge_duration_rejected(self):
+        bad = dataclasses.replace(uct_scenario(1), duration_s=2 ** 63)
+        assert any(f"at most {netsim.MAX_BLOCKS} blocks" in e
+                   for e in validate_scenario(bad))
+
+    def test_tiny_block_interval_rejected(self):
+        bad = dataclasses.replace(uct_scenario(1), block_interval_s=1e-300)
+        assert any(f"at most {netsim.MAX_BLOCKS} blocks" in e
+                   for e in validate_scenario(bad))
+
+    def test_huge_truth_bstar_rejected(self):
+        sc = uct_scenario(1)
+        first = dataclasses.replace(sc.truth_orbits[0], bstar=1e300)
+        bad = dataclasses.replace(sc, truth_orbits=(first,) + sc.truth_orbits[1:])
+        assert any(f"bstar of {first.object_id}" in e
+                   for e in validate_scenario(bad))
+
     def test_scripted_tasks_need_requester(self):
         sc = uct_scenario(1)    # no requester node
         with_task = dataclasses.replace(
@@ -388,11 +410,47 @@ class TestUctRun:
         chain[0] = dataclasses.replace(g, time=g.time - 1.0)
         assert verify_chain(chain) == 1
 
-    def test_grid_cache_counts_points_held(self, uct_report):
-        cache = astro._grid_cache
-        assert cache._entries
-        assert cache._points == sum((len(g.forward) + len(g.backward)) // 6
-                                    for g in cache._entries.values())
+    def test_replaced_catalog_entry_releases_its_grid(self, monkeypatch):
+        # a catalog entry that settlement refreshed is read by nothing, so
+        # its grids go with it, while the run's report is still held; an
+        # initial entry is its truth record, which the sensors still observe
+        sc = uct_scenario(1)
+        truth = {id(r) for r in sc.truth_orbits}
+        released, kept = [], []
+        settle = ledger._settle
+
+        def recording(state, *args):
+            before = dict(state.catalog)
+            settle(state, *args)
+            for oid, old in before.items():
+                if state.catalog[oid] is not old:
+                    refs = [weakref.ref(g.forward)
+                            for g in grids(old.elements).values()]
+                    assert refs
+                    (kept if id(old) in truth else released).extend(refs)
+
+        monkeypatch.setattr(ledger, "_settle", recording)
+        rep = run_scenario(sc)
+        assert released and kept
+        assert all(ref() is None for ref in released)
+        assert all(ref() is not None for ref in kept)
+        assert rep.state_root
+
+    def test_rk4_steps_per_phase(self, monkeypatch, tmp_path):
+        # every grid is shared wherever one orbit is propagated again, so
+        # the sim and the replay integrate exactly these steps
+        steps = [0]
+        rk4 = astro._rk4_steps
+
+        def counting(state, h, n, *args):
+            steps[0] += n
+            return rk4(state, h, n, *args)
+
+        monkeypatch.setattr(astro, "_rk4_steps", counting)
+        run_scenario(uct_scenario(1), out_dir=str(tmp_path))
+        sim, steps[0] = steps[0], 0
+        assert verify_chain(load_chain(str(tmp_path / "chain.log"))) is None
+        assert (sim, steps[0]) == (3898, 1740)
 
     def test_future_dated_claim_gets_no_attestation(self):
         sim = netsim._Sim(uct_scenario(1))
@@ -454,23 +512,27 @@ class TestUctRun:
 class TestSpoofer:
     def test_spoofer_integrates_no_grid_of_its_own(self, monkeypatch):
         # the spoofer observes the truth orbit from a turned copy of its
-        # site, so every cached grid belongs to a truth orbit or to an
-        # orbit the catalog held at some point; settlement is what
+        # site, so every grid the run builds belongs to a truth orbit or
+        # to an orbit the catalog held at some point; settlement is what
         # refreshes catalog entries, sometimes twice within one block
         sc = dataclasses.replace(reference_scenario(1), duration_s=43200.0)
         known = {r.elements.key() for r in sc.truth_orbits}
-        settle = ledger._settle
+        integrated = set()
+        settle, grid = ledger._settle, astro._grid
 
         def recording(state, *args):
             settle(state, *args)
             known.update(r.elements.key() for r in state.catalog.values())
 
+        def building(el, *args):
+            integrated.add(el.key())
+            return grid(el, *args)
+
         monkeypatch.setattr(ledger, "_settle", recording)
-        astro.clear_propagation_cache()
+        monkeypatch.setattr(astro, "_grid", building)
         rep = run_scenario(sc)
         assert rep.verdicts.get("rejected", 0) > 0
-        cached = {key[0] for key in astro._grid_cache._entries}
-        assert cached and cached <= known
+        assert integrated and integrated <= known
 
 
 class TestEconomicsDay:

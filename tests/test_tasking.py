@@ -4,14 +4,13 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import leo_record, site_under, visibility_cases
+from conftest import fresh, grids, leo_record, site_under, visibility_cases
 from sdachain import astro, tasking
 from sdachain.astro import (
     DecayError,
     Epoch,
     J2_EARTH,
     PropagationLimitError,
-    clear_propagation_cache,
     propagate_j2,
     propagate_many,
     state_to_kepler,
@@ -342,22 +341,23 @@ def exact_visible_epochs(elements, bstar, site, window, *, step_s=30.0,
     return tuple(out)
 
 
-def grid_cache_state():
-    """Points counted and, per grid, the points held and decay indices."""
-    cache = astro._grid_cache
-    return cache._points, [(len(g.forward), len(g.backward), g.decay_fwd,
-                            g.decay_bwd) for g in cache._entries.values()]
+def grid_state(el):
+    """The points el's grids hold and, per grid, the points held each way
+    and its decay indices."""
+    held = [(len(g.forward) // 6, len(g.backward) // 6, g.decay_fwd,
+             g.decay_bwd) for g in grids(el).values()]
+    return sum(f + b for f, b, _, _ in held), held
 
 
-def cold_run(fn, *args, **kw):
-    """fn's result (or its PropagationLimitError text) on an empty grid
-    cache, and the cache it leaves behind."""
-    clear_propagation_cache()
+def cold_run(fn, el, *args, **kw):
+    """fn's result (or its PropagationLimitError text) on elements equal to
+    el that hold no grid, and the grids it leaves on them."""
+    el = fresh(el)
     try:
-        result = fn(*args, **kw)
+        result = fn(el, *args, **kw)
     except PropagationLimitError as exc:
         result = ("PropagationLimitError", str(exc))
-    return result, grid_cache_state()
+    return result, grid_state(el)
 
 
 class TestScreenedVisibility:
@@ -387,20 +387,22 @@ class TestScreenedVisibility:
         edge = rec.elements.epoch.t + direction * astro.MAX_SPAN_S
         window = (Epoch(edge - 1800.0), Epoch(edge + 1800.0))
         site = astro.GroundSite(site_id="S", lat=0.3, lon=1.0)
-        want, cache = cold_run(exact_visible_epochs, rec.elements, rec.bstar,
-                               site, window, step_s=60.0)
+        want, left = cold_run(exact_visible_epochs, rec.elements, rec.bstar,
+                              site, window, step_s=60.0)
+        el = fresh(rec.elements)
         with pytest.raises(PropagationLimitError) as exc:
-            visible_epochs(rec.elements, rec.bstar, site, window, step_s=60.0)
+            visible_epochs(el, rec.bstar, site, window, step_s=60.0)
         assert want == ("PropagationLimitError", str(exc.value))
-        assert grid_cache_state() == cache
+        assert grid_state(el) == left
 
 
 class TestVisibilityWork:
     """Host-independent work counts of one visible_epochs call."""
 
-    def counted(self, monkeypatch, fn, *args):
-        """fn's result, its topocentric_angles calls and RK4 steps, and the
-        grid cache it leaves.  Steps are summed over the n of _rk4_steps
+    def counted(self, monkeypatch, fn, el, *args):
+        """fn's result on elements equal to el that hold no grid, its
+        topocentric_angles calls and RK4 steps, and the grids it leaves on
+        those elements.  Steps are summed over the n of _rk4_steps
         calls: "grid" those that append to a grid, "rk4" all of them,
         which adds the n = 1 remainder steps to a time between grid
         points."""
@@ -421,28 +423,28 @@ class TestVisibilityWork:
         # the reference loop calls this module's binding
         monkeypatch.setitem(globals(), "topocentric_angles", angles)
         monkeypatch.setattr(astro, "_rk4_steps", rk4)
-        clear_propagation_cache()
-        result = fn(*args)
+        el = fresh(el)
+        result = fn(el, *args)
         monkeypatch.undo()
-        return result, calls, grid_cache_state()
+        return result, calls, grid_state(el)
 
     def test_exact_test_on_few_samples(self, monkeypatch):
         rec, site = TestAssign().pass_setup()
         # 6 h of samples, each 10 s past a 30 s grid point
         window = (Epoch(10.0), Epoch(10.0 + 6 * 3600.0))
         samples = 361
-        got, work, cache = self.counted(monkeypatch, visible_epochs,
-                                        rec.elements, rec.bstar, site, window)
-        want, exact_work, exact_cache = self.counted(
+        got, work, left = self.counted(monkeypatch, visible_epochs,
+                                       rec.elements, rec.bstar, site, window)
+        want, exact_work, exact_left = self.counted(
             monkeypatch, exact_visible_epochs, rec.elements, rec.bstar, site,
             window)
         assert got == want and got
         assert exact_work["angles"] == samples
         assert work["angles"] <= 0.15 * samples
-        assert cache == exact_cache
+        assert left == exact_left
         # the same grid steps, plus one remainder step per exactly tested
         # sample
-        grid_steps = cache[0] - 2
+        grid_steps = left[0] - 2
         assert work["grid"] == exact_work["grid"] == grid_steps
         assert exact_work["rk4"] == grid_steps + samples
         assert work["rk4"] == grid_steps + work["angles"]
