@@ -557,25 +557,40 @@ class TestGridStepping:
                 propagate_j2(low, 3e-3, Epoch(509.0), step_s=30.0)
             assert str(exc.value) == "altitude 92.9 km below 100 km at t=509.0"
 
-
-class TestGridOwnership:
-    """Each grid is kept on its elements instance and lives as long as it."""
-
-    def test_fresh_elements_leave_grids_untouched(self):
+    def test_uncached_propagate_j2_leaves_cache_untouched(self):
+        # the grids kept on one instance are not those of equal elements
         el, low = fresh(_MANY_ELEMENTS), fresh(_LOW)
         propagate_j2(el, 0.0, Epoch(9000.0))
-        list(propagate_many(el, 1e-6, _MANY_EPOCHS[:3]))
         propagate_j2(low, 1e-3, Epoch(300.0), step_s=30.0)
         before = grid_state(el), grid_state(low)
-        assert len(before[0]) == 2 and len(before[1]) == 1
+        assert len(before[0]) == 1 and len(before[1]) == 1
         # equal elements past the kept grids' ends, both ways, and to decay
         for t in (20000.0, -3000.0, 9000.0, 5012.5):
             propagate_j2(fresh(el), 0.0, Epoch(t))
-        list(propagate_many(fresh(el), 0.0, _MANY_EPOCHS))
-        list(propagate_many(fresh(el), 3e-6, _MANY_EPOCHS))
         with pytest.raises(DecayError):
             propagate_j2(fresh(low), 1e-3, Epoch(86400.0), step_s=30.0)
         assert (grid_state(el), grid_state(low)) == before
+        assert all(g.decay_fwd is None for g in grids(low).values())
+
+
+class TestGridCacheAccounting:
+    """Passes on equal but fresh elements step grids of their own and leave
+    the grids kept on another instance as they were."""
+
+    def test_uncached_passes_leave_cache_untouched(self):
+        el = fresh(_MANY_ELEMENTS)
+        propagate_j2(el, 0.0, Epoch(9000.0))
+        list(propagate_many(el, 1e-6, _MANY_EPOCHS[:3]))
+        before = grid_state(el)
+        assert len(before) == 2
+        list(propagate_many(fresh(el), 0.0, _MANY_EPOCHS))
+        list(propagate_many(fresh(el), 3e-6, _MANY_EPOCHS))
+        propagate_j2(fresh(el), 3e-6, Epoch(20000.0))
+        assert grid_state(el) == before
+
+
+class TestGridOwnership:
+    """Each grid is kept on its elements instance and lives as long as it."""
 
     def test_grid_dies_with_its_elements(self):
         el = fresh(_MANY_ELEMENTS)
