@@ -6,6 +6,7 @@ must leave all three unchanged; a change that alters consensus bytes on
 purpose re-pins them and says why. Each case also replays the chain.log it
 wrote and checks that replay reaches the same final state root.
 """
+import dataclasses
 import hashlib
 import os
 
@@ -13,11 +14,28 @@ import pytest
 
 from sdachain.ledger import load_chain, replay_state, state_root, verify_chain
 from sdachain.netsim import (
+    NodeSpec,
+    ScriptedTask,
     fl_scenario,
     reference_scenario,
     run_scenario,
     uct_scenario,
 )
+
+
+def tie_scenario(seed: int):
+    """fl_scenario, cut to 2 h, with events that fall at the same time:
+    blocks with the first observer cycle (37 s) and with the scripted
+    tasks (370 s), task posts with FL rounds (every 185 s). It pins the
+    order in which the event loop runs equal-time events."""
+    sc = fl_scenario(seed)
+    return dataclasses.replace(
+        sc, duration_s=7200.0, block_interval_s=37.0, cycle_s=185.0,
+        task_interval_s=185.0, fl_interval_s=185.0, fl_start_s=185.0,
+        nodes=sc.nodes + (NodeSpec("rita", "requester", balance=10000),),
+        scripted_tasks=(ScriptedTask(t=370.0, target="CAL-1", fee=5),
+                        ScriptedTask(t=370.0, target="CAL-1", fee=6)))
+
 
 # name -> (scenario builder, chain.log sha256, report.json sha256, state root)
 GOLDEN = {
@@ -38,6 +56,12 @@ GOLDEN = {
         "ccbc8dc08840504dbd97ae04e54d43910f9cf0fa27bba3567269582a55f6bb25",
         "7cef033f7cfc797ab8ab4ad6d32dc2a723490c745c0a52728ab8b7b6dfd1d6f8",
         "805814823e25c3108a35d4eeb5615a07b834a2abee0cabe7ebd6c9f4552800ac",
+    ),
+    "tie": (
+        tie_scenario,
+        "fb6d78be1325d5751cd9a6f6f6a2712b4639bbbf71706d4a17b5394f5dfe89ad",
+        "299df42f8d5912bd3cc2b0d8b07820109541198fff34b7652516f8957f9df7f6",
+        "3708b53f00cc713c90fcfc574b7a852fab5f1005d226435c60dd201a9a7a9d43",
     ),
 }
 
