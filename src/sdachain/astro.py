@@ -153,8 +153,11 @@ class KeplerianElements:
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.a, self.e, self.i, self.raan, self.argp, self.M)):
             raise ValueError("elements must be finite")
-        if self.a <= 0.0:
-            raise ValueError(f"semi-major axis must be positive, got {self.a}")
+        # mean_motion cubes a, which 1e-300 underflows and 1e300 overflows;
+        # no Earth orbit lies outside this range
+        if not 1.0 <= self.a <= 1e9:
+            raise ValueError(f"semi-major axis must be in [1, 1e9] km, "
+                             f"got {self.a}")
         if not 0.0 <= self.e < 1.0:
             raise ValueError(f"eccentricity must be in [0, 1), got {self.e}")
         if not 0.0 <= self.i <= math.pi:

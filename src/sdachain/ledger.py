@@ -246,10 +246,14 @@ class Transaction:
             raise LedgerError(f"unknown tx kind {self.kind!r}")
         if not isinstance(self.payload, _PAYLOADS[self.kind][0]):
             raise LedgerError(f"payload type mismatch for {self.kind}")
-        if not isinstance(self.sender, str):
-            raise LedgerError("sender must be a string")
-        if not isinstance(self.nonce, int) or self.nonce < 0:
-            raise LedgerError("nonce must be a nonnegative integer")
+        # every field fits its layout, or there is no transaction; the
+        # record keeps the bytes, so hashing it later encodes nothing
+        try:
+            TRANSACTION.encode(self)
+        except WireError as e:
+            raise LedgerError(f"{self.kind} transaction of sender "
+                              f"{self.sender!r}, nonce {self.nonce!r} does "
+                              f"not fit its layout: {e}") from None
 
 
 # u8 kind tag, sender, nonce, then the kind's payload
@@ -765,8 +769,6 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
             raise TxRejected(f"{tx.sender!r} lacks the requester role")
         if p.origin != "external":
             raise TxRejected(f"requesters cannot post {p.origin!r} tasks")
-        if not isinstance(p.fee, int) or p.fee < 0:
-            raise TxRejected("fee must be a nonnegative integer")
         if sender.balance < p.fee:
             raise TxRejected("insufficient balance for task fee")
         created_at = Epoch(state.time)
@@ -784,8 +786,6 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
     elif tx.kind == "register_stake":
         if p.role not in ROLES:
             raise TxRejected(f"unknown role {p.role!r}")
-        if not isinstance(p.amount, int) or p.amount < 0:
-            raise TxRejected("stake amount must be a nonnegative integer")
         if sender.balance < p.amount:
             raise TxRejected("insufficient balance to stake")
         sender.balance -= p.amount
@@ -870,14 +870,13 @@ def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,
     """Run the round's lottery, apply what fits, and seal a block: the one
     block transition, for producers and for replay alike.
 
-    Mutates ``state`` in place and returns (state, block). Invalid txs are
-    excluded deterministically: one whose encoding raises WireError when
-    it is hashed, before the first mutation, and one that ``_apply``
-    rejects; ``_apply`` raises TxRejected only before its first mutation,
-    so exclusion needs no copy. The block subsidy mints to the proposer
-    even when no transaction applies. The round,
-    time and lottery checks raise LedgerError before any mutation; after
-    any later exception the state is half applied and must be discarded.
+    Mutates ``state`` in place and returns (state, block). A tx that
+    ``_apply`` rejects is excluded deterministically; ``_apply`` raises
+    TxRejected only before its first mutation, so exclusion needs no copy.
+    The block subsidy mints to the proposer even when no transaction
+    applies. The round, time and lottery checks raise LedgerError before
+    any mutation; after any later exception the state is half applied and
+    must be discarded.
     """
     if round_no != state.height:
         raise LedgerError(f"round {round_no} != next height {state.height}")
@@ -888,18 +887,13 @@ def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,
                           "backwards")
     proposer = select_validator(state.last_hash, round_no,
                                 compute_stakes(state))
-    ordered = []
-    for tx in pending_txs:
-        try:
-            ordered.append((tx.sender, tx.nonce, tx_hash(tx), tx))
-        except WireError:
-            continue
-    ordered.sort(key=lambda k: k[:3])
+    ordered = sorted(pending_txs,
+                     key=lambda tx: (tx.sender, tx.nonce, tx_hash(tx)))
     prev_hash = state.last_hash
     state.time = time
     _sweep_expired(state)
     applied = []
-    for *_, tx in ordered:
+    for tx in ordered:
         try:
             _apply(state, tx)
         except TxRejected:

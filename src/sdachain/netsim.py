@@ -10,9 +10,11 @@ unconfirmed transactions each block, so network imperfections only
 delay quorum and never violate ledger invariants.
 
 The event loop is single-threaded by construction: one master heap
-ordered by (time, sequence number) carries observation cycles, task
-postings, federated-learning rounds, network deliveries, and block
-production. Node behaviors concretize the adversary taxonomy: honest,
+carries observation cycles, task postings, federated-learning rounds,
+network deliveries, and block production. Each recurring event schedules
+the next when it fires, so the heap holds O(nodes) events however long
+the run. It is ordered by (time, rank, sequence number); the rank puts
+equal-time events in a fixed order (_RANK). Node behaviors concretize the adversary taxonomy: honest,
 spoofer (corrupts claimed tracks by a configured element offset),
 lazy_validator (never attests or votes), and model_poisoner (proposes
 garbage weights and votes accept on everything).
@@ -70,6 +72,7 @@ from .ledger import (
     Account,
     AttestValidation,
     EconomicsParams,
+    LedgerError,
     PostTask,
     ProposeModel,
     ROLES,
@@ -84,9 +87,15 @@ from .ledger import (
     state_root,
     tx_hash,
 )
-from .tasking import IodRegion, TaskingError, assign, visible_epochs
+from .tasking import (
+    MAX_WINDOW_S,
+    IodRegion,
+    TaskingError,
+    assign,
+    visible_epochs,
+)
 from .tdm import synth_tdm
-from .validation import ValidationParams
+from .validation import ValidationError, ValidationParams
 
 __all__ = [
     "BEHAVIORS",
@@ -112,7 +121,9 @@ BEHAVIORS = ("honest", "spoofer", "lazy_validator", "model_poisoner")
 MIN_TRACK_EPOCHS = 4        # shortest arc worth submitting
 SURVEY_MIN_EPOCHS = 6       # UNKNOWN tracks must support batch refinement
 RANGE_NOISE_KM = 0.05
-MAX_BLOCKS = 20_000         # duration_s / block_interval_s; reference needs 1008
+# events of each recurring series over duration_s: blocks (reference
+# needs 1008), task posts and FL rounds
+MAX_BLOCKS = 20_000
 # 1/km.  Drag only slows an orbit, and at or below this its RK4 stages stay
 # stable, so finite, down to the decay altitude at any step up to MAX_STEP_S.
 BSTAR_MAX = 0.1
@@ -209,14 +220,11 @@ class Scenario:
         return 4.0 * self.block_interval_s
 
 
-_FLOAT_FIELDS = ("duration_s", "cycle_s", "block_interval_s", "task_interval_s",
-                 "spoof_offset_rad", "fl_interval_s", "fl_start_s",
-                 "drag_injection", "step_s", "intent_ttl_s")
-
-
 def validate_scenario(sc: Scenario) -> list:
-    """Every configuration problem, collected before any event runs."""
+    """Every configuration problem, collected before any event runs: each
+    value against its rule in _SCENARIO, then the rules that join fields."""
     errs = []
+    _walk("", scenario_to_json(sc), _SCENARIO, errs)
     truth_ids = [r.object_id for r in sc.truth_orbits]
     if len(set(truth_ids)) != len(truth_ids):
         errs.append("duplicate truth object ids")
@@ -243,61 +251,31 @@ def validate_scenario(sc: Scenario) -> list:
             errs.append(f"{n.behavior} {n.account} must be a compute node")
         if n.role == "compute" and n.stake <= 0:
             errs.append(f"compute node {n.account} needs positive stake")
-        for name in ("balance", "stake"):
-            if not 0 <= getattr(n, name) < 2 ** 64:
-                errs.append(f"{name} of {n.account} must be in [0, 2**64)")
-        if not math.isfinite(n.noise_std):
-            errs.append(f"non-finite noise_std on {n.account}")
-        elif n.noise_std < 0.0:
-            errs.append(f"negative noise_std on {n.account}")
     if sum(n.balance + n.stake for n in sc.nodes) >= 2 ** 64:
         errs.append("node balances and stakes must sum to less than 2**64 "
                     "(the genesis supply)")
     if not any(n.role == "compute" for n in sc.nodes):
         errs.append("need at least one compute node")
-    # NaN passes every range test below, so finiteness is checked first
-    for name in _FLOAT_FIELDS:
-        if not math.isfinite(getattr(sc, name)):
-            errs.append(f"{name} must be finite")
-    if sc.duration_s <= 0.0:
-        errs.append("duration must be positive")
-    if sc.cycle_s < 180.0:
-        errs.append("cycle_s must be at least 180 s (three 60 s epochs)")
-    if sc.block_interval_s <= 0.0:
-        errs.append("block_interval_s must be positive")
-    elif sc.duration_s > MAX_BLOCKS * sc.block_interval_s:
-        errs.append(f"duration_s / block_interval_s must be at most "
-                    f"{MAX_BLOCKS} blocks")
     for r in sc.truth_orbits:
-        sensed = r.bstar + (sc.drag_injection
-                            if r.object_id in sc.calibration_ids else 0.0)
-        if not (0.0 <= r.bstar <= BSTAR_MAX and 0.0 <= sensed <= BSTAR_MAX):
-            errs.append(f"bstar of {r.object_id}, and its sum with "
-                        f"drag_injection, must be in [0, {BSTAR_MAX}]")
-    if not MIN_STEP_S <= sc.step_s <= MAX_STEP_S:
-        errs.append(f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}]")
-    if sc.intent_ttl_s <= 0.0:
-        errs.append("intent_ttl_s must be positive")
+        if r.object_id in sc.calibration_ids \
+                and not 0.0 <= r.bstar + sc.drag_injection <= BSTAR_MAX:
+            errs.append(f"bstar of {r.object_id} plus drag_injection must "
+                        f"be in [0, {BSTAR_MAX}]")
     has_requester = any(n.role == "requester" for n in sc.nodes)
     if sc.task_interval_s > 0.0 and not has_requester:
         errs.append("task series configured but no requester node")
     if sc.scripted_tasks and not has_requester:
         errs.append("scripted tasks configured but no requester node")
-    if not 0 <= sc.task_fee < 2 ** 64:
-        errs.append("task_fee must be in [0, 2**64)")
-    if sc.spoof_offset_rad < 0.0:
-        errs.append("spoof_offset_rad must be nonnegative")
-    if sc.max_track_len < MIN_TRACK_EPOCHS:
-        errs.append(f"max_track_len must be >= {MIN_TRACK_EPOCHS}")
     for st in sc.scripted_tasks:
         if st.target not in sc.initial_catalog:
             errs.append(f"scripted task target not cataloged: {st.target}")
-        # a NaN time passes no comparison, so the task is never posted
-        if not (math.isfinite(st.t) and st.t >= 0.0):
-            errs.append(f"scripted task time must be finite and "
-                        f"nonnegative: {st.t}")
-        if not 0 <= st.fee < 2 ** 64:
-            errs.append(f"scripted task fee must be in [0, 2**64): {st.fee}")
+    for name, events in (("block_interval_s", "blocks"),
+                         ("task_interval_s", "task posts"),
+                         ("fl_interval_s", "FL rounds")):
+        step = getattr(sc, name)
+        if step > 0.0 and sc.duration_s > MAX_BLOCKS * step:
+            errs.append(f"duration_s / {name} must be at most {MAX_BLOCKS} "
+                        f"{events}")
     return errs
 
 
@@ -331,9 +309,49 @@ def inject_breakup(sc: Scenario, parent: str, n_fragments: int,
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 
-def _angles(*names: str) -> dict:
+@dataclass(frozen=True)
+class _Num:
+    """A number leaf of _SCENARIO: a JSON int, or a float (which an int
+    also satisfies), finite and in [lo, hi], or in (lo, hi] when lo_open.
+    A leaf whose record checks its own range (an orbit's e, a site's lat)
+    leaves lo and hi open here and says so in docs/scenario.md."""
+
+    kind: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+
+    def check(self, where: str, v, errs: list):
+        """v, an int made a float where a float belongs; a problem with
+        it is appended to errs."""
+        if type(v) is bool or not isinstance(
+                v, (int, float) if self.kind is float else int):
+            errs.append(f"{where} must be a JSON {self.kind.__name__}, "
+                        f"got {v!r}")
+            return v
+        if self.kind is float and type(v) is int:
+            try:
+                v = float(v)
+            except OverflowError:   # an integer literal beyond float range
+                v = math.inf
+        if not math.isfinite(v):
+            errs.append(f"{where} must be finite")
+        elif not (self.lo < v if self.lo_open else self.lo <= v) \
+                or v > self.hi:
+            errs.append(f"{where} must be in {'(' if self.lo_open else '['}"
+                        f"{self.lo}, {self.hi}]")
+        return v
+
+
+_FLOAT = _Num(float)
+_NONNEGATIVE = _Num(float, 0.0)
+_POSITIVE = _Num(float, 0.0, lo_open=True)
+_U64 = _Num(int, 0, 2 ** 64 - 1)    # the ledger holds each as a u64
+
+
+def _angles(*names: str, kind: _Num = _FLOAT) -> dict:
     # canonical files store radians; hand-written ones may use degrees
-    return {f"{n}_{unit}": float for n in names for unit in ("rad", "deg")}
+    return {f"{n}_{unit}": kind for n in names for unit in ("rad", "deg")}
 
 
 def _angle(d: dict, name: str) -> float:
@@ -344,50 +362,70 @@ def _angle(d: dict, name: str) -> float:
     raise KeyError(f"{name}_rad or {name}_deg")
 
 
-# Top-level keys that map one to one onto Scenario fields.
-_SCALARS = {"cycle_s": float, "block_interval_s": float,
-            "task_interval_s": float, "task_fee": int, "fl_interval_s": float,
-            "fl_start_s": float, "drag_injection": float,
-            "max_track_len": int, "step_s": float, "intent_ttl_s": float}
-# Every key a scenario file may carry, with its JSON kind: a type, a list
-# of one kind, or an object.
+# Every key a scenario file may carry, with its JSON kind and the rule its
+# value keeps: a _Num, str, bool, a list of one kind, or an object. Each
+# rule is stated once, here; validate_scenario adds only those that join
+# fields.
 _SCENARIO = {
-    "seed": int, "duration_s": float, **_SCALARS, **_angles("spoof_offset"),
-    "truth_orbits": [{"object_id": str, "a_km": float, "e": float,
-                      "epoch_s": float, "bstar": float,
+    "seed": _Num(int), "duration_s": _POSITIVE,
+    # a longer observation window is refused by tasking.assign
+    "cycle_s": _Num(float, 180.0, MAX_WINDOW_S),
+    "block_interval_s": _POSITIVE, "task_interval_s": _NONNEGATIVE,
+    "task_fee": _U64, "fl_interval_s": _NONNEGATIVE,
+    "fl_start_s": _NONNEGATIVE, "drag_injection": _Num(float, -BSTAR_MAX,
+                                                       BSTAR_MAX),
+    "max_track_len": _Num(int, MIN_TRACK_EPOCHS),
+    "step_s": _Num(float, MIN_STEP_S, MAX_STEP_S),
+    "intent_ttl_s": _POSITIVE,
+    **_angles("spoof_offset", kind=_NONNEGATIVE),
+    "truth_orbits": [{"object_id": str, "a_km": _FLOAT, "e": _FLOAT,
+                      "epoch_s": _FLOAT, "bstar": _Num(float, 0.0, BSTAR_MAX),
                       **_angles("i", "raan", "argp", "M")}],
     "initial_catalog": [str], "calibration_ids": [str],
-    "sites": [{"site_id": str, "alt_km": float, **_angles("lat", "lon")}],
+    "sites": [{"site_id": str, "alt_km": _FLOAT, **_angles("lat", "lon")}],
     "nodes": [{"account": str, "role": str, "behavior": str, "site": str,
-               "noise_std": float, "balance": int, "stake": int,
+               "noise_std": _NONNEGATIVE, "balance": _U64, "stake": _U64,
                "mode": str}],
-    "network": {"latency_ms": [float], "drop_prob": float},
-    "economics": {"observer_stake_min": int, "r_mint": int, "r_model": int,
-                  "block_subsidy": int, "slash_fraction": str,
-                  "validator_fee_cut": str, "attestation_quorum": str},
-    "validation": {f.name: float for f in dataclasses.fields(ValidationParams)},
-    "scripted_tasks": [{"t": float, "target": str, "fee": int,
+    "network": {"latency_ms": [_FLOAT], "drop_prob": _FLOAT},
+    "economics": {"observer_stake_min": _Num(int), "r_mint": _Num(int),
+                  "r_model": _Num(int), "block_subsidy": _Num(int),
+                  "slash_fraction": str, "validator_fee_cut": str,
+                  "attestation_quorum": str},
+    "validation": {f.name: _FLOAT
+                   for f in dataclasses.fields(ValidationParams)},
+    "scripted_tasks": [{"t": _NONNEGATIVE, "target": str, "fee": _U64,
                         "urgency": bool}],
 }
+# Top-level numbers that map one to one onto Scenario fields.
+_SCALARS = [k for k, kind in _SCENARIO.items() if isinstance(kind, _Num)
+            and k in {f.name for f in dataclasses.fields(Scenario)}]
 
 
-def _json_of_kind(where: str, v, kind):
-    """v, checked to be of this JSON kind (an int counts as a float); a
-    value of another kind, or an unknown key, raises NetsimError."""
+def _walk(where: str, v, kind, errs: list):
+    """v, checked against kind, with each int made a float where a float
+    belongs; each problem (another JSON kind, an unknown key, a number
+    that breaks its rule) is appended to errs."""
+    if isinstance(kind, _Num):
+        return kind.check(where, v, errs)
+    if isinstance(kind, (list, dict)) and not isinstance(v, type(kind)):
+        errs.append(f"{where or 'scenario'} must be a JSON "
+                    f"{'list' if isinstance(kind, list) else 'object'}, "
+                    f"got {v!r}")
+        return v
     if isinstance(kind, list):
-        return [_json_of_kind(f"{where}[{k}]", x, kind[0])
-                for k, x in enumerate(_json_of_kind(where, v, list))]
+        return [_walk(f"{where}[{k}]", x, kind[0], errs)
+                for k, x in enumerate(v)]
     if isinstance(kind, dict):
-        for key in _json_of_kind(where, v, dict):
-            if key not in kind:
-                raise NetsimError(f"unknown key {key!r} in {where}")
-        return {k: _json_of_kind(f"{where}.{k}", x, kind[k])
-                for k, x in v.items()}
-    if kind is float and type(v) is int:
-        v = float(v)
-    if not isinstance(v, kind) or (type(v) is bool and kind is not bool):
-        raise NetsimError(f"{where} must be a JSON {kind.__name__}, "
-                          f"got {v!r}")
+        out = {}
+        for key, x in v.items():
+            if key in kind:
+                out[key] = _walk(f"{where}.{key}" if where else key, x,
+                                 kind[key], errs)
+            else:
+                errs.append(f"unknown key {key!r} in {where or 'scenario'}")
+        return out
+    if not isinstance(v, kind):
+        errs.append(f"{where} must be a JSON {kind.__name__}, got {v!r}")
     return v
 
 
@@ -418,8 +456,7 @@ def scenario_to_json(sc: Scenario) -> dict:
     """Plain-JSON form of a scenario (angles in radians; see
     docs/scenario.md for the schema)."""
     return {
-        "seed": sc.seed,
-        "duration_s": sc.duration_s,
+        **{name: getattr(sc, name) for name in _SCALARS},
         "truth_orbits": [dict(object_id=r.object_id, bstar=r.bstar,
                               **_elements_to_json(r.elements))
                          for r in sc.truth_orbits],
@@ -434,10 +471,8 @@ def scenario_to_json(sc: Scenario) -> dict:
         "economics": {k: str(v) if isinstance(v, Fraction) else v
                       for k, v in dataclasses.asdict(sc.economics).items()},
         "validation": dataclasses.asdict(sc.validation),
-        "spoof_offset_rad": sc.spoof_offset_rad,
         "calibration_ids": list(sc.calibration_ids),
         "scripted_tasks": [dataclasses.asdict(s) for s in sc.scripted_tasks],
-        **{name: getattr(sc, name) for name in _SCALARS},
     }
 
 
@@ -447,7 +482,10 @@ def scenario_from_json(d: dict) -> Scenario:
     than docs/scenario.md gives it (a string for a number, a fraction for
     an integer), or an orbit or site value out of its range (an
     eccentricity of 1.5, a NaN latitude), raises NetsimError."""
-    d = _json_of_kind("scenario", d, _SCENARIO)
+    errs = []
+    d = _walk("", d, _SCENARIO, errs)
+    if errs:
+        raise NetsimError("; ".join(errs))
     try:
         return _scenario_of(d)
     except (KeyError, TypeError) as e:
@@ -459,11 +497,12 @@ def scenario_from_json(d: dict) -> Scenario:
 
 @contextlib.contextmanager
 def _entry(where: str):
-    """Raise the ValueError an out-of-range value makes a record raise (an
-    eccentricity of 1.5, a NaN latitude) as a NetsimError naming where."""
+    """Raise the error an out-of-range value makes a record raise (an
+    eccentricity of 1.5, a NaN latitude, a negative r_mint) as a
+    NetsimError naming where."""
     try:
         yield
-    except ValueError as e:
+    except (ValueError, LedgerError, ValidationError) as e:
         raise NetsimError(f"{where}: {e}") from None
 
 
@@ -481,14 +520,15 @@ def _scenario_of(d: dict) -> Scenario:
                                     lon=_angle(s, "lon"),
                                     alt=s.get("alt_km", 0.0)))
     kwargs = {name: d[name] for name in _SCALARS if name in d}
-    if "spoof_offset_rad" in d or "spoof_offset_deg" in d:
-        kwargs["spoof_offset_rad"] = _angle(d, "spoof_offset")
+    if "spoof_offset_deg" in d:
+        kwargs.setdefault("spoof_offset_rad", _angle(d, "spoof_offset"))
     if "economics" in d:
-        kwargs["economics"] = _economics_from_json(d["economics"])
+        with _entry("economics"):
+            kwargs["economics"] = _economics_from_json(d["economics"])
     if "validation" in d:
-        kwargs["validation"] = ValidationParams(**d["validation"])
+        with _entry("validation"):
+            kwargs["validation"] = ValidationParams(**d["validation"])
     return Scenario(
-        seed=d["seed"], duration_s=d["duration_s"],
         truth_orbits=tuple(truth_orbits),
         initial_catalog=tuple(d["initial_catalog"]),
         sites=tuple(sites),
@@ -751,6 +791,13 @@ class _Node:
                       done, t)
 
 
+# Rank of each kind among events at the same time, after the first
+# observer cycles (rank 0) and before anything pushed while the run goes,
+# such as later cycles and deliveries (rank 5). This is the order the
+# events had when every series was scheduled up front, before the run.
+_RANK = {"post": 1, "scripted": 2, "fl": 3, "block": 4}
+
+
 class _Sim:
     def __init__(self, sc: Scenario):
         errs = validate_scenario(sc)
@@ -791,8 +838,15 @@ class _Sim:
 
     # -- plumbing ------------------------------------------------------------
 
-    def push(self, t: float, kind: str, data) -> None:
-        heapq.heappush(self.events, (t, next(self.seq), kind, data))
+    def push(self, t: float, kind: str, data, rank: int = None) -> None:
+        if rank is None:
+            rank = _RANK.get(kind, 5)
+        heapq.heappush(self.events, (t, rank, next(self.seq), kind, data))
+
+    def push_until(self, t: float, until: float, kind: str, data) -> None:
+        """Schedule the next event of a series, if it falls by until."""
+        if t <= until:
+            self.push(t, kind, data)
 
     def network_send(self, node: _Node, tx: Transaction, t: float) -> None:
         h = tx_hash(tx)
@@ -886,38 +940,27 @@ class _Sim:
         active_until = sc.duration_s - sc.cooldown_s()
         for i, node in enumerate(self.nodes):
             if node.spec.role == "observer":
-                self.push(37.0 * (i + 1), "cycle", node)
+                self.push(37.0 * (i + 1), "cycle", node, rank=0)
         requesters = [n for n in self.nodes if n.spec.role == "requester"]
         if sc.task_interval_s > 0.0 and requesters:
-            k = 0
-            t = sc.task_interval_s
-            while t <= active_until:
-                self.push(t, "post", k)
-                k += 1
-                t += sc.task_interval_s
+            self.push_until(sc.task_interval_s, active_until, "post", None)
         for st in sc.scripted_tasks:
-            if requesters and st.t <= active_until:
-                self.push(st.t, "scripted", st)
+            if requesters:
+                self.push_until(st.t, active_until, "scripted", st)
         if sc.fl_interval_s > 0.0:
-            k = 0
-            t = sc.fl_start_s
-            while t <= active_until:
-                self.push(t, "fl", k)
-                k += 1
-                t += sc.fl_interval_s
-        t = sc.block_interval_s
-        while t <= sc.duration_s:
-            self.push(t, "block", None)
-            t += sc.block_interval_s
+            self.push_until(sc.fl_start_s, active_until, "fl", 0)
+        self.push_until(sc.block_interval_s, sc.duration_s, "block", None)
 
         cataloged = sorted(sc.initial_catalog)
         post_idx = 0
         while self.events:
-            t, _, kind, data = heapq.heappop(self.events)
+            t, _, _, kind, data = heapq.heappop(self.events)
             if t > sc.duration_s:
                 break
             if kind == "block":
                 self.handle_block(t)
+                self.push_until(t + sc.block_interval_s, sc.duration_s,
+                                "block", None)
             elif kind == "cycle":
                 if t <= active_until:
                     self.handle_cycle(data, t)
@@ -929,10 +972,14 @@ class _Sim:
                 target = cataloged[post_idx % len(cataloged)]
                 post_idx += 1
                 requesters[0].post_task(target, sc.task_fee, False, t)
+                self.push_until(t + sc.task_interval_s, active_until, "post",
+                                None)
             elif kind == "scripted":
                 requesters[0].post_task(data.target, data.fee, data.urgency, t)
             elif kind == "fl":
                 self.handle_fl(data, t)
+                self.push_until(t + sc.fl_interval_s, active_until, "fl",
+                                data + 1)
         return self._report()
 
     # -- reporting -----------------------------------------------------------

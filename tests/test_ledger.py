@@ -725,35 +725,22 @@ class TestBlocks:
         assert b1.txs == (good,)
         assert conservation_delta(s1) == 0
 
-    @pytest.mark.parametrize("bad", [
-        tx("post_task", "rita", 0, PostTask(target="SAT-1", fee=2 ** 64)),
-        tx("register_stake", "alice", 2 ** 64,
-           RegisterStake(amount=5, role="observer")),
-        tx("post_task", "rita", 0, PostTask(target="SAT-1", fee=1.5))],
-        ids=["fee_2**64", "nonce_2**64", "fee_1.5"])
-    def test_unencodable_tx_excluded(self, bad):
-        # hashing one of these for the tx order used to raise WireError
-        # after the block time had advanced, with the height left behind
-        state, gblock, rec, site = fresh_chain()
-        good = submit_tx(honest_tdm(rec, site))
-        s1, b1 = produce_block(state, [bad, good], 1, time=30.0)
-        assert b1.txs == (good,)
-        assert (s1.height, s1.time) == (2, 30.0)
-        assert conservation_delta(s1) == 0
-        assert verify_chain([gblock, b1]) is None
-
-    @pytest.mark.parametrize("bad", [
-        tx("post_task", "rita", 0, PostTask(target=5, fee=1)),
-        tx("submit_tdm", "alice", 0, SubmitTdm(tdm_text=5))],
-        ids=["target_int", "tdm_text_int"])
-    def test_wrong_typed_tx_excluded(self, bad):
-        # a field of the wrong type used to raise AttributeError from
-        # tx_hash; now the block leaves it out and applies as if empty
-        state, _, _, _ = fresh_chain()
-        s1, b1 = produce_block(state, [bad], 1, time=30.0)
-        assert b1.txs == ()
-        empty, _ = produce_block(fresh_chain()[0], [], 1, time=30.0)
-        assert encode_state(s1) == encode_state(empty)
+    @pytest.mark.parametrize("kind, sender, nonce, payload", [
+        ("post_task", "rita", 0, lambda: PostTask(target="SAT-1",
+                                                  fee=2 ** 64)),
+        ("register_stake", "alice", 2 ** 64,
+         lambda: RegisterStake(amount=5, role="observer")),
+        ("post_task", "rita", 0, lambda: PostTask(target="SAT-1", fee=1.5)),
+        ("post_task", "rita", 0, lambda: PostTask(target=5, fee=1)),
+        ("submit_tdm", "alice", 0, lambda: SubmitTdm(tdm_text=5))],
+        ids=["fee_2**64", "nonce_2**64", "fee_1.5", "target_int",
+             "tdm_text_int"])
+    def test_unencodable_tx_refused_at_construction(self, kind, sender,
+                                                     nonce, payload):
+        # each of these used to be built, and then left out of its block
+        # (or, before that, broke the block) when it was hashed
+        with pytest.raises(LedgerError, match="does not fit its layout"):
+            tx(kind, sender, nonce, payload())
 
     def test_round_must_match_height(self):
         state, _, _, _ = fresh_chain()

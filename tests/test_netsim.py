@@ -137,8 +137,9 @@ class TestScenarioValidation:
         sc = reference_scenario(1)
         bad = dataclasses.replace(sc, scripted_tasks=(
             ScriptedTask(t=t, target=sc.initial_catalog[0], fee=5),))
-        assert any("scripted task time" in e for e in validate_scenario(bad))
-        with pytest.raises(NetsimError, match="scripted task time"):
+        assert any("scripted_tasks[0].t must be" in e
+                   for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match=r"scripted_tasks\[0\]\.t must be"):
             run_scenario(bad)
 
     @pytest.mark.parametrize("value", [-1, 2 ** 64],
@@ -149,7 +150,7 @@ class TestScenarioValidation:
         sc = reference_scenario(1)
         nodes = (dataclasses.replace(sc.nodes[0], **{name: value}),)
         bad = dataclasses.replace(sc, nodes=nodes + sc.nodes[1:])
-        assert any(name in e and "alice" in e for e in validate_scenario(bad))
+        assert any(f"nodes[0].{name}" in e for e in validate_scenario(bad))
         with pytest.raises(NetsimError, match=name):
             run_scenario(bad)
 
@@ -172,8 +173,9 @@ class TestScenarioValidation:
         sc = reference_scenario(1)
         bad = dataclasses.replace(sc, scripted_tasks=(
             ScriptedTask(t=10.0, target=sc.initial_catalog[0], fee=fee),))
-        assert any("scripted task fee" in e for e in validate_scenario(bad))
-        with pytest.raises(NetsimError, match="scripted task fee"):
+        assert any("scripted_tasks[0].fee" in e
+                   for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match=r"scripted_tasks\[0\]\.fee"):
             run_scenario(bad)
 
     @pytest.mark.parametrize("fee", [-1, 2 ** 64], ids=["negative", "2**64"])
@@ -218,7 +220,7 @@ class TestScenarioValidation:
         sc = uct_scenario(1)
         first = dataclasses.replace(sc.truth_orbits[0], bstar=1e300)
         bad = dataclasses.replace(sc, truth_orbits=(first,) + sc.truth_orbits[1:])
-        assert any(f"bstar of {first.object_id}" in e
+        assert any("truth_orbits[0].bstar" in e
                    for e in validate_scenario(bad))
 
     def test_scripted_tasks_need_requester(self):
