@@ -14,10 +14,11 @@ carries observation cycles, task postings, federated-learning rounds,
 network deliveries, and block production. Each recurring event schedules
 the next when it fires, so the heap holds O(nodes) events however long
 the run. It is ordered by (time, rank, sequence number); the rank puts
-equal-time events in a fixed order (_RANK). Node behaviors concretize the adversary taxonomy: honest,
-spoofer (corrupts claimed tracks by a configured element offset),
-lazy_validator (never attests or votes), and model_poisoner (proposes
-garbage weights and votes accept on everything).
+equal-time events in a fixed order (_RANK). Node behaviors concretize
+the adversary taxonomy: honest, spoofer (corrupts claimed tracks by a
+configured element offset), lazy_validator (never attests or votes),
+and model_poisoner (proposes garbage weights and votes accept on
+everything).
 
 A spoofer's claimed track is the object's orbit with its RAAN turned by
 spoof_offset_rad, seen from the spoofer's site. The simulator applies
@@ -41,7 +42,7 @@ import json
 import math
 import os
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,9 +122,7 @@ BEHAVIORS = ("honest", "spoofer", "lazy_validator", "model_poisoner")
 MIN_TRACK_EPOCHS = 4        # shortest arc worth submitting
 SURVEY_MIN_EPOCHS = 6       # UNKNOWN tracks must support batch refinement
 RANGE_NOISE_KM = 0.05
-# events of each recurring series over duration_s: blocks (reference
-# needs 1008), task posts and FL rounds
-MAX_BLOCKS = 20_000
+MAX_BLOCKS = 20_000         # events per series; reference has 1008 blocks
 # 1/km.  Drag only slows an orbit, and at or below this its RK4 stages stay
 # stable, so finite, down to the decay altitude at any step up to MAX_STEP_S.
 BSTAR_MAX = 0.1
@@ -226,20 +225,18 @@ def validate_scenario(sc: Scenario) -> list:
     errs = []
     _walk("", scenario_to_json(sc), _SCENARIO, errs)
     truth_ids = [r.object_id for r in sc.truth_orbits]
-    if len(set(truth_ids)) != len(truth_ids):
-        errs.append("duplicate truth object ids")
-    for oid in sc.initial_catalog:
-        if oid not in truth_ids:
-            errs.append(f"catalog id not in truth: {oid}")
-    for oid in sc.calibration_ids:
-        if oid not in sc.initial_catalog:
-            errs.append(f"calibration id not cataloged: {oid}")
     site_ids = [s.site_id for s in sc.sites]
-    if len(set(site_ids)) != len(site_ids):
-        errs.append("duplicate site ids")
-    accounts = [n.account for n in sc.nodes]
-    if len(set(accounts)) != len(accounts):
-        errs.append("duplicate node accounts")
+    for what, ids in (("truth object ids", truth_ids), ("site ids", site_ids),
+                      ("node accounts", [n.account for n in sc.nodes])):
+        if len(set(ids)) != len(ids):
+            errs.append(f"duplicate {what}")
+    for what, ids, known in (
+            ("catalog id not in truth", sc.initial_catalog, truth_ids),
+            ("calibration id not cataloged", sc.calibration_ids,
+             sc.initial_catalog),
+            ("scripted task target not cataloged",
+             [st.target for st in sc.scripted_tasks], sc.initial_catalog)):
+        errs += [f"{what}: {oid}" for oid in ids if oid not in known]
     for n in sc.nodes:
         if n.role == "observer" and n.site not in site_ids:
             errs.append(f"observer {n.account} references unknown site "
@@ -266,9 +263,6 @@ def validate_scenario(sc: Scenario) -> list:
         errs.append("task series configured but no requester node")
     if sc.scripted_tasks and not has_requester:
         errs.append("scripted tasks configured but no requester node")
-    for st in sc.scripted_tasks:
-        if st.target not in sc.initial_catalog:
-            errs.append(f"scripted task target not cataloged: {st.target}")
     for name, events in (("block_interval_s", "blocks"),
                          ("task_interval_s", "task posts"),
                          ("fl_interval_s", "FL rounds")):
@@ -309,40 +303,11 @@ def inject_breakup(sc: Scenario, parent: str, n_fragments: int,
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 
-@dataclass(frozen=True)
-class _Num:
-    """A number leaf of _SCENARIO: a JSON int, or a float (which an int
-    also satisfies), finite and in [lo, hi], or in (lo, hi] when lo_open.
-    A leaf whose record checks its own range (an orbit's e, a site's lat)
-    leaves lo and hi open here and says so in docs/scenario.md."""
-
-    kind: type
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_open: bool = False
-
-    def check(self, where: str, v, errs: list):
-        """v, an int made a float where a float belongs; a problem with
-        it is appended to errs."""
-        if type(v) is bool or not isinstance(
-                v, (int, float) if self.kind is float else int):
-            errs.append(f"{where} must be a JSON {self.kind.__name__}, "
-                        f"got {v!r}")
-            return v
-        if self.kind is float and type(v) is int:
-            try:
-                v = float(v)
-            except OverflowError:   # an integer literal beyond float range
-                v = math.inf
-        if not math.isfinite(v):
-            errs.append(f"{where} must be finite")
-        elif not (self.lo < v if self.lo_open else self.lo <= v) \
-                or v > self.hi:
-            errs.append(f"{where} must be in {'(' if self.lo_open else '['}"
-                        f"{self.lo}, {self.hi}]")
-        return v
-
-
+# A number leaf of _SCENARIO: a JSON int, or a float (which an int also
+# satisfies), finite and in [lo, hi], or in (lo, hi] when lo_open. A leaf
+# whose record checks its own range (an orbit's e) leaves lo and hi open.
+_Num = namedtuple("_Num", "kind lo hi lo_open",
+                  defaults=(-math.inf, math.inf, False))
 _FLOAT = _Num(float)
 _NONNEGATIVE = _Num(float, 0.0)
 _POSITIVE = _Num(float, 0.0, lo_open=True)
@@ -363,20 +328,16 @@ def _angle(d: dict, name: str) -> float:
 
 
 # Every key a scenario file may carry, with its JSON kind and the rule its
-# value keeps: a _Num, str, bool, a list of one kind, or an object. Each
-# rule is stated once, here; validate_scenario adds only those that join
-# fields.
+# value keeps: a _Num, str, bool, a list of one kind, or an object.
+# validate_scenario adds only the rules that join fields.
 _SCENARIO = {
-    "seed": _Num(int), "duration_s": _POSITIVE,
-    # a longer observation window is refused by tasking.assign
+    "seed": _Num(int), "duration_s": _POSITIVE, "intent_ttl_s": _POSITIVE,
     "cycle_s": _Num(float, 180.0, MAX_WINDOW_S),
     "block_interval_s": _POSITIVE, "task_interval_s": _NONNEGATIVE,
     "task_fee": _U64, "fl_interval_s": _NONNEGATIVE,
-    "fl_start_s": _NONNEGATIVE, "drag_injection": _Num(float, -BSTAR_MAX,
-                                                       BSTAR_MAX),
-    "max_track_len": _Num(int, MIN_TRACK_EPOCHS),
+    "fl_start_s": _NONNEGATIVE, "max_track_len": _Num(int, MIN_TRACK_EPOCHS),
+    "drag_injection": _Num(float, -BSTAR_MAX, BSTAR_MAX),
     "step_s": _Num(float, MIN_STEP_S, MAX_STEP_S),
-    "intent_ttl_s": _POSITIVE,
     **_angles("spoof_offset", kind=_NONNEGATIVE),
     "truth_orbits": [{"object_id": str, "a_km": _FLOAT, "e": _FLOAT,
                       "epoch_s": _FLOAT, "bstar": _Num(float, 0.0, BSTAR_MAX),
@@ -405,27 +366,39 @@ def _walk(where: str, v, kind, errs: list):
     """v, checked against kind, with each int made a float where a float
     belongs; each problem (another JSON kind, an unknown key, a number
     that breaks its rule) is appended to errs."""
-    if isinstance(kind, _Num):
-        return kind.check(where, v, errs)
-    if isinstance(kind, (list, dict)) and not isinstance(v, type(kind)):
-        errs.append(f"{where or 'scenario'} must be a JSON "
-                    f"{'list' if isinstance(kind, list) else 'object'}, "
-                    f"got {v!r}")
-        return v
     if isinstance(kind, list):
+        name, ok = "list", isinstance(v, list)
+    elif isinstance(kind, dict):
+        name, ok = "object", isinstance(v, dict)
+    elif isinstance(kind, _Num):
+        name = kind.kind.__name__
+        ok = type(v) is not bool and isinstance(
+            v, (int, float) if kind.kind is float else int)
+    else:
+        name, ok = kind.__name__, isinstance(v, kind)
+    if not ok:
+        errs.append(f"{where or 'scenario'} must be a JSON {name}, "
+                    f"got {v!r}")
+    elif isinstance(kind, list):
         return [_walk(f"{where}[{k}]", x, kind[0], errs)
                 for k, x in enumerate(v)]
-    if isinstance(kind, dict):
-        out = {}
-        for key, x in v.items():
-            if key in kind:
-                out[key] = _walk(f"{where}.{key}" if where else key, x,
-                                 kind[key], errs)
-            else:
-                errs.append(f"unknown key {key!r} in {where or 'scenario'}")
-        return out
-    if not isinstance(v, kind):
-        errs.append(f"{where} must be a JSON {kind.__name__}, got {v!r}")
+    elif isinstance(kind, dict):
+        errs += [f"unknown key {key!r} in {where or 'scenario'}"
+                 for key in v if key not in kind]
+        return {key: _walk(f"{where}.{key}" if where else key, x, kind[key],
+                           errs) for key, x in v.items() if key in kind}
+    elif isinstance(kind, _Num):
+        if kind.kind is float and type(v) is int:
+            try:
+                v = float(v)
+            except OverflowError:   # beyond float range: not finite either
+                v = math.inf
+        if not math.isfinite(v):
+            errs.append(f"{where} must be finite")
+        elif not (kind.lo < v if kind.lo_open else kind.lo <= v) \
+                or v > kind.hi:
+            errs.append(f"{where} must be in {'(' if kind.lo_open else '['}"
+                        f"{kind.lo}, {kind.hi}]")
     return v
 
 
@@ -438,18 +411,6 @@ def _elements_from_json(d: dict) -> KeplerianElements:
     return KeplerianElements(
         a=d["a_km"], e=d["e"], i=_angle(d, "i"), raan=_angle(d, "raan"),
         argp=_angle(d, "argp"), M=_angle(d, "M"), epoch=Epoch(d["epoch_s"]))
-
-
-def _economics_from_json(kw: dict) -> EconomicsParams:
-    for name in ("slash_fraction", "validator_fee_cut", "attestation_quorum"):
-        if name in kw:
-            try:
-                kw[name] = Fraction(kw[name])
-            except (ValueError, ZeroDivisionError):
-                raise NetsimError(f"economics.{name} must be a fraction "
-                                  f"such as \"2/3\", got {kw[name]!r}") \
-                    from None
-    return EconomicsParams(**kw)
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -477,11 +438,9 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(d: dict) -> Scenario:
-    """The scenario of its JSON form. Scenario files are outside input: an
-    unknown key, a missing required key, a value of another JSON kind
-    than docs/scenario.md gives it (a string for a number, a fraction for
-    an integer), or an orbit or site value out of its range (an
-    eccentricity of 1.5, a NaN latitude), raises NetsimError."""
+    """The scenario of its JSON form. Scenario files are outside input: a
+    value that breaks its rule in docs/scenario.md, or a missing required
+    key, raises NetsimError."""
     errs = []
     d = _walk("", d, _SCENARIO, errs)
     if errs:
@@ -498,11 +457,12 @@ def scenario_from_json(d: dict) -> Scenario:
 @contextlib.contextmanager
 def _entry(where: str):
     """Raise the error an out-of-range value makes a record raise (an
-    eccentricity of 1.5, a NaN latitude, a negative r_mint) as a
-    NetsimError naming where."""
+    eccentricity of 1.5, a NaN latitude, a negative r_mint, a fraction of
+    "1/0") as a NetsimError naming where."""
     try:
         yield
-    except (ValueError, LedgerError, ValidationError) as e:
+    except (ValueError, ZeroDivisionError, LedgerError,
+            ValidationError) as e:
         raise NetsimError(f"{where}: {e}") from None
 
 
@@ -524,7 +484,9 @@ def _scenario_of(d: dict) -> Scenario:
         kwargs.setdefault("spoof_offset_rad", _angle(d, "spoof_offset"))
     if "economics" in d:
         with _entry("economics"):
-            kwargs["economics"] = _economics_from_json(d["economics"])
+            kwargs["economics"] = EconomicsParams(**{
+                k: Fraction(v) if isinstance(v, str) else v
+                for k, v in d["economics"].items()})
     if "validation" in d:
         with _entry("validation"):
             kwargs["validation"] = ValidationParams(**d["validation"])
@@ -791,10 +753,9 @@ class _Node:
                       done, t)
 
 
-# Rank of each kind among events at the same time, after the first
-# observer cycles (rank 0) and before anything pushed while the run goes,
-# such as later cycles and deliveries (rank 5). This is the order the
-# events had when every series was scheduled up front, before the run.
+# Rank of each kind among equal-time events, between the first observer
+# cycles (0) and what the run pushes as it goes, such as later cycles and
+# deliveries (5): their order when each series was scheduled up front.
 _RANK = {"post": 1, "scripted": 2, "fl": 3, "block": 4}
 
 
@@ -804,9 +765,7 @@ class _Sim:
         if errs:
             raise NetsimError("invalid scenario: " + "; ".join(errs))
         self.sc = sc
-        self.truth = {}
-        for rec in sc.truth_orbits:
-            self.truth[rec.object_id] = rec
+        self.truth = {rec.object_id: rec for rec in sc.truth_orbits}
         self.truth_sorted = sorted(sc.truth_orbits,
                                    key=lambda r: r.object_id)
         self.sites = {s.site_id: s for s in sc.sites}
@@ -839,14 +798,9 @@ class _Sim:
     # -- plumbing ------------------------------------------------------------
 
     def push(self, t: float, kind: str, data, rank: int = None) -> None:
-        if rank is None:
-            rank = _RANK.get(kind, 5)
+        rank = _RANK.get(kind, 5) if rank is None else rank
         heapq.heappush(self.events, (t, rank, next(self.seq), kind, data))
 
-    def push_until(self, t: float, until: float, kind: str, data) -> None:
-        """Schedule the next event of a series, if it falls by until."""
-        if t <= until:
-            self.push(t, kind, data)
 
     def network_send(self, node: _Node, tx: Transaction, t: float) -> None:
         h = tx_hash(tx)
@@ -920,14 +874,9 @@ class _Sim:
             self.calib_samples.extend(
                 samples_from_range_tdm(tdm, site, rec, step_s=self.sc.step_s))
 
-    def handle_cycle(self, node: _Node, t: float) -> None:
-        node.cycle(self.state, t)
-
     def handle_fl(self, round_no: int, t: float) -> None:
         computes = sorted((n for n in self.nodes if n.spec.role == "compute"),
                           key=lambda n: n.spec.account)
-        if not computes:
-            return
         proposer = computes[round_no % len(computes)]
         if proposer.spec.behavior == "lazy_validator":
             return
@@ -942,44 +891,47 @@ class _Sim:
             if node.spec.role == "observer":
                 self.push(37.0 * (i + 1), "cycle", node, rank=0)
         requesters = [n for n in self.nodes if n.spec.role == "requester"]
-        if sc.task_interval_s > 0.0 and requesters:
-            self.push_until(sc.task_interval_s, active_until, "post", None)
         for st in sc.scripted_tasks:
-            if requesters:
-                self.push_until(st.t, active_until, "scripted", st)
+            if requesters and st.t <= active_until:
+                self.push(st.t, "scripted", st)
+        # kind -> (first time, period, last time) of each recurring series;
+        # an event of one carries its round number and schedules the next
+        series = {"block": (sc.block_interval_s, sc.block_interval_s,
+                            sc.duration_s)}
+        if sc.task_interval_s > 0.0 and requesters:
+            series["post"] = (sc.task_interval_s, sc.task_interval_s,
+                              active_until)
         if sc.fl_interval_s > 0.0:
-            self.push_until(sc.fl_start_s, active_until, "fl", 0)
-        self.push_until(sc.block_interval_s, sc.duration_s, "block", None)
+            series["fl"] = (sc.fl_start_s, sc.fl_interval_s, active_until)
+        for kind, (first, _, last) in series.items():
+            if first <= last:
+                self.push(first, kind, 0)
 
         cataloged = sorted(sc.initial_catalog)
-        post_idx = 0
         while self.events:
             t, _, _, kind, data = heapq.heappop(self.events)
             if t > sc.duration_s:
                 break
+            if kind in series:
+                _, period, last = series[kind]
+                if t + period <= last:
+                    self.push(t + period, kind, data + 1)
             if kind == "block":
                 self.handle_block(t)
-                self.push_until(t + sc.block_interval_s, sc.duration_s,
-                                "block", None)
             elif kind == "cycle":
                 if t <= active_until:
-                    self.handle_cycle(data, t)
+                    data.cycle(self.state, t)
                     self.push(t + sc.cycle_s, "cycle", data)
             elif kind == "deliver":
                 self.mempool[tx_hash(data)] = data
                 self.delivered += 1
             elif kind == "post":
-                target = cataloged[post_idx % len(cataloged)]
-                post_idx += 1
+                target = cataloged[data % len(cataloged)]
                 requesters[0].post_task(target, sc.task_fee, False, t)
-                self.push_until(t + sc.task_interval_s, active_until, "post",
-                                None)
             elif kind == "scripted":
                 requesters[0].post_task(data.target, data.fee, data.urgency, t)
             elif kind == "fl":
                 self.handle_fl(data, t)
-                self.push_until(t + sc.fl_interval_s, active_until, "fl",
-                                data + 1)
         return self._report()
 
     # -- reporting -----------------------------------------------------------
@@ -1076,21 +1028,19 @@ def run_scenario(sc: Scenario, out_dir: str = None) -> SimReport:
                   encoding="utf-8") as f:
             json.dump(report.to_json_dict(), f, sort_keys=True, indent=2)
             f.write("\n")
-        with open(os.path.join(out_dir, "verdicts.csv"), "w",
-                  encoding="utf-8") as f:
-            f.write("height,time,tdm_hash,verdict,object_id,submitter\n")
-            for row in sim.verdict_rows:
-                f.write(",".join(str(v) for v in row) + "\n")
-        with open(os.path.join(out_dir, "balances.csv"), "w",
-                  encoding="utf-8") as f:
-            f.write("height,time,account,balance,staked\n")
-            for row in sim.balance_rows:
-                f.write(",".join(str(v) for v in row) + "\n")
-        with open(os.path.join(out_dir, "model_rms.csv"), "w",
-                  encoding="utf-8") as f:
-            f.write("time,height,version\n")
-            for row in sim.version_log:
-                f.write(f"{row['time']},{row['height']},{row['version']}\n")
+        versions = [(r["time"], r["height"], r["version"])
+                    for r in sim.version_log]
+        for name, header, rows in (
+                ("verdicts", "height,time,tdm_hash,verdict,object_id,"
+                             "submitter", sim.verdict_rows),
+                ("balances", "height,time,account,balance,staked",
+                 sim.balance_rows),
+                ("model_rms", "time,height,version", versions)):
+            with open(os.path.join(out_dir, f"{name}.csv"), "w",
+                      encoding="utf-8") as f:
+                f.write(header + "\n")
+                for row in rows:
+                    f.write(",".join(str(v) for v in row) + "\n")
     return report
 
 

@@ -1,9 +1,14 @@
+import copy
 import dataclasses
 import json
 import math
+import pathlib
+import re
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import grids
 from sdachain import astro, ledger, netsim, tdm as tdm_module
@@ -36,6 +41,8 @@ from sdachain.netsim import (
     validate_scenario,
 )
 from sdachain.tdm import ObservationRecord, Tdm, TdmMeta, serialize_tdm
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +146,8 @@ class TestScenarioValidation:
             ScriptedTask(t=t, target=sc.initial_catalog[0], fee=5),))
         assert any("scripted_tasks[0].t must be" in e
                    for e in validate_scenario(bad))
-        with pytest.raises(NetsimError, match=r"scripted_tasks\[0\]\.t must be"):
+        with pytest.raises(NetsimError,
+                           match=r"scripted_tasks\[0\]\.t must be"):
             run_scenario(bad)
 
     @pytest.mark.parametrize("value", [-1, 2 ** 64],
@@ -230,6 +238,19 @@ class TestScenarioValidation:
                                              fee=5),))
         assert any("requester" in e for e in validate_scenario(with_task))
 
+    # Each of these used to validate, and a run of it never ended: the
+    # first two scheduled their series up front, where t + 1e-300 == t
+    # pushes events forever, and the third listed every sample of a
+    # 1e300 s window. So these tests only validate them.
+    @pytest.mark.parametrize("build, name, value", [
+        (fl_scenario, "fl_interval_s", 1e-300),
+        (reference_scenario, "task_interval_s", 1e-300),
+        (uct_scenario, "cycle_s", 1e300)],
+        ids=["fl_interval", "task_interval", "cycle"])
+    def test_endless_scenario_rejected(self, build, name, value):
+        bad = dataclasses.replace(build(1), **{name: value})
+        assert any(name in e for e in validate_scenario(bad))
+
 
 class TestScenarioJson:
     def test_roundtrip_preserves_scenario(self):
@@ -274,6 +295,40 @@ class TestScenarioJson:
         edit(d)
         with pytest.raises(NetsimError, match=where):
             scenario_from_json(d)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["truth_orbits"][0].update(a_km=1e-300),
+         r"truth_orbits\[0\]"),
+        (lambda d: d["truth_orbits"][0].update(a_km=1e300),
+         r"truth_orbits\[0\]"),
+        (lambda d: d["economics"].update(r_mint=-1), "economics.*r_mint"),
+        (lambda d: d["validation"].update(d_assoc=0), "validation.*d_assoc"),
+        (lambda d: d.update(duration_s=10 ** 400), "duration_s"),
+    ], ids=["tiny_a", "huge_a", "negative_r_mint", "zero_d_assoc",
+            "huge_int_duration"])
+    def test_load_escape_raises_netsim_error(self, edit, where):
+        # each of these used to escape as another error: a ZeroDivisionError
+        # or OverflowError from the run's first mean motion, a LedgerError,
+        # a ValidationError, an OverflowError from float()
+        d = scenario_to_json(uct_scenario(4))
+        edit(d)
+        with pytest.raises(NetsimError, match=where):
+            scenario_from_json(d)
+
+    def test_every_key_is_documented(self):
+        """Every key _SCENARIO declares is named in docs/scenario.md."""
+        text = (ROOT / "docs" / "scenario.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"`([A-Za-z_]\w*)`", text))
+        keys, kinds = set(), [netsim._SCENARIO]
+        while kinds:
+            kind = kinds.pop()
+            if isinstance(kind, list):
+                kinds.append(kind[0])
+            elif isinstance(kind, dict):
+                keys.update(kind)
+                kinds.extend(kind.values())
+        assert len(keys) > 60
+        assert sorted(keys - named) == []
 
     def test_unknown_key_rejected(self):
         d = scenario_to_json(uct_scenario(4))
@@ -328,6 +383,106 @@ class TestScenarioJson:
             scenario_from_json(d)
         with pytest.raises(NetsimError, match="latency"):
             NetworkParams(latency_ms=latency)
+
+
+class TestEventHeap:
+    def test_peak_does_not_grow_with_duration(self, monkeypatch):
+        # each recurring event schedules the next when it fires, so the
+        # heap holds about one event per series and node, however long
+        # the run; with every series scheduled up front it held 168
+        # events over one day and 480 over three
+        peaks = {}
+        push = netsim._Sim.push
+
+        def recording(sim, *args, **kwargs):
+            push(sim, *args, **kwargs)
+            peaks[sim.sc.duration_s] = max(peaks.get(sim.sc.duration_s, 0),
+                                           len(sim.events))
+
+        monkeypatch.setattr(netsim._Sim, "push", recording)
+        for days in (1, 3):
+            run_scenario(dataclasses.replace(reference_scenario(1),
+                                             duration_s=days * 86400.0))
+        assert peaks[86400.0] == peaks[3 * 86400.0] <= 32
+
+
+def _fuzz_base() -> dict:
+    """uct_scenario(1) as JSON, with a requester and a scripted task, so
+    that every key of _SCENARIO has a leaf to edit."""
+    d = scenario_to_json(uct_scenario(1))
+    d["nodes"].append(dataclasses.asdict(
+        NodeSpec("rita", "requester", balance=1000)))
+    d["scripted_tasks"] = [dataclasses.asdict(
+        ScriptedTask(t=600.0, target="OBJ-01", fee=5))]
+    d["calibration_ids"] = ["OBJ-01"]
+    return d
+
+
+def _leaves(v, kind, path=()):
+    """(path, kind) of each leaf of v that kind declares, and of each key
+    an object may carry but v lacks (an angle in degrees)."""
+    if isinstance(kind, list):
+        for k, x in enumerate(v):
+            yield from _leaves(x, kind[0], path + (k,))
+    elif isinstance(kind, dict):
+        for key, sub in kind.items():
+            if key in v:
+                yield from _leaves(v[key], sub, path + (key,))
+            elif not isinstance(sub, (list, dict)):
+                yield path + (key,), sub
+    else:
+        yield path, kind
+
+
+FUZZ_BASE = _fuzz_base()
+FUZZ_LEAVES = list(_leaves(FUZZ_BASE, netsim._SCENARIO))
+EDGE_VALUES = (0, -1, 1e-300, 1e300, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+               math.nan, math.inf, -math.inf)
+
+
+def _values(kind) -> list:
+    """The edge values, plus a number leaf's bounds and their neighbours,
+    and a leaf of another kind's own kind."""
+    out = list(EDGE_VALUES)
+    if isinstance(kind, netsim._Num):
+        for b in (kind.lo, kind.hi):
+            if math.isfinite(b):
+                out += [b, b - 1, b + 1] if kind.kind is int else \
+                    [b, math.nextafter(b, -math.inf),
+                     math.nextafter(b, math.inf)]
+    else:
+        out += ["", "OBJ-01", True, False]
+    return out
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_file_loads_and_runs_or_is_refused(self, data):
+        d = copy.deepcopy(FUZZ_BASE)
+        for path, kind in data.draw(st.lists(st.sampled_from(FUZZ_LEAVES),
+                                             min_size=1, max_size=3)):
+            *parents, last = path
+            node = d
+            for key in parents:
+                node = node[key]
+            node[last] = data.draw(st.sampled_from(_values(kind)))
+        try:
+            sc = scenario_from_json(d)
+        except NetsimError:
+            return
+        if validate_scenario(sc):
+            return
+        # a longer run only repeats the same steps; the work bound keeps
+        # the unclipped run finite
+        sc = dataclasses.replace(sc, duration_s=min(
+            sc.duration_s, 5400.0, 200 * sc.block_interval_s))
+        assert validate_scenario(sc) == []
+        try:
+            run_scenario(sc)
+        except SdaError:
+            pass
 
 
 class TestBreakup:
