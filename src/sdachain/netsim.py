@@ -264,6 +264,7 @@ def validate_scenario(sc: Scenario) -> list:
     if sc.scripted_tasks and not has_requester:
         errs.append("scripted tasks configured but no requester node")
     for name, events in (("block_interval_s", "blocks"),
+                         ("cycle_s", "observer cycles"),
                          ("task_interval_s", "task posts"),
                          ("fl_interval_s", "FL rounds")):
         step = getattr(sc, name)

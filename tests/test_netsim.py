@@ -240,15 +240,19 @@ class TestScenarioValidation:
 
     # Each of these used to validate, and a run of it never ended: the
     # first two scheduled their series up front, where t + 1e-300 == t
-    # pushes events forever, and the third listed every sample of a
-    # 1e300 s window. So these tests only validate them.
-    @pytest.mark.parametrize("build, name, value", [
-        (fl_scenario, "fl_interval_s", 1e-300),
-        (reference_scenario, "task_interval_s", 1e-300),
-        (uct_scenario, "cycle_s", 1e300)],
-        ids=["fl_interval", "task_interval", "cycle"])
-    def test_endless_scenario_rejected(self, build, name, value):
-        bad = dataclasses.replace(build(1), **{name: value})
+    # pushes events forever, the third listed every sample of a 1e300 s
+    # window, and the fourth, with no orbit to propagate, ran 5.6e9
+    # observer cycles. So these tests only validate them.
+    @pytest.mark.parametrize("build, changes, name", [
+        (fl_scenario, {"fl_interval_s": 1e-300}, "fl_interval_s"),
+        (reference_scenario, {"task_interval_s": 1e-300}, "task_interval_s"),
+        (uct_scenario, {"cycle_s": 1e300}, "cycle_s"),
+        (uct_scenario, {"truth_orbits": (), "initial_catalog": (),
+                        "duration_s": 1e12, "block_interval_s": 1e8},
+         "cycle_s")],
+        ids=["fl_interval", "task_interval", "cycle", "cycle_count"])
+    def test_endless_scenario_rejected(self, build, changes, name):
+        bad = dataclasses.replace(build(1), **changes)
         assert any(name in e for e in validate_scenario(bad))
 
 
@@ -407,8 +411,8 @@ class TestEventHeap:
 
 
 def _fuzz_base() -> dict:
-    """uct_scenario(1) as JSON, with a requester and a scripted task, so
-    that every key of _SCENARIO has a leaf to edit."""
+    """uct_scenario(1) as JSON, with a requester, a scripted task and a
+    calibration id, so that every key of _SCENARIO has a leaf to edit."""
     d = scenario_to_json(uct_scenario(1))
     d["nodes"].append(dataclasses.asdict(
         NodeSpec("rita", "requester", balance=1000)))
