@@ -10,11 +10,10 @@ unconfirmed transactions each block, so network imperfections only
 delay quorum and never violate ledger invariants.
 
 The event loop is single-threaded by construction: one master heap
-carries observation cycles, task postings, federated-learning rounds,
-network deliveries, and block production. Each recurring event schedules
-the next when it fires, so the heap holds O(nodes) events however long
-the run. It is ordered by (time, rank, sequence number); the rank puts
-equal-time events in a fixed order (_RANK). Node behaviors concretize
+ordered by (time, rank, sequence number) carries observation cycles,
+task postings, federated-learning rounds, network deliveries, and block
+production; each recurring event schedules the next when it fires, and
+the rank orders equal-time events (_RANK). Node behaviors concretize
 the adversary taxonomy: honest, spoofer (corrupts claimed tracks by a
 configured element offset), lazy_validator (never attests or votes),
 and model_poisoner (proposes garbage weights and votes accept on
@@ -263,6 +262,8 @@ def validate_scenario(sc: Scenario) -> list:
         errs.append("task series configured but no requester node")
     if sc.scripted_tasks and not has_requester:
         errs.append("scripted tasks configured but no requester node")
+    if sc.task_interval_s > 0.0 and not sc.initial_catalog:
+        errs.append("task series configured but nothing is cataloged")
     for name, events in (("block_interval_s", "blocks"),
                          ("cycle_s", "observer cycles"),
                          ("task_interval_s", "task posts"),
@@ -364,9 +365,8 @@ _SCALARS = [k for k, kind in _SCENARIO.items() if isinstance(kind, _Num)
 
 
 def _walk(where: str, v, kind, errs: list):
-    """v, checked against kind, with each int made a float where a float
-    belongs; each problem (another JSON kind, an unknown key, a number
-    that breaks its rule) is appended to errs."""
+    """v checked against kind, an int made a float where a float belongs;
+    each problem (wrong kind, unknown key, broken rule) goes to errs."""
     if isinstance(kind, list):
         name, ok = "list", isinstance(v, list)
     elif isinstance(kind, dict):
@@ -394,7 +394,7 @@ def _walk(where: str, v, kind, errs: list):
                 v = float(v)
             except OverflowError:   # beyond float range: not finite either
                 v = math.inf
-        if not math.isfinite(v):
+        if kind.kind is float and not math.isfinite(v):
             errs.append(f"{where} must be finite")
         elif not (kind.lo < v if kind.lo_open else kind.lo <= v) \
                 or v > kind.hi:

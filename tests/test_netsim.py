@@ -238,6 +238,12 @@ class TestScenarioValidation:
                                              fee=5),))
         assert any("requester" in e for e in validate_scenario(with_task))
 
+    def test_task_series_needs_a_catalog(self):
+        # this used to validate, and the first task post raised
+        # ZeroDivisionError picking its target round-robin
+        bad = dataclasses.replace(reference_scenario(1), initial_catalog=())
+        assert any("task series" in e for e in validate_scenario(bad))
+
     # Each of these used to validate, and a run of it never ended: the
     # first two scheduled their series up front, where t + 1e-300 == t
     # pushes events forever, the third listed every sample of a 1e300 s
@@ -307,16 +313,24 @@ class TestScenarioJson:
          r"truth_orbits\[0\]"),
         (lambda d: d["economics"].update(r_mint=-1), "economics.*r_mint"),
         (lambda d: d["validation"].update(d_assoc=0), "validation.*d_assoc"),
-        (lambda d: d.update(duration_s=10 ** 400), "duration_s"),
-    ], ids=["tiny_a", "huge_a", "negative_r_mint", "zero_d_assoc",
-            "huge_int_duration"])
+    ], ids=["tiny_a", "huge_a", "negative_r_mint", "zero_d_assoc"])
     def test_load_escape_raises_netsim_error(self, edit, where):
         # each of these used to escape as another error: a ZeroDivisionError
         # or OverflowError from the run's first mean motion, a LedgerError,
-        # a ValidationError, an OverflowError from float()
+        # a ValidationError
         d = scenario_to_json(uct_scenario(4))
         edit(d)
         with pytest.raises(NetsimError, match=where):
+            scenario_from_json(d)
+
+    def test_integer_beyond_float_range(self):
+        # an int leaf holds any JSON integer, a float leaf none past the
+        # float range: neither check may overflow converting it
+        d = scenario_to_json(uct_scenario(4))
+        d["seed"] = 10 ** 400
+        assert scenario_from_json(d).seed == 10 ** 400
+        d["duration_s"] = 10 ** 400
+        with pytest.raises(NetsimError, match="duration_s must be finite"):
             scenario_from_json(d)
 
     def test_every_key_is_documented(self):
@@ -441,7 +455,7 @@ def _leaves(v, kind, path=()):
 FUZZ_BASE = _fuzz_base()
 FUZZ_LEAVES = list(_leaves(FUZZ_BASE, netsim._SCENARIO))
 EDGE_VALUES = (0, -1, 1e-300, 1e300, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
-               math.nan, math.inf, -math.inf)
+               10 ** 400, math.nan, math.inf, -math.inf)
 
 
 def _values(kind) -> list:
