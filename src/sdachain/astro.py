@@ -3,7 +3,9 @@
 Everything downstream (sensor synthesis, orbit determination, validation)
 builds on the primitives here: epochs on a uniform leap-second-free
 timescale, ECI state vectors, classical element sets, and a fixed-step
-RK4 propagator with two-body + J2 + exponential-atmosphere drag forces.
+propagator with two-body + J2 + exponential-atmosphere drag forces: an
+order-10 Adams-Bashforth-Moulton grid (started by RK4) and one RK4 step
+from the grid to each requested time.
 
 Conventions:
   * distances in km, velocities in km/s, angles in radians, time in
@@ -38,7 +40,8 @@ DRAG_SCALE_H = 60.0           # km, scale height
 
 DECAY_ALTITUDE = 100.0        # km, integration aborts below this
 MIN_STEP_S = 1.0
-MAX_STEP_S = 60.0
+MAX_STEP_S = 90.0
+STEP_S = 90.0                 # the grid step every step_s defaults to
 MAX_SPAN_S = 30 * 86400.0     # propagation span limit
 
 TWO_PI = 2.0 * math.pi
@@ -350,7 +353,7 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
                              argp=wrap_two_pi(argp), M=M, epoch=s.epoch)
 
 
-# --- numerical propagation: two-body + J2 + exponential drag, fixed-step RK4 ---
+# --- numerical propagation: two-body + J2 + exponential drag ---
 #
 # States are advanced along an absolute step grid anchored at the element
 # epoch (grid point k sits at epoch + k*step), with one partial RK4 step from
@@ -359,21 +362,36 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # between the anchor and t2, so one grid serves every later query of the
 # same orbit without changing results.
 #
+# Grid points 1 to _ORDER - 1 are the start-up: each is three RK4 steps of
+# step/3 from the one before.  Every later point is one step of a fixed-step
+# Adams-Bashforth-Moulton method of order _ORDER in PECE mode (Montenbruck &
+# Gill, Satellite Orbits, 2000, section 4.2): predict with the
+# Adams-Bashforth formula over the derivatives (velocity, acceleration) at
+# the last _ORDER grid points, evaluate the force at the prediction, correct
+# with the Adams-Moulton formula, and evaluate the force at the corrected
+# state, which becomes the newest back value.  That is two force
+# evaluations per step, where RK4 makes four.
+#
 # A _Grid holds one orbit's grid for one (elements, bstar, step, j2): the
 # anchor state is computed and altitude-checked once, when the grid is built,
 # and the forward and backward grids are flat array('d') buffers, six doubles
-# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Each grid is
-# kept on its KeplerianElements instance, in a dict keyed by (bstar, step,
-# j2), so it lives exactly as long as its elements do; elements built anew,
-# even with equal values, start with no grid.
+# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Next to each
+# it keeps the back values at its last _ORDER points, so a grid extended in
+# any chunking holds the same bits; the first multistep extension evaluates
+# them at the start-up points with the multistep loop's own force
+# expression.  Each grid is kept on its KeplerianElements instance, in a dict
+# keyed by (bstar, step, j2), so it lives exactly as long as its elements do;
+# elements built anew, even with equal values, start with no grid.
 #
-# _rk4_steps is the one RK4 implementation and the one stepping loop: a grid
-# extension runs all its steps in a single call over local floats, and the
-# remainder step to a time between grid points is a call with n = 1.  Each
-# step's altitude check reuses the radius that the next step's first stage
-# needs, and a grid extension's new points reach the grid in bulk appends
-# of at most _APPEND_STEPS points, so even a first extension across the
-# whole span buffers only that many.
+# _abm_steps and _rk4_steps are the two stepping loops, each fused over local
+# floats and summing gravity, then J2 (when kj != 0), then drag (when
+# bstar != 0) in every force evaluation: the order fixes the bits of every
+# propagated state, which tests/test_astro.py pins.  _rk4_steps serves only
+# the start-up and the remainder step to a time between grid points (a call
+# with n = 1).  Each step's altitude check reuses the radius that its next
+# force evaluation needs, and a multistep extension's new points reach the
+# grid in bulk appends of at most _APPEND_STEPS points, so even a first
+# extension across the whole span buffers only that many.
 
 
 def _drag(x, y, vx, vy, vz, r, bstar):
@@ -398,134 +416,268 @@ def _decay_error(alt: float, t: float) -> DecayError:
 _APPEND_STEPS = 256     # grid points buffered between bulk appends
 
 
-def _rk4_steps(state, h, n, bstar, kj, t0, k0, out=None):
+def _rk4_steps(state, h, n, bstar, kj, t0, k0):
     """n RK4 steps of h seconds from state; returns the last state.
 
     kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
     t0 + k*h, the time a DecayError names when that step's state is below
-    DECAY_ALTITUDE.  When out is an array('d'), the n states are appended
-    to it; on a DecayError, only the states before the decayed one are.
-
-    Each of the four stages sums gravity, then J2 (when kj != 0), then
-    drag (when bstar != 0), in that order: the order fixes the bits of
-    every propagated state, which tests/test_astro.py pins.
+    DECAY_ALTITUDE.
     """
     x, y, z, vx, vy, vz = state
     r2 = x * x + y * y + z * z
     r = math.sqrt(r2)
     h2 = 0.5 * h
     h6 = h / 6.0
+    for k in range(k0 + 1, k0 + n + 1):
+        c = -MU_EARTH / (r2 * r)
+        ax1 = c * x
+        ay1 = c * y
+        az1 = c * z
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z * z / r2
+            ax1 += kr * x * (1.0 - f)
+            ay1 += kr * y * (1.0 - f)
+            az1 += kr * z * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
+            ax1 += dx
+            ay1 += dy
+            az1 += dz
+
+        x2 = x + h2 * vx
+        y2 = y + h2 * vy
+        z2 = z + h2 * vz
+        vx2 = vx + h2 * ax1
+        vy2 = vy + h2 * ay1
+        vz2 = vz + h2 * az1
+        r2 = x2 * x2 + y2 * y2 + z2 * z2
+        r = math.sqrt(r2)
+        c = -MU_EARTH / (r2 * r)
+        ax2 = c * x2
+        ay2 = c * y2
+        az2 = c * z2
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z2 * z2 / r2
+            ax2 += kr * x2 * (1.0 - f)
+            ay2 += kr * y2 * (1.0 - f)
+            az2 += kr * z2 * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
+            ax2 += dx
+            ay2 += dy
+            az2 += dz
+
+        x3 = x + h2 * vx2
+        y3 = y + h2 * vy2
+        z3 = z + h2 * vz2
+        vx3 = vx + h2 * ax2
+        vy3 = vy + h2 * ay2
+        vz3 = vz + h2 * az2
+        r2 = x3 * x3 + y3 * y3 + z3 * z3
+        r = math.sqrt(r2)
+        c = -MU_EARTH / (r2 * r)
+        ax3 = c * x3
+        ay3 = c * y3
+        az3 = c * z3
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z3 * z3 / r2
+            ax3 += kr * x3 * (1.0 - f)
+            ay3 += kr * y3 * (1.0 - f)
+            az3 += kr * z3 * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
+            ax3 += dx
+            ay3 += dy
+            az3 += dz
+
+        x4 = x + h * vx3
+        y4 = y + h * vy3
+        z4 = z + h * vz3
+        vx4 = vx + h * ax3
+        vy4 = vy + h * ay3
+        vz4 = vz + h * az3
+        r2 = x4 * x4 + y4 * y4 + z4 * z4
+        r = math.sqrt(r2)
+        c = -MU_EARTH / (r2 * r)
+        ax4 = c * x4
+        ay4 = c * y4
+        az4 = c * z4
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z4 * z4 / r2
+            ax4 += kr * x4 * (1.0 - f)
+            ay4 += kr * y4 * (1.0 - f)
+            az4 += kr * z4 * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
+            ax4 += dx
+            ay4 += dy
+            az4 += dz
+
+        x += h6 * (vx + 2.0 * (vx2 + vx3) + vx4)
+        y += h6 * (vy + 2.0 * (vy2 + vy3) + vy4)
+        z += h6 * (vz + 2.0 * (vz2 + vz3) + vz4)
+        vx += h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
+        vy += h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+        vz += h6 * (az1 + 2.0 * (az2 + az3) + az4)
+        r2 = x * x + y * y + z * z
+        r = math.sqrt(r2)
+        if r - R_EARTH < DECAY_ALTITUDE:
+            raise _decay_error(r - R_EARTH, t0 + k * h)
+    return x, y, z, vx, vy, vz
+
+
+_ORDER = 10     # back values of the multistep method, and its order
+# Adams-Bashforth weights of the derivatives at grid points n, n-1, ...,
+# n-9 for the step n -> n+1, and Adams-Moulton weights of those at n+1,
+# n, ..., n-8: the integrals over [0, 1] of the Lagrange basis polynomials
+# on those points, in units of the step, rounded to the nearest double
+_AB = (4.1717988040123455, -14.46692970127866, 36.64195877425044,
+       -62.646298500881834, 74.17932071208112, -61.28364225088183,
+       34.80740520282187, -12.994284611992946, 2.87764701829806,
+       -0.2869754464285714)
+_AM = (0.2869754464285714, 1.3020443397266315, -1.5530346119929452,
+       2.2049052028218696, -2.3814547508818342, 1.8615082120811288,
+       -1.0187985008818343, 0.3703516313932981, -0.08038952270723104,
+       0.00789255401234568)
+
+
+def _abm_steps(points, back, h, n, bstar, kj, t0):
+    """n multistep steps of h seconds, appended to the grid points.
+
+    points is an array('d') grid holding at least _ORDER points; step k,
+    for k0 < k <= k0 + n with k0 the index of its last point, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE; on a DecayError only the states before it are
+    appended.  back is the list of the back values at the grid's last
+    _ORDER points, dx0..dx9 (velocity x, newest first), then dy, dz, ax,
+    ay and az alike; the loop leaves it matching the last point appended.
+    When back is empty, the loop first evaluates it at the last _ORDER
+    points held, in passes that step nothing.
+    """
+    (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9) = [h * b for b in _AB]
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9) = [h * c for c in _AM]
+    k0 = len(points) // 6 - 1
+    first = k0 + 1
+    if not back:
+        first -= _ORDER
+        back.extend([0.0] * (6 * _ORDER))
+    (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
+     dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
+     dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
+     ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
+     ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
+     az0, az1, az2, az3, az4, az5, az6, az7, az8, az9) = back
+    x, y, z, vx, vy, vz = points[-6:]
     buf = []
     full = 6 * _APPEND_STEPS
     try:
-        for k in range(k0 + 1, k0 + n + 1):
+        for k in range(first, k0 + n + 1):
+            if k > k0:
+                # predict
+                px = x + (b0 * dx0 + b1 * dx1 + b2 * dx2 + b3 * dx3 + b4 * dx4
+                          + b5 * dx5 + b6 * dx6 + b7 * dx7 + b8 * dx8
+                          + b9 * dx9)
+                py = y + (b0 * dy0 + b1 * dy1 + b2 * dy2 + b3 * dy3 + b4 * dy4
+                          + b5 * dy5 + b6 * dy6 + b7 * dy7 + b8 * dy8
+                          + b9 * dy9)
+                pz = z + (b0 * dz0 + b1 * dz1 + b2 * dz2 + b3 * dz3 + b4 * dz4
+                          + b5 * dz5 + b6 * dz6 + b7 * dz7 + b8 * dz8
+                          + b9 * dz9)
+                pvx = vx + (b0 * ax0 + b1 * ax1 + b2 * ax2 + b3 * ax3
+                            + b4 * ax4 + b5 * ax5 + b6 * ax6 + b7 * ax7
+                            + b8 * ax8 + b9 * ax9)
+                pvy = vy + (b0 * ay0 + b1 * ay1 + b2 * ay2 + b3 * ay3
+                            + b4 * ay4 + b5 * ay5 + b6 * ay6 + b7 * ay7
+                            + b8 * ay8 + b9 * ay9)
+                pvz = vz + (b0 * az0 + b1 * az1 + b2 * az2 + b3 * az3
+                            + b4 * az4 + b5 * az5 + b6 * az6 + b7 * az7
+                            + b8 * az8 + b9 * az9)
+                # evaluate
+                r2 = px * px + py * py + pz * pz
+                r = math.sqrt(r2)
+                c = -MU_EARTH / (r2 * r)
+                qx = c * px
+                qy = c * py
+                qz = c * pz
+                if kj:
+                    kr = kj / (r2 * r2 * r)
+                    f = 5.0 * pz * pz / r2
+                    qx += kr * px * (1.0 - f)
+                    qy += kr * py * (1.0 - f)
+                    qz += kr * pz * (3.0 - f)
+                if bstar:
+                    dx, dy, dz = _drag(px, py, pvx, pvy, pvz, r, bstar)
+                    qx += dx
+                    qy += dy
+                    qz += dz
+                # correct
+                x += (c0 * pvx + c1 * dx0 + c2 * dx1 + c3 * dx2 + c4 * dx3
+                      + c5 * dx4 + c6 * dx5 + c7 * dx6 + c8 * dx7 + c9 * dx8)
+                y += (c0 * pvy + c1 * dy0 + c2 * dy1 + c3 * dy2 + c4 * dy3
+                      + c5 * dy4 + c6 * dy5 + c7 * dy6 + c8 * dy7 + c9 * dy8)
+                z += (c0 * pvz + c1 * dz0 + c2 * dz1 + c3 * dz2 + c4 * dz3
+                      + c5 * dz4 + c6 * dz5 + c7 * dz6 + c8 * dz7 + c9 * dz8)
+                vx += (c0 * qx + c1 * ax0 + c2 * ax1 + c3 * ax2 + c4 * ax3
+                       + c5 * ax4 + c6 * ax5 + c7 * ax6 + c8 * ax7 + c9 * ax8)
+                vy += (c0 * qy + c1 * ay0 + c2 * ay1 + c3 * ay2 + c4 * ay3
+                       + c5 * ay4 + c6 * ay5 + c7 * ay6 + c8 * ay7 + c9 * ay8)
+                vz += (c0 * qz + c1 * az0 + c2 * az1 + c3 * az2 + c4 * az3
+                       + c5 * az4 + c6 * az5 + c7 * az6 + c8 * az7 + c9 * az8)
+                r2 = x * x + y * y + z * z
+                r = math.sqrt(r2)
+                if r - R_EARTH < DECAY_ALTITUDE:
+                    raise _decay_error(r - R_EARTH, t0 + k * h)
+            else:
+                # a point held already, whose back value is missing
+                x, y, z, vx, vy, vz = points[6 * k:6 * k + 6]
+                r2 = x * x + y * y + z * z
+                r = math.sqrt(r2)
+            # evaluate
             c = -MU_EARTH / (r2 * r)
-            ax1 = c * x
-            ay1 = c * y
-            az1 = c * z
+            ax = c * x
+            ay = c * y
+            az = c * z
             if kj:
                 kr = kj / (r2 * r2 * r)
                 f = 5.0 * z * z / r2
-                ax1 += kr * x * (1.0 - f)
-                ay1 += kr * y * (1.0 - f)
-                az1 += kr * z * (3.0 - f)
+                ax += kr * x * (1.0 - f)
+                ay += kr * y * (1.0 - f)
+                az += kr * z * (3.0 - f)
             if bstar:
                 dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
-                ax1 += dx
-                ay1 += dy
-                az1 += dz
-
-            x2 = x + h2 * vx
-            y2 = y + h2 * vy
-            z2 = z + h2 * vz
-            vx2 = vx + h2 * ax1
-            vy2 = vy + h2 * ay1
-            vz2 = vz + h2 * az1
-            r2 = x2 * x2 + y2 * y2 + z2 * z2
-            r = math.sqrt(r2)
-            c = -MU_EARTH / (r2 * r)
-            ax2 = c * x2
-            ay2 = c * y2
-            az2 = c * z2
-            if kj:
-                kr = kj / (r2 * r2 * r)
-                f = 5.0 * z2 * z2 / r2
-                ax2 += kr * x2 * (1.0 - f)
-                ay2 += kr * y2 * (1.0 - f)
-                az2 += kr * z2 * (3.0 - f)
-            if bstar:
-                dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
-                ax2 += dx
-                ay2 += dy
-                az2 += dz
-
-            x3 = x + h2 * vx2
-            y3 = y + h2 * vy2
-            z3 = z + h2 * vz2
-            vx3 = vx + h2 * ax2
-            vy3 = vy + h2 * ay2
-            vz3 = vz + h2 * az2
-            r2 = x3 * x3 + y3 * y3 + z3 * z3
-            r = math.sqrt(r2)
-            c = -MU_EARTH / (r2 * r)
-            ax3 = c * x3
-            ay3 = c * y3
-            az3 = c * z3
-            if kj:
-                kr = kj / (r2 * r2 * r)
-                f = 5.0 * z3 * z3 / r2
-                ax3 += kr * x3 * (1.0 - f)
-                ay3 += kr * y3 * (1.0 - f)
-                az3 += kr * z3 * (3.0 - f)
-            if bstar:
-                dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
-                ax3 += dx
-                ay3 += dy
-                az3 += dz
-
-            x4 = x + h * vx3
-            y4 = y + h * vy3
-            z4 = z + h * vz3
-            vx4 = vx + h * ax3
-            vy4 = vy + h * ay3
-            vz4 = vz + h * az3
-            r2 = x4 * x4 + y4 * y4 + z4 * z4
-            r = math.sqrt(r2)
-            c = -MU_EARTH / (r2 * r)
-            ax4 = c * x4
-            ay4 = c * y4
-            az4 = c * z4
-            if kj:
-                kr = kj / (r2 * r2 * r)
-                f = 5.0 * z4 * z4 / r2
-                ax4 += kr * x4 * (1.0 - f)
-                ay4 += kr * y4 * (1.0 - f)
-                az4 += kr * z4 * (3.0 - f)
-            if bstar:
-                dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
-                ax4 += dx
-                ay4 += dy
-                az4 += dz
-
-            x += h6 * (vx + 2.0 * (vx2 + vx3) + vx4)
-            y += h6 * (vy + 2.0 * (vy2 + vy3) + vy4)
-            z += h6 * (vz + 2.0 * (vz2 + vz3) + vz4)
-            vx += h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
-            vy += h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-            vz += h6 * (az1 + 2.0 * (az2 + az3) + az4)
-            r2 = x * x + y * y + z * z
-            r = math.sqrt(r2)
-            if r - R_EARTH < DECAY_ALTITUDE:
-                raise _decay_error(r - R_EARTH, t0 + k * h)
-            if out is not None:
+                ax += dx
+                ay += dy
+                az += dz
+            dx9, dx8, dx7, dx6, dx5, dx4, dx3, dx2, dx1, dx0 = (
+                dx8, dx7, dx6, dx5, dx4, dx3, dx2, dx1, dx0, vx)
+            dy9, dy8, dy7, dy6, dy5, dy4, dy3, dy2, dy1, dy0 = (
+                dy8, dy7, dy6, dy5, dy4, dy3, dy2, dy1, dy0, vy)
+            dz9, dz8, dz7, dz6, dz5, dz4, dz3, dz2, dz1, dz0 = (
+                dz8, dz7, dz6, dz5, dz4, dz3, dz2, dz1, dz0, vz)
+            ax9, ax8, ax7, ax6, ax5, ax4, ax3, ax2, ax1, ax0 = (
+                ax8, ax7, ax6, ax5, ax4, ax3, ax2, ax1, ax0, ax)
+            ay9, ay8, ay7, ay6, ay5, ay4, ay3, ay2, ay1, ay0 = (
+                ay8, ay7, ay6, ay5, ay4, ay3, ay2, ay1, ay0, ay)
+            az9, az8, az7, az6, az5, az4, az3, az2, az1, az0 = (
+                az8, az7, az6, az5, az4, az3, az2, az1, az0, az)
+            if k > k0:
                 buf += (x, y, z, vx, vy, vz)
                 if len(buf) >= full:
-                    out.fromlist(buf)
+                    points.fromlist(buf)
                     buf.clear()
     finally:
         if buf:
-            out.fromlist(buf)
-    return x, y, z, vx, vy, vz
+            points.fromlist(buf)
+        back[:] = (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
+                   dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
+                   dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
+                   ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
+                   ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
+                   az0, az1, az2, az3, az4, az5, az6, az7, az8, az9)
 
 
 def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
@@ -548,10 +700,11 @@ def _anchor(el: KeplerianElements) -> tuple:
 
 
 class _Grid:
-    """One orbit's step grid: anchor, forward and backward array('d') grids."""
+    """One orbit's step grid: anchor, forward and backward array('d') grids,
+    and the multistep back values at each one's end."""
 
     __slots__ = ("t0", "step_s", "bstar", "kj", "forward", "backward",
-                 "decay_fwd", "decay_bwd")
+                 "back_fwd", "back_bwd", "decay_fwd", "decay_bwd")
 
     def __init__(self, el: KeplerianElements, bstar: float, step_s: float,
                  j2: float):
@@ -562,8 +715,16 @@ class _Grid:
         self.kj = _j2_coeff(j2)
         self.forward = array("d", anchor)     # point k at epoch + k*step
         self.backward = array("d", anchor)    # point k at epoch - k*step
+        self.back_fwd = []                    # empty until a multistep step
+        self.back_bwd = []
         self.decay_fwd = None                 # grid index at which decay was hit
         self.decay_bwd = None
+
+    def __deepcopy__(self, memo):
+        # a grid is a function of its key and elements, and each extension
+        # only appends what any copy would compute, so copies share it
+        memo[id(self)] = self
+        return self
 
     def point(self, t: float) -> tuple:
         """(points, i, h): the last grid point from the anchor toward t is
@@ -582,11 +743,10 @@ class _Grid:
                 f"altitude below {DECAY_ALTITUDE:.0f} km at grid step {decay_at} "
                 f"(t={self.t0 + sign * decay_at * step_s:.1f})"
             )
-        held = len(grid) // 6
-        if held <= n_full:
+        if len(grid) // 6 <= n_full:
             try:
-                _rk4_steps(grid[-6:], sign * step_s, n_full + 1 - held,
-                           self.bstar, self.kj, self.t0, held - 1, grid)
+                self._extend(grid, self.back_fwd if dt >= 0.0 else self.back_bwd,
+                             sign * step_s, n_full)
             except DecayError:
                 if dt >= 0.0:
                     self.decay_fwd = len(grid) // 6
@@ -594,6 +754,16 @@ class _Grid:
                     self.decay_bwd = len(grid) // 6
                 raise
         return grid, 6 * n_full, sign * rem
+
+    def _extend(self, grid, back, h: float, n_full: int) -> None:
+        """Step grid, whose back values are back, to point n_full: RK4 at
+        h/3 up to point _ORDER - 1, the multistep loop beyond."""
+        for k in range(len(grid) // 6, min(n_full, _ORDER - 1) + 1):
+            grid.extend(_rk4_steps(grid[-6:], h / 3.0, 3, self.bstar, self.kj,
+                                   self.t0, 3 * k - 3))
+        if n_full >= _ORDER:
+            _abm_steps(grid, back, h, n_full + 1 - len(grid) // 6, self.bstar,
+                       self.kj, self.t0)
 
     def finish(self, state, h: float, t: float) -> tuple:
         """A grid point's state stepped by h to t, altitude-checked."""
@@ -629,8 +799,9 @@ def clear_propagation_cache():
 
 
 def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
-                 step_s: float = 10.0, *, j2: float = J2_EARTH) -> StateVector:
-    """Numerically propagated state at t: two-body + J2 + drag, RK4.
+                 step_s: float = STEP_S, *, j2: float = J2_EARTH) -> StateVector:
+    """Numerically propagated state at t: two-body + J2 + drag, on el's
+    multistep grid plus one RK4 step to t.
 
     The force model is the chain's reference propagator; j2 is exposed as
     a test hook to recover the pure two-body limit.  Reads and extends
@@ -645,7 +816,7 @@ def propagate_j2(el: KeplerianElements, bstar: float, t: Epoch,
 
 
 def propagate_many(el: KeplerianElements, bstar: float, epochs,
-                   step_s: float = 10.0, *, j2: float = J2_EARTH):
+                   step_s: float = STEP_S, *, j2: float = J2_EARTH):
     """Yield propagate_j2's state at each epoch, in the given order.
 
     One grid, el's own, serves the whole pass.  Each epoch raises the
@@ -663,10 +834,15 @@ def propagate_many(el: KeplerianElements, bstar: float, epochs,
 
 _HORIZON_MARGIN_KM = 1e-3   # covers rounding in the screen and in topocentric_angles
 _SPEED_SLACK = 1.0          # km/s a remainder step may add to the grid point's speed
+_FLOOR_R = R_EARTH + DECAY_ALTITUDE
+# gravity plus J2 bounded at the decay altitude: 9.53e-3 km/s^2, so a
+# remainder step of up to MAX_STEP_S gains at most 0.86 km/s from them
+_A_GRAV_FLOOR = (MU_EARTH / _FLOOR_R ** 2
+                 + 2.0 * abs(_j2_coeff(J2_EARTH)) / _FLOOR_R ** 4)
 
 
 def propagate_above_horizon(el: KeplerianElements, bstar: float,
-                            site: GroundSite, times, step_s: float = 10.0):
+                            site: GroundSite, times, step_s: float = STEP_S):
     """Yield propagate_j2's state at each time (seconds) of times, in order,
     skipping times at which the orbit is provably below site's horizon.
 
@@ -676,7 +852,8 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
     get from propagate_many.  Each time is screened on the grid point
     the state at t is stepped from, which the pass computes anyway: the
     grid point at t_g = t -/+ rem (0 <= rem < step_s), with position r_g
-    and speed v_g, is stepped by one RK4 step of rem seconds, which moves
+    and speed v_g, is stepped by one RK4 step of rem seconds (the
+    multistep loop makes only grid points), which moves
     the position by at most rem*v_g + rem**2/2 * a_max, with a_max
     bounding gravity, J2 and drag at every stage above the decay
     altitude.  The site's zenith turns by at most EARTH_ROT*rem, and
@@ -690,17 +867,15 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
     time is screened only when every RK4 stage stays at least
     _HORIZON_MARGIN_KM above the decay altitude and gains at most
     _SPEED_SLACK km/s, which is what makes a_max a bound and leaves the
-    remainder step's altitude check unable to fire; otherwise the time
+    remainder step's altitude check unable to fire (without drag,
+    MAX_STEP_S * a_max stays below _SPEED_SLACK); otherwise the time
     takes the exact path.  Non-finite states make every test false and
     take the exact path too.  Limits, the grid points reached on el's
     grid and each error are those of propagate_many, at the same time.
     """
-    floor_r = R_EARTH + DECAY_ALTITUDE
     site_r = R_EARTH + site.alt
     cos_lat, sin_lat = math.cos(site.lat), math.sin(site.lat)
     lam0 = site.lon + GMST_J2000
-    a_grav = (MU_EARTH / floor_r ** 2
-              + 2.0 * abs(_j2_coeff(J2_EARTH)) / floor_r ** 4)
     drag = abs(bstar) * DRAG_RHO0 * math.exp(
         -(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
     grid = None
@@ -716,11 +891,11 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
         v = math.sqrt(vx * vx + vy * vy + vz * vz)
         w = v + _SPEED_SLACK
         vr = w + EARTH_ROT * (r + rem * w)
-        a_max = a_grav + drag * vr * vr
+        a_max = _A_GRAV_FLOOR + drag * vr * vr
         reach = rem * (v + 0.5 * rem * a_max) + _HORIZON_MARGIN_KM
         lam = lam0 + EARTH_ROT * (t - h)
         up_r = cos_lat * (x * math.cos(lam) + y * math.sin(lam)) + sin_lat * z
-        if (rem * a_max <= _SPEED_SLACK and r - reach > floor_r
+        if (rem * a_max <= _SPEED_SLACK and r - reach > _FLOOR_R
                 and up_r + reach + EARTH_ROT * rem * r < site_r):
             continue
         state = grid.finish(state, h, t)

@@ -18,6 +18,7 @@ import numpy as np
 from .astro import (
     Epoch,
     KeplerianElements,
+    STEP_S,
     StateVector,
     cross,
     propagate_j2,
@@ -139,7 +140,7 @@ def rsw_axes(sv: StateVector) -> tuple:
 
 def corrected_propagate(el: KeplerianElements, bstar: float, t: Epoch,
                         model: ResidualModel, *,
-                        step_s: float = 10.0) -> StateVector:
+                        step_s: float = STEP_S) -> StateVector:
     """propagate_j2 plus the model's RSW position correction; velocity untouched."""
     sv = propagate_j2(el, bstar, t, step_s=step_s)
     x = features(el, bstar, t.t - el.epoch.t)
@@ -151,7 +152,7 @@ def corrected_propagate(el: KeplerianElements, bstar: float, t: Epoch,
 
 
 def samples_from_range_tdm(tdm: Tdm, site, record, *,
-                           step_s: float = 10.0) -> list:
+                           step_s: float = STEP_S) -> list:
     """Supervision pairs from a range-bearing TDM of a calibration object.
 
     The observed ECI position comes from the measured line of sight and

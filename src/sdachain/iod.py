@@ -39,6 +39,7 @@ from .astro import (
     KeplerianElements,
     MU_EARTH,
     R_EARTH,
+    STEP_S,
     StateVector,
     UnsupportedRegimeError,
     cross,
@@ -467,7 +468,7 @@ def _model_jacobian(x, epoch: Epoch, records, n_terms: int,
 
 
 def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
-                    bstar: float = 0.0, *, step_s: float = 10.0,
+                    bstar: float = 0.0, *, step_s: float = STEP_S,
                     j2: float = J2_EARTH) -> IodSolution:
     """Gauss-Newton differential correction of elements against messages.
 

@@ -31,6 +31,7 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     OrbitRecord,
+    STEP_S,
     propagate_j2,
     state_to_kepler,
 )
@@ -380,7 +381,7 @@ class LedgerState:
     burned: int = 0
     minted: int = 0
     genesis_supply: int = 0
-    step_s: float = 30.0
+    step_s: float = STEP_S
     time: float = 0.0
     height: int = 0         # next block height
     last_hash: bytes = ZERO_DIGEST
@@ -486,7 +487,7 @@ def state_root(state: LedgerState) -> bytes:
 
 def make_genesis(accounts: list, catalog: list, sites: list,
                  params: EconomicsParams, vparams: ValidationParams, *,
-                 step_s: float = 30.0, time: float = 0.0) -> tuple:
+                 step_s: float = STEP_S, time: float = 0.0) -> tuple:
     """Initial state plus block 0, whose single pseudo-transaction carries
     the canonical state snapshot every replay starts from."""
     state = LedgerState(params=params, vparams=vparams, step_s=step_s,

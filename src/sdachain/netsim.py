@@ -24,11 +24,12 @@ spoof_offset_rad, seen from the spoofer's site. The simulator applies
 the offset to the site instead: it observes the true orbit from a copy
 of the site at longitude lon - spoof_offset_rad. Gravity, J2 and drag in
 the co-rotating atmosphere are all unchanged by a rotation about the
-polar axis, so the RK4 map on the epoch-0 grid turns the RAAN-shifted
-orbit into the true orbit rotated by the offset; azimuth, elevation and
-range are unchanged when the object and the site turn together. The two
-agree up to rounding, and the spoofer reads the truth grid the honest
-observers already built instead of integrating a grid of its own.
+polar axis, so the propagator's map on the epoch-0 grid turns the
+RAAN-shifted orbit into the true orbit rotated by the offset; azimuth,
+elevation and range are unchanged when the object and the site turn
+together. The two agree up to rounding, and the spoofer reads the truth
+grid the honest observers already built instead of integrating a grid
+of its own.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .astro import (
+    MAX_SPAN_S,
     MAX_STEP_S,
     MIN_STEP_S,
+    STEP_S,
     Epoch,
     GroundSite,
     KeplerianElements,
@@ -122,8 +125,8 @@ MIN_TRACK_EPOCHS = 4        # shortest arc worth submitting
 SURVEY_MIN_EPOCHS = 6       # UNKNOWN tracks must support batch refinement
 RANGE_NOISE_KM = 0.05
 MAX_BLOCKS = 20_000         # events per series; reference has 1008 blocks
-# 1/km.  Drag only slows an orbit, and at or below this its RK4 stages stay
-# stable, so finite, down to the decay altitude at any step up to MAX_STEP_S.
+# 1/km.  Drag only slows an orbit, and at or below this the integrator's
+# stages stay finite down to the decay altitude at any step up to MAX_STEP_S.
 BSTAR_MAX = 0.1
 
 
@@ -205,7 +208,7 @@ class Scenario:
     drag_injection: float = 0.0     # extra truth bstar on calibration ids
     scripted_tasks: tuple = ()
     max_track_len: int = 8
-    step_s: float = 30.0
+    step_s: float = STEP_S
     intent_ttl_s: float = 7200.0
 
     def __post_init__(self):
@@ -252,7 +255,16 @@ def validate_scenario(sc: Scenario) -> list:
                     "(the genesis supply)")
     if not any(n.role == "compute" for n in sc.nodes):
         errs.append("need at least one compute node")
-    for r in sc.truth_orbits:
+    # truth is propagated from time 0 to the end of the last observation
+    # window, which a cycle started before the cooldown takes past
+    # duration_s when cycle_s is the longer
+    last = max(sc.duration_s, sc.duration_s - sc.cooldown_s() + sc.cycle_s)
+    for k, r in enumerate(sc.truth_orbits):
+        epoch = r.elements.epoch.t
+        if max(abs(epoch), abs(last - epoch)) > MAX_SPAN_S:
+            errs.append(f"truth_orbits[{k}]: epoch_s must lie within "
+                        f"{MAX_SPAN_S:.0f} s (the propagation span limit) "
+                        f"of 0 and of the last observed time, {last:.1f} s")
         if r.object_id in sc.calibration_ids \
                 and not 0.0 <= r.bstar + sc.drag_injection <= BSTAR_MAX:
             errs.append(f"bstar of {r.object_id} plus drag_injection must "
@@ -459,11 +471,11 @@ def scenario_from_json(d: dict) -> Scenario:
 def _entry(where: str):
     """Raise the error an out-of-range value makes a record raise (an
     eccentricity of 1.5, a NaN latitude, a negative r_mint, a fraction of
-    "1/0") as a NetsimError naming where."""
+    "1/0", an unknown role) as a NetsimError naming where."""
     try:
         yield
-    except (ValueError, ZeroDivisionError, LedgerError,
-            ValidationError) as e:
+    except (ValueError, ZeroDivisionError, LedgerError, ValidationError,
+            NetsimError) as e:
         raise NetsimError(f"{where}: {e}") from None
 
 
@@ -480,7 +492,14 @@ def _scenario_of(d: dict) -> Scenario:
             sites.append(GroundSite(site_id=s["site_id"], lat=_angle(s, "lat"),
                                     lon=_angle(s, "lon"),
                                     alt=s.get("alt_km", 0.0)))
+    nodes = []
+    for k, n in enumerate(d["nodes"]):
+        with _entry(f"nodes[{k}]"):
+            nodes.append(NodeSpec(**n))
     kwargs = {name: d[name] for name in _SCALARS if name in d}
+    if "network" in d:
+        with _entry("network"):
+            kwargs["network"] = NetworkParams(**d["network"])
     if "spoof_offset_deg" in d:
         kwargs.setdefault("spoof_offset_rad", _angle(d, "spoof_offset"))
     if "economics" in d:
@@ -495,8 +514,7 @@ def _scenario_of(d: dict) -> Scenario:
         truth_orbits=tuple(truth_orbits),
         initial_catalog=tuple(d["initial_catalog"]),
         sites=tuple(sites),
-        nodes=tuple(NodeSpec(**n) for n in d["nodes"]),
-        network=NetworkParams(**d.get("network", {})),
+        nodes=tuple(nodes),
         calibration_ids=tuple(d.get("calibration_ids", ())),
         scripted_tasks=tuple(ScriptedTask(**s)
                              for s in d.get("scripted_tasks", ())),

@@ -19,6 +19,7 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     DecayError,
+    STEP_S,
     propagate_above_horizon,
     topocentric_angles,
 )
@@ -223,7 +224,7 @@ def is_expired(task: Task, now: Epoch) -> bool:
 
 
 def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
-                   window, *, step_s: float = 30.0,
+                   window, *, step_s: float = STEP_S,
                    cadence_s: float = 60.0) -> tuple:
     """Epochs in the window where the orbit clears the elevation mask.
 
@@ -264,7 +265,7 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
 
 
 def assign(queue, site: GroundSite, window, catalog: dict, *,
-           step_s: float = 30.0):
+           step_s: float = STEP_S):
     """Pick the highest-priority open task visible from the site.
 
     Returns (the task, observation epochs) or None when no target clears

@@ -29,6 +29,7 @@ from .astro import (
     GroundSite,
     J2_EARTH,
     OrbitRecord,
+    STEP_S,
     StateVector,
     angles_to_unit_vector,
     angular_separation,
@@ -428,7 +429,7 @@ def separation_rms(entries: list, states) -> float:
 def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: float,
               seed: int, *, mode: str = "AZEL", with_range: bool = False,
               participant: str = None, range_noise_km: float = 0.0,
-              step_s: float = 10.0, j2: float = J2_EARTH) -> Tdm:
+              step_s: float = STEP_S, j2: float = J2_EARTH) -> Tdm:
     """Simulated sensor: observe a cataloged orbit and emit a canonical Tdm.
 
     Angles come from the reference propagator plus zero-mean Gaussian noise

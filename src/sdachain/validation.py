@@ -16,6 +16,7 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     OrbitRecord,
+    STEP_S,
     angular_separation,
     propagate_j2,
     state_to_kepler,
@@ -127,7 +128,7 @@ def _refined_iod(tdm: Tdm, site: GroundSite,
 def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
                  params: ValidationParams,
                  model: ResidualModel = ResidualModel(), *,
-                 step_s: float = 10.0) -> ValidationReport:
+                 step_s: float = STEP_S) -> ValidationReport:
     """Correlate one TDM against the catalog and issue a verdict.
 
     Each candidate's RMS covers this track's records only; earlier
@@ -206,7 +207,7 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
 
 def element_distance(a: KeplerianElements, b: KeplerianElements,
                      params: ValidationParams, *,
-                     step_s: float = 10.0) -> float:
+                     step_s: float = STEP_S) -> float:
     """Weighted element-space distance with both orbits at b's epoch.
 
     Osculating elements drift secularly under J2, so a is propagated to
@@ -224,7 +225,7 @@ def element_distance(a: KeplerianElements, b: KeplerianElements,
 
 def associate_uct(new_elements: KeplerianElements, uct_pool: list,
                   params: ValidationParams, *,
-                  step_s: float = 10.0) -> list:
+                  step_s: float = STEP_S) -> list:
     """Pool entries matching the new track's fit, as (tdm_hash, distance).
 
     uct_pool holds (tdm_hash, KeplerianElements) pairs, one fit per
@@ -245,7 +246,7 @@ def associate_uct(new_elements: KeplerianElements, uct_pool: list,
 
 
 def mine_object(tdms: list, sites: dict, params: ValidationParams, *,
-                step_s: float = 10.0) -> Optional[OrbitRecord]:
+                step_s: float = STEP_S) -> Optional[OrbitRecord]:
     """Fit one orbit to associated UCT tracks; None when the fit fails.
 
     The object_id is derived from the chronologically first track's

@@ -34,6 +34,27 @@ def live_grids() -> int:
     return sum(isinstance(o, astro._Grid) for o in gc.get_objects())
 
 
+def count_force_evaluations(monkeypatch) -> dict:
+    """Count from now on, by stepping loop, the force evaluations the
+    propagator makes: four per RK4 step ("rk4": the start-up and the
+    remainder steps), two per multistep step plus one per back value a
+    grid's first multistep extension evaluates ("multistep")."""
+    counts = {"rk4": 0, "multistep": 0}
+    rk4, abm = astro._rk4_steps, astro._abm_steps
+
+    def rk4_counted(state, h, n, *args):
+        counts["rk4"] += 4 * n
+        return rk4(state, h, n, *args)
+
+    def abm_counted(points, back, h, n, *args):
+        counts["multistep"] += 2 * n + (0 if back else astro._ORDER)
+        return abm(points, back, h, n, *args)
+
+    monkeypatch.setattr(astro, "_rk4_steps", rk4_counted)
+    monkeypatch.setattr(astro, "_abm_steps", abm_counted)
+    return counts
+
+
 def site_under(record: OrbitRecord, t: Epoch, site_id: str = "SITE",
                lon_off_deg: float = 3.0, j2: float = None) -> GroundSite:
     """Ground site directly beneath the object at time t, nudged in longitude.
@@ -124,6 +145,6 @@ def visibility_cases(draw):
                           lat=math.radians(draw(st.floats(-89.0, 89.0))),
                           lon=math.radians(draw(st.floats(-180.0, 180.0))),
                           alt=alt)
-    step_s = draw(st.sampled_from((10.0, 30.0, 60.0)))
+    step_s = draw(st.sampled_from((10.0, 30.0, 60.0, 90.0)))
     cadence_s = draw(st.sampled_from((60.0, 90.0, 150.0)))
     return el, bstar, site, (Epoch(t0), Epoch(t0 + duration)), step_s, cadence_s

@@ -40,6 +40,7 @@ from sdachain.astro import (
     wrap_two_pi,
 )
 from sdachain.errors import SdaError
+from sdachain.netsim import reference_scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -252,7 +253,7 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagate_j2(el, 0.0, Epoch(100.0), step_s=0.5)
         with pytest.raises(ValueError):
-            propagate_j2(el, 0.0, Epoch(100.0), step_s=61.0)
+            propagate_j2(el, 0.0, Epoch(100.0), step_s=91.0)
         with pytest.raises(ValueError):
             propagate_j2(el, 0.0, Epoch(31 * 86400.0))
 
@@ -279,47 +280,54 @@ _PIN_ELEMENTS = KeplerianElements(a=6878.0, e=0.012, i=0.9, raan=1.1, argp=0.7,
                                   M=2.3, epoch=Epoch(1000.0))
 _PINNED_STATES = [
     ("drag_on_partial", 2e-05, 6437.25, 10.0, J2_EARTH,
-     ("-0x1.0f8abc2bfb33dp+12",
-      "-0x1.38d4aed6aaaeap+12",
-      "0x1.ed76cd8d5b443p+10",
-      "0x1.4a03a636e42d9p+1",
-      "-0x1.214dc50a14636p+2",
-      "-0x1.5fdf13e503ea1p+2")),
+     ("-0x1.0f8abc32de6afp+12",
+      "-0x1.38d4aecce0b92p+12",
+      "0x1.ed76cdc307f89p+10",
+      "0x1.4a03a61d62703p+1",
+      "-0x1.214dc517b607fp+2",
+      "-0x1.5fdf13de948cbp+2")),
     ("drag_off_on_grid", 0.0, 8200.0, 10.0, J2_EARTH,
-     ("0x1.d2067c01d5d8cp+11",
-      "-0x1.0e8e5fd6015bep+11",
-      "-0x1.52abd843ddfb0p+12",
-      "0x1.c7464ecf67dccp+1",
-      "0x1.aa871e13c344dp+2",
-      "-0x1.ed9ec3fcc05ecp-4")),
+     ("0x1.d2067bf24a807p+11",
+      "-0x1.0e8e5ff739c4fp+11",
+      "-0x1.52abd844cbbbep+12",
+      "0x1.c7464ee57701cp+1",
+      "0x1.aa871e0b87865p+2",
+      "-0x1.ed9ec849688e5p-4")),
     ("two_body_partial", 0.0, 4333.3, 7.0, 0.0,
-     ("0x1.587cc2c7f8848p+10",
-      "0x1.8b823729b4f1cp+12",
-      "0x1.02b5181af6123p+11",
-      "-0x1.52c8bfd312211p+2",
-      "-0x1.620b0a5b28a4ap-1",
-      "0x1.632de16aa7d73p+2")),
+     ("0x1.587cc2cf45356p+10",
+      "0x1.8b82372a9f6ddp+12",
+      "0x1.02b51817e8cdep+11",
+      "-0x1.52c8bfd1f1c41p+2",
+      "-0x1.620b0a46d109ap-1",
+      "0x1.632de16ad813ap+2")),
     ("backward_partial", 1e-05, -3321.5, 30.0, J2_EARTH,
-     ("0x1.7882982a198dep+11",
-      "-0x1.a215ac3043802p+11",
-      "-0x1.49e8f41cc9b28p+12",
-      "0x1.1055560ab8e52p+2",
-      "0x1.851dc63729d8dp+2",
-      "-0x1.57f883fc4a19bp+0")),
+     ("0x1.78829ec80bbe6p+11",
+      "-0x1.a215a42d3287ap+11",
+      "-0x1.49e8f591f85aep+12",
+      "0x1.1055535bc4ee0p+2",
+      "0x1.851dc83b1901cp+2",
+      "-0x1.57f8733fce54bp+0")),
     ("drag_only_partial", 3e-05, 1901.5, 10.0, 0.0,
-     ("0x1.9cbf1a65941e3p+9",
-      "-0x1.5b73954ec702fp+12",
-      "-0x1.008bf880ce0ffp+12",
-      "0x1.53dbe8e6e30f4p+2",
-      "0x1.d4e689ace2320p+1",
-      "-0x1.ef573a4a6a57ap+1")),
+     ("0x1.9cbf1a6835408p+9",
+      "-0x1.5b73954f2e025p+12",
+      "-0x1.008bf88167813p+12",
+      "0x1.53dbe8e67952ep+2",
+      "0x1.d4e689aa6959cp+1",
+      "-0x1.ef573a4ae6d8bp+1")),
     ("backward_on_grid", 0.0, 400.0, 60.0, J2_EARTH,
-     ("-0x1.3263d716ba2a5p+12",
-      "-0x1.753042dcfdd4ep+11",
-      "0x1.dabe5103348e5p+11",
-      "0x1.f881c0e814436p-2",
-      "-0x1.95aebdb95d987p+2",
-      "-0x1.0b04232ee0607p+2")),
+     ("-0x1.3263d890a85e4p+12",
+      "-0x1.753040ecfd81cp+11",
+      "0x1.dabe5576ed360p+11",
+      "0x1.f881e59f3b44bp-2",
+      "-0x1.95aebac9a71b7p+2",
+      "-0x1.0b0424191b2cdp+2")),
+    ("default_step_partial", 2e-05, 87445.5, 90.0, J2_EARTH,
+     ("0x1.b29d32ad1742ep+11",
+      "-0x1.3f4ee9c4230f0p+11",
+      "-0x1.524335890adc6p+12",
+      "0x1.08a4fac3e47d4p+2",
+      "0x1.9464abb01d8a6p+2",
+      "-0x1.ed0edb5cb09c2p-3")),
 ]
 
 
@@ -426,6 +434,30 @@ class TestPropagateMany:
         assert issubclass(astro.PropagationLimitError, ValueError)
 
 
+class TestMultistepAccuracy:
+    """One day of the default grid against RK4 at 1 s, whose own error is
+    far below a millimetre here."""
+
+    @pytest.mark.parametrize("el,bstar", [
+        (reference_scenario(1).truth_orbits[0].elements, 0.0),
+        (reference_scenario(1).truth_orbits[1].elements, 0.0),
+        (_PIN_ELEMENTS, 2e-5)], ids=["OBJ-01", "OBJ-02", "drag"])
+    def test_one_day_against_fine_rk4(self, el, bstar):
+        # on the grid, and 45 s short of it, where the RK4 remainder step
+        # adds its own error; RK4 at 30 s, the old grid, misses OBJ-01 by
+        # 48 m, OBJ-02 by 31 m and the drag orbit by 109 m
+        kj, day = astro._j2_coeff(J2_EARTH), 86400.0
+        t0 = el.epoch.t
+        off = astro._rk4_steps(astro._anchor(el), 1.0, 86355, bstar, kj, t0, 0)
+        on = astro._rk4_steps(off, 1.0, 45, bstar, kj, t0, 86355)
+        coarse = astro._rk4_steps(astro._anchor(el), 30.0, 2880, bstar, kj,
+                                  t0, 0)
+        for t, fine in ((t0 + day, on), (t0 + day - 45.0, off)):
+            sv = propagate_j2(fresh(el), bstar, Epoch(t))
+            assert vec_err(sv.r, fine) < 0.05 * vec_err(coarse[:3], on)
+            assert vec_err(sv.r, fine) < 2e-3     # km
+
+
 def drain(states):
     """The states a pass yields, and the SdaError that ends it, if any."""
     got = []
@@ -461,6 +493,12 @@ class TestPropagateAboveHorizon:
         assert all(topocentric_angles(sv, site)[1] <= 0.0
                    for sv in want if sv.epoch.t not in kept)
 
+    def test_longest_remainder_step_keeps_the_screen_open(self):
+        # without drag, a remainder step of up to MAX_STEP_S gains less
+        # speed at the decay altitude than the screen allows, so the
+        # screen's speed condition never sends a time down the exact path
+        assert astro.MAX_STEP_S * astro._A_GRAV_FLOOR <= astro._SPEED_SLACK
+
     def test_remainder_step_decay_is_never_screened(self):
         # a time past the last grid point above the decay altitude, seen
         # from the far side of the Earth: only the remainder step from that
@@ -486,14 +524,14 @@ class TestPropagateAboveHorizon:
 _LOW = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0, argp=0.0,
                          M=0.0, epoch=Epoch(0.0))
 # propagate_j2(_LOW, bstar, Epoch(86400.0), step_s=30.0) on a cold cache:
-# the grid index that decays, the DecayError text, and the SHA-256 of the
-# forward grid left behind (comma-joined float.hex of its doubles), as the
-# loop that stepped and appended one grid point at a time produced them
+# the grid index that decays (past the start-up, so in the multistep
+# loop), the DecayError text, and the SHA-256 of the forward grid left
+# behind (comma-joined float.hex of its doubles)
 _DECAY_PINS = [
-    (1e-3, 23, "altitude 99.9 km below 100 km at t=690.0",
-     "8133207a1a1d3f2206eb96640c80310170343ad21e61a0e33a9dc051af0fb2a7"),
+    (1e-3, 23, "altitude 100.0 km below 100 km at t=690.0",
+     "d882cdd96afc404286fb81dcdb01f25145b9b9306d0b397e86db405b8da03df7"),
     (3e-3, 17, "altitude 92.6 km below 100 km at t=510.0",
-     "1eba43994d3fead1cc6f822c8819a7a0dddec01a1eb73cb9a91faf8f7644e3b1"),
+     "d697502fe33c70938577c70130c542cee46e8d94cb998de08378bb596672c267"),
 ]
 
 
@@ -501,10 +539,16 @@ def points_hash(points):
     return hashlib.sha256(",".join(v.hex() for v in points).encode()).hexdigest()
 
 
+def held(grid):
+    """A grid's points and back values, each way."""
+    return (grid.forward.tobytes(), grid.backward.tobytes(), grid.back_fwd,
+            grid.back_bwd)
+
+
 class TestGridStepping:
-    """A grid extension runs all its steps in one _rk4_steps call and
-    appends them in bulk; the grid must hold what stepping one point per
-    call holds, and decay where and as that does."""
+    """A multistep extension runs all its steps in one _abm_steps call and
+    appends them in bulk; the grid must hold what any other chunking of
+    the same extension holds, and decay where and as that does."""
 
     @pytest.mark.parametrize("append_steps", [astro._APPEND_STEPS, 7])
     @pytest.mark.parametrize("bstar,j2", [(0.0, J2_EARTH), (2e-5, J2_EARTH),
@@ -512,18 +556,27 @@ class TestGridStepping:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_one_extension_equals_one_step_per_call(self, monkeypatch, sign,
                                                     bstar, j2, append_steps):
+        # ends of the chunks: one point per call; then chunks that end in
+        # the start-up, on its last point, on the first multistep point,
+        # and past it
         n, t0 = 50, _PIN_ELEMENTS.epoch.t
-        stepped = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
-        for k in range(1, n + 1):
-            stepped.point(t0 + sign * k * 10.0)
+        chunkings = [range(1, n + 1), [3, astro._ORDER - 1, n],
+                     [astro._ORDER, n], [astro._ORDER + 2, 30, n]]
+        grids_by_chunking = []
+        for ends in chunkings:
+            grid = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
+            for k in ends:
+                grid.point(t0 + sign * k * 10.0)
+            grids_by_chunking.append(held(grid))
         # a small append size makes the one extension flush mid-way
         monkeypatch.setattr(astro, "_APPEND_STEPS", append_steps)
         whole = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
         whole.point(t0 + sign * n * 10.0)
-        grown = stepped.forward if sign > 0 else stepped.backward
+        grown = whole.forward if sign > 0 else whole.backward
         assert len(grown) == 6 * (n + 1)
-        assert whole.forward.tobytes() == stepped.forward.tobytes()
-        assert whole.backward.tobytes() == stepped.backward.tobytes()
+        assert len(whole.back_fwd if sign > 0 else whole.back_bwd) == \
+            6 * astro._ORDER
+        assert all(g == held(whole) for g in grids_by_chunking)
 
     @pytest.mark.parametrize("append_steps", [astro._APPEND_STEPS, 5])
     @pytest.mark.parametrize("bstar,decay_at,message,points", _DECAY_PINS)

@@ -41,27 +41,27 @@ def tie_scenario(seed: int):
 GOLDEN = {
     "reference": (
         reference_scenario,
-        "82156dc1d146d0b4d7d032380d0627dd79a1abb38b079f7a3436f02e20fe2c6c",
-        "2db80977797d4b2482bcca7f87943faa990277d5259da6f84ccdf7d4b49cbf61",
-        "a6f1ad5e1c9a0748b08451bf8b330dfa37fdf2060f0110788454f4b6444895bc",
+        "1383e8d4c4fa841880794c4348cd7cd3932642fb69ecf0916a03d67ef978f85d",
+        "eae1108761d01432729f12555129db59bde96a20e1284652f98969a1a24c9fbf",
+        "16901c2c389f529f77e8bbdf4503bc6b2ce3065344fe888cd83c28fccb43c09e",
     ),
     "uct": (
         uct_scenario,
-        "1ae95ec4a753274adb0c6bef1ec17b7dbbe557101f85dea943bfabcdd8b9066c",
-        "b15b91c9a85ba224f99e4a440cd1d7094a3f7510aabc6c5e5be68bfdc2f45269",
-        "df1bccd2d82ae6a4b56d827709ca91f4c1155e4bffad75f282e4d05f717046d6",
+        "2cef984a90374ae9d1eecf7e8146e526eef5652e1f40c42828bef79051b57a62",
+        "e0d0c11795cd1caf3624f21e575eac93b38f09cfc79c44ff639bcfb8d9eb9866",
+        "e036daa219efd0e2be1c057b0222962cb519c9e788b23dd899103cdc18ae23c1",
     ),
     "fl": (
         fl_scenario,
-        "ccbc8dc08840504dbd97ae04e54d43910f9cf0fa27bba3567269582a55f6bb25",
-        "7cef033f7cfc797ab8ab4ad6d32dc2a723490c745c0a52728ab8b7b6dfd1d6f8",
-        "805814823e25c3108a35d4eeb5615a07b834a2abee0cabe7ebd6c9f4552800ac",
+        "c9a52980fca3ee641ab301b6dbb607f27db9889e4fc4b70bb647903b89dda598",
+        "79fd865b3fdea8f0cc78fbb87250d0e166cb58f8d3498eebc31eb75e5699dd23",
+        "bb50503b2e11c8276ad61eccd5e9f47f3fe5dafaed8a7a50d4f75dc5b9e96c38",
     ),
     "tie": (
         tie_scenario,
-        "fb6d78be1325d5751cd9a6f6f6a2712b4639bbbf71706d4a17b5394f5dfe89ad",
-        "299df42f8d5912bd3cc2b0d8b07820109541198fff34b7652516f8957f9df7f6",
-        "3708b53f00cc713c90fcfc574b7a852fab5f1005d226435c60dd201a9a7a9d43",
+        "83a0e92a596282c23b3e6daa8eab0a5c0a4b22c4b0c92d2a2054d86d9d5e01f2",
+        "e6ad29bf11f7094cdf4e8250b7ce5cfba898839cb70169c5b7ed348ea9af5a3f",
+        "d19851ea76e9c0ba79bc99224b7c43e6dc933398162d0271dffab4222dfb75c4",
     ),
 }
 

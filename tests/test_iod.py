@@ -43,7 +43,8 @@ from sdachain.iod import (
 from sdachain.tdm import ObservationRecord, observe, separation_rms, synth_tdm
 
 
-def angular_rms(elements, bstar, tdms, sites, *, step_s=10.0, j2=astro.J2_EARTH):
+def angular_rms(elements, bstar, tdms, sites, *, step_s=astro.STEP_S,
+                j2=astro.J2_EARTH):
     """RMS great-circle separation between messages and a propagated orbit,
     the quantity every validation threshold is stated in."""
     entries = iod._collect_records(tdms, sites)
@@ -407,18 +408,18 @@ def oracle_jacobian(x, epoch, entries, j2=astro.J2_EARTH):
 # float.hex of refine_elements(*radar_arc()): elements (a, e, i, raan,
 # argp, M, epoch.t) and RMS. Any change to the fit's arithmetic moves
 # these bits and re-pins them on purpose, with the uct golden hashes.
-PINNED_FIT = ["0x1.d7aed200f084cp+12", "0x1.4775b88281e7ep-6",
-              "0x1.704635b1a0904p+0", "0x1.0cc1d7d746027p-1",
-              "0x1.da038bca2186ap+1", "0x1.afa840cbee47ap+1",
+PINNED_FIT = ["0x1.d7aed32e2948bp+12", "0x1.47758eb4b9702p-6",
+              "0x1.704635b1a52aep+0", "0x1.0cc1d7d7577b3p-1",
+              "0x1.da0385edd41f2p+1", "0x1.afa846b567440p+1",
               "0x1.6800000000000p+9"]
-PINNED_FIT_RMS = "0x1.5094cf14f5704p-17"
+PINNED_FIT_RMS = "0x1.50819a5b6f5d0p-17"
 
 # float.hex of the RMS each fixture's fits reached when the fit stopped
 # only on a 1e-10 relative cost change, after up to 10 halvings (radar_arc;
 # mining_fixture from each start, all tracks).
 TIGHT_STOP_RMS = {
-    "radar_arc": ["0x1.5094ce1d0192bp-17"],
-    "mining": ["0x1.99acb1fc77700p-38", "0x1.e78dd3037df7ap-37"],
+    "radar_arc": ["0x1.508199630700dp-17"],
+    "mining": ["0x1.80be05afc42cep-27", "0x1.332528d2031c9p-26"],
 }
 
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import leo_record, site_under
+from conftest import grids, leo_record, site_under
 from sdachain import ledger, validation
-from sdachain.astro import Epoch, OrbitRecord
+from sdachain.astro import Epoch, OrbitRecord, propagate_j2
 from sdachain.ledger import (
     Account,
     AttestValidation,
@@ -716,6 +716,22 @@ class TestBlocks:
         _, b1 = produce_block(state.clone(), list(txs), 1, time=30.0)
         _, b2 = produce_block(state.clone(), list(reversed(txs)), 1, time=30.0)
         assert BLOCK.encode(b1) == BLOCK.encode(b2)
+
+    def test_clone_shares_propagation_grids(self):
+        # a grid is a function of its elements, so a clone keeps the grids
+        # its catalog's elements hold instead of copying every point
+        state, _, rec, _ = fresh_chain()
+        propagate_j2(state.catalog[rec.object_id].elements, rec.bstar,
+                     Epoch(86400.0), step_s=state.step_s)
+        copy = state.clone()
+        held = {oid: grids(r.elements) for oid, r in state.catalog.items()}
+        assert held[rec.object_id]
+        for oid, r in copy.catalog.items():
+            assert r.elements is not state.catalog[oid].elements
+            assert grids(r.elements).keys() == held[oid].keys()
+            assert all(grids(r.elements)[key] is grid
+                       for key, grid in held[oid].items())
+        assert encode_state(copy) == encode_state(state)
 
     def test_invalid_tx_excluded(self):
         state, _, rec, site = fresh_chain()

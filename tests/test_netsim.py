@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import grids
+from conftest import count_force_evaluations, grids
 from sdachain import astro, ledger, netsim, tdm as tdm_module
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.errors import SdaError
@@ -94,6 +94,29 @@ class TestScenarioValidation:
         broke_validator = dataclasses.replace(
             sc, nodes=sc.nodes + (NodeSpec("eve", "compute", stake=0),))
         assert any("stake" in e for e in validate_scenario(broke_validator))
+
+    @pytest.mark.parametrize("edit", [
+        lambda sc: dataclasses.replace(sc, truth_orbits=(dataclasses.replace(
+            sc.truth_orbits[0], elements=dataclasses.replace(
+                sc.truth_orbits[0].elements, epoch=Epoch(1e9))),
+            *sc.truth_orbits[1:])),
+        lambda sc: dataclasses.replace(sc, duration_s=31 * 86400.0),
+        # within the limit of duration_s, but not of the last observation
+        # window, which a cycle started before the cooldown takes 600 s
+        # past it
+        lambda sc: dataclasses.replace(sc, truth_orbits=(dataclasses.replace(
+            sc.truth_orbits[0], elements=dataclasses.replace(
+                sc.truth_orbits[0].elements,
+                epoch=Epoch(sc.duration_s - astro.MAX_SPAN_S))),
+            *sc.truth_orbits[1:])),
+    ], ids=["far_epoch", "31_days", "last_window"])
+    def test_truth_past_the_propagation_span_refused(self, edit):
+        # each used to validate and stop mid-run with PropagationLimitError
+        bad = edit(uct_scenario(1))
+        assert any(e.startswith("truth_orbits[0]: epoch_s must lie within")
+                   for e in validate_scenario(bad))
+        with pytest.raises(NetsimError, match=r"truth_orbits\[0\]"):
+            run_scenario(bad)
 
     def test_network_params_validate(self):
         with pytest.raises(NetsimError):
@@ -299,7 +322,10 @@ class TestScenarioJson:
         (lambda d: d["truth_orbits"][0].update(i_rad=4.0),
          r"truth_orbits\[0\]"),
         (lambda d: d["sites"][0].update(lat_rad=math.nan), r"sites\[0\]"),
-    ], ids=["eccentricity", "inclination", "nan_latitude"])
+        (lambda d: d["nodes"][1].update(role="wizard"), r"nodes\[1\]"),
+        (lambda d: d["network"].update(latency_ms=[500, 50]), "network"),
+    ], ids=["eccentricity", "inclination", "nan_latitude", "unknown_role",
+            "latency_range"])
     def test_out_of_range_value_rejected(self, edit, where):
         d = scenario_to_json(uct_scenario(4))
         edit(d)
@@ -611,21 +637,18 @@ class TestUctRun:
         assert all(ref() is not None for ref in kept)
         assert rep.state_root
 
-    def test_rk4_steps_per_phase(self, monkeypatch, tmp_path):
+    def test_force_evaluations_per_phase(self, monkeypatch, tmp_path):
         # every grid is shared wherever one orbit is propagated again, so
-        # the sim and the replay integrate exactly these steps
-        steps = [0]
-        rk4 = astro._rk4_steps
-
-        def counting(state, h, n, *args):
-            steps[0] += n
-            return rk4(state, h, n, *args)
-
-        monkeypatch.setattr(astro, "_rk4_steps", counting)
+        # the sim and the replay evaluate exactly these forces; RK4 on a
+        # 30 s grid made 15 592 and 6 960 (3 898 and 1 740 steps)
+        evals = count_force_evaluations(monkeypatch)
         run_scenario(uct_scenario(1), out_dir=str(tmp_path))
-        sim, steps[0] = steps[0], 0
+        sim = dict(evals)
+        evals.update(rk4=0, multistep=0)
         assert verify_chain(load_chain(str(tmp_path / "chain.log"))) is None
-        assert (sim, steps[0]) == (3898, 1740)
+        assert (sim, evals) == ({"rk4": 8484, "multistep": 1644},
+                                {"rk4": 2568, "multistep": 896})
+
 
     def test_future_dated_claim_gets_no_attestation(self):
         sim = netsim._Sim(uct_scenario(1))
@@ -682,6 +705,16 @@ class TestUctRun:
         assert header == "height,time,tdm_hash,verdict,object_id,submitter"
         with open(f"{out}/balances.csv") as f:
             assert f.readline().startswith("height,time,account")
+
+
+class TestReferenceRun:
+    def test_force_evaluations(self, monkeypatch):
+        # the multistep grid's purpose: RK4 on a 30 s grid made 407 297
+        # steps, four evaluations each, in this run
+        evals = count_force_evaluations(monkeypatch)
+        run_scenario(reference_scenario(1))
+        assert evals == {"rk4": 83100, "multistep": 262288}
+        assert 2 * sum(evals.values()) <= 4 * 407_297
 
 
 class TestSpoofer:

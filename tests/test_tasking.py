@@ -4,13 +4,15 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import fresh, grids, leo_record, site_under, visibility_cases
+from conftest import (count_force_evaluations, fresh, grids, leo_record,
+                      site_under, visibility_cases)
 from sdachain import astro, tasking
 from sdachain.astro import (
     DecayError,
     Epoch,
     J2_EARTH,
     PropagationLimitError,
+    STEP_S,
     propagate_j2,
     propagate_many,
     state_to_kepler,
@@ -318,7 +320,7 @@ class TestAssign:
             NodeSpec("x", "observer", mode="lidar")
 
 
-def exact_visible_epochs(elements, bstar, site, window, *, step_s=30.0,
+def exact_visible_epochs(elements, bstar, site, window, *, step_s=STEP_S,
                          cadence_s=60.0, j2=J2_EARTH):
     """Reference for visible_epochs: every sample propagated and tested
     exactly, with no screening."""
@@ -401,36 +403,28 @@ class TestVisibilityWork:
 
     def counted(self, monkeypatch, fn, el, *args):
         """fn's result on elements equal to el that hold no grid, its
-        topocentric_angles calls and RK4 steps, and the grids it leaves on
-        those elements.  Steps are summed over the n of _rk4_steps
-        calls: "grid" those that append to a grid, "rk4" all of them,
-        which adds the n = 1 remainder steps to a time between grid
-        points."""
-        calls = {"angles": 0, "grid": 0, "rk4": 0}
-        angles_fn, rk4_fn = astro.topocentric_angles, astro._rk4_steps
+        topocentric_angles calls and force evaluations (by stepping loop,
+        as count_force_evaluations counts them), and the grids it leaves
+        on those elements."""
+        calls = {"angles": 0}
+        angles_fn = astro.topocentric_angles
 
         def angles(sv, site):
             calls["angles"] += 1
             return angles_fn(sv, site)
 
-        def rk4(state, h, n, bstar, kj, t0, k0, out=None):
-            calls["rk4"] += n
-            if out is not None:
-                calls["grid"] += n
-            return rk4_fn(state, h, n, bstar, kj, t0, k0, out)
-
         monkeypatch.setattr(tasking, "topocentric_angles", angles)
         # the reference loop calls this module's binding
         monkeypatch.setitem(globals(), "topocentric_angles", angles)
-        monkeypatch.setattr(astro, "_rk4_steps", rk4)
+        evals = count_force_evaluations(monkeypatch)
         el = fresh(el)
         result = fn(el, *args)
         monkeypatch.undo()
-        return result, calls, grid_state(el)
+        return result, {**calls, **evals}, grid_state(el)
 
     def test_exact_test_on_few_samples(self, monkeypatch):
         rec, site = TestAssign().pass_setup()
-        # 6 h of samples, each 10 s past a 30 s grid point
+        # 6 h of samples, none on the 90 s grid
         window = (Epoch(10.0), Epoch(10.0 + 6 * 3600.0))
         samples = 361
         got, work, left = self.counted(monkeypatch, visible_epochs,
@@ -442,25 +436,27 @@ class TestVisibilityWork:
         assert exact_work["angles"] == samples
         assert work["angles"] <= 0.15 * samples
         assert left == exact_left
-        # the same grid steps, plus one remainder step per exactly tested
-        # sample
-        grid_steps = left[0] - 2
-        assert work["grid"] == exact_work["grid"] == grid_steps
-        assert exact_work["rk4"] == grid_steps + samples
-        assert work["rk4"] == grid_steps + work["angles"]
+        # the same grid, so the same multistep work; RK4 makes the same
+        # start-up, three steps per point, plus one remainder step per
+        # exactly tested sample
+        assert work["multistep"] == exact_work["multistep"] > 0
+        startup = 4 * 3 * (astro._ORDER - 1)
+        assert exact_work["rk4"] == startup + 4 * samples
+        assert work["rk4"] == startup + 4 * work["angles"]
 
 
 class TestRetask:
     NOW = Epoch(5000.0)     # chain time at settlement
 
-    def refined_solution(self, noise=0.0, seed=1, range_noise=0.0):
+    def refined_solution(self, noise=0.0, seed=1, range_noise=0.0,
+                         step_s=STEP_S):
         ghost = leo_record(random.Random(11), "GHOST")
         site = site_under(ghost, Epoch(700.0), site_id="G1")
         epochs = [Epoch(600.0 + 30.0 * k) for k in range(8)]
         tdm = synth_tdm(ghost, site, epochs, noise, seed, with_range=True,
-                        range_noise_km=range_noise)
+                        range_noise_km=range_noise, step_s=step_s)
         sol = refine_elements(iod_from_tdm(tdm, site).elements, [tdm],
-                              {site.site_id: site})
+                              {site.site_id: site}, step_s=step_s)
         return ghost, tdm, sol
 
     def uct_report(self, tdm, sol, **kw):
@@ -492,7 +488,11 @@ class TestRetask:
         assert task.target.tol_a > 1.5
 
     def test_region_floors_apply_when_noiseless(self):
-        _, tdm, sol = self.refined_solution()
+        # on 10 s grids the noiseless fit reaches the float floor (RMS
+        # 4.7e-12 rad); on the 90 s default the truth's grid (anchored at
+        # 0) and the fit's (at 720 s) reach the records through different
+        # RK4 steps, which leaves 1.6e-8 rad and widens tol_a by 3.6e-4 km
+        _, tdm, sol = self.refined_solution(step_s=10.0)
         region = internal_retask(self.uct_report(tdm, sol), self.NOW).target
         assert region.tol_a == pytest.approx(1.0, rel=1e-6)
         assert region.tol_e == pytest.approx(1e-3, rel=1e-6)
