@@ -41,7 +41,7 @@ DRAG_SCALE_H = 60.0           # km, scale height
 DECAY_ALTITUDE = 100.0        # km, integration aborts below this
 MIN_STEP_S = 1.0
 MAX_STEP_S = 90.0
-STEP_S = 90.0                 # the grid step every step_s defaults to
+STEP_S = 90.0                 # the grid step of every chain propagation
 MAX_SPAN_S = 30 * 86400.0     # propagation span limit
 
 TWO_PI = 2.0 * math.pi
@@ -50,7 +50,11 @@ _J2000_DATETIME = datetime(2000, 1, 1, 12, 0, 0)
 
 
 def constants_dict() -> dict:
-    """Constants and force-model settings; no report carries them yet."""
+    """Constants and force-model settings; no report carries them yet.
+
+    The grid step STEP_S is a force-model constant like J2_EARTH: every
+    validator propagates on the same grid.
+    """
     return {
         "mu_km3_s2": MU_EARTH,
         "j2": J2_EARTH,
@@ -61,6 +65,7 @@ def constants_dict() -> dict:
         "drag_h0_km": DRAG_H0,
         "drag_scale_height_km": DRAG_SCALE_H,
         "decay_altitude_km": DECAY_ALTITUDE,
+        "step_s": STEP_S,
     }
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .astro import (
     Epoch,
     KeplerianElements,
-    STEP_S,
     StateVector,
     cross,
     propagate_j2,
@@ -139,10 +138,9 @@ def rsw_axes(sv: StateVector) -> tuple:
 
 
 def corrected_propagate(el: KeplerianElements, bstar: float, t: Epoch,
-                        model: ResidualModel, *,
-                        step_s: float = STEP_S) -> StateVector:
+                        model: ResidualModel) -> StateVector:
     """propagate_j2 plus the model's RSW position correction; velocity untouched."""
-    sv = propagate_j2(el, bstar, t, step_s=step_s)
+    sv = propagate_j2(el, bstar, t)
     x = features(el, bstar, t.t - el.epoch.t)
     dr, ds, dw = model.correction(x)
     r_hat, s_hat, w_hat = rsw_axes(sv)
@@ -151,8 +149,7 @@ def corrected_propagate(el: KeplerianElements, bstar: float, t: Epoch,
     return StateVector(epoch=t, r=r, v=sv.v)
 
 
-def samples_from_range_tdm(tdm: Tdm, site, record, *,
-                           step_s: float = STEP_S) -> list:
+def samples_from_range_tdm(tdm: Tdm, site, record) -> list:
     """Supervision pairs from a range-bearing TDM of a calibration object.
 
     The observed ECI position comes from the measured line of sight and
@@ -164,7 +161,7 @@ def samples_from_range_tdm(tdm: Tdm, site, record, *,
     out = []
     el = record.elements
     for rec in tdm.records:
-        sv = propagate_j2(el, record.bstar, rec.epoch, step_s=step_s)
+        sv = propagate_j2(el, record.bstar, rec.epoch)
         observed = observed_position(rec, site, tdm.meta.mode)
         diff = tuple(observed[k] - sv.r[k] for k in range(3))
         r_hat, s_hat, w_hat = rsw_axes(sv)

@@ -39,7 +39,6 @@ from .astro import (
     KeplerianElements,
     MU_EARTH,
     R_EARTH,
-    STEP_S,
     StateVector,
     UnsupportedRegimeError,
     cross,
@@ -468,7 +467,7 @@ def _model_jacobian(x, epoch: Epoch, records, n_terms: int,
 
 
 def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
-                    bstar: float = 0.0, *, step_s: float = STEP_S,
+                    bstar: float = 0.0, *,
                     j2: float = J2_EARTH) -> IodSolution:
     """Gauss-Newton differential correction of elements against messages.
 
@@ -514,7 +513,7 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
         # dies with it.
         try:
             states = propagate_many(_make_elements(x, initial.epoch), bstar,
-                                    epochs, step_s=step_s, j2=j2)
+                                    epochs, j2=j2)
             r = _residuals(records, (sv.r for sv in states))
         except (ValueError, DecayError, KeplerConvergenceError, UnsupportedRegimeError):
             return None, math.inf

@@ -31,7 +31,6 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     OrbitRecord,
-    STEP_S,
     propagate_j2,
     state_to_kepler,
 )
@@ -87,7 +86,7 @@ from .wire import (
 
 ROLES = ("observer", "compute", "requester")
 
-STATE_HEADER = b"SDASTATE\x01"     # magic, then the version byte
+STATE_HEADER = b"SDASTATE\x02"     # magic, then the version byte
 
 
 class LedgerError(SdaError):
@@ -381,7 +380,6 @@ class LedgerState:
     burned: int = 0
     minted: int = 0
     genesis_supply: int = 0
-    step_s: float = STEP_S
     time: float = 0.0
     height: int = 0         # next block height
     last_hash: bytes = ZERO_DIGEST
@@ -451,7 +449,7 @@ STATE = record(
     LedgerState,
     ("params", wrapped(ECONOMICS_PARAMS)),
     ("vparams", wrapped(VALIDATION_PARAMS)),
-    ("step_s", F64), ("time", F64),
+    ("time", F64),
     ("burned", U64), ("minted", U64), ("genesis_supply", U64),
     ("accounts", sorted_map(ACCOUNT, key_of=attrgetter("account_id"))),
     ("nonces", sorted_map(U64, key=STRING)),
@@ -487,11 +485,10 @@ def state_root(state: LedgerState) -> bytes:
 
 def make_genesis(accounts: list, catalog: list, sites: list,
                  params: EconomicsParams, vparams: ValidationParams, *,
-                 step_s: float = STEP_S, time: float = 0.0) -> tuple:
+                 time: float = 0.0) -> tuple:
     """Initial state plus block 0, whose single pseudo-transaction carries
     the canonical state snapshot every replay starts from."""
-    state = LedgerState(params=params, vparams=vparams, step_s=step_s,
-                        time=time)
+    state = LedgerState(params=params, vparams=vparams, time=time)
     for a in accounts:
         if a.account_id in state.accounts:
             raise LedgerError(f"duplicate account {a.account_id!r}")
@@ -616,8 +613,7 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
         if rec is not None and t_last.t > rec.elements.epoch.t:
             # refresh the catalog epoch so task priorities age correctly
             try:
-                sv = propagate_j2(rec.elements, rec.bstar, t_last,
-                                  step_s=state.step_s)
+                sv = propagate_j2(rec.elements, rec.bstar, t_last)
                 state.catalog[rec.object_id] = dataclasses.replace(
                     rec, elements=state_to_kepler(sv))
             except DecayError:
@@ -629,8 +625,7 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
         pool_hashes = [h for h in report.uct_matches if h in state.uct_pool]
         pool_tdms = [state.uct_pool[h].tdm for h in pool_hashes]
         if pool_tdms:
-            mined = mine_object(pool_tdms + [tdm], state.sites, state.vparams,
-                                step_s=state.step_s)
+            mined = mine_object(pool_tdms + [tdm], state.sites, state.vparams)
         if mined is not None and mined.object_id not in state.catalog:
             state.catalog[mined.object_id] = mined
             object_id = mined.object_id
@@ -710,13 +705,12 @@ def compute_attestation(state: LedgerState,
         raise LedgerError(f"no pending TDM {tdm_hash_hex[:12]}")
     catalog = [state.catalog[k] for k in sorted(state.catalog)]
     report = validate_tdm(pend.tdm, catalog, state.sites, state.vparams,
-                          state.model, step_s=state.step_s)
+                          state.model)
     if report.verdict != "uct" or not state.uct_pool:
         return report
     pool = [(h, e.elements) for h, e in sorted(state.uct_pool.items())
             if e.elements is not None]
-    matches = associate_uct(report.proposed_elements, pool, state.vparams,
-                            step_s=state.step_s)
+    matches = associate_uct(report.proposed_elements, pool, state.vparams)
     if not matches:
         return report
     return dataclasses.replace(report,

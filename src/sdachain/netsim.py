@@ -48,9 +48,6 @@ from fractions import Fraction
 
 from .astro import (
     MAX_SPAN_S,
-    MAX_STEP_S,
-    MIN_STEP_S,
-    STEP_S,
     Epoch,
     GroundSite,
     KeplerianElements,
@@ -126,7 +123,8 @@ SURVEY_MIN_EPOCHS = 6       # UNKNOWN tracks must support batch refinement
 RANGE_NOISE_KM = 0.05
 MAX_BLOCKS = 20_000         # events per series; reference has 1008 blocks
 # 1/km.  Drag only slows an orbit, and at or below this the integrator's
-# stages stay finite down to the decay altitude at any step up to MAX_STEP_S.
+# stages stay finite down to the decay altitude at any step up to
+# astro.MAX_STEP_S.
 BSTAR_MAX = 0.1
 
 
@@ -208,7 +206,6 @@ class Scenario:
     drag_injection: float = 0.0     # extra truth bstar on calibration ids
     scripted_tasks: tuple = ()
     max_track_len: int = 8
-    step_s: float = STEP_S
     intent_ttl_s: float = 7200.0
 
     def __post_init__(self):
@@ -297,7 +294,7 @@ def inject_breakup(sc: Scenario, parent: str, n_fragments: int,
     if n_fragments < 0:
         raise NetsimError("n_fragments must be nonnegative")
     rec = truth[parent]
-    sv = propagate_j2(rec.elements, rec.bstar, t, step_s=sc.step_s)
+    sv = propagate_j2(rec.elements, rec.bstar, t)
     rng = random.Random(f"{sc.seed}:breakup:{parent}:{n_fragments}:{t.t}")
     frags = []
     for k in range(n_fragments):
@@ -351,7 +348,6 @@ _SCENARIO = {
     "task_fee": _U64, "fl_interval_s": _NONNEGATIVE,
     "fl_start_s": _NONNEGATIVE, "max_track_len": _Num(int, MIN_TRACK_EPOCHS),
     "drag_injection": _Num(float, -BSTAR_MAX, BSTAR_MAX),
-    "step_s": _Num(float, MIN_STEP_S, MAX_STEP_S),
     **_angles("spoof_offset", kind=_NONNEGATIVE),
     "truth_orbits": [{"object_id": str, "a_km": _FLOAT, "e": _FLOAT,
                       "epoch_s": _FLOAT, "bstar": _Num(float, 0.0, BSTAR_MAX),
@@ -640,8 +636,7 @@ class _Node:
                  if task.status == "open"]
         got = None
         try:
-            got = assign(queue, self.site, window, state.catalog,
-                         step_s=sc.step_s)
+            got = assign(queue, self.site, window, state.catalog)
         except TaskingError:
             got = None
         submitted = False
@@ -659,7 +654,7 @@ class _Node:
         when fewer than min_epochs remain."""
         sc = self.sim.sc
         eps = visible_epochs(rec.elements, rec.bstar, site or self.site,
-                             window, step_s=sc.step_s)[:sc.max_track_len]
+                             window)[:sc.max_track_len]
         return eps if len(eps) >= min_epochs else None
 
     def _observe_task(self, state, t, window, task, epochs) -> bool:
@@ -712,7 +707,6 @@ class _Node:
 
     def _submit_track(self, t, window, rec, participant, epochs,
                       task_id) -> bool:
-        sc = self.sim.sc
         data_rec = self.sim.observed_record(rec)
         site = self.site
         if self.spec.behavior == "spoofer" and participant != "UNKNOWN":
@@ -729,7 +723,7 @@ class _Node:
                             self.spec.noise_std, seed,
                             participant=participant, with_range=with_range,
                             range_noise_km=RANGE_NOISE_KM if with_range
-                            else 0.0, step_s=sc.step_s)
+                            else 0.0)
         except (SdaError, ValueError):
             return False
         h = tdm.hex_hash()
@@ -794,7 +788,7 @@ class _Sim:
         self.genesis_catalog = {r.object_id: r for r in catalog}
         self.state, genesis = make_genesis(accounts, catalog, list(sc.sites),
                                            sc.economics, sc.validation,
-                                           step_s=sc.step_s, time=0.0)
+                                           time=0.0)
         self.blocks = [genesis]
         self.initial_holdings = {a.account_id: a.balance + a.staked
                                  for a in accounts}
@@ -891,7 +885,7 @@ class _Sim:
                     or not tdm.meta.has_range:
                 continue
             self.calib_samples.extend(
-                samples_from_range_tdm(tdm, site, rec, step_s=self.sc.step_s))
+                samples_from_range_tdm(tdm, site, rec))
 
     def handle_fl(self, round_no: int, t: float) -> None:
         computes = sorted((n for n in self.nodes if n.spec.role == "compute"),

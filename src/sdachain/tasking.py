@@ -19,7 +19,6 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     DecayError,
-    STEP_S,
     propagate_above_horizon,
     topocentric_angles,
 )
@@ -224,12 +223,12 @@ def is_expired(task: Task, now: Epoch) -> bool:
 
 
 def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
-                   window, *, step_s: float = STEP_S,
-                   cadence_s: float = 60.0) -> tuple:
+                   window) -> tuple:
     """Epochs in the window where the orbit clears the elevation mask.
 
-    Samples every cadence_s seconds, so returned epochs are spaced at
-    least that far apart. A decayed target is simply never visible.
+    Samples every MIN_EPOCH_SPACING_S seconds, so returned epochs are
+    spaced at least that far apart. A decayed target is simply never
+    visible.
 
     Samples are screened before the exact test: propagate_above_horizon
     skips a sample only when its grid point's height above the site's
@@ -241,21 +240,18 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     exact propagated state and elevation, so the returned epochs, and
     the errors raised, are those of testing every sample exactly.
     """
-    if cadence_s < MIN_EPOCH_SPACING_S:
-        raise TaskingError(f"cadence_s must be >= {MIN_EPOCH_SPACING_S}")
     t0, t1 = window
     times = []
     k = 0
     while True:
-        t = t0.t + k * cadence_s
+        t = t0.t + k * MIN_EPOCH_SPACING_S
         if t > t1.t:
             break
         times.append(t)
         k += 1
     out = []
     try:
-        for sv in propagate_above_horizon(elements, bstar, site, times,
-                                          step_s=step_s):
+        for sv in propagate_above_horizon(elements, bstar, site, times):
             _, el, _ = topocentric_angles(sv, site)
             if el > ELEVATION_MASK_RAD:
                 out.append(sv.epoch)
@@ -264,8 +260,7 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     return tuple(out)
 
 
-def assign(queue, site: GroundSite, window, catalog: dict, *,
-           step_s: float = STEP_S):
+def assign(queue, site: GroundSite, window, catalog: dict):
     """Pick the highest-priority open task visible from the site.
 
     Returns (the task, observation epochs) or None when no target clears
@@ -282,7 +277,7 @@ def assign(queue, site: GroundSite, window, catalog: dict, *,
             if rec is None:
                 continue    # nothing to point at yet
             el, bstar = rec.elements, rec.bstar
-        epochs = visible_epochs(el, bstar, site, window, step_s=step_s)
+        epochs = visible_epochs(el, bstar, site, window)
         if len(epochs) >= MIN_VISIBLE_EPOCHS:
             return task, epochs
     return None

@@ -29,7 +29,6 @@ from .astro import (
     GroundSite,
     J2_EARTH,
     OrbitRecord,
-    STEP_S,
     StateVector,
     angles_to_unit_vector,
     angular_separation,
@@ -429,7 +428,7 @@ def separation_rms(entries: list, states) -> float:
 def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: float,
               seed: int, *, mode: str = "AZEL", with_range: bool = False,
               participant: str = None, range_noise_km: float = 0.0,
-              step_s: float = STEP_S, j2: float = J2_EARTH) -> Tdm:
+              j2: float = J2_EARTH) -> Tdm:
     """Simulated sensor: observe a cataloged orbit and emit a canonical Tdm.
 
     Angles come from the reference propagator plus zero-mean Gaussian noise
@@ -444,7 +443,7 @@ def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: fl
         raise ValueError(f"mode must be one of {MODES}")
     ordered = sorted(epochs, key=lambda e: e.t)
     states = list(propagate_many(record.elements, record.bstar, ordered,
-                                 step_s=step_s, j2=j2))
+                                 j2=j2))
     offending = [ep for ep, sv in zip(ordered, states)
                  if topocentric_angles(sv, site)[1] <= ELEVATION_MASK_RAD]
     if offending:

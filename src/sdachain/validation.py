@@ -16,7 +16,6 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     OrbitRecord,
-    STEP_S,
     angular_separation,
     propagate_j2,
     state_to_kepler,
@@ -106,8 +105,7 @@ REPORT = record(ValidationReport,
                 ("uct_matches", seq(STRING)), ("notes", seq(STRING)))
 
 
-def _refined_iod(tdm: Tdm, site: GroundSite,
-                 step_s: float) -> Optional[IodSolution]:
+def _refined_iod(tdm: Tdm, site: GroundSite) -> Optional[IodSolution]:
     """Best per-track orbit estimate, or None when geometry defeats IOD."""
     try:
         sol = iod_from_tdm(tdm, site)
@@ -116,8 +114,7 @@ def _refined_iod(tdm: Tdm, site: GroundSite,
     if len(tdm.records) >= 6:
         try:
             return refine_elements(sol.elements, [tdm],
-                                   {tdm.meta.site_id: site}, bstar=0.0,
-                                   step_s=step_s)
+                                   {tdm.meta.site_id: site}, bstar=0.0)
         except (IodError, DecayError):
             # a refinement step that wanders below the decay altitude is
             # a failed fit, not a validator crash
@@ -127,8 +124,7 @@ def _refined_iod(tdm: Tdm, site: GroundSite,
 
 def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
                  params: ValidationParams,
-                 model: ResidualModel = ResidualModel(), *,
-                 step_s: float = STEP_S) -> ValidationReport:
+                 model: ResidualModel = ResidualModel()) -> ValidationReport:
     """Correlate one TDM against the catalog and issue a verdict.
 
     Each candidate's RMS covers this track's records only; earlier
@@ -153,8 +149,7 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
         is_claim = cand.object_id == claim
 
         def predict(t: Epoch):
-            return corrected_propagate(cand.elements, cand.bstar, t, model,
-                                       step_s=step_s)
+            return corrected_propagate(cand.elements, cand.bstar, t, model)
         try:
             p1, p2, _ = observe(predict(first.epoch), site, mode)
             gate_sep = angular_separation(first.angle1, first.angle2, p1, p2)
@@ -192,7 +187,7 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
             matched_object=best[1], rms_residual=best[0],
             candidates_checked=len(gated), notes=tuple(notes))
 
-    sol = _refined_iod(tdm, site, step_s)
+    sol = _refined_iod(tdm, site)
     if sol is None:
         notes.append("orbit fit failed; retask needed")
         return ValidationReport(
@@ -206,15 +201,14 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
 
 
 def element_distance(a: KeplerianElements, b: KeplerianElements,
-                     params: ValidationParams, *,
-                     step_s: float = STEP_S) -> float:
+                     params: ValidationParams) -> float:
     """Weighted element-space distance with both orbits at b's epoch.
 
     Osculating elements drift secularly under J2, so a is propagated to
     b's epoch before differencing; raises DecayError if it decays first.
     """
     if a.epoch.t != b.epoch.t:
-        sv = propagate_j2(a, 0.0, b.epoch, step_s=step_s)
+        sv = propagate_j2(a, 0.0, b.epoch)
         a = state_to_kepler(sv)
     d_raan = abs((a.raan - b.raan + math.pi) % (2.0 * math.pi) - math.pi)
     return (params.w_a_per_km * abs(a.a - b.a)
@@ -224,8 +218,7 @@ def element_distance(a: KeplerianElements, b: KeplerianElements,
 
 
 def associate_uct(new_elements: KeplerianElements, uct_pool: list,
-                  params: ValidationParams, *,
-                  step_s: float = STEP_S) -> list:
+                  params: ValidationParams) -> list:
     """Pool entries matching the new track's fit, as (tdm_hash, distance).
 
     uct_pool holds (tdm_hash, KeplerianElements) pairs, one fit per
@@ -235,8 +228,7 @@ def associate_uct(new_elements: KeplerianElements, uct_pool: list,
     matches = []
     for tdm_hash, elements in uct_pool:
         try:
-            d = element_distance(new_elements, elements, params,
-                                 step_s=step_s)
+            d = element_distance(new_elements, elements, params)
         except DecayError:
             continue
         if d <= params.d_assoc:
@@ -245,8 +237,8 @@ def associate_uct(new_elements: KeplerianElements, uct_pool: list,
     return [(h, d) for d, h in matches]
 
 
-def mine_object(tdms: list, sites: dict, params: ValidationParams, *,
-                step_s: float = STEP_S) -> Optional[OrbitRecord]:
+def mine_object(tdms: list, sites: dict,
+                params: ValidationParams) -> Optional[OrbitRecord]:
     """Fit one orbit to associated UCT tracks; None when the fit fails.
 
     The object_id is derived from the chronologically first track's
@@ -265,7 +257,7 @@ def mine_object(tdms: list, sites: dict, params: ValidationParams, *,
         try:
             start = iod_from_tdm(pick, sites[pick.meta.site_id])
             sol = refine_elements(start.elements, list(ordered), sites,
-                                  bstar=0.0, step_s=step_s)
+                                  bstar=0.0)
         except (IodError, DecayError):
             continue
         if best is None or sol.rms_residual < best.rms_residual:

@@ -170,6 +170,9 @@ class TestKepler:
 
 
 class TestPropagator:
+    def test_constants_name_the_grid_step(self):
+        assert astro.constants_dict()["step_s"] == astro.STEP_S == 90.0
+
     def test_two_body_limit_one_period(self):
         # J2 and drag off: RK4 must track the analytic conic tightly.
         rng = random.Random(42)

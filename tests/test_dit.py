@@ -227,7 +227,7 @@ class TestOnChain:
             Account("val-b", balance=0, staked=40, roles={"compute"}),
         ]
         state, g = make_genesis(accounts, [rec], [site], EconomicsParams(),
-                                ValidationParams(), step_s=10.0, time=0.0)
+                                ValidationParams(), time=0.0)
         tdm = synth_tdm(rec, site, [Epoch(600.0 + 30 * k) for k in range(8)],
                         1e-5, 3)
         sub = Transaction(kind="submit_tdm", sender="alice", nonce=0,

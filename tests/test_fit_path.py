@@ -84,7 +84,7 @@ class TestFitPathProperties:
     @given(canonical_tracks())
     def test_refined_iod_never_raises(self, track):
         tdm, site = track
-        sol = _refined_iod(tdm, site, 10.0)
+        sol = _refined_iod(tdm, site)
         assert sol is None or isinstance(sol, IodSolution)
 
     @FIT_PATH_SETTINGS

@@ -41,27 +41,27 @@ def tie_scenario(seed: int):
 GOLDEN = {
     "reference": (
         reference_scenario,
-        "1383e8d4c4fa841880794c4348cd7cd3932642fb69ecf0916a03d67ef978f85d",
-        "eae1108761d01432729f12555129db59bde96a20e1284652f98969a1a24c9fbf",
-        "16901c2c389f529f77e8bbdf4503bc6b2ce3065344fe888cd83c28fccb43c09e",
+        "1eb5dd9eb8825f7074cbe0e650299bfb814726735f10b16c521df48baf0075c4",
+        "32318215f8b3277d0e16629e604515fad7b36a73a45d035bd26e109591ebae28",
+        "a2f9e1eac663c748f89374c41168393cd258a420169bac3f80b32a2879ab3761",
     ),
     "uct": (
         uct_scenario,
-        "2cef984a90374ae9d1eecf7e8146e526eef5652e1f40c42828bef79051b57a62",
-        "e0d0c11795cd1caf3624f21e575eac93b38f09cfc79c44ff639bcfb8d9eb9866",
-        "e036daa219efd0e2be1c057b0222962cb519c9e788b23dd899103cdc18ae23c1",
+        "e6d5e100758ff30adcbedaf0b2344cbd2de342384a2f46ff243c827562365437",
+        "a1142c9a67c3f184b9b14c7f27f1b1ad317ceea9c12bd319ba0f6396554f9ae1",
+        "da1cbe0dc8b8ae694bf2168aa7b7f94ae5797ef0cf29c2d248b080271154a122",
     ),
     "fl": (
         fl_scenario,
-        "c9a52980fca3ee641ab301b6dbb607f27db9889e4fc4b70bb647903b89dda598",
-        "79fd865b3fdea8f0cc78fbb87250d0e166cb58f8d3498eebc31eb75e5699dd23",
-        "bb50503b2e11c8276ad61eccd5e9f47f3fe5dafaed8a7a50d4f75dc5b9e96c38",
+        "7a30f19cf11a01f751f60ba63e9f7d00cf3bac9222cb3e170e55680bac7db2f5",
+        "9cd6b301dc100d959d339e7c3865683bef2be5608d390131266b3c22fc8b70be",
+        "cd2c8f665b030982be250769df2cdeb2c07cd1c7a25cda030d3588263c010c06",
     ),
     "tie": (
         tie_scenario,
-        "83a0e92a596282c23b3e6daa8eab0a5c0a4b22c4b0c92d2a2054d86d9d5e01f2",
-        "e6ad29bf11f7094cdf4e8250b7ce5cfba898839cb70169c5b7ed348ea9af5a3f",
-        "d19851ea76e9c0ba79bc99224b7c43e6dc933398162d0271dffab4222dfb75c4",
+        "962edaedb227a329b087d96e728e4fc893bcfe20edfe9b8c48d4650a2648e669",
+        "9c7c98f90bd53b2c00241254fccc16ae59274ee0e510addde728d3d77494fee4",
+        "18ffacc8bf948c1f06dc03c88883ffd1d4e110f5bf0212525c6caffd6dc8634f",
     ),
 }
 

@@ -1,11 +1,15 @@
-"""No module of the sdachain package imports a name it never uses, and
-no function in it declares a parameter it never reads.
+"""No module of the sdachain package imports a name it never uses, no
+function in it declares a parameter it never reads, and only the
+propagator takes a grid step.
 
 No linter ships with the project's toolchain, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
 module or be listed in its ``__all__``, and every parameter of a function
 or lambda must be read somewhere in its body. ``from __future__`` imports
-are exempt.
+are exempt. Outside astro.py no function declares a ``step_s`` parameter,
+and no dataclass anywhere has a ``step_s`` field: the chain propagates on
+the one grid step ``astro.STEP_S``, so the option must not creep back
+through a pass-through.
 """
 import ast
 import pathlib
@@ -50,6 +54,15 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(node) -> list:
+    args = node.args
+    return [*args.posonlyargs, *args.args, *args.kwonlyargs,
+            *(a for a in (args.vararg, args.kwarg) if a is not None)]
+
+
 def unused_parameters(source: str) -> list:
     """(line, function, parameter) of each parameter its body never reads.
 
@@ -57,12 +70,9 @@ def unused_parameters(source: str) -> list:
     """
     out = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
+        if not isinstance(node, _FUNCTIONS):
             continue
-        args = node.args
-        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
-                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        params = _parameters(node)
         body = node.body if isinstance(node.body, list) else [node.body]
         read = {n.id for stmt in body for n in ast.walk(stmt)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -110,3 +120,54 @@ def test_checker_flags_unread_parameters():
     assert unused_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
         (5, "m", "unused"), (6, "<lambda>", "y")]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def step_s_holders(source: str) -> list:
+    """(line, "parameter" or "field", function or class) of each function
+    that declares a step_s parameter and each dataclass field named step_s."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _FUNCTIONS):
+            if any(p.arg == "step_s" for p in _parameters(node)):
+                out.append((node.lineno, "parameter",
+                            getattr(node, "name", "<lambda>")))
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            out.extend((stmt.lineno, "field", node.name) for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and getattr(stmt.target, "id", None) == "step_s")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_grid_step_only_in_the_propagator(path):
+    found = step_s_holders(path.read_text(encoding="utf-8"))
+    if path.name == "astro.py":
+        found = [f for f in found if f[1] == "field"]
+    assert found == []
+
+
+def test_checker_flags_step_s_holders():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "def f(a, *, step_s=90.0):\n"
+              "    return a, step_s\n"
+              "@dataclass(frozen=True)\n"
+              "class S:\n"
+              "    step_s: float = 90.0\n"
+              "@dataclasses.dataclass\n"
+              "class T:\n"
+              "    step_s: float\n"
+              "class Plain:\n"
+              "    step_s: float\n"
+              "g = lambda step_s: step_s\n")
+    assert step_s_holders(source) == [
+        (3, "parameter", "f"), (7, "field", "S"), (10, "field", "T"),
+        (13, "parameter", "<lambda>")]

@@ -43,13 +43,12 @@ from sdachain.iod import (
 from sdachain.tdm import ObservationRecord, observe, separation_rms, synth_tdm
 
 
-def angular_rms(elements, bstar, tdms, sites, *, step_s=astro.STEP_S,
-                j2=astro.J2_EARTH):
+def angular_rms(elements, bstar, tdms, sites, *, j2=astro.J2_EARTH):
     """RMS great-circle separation between messages and a propagated orbit,
     the quantity every validation threshold is stated in."""
     entries = iod._collect_records(tdms, sites)
     return separation_rms(entries, (
-        propagate_j2(elements, bstar, rec.epoch, step_s=step_s, j2=j2)
+        propagate_j2(elements, bstar, rec.epoch, j2=j2)
         for rec, _, _ in entries))
 
 

@@ -81,7 +81,7 @@ def fresh_chain(time=0.0, alice_balance=100):
         Account("val-c", balance=0, staked=20, roles={"compute"}),
     ]
     state, gblock = make_genesis(accounts, [rec], [site], EconomicsParams(),
-                                 ValidationParams(), step_s=10.0, time=time)
+                                 ValidationParams(), time=time)
     return state, gblock, rec, site
 
 
@@ -237,6 +237,15 @@ class TestGenesis:
         state, _, _, _ = fresh_chain()
         raw = encode_state(state)
         assert encode_state(decode_state(raw)) == raw
+
+    def test_version_1_snapshot_refused(self):
+        # version 1 held an f64 step_s before time; the version byte keeps
+        # such a snapshot from being read with its fields shifted
+        state, _, _, _ = fresh_chain()
+        raw = encode_state(state)
+        assert raw.startswith(b"SDASTATE\x02")
+        with pytest.raises(WireError, match="version"):
+            decode_state(b"SDASTATE\x01" + raw[9:])
 
     def test_duplicate_account_rejected(self):
         rec = leo_record(random.Random(5), "SAT-1")
@@ -517,7 +526,7 @@ class TestUctMining:
         ]
         state, _ = make_genesis(accounts, [cat_rec], [g1, g2, *extra_sites],
                                 EconomicsParams(), ValidationParams(),
-                                step_s=10.0, time=0.0)
+                                time=0.0)
         t1 = synth_tdm(ghost, g1, [Epoch(600.0 + 30 * k) for k in range(8)],
                        1e-5, 4, with_range=True, range_noise_km=0.05,
                        participant="UNKNOWN")
@@ -590,8 +599,7 @@ class TestUctMining:
         assert sorted(s.uct_pool) == sorted([t1.hex_hash(), t_other.hex_hash()])
         for entry in s.uct_pool.values():
             p_tdm = entry.tdm
-            refit = validation._refined_iod(p_tdm, s.sites[p_tdm.meta.site_id],
-                                            s.step_s)
+            refit = validation._refined_iod(p_tdm, s.sites[p_tdm.meta.site_id])
             assert entry.elements.key() == refit.elements.key()
         assert decode_state(encode_state(s)).uct_pool == s.uct_pool
 
@@ -722,7 +730,7 @@ class TestBlocks:
         # its catalog's elements hold instead of copying every point
         state, _, rec, _ = fresh_chain()
         propagate_j2(state.catalog[rec.object_id].elements, rec.bstar,
-                     Epoch(86400.0), step_s=state.step_s)
+                     Epoch(86400.0))
         copy = state.clone()
         held = {oid: grids(r.elements) for oid, r in state.catalog.items()}
         assert held[rec.object_id]

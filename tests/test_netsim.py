@@ -133,7 +133,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("name", [
         "duration_s", "cycle_s", "block_interval_s", "task_interval_s",
         "spoof_offset_rad", "fl_interval_s", "fl_start_s", "drag_injection",
-        "step_s", "intent_ttl_s", "noise_std"])
+        "intent_ttl_s", "noise_std"])
     def test_nonfinite_value_rejected(self, name, value):
         # NaN passes every range comparison, so finiteness needs its own
         # check; a NaN offset would otherwise fail only mid-run
@@ -216,14 +216,13 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError, match="task_fee"):
             run_scenario(bad)
 
-    @pytest.mark.parametrize("step_s", [0.5, 120.0])
-    def test_step_s_outside_integrator_range_rejected(self, step_s):
-        # these used to validate, and the run then raised
-        # PropagationLimitError at its first propagation
-        bad = dataclasses.replace(uct_scenario(1), step_s=step_s)
-        assert any("step_s must be in" in e for e in validate_scenario(bad))
-        with pytest.raises(NetsimError, match="step_s"):
-            run_scenario(bad)
+    def test_step_s_key_rejected(self):
+        # the grid step is astro.STEP_S for every node and the ledger, so
+        # a file that still sets one is refused rather than ignored
+        d = scenario_to_json(uct_scenario(1))
+        d["step_s"] = 90.0
+        with pytest.raises(NetsimError, match="unknown key 'step_s'"):
+            scenario_from_json(d)
 
     @pytest.mark.parametrize("ttl", [0.0, -5.0])
     def test_nonpositive_intent_ttl_rejected(self, ttl):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -10,9 +11,7 @@ from sdachain import astro, tasking
 from sdachain.astro import (
     DecayError,
     Epoch,
-    J2_EARTH,
     PropagationLimitError,
-    STEP_S,
     propagate_j2,
     propagate_many,
     state_to_kepler,
@@ -23,6 +22,7 @@ from sdachain.netsim import NetsimError, NodeSpec
 from sdachain.tasking import (
     INTERNAL_TASK_FEE,
     IodRegion,
+    MIN_EPOCH_SPACING_S,
     TASK,
     Task,
     TaskingError,
@@ -308,9 +308,6 @@ class TestAssign:
             assign([], site, (Epoch(100.0), Epoch(0.0)), {})
         with pytest.raises(TaskingError):
             assign([], site, (Epoch(0.0), Epoch(25.0 * 3600.0)), {})
-        with pytest.raises(TaskingError):
-            visible_epochs(rec.elements, rec.bstar, site,
-                           (Epoch(0.0), Epoch(600.0)), cadence_s=30.0)
 
     def test_sensor_mode_checked(self):
         # assign takes only the site; the sensor mode that decides on range
@@ -320,22 +317,21 @@ class TestAssign:
             NodeSpec("x", "observer", mode="lidar")
 
 
-def exact_visible_epochs(elements, bstar, site, window, *, step_s=STEP_S,
-                         cadence_s=60.0, j2=J2_EARTH):
+def exact_visible_epochs(elements, bstar, site, window):
     """Reference for visible_epochs: every sample propagated and tested
     exactly, with no screening."""
     t0, t1 = window
     epochs = []
     k = 0
     while True:
-        t = t0.t + k * cadence_s
+        t = t0.t + k * MIN_EPOCH_SPACING_S
         if t > t1.t:
             break
         epochs.append(Epoch(t))
         k += 1
     out = []
     try:
-        for sv in propagate_many(elements, bstar, epochs, step_s=step_s, j2=j2):
+        for sv in propagate_many(elements, bstar, epochs):
             if topocentric_angles(sv, site)[1] > ELEVATION_MASK_RAD:
                 out.append(sv.epoch)
     except DecayError:
@@ -374,10 +370,12 @@ class TestScreenedVisibility:
               suppress_health_check=[HealthCheck.too_slow])
     @given(visibility_cases())
     def test_equals_exact_loop(self, case):
-        el, bstar, site, window, step_s, cadence_s = case
-        kw = dict(step_s=step_s, cadence_s=cadence_s)
-        got = cold_run(visible_epochs, el, bstar, site, window, **kw)
-        want = cold_run(exact_visible_epochs, el, bstar, site, window, **kw)
+        # the case's step_s and cadence_s are propagate_above_horizon's
+        # (test_astro); visible_epochs samples every MIN_EPOCH_SPACING_S on
+        # the STEP_S grid
+        el, bstar, site, window, _, _ = case
+        got = cold_run(visible_epochs, el, bstar, site, window)
+        want = cold_run(exact_visible_epochs, el, bstar, site, window)
         assert got == want
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
@@ -390,10 +388,10 @@ class TestScreenedVisibility:
         window = (Epoch(edge - 1800.0), Epoch(edge + 1800.0))
         site = astro.GroundSite(site_id="S", lat=0.3, lon=1.0)
         want, left = cold_run(exact_visible_epochs, rec.elements, rec.bstar,
-                              site, window, step_s=60.0)
+                              site, window)
         el = fresh(rec.elements)
         with pytest.raises(PropagationLimitError) as exc:
-            visible_epochs(el, rec.bstar, site, window, step_s=60.0)
+            visible_epochs(el, rec.bstar, site, window)
         assert want == ("PropagationLimitError", str(exc.value))
         assert grid_state(el) == left
 
@@ -449,14 +447,19 @@ class TestRetask:
     NOW = Epoch(5000.0)     # chain time at settlement
 
     def refined_solution(self, noise=0.0, seed=1, range_noise=0.0,
-                         step_s=STEP_S):
+                         anchor=None):
+        """The ghost, its track and the fit; anchor re-anchors the ghost's
+        elements at that epoch first."""
         ghost = leo_record(random.Random(11), "GHOST")
         site = site_under(ghost, Epoch(700.0), site_id="G1")
+        if anchor is not None:
+            ghost = dataclasses.replace(ghost, elements=state_to_kepler(
+                propagate_j2(ghost.elements, ghost.bstar, anchor)))
         epochs = [Epoch(600.0 + 30.0 * k) for k in range(8)]
         tdm = synth_tdm(ghost, site, epochs, noise, seed, with_range=True,
-                        range_noise_km=range_noise, step_s=step_s)
+                        range_noise_km=range_noise)
         sol = refine_elements(iod_from_tdm(tdm, site).elements, [tdm],
-                              {site.site_id: site}, step_s=step_s)
+                              {site.site_id: site})
         return ghost, tdm, sol
 
     def uct_report(self, tdm, sol, **kw):
@@ -488,11 +491,12 @@ class TestRetask:
         assert task.target.tol_a > 1.5
 
     def test_region_floors_apply_when_noiseless(self):
-        # on 10 s grids the noiseless fit reaches the float floor (RMS
-        # 4.7e-12 rad); on the 90 s default the truth's grid (anchored at
-        # 0) and the fit's (at 720 s) reach the records through different
-        # RK4 steps, which leaves 1.6e-8 rad and widens tol_a by 3.6e-4 km
-        _, tdm, sol = self.refined_solution(step_s=10.0)
+        # the fit's grid is anchored at the middle record (720 s); a ghost
+        # anchored there too reaches the records through the same steps, so
+        # the noiseless fit reaches the float floor. A ghost anchored at 0
+        # leaves 1.6e-8 rad, which widens tol_a by 3.6e-4 km
+        _, tdm, sol = self.refined_solution(anchor=Epoch(720.0))
+        assert sol.elements.epoch == Epoch(720.0)
         region = internal_retask(self.uct_report(tdm, sol), self.NOW).target
         assert region.tol_a == pytest.approx(1.0, rel=1e-6)
         assert region.tol_e == pytest.approx(1e-3, rel=1e-6)
