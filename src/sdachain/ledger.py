@@ -678,10 +678,13 @@ def _settle_proposal(state: LedgerState, proposal_hash: bytes) -> None:
             continue
         del state.model_proposals[proposal_hash]
         if choice == "accept":
-            # a competing merge may have advanced the model; stale winners
-            # are discarded without reward
+            # a decoded snapshot may hold a stale winner: it is discarded
+            # without reward
             if ps.proposal.parent_version == state.model.version:
                 state.model = merge_model(state.model, ps.proposal)
+                # every other open proposal names the old version, which
+                # propose_model no longer admits: none can be adopted
+                state.model_proposals.clear()
                 proposer = state.accounts.get(ps.proposal.proposer)
                 if proposer is not None:
                     state.minted += state.params.r_model

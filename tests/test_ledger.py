@@ -688,6 +688,28 @@ class TestModelGovernance:
         assert not s.model_proposals
         assert s.accounts["val-a"].balance == 0
 
+    def test_merge_drops_the_other_proposals(self):
+        # after a merge no open proposal names the current version, so
+        # none could ever be adopted: they leave the state at once
+        state, _, _, _ = fresh_chain()
+        prop = self.proposal(state)
+        other = self.proposal(state, proposer="val-b")
+        s = apply_transaction(state, tx("propose_model", "val-a", 0,
+                                        ProposeModel(prop)))
+        s = apply_transaction(s, tx("propose_model", "val-b", 0,
+                                    ProposeModel(other)))
+        assert len(s.model_proposals) == 2
+        s = apply_transaction(s, tx("vote_model", "val-a", 1,
+                                    VoteModel(prop.proposal_hash, "accept")))
+        s = apply_transaction(s, tx("vote_model", "val-b", 1,
+                                    VoteModel(prop.proposal_hash, "accept")))
+        assert s.model.version == 1
+        assert not s.model_proposals
+        assert conservation_delta(s) == 0
+        with pytest.raises(TxRejected, match="unknown proposal"):
+            apply_transaction(s, tx("vote_model", "val-c", 0,
+                                    VoteModel(other.proposal_hash, "accept")))
+
     def test_stale_and_duplicate_rejected(self):
         state, _, _, _ = fresh_chain()
         stale = ModelProposal(W_new=((0.0,) * 6,) * 3, proposer="val-a",
@@ -958,6 +980,9 @@ class TestFuzzProperties:
                 continue
             applied[kind] += 1
             assert conservation_delta(s) == 0
+            # a merge leaves no open proposal that could never be adopted
+            assert all(ps.proposal.parent_version == s.model.version
+                       for ps in s.model_proposals.values())
             for a in s.accounts.values():
                 assert a.balance >= 0 and a.staked >= 0
         # the generator is not vacuous: every kind applies, TDMs settle and
