@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import math
 import random
 import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import grids, leo_record, site_under
 from sdachain import ledger, validation
@@ -909,7 +912,93 @@ class TestBlocks:
         assert verify_chain_file(path) == 2
 
 
+# Values a payload field may hold in a well-formed transaction, then the
+# junk every field is also drawn from: wrong types, out-of-range numbers,
+# and bools where an integer or a flag belongs.
+_JUNK = (None, "", "x", b"\x00", -1, 2 ** 64, 1.5, math.nan, math.inf,
+         True, False, ())
+
+
+@functools.cache
+def _field_values() -> dict:
+    state, _, rec, site = fresh_chain()
+    text = serialize_tdm(honest_tdm(rec, site))
+    prop = ModelProposal(W_new=((0.01,) * 6,) * 3, proposer="val-a",
+                         claimed_rms=0.5, parent_version=0)
+    return {
+        "nonce": (0,),
+        "snapshot": (b"", encode_state(state)),
+        "tdm_text": (text, "CCSDS_TDM_VERS = 2.0"),
+        "task_id": (b"", bytes(32)),
+        "target": ("SAT-1", "NOPE", IodRegion(
+            elements=rec.elements, tol_a=2.0, tol_e=1e-3, tol_i=1e-3,
+            tol_raan=1e-3)),
+        "fee": (0, 5, 60),
+        "urgency": (False, True),
+        "origin": ("external", "internal"),
+        "amount": (0, 5),
+        "role": ("observer", "compute", "wizard"),
+        "report": (ValidationReport(
+            tdm_hash=parse_tdm(text).hex_hash(), verdict="verified",
+            matched_object="SAT-1", rms_residual=1e-5,
+            candidates_checked=1),),
+        "proposal": (prop, dataclasses.replace(prop, parent_version=3)),
+        "proposal_hash": (bytes(32), prop.proposal_hash),
+        "vote": ("accept", "reject", "abstain"),
+    }
+
+
+# who may send each kind; validators send the rest
+_SENDERS = {"submit_tdm": "alice", "register_stake": "alice",
+            "post_task": "rita", "claim_reward": "rita"}
+
+
+@st.composite
+def _tx_cases(draw):
+    """(kind, sender, nonce, payload fields): up to two of the fields,
+    sender and nonce included, hold junk, the rest well-formed values."""
+    kind = draw(st.sampled_from(TX_KINDS))
+    values = {**_field_values(), "sender": (_SENDERS.get(kind, "val-a"),)}
+    names = ["sender", "nonce", *(f.name for f in dataclasses.fields(
+        ledger._PAYLOADS[kind][0]))]
+    bad = draw(st.sets(st.sampled_from(names), max_size=2))
+    got = {name: draw(st.sampled_from(_JUNK if name in bad
+                                      else values[name]))
+           for name in names}
+    return kind, got.pop("sender"), got.pop("nonce"), got
+
+
 class TestFuzzProperties:
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(st.lists(_tx_cases(), min_size=1, max_size=3))
+    @example([("register_stake", "alice", 0,
+               {"amount": True, "role": "observer"})])
+    @example([("register_stake", "alice", True,
+               {"amount": 5, "role": "observer"})])
+    @example([("post_task", "rita", 0, {"target": "SAT-1", "fee": 5,
+                                        "urgency": "yes",
+                                        "origin": "external"})])
+    def test_malformed_payloads_refused_or_sealed(self, cases):
+        """A transaction either refuses to be built, with LedgerError, or
+        produce_block applies or excludes it; either way tokens are
+        conserved and the sealed chain, written and read back, replays to
+        the same state root."""
+        state, gblock, _, _ = fresh_chain()
+        built = []
+        for kind, sender, nonce, fields in cases:
+            payload = ledger._PAYLOADS[kind][0](**fields)
+            try:
+                built.append(Transaction(kind=kind, sender=sender,
+                                         nonce=nonce, payload=payload))
+            except LedgerError:
+                continue
+        s, block = produce_block(state, built, 1, time=30.0)
+        assert all(any(t is b for b in built) for t in block.txs)
+        assert conservation_delta(s) == 0
+        chain = [BLOCK.decode(BLOCK.encode(b)) for b in (gblock, block)]
+        assert state_root(replay_state(chain)) == state_root(s)
+
     def test_no_negative_balances_and_conservation(self):
         """Random transactions go through ledger._apply on the live state,
         the path every block takes. An applied one conserves tokens; a
