@@ -216,11 +216,15 @@ class TestScenarioValidation:
         with pytest.raises(NetsimError, match="task_fee"):
             run_scenario(bad)
 
-    def test_step_s_key_rejected(self):
-        # the grid step is astro.STEP_S for every node and the ledger, so
-        # a file that still sets one is refused rather than ignored
+    @pytest.mark.parametrize("step_s", [0.5, 90.0, 120.0])
+    def test_step_s_outside_integrator_range_rejected(self, step_s):
+        # the grid step is astro.STEP_S for every node and the ledger, so a
+        # file that still sets one is refused rather than ignored: a step
+        # outside the integrator's range, which once validated and then
+        # raised PropagationLimitError at the first propagation, never
+        # reaches a run, and neither does the default itself
         d = scenario_to_json(uct_scenario(1))
-        d["step_s"] = 90.0
+        d["step_s"] = step_s
         with pytest.raises(NetsimError, match="unknown key 'step_s'"):
             scenario_from_json(d)
 
