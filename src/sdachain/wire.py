@@ -134,6 +134,15 @@ def _fraction(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _flag(b) -> tuple:
+    # a truthy non-bool would encode as 1 and decode as True, an unequal value
+    if b is True:
+        return (1,)
+    if b is False:
+        return (0,)
+    raise WireError(f"flag must be True or False, got {b!r}")
+
+
 def _put_blob(parts, raw: bytes):
     parts.append(_U32.pack(len(raw)))
     parts.append(raw)
@@ -144,7 +153,7 @@ U32 = fixed("I")
 U64 = fixed("Q")
 F64 = fixed("d")
 DIGEST = fixed(f"{DIGEST_LEN}s", to=_digest)
-BOOL = fixed("B", to=lambda b: (1 if b else 0,), frm=bool)
+BOOL = fixed("B", to=_flag, frm=bool)
 EPOCH = fixed("d", to=lambda e: (e.t,), frm=Epoch)
 FRACTION = fixed("QQ", to=lambda f: (f.numerator, f.denominator),
                  frm=_fraction)

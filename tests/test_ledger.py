@@ -781,9 +781,11 @@ class TestBlocks:
          lambda: RegisterStake(amount=5, role="observer")),
         ("post_task", "rita", 0, lambda: PostTask(target="SAT-1", fee=1.5)),
         ("post_task", "rita", 0, lambda: PostTask(target=5, fee=1)),
-        ("submit_tdm", "alice", 0, lambda: SubmitTdm(tdm_text=5))],
+        ("submit_tdm", "alice", 0, lambda: SubmitTdm(tdm_text=5)),
+        ("post_task", "rita", 0, lambda: PostTask(target="SAT-1", fee=1,
+                                                  urgency="yes"))],
         ids=["fee_2**64", "nonce_2**64", "fee_1.5", "target_int",
-             "tdm_text_int"])
+             "tdm_text_int", "urgency_str"])
     def test_unencodable_tx_refused_at_construction(self, kind, sender,
                                                      nonce, payload):
         # each of these used to be built, and then left out of its block

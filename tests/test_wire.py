@@ -307,6 +307,19 @@ def test_compiled_record_refuses_out_of_range(codec, top):
                          rms_residual=0.0, candidates_checked=2 ** 32)
 
 
+@pytest.mark.parametrize("value", ["yes", "", 1, 0, 1.0, None, b"\x01"])
+def test_bool_writes_only_bools(value):
+    # a truthy or falsy non-bool would decode as a bool, an unequal value
+    with pytest.raises(WireError, match="flag must be True or False"):
+        BOOL.encode(value)
+
+
+def test_bool_round_trips():
+    for value, raw in ((False, b"\x00"), (True, b"\x01")):
+        assert BOOL.encode(value) == raw
+        assert BOOL.decode(raw) is value
+
+
 @pytest.mark.parametrize("codec, raw", [
     (BOOL, b"\x02"),
     (optional(STRING), b"\x02\x00\x00\x00\x00"),
