@@ -742,7 +742,6 @@ class _Node:
                       ("post", target, t), None, t)
 
     def propose_model(self, state, t: float) -> None:
-        sc = self.sim.sc
         if self.spec.behavior == "model_poisoner":
             W = tuple(tuple(100.0 for _ in range(6)) for _ in range(3))
             claimed = 1e-6
