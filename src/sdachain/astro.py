@@ -770,6 +770,20 @@ class _Grid:
             _abm_steps(grid, back, h, n_full + 1 - len(grid) // 6, self.bstar,
                        self.kj, self.t0)
 
+    def mark(self) -> tuple:
+        """What undo needs to bring the grid back to its state now."""
+        return (len(self.forward), len(self.backward), list(self.back_fwd),
+                list(self.back_bwd), self.decay_fwd, self.decay_bwd)
+
+    def undo(self, mark: tuple) -> None:
+        """Drop the points appended since mark and restore the back values
+        and decay indices held then."""
+        n_fwd, n_bwd, back_fwd, back_bwd, self.decay_fwd, self.decay_bwd = mark
+        del self.forward[n_fwd:]
+        del self.backward[n_bwd:]
+        self.back_fwd[:] = back_fwd
+        self.back_bwd[:] = back_bwd
+
     def finish(self, state, h: float, t: float) -> tuple:
         """A grid point's state stepped by h to t, altitude-checked."""
         if h:
@@ -846,6 +860,60 @@ _A_GRAV_FLOOR = (MU_EARTH / _FLOOR_R ** 2
                  + 2.0 * abs(_j2_coeff(J2_EARTH)) / _FLOOR_R ** 4)
 
 
+def _steps_of(dt, step_s: float) -> tuple:
+    """_Grid.point's n_full and rem for each offset dt from the anchor, a
+    float64 numpy array: the same float operations, element by element."""
+    adt = abs(dt)
+    n_full = adt // step_s
+    return n_full.astype(int), adt - n_full * step_s
+
+
+def _reach(grid: _Grid, times, dt) -> None:
+    """Extend grid as far as times need, with one point call per direction:
+    to the time farthest from the anchor each way (dt, a numpy array, holds
+    each time's offset from the anchor)."""
+    j = int(dt.argmax())
+    if dt[j] >= 0.0:
+        grid.point(times[j])
+    j = int(dt.argmin())
+    if dt[j] < 0.0:
+        grid.point(times[j])
+
+
+def _screen(np, grid: _Grid, site: GroundSite, bstar: float, t, dt) -> tuple:
+    """(m, exact): the leading m times of the numpy array t (offsets dt
+    from the anchor) whose grid points grid holds, and the indices of
+    those that the horizon screen cannot skip, in order."""
+    n_full, rem = _steps_of(dt, grid.step_s)
+    fwd = dt >= 0.0
+    held = n_full < np.where(fwd, len(grid.forward) // 6,
+                             len(grid.backward) // 6)
+    m = len(t) if held.all() else int(held.argmin())
+    n_full, rem, fwd, t = n_full[:m], rem[:m], fwd[:m], t[:m]
+    rows = np.empty((m, 6))
+    for way, points in ((fwd, grid.forward), (~fwd, grid.backward)):
+        # the view into points dies with this statement, so the grid can
+        # grow again
+        rows[way] = np.frombuffer(points).reshape(-1, 6)[n_full[way]]
+    x, y, z, vx, vy, vz = rows.T
+    drag = abs(bstar) * DRAG_RHO0 * math.exp(
+        -(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
+    with np.errstate(all="ignore"):
+        r = np.sqrt(x * x + y * y + z * z)
+        v = np.sqrt(vx * vx + vy * vy + vz * vz)
+        w = v + _SPEED_SLACK
+        vr = w + EARTH_ROT * (r + rem * w)
+        a_max = _A_GRAV_FLOOR + drag * vr * vr
+        reach = rem * (v + 0.5 * rem * a_max) + _HORIZON_MARGIN_KM
+        lam = site.lon + GMST_J2000 + EARTH_ROT * np.where(fwd, t - rem,
+                                                             t + rem)
+        up_r = (math.cos(site.lat) * (x * np.cos(lam) + y * np.sin(lam))
+                + math.sin(site.lat) * z)
+        skip = ((rem * a_max <= _SPEED_SLACK) & (r - reach > _FLOOR_R)
+                & (up_r + reach + EARTH_ROT * rem * r < R_EARTH + site.alt))
+    return m, np.flatnonzero(~skip).tolist()
+
+
 def propagate_above_horizon(el: KeplerianElements, bstar: float,
                             site: GroundSite, times, step_s: float = STEP_S):
     """Yield propagate_j2's state at each time (seconds) of times, in order,
@@ -854,56 +922,85 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
     A skipped time's state, as propagate_j2 would return it, has
     topocentric_angles elevation <= 0, so a caller that keeps states
     above a non-negative elevation mask gets exactly the states it would
-    get from propagate_many.  Each time is screened on the grid point
-    the state at t is stepped from, which the pass computes anyway: the
-    grid point at t_g = t -/+ rem (0 <= rem < step_s), with position r_g
-    and speed v_g, is stepped by one RK4 step of rem seconds (the
-    multistep loop makes only grid points), which moves
-    the position by at most rem*v_g + rem**2/2 * a_max, with a_max
-    bounding gravity, J2 and drag at every stage above the decay
-    altitude.  The site's zenith turns by at most EARTH_ROT*rem, and
-    site_eci is (R_EARTH + alt) times the zenith, so the time is skipped
-    only when
+    get from propagate_many.
+
+    The pass first extends el's grid as far as its times need, with one
+    _Grid.point call per direction, so each direction takes one multistep
+    call.  Times from the first one outside the limits on are left out:
+    the per-time loop raises at it, as propagate_many does.  If the
+    extension decays, it is undone (points, back values and decay index),
+    and the loop reaches the decay at the same time and with the same
+    first or repeat message as propagate_many.
+
+    The leading times whose grid points the grid then holds are screened
+    as one numpy array, gathered through a view of the grid's buffers that
+    is dropped before the grid can grow again.  Each time is screened on
+    the grid point its state is stepped from: the grid point at
+    t_g = t -/+ rem, with n_full and rem (0 <= rem < step_s) computed as
+    _Grid.point computes them (_steps_of), position r_g and speed v_g, is
+    stepped by one RK4 step of rem seconds (the multistep loop makes only
+    grid points), which moves the position by at most
+    rem*v_g + rem**2/2 * a_max, with a_max bounding gravity, J2 and drag at
+    every stage above the decay altitude.  The site's zenith turns by at
+    most EARTH_ROT*rem, and site_eci is (R_EARTH + alt) times the zenith,
+    so the time is skipped only when
 
         r_g . up(t_g) + rem*v_g + rem**2/2 * a_max + |r_g|*EARTH_ROT*rem
             + _HORIZON_MARGIN_KM < R_EARTH + alt,
 
-    which puts the object below the site's horizontal plane at t.  A
-    time is screened only when every RK4 stage stays at least
-    _HORIZON_MARGIN_KM above the decay altitude and gains at most
-    _SPEED_SLACK km/s, which is what makes a_max a bound and leaves the
-    remainder step's altitude check unable to fire (without drag,
-    MAX_STEP_S * a_max stays below _SPEED_SLACK); otherwise the time
-    takes the exact path.  Non-finite states make every test false and
-    take the exact path too.  Limits, the grid points reached on el's
-    grid and each error are those of propagate_many, at the same time.
+    which puts the object below the site's horizontal plane at t.  The
+    1 m margin covers the rounding of this test, of topocentric_angles
+    and of numpy's cos and sin, which may differ from math's by a few
+    ulps: about 1e-11 km on positions near 7 000 km.  A time is screened
+    only when every RK4 stage stays at least _HORIZON_MARGIN_KM above the
+    decay altitude and gains at most _SPEED_SLACK km/s, which is what
+    makes a_max a bound and leaves the remainder step's altitude check
+    unable to fire (without drag, MAX_STEP_S * a_max stays below
+    _SPEED_SLACK).  Non-finite states make every test false.
+
+    Every time not skipped, screened or not, takes the one exact path:
+    its grid point, the remainder step and a StateVector.  When a
+    remainder step decays, the grid is first brought back to what the
+    times up to it reach.  So for a pass run until it ends or raises, the
+    limits, the grid points left on el's grid and each error are those of
+    propagate_many, at the same time.  A pass closed early may leave the
+    grid longer, which changes no state: any chunking holds the same bits.
     """
-    site_r = R_EARTH + site.alt
-    cos_lat, sin_lat = math.cos(site.lat), math.sin(site.lat)
-    lam0 = site.lon + GMST_J2000
-    drag = abs(bstar) * DRAG_RHO0 * math.exp(
-        -(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
-    grid = None
-    for t in times:
-        _check_limits(el, t, step_s)
-        if grid is None:
+    times = list(times)
+    grid = mark = None
+    m, exact = 0, []
+    if times and MIN_STEP_S <= step_s <= MAX_STEP_S:
+        # numpy only here, so importing the propagator does not load it
+        import numpy as np
+        t = np.array(times, dtype=np.float64)
+        dt = t - el.epoch.t
+        out = ~(np.abs(dt) <= MAX_SPAN_S)      # NaN too, which point refuses
+        n = int(out.argmax()) if out.any() else len(times)
+        if n:
             grid = _grid(el, bstar, step_s, J2_EARTH)
+            mark = grid.mark()
+            try:
+                _reach(grid, times, dt[:n])
+            except DecayError:
+                grid.undo(mark)
+                mark = None
+            m, exact = _screen(np, grid, site, bstar, t[:n], dt[:n])
+    exact.extend(range(m, len(times)))
+    for k in exact:
+        t = times[k]
+        if k >= m:
+            _check_limits(el, t, step_s)
+            if grid is None:
+                grid = _grid(el, bstar, step_s, J2_EARTH)
         points, i, h = grid.point(t)
-        state = points[i:i + 6]
-        x, y, z, vx, vy, vz = state
-        rem = abs(h)
-        r = math.sqrt(x * x + y * y + z * z)
-        v = math.sqrt(vx * vx + vy * vy + vz * vz)
-        w = v + _SPEED_SLACK
-        vr = w + EARTH_ROT * (r + rem * w)
-        a_max = _A_GRAV_FLOOR + drag * vr * vr
-        reach = rem * (v + 0.5 * rem * a_max) + _HORIZON_MARGIN_KM
-        lam = lam0 + EARTH_ROT * (t - h)
-        up_r = cos_lat * (x * math.cos(lam) + y * math.sin(lam)) + sin_lat * z
-        if (rem * a_max <= _SPEED_SLACK and r - reach > _FLOOR_R
-                and up_r + reach + EARTH_ROT * rem * r < site_r):
-            continue
-        state = grid.finish(state, h, t)
+        try:
+            state = grid.finish(points[i:i + 6], h, t)
+        except DecayError:
+            if mark is not None:
+                # the grid as the times up to this one extend it
+                grid.undo(mark)
+                _reach(grid, times, dt[:k + 1])
+            raise
         yield StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
 
 

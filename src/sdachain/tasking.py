@@ -230,15 +230,17 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     spaced at least that far apart. A decayed target is simply never
     visible.
 
-    Samples are screened before the exact test: propagate_above_horizon
-    skips a sample only when its grid point's height above the site's
-    horizontal plane, r_g.up(t_g) - (R_EARTH + alt), stays negative after
-    adding the most the remainder step can move it (|v_g|*rem +
-    a_max*rem**2/2, plus the site's turn |r_g|*EARTH_ROT*rem). Such a
-    sample's elevation is at most 0, below ELEVATION_MASK_RAD (10 deg),
-    so skipping it cannot change the answer. Every other sample gets the
-    exact propagated state and elevation, so the returned epochs, and
-    the errors raised, are those of testing every sample exactly.
+    The samples go to propagate_above_horizon as one pass: it extends the
+    orbit's grid over the window once, then screens the samples as one
+    array and skips a sample only when its grid point's height above the
+    site's horizontal plane, r_g.up(t_g) - (R_EARTH + alt), stays
+    negative after adding the most the remainder step can move it
+    (|v_g|*rem + a_max*rem**2/2, plus the site's turn |r_g|*EARTH_ROT*rem).
+    Such a sample's elevation is at most 0, below ELEVATION_MASK_RAD
+    (10 deg), so skipping it cannot change the answer. Every other sample
+    gets the exact propagated state and elevation, so the returned epochs,
+    the errors raised and the grid left behind are those of testing every
+    sample exactly.
     """
     t0, t1 = window
     times = []

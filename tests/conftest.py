@@ -107,9 +107,11 @@ def visibility_cases(draw):
     """(elements, bstar, site, window, step_s, cadence_s) for sampling an
     orbit's sky track: random LEO orbits and sites (latitudes to +-89 deg,
     altitudes to 5 km), grazing passes that peak near the 10 deg mask, and
-    drag orbits that decay inside the window. Windows fall before and
-    after the element epoch."""
+    drag orbits that decay inside the window. Windows fall anywhere near
+    the element epoch, wholly before it (on the backward grid) or across
+    it (on both grids)."""
     kind = draw(st.sampled_from(("random", "grazing", "decaying")))
+    placement = draw(st.sampled_from(("near", "backward", "straddling")))
     unit = st.floats(0.0, 1.0)
     epoch = Epoch(draw(st.floats(-1e6, 1e6)))
     if kind == "decaying":
@@ -117,7 +119,7 @@ def visibility_cases(draw):
         a = R_EARTH + draw(st.floats(160.0, 200.0))
         e = 0.001
         bstar = 10.0 ** draw(st.floats(-4.5, -4.0))
-        start = draw(st.floats(-3600.0, 3600.0))
+        near = 3600.0
         duration = draw(st.floats(3600.0, 5.0 * 3600.0))
     else:
         a = R_EARTH + draw(st.floats(300.0, 1500.0))
@@ -125,8 +127,14 @@ def visibility_cases(draw):
         # the grazing geometry is placed on the orbit, which must not decay
         bstar = draw(st.sampled_from(
             (0.0, 1e-6) if kind == "grazing" else (0.0, 1e-6, 1e-4)))
-        start = draw(st.floats(-86400.0, 86400.0))
+        near = 86400.0
         duration = draw(st.floats(0.0, 4.0 * 3600.0))
+    if placement == "near":
+        start = draw(st.floats(-near, near))
+    elif placement == "backward":
+        start = -duration - draw(st.floats(0.0, near))
+    else:
+        start = -duration * draw(unit)
     el = KeplerianElements(a=a, e=e, i=draw(st.floats(0.0, math.pi)),
                            raan=2.0 * math.pi * draw(unit),
                            argp=2.0 * math.pi * draw(unit),

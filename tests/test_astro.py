@@ -523,6 +523,90 @@ class TestPropagateAboveHorizon:
             list(propagate_above_horizon(fresh(el), 3e-3, far, [t], step_s=30.0))
         assert str(screened.value) == str(exact.value)
 
+    def passes(self, times, site=GroundSite(site_id="S", lat=0.0, lon=0.0)):
+        """The screened pass and propagate_many over times on _LOW (drag
+        3e-3, 30 s grid), each on elements that hold no grid: what each
+        yields, its error and the grid it leaves."""
+        out = []
+        for run in (lambda el: propagate_above_horizon(el, 3e-3, site, times,
+                                                       step_s=30.0),
+                    lambda el: propagate_many(el, 3e-3,
+                                              [Epoch(t) for t in times],
+                                              step_s=30.0)):
+            el = fresh(_LOW)
+            got, err = drain(run(el))
+            (grid,) = grids(el).values()
+            out.append((got, err, grid))
+        return out
+
+    def decay_index(self):
+        el = fresh(_LOW)
+        with pytest.raises(DecayError):
+            propagate_j2(el, 3e-3, Epoch(86400.0), step_s=30.0)
+        (grid,) = grids(el).values()
+        return grid.decay_fwd
+
+    def test_decay_in_the_one_extension_is_undone(self):
+        # the pass's one extension, to its last time, reaches a grid point
+        # below the decay altitude; undone, the times are taken one by one
+        # and a remainder step decays first, before any grid point does
+        decay = self.decay_index()
+        times = [k * 30.0 + 29.0 for k in range(decay + 3)]
+        assert int(times[-1] // 30.0) >= decay
+        (got, got_err, got_grid), (want, want_err, want_grid) = \
+            self.passes(times)
+        assert got_err == want_err
+        assert got_err[0] == "DecayError"
+        assert f"t={(decay - 1) * 30.0 + 29.0:.1f}" in got_err[1]
+        assert held(got_grid) == held(want_grid)
+        assert got_grid.decay_fwd is want_grid.decay_fwd is None
+        assert len(got_grid.forward) // 6 == decay
+        exact = {sv.epoch.t: state_bits(sv) for sv in want}
+        assert [state_bits(sv) for sv in got] == [exact[sv.epoch.t] for sv in got]
+
+    def test_remainder_step_decay_rolls_the_extension_back(self):
+        # the one extension succeeds both ways, but the first time's
+        # remainder step decays: the grid keeps only what that time
+        # reaches, so the backward grid stays at its anchor (undoing also
+        # needs the numpy view of the grid dropped: a live one refuses it)
+        decay = self.decay_index()
+        times = [(decay - 1) * 30.0 + 29.0, -3600.0]
+        (got, got_err, got_grid), (want, want_err, want_grid) = \
+            self.passes(times)
+        assert got == want == []
+        assert got_err == want_err and got_err[0] == "DecayError"
+        assert held(got_grid) == held(want_grid)
+        assert len(got_grid.backward) // 6 == 1
+        assert len(got_grid.forward) // 6 == decay
+
+
+class TestArraySteps:
+    @settings(max_examples=200, deadline=None)
+    @given(epoch=st.floats(-1e9, 1e9),
+           step_s=st.sampled_from((10.0, 30.0, 60.0, 90.0))
+           | st.floats(astro.MIN_STEP_S, astro.MAX_STEP_S),
+           offsets=st.lists(
+               st.floats(-astro.MAX_SPAN_S, astro.MAX_SPAN_S)
+               | st.tuples(st.integers(-28800, 28800),
+                           st.sampled_from((-1e-9, 0.0, 1e-9))),
+               min_size=1, max_size=20))
+    def test_equal_grid_point(self, epoch, step_s, offsets):
+        # the array screen's n_full and rem, against _Grid.point's for the
+        # same times, off the grid and on or next to its points
+        import numpy as np
+        el = KeplerianElements(a=7000.0, e=1e-3, i=0.5, raan=0.0, argp=0.0,
+                               M=0.0, epoch=Epoch(epoch))
+        grid = astro._Grid(el, 0.0, step_s, J2_EARTH)
+        times = [epoch + (off if isinstance(off, float)
+                          else off[0] * step_s + off[1]) for off in offsets]
+        with pytest.MonkeyPatch.context() as mp:
+            # the index and step only: no points are made
+            mp.setattr(astro._Grid, "_extend", lambda *args: None)
+            want = [(i // 6, abs(h)) for _, i, h in map(grid.point, times)]
+        n_full, rem = astro._steps_of(np.array(times) - grid.t0, step_s)
+        got = list(zip(n_full.tolist(), rem.tolist()))
+        assert [(n, r.hex()) for n, r in got] == [(n, r.hex()) for n, r in want]
+
 
 _LOW = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0, argp=0.0,
                          M=0.0, epoch=Epoch(0.0))

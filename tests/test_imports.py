@@ -10,9 +10,15 @@ are exempt. Outside astro.py no function declares a ``step_s`` parameter,
 and no dataclass anywhere has a ``step_s`` field: the chain propagates on
 the one grid step ``astro.STEP_S``, so the option must not creep back
 through a pass-through.
+
+Importing the propagator loads no numpy: the one function that uses it
+imports it inside.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -171,3 +177,11 @@ def test_checker_flags_step_s_holders():
     assert step_s_holders(source) == [
         (3, "parameter", "f"), (7, "field", "S"), (10, "field", "T"),
         (13, "parameter", "<lambda>")]
+
+
+def test_propagator_import_loads_no_numpy():
+    code = "import sys, sdachain.astro; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

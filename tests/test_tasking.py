@@ -442,6 +442,29 @@ class TestVisibilityWork:
         assert exact_work["rk4"] == startup + 4 * samples
         assert work["rk4"] == startup + 4 * work["angles"]
 
+    @pytest.mark.parametrize("start, ways", [
+        (10.0, 1), (-6 * 3600.0 - 10.0, 1), (-3 * 3600.0 - 10.0, 2)],
+        ids=["forward", "backward", "straddling"])
+    def test_one_multistep_call_per_direction(self, monkeypatch, start, ways):
+        # the pass extends the grid once each way it reaches, where taking
+        # the samples one by one makes a call per new grid point
+        rec, site = TestAssign().pass_setup()
+        t0 = rec.elements.epoch.t + start
+        window = (Epoch(t0), Epoch(t0 + 6 * 3600.0))
+        calls = {"multistep": 0}
+        abm = astro._abm_steps
+
+        def counted(*args):
+            calls["multistep"] += 1
+            return abm(*args)
+
+        monkeypatch.setattr(astro, "_abm_steps", counted)
+        el = fresh(rec.elements)
+        visible_epochs(el, rec.bstar, site, window)
+        assert calls["multistep"] == ways
+        visible_epochs(el, rec.bstar, site, window)
+        assert calls["multistep"] == ways
+
 
 class TestRetask:
     NOW = Epoch(5000.0)     # chain time at settlement
