@@ -1034,13 +1034,25 @@ def enu_basis(site: GroundSite, epoch: Epoch):
     return east, north, up
 
 
+def site_frame(site: GroundSite, epoch: Epoch) -> tuple:
+    """(site_eci, enu_basis) of a site at an epoch, bit for bit, from one
+    gmst and one sin/cos of each site angle."""
+    lam = site.lon + gmst(epoch)
+    sl, cl = math.sin(lam), math.cos(lam)
+    sp, cp = math.sin(site.lat), math.cos(site.lat)
+    radius = R_EARTH + site.alt
+    rs = (radius * cp * cl, radius * cp * sl, radius * sp)
+    return rs, ((-sl, cl, 0.0), (-sp * cl, -sp * sl, cp),
+                (cp * cl, cp * sl, sp))
+
+
 def topocentric_angles(s: StateVector, site: GroundSite) -> tuple:
     """(azimuth, elevation, slant range) of a state as seen from a site.
 
     Azimuth is clockwise from north in [0, 2*pi); elevation in
     [-pi/2, pi/2]; range in km.
     """
-    return azel_from(s.r, site_eci(site, s.epoch), enu_basis(site, s.epoch))
+    return azel_from(s.r, *site_frame(site, s.epoch))
 
 
 def azel_from(r, rs, basis) -> tuple:

@@ -10,10 +10,12 @@ every digest is SHA-256 of canonical bytes, and replaying a persisted
 chain from its genesis snapshot reproduces each state root bit for bit.
 
 Settlement happens inside the ``_apply`` of the attestation that brings
-a TDM to the stake quorum on an identical (verdict, report hash) pair: verified tracks return their escrow and collect task fees,
-rejected tracks burn their escrow, unresolved tracks join the UCT pool
-and spawn internal follow-up tasks, and pool tracks that associate get
-mined into the catalog for a minted reward.
+a TDM to the stake quorum on an identical (verdict, report hash) pair:
+verified tracks return their escrow and collect task fees, rejected
+tracks burn their escrow, unresolved tracks join the UCT pool and spawn
+internal follow-up tasks, and pool tracks that associate are mined into
+the catalog for a minted reward. The mined orbit is the one the quorum's
+report carries: settlement applies it and fits nothing.
 """
 
 import copy
@@ -30,7 +32,6 @@ from .astro import (
     Epoch,
     GroundSite,
     KeplerianElements,
-    OrbitRecord,
     propagate_j2,
     state_to_kepler,
 )
@@ -53,6 +54,7 @@ from .tasking import (
 from .tdm import Tdm, TdmError, parse_tdm
 from .validation import (
     ELEMENTS,
+    ORBIT,
     REPORT,
     VALIDATION_PARAMS,
     ValidationParams,
@@ -426,8 +428,6 @@ ACCOUNT = record(Account, ("account_id", STRING), ("balance", U64),
                  ("staked", U64), ("roles", sorted_set(STRING, count=U8)))
 SITE = record(GroundSite, ("site_id", STRING), ("lat", F64), ("lon", F64),
               ("alt", F64))
-ORBIT = record(OrbitRecord, ("object_id", STRING), ("elements", ELEMENTS),
-               ("bstar", F64), ("source", STRING))
 ESCROW = record(Escrow, ("amount", U64), ("requester", STRING))
 # a held Tdm is written as its canonical text, and parsed once on read
 TDM = record(parse_tdm, ("text", STRING))
@@ -621,23 +621,23 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
     elif verdict == "ambiguous":
         _spawn_retask(state, report)
     elif verdict == "uct":
-        mined = None
-        pool_hashes = [h for h in report.uct_matches if h in state.uct_pool]
-        pool_tdms = [state.uct_pool[h].tdm for h in pool_hashes]
-        if pool_tdms:
-            mined = mine_object(pool_tdms + [tdm], state.sites, state.vparams)
-        if mined is not None and mined.object_id not in state.catalog:
-            state.catalog[mined.object_id] = mined
+        mined = report.mined
+        if (mined is not None and mined.object_id not in state.catalog
+                and all(h in state.uct_pool for h in report.uct_matches)):
+            # the report, which the block keeps, holds the grids built on
+            # its own elements; the catalog entry gets elements of its own
+            state.catalog[mined.object_id] = dataclasses.replace(
+                mined, elements=dataclasses.replace(mined.elements))
             object_id = mined.object_id
             contributors = {pend.submitter}
             contributors.update(state.uct_pool[h].submitter
-                                for h in pool_hashes)
+                                for h in report.uct_matches)
             weights = {aid: 1 for aid in contributors}
             state.minted += state.params.r_mint
             for aid, share in _distribute(state.params.r_mint,
                                           weights).items():
                 state.account(aid).balance += share
-            for h in pool_hashes:
+            for h in report.uct_matches:
                 del state.uct_pool[h]
             if pend.task_id:
                 _pay_task(state, pend, attesters)
@@ -698,10 +698,12 @@ def compute_attestation(state: LedgerState,
 
     Runs the deterministic validation pipeline against the current
     catalog and, for uncorrelated tracks, associates against the on-chain
-    UCT pool so settlement knows which tracks to mine together. Pool
-    entries carry the fit their own settled report proposed, so the only
-    fit here is the new track's. Every honest node holding the same state
-    produces the identical report.
+    UCT pool. Pool entries carry the fit their own settled report
+    proposed, so the new track is the one track fitted alone. When pool
+    tracks match, the report also carries the orbit mine_object fits to
+    them and the new track (None when that fit fails), so the quorum
+    agrees on it and settlement applies it without fitting. Every honest
+    node holding the same state produces the identical report.
     """
     pend = state.pending.get(tdm_hash_hex)
     if pend is None:
@@ -713,11 +715,13 @@ def compute_attestation(state: LedgerState,
         return report
     pool = [(h, e.elements) for h, e in sorted(state.uct_pool.items())
             if e.elements is not None]
-    matches = associate_uct(report.proposed_elements, pool, state.vparams)
+    matches = tuple(h for h, _ in associate_uct(report.proposed_elements,
+                                                pool, state.vparams))
     if not matches:
         return report
-    return dataclasses.replace(report,
-                               uct_matches=tuple(h for h, _ in matches))
+    mined = mine_object([state.uct_pool[h].tdm for h in matches] + [pend.tdm],
+                        state.sites, state.vparams)
+    return dataclasses.replace(report, uct_matches=matches, mined=mined)
 
 
 def _apply(state: LedgerState, tx: Transaction) -> None:

@@ -33,11 +33,11 @@ from .astro import (
     angles_to_unit_vector,
     angular_separation,
     azel_from,
-    enu_basis,
     propagate_many,
     radec_from,
     radec_to_unit_vector,
     site_eci,
+    site_frame,
     topocentric_angles,
     topocentric_radec,
     wrap_two_pi,
@@ -384,7 +384,9 @@ def observe(sv: StateVector, site: GroundSite, mode: str) -> tuple:
 def site_geometry(site: GroundSite, epoch: Epoch, mode: str) -> tuple:
     """What observe needs of a site at one epoch: its ECI position and,
     for AZEL, its (east, north, up) basis (None for RADEC)."""
-    return site_eci(site, epoch), (enu_basis(site, epoch) if mode == "AZEL" else None)
+    if mode == "AZEL":
+        return site_frame(site, epoch)
+    return site_eci(site, epoch), None
 
 
 def observe_from(r, geometry) -> tuple:

@@ -67,6 +67,9 @@ VALIDATION_PARAMS = record(ValidationParams, *(
 # The one on-chain element layout.
 ELEMENTS = record(KeplerianElements, ("a", F64), ("e", F64), ("i", F64),
                   ("raan", F64), ("argp", F64), ("M", F64), ("epoch", EPOCH))
+# A catalog entry, in the state and in a report's mined orbit.
+ORBIT = record(OrbitRecord, ("object_id", STRING), ("elements", ELEMENTS),
+               ("bstar", F64), ("source", STRING))
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,7 @@ class ValidationReport:
     candidates_checked: int
     proposed_elements: Optional[KeplerianElements] = None
     uct_matches: tuple = ()      # tdm hashes folded into a mining proposal
+    mined: Optional[OrbitRecord] = None   # the orbit uct_matches mine
     notes: tuple = ()
     report_hash: str = field(init=False)
 
@@ -93,6 +97,17 @@ class ValidationReport:
                 raise ValidationError("verified report needs a finite rms")
         if self.rms_residual < 0.0:
             raise ValidationError("rms_residual must be nonnegative")
+        if self.mined is not None:
+            if self.verdict != "uct":
+                raise ValidationError("only a uct report carries a mined orbit")
+            if not self.uct_matches:
+                raise ValidationError("a mined orbit needs uct_matches")
+            if len(set(self.uct_matches)) != len(self.uct_matches):
+                # settlement takes each match out of the pool once
+                raise ValidationError("a mined orbit needs distinct "
+                                      "uct_matches")
+            if getattr(self.mined, "source", None) != "mined":
+                raise ValidationError("a mined orbit needs source 'mined'")
         object.__setattr__(self, "report_hash",
                            sha256(REPORT.encode(self)).hex())
 
@@ -102,7 +117,8 @@ REPORT = record(ValidationReport,
                 ("matched_object", optional(STRING)), ("rms_residual", F64),
                 ("candidates_checked", U32),
                 ("proposed_elements", optional(ELEMENTS)),
-                ("uct_matches", seq(STRING)), ("notes", seq(STRING)))
+                ("uct_matches", seq(STRING)), ("mined", optional(ORBIT)),
+                ("notes", seq(STRING)))
 
 
 def _refined_iod(tdm: Tdm, site: GroundSite) -> Optional[IodSolution]:

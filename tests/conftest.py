@@ -1,8 +1,10 @@
 """Shared helpers for building observable geometries in tests."""
 import dataclasses
 import gc
+import collections
 import math
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -52,6 +54,29 @@ def count_force_evaluations(monkeypatch) -> dict:
 
     monkeypatch.setattr(astro, "_rk4_steps", rk4_counted)
     monkeypatch.setattr(astro, "_abm_steps", abm_counted)
+    return counts
+
+
+def count_fits(monkeypatch) -> collections.Counter:
+    """Count from now on the calls of mine_object, refine_elements and
+    iod_from_tdm, through every binding of each in the sdachain modules
+    (a ``from x import f`` copy included)."""
+    counts = collections.Counter()
+    from sdachain import iod, validation
+    for name, owner in (("mine_object", validation),
+                        ("refine_elements", iod), ("iod_from_tdm", iod)):
+        orig = getattr(owner, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "sdachain":
+                continue
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
     return counts
 
 

@@ -24,7 +24,9 @@ from sdachain.astro import (
     UnsupportedRegimeError,
     angles_to_unit_vector,
     angular_separation,
+    azel_from,
     dot,
+    enu_basis,
     gmst,
     kepler_to_state,
     norm,
@@ -33,6 +35,7 @@ from sdachain.astro import (
     propagate_many,
     radec_to_unit_vector,
     site_eci,
+    site_frame,
     solve_kepler,
     state_to_kepler,
     topocentric_angles,
@@ -827,6 +830,25 @@ class TestObservationGeometry:
         target = tuple(rs[k] + 500.0 * north[k] + 200.0 * rs[k] / norm(rs) for k in range(3))
         az, el, _ = topocentric_angles(StateVector(epoch=ep, r=target, v=(0, 0, 0)), site)
         assert az == pytest.approx(0.0, abs=1e-9) or az == pytest.approx(TWO_PI, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(lat=st.floats(-math.pi / 2, math.pi / 2),
+           lon=st.floats(-math.pi, math.pi), alt=st.floats(0.0, 5.0),
+           t=st.floats(-1e8, 1e8),
+           r=st.tuples(*[st.floats(-5e4, 5e4)] * 3).filter(
+               lambda r: norm(r) > 7000.0))
+    def test_topocentric_angles_one_site_frame(self, lat, lon, alt, t, r):
+        # one gmst and one sin/cos per angle, with site_eci's and
+        # enu_basis's operation order: the same bits as the two of them
+        site = GroundSite(site_id="S1", lat=lat, lon=lon, alt=alt)
+        ep = Epoch(t)
+        got = topocentric_angles(StateVector(epoch=ep, r=r, v=(0, 0, 0)),
+                                 site)
+        want = azel_from(r, site_eci(site, ep), enu_basis(site, ep))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert site_frame(site, ep) == (site_eci(site, ep),
+                                        enu_basis(site, ep))
 
     def test_angles_to_unit_vector_round_trip(self):
         site = GroundSite(site_id="S1", lat=0.6, lon=-2.0, alt=1.0)

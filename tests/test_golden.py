@@ -4,12 +4,18 @@ Each case pins the full SHA-256 of the persisted chain.log and report.json
 plus the final state root. A refactor that is meant to keep behaviour
 must leave all three unchanged; a change that alters consensus bytes on
 purpose re-pins them and says why. Each case also replays the chain.log it
-wrote and checks that replay reaches the same final state root.
+wrote and checks that replay reaches the same final state root, and the
+uct chain must also replay in a process whose BLAS kernel differs.
 """
 import dataclasses
 import hashlib
+import inspect
 import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from sdachain.ledger import load_chain, replay_state, state_root, verify_chain
@@ -41,27 +47,27 @@ def tie_scenario(seed: int):
 GOLDEN = {
     "reference": (
         reference_scenario,
-        "1eb5dd9eb8825f7074cbe0e650299bfb814726735f10b16c521df48baf0075c4",
-        "32318215f8b3277d0e16629e604515fad7b36a73a45d035bd26e109591ebae28",
-        "a2f9e1eac663c748f89374c41168393cd258a420169bac3f80b32a2879ab3761",
+        "88eeb419fc0966b0aab0b32fbf2a3e02d2498cd895852eb52f5a91fe70db0b3d",
+        "000ca7664587ea101b51e986ec604f58e4635a247bb77aed9d190d95f6e9d887",
+        "864d09752ddab9461c565ece218d4a1f5dd1ac2a78a2e8b3070fa9160720e613",
     ),
     "uct": (
         uct_scenario,
-        "e6d5e100758ff30adcbedaf0b2344cbd2de342384a2f46ff243c827562365437",
-        "a1142c9a67c3f184b9b14c7f27f1b1ad317ceea9c12bd319ba0f6396554f9ae1",
-        "da1cbe0dc8b8ae694bf2168aa7b7f94ae5797ef0cf29c2d248b080271154a122",
+        "e85e0d600391ac59b73b8d443e9dc5692fe4abc1eb213405a6f8be5221305972",
+        "60f640241251019a92370da563d11041c89bfb01c6071178239b57306c4f4362",
+        "e96d30d69d04d571ec2eb180c536fcb4f9a018554182cee94dc4fc831a3176e2",
     ),
     "fl": (
         fl_scenario,
-        "7a30f19cf11a01f751f60ba63e9f7d00cf3bac9222cb3e170e55680bac7db2f5",
-        "9cd6b301dc100d959d339e7c3865683bef2be5608d390131266b3c22fc8b70be",
-        "cd2c8f665b030982be250769df2cdeb2c07cd1c7a25cda030d3588263c010c06",
+        "071cf3e1b0effb40590b27dfcd09b4e9a778ac9754113e42ddcdcb044ca3561f",
+        "876aa020ab50662779e1f4aea25924f17740926cd93ddf1086319772d1c58460",
+        "40618ae73020fd85ca424a2b09e1a2cb2af9868c43cec470d8441e1adfb525d9",
     ),
     "tie": (
         tie_scenario,
-        "962edaedb227a329b087d96e728e4fc893bcfe20edfe9b8c48d4650a2648e669",
-        "9c7c98f90bd53b2c00241254fccc16ae59274ee0e510addde728d3d77494fee4",
-        "18ffacc8bf948c1f06dc03c88883ffd1d4e110f5bf0212525c6caffd6dc8634f",
+        "db028ec8d201f6b9954a5669665d1f16c1dc018ce4e7422a749fa78fec3d2c7e",
+        "1e07c3eb40031e1155ec60836721ec98f69e505c291170775e22a132e0c2267d",
+        "3cab04ed6b25294f1e971d58c8627b7d4d747ce10df1b757790befdebc0badd5",
     ),
 }
 
@@ -84,3 +90,44 @@ def test_golden_bytes(name, tmp_path):
     blocks = load_chain(os.path.join(out, "chain.log"))
     assert verify_chain(blocks) is None
     assert state_root(replay_state(blocks)).hex() == report.state_root
+
+
+# OpenBLAS kernels another x86 CPU may select; OPENBLAS_CORETYPE forces
+# one for a single process
+OTHER_KERNELS = ("Haswell", "Zen", "Prescott")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _sentinel() -> str:
+    """The bits of a fixed 40x6 SVD, which differ between kernels."""
+    a = np.array([[(i * 7 + j * 13) % 17 / 17.0 + 0.01 * i * j
+                   for j in range(6)] for i in range(40)])
+    return b"".join(m.tobytes() for m in
+                    np.linalg.svd(a, full_matrices=False)).hex()
+
+
+_REPLAY = ("import sys\nimport numpy as np\n" + inspect.getsource(_sentinel)
+           + "from sdachain.ledger import verify_chain_file\n"
+           + "print(_sentinel())\nprint(verify_chain_file(sys.argv[1]))\n")
+
+
+def test_uct_chain_replays_under_another_blas_kernel(tmp_path):
+    """A uct chain written here verifies in a process running another
+    OpenBLAS kernel: replay applies the mined orbit the quorum attested
+    and makes no fit of its own. The first kernel whose sentinel SVD
+    differs from this process's is used, so the test cannot pass on a
+    kernel that computes the same bits."""
+    run_scenario(uct_scenario(1), str(tmp_path))
+    here = _sentinel()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    for kernel in OTHER_KERNELS:
+        out = subprocess.run(
+            [sys.executable, "-c", _REPLAY, str(tmp_path / "chain.log")],
+            env={**env, "OPENBLAS_CORETYPE": kernel}, capture_output=True,
+            text=True, check=True, timeout=300).stdout.split()
+        if out[0] != here:
+            assert out[1] == "None", f"replay under {kernel} fails at {out[1]}"
+            return
+    pytest.skip(f"no OpenBLAS kernel of {OTHER_KERNELS} changes the "
+                f"sentinel SVD on this host")

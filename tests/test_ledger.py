@@ -119,6 +119,15 @@ def attest_until_settled(state, tdm_hash, validators=("val-a", "val-b")):
     return state, report
 
 
+def attest_with(state, report, validators=("val-a", "val-b")):
+    """Each validator attests the given report, however stale."""
+    for v in validators:
+        state = apply_transaction(state, tx("attest_validation", v,
+                                            state.nonces.get(v, 0),
+                                            AttestValidation(report)))
+    return state
+
+
 class TestParamsAndAccounts:
     def test_params_reject_floats(self):
         with pytest.raises(LedgerError):
@@ -587,7 +596,9 @@ class TestUctMining:
 
     def test_pool_fits_come_from_settled_reports(self, monkeypatch):
         # two pooled UCTs of different objects; a third UCT's attestation
-        # fits only its own track and associates against the stored fits
+        # fits its own track alone and associates against the stored fits,
+        # then mines: both of mine_object's fits take the matched pool
+        # track and the new one, and no pooled track is fitted alone
         other = leo_record(random.Random(31), "OTHER")
         g3 = site_under(other, Epoch(700.0), site_id="G3")
         state, t1, t2 = self.two_track_setup(extra_sites=[g3])
@@ -618,7 +629,8 @@ class TestUctMining:
         rep = compute_attestation(s, t2.hex_hash())
         assert rep.verdict == "uct"
         assert rep.uct_matches == (t1.hex_hash(),)
-        assert fitted == [[t2.hex_hash()]]
+        assert rep.mined.object_id == f"MINED-{t1.hex_hash()[:8]}"
+        assert fitted == [[t2.hex_hash()]] + [[t1.hex_hash(), t2.hex_hash()]] * 2
 
     def pending_and_pooled(self):
         """A state holding t1 in the UCT pool and t2 pending."""
@@ -629,6 +641,66 @@ class TestUctMining:
         assert list(s.uct_pool) == [t1.hex_hash()]
         assert list(s.pending) == [t2.hex_hash()]
         return s, t1, t2
+
+    def test_settlement_applies_the_attested_orbit(self, monkeypatch):
+        # the quorum's report carries the mined orbit; settling it fits
+        # nothing, and the catalog entry holds elements of its own
+        s, t1, t2 = self.pending_and_pooled()
+        rep = compute_attestation(s, t2.hex_hash())
+        assert rep.mined is not None and rep.mined.source == "mined"
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("settlement fitted an orbit")
+
+        for name in ("mine_object", "refine_elements", "iod_from_tdm"):
+            for mod in (ledger, validation):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, no_fit)
+        s = attest_with(s, rep)
+        entry = s.catalog[rep.mined.object_id]
+        assert entry == rep.mined and entry.elements is not rep.mined.elements
+        assert not s.uct_pool and s.minted == 50
+        assert conservation_delta(s) == 0
+
+    def test_matched_track_gone_from_pool_parks(self):
+        # t2 and t3 are both attested while t1 is pooled; t2 settles first
+        # and mines t1. t3's report names t1 too, and a mined id that is
+        # not in the catalog (t3 is the earlier track), but t1 has left
+        # the pool: t3 parks, and nothing more is minted
+        early = leo_record(random.Random(30), "GHOST")
+        g0 = site_under(early, Epoch(300.0), site_id="G0")
+        state, t1, t2 = self.two_track_setup(extra_sites=[g0])
+        t3 = synth_tdm(early, g0, [Epoch(200.0 + 30 * k) for k in range(8)],
+                       1e-5, 8, with_range=True, range_noise_km=0.05,
+                       participant="UNKNOWN")
+        s = apply_transaction(state, submit_tx(t1))
+        s, _ = attest_until_settled(s, t1.hex_hash())
+        s = apply_transaction(s, submit_tx(t2, nonce=0, sender="oscar"))
+        s = apply_transaction(s, submit_tx(t3, nonce=1))
+        rep2 = compute_attestation(s, t2.hex_hash())
+        rep3 = compute_attestation(s, t3.hex_hash())
+        assert rep2.uct_matches == rep3.uct_matches == (t1.hex_hash(),)
+        assert rep3.mined.object_id == f"MINED-{t3.hex_hash()[:8]}"
+        s = attest_with(s, rep2)
+        assert rep2.mined.object_id in s.catalog and not s.uct_pool
+        s = attest_with(s, rep3)
+        assert rep3.mined.object_id not in s.catalog
+        assert list(s.uct_pool) == [t3.hex_hash()]
+        assert s.minted == 50
+        assert s.settlements[-1].verdict == "uct"
+        assert s.settlements[-1].object_id == ""
+        assert conservation_delta(s) == 0
+
+    def test_mined_id_already_cataloged_parks(self):
+        s, t1, t2 = self.pending_and_pooled()
+        rep = compute_attestation(s, t2.hex_hash())
+        taken = dataclasses.replace(rep.mined, source="cataloged")
+        s.catalog[taken.object_id] = taken
+        s = attest_with(s, rep)
+        assert s.catalog[taken.object_id] == taken
+        assert sorted(s.uct_pool) == sorted([t1.hex_hash(), t2.hex_hash()])
+        assert s.minted == 0 and s.settlements[-1].object_id == ""
+        assert conservation_delta(s) == 0
 
     def test_held_tdms_roundtrip(self):
         s, t1, t2 = self.pending_and_pooled()

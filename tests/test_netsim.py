@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_force_evaluations, grids
+from conftest import count_fits, count_force_evaluations, grids
 from sdachain import astro, ledger, netsim, tdm as tdm_module
 from sdachain.astro import Epoch, GroundSite, propagate_j2
 from sdachain.errors import SdaError
@@ -643,14 +643,31 @@ class TestUctRun:
     def test_force_evaluations_per_phase(self, monkeypatch, tmp_path):
         # every grid is shared wherever one orbit is propagated again, so
         # the sim and the replay evaluate exactly these forces; RK4 on a
-        # 30 s grid made 15 592 and 6 960 (3 898 and 1 740 steps)
+        # 30 s grid made 15 592 and 6 960 (3 898 and 1 740 steps). Replay
+        # made 2 568 and 896 while settlement re-ran the mining fits; now
+        # it integrates only the catalog refreshes
         evals = count_force_evaluations(monkeypatch)
         run_scenario(uct_scenario(1), out_dir=str(tmp_path))
         sim = dict(evals)
         evals.update(rk4=0, multistep=0)
         assert verify_chain(load_chain(str(tmp_path / "chain.log"))) is None
         assert (sim, evals) == ({"rk4": 8484, "multistep": 1644},
-                                {"rk4": 2568, "multistep": 896})
+                                {"rk4": 176, "multistep": 64})
+
+    @pytest.mark.parametrize("workload", ["uct", "breakup"])
+    def test_replay_fits_no_orbit(self, workload, monkeypatch, tmp_path):
+        # the attestation that reaches quorum carries the mined orbit, so
+        # the sim's validators fit and replay only applies what they agreed
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from workloads import breakup_scenario
+        sc = uct_scenario(1) if workload == "uct" else breakup_scenario(1)
+        calls = count_fits(monkeypatch)
+        rep = run_scenario(sc, out_dir=str(tmp_path))
+        assert rep.mined and calls["mine_object"] == len(rep.mined)
+        assert calls["refine_elements"] and calls["iod_from_tdm"]
+        calls.clear()
+        assert verify_chain(load_chain(str(tmp_path / "chain.log"))) is None
+        assert calls == {}
 
 
     def test_future_dated_claim_gets_no_attestation(self):

@@ -92,6 +92,44 @@ class TestReport:
         assert r1.report_hash == r2.report_hash
         assert r1.report_hash != r3.report_hash
 
+    @staticmethod
+    def mined_report(**changes):
+        rec = leo_record(random.Random(3), "MINED-abcdef01")
+        fields = dict(tdm_hash="ab", verdict="uct", matched_object=None,
+                      rms_residual=0.001, candidates_checked=0,
+                      proposed_elements=rec.elements, uct_matches=("cd",),
+                      mined=dataclasses.replace(rec, source="mined"))
+        return ValidationReport(**{**fields, **changes})
+
+    def test_mined_orbit_is_hashed(self):
+        rep = self.mined_report()
+        assert rep.report_hash != self.mined_report(mined=None).report_hash
+        moved = dataclasses.replace(rep.mined, object_id="MINED-abcdef02")
+        assert rep.report_hash != self.mined_report(mined=moved).report_hash
+
+    @pytest.mark.parametrize("verdict", ["verified", "rejected", "ambiguous"])
+    def test_mined_orbit_needs_uct_verdict(self, verdict):
+        with pytest.raises(ValidationError, match="only a uct report"):
+            self.mined_report(verdict=verdict, matched_object="SAT-1")
+
+    def test_mined_orbit_needs_uct_matches(self):
+        with pytest.raises(ValidationError, match="needs uct_matches"):
+            self.mined_report(uct_matches=())
+
+    def test_mined_orbit_needs_distinct_matches(self):
+        with pytest.raises(ValidationError, match="distinct uct_matches"):
+            self.mined_report(uct_matches=("cd", "ef", "cd"))
+
+    @pytest.mark.parametrize("source", ["cataloged", "calibration"])
+    def test_mined_orbit_needs_mined_source(self, source):
+        rec = self.mined_report().mined
+        with pytest.raises(ValidationError, match="source 'mined'"):
+            self.mined_report(mined=dataclasses.replace(rec, source=source))
+
+    def test_mined_must_be_an_orbit(self):
+        with pytest.raises(ValidationError, match="source 'mined'"):
+            self.mined_report(mined="MINED-abcdef01")
+
 
 class TestValidateTdm:
     def test_honest_verified(self):

@@ -15,11 +15,13 @@ import importlib
 import pathlib
 import re
 import struct
+import types
 
 import pytest
 
 from sdachain import wire
 from sdachain.astro import Epoch
+from sdachain.errors import SdaError
 from sdachain.ledger import (
     ACCOUNT,
     BLOCK,
@@ -240,6 +242,19 @@ def test_replay_encodes_each_transaction_once(chains, monkeypatch):
     assert len(blocks) <= made[Block] <= 2 * len(blocks)
 
 
+def _with_report_blob(b, k: int, report_raw: bytes) -> bytes:
+    """Block b's record with the report of its k-th transaction, an
+    attestation, replaced by the given bytes (lengths adjusted)."""
+    tx = b.txs[k]
+    txs = [TRANSACTION.encode(t) for t in b.txs]
+    txs[k] = (U8.encode(TX_KINDS.index(tx.kind)) + STRING.encode(tx.sender)
+              + U64.encode(tx.nonce) + BLOB.encode(report_raw))
+    return (U64.encode(b.height) + DIGEST.encode(b.prev_hash)
+            + DIGEST.encode(b.tx_root) + DIGEST.encode(b.state_root)
+            + STRING.encode(b.proposer) + F64.encode(b.time)
+            + U32.encode(len(txs)) + b"".join(BLOB.encode(t) for t in txs))
+
+
 def test_padded_report_blob_is_a_bad_height(chains, tmp_path):
     """A report blob with a byte appended inside it (lengths adjusted)
     decodes to the same report, so the re-encoded block hashes as before;
@@ -249,21 +264,59 @@ def test_padded_report_blob_is_a_bad_height(chains, tmp_path):
     kinds = [tx.kind for tx in b.txs]
     assert "attest_validation" in kinds
     k = kinds.index("attest_validation")
-    tx = b.txs[k]
-    txs = [TRANSACTION.encode(t) for t in b.txs]
-    txs[k] = (U8.encode(TX_KINDS.index(tx.kind)) + STRING.encode(tx.sender)
-              + U64.encode(tx.nonce)
-              + BLOB.encode(REPORT.encode(tx.payload.report) + b"\x00"))
-    raw = (U64.encode(b.height) + DIGEST.encode(b.prev_hash)
-           + DIGEST.encode(b.tx_root) + DIGEST.encode(b.state_root)
-           + STRING.encode(b.proposer) + F64.encode(b.time)
-           + U32.encode(len(txs)) + b"".join(BLOB.encode(t) for t in txs))
+    raw = _with_report_blob(b, k, REPORT.encode(b.txs[k].payload.report)
+                            + b"\x00")
     records = [BLOCK.encode(x) for x in blocks]
     assert raw != records[3]
     records[3] = raw
     path = str(tmp_path / "chain.log")
     write_chain_log(path, records)
     assert verify_chain_file(path) == 3
+
+
+def _unchecked(value, **changes):
+    """A stand-in with value's fields, changed, that the record layouts
+    write as they would write value: it skips __post_init__'s checks."""
+    fields = {f.name: getattr(value, f.name)
+              for f in dataclasses.fields(value) if f.init}
+    return types.SimpleNamespace(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("bad, refusal", [
+    ("proposed_elements", "eccentricity"),
+    ("mined_on_ambiguous", "only a uct report"),
+    ("mined_without_matches", "needs uct_matches"),
+    ("mined_repeated_match", "distinct uct_matches"),
+    ("mined_cataloged", "source 'mined'"),
+])
+def test_malformed_attested_report_is_a_bad_height(chains, tmp_path, bad,
+                                                   refusal):
+    """An attestation whose report does not hold together fails to decode,
+    so verify_chain_file names its block and no block transition ever
+    sees it. A mined orbit on the wrong report fails the way elements
+    that are no orbit fail."""
+    blocks = load_chain(chains[0]["uct"])
+    height, k, rep = next(
+        (b.height, k, tx.payload.report) for b in blocks
+        for k, tx in enumerate(b.txs)
+        if tx.kind == "attest_validation" and tx.payload.report.mined)
+    changes = {
+        "proposed_elements": lambda: {"proposed_elements": _unchecked(
+            rep.proposed_elements, e=1.5)},
+        "mined_on_ambiguous": lambda: {"verdict": "ambiguous"},
+        "mined_without_matches": lambda: {"uct_matches": ()},
+        "mined_repeated_match": lambda: {"uct_matches": rep.uct_matches * 2},
+        "mined_cataloged": lambda: {"mined": _unchecked(rep.mined,
+                                                        source="cataloged")},
+    }[bad]()
+    report_raw = REPORT.encode(_unchecked(rep, **changes))
+    with pytest.raises((SdaError, ValueError), match=refusal):
+        REPORT.decode(report_raw)
+    records = [BLOCK.encode(x) for x in blocks]
+    records[height] = _with_report_blob(blocks[height], k, report_raw)
+    path = str(tmp_path / "chain.log")
+    write_chain_log(path, records)
+    assert verify_chain_file(path) == height
 
 
 def test_zero_denominator_genesis_is_a_bad_height(chains, tmp_path):
