@@ -1023,20 +1023,14 @@ def site_eci(site: GroundSite, epoch: Epoch) -> tuple:
     )
 
 
-def enu_basis(site: GroundSite, epoch: Epoch):
-    """ECI unit vectors (east, north, up) of a site at an epoch."""
-    lam = site.lon + gmst(epoch)
-    sl, cl = math.sin(lam), math.cos(lam)
-    sp, cp = math.sin(site.lat), math.cos(site.lat)
-    east = (-sl, cl, 0.0)
-    north = (-sp * cl, -sp * sl, cp)
-    up = (cp * cl, cp * sl, sp)
-    return east, north, up
-
-
 def site_frame(site: GroundSite, epoch: Epoch) -> tuple:
-    """(site_eci, enu_basis) of a site at an epoch, bit for bit, from one
-    gmst and one sin/cos of each site angle."""
+    """(ECI position, (east, north, up) unit vectors) of a site at an
+    epoch, from one gmst and one sin/cos of each site angle.
+
+    The position has site_eci's bits. site_eci stays a function of its
+    own because RADEC needs no basis, and building one costs about two
+    thirds of a site_eci call more.
+    """
     lam = site.lon + gmst(epoch)
     sl, cl = math.sin(lam), math.cos(lam)
     sp, cp = math.sin(site.lat), math.cos(site.lat)
@@ -1084,11 +1078,12 @@ def radec_from(r, rs) -> tuple:
     return ra, dec, rng
 
 
-def angles_to_unit_vector(az: float, el: float, site: GroundSite, epoch: Epoch) -> tuple:
-    """ECI line-of-sight unit vector for an az/el observation."""
+def angles_to_unit_vector(az: float, el: float, basis) -> tuple:
+    """ECI line-of-sight unit vector for an az/el observation, given the
+    site's (east, north, up) basis from site_frame at its epoch."""
     ce = math.cos(el)
     u_enu = (ce * math.sin(az), ce * math.cos(az), math.sin(el))
-    east, north, up = enu_basis(site, epoch)
+    east, north, up = basis
     return (
         u_enu[0] * east[0] + u_enu[1] * north[0] + u_enu[2] * up[0],
         u_enu[0] * east[1] + u_enu[1] * north[1] + u_enu[2] * up[1],

@@ -401,15 +401,19 @@ def observe_from(r, geometry) -> tuple:
 def line_of_sight(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:
     """ECI unit vector along a record's two angles."""
     if mode == "AZEL":
-        return angles_to_unit_vector(rec.angle1, rec.angle2, site, rec.epoch)
+        return angles_to_unit_vector(rec.angle1, rec.angle2,
+                                     site_frame(site, rec.epoch)[1])
     return radec_to_unit_vector(rec.angle1, rec.angle2)
 
 
 def observed_position(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:
     """ECI position of a ranged record: the site plus the slant range
     along the line of sight."""
-    u = line_of_sight(rec, site, mode)
-    sp = site_eci(site, rec.epoch)
+    sp, basis = site_geometry(site, rec.epoch, mode)
+    if basis is None:
+        u = radec_to_unit_vector(rec.angle1, rec.angle2)
+    else:
+        u = angles_to_unit_vector(rec.angle1, rec.angle2, basis)
     return tuple(sp[k] + rec.range_km * u[k] for k in range(3))
 
 

@@ -26,7 +26,6 @@ from sdachain.astro import (
     angular_separation,
     azel_from,
     dot,
-    enu_basis,
     gmst,
     kepler_to_state,
     norm,
@@ -839,16 +838,20 @@ class TestObservationGeometry:
            r=st.tuples(*[st.floats(-5e4, 5e4)] * 3).filter(
                lambda r: norm(r) > 7000.0))
     def test_topocentric_angles_one_site_frame(self, lat, lon, alt, t, r):
-        # one gmst and one sin/cos per angle, with site_eci's and
-        # enu_basis's operation order: the same bits as the two of them
+        # one gmst and one sin/cos per angle keep the bits of a basis
+        # built with its own gmst and trig calls, in the same order
         site = GroundSite(site_id="S1", lat=lat, lon=lon, alt=alt)
         ep = Epoch(t)
+        lam = lon + gmst(ep)
+        sl, cl = math.sin(lam), math.cos(lam)
+        sp, cp = math.sin(lat), math.cos(lat)
+        basis = ((-sl, cl, 0.0), (-sp * cl, -sp * sl, cp),
+                 (cp * cl, cp * sl, sp))
         got = topocentric_angles(StateVector(epoch=ep, r=r, v=(0, 0, 0)),
                                  site)
-        want = azel_from(r, site_eci(site, ep), enu_basis(site, ep))
+        want = azel_from(r, site_eci(site, ep), basis)
         assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert site_frame(site, ep) == (site_eci(site, ep),
-                                        enu_basis(site, ep))
+        assert site_frame(site, ep) == (site_eci(site, ep), basis)
 
     def test_angles_to_unit_vector_round_trip(self):
         site = GroundSite(site_id="S1", lat=0.6, lon=-2.0, alt=1.0)
@@ -857,7 +860,7 @@ class TestObservationGeometry:
             ep = Epoch(rng.uniform(0.0, 1e6))
             sv = kepler_to_state(leo_elements(rng), ep)
             az, el, rho = topocentric_angles(sv, site)
-            u = angles_to_unit_vector(az, el, site, ep)
+            u = angles_to_unit_vector(az, el, site_frame(site, ep)[1])
             rs = site_eci(site, ep)
             rebuilt = tuple(rs[k] + rho * u[k] for k in range(3))
             assert vec_err(rebuilt, sv.r) < 1e-6
