@@ -119,7 +119,10 @@ class Epoch:
 
     @classmethod
     def from_iso(cls, text: str) -> "Epoch":
+        """Parse iso's form. The timescale has no zones: an offset raises."""
         dt = datetime.fromisoformat(text)
+        if dt.tzinfo is not None:
+            raise ValueError("a UTC offset is not allowed")
         return cls((dt - _J2000_DATETIME).total_seconds())
 
     def quantized(self) -> "Epoch":
@@ -1027,9 +1030,7 @@ def site_frame(site: GroundSite, epoch: Epoch) -> tuple:
     """(ECI position, (east, north, up) unit vectors) of a site at an
     epoch, from one gmst and one sin/cos of each site angle.
 
-    The position has site_eci's bits. site_eci stays a function of its
-    own because RADEC needs no basis, and building one costs about two
-    thirds of a site_eci call more.
+    The position has site_eci's bits.
     """
     lam = site.lon + gmst(epoch)
     sl, cl = math.sin(lam), math.cos(lam)
@@ -1063,14 +1064,9 @@ def azel_from(r, rs, basis) -> tuple:
     return az, el, rng
 
 
-def topocentric_radec(s: StateVector, site: GroundSite) -> tuple:
-    """(right ascension, declination, slant range) of the line of sight."""
-    return radec_from(s.r, site_eci(site, s.epoch))
-
-
 def radec_from(r, rs) -> tuple:
-    """topocentric_radec of an ECI position r, from the site's ECI
-    position rs at r's epoch."""
+    """(right ascension, declination, slant range) of the line of sight
+    from a site at ECI position rs to an ECI position r."""
     rho = (r[0] - rs[0], r[1] - rs[1], r[2] - rs[2])
     rng = norm(rho)
     ra = wrap_two_pi(math.atan2(rho[1], rho[0]))

@@ -24,7 +24,7 @@ from .astro import (
     unit,
 )
 from .errors import SdaError
-from .tdm import Tdm, observed_position
+from .tdm import Tdm, observed_position, site_geometry
 from .wire import F64, STRING, U64, fixed, record, sha256
 
 MODEL_ROWS = 3
@@ -162,7 +162,8 @@ def samples_from_range_tdm(tdm: Tdm, site, record) -> list:
     el = record.elements
     for rec in tdm.records:
         sv = propagate_j2(el, record.bstar, rec.epoch)
-        observed = observed_position(rec, site, tdm.meta.mode)
+        observed = observed_position(
+            rec, site_geometry(site, rec.epoch, tdm.meta.mode))
         diff = tuple(observed[k] - sv.r[k] for k in range(3))
         r_hat, s_hat, w_hat = rsw_axes(sv)
         y = (sum(diff[k] * r_hat[k] for k in range(3)),

@@ -46,7 +46,6 @@ from .astro import (
     kepler_to_state,
     norm,
     propagate_many,
-    site_eci,
     solve_kepler,
     state_to_kepler,
     unit,
@@ -128,15 +127,18 @@ class IodSolution:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _two_body_rms(el: KeplerianElements, obs, site: GroundSite, mode: str) -> float:
-    return separation_rms([(rec, site, mode) for rec in obs],
-                          (kepler_to_state(el, rec.epoch) for rec in obs))
+def _two_body_rms(el: KeplerianElements, entries) -> float:
+    """separation_rms of two-body states over (record, geometry) entries."""
+    return separation_rms(entries, (kepler_to_state(el, rec.epoch)
+                                    for rec, _ in entries))
 
 
-def _sorted_triple(obs):
+def _sorted_triple(obs, site: GroundSite, mode: str) -> list:
+    """The three records by epoch, each with its site geometry."""
     if len(obs) != 3:
         raise IodGeometryError(f"need exactly 3 observations, got {len(obs)}")
-    return sorted(obs, key=lambda r: r.epoch.t)
+    return [(rec, site_geometry(site, rec.epoch, mode))
+            for rec in sorted(obs, key=lambda r: r.epoch.t)]
 
 
 def iod_gibbs(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
@@ -146,12 +148,13 @@ def iod_gibbs(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
     the geocenter and coplanar within 3 degrees; closely spaced arcs are
     the Herrick-Gibbs regime, which is out of scope here.
     """
-    o1, o2, o3 = _sorted_triple(obs)
-    for rec in (o1, o2, o3):
+    triple = _sorted_triple(obs, site, mode)
+    for rec, _ in triple:
         if rec.range_km is None:
             raise IodGeometryError("Gibbs needs slant ranges on all three observations")
 
-    r1, r2, r3 = (observed_position(rec, site, mode) for rec in (o1, o2, o3))
+    r1, r2, r3 = (observed_position(rec, geometry) for rec, geometry in triple)
+    o2 = triple[1][0]
     m1, m2, m3 = norm(r1), norm(r2), norm(r3)
 
     # Pairwise geocentric separation.
@@ -183,7 +186,7 @@ def iod_gibbs(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
         el = state_to_kepler(StateVector(epoch=o2.epoch, r=r2, v=v2))
     except UnsupportedRegimeError as exc:
         raise IodNoSolutionError(f"Gibbs produced a non-elliptic state: {exc}") from exc
-    return IodSolution(elements=el, rms_residual=_two_body_rms(el, (o1, o2, o3), site, mode),
+    return IodSolution(elements=el, rms_residual=_two_body_rms(el, triple),
                        method="gibbs", n_obs=3)
 
 
@@ -209,7 +212,8 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
     the one with the smallest angular RMS wins. Ranges on the input
     records, if any, are ignored.
     """
-    o1, o2, o3 = _sorted_triple(obs)
+    triple = _sorted_triple(obs, site, mode)
+    (o1, _), (o2, _), (o3, _) = triple
     t1, t2, t3 = o1.epoch.t, o2.epoch.t, o3.epoch.t
     for (ta, tb, names) in ((t1, t2, "1-2"), (t2, t3, "2-3"), (t1, t3, "1-3")):
         sep = tb - ta
@@ -218,7 +222,7 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
                 f"epoch separation {names} of {sep:.1f} s outside "
                 f"[{GAUSS_MIN_SEP_S:.0f}, {GAUSS_MAX_SEP_S:.0f}] s")
 
-    los = [line_of_sight(rec, site, mode) for rec in (o1, o2, o3)]
+    los = [line_of_sight(rec, geometry) for rec, geometry in triple]
     for (ua, ub, names) in ((los[0], los[1], "1-2"), (los[1], los[2], "2-3"),
                             (los[0], los[2], "1-3")):
         ang = math.degrees(math.acos(max(-1.0, min(1.0, dot(ua, ub)))))
@@ -227,7 +231,7 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
                 f"lines of sight {names} separated by {ang:.3f} deg "
                 f"(< {GAUSS_MIN_LOS_SEP_DEG} deg)")
 
-    rsite = [site_eci(site, rec.epoch) for rec in (o1, o2, o3)]
+    rsite = [geometry[0] for _, geometry in triple]
     tau1 = t1 - t2
     tau3 = t3 - t2
     tau = t3 - t1
@@ -267,8 +271,8 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
         cvec = np.array([c1, -1.0, c3])
         rhs = -mmat @ cvec
         rho = np.array([rhs[0] / c1, -rhs[1], rhs[2] / c3])
-        rvecs = [tuple(rsite[i][k] + rho[i] * los[i][k] for k in range(3))
-                 for i in range(3)]
+        rvecs = [tuple(rsite[i][k] + rho_i * los[i][k] for k in range(3))
+                 for i, rho_i in enumerate(rho.tolist())]
         # Series f/g seed, then exact f/g until the slant ranges settle.
         # Tolerance is relative to the slant-range scale; the exact f/g
         # evaluation has a ~1e-12 relative noise floor of its own.
@@ -291,8 +295,8 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
             cvec = np.array([c1, -1.0, c3])
             rhs = -mmat @ cvec
             rho_new = np.array([rhs[0] / c1, -rhs[1], rhs[2] / c3])
-            rvecs = [tuple(rsite[i][k] + rho_new[i] * los[i][k] for k in range(3))
-                     for i in range(3)]
+            rvecs = [tuple(rsite[i][k] + rho_i * los[i][k] for k in range(3))
+                     for i, rho_i in enumerate(rho_new.tolist())]
             delta = float(np.max(np.abs(rho_new - rho)))
             rho = rho_new
             if delta < GAUSS_RHO_TOL_KM * max(1.0, float(np.max(np.abs(rho)))):
@@ -316,7 +320,7 @@ def iod_gauss(obs, site: GroundSite, mode: str = "AZEL") -> IodSolution:
         except (IodError, UnsupportedRegimeError, KeplerConvergenceError) as exc:
             failures.append(f"root {r2m:.1f} km: {exc}")
             continue
-        rms = _two_body_rms(el, (o1, o2, o3), site, mode)
+        rms = _two_body_rms(el, triple)
         if best is None or rms < best[0]:
             best = (rms, el)
     if best is None:
@@ -348,8 +352,8 @@ def _collect_records(tdms: list, sites: dict):
 
 
 def _make_elements(x, epoch: Epoch) -> KeplerianElements:
-    return KeplerianElements(a=x[0], e=x[1], i=x[2], raan=x[3], argp=x[4],
-                             M=x[5], epoch=epoch)
+    """Elements of the fit vector x, as Python floats, as decoded ones are."""
+    return KeplerianElements(*map(float, x), epoch=epoch)
 
 
 def _fit_records(entries) -> list:

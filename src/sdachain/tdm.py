@@ -8,11 +8,11 @@ content hash over those bytes. The parser accepts cosmetic variation
 profile; see docs/tdm-profile.md for the grammar.
 
 The module also owns the observation model, the one definition of what a
-record's two angles mean in each ANGLE_TYPE: observe is the forward map
-from a state to a record's angles and range (observe_from is the same map
-for a bare position, given the site geometry that site_geometry computes
-once), line_of_sight and observed_position are its inverse, and
-separation_rms is the residual every validation threshold is stated in.
+record's two angles mean in each ANGLE_TYPE. Only site_geometry reads
+ANGLE_TYPE; callers build its geometry once per record and read the
+record through it: observe_from maps a position to the angles and range,
+line_of_sight and observed_position are its inverse, and separation_rms
+is the residual every validation threshold is stated in.
 
 Angles are degrees in files and radians in memory.
 """
@@ -36,10 +36,7 @@ from .astro import (
     propagate_many,
     radec_from,
     radec_to_unit_vector,
-    site_eci,
     site_frame,
-    topocentric_angles,
-    topocentric_radec,
     wrap_two_pi,
 )
 from .errors import SdaError
@@ -370,62 +367,53 @@ def parse_tdm(text: str) -> Tdm:
         raise TdmValidationError(str(exc)) from exc
 
 
-def observe(sv: StateVector, site: GroundSite, mode: str) -> tuple:
-    """(angle1, angle2, slant range) of a state as a site sees it.
-
-    AZEL gives azimuth and elevation; RADEC gives the topocentric right
-    ascension and declination.
-    """
-    if mode == "AZEL":
-        return topocentric_angles(sv, site)
-    return topocentric_radec(sv, site)
-
-
 def site_geometry(site: GroundSite, epoch: Epoch, mode: str) -> tuple:
-    """What observe needs of a site at one epoch: its ECI position and,
-    for AZEL, its (east, north, up) basis (None for RADEC)."""
-    if mode == "AZEL":
-        return site_frame(site, epoch)
-    return site_eci(site, epoch), None
+    """(ECI position, (east, north, up) basis, radec) of a site at an
+    epoch; radec tells RADEC angles, taken in the inertial frame, from
+    AZEL ones, taken in the basis."""
+    return (*site_frame(site, epoch), mode == "RADEC")
 
 
 def observe_from(r, geometry) -> tuple:
-    """observe for a bare ECI position r, given site_geometry at r's
-    epoch; the same bits as observe on a state at that position."""
-    rs, basis = geometry
-    if basis is None:
+    """(angle1, angle2, slant range) of an ECI position r as a site sees
+    it, given site_geometry at r's epoch: azimuth and elevation for
+    AZEL, topocentric right ascension and declination for RADEC."""
+    rs, basis, radec = geometry
+    if radec:
         return radec_from(r, rs)
     return azel_from(r, rs, basis)
 
 
-def line_of_sight(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:
-    """ECI unit vector along a record's two angles."""
-    if mode == "AZEL":
-        return angles_to_unit_vector(rec.angle1, rec.angle2,
-                                     site_frame(site, rec.epoch)[1])
-    return radec_to_unit_vector(rec.angle1, rec.angle2)
+def observe(sv: StateVector, site: GroundSite, mode: str) -> tuple:
+    """observe_from for a state."""
+    return observe_from(sv.r, site_geometry(site, sv.epoch, mode))
 
 
-def observed_position(rec: ObservationRecord, site: GroundSite, mode: str) -> tuple:
+def line_of_sight(rec: ObservationRecord, geometry) -> tuple:
+    """ECI unit vector along a record's two angles, given site_geometry
+    at its epoch."""
+    _, basis, radec = geometry
+    if radec:
+        return radec_to_unit_vector(rec.angle1, rec.angle2)
+    return angles_to_unit_vector(rec.angle1, rec.angle2, basis)
+
+
+def observed_position(rec: ObservationRecord, geometry) -> tuple:
     """ECI position of a ranged record: the site plus the slant range
     along the line of sight."""
-    sp, basis = site_geometry(site, rec.epoch, mode)
-    if basis is None:
-        u = radec_to_unit_vector(rec.angle1, rec.angle2)
-    else:
-        u = angles_to_unit_vector(rec.angle1, rec.angle2, basis)
-    return tuple(sp[k] + rec.range_km * u[k] for k in range(3))
+    rs, u = geometry[0], line_of_sight(rec, geometry)
+    return tuple(rs[k] + rec.range_km * u[k] for k in range(3))
 
 
 def separation_rms(entries: list, states) -> float:
     """RMS great-circle separation between records and predicted states.
 
-    entries holds (record, site, mode) triples; states yields one
-    predicted state per entry, in the same order.
+    entries holds (record, site_geometry at its epoch) pairs; states
+    yields one predicted state per entry, in the same order.
     """
     acc = 0.0
-    for (rec, site, mode), sv in zip(entries, states):
-        p1, p2, _ = observe(sv, site, mode)
+    for (rec, geometry), sv in zip(entries, states):
+        p1, p2, _ = observe_from(sv.r, geometry)
         sep = angular_separation(rec.angle1, rec.angle2, p1, p2)
         acc += sep * sep
     return math.sqrt(acc / len(entries))
@@ -450,16 +438,22 @@ def synth_tdm(record: OrbitRecord, site: GroundSite, epochs: list, noise_std: fl
     ordered = sorted(epochs, key=lambda e: e.t)
     states = list(propagate_many(record.elements, record.bstar, ordered,
                                  j2=j2))
-    offending = [ep for ep, sv in zip(ordered, states)
-                 if topocentric_angles(sv, site)[1] <= ELEVATION_MASK_RAD]
+    observed, offending = [], []
+    for ep, sv in zip(ordered, states):
+        rs, basis, radec = geometry = site_geometry(site, ep, mode)
+        angles = observe_from(sv.r, geometry)
+        # an AZEL record's second angle is the elevation the mask tests
+        elevation = azel_from(sv.r, rs, basis)[1] if radec else angles[1]
+        if elevation <= ELEVATION_MASK_RAD:
+            offending.append(ep)
+        observed.append(angles)
     if offending:
         raise VisibilityError(offending)
 
     rng = random.Random(seed)
     half_pi = math.pi / 2.0
     records = []
-    for ep, sv in zip(ordered, states):
-        a1, a2, rho = observe(sv, site, mode)
+    for ep, (a1, a2, rho) in zip(ordered, observed):
         if noise_std > 0.0:
             a1 = wrap_two_pi(a1 + rng.gauss(0.0, noise_std))
             a2 = max(-half_pi, min(half_pi, a2 + rng.gauss(0.0, noise_std)))

@@ -12,7 +12,6 @@ from typing import Optional
 
 from .astro import (
     DecayError,
-    Epoch,
     GroundSite,
     KeplerianElements,
     OrbitRecord,
@@ -23,7 +22,7 @@ from .astro import (
 from .errors import SdaError
 from .fedprop import ResidualModel, corrected_propagate
 from .iod import IodError, IodSolution, iod_from_tdm, refine_elements
-from .tdm import Tdm, observe, separation_rms
+from .tdm import Tdm, observe_from, separation_rms, site_geometry
 from .wire import EPOCH, F64, STRING, U32, optional, record, seq, sha256
 
 VERDICTS = ("verified", "rejected", "ambiguous", "uct")
@@ -143,16 +142,15 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
                  model: ResidualModel = ResidualModel()) -> ValidationReport:
     """Correlate one TDM against the catalog and issue a verdict.
 
-    Each candidate's RMS covers this track's records only; earlier
-    tracks of an object reach it through the catalog orbit that
-    settlement refreshes.
+    Each candidate's RMS covers this track's records only: settlement's
+    catalog refresh re-anchors an orbit and fits no observation into it.
     """
     if tdm.meta.site_id not in sites:
         raise ValidationError(f"unregistered site {tdm.meta.site_id!r}")
     site = sites[tdm.meta.site_id]
-    mode = tdm.meta.mode
-    obs = [(rec, site, mode) for rec in tdm.records]
-    first = tdm.records[0]
+    obs = [(rec, site_geometry(site, rec.epoch, tdm.meta.mode))
+           for rec in tdm.records]
+    first, first_geometry = obs[0]
     notes = []
 
     claim = tdm.meta.participant
@@ -164,14 +162,16 @@ def validate_tdm(tdm: Tdm, catalog: list, sites: dict,
     for cand in sorted(catalog, key=lambda c: c.object_id):
         is_claim = cand.object_id == claim
 
-        def predict(t: Epoch):
+        def predict(t):
             return corrected_propagate(cand.elements, cand.bstar, t, model)
         try:
-            p1, p2, _ = observe(predict(first.epoch), site, mode)
+            sv = predict(first.epoch)
+            p1, p2, _ = observe_from(sv.r, first_geometry)
             gate_sep = angular_separation(first.angle1, first.angle2, p1, p2)
             if gate_sep > params.theta_gate and not is_claim:
                 continue
-            rms = separation_rms(obs, (predict(rec.epoch) for rec, _, _ in obs))
+            rms = separation_rms(obs, [sv, *(predict(rec.epoch)
+                                            for rec, _ in obs[1:])])
         except DecayError:
             notes.append(f"candidate {cand.object_id} decayed; skipped")
             continue

@@ -57,14 +57,12 @@ def count_force_evaluations(monkeypatch) -> dict:
     return counts
 
 
-def count_fits(monkeypatch) -> collections.Counter:
-    """Count from now on the calls of mine_object, refine_elements and
-    iod_from_tdm, through every binding of each in the sdachain modules
-    (a ``from x import f`` copy included)."""
+def count_calls(monkeypatch, *functions) -> collections.Counter:
+    """Count from now on, by name, the calls of each (module, name)
+    function, through every binding of it in the sdachain modules (a
+    ``from x import f`` copy included)."""
     counts = collections.Counter()
-    from sdachain import iod, validation
-    for name, owner in (("mine_object", validation),
-                        ("refine_elements", iod), ("iod_from_tdm", iod)):
+    for owner, name in functions:
         orig = getattr(owner, name)
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
@@ -78,6 +76,20 @@ def count_fits(monkeypatch) -> collections.Counter:
                 if val is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return counts
+
+
+def count_fits(monkeypatch) -> collections.Counter:
+    """count_calls of mine_object, refine_elements and iod_from_tdm."""
+    from sdachain import iod, validation
+    return count_calls(monkeypatch, (validation, "mine_object"),
+                       (iod, "refine_elements"), (iod, "iod_from_tdm"))
+
+
+def count_site_frames(monkeypatch) -> collections.Counter:
+    """count_calls of the two functions that build a site's frame at an
+    epoch: site_frame (position and basis) and site_eci (position)."""
+    return count_calls(monkeypatch, (astro, "site_frame"),
+                       (astro, "site_eci"))
 
 
 def site_under(record: OrbitRecord, t: Epoch, site_id: str = "SITE",

@@ -32,13 +32,13 @@ from sdachain.astro import (
     propagate_above_horizon,
     propagate_j2,
     propagate_many,
+    radec_from,
     radec_to_unit_vector,
     site_eci,
     site_frame,
     solve_kepler,
     state_to_kepler,
     topocentric_angles,
-    topocentric_radec,
     wrap_two_pi,
 )
 from sdachain.errors import SdaError
@@ -871,7 +871,7 @@ class TestObservationGeometry:
         for _ in range(50):
             ep = Epoch(rng.uniform(0.0, 1e6))
             sv = kepler_to_state(leo_elements(rng), ep)
-            ra, dec, rho = topocentric_radec(sv, site)
+            ra, dec, rho = radec_from(sv.r, site_eci(site, ep))
             u = radec_to_unit_vector(ra, dec)
             rs = site_eci(site, ep)
             rebuilt = tuple(rs[k] + rho * u[k] for k in range(3))

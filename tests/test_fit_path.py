@@ -16,8 +16,9 @@ from sdachain.astro import (
     GroundSite,
     OrbitRecord,
     kepler_to_state,
+    radec_from,
+    site_eci,
     topocentric_angles,
-    topocentric_radec,
 )
 from sdachain.iod import IodSolution
 from sdachain.tdm import ObservationRecord, Tdm, TdmMeta
@@ -63,7 +64,7 @@ def canonical_tracks(draw, site_id="S", orbit_seed=None):
         if mode == "AZEL":
             a1, a2, rho = topocentric_angles(sv, site)
         else:
-            a1, a2, rho = topocentric_radec(sv, site)
+            a1, a2, rho = radec_from(sv.r, site_eci(site, t))
         a2 = max(-math.pi / 2, min(math.pi / 2, a2 + rng.gauss(0.0, noise)))
         records.append(ObservationRecord(
             epoch=t, angle1=a1 + rng.gauss(0.0, noise), angle2=a2,

@@ -1,6 +1,7 @@
 """No module of the sdachain package imports a name it never uses, no
-function in it declares a parameter it never reads, and only the
-propagator takes a grid step.
+function in it declares a parameter it never reads, only the
+propagator takes a grid step, and only tdm.site_geometry reads a
+record's ANGLE_TYPE.
 
 No linter ships with the project's toolchain, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
@@ -9,7 +10,10 @@ or lambda must be read somewhere in its body. ``from __future__`` imports
 are exempt. Outside astro.py no function declares a ``step_s`` parameter,
 and no dataclass anywhere has a ``step_s`` field: the chain propagates on
 the one grid step ``astro.STEP_S``, so the option must not creep back
-through a pass-through.
+through a pass-through. No function but ``tdm.site_geometry`` compares a
+value with ``"AZEL"`` or ``"RADEC"``: every other reader of the
+observation model goes through the geometry it returns, so a second
+branch on the angle type cannot grow back.
 
 Importing the propagator loads no numpy: the one function that uses it
 imports it inside.
@@ -185,3 +189,58 @@ def test_propagator_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+_ANGLE_TYPES = ("AZEL", "RADEC")
+
+
+def angle_type_readers(source: str) -> list:
+    """(line, function) of each comparison with the literal "AZEL" or
+    "RADEC", or with a literal tuple, list or set holding one, named by
+    its innermost enclosing function ("<module>" outside any)."""
+    out = []
+
+    def visit(node, name):
+        if isinstance(node, _FUNCTIONS):
+            name = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            # a literal tuple, list or set of them counts too
+            literals = [e for v in operands
+                        for e in getattr(v, "elts", [v])]
+            if any(isinstance(v, ast.Constant) and v.value in _ANGLE_TYPES
+                   for v in literals):
+                out.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_angle_type_read_only_in_site_geometry(path):
+    found = angle_type_readers(path.read_text(encoding="utf-8"))
+    if path.name == "tdm.py":
+        found = [f for f in found if f[1] != "site_geometry"]
+    assert found == []
+
+
+def test_checker_flags_angle_type_readers():
+    source = ("MODES = ('AZEL', 'RADEC')\n"
+              "def site_geometry(site, mode='AZEL'):\n"
+              "    if mode not in MODES:\n"
+              "        raise ValueError(mode)\n"
+              "    return mode == 'RADEC'\n"
+              "def observe(mode):\n"
+              "    f = lambda m: 'AZEL' != m\n"
+              "    return 'AZEL' == mode or f(mode)\n"
+              "class K:\n"
+              "    def m(self, mode):\n"
+              "        return mode in ['RADEC']\n"
+              "    def n(self, mode):\n"
+              "        return mode is 'AZEL' or mode in ('X',)\n"
+              "FLAG = MODES[0] == 'RADEC'\n")
+    assert angle_type_readers(source) == [
+        (5, "site_geometry"), (7, "<lambda>"), (8, "observe"), (11, "m"),
+        (13, "n"), (14, "<module>")]

@@ -40,16 +40,18 @@ from sdachain.iod import (
     iod_gibbs,
     refine_elements,
 )
-from sdachain.tdm import ObservationRecord, observe, separation_rms, synth_tdm
+from sdachain.tdm import (ObservationRecord, observe, separation_rms,
+                          site_geometry, synth_tdm)
 
 
 def angular_rms(elements, bstar, tdms, sites, *, j2=astro.J2_EARTH):
     """RMS great-circle separation between messages and a propagated orbit,
     the quantity every validation threshold is stated in."""
-    entries = iod._collect_records(tdms, sites)
+    entries = [(rec, site_geometry(site, rec.epoch, mode))
+               for rec, site, mode in iod._collect_records(tdms, sites)]
     return separation_rms(entries, (
         propagate_j2(elements, bstar, rec.epoch, j2=j2)
-        for rec, _, _ in entries))
+        for rec, _ in entries))
 
 
 def ranged_records(record, site, epochs):
@@ -245,6 +247,15 @@ class TestRefine:
         sol = refine_elements(rec.elements, tdms, sites, bstar=0.0, j2=0.0)
         assert sol.rms_residual < 1e-9
         assert abs(sol.elements.a - rec.elements.a) < 1e-6
+
+    def test_fit_elements_are_floats(self):
+        # a numpy scalar in a fit would reach a live catalog, where a
+        # decoded chain or snapshot holds Python floats
+        start, tdms, sites = radar_arc()
+        fits = [start, refine_elements(start, tdms, sites).elements,
+                iod.iod_gauss(tdms[0].records[::3], sites["A"]).elements]
+        for el in fits:
+            assert [type(v) for v in el.key()] == [float] * 7
 
     def test_recovers_perturbed_start(self):
         rng = random.Random(62)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -845,6 +846,23 @@ class TestBlocks:
         s1, b1 = produce_block(state, [good, bad], 1, time=30.0)
         assert b1.txs == (good,)
         assert conservation_delta(s1) == 0
+
+    @pytest.mark.parametrize("suffix", ["+00:00", "Z"])
+    def test_offset_epoch_tdm_excluded(self, suffix):
+        # an epoch with a UTC offset is a parse error like any other, so
+        # the block seals without the submission instead of raising
+        state, gblock, rec, site = fresh_chain()
+        text = re.sub(r"(T[0-9:.]+) ", rf"\g<1>{suffix} ",
+                      serialize_tdm(honest_tdm(rec, site)))
+        assert text.count(suffix + " ") == 8 * 2
+        bad = tx("submit_tdm", "alice", 0, SubmitTdm(tdm_text=text))
+        with pytest.raises(TxRejected):
+            apply_transaction(state, bad)
+        s1, b1 = produce_block(state, [bad], 1, time=30.0)
+        assert b1.txs == () and not s1.pending
+        assert conservation_delta(s1) == 0
+        # a block that carries it anyway is a bad height
+        assert verify_chain([gblock, dataclasses.replace(b1, txs=(bad,))]) == 1
 
     @pytest.mark.parametrize("kind, sender, nonce, payload", [
         ("post_task", "rita", 0, lambda: PostTask(target="SAT-1",

@@ -6,8 +6,10 @@ import statistics
 
 import pytest
 
+from conftest import count_site_frames
 from sdachain.astro import Epoch, GroundSite, KeplerianElements, OrbitRecord, gmst
 from sdachain.tdm import (
+    MODES,
     ObservationRecord,
     Tdm,
     TdmMeta,
@@ -225,6 +227,14 @@ class TestParser:
         with pytest.raises(TdmParseError, match=r"ANGLE_1 out of"):
             parse_tdm(bad)
 
+    @pytest.mark.parametrize("offset", ["+00:00", "Z"])
+    def test_utc_offset_rejected(self, offset):
+        # the timescale has no zones; datetime would parse an aware time
+        text = GOLDEN_TEXT.replace(".000000 ", f".000000{offset} ")
+        with pytest.raises(TdmParseError, match="UTC offset") as exc:
+            parse_tdm(text)
+        assert exc.value.line_no == 11
+
     def test_fuzz_never_crashes(self):
         rng = random.Random(99)
         corpus = [
@@ -239,6 +249,13 @@ class TestParser:
             for _ in range(rng.randrange(1, 6)):
                 chars[rng.randrange(len(chars))] = chr(rng.randrange(32, 127))
             corpus.append("".join(chars))
+            # a UTC offset on one data line's epoch
+            lines = GOLDEN_TEXT.split("\n")
+            k = rng.randrange(10, 19)
+            key, eq, epoch, num = lines[k].split(" ")
+            offset = rng.choice(("Z", "+00:00", "-05:30", "+14:00"))
+            lines[k] = " ".join((key, eq, epoch + offset, num))
+            corpus.append("\n".join(lines))
         for text in corpus:
             try:
                 parse_tdm(text)
@@ -254,6 +271,15 @@ class TestSynth:
         assert serialize_tdm(a) == serialize_tdm(b)
         c = synth_tdm(geo_record, eq_site, epochs, 1e-4, seed=6)
         assert serialize_tdm(c) != serialize_tdm(a)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_site_frame_per_record(self, monkeypatch, geo_record,
+                                       eq_site, mode):
+        # the elevation mask and the record's angles share one frame
+        epochs = [Epoch(20.0 * k) for k in range(6)]
+        frames = count_site_frames(monkeypatch)
+        synth_tdm(geo_record, eq_site, epochs, 1e-4, seed=5, mode=mode)
+        assert sum(frames.values()) == len(epochs)
 
     def test_noise_statistics(self, geo_record, eq_site):
         epochs = [Epoch(10.0 * k) for k in range(1000)]

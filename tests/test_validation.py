@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import leo_record, site_under
+from conftest import count_calls, count_site_frames, leo_record, site_under
+from sdachain import fedprop
 from sdachain.astro import Epoch, KeplerianElements, OrbitRecord
 from sdachain.iod import iod_from_tdm, refine_elements
 from sdachain.tdm import MODES, ObservationRecord, Tdm, synth_tdm
@@ -142,6 +143,20 @@ class TestValidateTdm:
                 assert rep.verdict == "verified", mode
                 assert rep.matched_object == rec.object_id
                 assert rep.rms_residual <= P.theta_verify
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_site_geometry_per_record(self, monkeypatch, mode):
+        # every candidate reads the records through one geometry each,
+        # and predicts the first record once, for its gate and its RMS
+        catalog = catalog_of(13, 10)
+        tdm, site = observe(catalog[3], 5100, 1e-4, mode=mode)
+        frames = count_site_frames(monkeypatch)
+        calls = count_calls(monkeypatch, (fedprop, "corrected_propagate"))
+        rep = validate_tdm(tdm, catalog, {"S1": site}, P)
+        assert rep.verdict == "verified"
+        assert sum(frames.values()) <= len(tdm.records)
+        assert calls["corrected_propagate"] == (
+            len(catalog) + (len(tdm.records) - 1) * rep.candidates_checked)
 
     def test_noiseless_self_consistency(self):
         catalog = catalog_of(12, 3)
