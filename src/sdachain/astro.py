@@ -50,7 +50,7 @@ _J2000_DATETIME = datetime(2000, 1, 1, 12, 0, 0)
 
 
 def constants_dict() -> dict:
-    """Constants and force-model settings; no report carries them yet.
+    """Constants and force-model settings, as report.json records them.
 
     The grid step STEP_S is a force-model constant like J2_EARTH: every
     validator propagates on the same grid.

@@ -88,7 +88,7 @@ from .wire import (
 
 ROLES = ("observer", "compute", "requester")
 
-STATE_HEADER = b"SDASTATE\x02"     # magic, then the version byte
+STATE_HEADER = b"SDASTATE\x03"     # magic, then the version byte
 
 
 class LedgerError(SdaError):
@@ -375,16 +375,24 @@ class LedgerState:
     task_escrows: dict = field(default_factory=dict)    # task_id -> Escrow
     pending: dict = field(default_factory=dict)         # tdm_hash -> PendingTdm
     uct_pool: dict = field(default_factory=dict)        # tdm_hash -> PoolEntry
-    seen_tdms: set = field(default_factory=set)
     model: ResidualModel = field(default_factory=ResidualModel)
     model_proposals: dict = field(default_factory=dict)
     settlements: list = field(default_factory=list)
+    # Derived, never encoded; decode_state rebuilds both. seen_tdms is
+    # every pending or settled TDM hash, the index of the duplicate check;
+    # settlement_chain folds each settlement in once, as it is appended.
+    seen_tdms: set = field(default_factory=set)
+    settlement_chain: bytes = ZERO_DIGEST
     burned: int = 0
     minted: int = 0
     genesis_supply: int = 0
     time: float = 0.0
     height: int = 0         # next block height
     last_hash: bytes = ZERO_DIGEST
+
+    @property
+    def settlement_count(self) -> int:
+        return len(self.settlements)
 
     def clone(self) -> "LedgerState":
         return copy.deepcopy(self)
@@ -443,10 +451,10 @@ SETTLEMENT = record(SettlementRecord, ("height", U64), ("tdm_hash", STRING),
                     ("site_id", STRING), ("submitter", STRING),
                     ("rms", F64), ("first_epoch_t", F64))
 
-# The state after STATE_HEADER. The chain position (height, last_hash) is
-# recoverable from the blocks themselves and stays out of the root.
-STATE = record(
-    LedgerState,
+# The sections of the state, shared by its snapshot and its root. The
+# chain position (height, last_hash) is recoverable from the blocks and
+# stays out of both.
+_SECTIONS = (
     ("params", wrapped(ECONOMICS_PARAMS)),
     ("vparams", wrapped(VALIDATION_PARAMS)),
     ("time", F64),
@@ -459,11 +467,24 @@ STATE = record(
     ("task_escrows", sorted_map(ESCROW, key=DIGEST)),
     ("pending", sorted_map(PENDING, key=STRING)),
     ("uct_pool", sorted_map(POOL_ENTRY, key=STRING)),
-    ("seen_tdms", sorted_set(STRING)),
     ("model", MODEL),
     ("model_proposals", sorted_map(
-        PROPOSAL_STATE, key_of=attrgetter("proposal.proposal_hash"))),
-    ("settlements", seq(SETTLEMENT, make=list)))
+        PROPOSAL_STATE, key_of=attrgetter("proposal.proposal_hash"))))
+
+# The snapshot after STATE_HEADER: the sections, then every settlement.
+STATE = record(LedgerState, *_SECTIONS,
+               ("settlements", seq(SETTLEMENT, make=list)))
+
+# The root preimage after STATE_HEADER: the sections, then the settlement
+# count and chain, which commit to every settlement in fixed size. It is
+# only written, for state_root to hash.
+STATE_ROOT = record(LedgerState, *_SECTIONS, ("settlement_count", U64),
+                    ("settlement_chain", DIGEST))
+
+
+def _chain_settlement(chain: bytes, rec: SettlementRecord) -> bytes:
+    """The settlement chain once rec is appended."""
+    return sha256(chain + SETTLEMENT.encode(rec))
 
 
 def encode_state(state: LedgerState) -> bytes:
@@ -472,13 +493,22 @@ def encode_state(state: LedgerState) -> bytes:
 
 
 def decode_state(raw: bytes) -> LedgerState:
+    """The state of a snapshot, with its seen-TDM index and settlement
+    chain rebuilt from the pending TDMs and the settlements."""
     if raw[:len(STATE_HEADER)] != STATE_HEADER:
         raise WireError("bad state magic or version")
-    return STATE.decode(raw[len(STATE_HEADER):])
+    state = STATE.decode(raw[len(STATE_HEADER):])
+    state.seen_tdms.update(state.pending)
+    for rec in state.settlements:
+        state.seen_tdms.add(rec.tdm_hash)
+        state.settlement_chain = _chain_settlement(state.settlement_chain,
+                                                   rec)
+    return state
 
 
 def state_root(state: LedgerState) -> bytes:
-    return sha256(encode_state(state))
+    """SHA-256 of STATE_HEADER, then STATE_ROOT."""
+    return sha256(STATE_HEADER + STATE_ROOT.encode(state))
 
 
 # -- genesis ----------------------------------------------------------------
@@ -503,12 +533,11 @@ def make_genesis(accounts: list, catalog: list, sites: list,
         state.sites[site.site_id] = site
     state.genesis_supply = sum(a.balance + a.staked
                                for a in state.accounts.values())
-    snapshot = encode_state(state)
     gen_tx = Transaction(kind="genesis", sender="", nonce=0,
-                         payload=GenesisPayload(snapshot=snapshot))
+                         payload=GenesisPayload(snapshot=encode_state(state)))
     block = Block(height=0, prev_hash=ZERO_DIGEST,
                   tx_root=compute_tx_root([gen_tx]),
-                  state_root=sha256(snapshot), proposer="", time=time,
+                  state_root=state_root(state), proposer="", time=time,
                   txs=(gen_tx,))
     state.height = 1
     state.last_hash = block_hash(block)
@@ -647,11 +676,13 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
                 elements=report.proposed_elements)
             _spawn_retask(state, report)
 
-    state.settlements.append(SettlementRecord(
+    rec = SettlementRecord(
         height=state.height, tdm_hash=tdm_hash_hex, verdict=verdict,
         object_id=object_id, site_id=tdm.meta.site_id,
         submitter=pend.submitter, rms=report.rms_residual,
-        first_epoch_t=tdm.records[0].epoch.t))
+        first_epoch_t=tdm.records[0].epoch.t)
+    state.settlements.append(rec)
+    state.settlement_chain = _chain_settlement(state.settlement_chain, rec)
 
 
 def _check_quorum(state: LedgerState, tdm_hash_hex: str) -> None:
@@ -923,13 +954,13 @@ def _replay(blocks: list) -> tuple:
     if (b0.height != 0 or b0.prev_hash != ZERO_DIGEST or len(b0.txs) != 1
             or b0.txs[0].kind != "genesis"):
         return 0, None
-    snapshot = b0.txs[0].payload.snapshot
-    if (b0.state_root != sha256(snapshot)
-            or b0.tx_root != compute_tx_root(b0.txs)):
+    if b0.tx_root != compute_tx_root(b0.txs):
         return 0, None
     try:
-        state = decode_state(snapshot)
+        state = decode_state(b0.txs[0].payload.snapshot)
     except (WireError, SdaError, ValueError):
+        return 0, None
+    if b0.state_root != state_root(state):
         return 0, None
     state.height = 1
     state.last_hash = block_hash(b0)

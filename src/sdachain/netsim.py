@@ -53,6 +53,7 @@ from .astro import (
     KeplerianElements,
     OrbitRecord,
     StateVector,
+    constants_dict,
     norm,
     propagate_j2,
     state_to_kepler,
@@ -987,6 +988,7 @@ class _Sim:
             dropped=self.dropped,
             delivered=self.delivered,
             conservation=conservation_delta(state),
+            constants=constants_dict(),
             final_state=state,
             blocks=list(self.blocks),
         )
@@ -1018,13 +1020,15 @@ class SimReport:
     dropped: int
     delivered: int
     conservation: int
+    constants: dict         # astro.constants_dict(): the force model used
     final_state: object
     blocks: list
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d.pop("final_state")
-        d.pop("blocks")
+        # asdict would deep-convert the final state and every block first
+        d = dataclasses.asdict(dataclasses.replace(self, final_state=None,
+                                                   blocks=[]))
+        del d["final_state"], d["blocks"]
         return d
 
 

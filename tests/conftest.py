@@ -78,6 +78,17 @@ def count_calls(monkeypatch, *functions) -> collections.Counter:
     return counts
 
 
+def check_derived_state(state) -> None:
+    """The parts of a ledger state that are never encoded agree with the
+    rest: its seen-TDM index is every pending or settled TDM hash, and its
+    root equals the root of its decoded snapshot, where decode_state
+    refolds the settlement chain."""
+    from sdachain.ledger import decode_state, encode_state, state_root
+    assert state.seen_tdms == set(state.pending) | {
+        s.tdm_hash for s in state.settlements}
+    assert state_root(state) == state_root(decode_state(encode_state(state)))
+
+
 def count_fits(monkeypatch) -> collections.Counter:
     """count_calls of mine_object, refine_elements and iod_from_tdm."""
     from sdachain import iod, validation

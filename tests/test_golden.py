@@ -18,6 +18,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import check_derived_state
+from sdachain import netsim
 from sdachain.ledger import load_chain, replay_state, state_root, verify_chain
 from sdachain.netsim import (
     NodeSpec,
@@ -47,27 +49,27 @@ def tie_scenario(seed: int):
 GOLDEN = {
     "reference": (
         reference_scenario,
-        "88eeb419fc0966b0aab0b32fbf2a3e02d2498cd895852eb52f5a91fe70db0b3d",
-        "000ca7664587ea101b51e986ec604f58e4635a247bb77aed9d190d95f6e9d887",
-        "864d09752ddab9461c565ece218d4a1f5dd1ac2a78a2e8b3070fa9160720e613",
+        "eee544b001820c9dc3facc78d2db22d9bd26d27635dc071d0d7ff4dbce9e6714",
+        "0326ef5d3ec78a17fc1d0178e9e7eb5847a2d931b4029c0186be272bca1ffc0e",
+        "0189ef7ec28e2f18069948dbaccacf57c10817e22e5eef4d1cb821909ca84f24",
     ),
     "uct": (
         uct_scenario,
-        "e85e0d600391ac59b73b8d443e9dc5692fe4abc1eb213405a6f8be5221305972",
-        "60f640241251019a92370da563d11041c89bfb01c6071178239b57306c4f4362",
-        "e96d30d69d04d571ec2eb180c536fcb4f9a018554182cee94dc4fc831a3176e2",
+        "95a58ef458d8c25cbfe993610a2b995103ce87c5d9e6506d1ea0a843aa828fc4",
+        "4e43b7317bd02aeae2f2a542b89ef46d558ca882455b6c2e426e513b3e2c10ed",
+        "c8dfb1bd74646611f39c8c864c0cd3fc14280e03e425586efa8b90d608a868f2",
     ),
     "fl": (
         fl_scenario,
-        "071cf3e1b0effb40590b27dfcd09b4e9a778ac9754113e42ddcdcb044ca3561f",
-        "876aa020ab50662779e1f4aea25924f17740926cd93ddf1086319772d1c58460",
-        "40618ae73020fd85ca424a2b09e1a2cb2af9868c43cec470d8441e1adfb525d9",
+        "090c8f0e7f6c4ba29098b7f883478fafff3a873f48896555fd672bd4a38648a8",
+        "f54eddf903f3d59027e699105270ae713c3603cea58ad0d55379ee2521ec1884",
+        "eda1b838b5c3e9db8fee433f3a4ece1542986525bb2a91b23f77ea7b35fe2e2f",
     ),
     "tie": (
         tie_scenario,
-        "db028ec8d201f6b9954a5669665d1f16c1dc018ce4e7422a749fa78fec3d2c7e",
-        "1e07c3eb40031e1155ec60836721ec98f69e505c291170775e22a132e0c2267d",
-        "3cab04ed6b25294f1e971d58c8627b7d4d747ce10df1b757790befdebc0badd5",
+        "219b53d63d00432f334eb4466a4974fb2a222258273dff01332fa60dcce27213",
+        "f101eb495a640360a5e7ca8746bda4d241297f4a842fb72027c1337bf96a83f7",
+        "1d85d028ca83e1042060cbd1efc4237f98f08d20ebef61e5bef79a4b08e3340d",
     ),
 }
 
@@ -90,6 +92,23 @@ def test_golden_bytes(name, tmp_path):
     blocks = load_chain(os.path.join(out, "chain.log"))
     assert verify_chain(blocks) is None
     assert state_root(replay_state(blocks)).hex() == report.state_root
+
+
+@pytest.mark.parametrize("name", ["fl", "tie"])
+def test_derived_state_follows_every_block(name, monkeypatch):
+    """After every block of the run, the live state's seen-TDM index and
+    settlement chain, which are never encoded, agree with its encoding."""
+    produce, settled = netsim.produce_block, []
+
+    def checked(state, *args, **kwargs):
+        out = produce(state, *args, **kwargs)
+        check_derived_state(out[0])
+        settled.append(len(out[0].settlements))
+        return out
+
+    monkeypatch.setattr(netsim, "produce_block", checked)
+    run_scenario(GOLDEN[name][0](1))
+    assert len(settled) > 100 and settled[-1] >= 3
 
 
 # OpenBLAS kernels another x86 CPU may select; OPENBLAS_CORETYPE forces

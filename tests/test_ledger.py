@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grids, leo_record, site_under
+from conftest import check_derived_state, grids, leo_record, site_under
 from sdachain import ledger, validation
 from sdachain.astro import Epoch, OrbitRecord, propagate_j2
 from sdachain.ledger import (
@@ -252,13 +252,15 @@ class TestGenesis:
         assert encode_state(decode_state(raw)) == raw
 
     def test_version_1_snapshot_refused(self):
-        # version 1 held an f64 step_s before time; the version byte keeps
-        # such a snapshot from being read with its fields shifted
+        # version 1 held an f64 step_s before time, and version 2 held the
+        # seen-TDM hashes before the model; the version byte keeps such a
+        # snapshot from being read with its fields shifted
         state, _, _, _ = fresh_chain()
         raw = encode_state(state)
-        assert raw.startswith(b"SDASTATE\x02")
-        with pytest.raises(WireError, match="version"):
-            decode_state(b"SDASTATE\x01" + raw[9:])
+        assert raw.startswith(b"SDASTATE\x03")
+        for old in (b"SDASTATE\x01", b"SDASTATE\x02"):
+            with pytest.raises(WireError, match="version"):
+                decode_state(old + raw[9:])
 
     def test_duplicate_account_rejected(self):
         rec = leo_record(random.Random(5), "SAT-1")
@@ -1088,6 +1090,7 @@ class TestFuzzProperties:
         s, block = produce_block(state, built, 1, time=30.0)
         assert all(any(t is b for b in built) for t in block.txs)
         assert conservation_delta(s) == 0
+        check_derived_state(s)
         chain = [BLOCK.decode(BLOCK.encode(b)) for b in (gblock, block)]
         assert state_root(replay_state(chain)) == state_root(s)
 
@@ -1151,16 +1154,17 @@ class TestFuzzProperties:
                       else bytes(32))
                 payload = VoteModel(ph, rng.choice(("accept", "accept",
                                                     "reject", "abstain")))
-            before = encode_state(s)
+            before = encode_state(s), state_root(s), set(s.seen_tdms)
             try:
                 ledger._apply(s, Transaction(kind=kind, sender=sender,
                                              nonce=nonce, payload=payload))
             except TxRejected:
                 # check-first: a rejected transaction must not mutate state
-                assert encode_state(s) == before
+                assert (encode_state(s), state_root(s), s.seen_tdms) == before
                 continue
             applied[kind] += 1
             assert conservation_delta(s) == 0
+            check_derived_state(s)
             # a merge leaves no open proposal that could never be adopted
             assert all(ps.proposal.parent_version == s.model.version
                        for ps in s.model_proposals.values())

@@ -724,6 +724,16 @@ class TestUctRun:
         assert a == b
         assert again.state_root == uct_report.state_root
 
+    def test_json_dict_is_asdict_without_state_and_blocks(self):
+        rep = run_scenario(uct_scenario(1))
+        whole = dataclasses.asdict(rep)
+        del whole["final_state"], whole["blocks"]
+        assert rep.to_json_dict() == whole
+
+    def test_report_records_the_constants(self, uct_report):
+        assert uct_report.constants == astro.constants_dict()
+        assert uct_report.to_json_dict()["constants"] == astro.constants_dict()
+
     def test_outputs_persisted(self, tmp_path):
         out = str(tmp_path / "run")
         rep = run_scenario(uct_scenario(3), out_dir=out)
@@ -733,6 +743,7 @@ class TestUctRun:
             doc = json.load(f)
         assert doc["state_root"] == rep.state_root
         assert doc["conservation"] == 0
+        assert doc["constants"] == astro.constants_dict()
         with open(f"{out}/verdicts.csv") as f:
             header = f.readline().strip()
         assert header == "height,time,tdm_hash,verdict,object_id,submitter"

@@ -19,13 +19,14 @@ import types
 
 import pytest
 
-from sdachain import wire
+from sdachain import ledger, wire
 from sdachain.astro import Epoch
 from sdachain.errors import SdaError
 from sdachain.ledger import (
     ACCOUNT,
     BLOCK,
     STATE_HEADER,
+    STATE_ROOT,
     TRANSACTION,
     TX_KINDS,
     Account,
@@ -37,6 +38,7 @@ from sdachain.ledger import (
     encode_state,
     load_chain,
     produce_block,
+    state_root,
     verify_chain,
     verify_chain_file,
 )
@@ -62,7 +64,6 @@ from sdachain.wire import (
     ZERO_DIGEST,
     optional,
     record,
-    sha256,
     sorted_map,
     sorted_set,
     write_chain_log,
@@ -117,7 +118,10 @@ def test_state_roundtrip_over_every_section(chains):
 
     def check(state):
         raw = encode_state(state)
-        assert encode_state(decode_state(raw)) == raw
+        back = decode_state(raw)
+        assert encode_state(back) == raw
+        # seen_tdms is not encoded: decoding rebuilds the live index
+        assert back.seen_tdms == state.seen_tdms
         filled.update(_filled(state))
 
     for path in paths.values():
@@ -134,6 +138,28 @@ def test_state_roundtrip_over_every_section(chains):
     assert filled == set(SECTIONS) | {
         "pending attestations", "pool elements", "proposal votes",
         "region targets"}
+
+
+def test_root_preimage_does_not_grow_with_settlements(chains):
+    """The root commits to the settlements by their count and chain, so
+    appending one grows the snapshot but not the root preimage, and moves
+    the root."""
+    final = chains[1]
+
+    def preimage(state):
+        return STATE_HEADER + STATE_ROOT.encode(state)
+
+    assert len(preimage(final)) <= 9100
+    s = final.clone()
+    size, snapshot, roots = len(preimage(s)), len(encode_state(s)), set()
+    for rec in final.settlements[:3]:
+        s.settlements.append(rec)
+        s.settlement_chain = ledger._chain_settlement(s.settlement_chain, rec)
+        assert len(preimage(s)) == size
+        roots.add(state_root(s))
+    assert len(encode_state(s)) > snapshot
+    assert len(roots) == 3 and state_root(final) not in roots
+    assert state_root(s) == state_root(decode_state(encode_state(s)))
 
 
 def _drop_memos(obj, seen) -> int:
@@ -330,8 +356,10 @@ def test_zero_denominator_genesis_is_a_bad_height(chains, tmp_path):
         genesis.txs[0],
         payload=dataclasses.replace(genesis.txs[0].payload,
                                     snapshot=bytes(raw)))
+    # the root of a snapshot that cannot be decoded cannot be computed; the
+    # block keeps the genesis root, so only the snapshot is bad
     bad = Block(height=0, prev_hash=ZERO_DIGEST,
-                tx_root=compute_tx_root([tx]), state_root=sha256(bytes(raw)),
+                tx_root=compute_tx_root([tx]), state_root=genesis.state_root,
                 proposer="", time=genesis.time, txs=(tx,))
     with pytest.raises(WireError, match="zero denominator"):
         decode_state(bytes(raw))
