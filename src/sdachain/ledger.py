@@ -88,7 +88,7 @@ from .wire import (
 
 ROLES = ("observer", "compute", "requester")
 
-STATE_HEADER = b"SDASTATE\x03"     # magic, then the version byte
+STATE_HEADER = b"SDASTATE\x04"     # magic, then the version byte
 
 
 class LedgerError(SdaError):
@@ -158,14 +158,15 @@ class Account:
     balance: int = 0
     staked: int = 0
     roles: set = field(default_factory=set)
+    nonce: int = 0          # the nonce of the account's next transaction
 
     def __post_init__(self):
         if not self.account_id:
             raise LedgerError("account_id must be nonempty")
-        if not isinstance(self.balance, int) or self.balance < 0:
-            raise LedgerError("balance must be a nonnegative integer")
-        if not isinstance(self.staked, int) or self.staked < 0:
-            raise LedgerError("staked must be a nonnegative integer")
+        for name in ("balance", "staked", "nonce"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < 0:
+                raise LedgerError(f"{name} must be a nonnegative integer")
         bad = set(self.roles) - set(ROLES)
         if bad:
             raise LedgerError(f"unknown roles {sorted(bad)}")
@@ -368,10 +369,9 @@ class LedgerState:
     params: EconomicsParams
     vparams: ValidationParams
     accounts: dict = field(default_factory=dict)
-    nonces: dict = field(default_factory=dict)
     catalog: dict = field(default_factory=dict)
     sites: dict = field(default_factory=dict)
-    tasks: dict = field(default_factory=dict)
+    tasks: dict = field(default_factory=dict)           # open ones only
     task_escrows: dict = field(default_factory=dict)    # task_id -> Escrow
     pending: dict = field(default_factory=dict)         # tdm_hash -> PendingTdm
     uct_pool: dict = field(default_factory=dict)        # tdm_hash -> PoolEntry
@@ -432,8 +432,9 @@ def conservation_delta(state: LedgerState) -> int:
     return held + escrowed + state.burned - state.minted - state.genesis_supply
 
 
-ACCOUNT = record(Account, ("account_id", STRING), ("balance", U64),
-                 ("staked", U64), ("roles", sorted_set(STRING, count=U8)))
+ACCOUNT = record(Account, ("account_id", STRING), ("nonce", U64),
+                 ("balance", U64), ("staked", U64),
+                 ("roles", sorted_set(STRING, count=U8)))
 SITE = record(GroundSite, ("site_id", STRING), ("lat", F64), ("lon", F64),
               ("alt", F64))
 ESCROW = record(Escrow, ("amount", U64), ("requester", STRING))
@@ -451,6 +452,12 @@ SETTLEMENT = record(SettlementRecord, ("height", U64), ("tdm_hash", STRING),
                     ("site_id", STRING), ("submitter", STRING),
                     ("rms", F64), ("first_epoch_t", F64))
 
+
+def _held_tdm_hash(entry) -> str:
+    """The key of a pending or pooled TDM: its own hash."""
+    return entry.tdm.hex_hash()
+
+
 # The sections of the state, shared by its snapshot and its root. The
 # chain position (height, last_hash) is recoverable from the blocks and
 # stays out of both.
@@ -460,13 +467,12 @@ _SECTIONS = (
     ("time", F64),
     ("burned", U64), ("minted", U64), ("genesis_supply", U64),
     ("accounts", sorted_map(ACCOUNT, key_of=attrgetter("account_id"))),
-    ("nonces", sorted_map(U64, key=STRING)),
     ("sites", sorted_map(SITE, key_of=attrgetter("site_id"))),
     ("catalog", sorted_map(ORBIT, key_of=attrgetter("object_id"))),
     ("tasks", sorted_map(TASK, key_of=attrgetter("task_id"))),
     ("task_escrows", sorted_map(ESCROW, key=DIGEST)),
-    ("pending", sorted_map(PENDING, key=STRING)),
-    ("uct_pool", sorted_map(POOL_ENTRY, key=STRING)),
+    ("pending", sorted_map(PENDING, key_of=_held_tdm_hash)),
+    ("uct_pool", sorted_map(POOL_ENTRY, key_of=_held_tdm_hash)),
     ("model", MODEL),
     ("model_proposals", sorted_map(
         PROPOSAL_STATE, key_of=attrgetter("proposal.proposal_hash"))))
@@ -601,9 +607,10 @@ def _spawn_retask(state: LedgerState, report: ValidationReport) -> None:
 
 def _pay_task(state: LedgerState, pend: PendingTdm, attesters: list) -> None:
     """Fee payout when a tracked task is serviced: the validator cut is
-    split pro rata by stake, the rest goes to the submitting observer."""
-    task = state.tasks.get(pend.task_id)
-    if task is None or task.status != "open":
+    split pro rata by stake, the rest goes to the submitting observer. A
+    paid task leaves the state; one already paid or expired pays nothing."""
+    task = state.tasks.pop(pend.task_id, None)
+    if task is None:
         return
     if task.origin == "internal":
         fee = task.fee
@@ -616,7 +623,6 @@ def _pay_task(state: LedgerState, pend: PendingTdm, attesters: list) -> None:
     for aid, share in _distribute(cut, weights).items():
         state.accounts[aid].balance += share
     state.account(pend.submitter).balance += fee - cut
-    state.tasks[task.task_id] = task.with_status("fulfilled")
 
 
 def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
@@ -763,10 +769,9 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
     sender = state.accounts.get(tx.sender)
     if sender is None:
         raise TxRejected(f"unknown sender {tx.sender!r}")
-    expected = state.nonces.get(tx.sender, 0)
-    if tx.nonce != expected:
+    if tx.nonce != sender.nonce:
         raise TxRejected(f"bad nonce {tx.nonce} for {tx.sender!r} "
-                         f"(expected {expected})")
+                         f"(expected {sender.nonce})")
     p = tx.payload
 
     if tx.kind == "submit_tdm":
@@ -786,12 +791,8 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
         h = tdm.hex_hash()
         if h in state.seen_tdms:
             raise TxRejected(f"duplicate TDM {h[:12]}")
-        if p.task_id:
-            task = state.tasks.get(p.task_id)
-            if task is None:
-                raise TxRejected("unknown task reference")
-            if task.status != "open":
-                raise TxRejected(f"task is {task.status}, not serviceable")
+        if p.task_id and p.task_id not in state.tasks:
+            raise TxRejected("task reference is not an open task")
         sender.balance -= stake_min
         state.seen_tdms.add(h)
         state.pending[h] = PendingTdm(tdm=tdm, submitter=tx.sender,
@@ -865,21 +866,18 @@ def _apply(state: LedgerState, tx: Transaction) -> None:
         _settle_proposal(state, p.proposal_hash)
 
     else:   # claim_reward
-        task = state.tasks.get(p.task_id)
-        if task is None:
-            raise TxRejected("unknown task")
-        if task.status != "expired":
-            raise TxRejected(f"task is {task.status}, not expired")
         escrow = state.task_escrows.get(p.task_id)
         if escrow is None:
             raise TxRejected("task has no refundable escrow")
+        if p.task_id in state.tasks:
+            raise TxRejected("task is still open")
         amount, requester = escrow
         if requester != tx.sender:
             raise TxRejected("only the requester may reclaim the fee")
         del state.task_escrows[p.task_id]
         sender.balance += amount
 
-    state.nonces[tx.sender] = expected + 1
+    sender.nonce += 1
 
 
 def apply_transaction(state: LedgerState, tx: Transaction) -> LedgerState:
@@ -891,11 +889,12 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> LedgerState:
 
 
 def _sweep_expired(state: LedgerState) -> None:
+    """Drop the tasks past their service window. An external task's fee
+    stays in task_escrows until its requester reclaims it."""
     now = Epoch(state.time)
-    for tid in sorted(state.tasks):
-        task = state.tasks[tid]
-        if is_expired(task, now):
-            state.tasks[tid] = task.with_status("expired")
+    for tid in [tid for tid, task in state.tasks.items()
+                if is_expired(task, now)]:
+        del state.tasks[tid]
 
 
 def produce_block(state: LedgerState, pending_txs: list, round_no: int, *,

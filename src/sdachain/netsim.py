@@ -563,7 +563,7 @@ class _Node:
 
     def on_block(self, state, t: float) -> None:
         acct = self.spec.account
-        base = state.nonces.get(acct, 0)
+        base = state.accounts[acct].nonce
         keep = []
         for it in self.queue:
             if it.done is not None:
@@ -633,11 +633,10 @@ class _Node:
             return
         sc = self.sim.sc
         window = (Epoch(t), Epoch(t + sc.cycle_s))
-        queue = [task for task in state.tasks.values()
-                 if task.status == "open"]
         got = None
         try:
-            got = assign(queue, self.site, window, state.catalog)
+            got = assign(state.tasks.values(), self.site, window,
+                         state.catalog)
         except TaskingError:
             got = None
         submitted = False

@@ -10,7 +10,6 @@ a strict total order (score, then task_id bytes) so queue pops are
 deterministic everywhere.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ from .wire import (
 )
 
 TASK_ORIGINS = ("external", "internal")
-TASK_STATUSES = ("open", "fulfilled", "expired")
 
 TASK_EXPIRY_S = 48.0 * 3600.0
 INTERNAL_TASK_FEE = 10          # tokens, funded from protocol subsidy
@@ -124,9 +122,8 @@ class Task:
     """A prioritized observation request.
 
     target is either an object_id string (cataloged target) or an
-    IodRegion (follow-up on an uncataloged estimate). Status changes
-    produce new instances via with_status; task_id never includes the
-    status, so a task keeps its identity across transitions.
+    IodRegion (follow-up on an uncataloged estimate). A task is open for
+    as long as the ledger holds it: payout and expiry remove it.
     """
 
     task_id: bytes
@@ -135,7 +132,6 @@ class Task:
     urgency: bool
     origin: str
     created_at: Epoch
-    status: str = "open"
 
     def __post_init__(self):
         if len(self.task_id) != 32:
@@ -149,14 +145,9 @@ class Task:
             raise TaskingError(f"fee must be a nonnegative integer: {self.fee}")
         if self.origin not in TASK_ORIGINS:
             raise TaskingError(f"unknown origin {self.origin!r}")
-        if self.status not in TASK_STATUSES:
-            raise TaskingError(f"unknown status {self.status!r}")
 
     def is_followup(self) -> bool:
         return isinstance(self.target, IodRegion)
-
-    def with_status(self, status: str) -> "Task":
-        return dataclasses.replace(self, status=status)
 
 
 REGION = record(IodRegion, ("elements", ELEMENTS), ("tol_a", F64),
@@ -181,20 +172,17 @@ def task_identity(target, fee: int, urgency: bool, origin: str,
 
 
 TASK = record(Task, ("task_id", DIGEST), ("target", TARGET), ("fee", U64),
-              ("urgency", BOOL), ("origin", STRING), ("created_at", EPOCH),
-              ("status", STRING))
+              ("urgency", BOOL), ("origin", STRING), ("created_at", EPOCH))
 
 
 def priority(task: Task, catalog: dict, now: Epoch) -> float:
-    """Score an open task; higher means observe sooner.
+    """Score a task; higher means observe sooner.
 
     Age counts days since the target's elements were last confirmed
     (the catalog record's epoch for cataloged targets, the estimate
     epoch for follow-up regions); targets missing from the catalog are
     maximally stale.
     """
-    if task.status != "open":
-        raise TaskingError(f"priority is defined for open tasks, not {task.status!r}")
     score = URGENCY_WEIGHT if task.urgency else 0.0
     if task.is_followup():
         score += FOLLOWUP_WEIGHT
@@ -212,14 +200,13 @@ def priority(task: Task, catalog: dict, now: Epoch) -> float:
 
 
 def order_queue(tasks, catalog: dict, now: Epoch) -> list:
-    """Open tasks sorted by descending score, ties broken by task_id."""
-    opened = [t for t in tasks if t.status == "open"]
-    return sorted(opened, key=lambda t: (-priority(t, catalog, now), t.task_id))
+    """Tasks sorted by descending score, ties broken by task_id."""
+    return sorted(tasks, key=lambda t: (-priority(t, catalog, now), t.task_id))
 
 
 def is_expired(task: Task, now: Epoch) -> bool:
-    """True when an open task has outlived the 48 h service window."""
-    return task.status == "open" and now.t - task.created_at.t > TASK_EXPIRY_S
+    """True when the task has outlived the 48 h service window."""
+    return now.t - task.created_at.t > TASK_EXPIRY_S
 
 
 def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
@@ -263,7 +250,7 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
 
 
 def assign(queue, site: GroundSite, window, catalog: dict):
-    """Pick the highest-priority open task visible from the site.
+    """Pick the highest-priority task visible from the site.
 
     Returns (the task, observation epochs) or None when no target clears
     the elevation mask for at least three epochs in the window.

@@ -94,7 +94,7 @@ class ValidationReport:
                 raise ValidationError("verified report needs matched_object")
             if math.isinf(self.rms_residual):
                 raise ValidationError("verified report needs a finite rms")
-        if self.rms_residual < 0.0:
+        if not self.rms_residual >= 0.0:    # NaN fails this too
             raise ValidationError("rms_residual must be nonnegative")
         if self.mined is not None:
             if self.verdict != "uct":

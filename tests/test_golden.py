@@ -20,7 +20,17 @@ import pytest
 
 from conftest import check_derived_state
 from sdachain import netsim
-from sdachain.ledger import load_chain, replay_state, state_root, verify_chain
+from sdachain.astro import Epoch
+from sdachain.ledger import (
+    STATE_ROOT,
+    block_hash,
+    decode_state,
+    load_chain,
+    produce_block,
+    replay_state,
+    state_root,
+    verify_chain,
+)
 from sdachain.netsim import (
     NodeSpec,
     ScriptedTask,
@@ -29,6 +39,8 @@ from sdachain.netsim import (
     run_scenario,
     uct_scenario,
 )
+from sdachain.tasking import is_expired
+from sdachain.tdm import parse_tdm
 
 
 def tie_scenario(seed: int):
@@ -49,27 +61,27 @@ def tie_scenario(seed: int):
 GOLDEN = {
     "reference": (
         reference_scenario,
-        "eee544b001820c9dc3facc78d2db22d9bd26d27635dc071d0d7ff4dbce9e6714",
-        "0326ef5d3ec78a17fc1d0178e9e7eb5847a2d931b4029c0186be272bca1ffc0e",
-        "0189ef7ec28e2f18069948dbaccacf57c10817e22e5eef4d1cb821909ca84f24",
+        "908e05a85222abaa08e3c390e56f589cd4d50e580b49eecb3f29d831d6df86dd",
+        "95f22c42fbd7df65dff3377af7030c688977733caf423a18443bef64406d1a1a",
+        "b04acb8ec947c116f5ff45152745f65f66f8babe2bae2aadd8ba9ea9bd3c250f",
     ),
     "uct": (
         uct_scenario,
-        "95a58ef458d8c25cbfe993610a2b995103ce87c5d9e6506d1ea0a843aa828fc4",
-        "4e43b7317bd02aeae2f2a542b89ef46d558ca882455b6c2e426e513b3e2c10ed",
-        "c8dfb1bd74646611f39c8c864c0cd3fc14280e03e425586efa8b90d608a868f2",
+        "5dbe6c84cc5c94d2df364733439673d924cad1baa0a49941070445141a33b1dd",
+        "1505320ef4a7658019d875471746c84eedef9d392fbd156736bef268ab657243",
+        "b14e34aa04bd0a1c33d57ba81783df5cfef6ba7369d432102625e763a42dd8d9",
     ),
     "fl": (
         fl_scenario,
-        "090c8f0e7f6c4ba29098b7f883478fafff3a873f48896555fd672bd4a38648a8",
-        "f54eddf903f3d59027e699105270ae713c3603cea58ad0d55379ee2521ec1884",
-        "eda1b838b5c3e9db8fee433f3a4ece1542986525bb2a91b23f77ea7b35fe2e2f",
+        "03a96f42b368134ba1218ef75131844b0bb10fa6bddfeeeeff160babd5f2d44b",
+        "f8d2d30ee49db59bc1c0c727028b16857c2d129f87705a22b4440b14761f3047",
+        "9150d994b3a1cf4ed298ab8b64791c1697bdc7f954512b64bc72993a2e5ce77c",
     ),
     "tie": (
         tie_scenario,
-        "219b53d63d00432f334eb4466a4974fb2a222258273dff01332fa60dcce27213",
-        "f101eb495a640360a5e7ca8746bda4d241297f4a842fb72027c1337bf96a83f7",
-        "1d85d028ca83e1042060cbd1efc4237f98f08d20ebef61e5bef79a4b08e3340d",
+        "ca7d6321790fcd672c1eb0527fbf62014c52ed844a02720d037c8fcb7347d66a",
+        "e1e3b4530c283088c37ebac3925b0261e7b804e6e65141a24e299eec13a6e0eb",
+        "c114737b534969f087d81b8a922cb8cab889a75a1d112c0321049d703ab982ac",
     ),
 }
 
@@ -79,11 +91,24 @@ def _sha256_file(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """(output directory, report) of a golden case, run once per module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = str(tmp_path_factory.mktemp(name))
+            runs[name] = out, run_scenario(GOLDEN[name][0](1), out)
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_bytes(name, tmp_path):
-    build, chain_sha, report_sha, root = GOLDEN[name]
-    out = str(tmp_path)
-    report = run_scenario(build(1), out)
+def test_golden_bytes(name, golden_run):
+    _, chain_sha, report_sha, root = GOLDEN[name]
+    out, report = golden_run(name)
     assert report.state_root == state_root(report.final_state).hex()
     got = (_sha256_file(os.path.join(out, "chain.log")),
            _sha256_file(os.path.join(out, "report.json")),
@@ -92,6 +117,39 @@ def test_golden_bytes(name, tmp_path):
     blocks = load_chain(os.path.join(out, "chain.log"))
     assert verify_chain(blocks) is None
     assert state_root(replay_state(blocks)).hex() == report.state_root
+
+
+def test_reference_state_holds_only_open_tasks(golden_run):
+    """Replaying the reference chain, after every block each task the
+    state holds is inside its service window and unpaid: payout and
+    expiry take a task out. So tasks do not pile up, and the final root
+    preimage stays small."""
+    out, _ = golden_run("reference")
+    blocks = load_chain(os.path.join(out, "chain.log"))
+    state = decode_state(blocks[0].txs[0].payload.snapshot)
+    state.height, state.last_hash = 1, block_hash(blocks[0])
+    task_of, paid, held = {}, set(), 0     # tdm hash -> serviced task_id
+    for k, b in enumerate(blocks[1:], start=1):
+        for tx in b.txs:
+            if tx.kind == "submit_tdm" and tx.payload.task_id:
+                h = parse_tdm(tx.payload.tdm_text).hex_hash()
+                task_of[h] = tx.payload.task_id
+        settled = len(state.settlements)
+        produce_block(state, b.txs, k, time=b.time)
+        for rec in state.settlements[settled:]:
+            # a verified track, or a uct track that mined its object,
+            # collects the fee of the task it serviced
+            if rec.tdm_hash in task_of and (
+                    rec.verdict == "verified"
+                    or rec.verdict == "uct" and rec.object_id):
+                paid.add(task_of[rec.tdm_hash])
+        now = Epoch(state.time)
+        for tid, task in state.tasks.items():
+            assert not is_expired(task, now), (k, tid.hex())
+            assert tid not in paid, (k, tid.hex())
+        held = max(held, len(state.tasks))
+    assert paid and held
+    assert len(STATE_ROOT.encode(state)) < 2500
 
 
 @pytest.mark.parametrize("name", ["fl", "tie"])

@@ -114,9 +114,9 @@ def attest_until_settled(state, tdm_hash, validators=("val-a", "val-b")):
         if report is not None:
             assert rep.report_hash == report.report_hash
         report = rep
-        nonce = state.nonces.get(v, 0)
         state = apply_transaction(
-            state, tx("attest_validation", v, nonce, AttestValidation(rep)))
+            state, tx("attest_validation", v, state.accounts[v].nonce,
+                      AttestValidation(rep)))
     return state, report
 
 
@@ -124,7 +124,7 @@ def attest_with(state, report, validators=("val-a", "val-b")):
     """Each validator attests the given report, however stale."""
     for v in validators:
         state = apply_transaction(state, tx("attest_validation", v,
-                                            state.nonces.get(v, 0),
+                                            state.accounts[v].nonce,
                                             AttestValidation(report)))
     return state
 
@@ -252,15 +252,35 @@ class TestGenesis:
         assert encode_state(decode_state(raw)) == raw
 
     def test_version_1_snapshot_refused(self):
-        # version 1 held an f64 step_s before time, and version 2 held the
-        # seen-TDM hashes before the model; the version byte keeps such a
-        # snapshot from being read with its fields shifted
+        # version 1 held an f64 step_s before time, version 2 held the
+        # seen-TDM hashes before the model, and version 3 held the nonces
+        # map, the task status and a hash key before each pending and pooled
+        # TDM; the version byte keeps such a snapshot from being read with
+        # its fields shifted
         state, _, _, _ = fresh_chain()
         raw = encode_state(state)
-        assert raw.startswith(b"SDASTATE\x03")
-        for old in (b"SDASTATE\x01", b"SDASTATE\x02"):
+        assert raw.startswith(b"SDASTATE\x04")
+        for old in (b"SDASTATE\x01", b"SDASTATE\x02", b"SDASTATE\x03"):
             with pytest.raises(WireError, match="version"):
                 decode_state(old + raw[9:])
+
+    def test_pending_tdm_decodes_under_its_own_hash(self):
+        # the snapshot writes no key beside a pending TDM, so a state that
+        # files one under another key decodes with it under its own hash:
+        # it can still be attested, and it is still a duplicate
+        state, _, rec, site = fresh_chain()
+        tdm = honest_tdm(rec, site)
+        h = tdm.hex_hash()
+        s1 = apply_transaction(state, submit_tx(tdm))
+        s1.pending["f" * 64] = s1.pending.pop(h)
+        back = decode_state(encode_state(s1))
+        assert list(back.pending) == [h]
+        with pytest.raises(TxRejected, match="duplicate TDM"):
+            apply_transaction(back, submit_tx(tdm, nonce=1))
+        s2, rep = attest_until_settled(back, h)
+        assert rep.verdict == "verified" and not s2.pending
+        assert s2.accounts["alice"].balance == 100    # escrow returned
+        assert conservation_delta(s2) == 0
 
     def test_duplicate_account_rejected(self):
         rec = leo_record(random.Random(5), "SAT-1")
@@ -456,7 +476,7 @@ class TestTaskEconomics:
         s1 = self.post_task(state)
         assert s1.accounts["rita"].balance == 480
         (tid, task), = s1.tasks.items()
-        assert task.status == "open" and task.fee == 20
+        assert task.fee == 20
         assert s1.task_escrows[tid] == (20, "rita")
         assert conservation_delta(s1) == 0
         with pytest.raises(TxRejected):    # alice lacks the requester role
@@ -483,7 +503,7 @@ class TestTaskEconomics:
         assert s3.accounts["alice"].balance == 100 + 18
         assert s3.accounts["val-a"].balance == 1
         assert s3.accounts["val-b"].balance == 1
-        assert s3.tasks[tid].status == "fulfilled"
+        assert tid not in s3.tasks      # a paid task leaves the state
         assert tid not in s3.task_escrows
         assert conservation_delta(s3) == 0
 
@@ -491,9 +511,11 @@ class TestTaskEconomics:
         state, _, _, _ = fresh_chain()
         s1 = self.post_task(state)
         (tid,) = s1.tasks
-        # two days later the sweep expires it; the requester reclaims
+        # two days later the sweep drops it, and its fee waits in escrow
+        # until the requester reclaims it
         s2, _ = produce_block(s1, [], 1, time=48.0 * 3600.0 + 1.0)
-        assert s2.tasks[tid].status == "expired"
+        assert tid not in s2.tasks
+        assert s2.task_escrows[tid] == (20, "rita")
         with pytest.raises(TxRejected):    # only the requester may claim
             apply_transaction(s2, tx("claim_reward", "alice", 0,
                                      ClaimReward(task_id=tid)))
@@ -509,7 +531,7 @@ class TestTaskEconomics:
         state, _, _, _ = fresh_chain()
         s1 = self.post_task(state)
         (tid,) = s1.tasks
-        with pytest.raises(TxRejected):
+        with pytest.raises(TxRejected, match="still open"):
             apply_transaction(s1, tx("claim_reward", "rita", 1,
                                      ClaimReward(task_id=tid)))
 
@@ -561,6 +583,16 @@ class TestUctMining:
         assert isinstance(internal[0].target, IodRegion)
         assert s2.accounts["alice"].balance == 100    # escrow returned
         assert conservation_delta(s2) == 0
+
+    def test_pooled_tdm_decodes_under_its_own_hash(self):
+        # the pool, like pending, takes each key from the TDM it holds
+        state, t1, _ = self.two_track_setup()
+        s1 = apply_transaction(state, submit_tx(t1))
+        s2, _ = attest_until_settled(s1, t1.hex_hash())
+        s2.uct_pool["f" * 64] = s2.uct_pool.pop(t1.hex_hash())
+        back = decode_state(encode_state(s2))
+        assert list(back.uct_pool) == [t1.hex_hash()]
+        assert back.uct_pool[t1.hex_hash()].tdm == t1
 
     def test_second_track_mines_and_mints(self):
         state, t1, t2 = self.two_track_setup()
@@ -1115,7 +1147,7 @@ class TestFuzzProperties:
             kind = rng.choice(kinds)
             if kind == "attest_validation" and not (s.pending or reports):
                 kind = "submit_tdm"
-            good_nonce = s.nonces.get(sender, 0)
+            good_nonce = s.accounts[sender].nonce
             nonce = good_nonce if rng.random() < 0.8 else rng.randrange(5)
             if kind == "register_stake":
                 payload = RegisterStake(amount=rng.randrange(0, 40),
@@ -1129,8 +1161,8 @@ class TestFuzzProperties:
                 payload = SubmitTdm(
                     tdm_text=serialize_tdm(honest_tdm(rec, site, seed=k)))
             elif kind == "claim_reward":
-                tid = (rng.choice(sorted(s.tasks)) if s.tasks and rng.random()
-                       < 0.8 else bytes(32))
+                tid = (rng.choice(sorted(s.task_escrows)) if s.task_escrows
+                       and rng.random() < 0.8 else bytes(32))
                 payload = ClaimReward(task_id=tid)
             elif kind == "attest_validation":
                 # mostly a pending TDM; else a settled one, now unknown

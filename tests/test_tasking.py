@@ -41,10 +41,10 @@ from sdachain.wire import DIGEST, U8, Reader, WireError
 
 
 def object_task(target="SAT-1", fee=0, urgency=False, created_at=Epoch(0.0),
-                ref=b"t1", origin="external", status="open"):
+                ref=b"t1", origin="external"):
     tid = task_identity(target, fee, urgency, origin, created_at, ref)
     return Task(task_id=tid, target=target, fee=fee, urgency=urgency,
-                origin=origin, created_at=created_at, status=status)
+                origin=origin, created_at=created_at)
 
 
 def region_of(rec, epoch=Epoch(0.0)):
@@ -63,7 +63,7 @@ def region_task(rec, fee=0, created_at=Epoch(0.0), ref=b"r1"):
 class TestTask:
     def test_field_validation(self):
         t = object_task()
-        assert t.status == "open" and not t.is_followup()
+        assert not t.is_followup()
         with pytest.raises(TaskingError):
             Task(task_id=b"short", target="X", fee=0, urgency=False,
                  origin="external", created_at=Epoch(0.0))
@@ -80,20 +80,9 @@ class TestTask:
                  origin="external", created_at=Epoch(0.0))
         with pytest.raises(TaskingError):
             object_task(origin="unknown")
-        with pytest.raises(TaskingError):
-            object_task(status="stuck")
-        # neither value was ever stored: assign returns the queued task,
-        # and nothing posted a calibration task
-        with pytest.raises(TaskingError):
-            object_task(status="assigned")
+        # nothing posts a calibration task
         with pytest.raises(TaskingError):
             object_task(origin="calibration")
-
-    def test_with_status_keeps_identity(self):
-        t = object_task()
-        done = t.with_status("fulfilled")
-        assert done.task_id == t.task_id
-        assert done.status == "fulfilled" and t.status == "open"
 
     def test_identity_sensitive_to_every_field(self):
         base = task_identity("SAT-1", 5, False, "external", Epoch(0.0), b"n")
@@ -141,7 +130,7 @@ class TestRegion:
 
 class TestCodec:
     def test_object_target_roundtrip(self):
-        t = object_task(target="SAT-9", fee=25, urgency=True, status="expired")
+        t = object_task(target="SAT-9", fee=25, urgency=True)
         r = Reader(TASK.encode(t))
         assert TASK.read(r) == t
         r.done()
@@ -188,11 +177,6 @@ class TestPriority:
         t = object_task(target="NOBODY")
         assert priority(t, {}, Epoch(0.0)) == pytest.approx(1.0)
 
-    def test_requires_open_task(self):
-        t = object_task(status="fulfilled")
-        with pytest.raises(TaskingError):
-            priority(t, {}, Epoch(0.0))
-
     def test_equal_scores_order_by_task_id(self):
         a = object_task(target="SAT-1", ref=b"a")
         b = object_task(target="SAT-1", ref=b"b")
@@ -206,13 +190,13 @@ class TestPriority:
         tasks = [object_task(target="SAT-1", fee=rng.randrange(200),
                              urgency=rng.random() < 0.5, ref=bytes([k]))
                  for k in range(12)]
-        tasks.append(object_task(status="fulfilled", ref=b"done"))
         now = Epoch(3600.0)
         first = order_queue(tasks, cat, now)
         rng.shuffle(tasks)
         second = order_queue(tasks, cat, now)
         assert [t.task_id for t in first] == [t.task_id for t in second]
-        assert all(t.status == "open" for t in first)
+        assert sorted(t.task_id for t in first) == sorted(
+            t.task_id for t in tasks)
         scores = [priority(t, cat, now) for t in first]
         assert scores == sorted(scores, reverse=True)
 
@@ -222,12 +206,6 @@ class TestExpiry:
         t = object_task(created_at=Epoch(0.0))
         assert not is_expired(t, Epoch(48.0 * 3600.0))
         assert is_expired(t, Epoch(48.0 * 3600.0 + 1.0))
-
-    def test_fulfilled_never_expires(self):
-        t = object_task(created_at=Epoch(0.0), status="fulfilled")
-        assert not is_expired(t, Epoch(10.0 * 86400.0))
-        assert not is_expired(t.with_status("expired"), Epoch(10.0 * 86400.0))
-        assert is_expired(t.with_status("open"), Epoch(10.0 * 86400.0))
 
 
 class TestAssign:
@@ -257,7 +235,7 @@ class TestAssign:
                      {"TGT": rec})
         assert got is not None
         picked, eps = got
-        assert picked is task and task.status == "open"
+        assert picked is task
         assert len(eps) >= 3
 
     def test_below_horizon_all_window_is_empty(self):

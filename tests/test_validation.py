@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import struct
 
 import pytest
 
@@ -10,6 +11,7 @@ from sdachain.astro import Epoch, KeplerianElements, OrbitRecord
 from sdachain.iod import iod_from_tdm, refine_elements
 from sdachain.tdm import MODES, ObservationRecord, Tdm, synth_tdm
 from sdachain.validation import (
+    REPORT,
     ValidationError,
     ValidationParams,
     ValidationReport,
@@ -82,6 +84,19 @@ class TestReport:
             ValidationReport(tdm_hash="ab", verdict="plausible",
                              matched_object=None, rms_residual=0.0,
                              candidates_checked=0)
+
+    @pytest.mark.parametrize("verdict", ["verified", "uct"])
+    def test_nan_rms_refused_built_and_decoded(self, verdict):
+        fields = dict(tdm_hash="ab", verdict=verdict, matched_object="SAT-1",
+                      candidates_checked=1)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            ValidationReport(rms_residual=math.nan, **fields)
+        # the same bytes with the rms field set to NaN do not decode either
+        raw = REPORT.encode(ValidationReport(rms_residual=0.5, **fields))
+        at = raw.index(struct.pack(">d", 0.5))
+        nan = raw[:at] + struct.pack(">d", math.nan) + raw[at + 8:]
+        with pytest.raises(ValidationError, match="nonnegative"):
+            REPORT.decode(nan)
 
     def test_hash_tracks_content(self):
         r1 = ValidationReport(tdm_hash="ab", verdict="uct", matched_object=None,
