@@ -5,7 +5,9 @@ builds on the primitives here: epochs on a uniform leap-second-free
 timescale, ECI state vectors, classical element sets, and a fixed-step
 propagator with two-body + J2 + exponential-atmosphere drag forces: an
 order-10 Adams-Bashforth-Moulton grid (started by RK4) and one RK4 step
-from the grid to each requested time.
+from the grid to each requested time.  Both stepping loops are generated
+at import from one force-model template, the multistep one unrolled over
+its ten back values, which it renames in place of shifting them.
 
 Conventions:
   * distances in km, velocities in km/s, angles in radians, time in
@@ -392,14 +394,28 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # elements built anew, even with equal values, start with no grid.
 #
 # _abm_steps and _rk4_steps are the two stepping loops, each fused over local
-# floats and summing gravity, then J2 (when kj != 0), then drag (when
-# bstar != 0) in every force evaluation: the order fixes the bits of every
-# propagated state, which tests/test_astro.py pins.  _rk4_steps serves only
-# the start-up and the remainder step to a time between grid points (a call
-# with n = 1).  Each step's altitude check reuses the radius that its next
-# force evaluation needs, and a multistep extension's new points reach the
-# grid in bulk appends of at most _APPEND_STEPS points, so even a first
-# extension across the whole span buffers only that many.
+# floats.  Both are generated at import (_stepping_loops) from one template
+# of the force model, _force, which sums gravity, then J2 (when kj != 0),
+# then drag (when bstar != 0) in every force evaluation: the order fixes
+# the bits of every propagated state, which tests/test_astro.py pins, and
+# tests/test_stepping.py holds the handwritten loops the generated ones
+# must match bit for bit.  _rk4_steps serves only the start-up and the
+# remainder step to a time between grid points (a call with n = 1).
+#
+# _abm_steps runs its bulk in blocks of _ORDER steps, unrolled, that rename
+# the back values instead of shifting them: at step j of a block, back
+# value i of each family (dx, dy, dz, ax, ay, az) lives in slot
+# (i - j) mod _ORDER, and the step's new value takes the slot of the
+# oldest, so each value is back in its own slot when the block ends.  A
+# decay at step j notes j, and the loop writes the back values out through
+# that step's slot map.  The back-value passes
+# of a grid's first multistep extension and the n mod _ORDER steps after
+# the last block run a one-step body from the same template, which shifts
+# the back values one slot.  Each step's altitude check reuses the radius
+# that its next force evaluation needs, and a multistep extension's new
+# points reach the grid in bulk appends, after each block that leaves at
+# least _APPEND_STEPS points buffered, so even a first extension across
+# the whole span buffers fewer than _APPEND_STEPS + _ORDER.
 
 
 def _drag(x, y, vx, vy, vz, r, bstar):
@@ -424,120 +440,6 @@ def _decay_error(alt: float, t: float) -> DecayError:
 _APPEND_STEPS = 256     # grid points buffered between bulk appends
 
 
-def _rk4_steps(state, h, n, bstar, kj, t0, k0):
-    """n RK4 steps of h seconds from state; returns the last state.
-
-    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
-    t0 + k*h, the time a DecayError names when that step's state is below
-    DECAY_ALTITUDE.
-    """
-    x, y, z, vx, vy, vz = state
-    r2 = x * x + y * y + z * z
-    r = math.sqrt(r2)
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for k in range(k0 + 1, k0 + n + 1):
-        c = -MU_EARTH / (r2 * r)
-        ax1 = c * x
-        ay1 = c * y
-        az1 = c * z
-        if kj:
-            kr = kj / (r2 * r2 * r)
-            f = 5.0 * z * z / r2
-            ax1 += kr * x * (1.0 - f)
-            ay1 += kr * y * (1.0 - f)
-            az1 += kr * z * (3.0 - f)
-        if bstar:
-            dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
-            ax1 += dx
-            ay1 += dy
-            az1 += dz
-
-        x2 = x + h2 * vx
-        y2 = y + h2 * vy
-        z2 = z + h2 * vz
-        vx2 = vx + h2 * ax1
-        vy2 = vy + h2 * ay1
-        vz2 = vz + h2 * az1
-        r2 = x2 * x2 + y2 * y2 + z2 * z2
-        r = math.sqrt(r2)
-        c = -MU_EARTH / (r2 * r)
-        ax2 = c * x2
-        ay2 = c * y2
-        az2 = c * z2
-        if kj:
-            kr = kj / (r2 * r2 * r)
-            f = 5.0 * z2 * z2 / r2
-            ax2 += kr * x2 * (1.0 - f)
-            ay2 += kr * y2 * (1.0 - f)
-            az2 += kr * z2 * (3.0 - f)
-        if bstar:
-            dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
-            ax2 += dx
-            ay2 += dy
-            az2 += dz
-
-        x3 = x + h2 * vx2
-        y3 = y + h2 * vy2
-        z3 = z + h2 * vz2
-        vx3 = vx + h2 * ax2
-        vy3 = vy + h2 * ay2
-        vz3 = vz + h2 * az2
-        r2 = x3 * x3 + y3 * y3 + z3 * z3
-        r = math.sqrt(r2)
-        c = -MU_EARTH / (r2 * r)
-        ax3 = c * x3
-        ay3 = c * y3
-        az3 = c * z3
-        if kj:
-            kr = kj / (r2 * r2 * r)
-            f = 5.0 * z3 * z3 / r2
-            ax3 += kr * x3 * (1.0 - f)
-            ay3 += kr * y3 * (1.0 - f)
-            az3 += kr * z3 * (3.0 - f)
-        if bstar:
-            dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
-            ax3 += dx
-            ay3 += dy
-            az3 += dz
-
-        x4 = x + h * vx3
-        y4 = y + h * vy3
-        z4 = z + h * vz3
-        vx4 = vx + h * ax3
-        vy4 = vy + h * ay3
-        vz4 = vz + h * az3
-        r2 = x4 * x4 + y4 * y4 + z4 * z4
-        r = math.sqrt(r2)
-        c = -MU_EARTH / (r2 * r)
-        ax4 = c * x4
-        ay4 = c * y4
-        az4 = c * z4
-        if kj:
-            kr = kj / (r2 * r2 * r)
-            f = 5.0 * z4 * z4 / r2
-            ax4 += kr * x4 * (1.0 - f)
-            ay4 += kr * y4 * (1.0 - f)
-            az4 += kr * z4 * (3.0 - f)
-        if bstar:
-            dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
-            ax4 += dx
-            ay4 += dy
-            az4 += dz
-
-        x += h6 * (vx + 2.0 * (vx2 + vx3) + vx4)
-        y += h6 * (vy + 2.0 * (vy2 + vy3) + vy4)
-        z += h6 * (vz + 2.0 * (vz2 + vz3) + vz4)
-        vx += h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
-        vy += h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-        vz += h6 * (az1 + 2.0 * (az2 + az3) + az4)
-        r2 = x * x + y * y + z * z
-        r = math.sqrt(r2)
-        if r - R_EARTH < DECAY_ALTITUDE:
-            raise _decay_error(r - R_EARTH, t0 + k * h)
-    return x, y, z, vx, vy, vz
-
-
 _ORDER = 10     # back values of the multistep method, and its order
 # Adams-Bashforth weights of the derivatives at grid points n, n-1, ...,
 # n-9 for the step n -> n+1, and Adams-Moulton weights of those at n+1,
@@ -553,8 +455,188 @@ _AM = (0.2869754464285714, 1.3020443397266315, -1.5530346119929452,
        0.00789255401234568)
 
 
-def _abm_steps(points, back, h, n, bstar, kj, t0):
-    """n multistep steps of h seconds, appended to the grid points.
+_FAMILIES = ("dx", "dy", "dz", "ax", "ay", "az")    # the back values' names
+_STATE = ("x", "y", "z", "vx", "vy", "vz")
+
+
+def _force(acc, pos, vel) -> list:
+    """Source lines of one force evaluation, the template of both stepping
+    loops: they set the three names acc to the acceleration at position
+    pos and velocity vel (three names each), given r2 and r, pos's squared
+    norm and norm.  Gravity, then J2 when kj != 0, then drag when
+    bstar != 0."""
+    (ax, ay, az), (x, y, z) = acc, pos
+    return ["c = nmu / (r2 * r)",
+            f"{ax} = c * {x}",
+            f"{ay} = c * {y}",
+            f"{az} = c * {z}",
+            "if kj:",
+            "    kr = kj / (r2 * r2 * r)",
+            f"    f = 5.0 * {z} * {z} / r2",
+            "    g = 1.0 - f",
+            f"    {ax} += kr * {x} * g",
+            f"    {ay} += kr * {y} * g",
+            f"    {az} += kr * {z} * (3.0 - f)",
+            "if bstar:",
+            f"    gx, gy, gz = _drag({x}, {y}, {', '.join(vel)}, r, bstar)",
+            f"    {ax} += gx",
+            f"    {ay} += gy",
+            f"    {az} += gz"]
+
+
+def _radius(x, y, z) -> list:
+    return [f"r2 = {x} * {x} + {y} * {y} + {z} * {z}", "r = sqrt(r2)"]
+
+
+def _decay_check(k: str, j: int = 0) -> list:
+    """Raise the DecayError of the step to grid index k (an expression)
+    when r is below the decay altitude, at step j of a block."""
+    return ["if r - R_EARTH < DECAY_ALTITUDE:",
+            *([f"    j = {j}"] if j else []),
+            f"    raise _decay_error(r - R_EARTH, t0 + {k} * h)"]
+
+
+def _indent(lines, depth: int) -> list:
+    return ["    " * depth + line for line in lines]
+
+
+def _rk4_source() -> list:
+    """The source of _rk4_steps."""
+    def stage(i):
+        """The state at RK4 stage i (1 to 4) and its derivative."""
+        state = _STATE if i == 1 else tuple(f"{s}{i}" for s in _STATE)
+        return state, state[3:] + (f"ax{i}", f"ay{i}", f"az{i}")
+
+    body = []
+    for i, w in ((1, ""), (2, "h2"), (3, "h2"), (4, "h")):
+        state, derivative = stage(i)
+        if w:
+            body += [f"{s} = {s0} + {w} * {d}" for s, s0, d
+                     in zip(state, _STATE, stage(i - 1)[1])]
+            body += _radius(*state[:3])
+        body += _force(derivative[3:], state[:3], state[3:])
+    body += [f"{s} += h6 * ({d1} + 2.0 * ({d2} + {d3}) + {d4})"
+             for s, d1, d2, d3, d4
+             in zip(_STATE, *(stage(i)[1] for i in (1, 2, 3, 4)))]
+    body += _radius("x", "y", "z") + _decay_check("k")
+    return ["def _rk4_steps(state, h, n, bstar, kj, t0, k0):",
+            "    nmu = -MU_EARTH",
+            "    sqrt = math.sqrt",
+            "    x, y, z, vx, vy, vz = state",
+            *_indent(_radius("x", "y", "z"), 1),
+            "    h2 = 0.5 * h",
+            "    h6 = h / 6.0",
+            "    for k in range(k0 + 1, k0 + n + 1):",
+            *_indent(body, 2),
+            "    return x, y, z, vx, vy, vz"]
+
+
+def _slots(j: int) -> str:
+    """The names of the back values at step j of a block, family by
+    family and newest first: back value i is in slot (i - j) mod _ORDER."""
+    return ", ".join(f"{d}{(i - j) % _ORDER}" for d in _FAMILIES
+                     for i in range(_ORDER))
+
+
+def _newest(j: int) -> list:
+    """Source lines that evaluate the newest back values at the state x,
+    y, z, vx, vy, vz into the slots of the oldest at step j of a block."""
+    s = (_ORDER - 1 - j) % _ORDER
+    return [*_force((f"ax{s}", f"ay{s}", f"az{s}"), _STATE[:3], _STATE[3:]),
+            f"dx{s} = vx",
+            f"dy{s} = vy",
+            f"dz{s} = vz"]
+
+
+def _abm_step(j: int, k: str) -> list:
+    """Source lines of one multistep step, to grid index k (an
+    expression), at step j of a block: predict, evaluate, correct, check
+    the altitude, evaluate, and buffer the new point."""
+    def slot(d, i):
+        return f"{d}{(i - j) % _ORDER}"
+
+    lines = []
+    for p, s, d in zip(("px", "py", "pz", "pvx", "pvy", "pvz"), _STATE,
+                       _FAMILIES):
+        terms = " + ".join(f"b{i} * {slot(d, i)}" for i in range(_ORDER))
+        lines.append(f"{p} = {s} + ({terms})")
+    lines += _radius("px", "py", "pz")
+    lines += _force(("qx", "qy", "qz"), ("px", "py", "pz"),
+                    ("pvx", "pvy", "pvz"))
+    for s, new, d in zip(_STATE, ("pvx", "pvy", "pvz", "qx", "qy", "qz"),
+                         _FAMILIES):
+        terms = " + ".join(f"c{i + 1} * {slot(d, i)}"
+                           for i in range(_ORDER - 1))
+        lines.append(f"{s} += (c0 * {new} + {terms})")
+    lines += _radius("x", "y", "z")
+    lines += _decay_check(k, j)
+    return lines + _newest(j) + ["buf += (x, y, z, vx, vy, vz)"]
+
+
+def _abm_source() -> list:
+    """The source of _abm_steps."""
+    shift = f"{_slots(0)} = {_slots(1)}"    # after a step at j = 0
+    block = []
+    for j in range(_ORDER):
+        block += _abm_step(j, f"(kb + {j})" if j else "kb")
+    bs = ", ".join(f"b{i}" for i in range(_ORDER))
+    cs = ", ".join(f"c{i}" for i in range(_ORDER))
+    return [
+        "def _abm_steps(points, back, h, n, bstar, kj, t0):",
+        "    nmu = -MU_EARTH",
+        "    sqrt = math.sqrt",
+        f"    {bs} = [h * b for b in _AB]",
+        f"    {cs} = [h * c for c in _AM]",
+        "    k0 = len(points) // 6 - 1",
+        "    fill = not back",
+        f"    {_slots(0)} = back or [0.0] * (6 * _ORDER)",
+        "    if fill:",
+        "        for k in range(k0 + 1 - _ORDER, k0 + 1):",
+        "            x, y, z, vx, vy, vz = points[6 * k:6 * k + 6]",
+        *_indent(_radius("x", "y", "z") + _newest(0) + [shift], 3),
+        "    x, y, z, vx, vy, vz = points[-6:]",
+        "    buf = []",
+        "    full = 6 * _APPEND_STEPS",
+        "    end = k0 + 1 + n - n % _ORDER",
+        "    j = 0",
+        "    try:",
+        "        for kb in range(k0 + 1, end, _ORDER):",
+        *_indent(block, 3),
+        "            if len(buf) >= full:",
+        "                points.fromlist(buf)",
+        "                buf.clear()",
+        "        for k in range(end, k0 + n + 1):",
+        *_indent(_abm_step(0, "k") + [shift], 3),
+        "    finally:",
+        "        if buf:",
+        "            points.fromlist(buf)",
+        f"        back[:] = ({_slots(0)})",
+        "        if j:",
+        "            # back value i of a family is in slot (i - j) % _ORDER",
+        "            back[:] = [back[i - i % _ORDER + (i - j) % _ORDER]",
+        "                       for i in range(6 * _ORDER)]"]
+
+
+def _stepping_loops() -> tuple:
+    """(_rk4_steps, _abm_steps), compiled from their sources, with this
+    module's globals."""
+    namespace = {}
+    source = "\n".join(_rk4_source() + _abm_source())
+    exec(compile(source, "<astro stepping loops>", "exec"), globals(),
+         namespace)
+    return namespace["_rk4_steps"], namespace["_abm_steps"]
+
+
+_rk4_steps, _abm_steps = _stepping_loops()
+_rk4_steps.__doc__ = """\
+n RK4 steps of h seconds from state; returns the last state.
+
+    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE.
+    """
+_abm_steps.__doc__ = """\
+n multistep steps of h seconds, appended to the grid points.
 
     points is an array('d') grid holding at least _ORDER points; step k,
     for k0 < k <= k0 + n with k0 the index of its last point, lands at
@@ -562,130 +644,11 @@ def _abm_steps(points, back, h, n, bstar, kj, t0):
     DECAY_ALTITUDE; on a DecayError only the states before it are
     appended.  back is the list of the back values at the grid's last
     _ORDER points, dx0..dx9 (velocity x, newest first), then dy, dz, ax,
-    ay and az alike; the loop leaves it matching the last point appended.
-    When back is empty, the loop first evaluates it at the last _ORDER
-    points held, in passes that step nothing.
+    ay and az alike; the loop leaves it matching the last point appended,
+    also when it raises DecayError.  When back is empty, the loop first
+    evaluates it at the last _ORDER points held, in passes that step
+    nothing.
     """
-    (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9) = [h * b for b in _AB]
-    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9) = [h * c for c in _AM]
-    k0 = len(points) // 6 - 1
-    first = k0 + 1
-    if not back:
-        first -= _ORDER
-        back.extend([0.0] * (6 * _ORDER))
-    (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
-     dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
-     dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
-     ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
-     ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
-     az0, az1, az2, az3, az4, az5, az6, az7, az8, az9) = back
-    x, y, z, vx, vy, vz = points[-6:]
-    buf = []
-    full = 6 * _APPEND_STEPS
-    try:
-        for k in range(first, k0 + n + 1):
-            if k > k0:
-                # predict
-                px = x + (b0 * dx0 + b1 * dx1 + b2 * dx2 + b3 * dx3 + b4 * dx4
-                          + b5 * dx5 + b6 * dx6 + b7 * dx7 + b8 * dx8
-                          + b9 * dx9)
-                py = y + (b0 * dy0 + b1 * dy1 + b2 * dy2 + b3 * dy3 + b4 * dy4
-                          + b5 * dy5 + b6 * dy6 + b7 * dy7 + b8 * dy8
-                          + b9 * dy9)
-                pz = z + (b0 * dz0 + b1 * dz1 + b2 * dz2 + b3 * dz3 + b4 * dz4
-                          + b5 * dz5 + b6 * dz6 + b7 * dz7 + b8 * dz8
-                          + b9 * dz9)
-                pvx = vx + (b0 * ax0 + b1 * ax1 + b2 * ax2 + b3 * ax3
-                            + b4 * ax4 + b5 * ax5 + b6 * ax6 + b7 * ax7
-                            + b8 * ax8 + b9 * ax9)
-                pvy = vy + (b0 * ay0 + b1 * ay1 + b2 * ay2 + b3 * ay3
-                            + b4 * ay4 + b5 * ay5 + b6 * ay6 + b7 * ay7
-                            + b8 * ay8 + b9 * ay9)
-                pvz = vz + (b0 * az0 + b1 * az1 + b2 * az2 + b3 * az3
-                            + b4 * az4 + b5 * az5 + b6 * az6 + b7 * az7
-                            + b8 * az8 + b9 * az9)
-                # evaluate
-                r2 = px * px + py * py + pz * pz
-                r = math.sqrt(r2)
-                c = -MU_EARTH / (r2 * r)
-                qx = c * px
-                qy = c * py
-                qz = c * pz
-                if kj:
-                    kr = kj / (r2 * r2 * r)
-                    f = 5.0 * pz * pz / r2
-                    qx += kr * px * (1.0 - f)
-                    qy += kr * py * (1.0 - f)
-                    qz += kr * pz * (3.0 - f)
-                if bstar:
-                    dx, dy, dz = _drag(px, py, pvx, pvy, pvz, r, bstar)
-                    qx += dx
-                    qy += dy
-                    qz += dz
-                # correct
-                x += (c0 * pvx + c1 * dx0 + c2 * dx1 + c3 * dx2 + c4 * dx3
-                      + c5 * dx4 + c6 * dx5 + c7 * dx6 + c8 * dx7 + c9 * dx8)
-                y += (c0 * pvy + c1 * dy0 + c2 * dy1 + c3 * dy2 + c4 * dy3
-                      + c5 * dy4 + c6 * dy5 + c7 * dy6 + c8 * dy7 + c9 * dy8)
-                z += (c0 * pvz + c1 * dz0 + c2 * dz1 + c3 * dz2 + c4 * dz3
-                      + c5 * dz4 + c6 * dz5 + c7 * dz6 + c8 * dz7 + c9 * dz8)
-                vx += (c0 * qx + c1 * ax0 + c2 * ax1 + c3 * ax2 + c4 * ax3
-                       + c5 * ax4 + c6 * ax5 + c7 * ax6 + c8 * ax7 + c9 * ax8)
-                vy += (c0 * qy + c1 * ay0 + c2 * ay1 + c3 * ay2 + c4 * ay3
-                       + c5 * ay4 + c6 * ay5 + c7 * ay6 + c8 * ay7 + c9 * ay8)
-                vz += (c0 * qz + c1 * az0 + c2 * az1 + c3 * az2 + c4 * az3
-                       + c5 * az4 + c6 * az5 + c7 * az6 + c8 * az7 + c9 * az8)
-                r2 = x * x + y * y + z * z
-                r = math.sqrt(r2)
-                if r - R_EARTH < DECAY_ALTITUDE:
-                    raise _decay_error(r - R_EARTH, t0 + k * h)
-            else:
-                # a point held already, whose back value is missing
-                x, y, z, vx, vy, vz = points[6 * k:6 * k + 6]
-                r2 = x * x + y * y + z * z
-                r = math.sqrt(r2)
-            # evaluate
-            c = -MU_EARTH / (r2 * r)
-            ax = c * x
-            ay = c * y
-            az = c * z
-            if kj:
-                kr = kj / (r2 * r2 * r)
-                f = 5.0 * z * z / r2
-                ax += kr * x * (1.0 - f)
-                ay += kr * y * (1.0 - f)
-                az += kr * z * (3.0 - f)
-            if bstar:
-                dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
-                ax += dx
-                ay += dy
-                az += dz
-            dx9, dx8, dx7, dx6, dx5, dx4, dx3, dx2, dx1, dx0 = (
-                dx8, dx7, dx6, dx5, dx4, dx3, dx2, dx1, dx0, vx)
-            dy9, dy8, dy7, dy6, dy5, dy4, dy3, dy2, dy1, dy0 = (
-                dy8, dy7, dy6, dy5, dy4, dy3, dy2, dy1, dy0, vy)
-            dz9, dz8, dz7, dz6, dz5, dz4, dz3, dz2, dz1, dz0 = (
-                dz8, dz7, dz6, dz5, dz4, dz3, dz2, dz1, dz0, vz)
-            ax9, ax8, ax7, ax6, ax5, ax4, ax3, ax2, ax1, ax0 = (
-                ax8, ax7, ax6, ax5, ax4, ax3, ax2, ax1, ax0, ax)
-            ay9, ay8, ay7, ay6, ay5, ay4, ay3, ay2, ay1, ay0 = (
-                ay8, ay7, ay6, ay5, ay4, ay3, ay2, ay1, ay0, ay)
-            az9, az8, az7, az6, az5, az4, az3, az2, az1, az0 = (
-                az8, az7, az6, az5, az4, az3, az2, az1, az0, az)
-            if k > k0:
-                buf += (x, y, z, vx, vy, vz)
-                if len(buf) >= full:
-                    points.fromlist(buf)
-                    buf.clear()
-    finally:
-        if buf:
-            points.fromlist(buf)
-        back[:] = (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
-                   dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
-                   dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
-                   ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
-                   ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
-                   az0, az1, az2, az3, az4, az5, az6, az7, az8, az9)
 
 
 def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
@@ -693,7 +656,7 @@ def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
         raise PropagationLimitError(
             f"step_s must be in [{MIN_STEP_S}, {MAX_STEP_S}], got {step_s}")
     dt = t - el.epoch.t
-    if abs(dt) > MAX_SPAN_S:
+    if not abs(dt) <= MAX_SPAN_S:      # NaN too
         raise PropagationLimitError(
             f"span {dt / 86400.0:.1f} days exceeds {MAX_SPAN_S / 86400.0:.0f}-day limit")
 
@@ -977,7 +940,7 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
         import numpy as np
         t = np.array(times, dtype=np.float64)
         dt = t - el.epoch.t
-        out = ~(np.abs(dt) <= MAX_SPAN_S)      # NaN too, which point refuses
+        out = ~(np.abs(dt) <= MAX_SPAN_S)      # NaN too, as _check_limits
         n = int(out.argmax()) if out.any() else len(times)
         if n:
             grid = _grid(el, bstar, step_s, J2_EARTH)

@@ -15,10 +15,11 @@ import sys
 
 from .errors import SdaError
 from .ledger import verify_chain_file
-from .netsim import load_scenario, run_scenario
 
 
 def _sim_run(args) -> int:
+    # imported here, so that chain verify does not load the simulator
+    from .netsim import load_scenario, run_scenario
     report = run_scenario(load_scenario(args.scenario), args.out)
     print(f"height {report.height} state_root {report.state_root}")
     return 0

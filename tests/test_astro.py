@@ -581,6 +581,21 @@ class TestPropagateAboveHorizon:
         assert len(got_grid.backward) // 6 == 1
         assert len(got_grid.forward) // 6 == decay
 
+    @pytest.mark.parametrize("times", [[math.nan], [60.0, math.nan],
+                                       [math.inf]])
+    def test_time_off_the_span_is_a_limit_error(self, times):
+        # a NaN time fails the span test as an infinite one does, and the
+        # times before it still yield their states
+        site = GroundSite(site_id="S", lat=0.0, lon=0.0)
+        got, err = drain(propagate_above_horizon(fresh(_LOW), 0.0, site,
+                                                 times, step_s=30.0))
+        want, _ = drain(propagate_above_horizon(fresh(_LOW), 0.0, site,
+                                                times[:-1], step_s=30.0))
+        assert [state_bits(sv) for sv in got] == [state_bits(sv)
+                                                   for sv in want]
+        assert err[0] == "PropagationLimitError"
+        assert err[1].endswith("exceeds 30-day limit")
+
 
 class TestArraySteps:
     @settings(max_examples=200, deadline=None)

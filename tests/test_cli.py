@@ -54,6 +54,18 @@ def test_chain_verify_accepts_the_chain(uct_run):
     assert (done.returncode, done.stdout) == (0, f"{path}: ok\n")
 
 
+def test_chain_verify_does_not_load_the_simulator(uct_run):
+    _, out, _ = uct_run
+    code = ("import sys; from sdachain.cli import main; "
+            f"code = main(['chain', 'verify', {str(out / 'chain.log')!r}]); "
+            "print(code, 'sdachain.netsim' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_chain_verify_reports_a_cut_record(uct_run, tmp_path):
     """The chain cut inside its last record (index 30): the 30 records
     before it verify, so 30 is the first bad height."""

@@ -1,0 +1,356 @@
+"""The generated stepping loops against the handwritten ones they
+replaced.
+
+astro builds _rk4_steps and _abm_steps at import from one force-model
+template, and _abm_steps runs its bulk in blocks of _ORDER steps that
+rename the back values instead of shifting them. The two functions below
+are the handwritten loops those replaced, kept verbatim as the bit
+reference: grids stepped by either pair, in any chunking, in either
+direction, with or without J2 and drag, must hold the same bytes, the
+same back values and decay indices, and raise the same DecayError text.
+"""
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdachain import astro
+from sdachain.astro import (
+    DECAY_ALTITUDE,
+    MU_EARTH,
+    R_EARTH,
+    DecayError,
+    Epoch,
+    J2_EARTH,
+    KeplerianElements,
+    _AB,
+    _AM,
+    _APPEND_STEPS,
+    _ORDER,
+    _decay_error,
+    _drag,
+)
+from test_astro import _DECAY_PINS, _LOW
+
+
+def _rk4_steps(state, h, n, bstar, kj, t0, k0):
+    """n RK4 steps of h seconds from state; returns the last state.
+
+    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE.
+    """
+    x, y, z, vx, vy, vz = state
+    r2 = x * x + y * y + z * z
+    r = math.sqrt(r2)
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for k in range(k0 + 1, k0 + n + 1):
+        c = -MU_EARTH / (r2 * r)
+        ax1 = c * x
+        ay1 = c * y
+        az1 = c * z
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z * z / r2
+            ax1 += kr * x * (1.0 - f)
+            ay1 += kr * y * (1.0 - f)
+            az1 += kr * z * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
+            ax1 += dx
+            ay1 += dy
+            az1 += dz
+
+        x2 = x + h2 * vx
+        y2 = y + h2 * vy
+        z2 = z + h2 * vz
+        vx2 = vx + h2 * ax1
+        vy2 = vy + h2 * ay1
+        vz2 = vz + h2 * az1
+        r2 = x2 * x2 + y2 * y2 + z2 * z2
+        r = math.sqrt(r2)
+        c = -MU_EARTH / (r2 * r)
+        ax2 = c * x2
+        ay2 = c * y2
+        az2 = c * z2
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z2 * z2 / r2
+            ax2 += kr * x2 * (1.0 - f)
+            ay2 += kr * y2 * (1.0 - f)
+            az2 += kr * z2 * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x2, y2, vx2, vy2, vz2, r, bstar)
+            ax2 += dx
+            ay2 += dy
+            az2 += dz
+
+        x3 = x + h2 * vx2
+        y3 = y + h2 * vy2
+        z3 = z + h2 * vz2
+        vx3 = vx + h2 * ax2
+        vy3 = vy + h2 * ay2
+        vz3 = vz + h2 * az2
+        r2 = x3 * x3 + y3 * y3 + z3 * z3
+        r = math.sqrt(r2)
+        c = -MU_EARTH / (r2 * r)
+        ax3 = c * x3
+        ay3 = c * y3
+        az3 = c * z3
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z3 * z3 / r2
+            ax3 += kr * x3 * (1.0 - f)
+            ay3 += kr * y3 * (1.0 - f)
+            az3 += kr * z3 * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x3, y3, vx3, vy3, vz3, r, bstar)
+            ax3 += dx
+            ay3 += dy
+            az3 += dz
+
+        x4 = x + h * vx3
+        y4 = y + h * vy3
+        z4 = z + h * vz3
+        vx4 = vx + h * ax3
+        vy4 = vy + h * ay3
+        vz4 = vz + h * az3
+        r2 = x4 * x4 + y4 * y4 + z4 * z4
+        r = math.sqrt(r2)
+        c = -MU_EARTH / (r2 * r)
+        ax4 = c * x4
+        ay4 = c * y4
+        az4 = c * z4
+        if kj:
+            kr = kj / (r2 * r2 * r)
+            f = 5.0 * z4 * z4 / r2
+            ax4 += kr * x4 * (1.0 - f)
+            ay4 += kr * y4 * (1.0 - f)
+            az4 += kr * z4 * (3.0 - f)
+        if bstar:
+            dx, dy, dz = _drag(x4, y4, vx4, vy4, vz4, r, bstar)
+            ax4 += dx
+            ay4 += dy
+            az4 += dz
+
+        x += h6 * (vx + 2.0 * (vx2 + vx3) + vx4)
+        y += h6 * (vy + 2.0 * (vy2 + vy3) + vy4)
+        z += h6 * (vz + 2.0 * (vz2 + vz3) + vz4)
+        vx += h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
+        vy += h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+        vz += h6 * (az1 + 2.0 * (az2 + az3) + az4)
+        r2 = x * x + y * y + z * z
+        r = math.sqrt(r2)
+        if r - R_EARTH < DECAY_ALTITUDE:
+            raise _decay_error(r - R_EARTH, t0 + k * h)
+    return x, y, z, vx, vy, vz
+
+
+def _abm_steps(points, back, h, n, bstar, kj, t0):
+    """n multistep steps of h seconds, appended to the grid points.
+
+    points is an array('d') grid holding at least _ORDER points; step k,
+    for k0 < k <= k0 + n with k0 the index of its last point, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE; on a DecayError only the states before it are
+    appended.  back is the list of the back values at the grid's last
+    _ORDER points, dx0..dx9 (velocity x, newest first), then dy, dz, ax,
+    ay and az alike; the loop leaves it matching the last point appended.
+    When back is empty, the loop first evaluates it at the last _ORDER
+    points held, in passes that step nothing.
+    """
+    (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9) = [h * b for b in _AB]
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9) = [h * c for c in _AM]
+    k0 = len(points) // 6 - 1
+    first = k0 + 1
+    if not back:
+        first -= _ORDER
+        back.extend([0.0] * (6 * _ORDER))
+    (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
+     dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
+     dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
+     ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
+     ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
+     az0, az1, az2, az3, az4, az5, az6, az7, az8, az9) = back
+    x, y, z, vx, vy, vz = points[-6:]
+    buf = []
+    full = 6 * _APPEND_STEPS
+    try:
+        for k in range(first, k0 + n + 1):
+            if k > k0:
+                # predict
+                px = x + (b0 * dx0 + b1 * dx1 + b2 * dx2 + b3 * dx3 + b4 * dx4
+                          + b5 * dx5 + b6 * dx6 + b7 * dx7 + b8 * dx8
+                          + b9 * dx9)
+                py = y + (b0 * dy0 + b1 * dy1 + b2 * dy2 + b3 * dy3 + b4 * dy4
+                          + b5 * dy5 + b6 * dy6 + b7 * dy7 + b8 * dy8
+                          + b9 * dy9)
+                pz = z + (b0 * dz0 + b1 * dz1 + b2 * dz2 + b3 * dz3 + b4 * dz4
+                          + b5 * dz5 + b6 * dz6 + b7 * dz7 + b8 * dz8
+                          + b9 * dz9)
+                pvx = vx + (b0 * ax0 + b1 * ax1 + b2 * ax2 + b3 * ax3
+                            + b4 * ax4 + b5 * ax5 + b6 * ax6 + b7 * ax7
+                            + b8 * ax8 + b9 * ax9)
+                pvy = vy + (b0 * ay0 + b1 * ay1 + b2 * ay2 + b3 * ay3
+                            + b4 * ay4 + b5 * ay5 + b6 * ay6 + b7 * ay7
+                            + b8 * ay8 + b9 * ay9)
+                pvz = vz + (b0 * az0 + b1 * az1 + b2 * az2 + b3 * az3
+                            + b4 * az4 + b5 * az5 + b6 * az6 + b7 * az7
+                            + b8 * az8 + b9 * az9)
+                # evaluate
+                r2 = px * px + py * py + pz * pz
+                r = math.sqrt(r2)
+                c = -MU_EARTH / (r2 * r)
+                qx = c * px
+                qy = c * py
+                qz = c * pz
+                if kj:
+                    kr = kj / (r2 * r2 * r)
+                    f = 5.0 * pz * pz / r2
+                    qx += kr * px * (1.0 - f)
+                    qy += kr * py * (1.0 - f)
+                    qz += kr * pz * (3.0 - f)
+                if bstar:
+                    dx, dy, dz = _drag(px, py, pvx, pvy, pvz, r, bstar)
+                    qx += dx
+                    qy += dy
+                    qz += dz
+                # correct
+                x += (c0 * pvx + c1 * dx0 + c2 * dx1 + c3 * dx2 + c4 * dx3
+                      + c5 * dx4 + c6 * dx5 + c7 * dx6 + c8 * dx7 + c9 * dx8)
+                y += (c0 * pvy + c1 * dy0 + c2 * dy1 + c3 * dy2 + c4 * dy3
+                      + c5 * dy4 + c6 * dy5 + c7 * dy6 + c8 * dy7 + c9 * dy8)
+                z += (c0 * pvz + c1 * dz0 + c2 * dz1 + c3 * dz2 + c4 * dz3
+                      + c5 * dz4 + c6 * dz5 + c7 * dz6 + c8 * dz7 + c9 * dz8)
+                vx += (c0 * qx + c1 * ax0 + c2 * ax1 + c3 * ax2 + c4 * ax3
+                       + c5 * ax4 + c6 * ax5 + c7 * ax6 + c8 * ax7 + c9 * ax8)
+                vy += (c0 * qy + c1 * ay0 + c2 * ay1 + c3 * ay2 + c4 * ay3
+                       + c5 * ay4 + c6 * ay5 + c7 * ay6 + c8 * ay7 + c9 * ay8)
+                vz += (c0 * qz + c1 * az0 + c2 * az1 + c3 * az2 + c4 * az3
+                       + c5 * az4 + c6 * az5 + c7 * az6 + c8 * az7 + c9 * az8)
+                r2 = x * x + y * y + z * z
+                r = math.sqrt(r2)
+                if r - R_EARTH < DECAY_ALTITUDE:
+                    raise _decay_error(r - R_EARTH, t0 + k * h)
+            else:
+                # a point held already, whose back value is missing
+                x, y, z, vx, vy, vz = points[6 * k:6 * k + 6]
+                r2 = x * x + y * y + z * z
+                r = math.sqrt(r2)
+            # evaluate
+            c = -MU_EARTH / (r2 * r)
+            ax = c * x
+            ay = c * y
+            az = c * z
+            if kj:
+                kr = kj / (r2 * r2 * r)
+                f = 5.0 * z * z / r2
+                ax += kr * x * (1.0 - f)
+                ay += kr * y * (1.0 - f)
+                az += kr * z * (3.0 - f)
+            if bstar:
+                dx, dy, dz = _drag(x, y, vx, vy, vz, r, bstar)
+                ax += dx
+                ay += dy
+                az += dz
+            dx9, dx8, dx7, dx6, dx5, dx4, dx3, dx2, dx1, dx0 = (
+                dx8, dx7, dx6, dx5, dx4, dx3, dx2, dx1, dx0, vx)
+            dy9, dy8, dy7, dy6, dy5, dy4, dy3, dy2, dy1, dy0 = (
+                dy8, dy7, dy6, dy5, dy4, dy3, dy2, dy1, dy0, vy)
+            dz9, dz8, dz7, dz6, dz5, dz4, dz3, dz2, dz1, dz0 = (
+                dz8, dz7, dz6, dz5, dz4, dz3, dz2, dz1, dz0, vz)
+            ax9, ax8, ax7, ax6, ax5, ax4, ax3, ax2, ax1, ax0 = (
+                ax8, ax7, ax6, ax5, ax4, ax3, ax2, ax1, ax0, ax)
+            ay9, ay8, ay7, ay6, ay5, ay4, ay3, ay2, ay1, ay0 = (
+                ay8, ay7, ay6, ay5, ay4, ay3, ay2, ay1, ay0, ay)
+            az9, az8, az7, az6, az5, az4, az3, az2, az1, az0 = (
+                az8, az7, az6, az5, az4, az3, az2, az1, az0, az)
+            if k > k0:
+                buf += (x, y, z, vx, vy, vz)
+                if len(buf) >= full:
+                    points.fromlist(buf)
+                    buf.clear()
+    finally:
+        if buf:
+            points.fromlist(buf)
+        back[:] = (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
+                   dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
+                   dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
+                   ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
+                   ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
+                   az0, az1, az2, az3, az4, az5, az6, az7, az8, az9)
+
+
+GENERATED = (astro._rk4_steps, astro._abm_steps)
+REFERENCE = (_rk4_steps, _abm_steps)
+
+
+def stepped(loops, el, bstar, step_s, j2, times):
+    """Query a new grid of el at each time, with the stepping loops set to
+    loops: what each query returns (state bits or DecayError text), and
+    the grid's points, back values and decay indices each way."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(astro, "_rk4_steps", loops[0])
+        mp.setattr(astro, "_abm_steps", loops[1])
+        grid = astro._Grid(el, bstar, step_s, j2)
+        out = []
+        for t in times:
+            try:
+                out.append(tuple(v.hex() for v in grid.state_at(t)))
+            except DecayError as exc:
+                out.append(str(exc))
+    return out, (grid.forward.tobytes(), grid.backward.tobytes(),
+                 list(grid.back_fwd), list(grid.back_bwd), grid.decay_fwd,
+                 grid.decay_bwd)
+
+
+@pytest.mark.parametrize("phase", range(_ORDER))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(a=st.floats(R_EARTH + 150.0, R_EARTH + 170.0)
+       | st.floats(R_EARTH + 150.0, R_EARTH + 1500.0),
+       e=st.floats(0.0, 0.02), i=st.floats(0.0, math.pi),
+       angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+       epoch=st.floats(-1e6, 1e6),
+       bstar=st.just(0.0) | st.floats(5e-4, 1e-3) | st.floats(0.0, 1e-3),
+       j2=st.sampled_from((J2_EARTH, 0.0)),
+       sign=st.sampled_from((1.0, -1.0)),
+       step_s=st.floats(astro.MIN_STEP_S, astro.MAX_STEP_S),
+       chunks=st.lists(st.integers(1, 3 * _ORDER), min_size=1, max_size=4),
+       rem=st.floats(0.0, 0.999))
+def test_grids_match_the_reference(phase, a, e, i, angles, epoch, bstar, j2,
+                                   sign, step_s, chunks, rem):
+    # the first query ends on grid point _ORDER - 1 + phase, so the next
+    # extension starts its first block on a grid index of each residue
+    # modulo _ORDER; the chunks after it end anywhere in a block, and the
+    # last query lands between grid points, on a remainder step
+    el = KeplerianElements(a=a, e=min(e, 1.0 - (R_EARTH + 120.0) / a), i=i,
+                           raan=angles[0], argp=angles[1], M=angles[2],
+                           epoch=Epoch(epoch))
+    ends = [_ORDER - 1 + phase]
+    for n in chunks:
+        ends.append(ends[-1] + n)
+    times = [epoch + sign * k * step_s for k in ends]
+    times.append(epoch + sign * (ends[-1] + rem) * step_s)
+    want = stepped(REFERENCE, el, bstar, step_s, j2, times)
+    assert stepped(GENERATED, el, bstar, step_s, j2, times) == want
+
+
+_LOW_BSTAR, _LOW_DECAY, _LOW_MESSAGE, _ = _DECAY_PINS[0]
+
+
+@pytest.mark.parametrize("j", range(_ORDER))
+def test_decay_at_every_block_step(j):
+    # _LOW's grid at 30 s decays at grid point _LOW_DECAY; pre-extended to
+    # grid point _LOW_DECAY - j - 1, the next extension's first block
+    # starts on the point after it and reaches the decay at its step j
+    start = _LOW_DECAY - j
+    assert start - 1 >= _ORDER
+    times = [(start - 1) * 30.0, 86400.0, 86400.0]
+    want = stepped(REFERENCE, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times)
+    got = stepped(GENERATED, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times)
+    assert got == want
+    assert got[0][1] == _LOW_MESSAGE
+    assert got[1][4] == _LOW_DECAY
+    assert len(got[1][0]) == 8 * 6 * _LOW_DECAY
