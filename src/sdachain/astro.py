@@ -824,6 +824,8 @@ _FLOOR_R = R_EARTH + DECAY_ALTITUDE
 # remainder step of up to MAX_STEP_S gains at most 0.86 km/s from them
 _A_GRAV_FLOOR = (MU_EARTH / _FLOOR_R ** 2
                  + 2.0 * abs(_j2_coeff(J2_EARTH)) / _FLOOR_R ** 4)
+# the drag model's density at the decay altitude, its highest above it
+_RHO_FLOOR = DRAG_RHO0 * math.exp(-(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
 
 
 def _steps_of(dt, step_s: float) -> tuple:
@@ -846,49 +848,54 @@ def _reach(grid: _Grid, times, dt) -> None:
         grid.point(times[j])
 
 
-def _screen(np, grid: _Grid, site: GroundSite, bstar: float, t, dt) -> tuple:
-    """(m, exact): the leading m times of the numpy array t (offsets dt
-    from the anchor) whose grid points grid holds, and the indices of
-    those that the horizon screen cannot skip, in order."""
-    n_full, rem = _steps_of(dt, grid.step_s)
-    fwd = dt >= 0.0
-    held = n_full < np.where(fwd, len(grid.forward) // 6,
-                             len(grid.backward) // 6)
-    m = len(t) if held.all() else int(held.argmin())
-    n_full, rem, fwd, t = n_full[:m], rem[:m], fwd[:m], t[:m]
-    rows = np.empty((m, 6))
-    for way, points in ((fwd, grid.forward), (~fwd, grid.backward)):
-        # the view into points dies with this statement, so the grid can
-        # grow again
-        rows[way] = np.frombuffer(points).reshape(-1, 6)[n_full[way]]
+def _remainder_bound(np, rows, h, bstar: float) -> tuple:
+    """(p, err, low, valid) for grid points rows (an m x 6 numpy array of
+    x, y, z, vx, vy, vz), each to be stepped h seconds (signed, an array)
+    by one RK4 step with drag coefficient bstar: the straight-line
+    prediction p = x + h*v (a tuple of three arrays), the most the step's
+    position can differ from it, a lower bound on the radius of every
+    stage and of the result, and whether those bounds hold.
+
+    With rem = |h|, RK4 moves the position to x + h*v + h**2/6*(a1 + a2
+    + a3), a1..a3 the accelerations at its first three stages, so when
+    each is at most a_max the result lies within err = rem**2/2 * a_max
+    of p.  The stage positions are x, then x + h/2*v exactly, then within
+    rem**2/4 * a_max of x + h/2*v, then within err of p, so
+    low = min(|x|, |x + h/2*v|, |p|) - err bounds every stage radius and
+    the result's.  a_max bounds gravity and J2 at the decay altitude
+    (_A_GRAV_FLOOR) and drag at its density there and the largest speed
+    relative to the air a stage can have, given that a stage velocity
+    gains at most rem*a_max <= _SPEED_SLACK over |v| and a stage position
+    moves at most rem*(|v| + _SPEED_SLACK) from x.  Those premises are
+    what valid asks: rem*a_max <= _SPEED_SLACK and low stays
+    _HORIZON_MARGIN_KM above the decay radius, which also leaves the
+    step's altitude check unable to fire (without drag, MAX_STEP_S *
+    _A_GRAV_FLOOR stays below _SPEED_SLACK).  A non-finite row makes
+    a_max NaN or infinite, so valid is false for it.
+    """
     x, y, z, vx, vy, vz = rows.T
-    drag = abs(bstar) * DRAG_RHO0 * math.exp(
-        -(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
+    rem = abs(h)
     with np.errstate(all="ignore"):
+        px, py, pz = x + h * vx, y + h * vy, z + h * vz
+        hh = 0.5 * h
+        mx, my, mz = x + hh * vx, y + hh * vy, z + hh * vz
         r = np.sqrt(x * x + y * y + z * z)
-        v = np.sqrt(vx * vx + vy * vy + vz * vz)
-        w = v + _SPEED_SLACK
+        w = np.sqrt(vx * vx + vy * vy + vz * vz) + _SPEED_SLACK
         vr = w + EARTH_ROT * (r + rem * w)
-        a_max = _A_GRAV_FLOOR + drag * vr * vr
-        reach = rem * (v + 0.5 * rem * a_max) + _HORIZON_MARGIN_KM
-        lam = site.lon + GMST_J2000 + EARTH_ROT * np.where(fwd, t - rem,
-                                                             t + rem)
-        up_r = (math.cos(site.lat) * (x * np.cos(lam) + y * np.sin(lam))
-                + math.sin(site.lat) * z)
-        skip = ((rem * a_max <= _SPEED_SLACK) & (r - reach > _FLOOR_R)
-                & (up_r + reach + EARTH_ROT * rem * r < R_EARTH + site.alt))
-    return m, np.flatnonzero(~skip).tolist()
+        a_max = _A_GRAV_FLOOR + abs(bstar) * _RHO_FLOOR * vr * vr
+        err = 0.5 * rem * rem * a_max
+        low = np.minimum(np.minimum(r, np.sqrt(mx * mx + my * my + mz * mz)),
+                         np.sqrt(px * px + py * py + pz * pz)) - err
+        valid = ((rem * a_max <= _SPEED_SLACK)
+                 & (low - _HORIZON_MARGIN_KM > _FLOOR_R))
+    return (px, py, pz), err, low, valid
 
 
-def propagate_above_horizon(el: KeplerianElements, bstar: float,
-                            site: GroundSite, times, step_s: float = STEP_S):
-    """Yield propagate_j2's state at each time (seconds) of times, in order,
-    skipping times at which the orbit is provably below site's horizon.
-
-    A skipped time's state, as propagate_j2 would return it, has
-    topocentric_angles elevation <= 0, so a caller that keeps states
-    above a non-negative elevation mask gets exactly the states it would
-    get from propagate_many.
+def times_above_mask(el: KeplerianElements, bstar: float, site: GroundSite,
+                     times, mask: float, step_s: float = STEP_S):
+    """Yield, in order, each time (seconds) of times at which
+    propagate_j2's state has topocentric_angles elevation above mask
+    (radians, in [0, pi/2): anything else is a ValueError).
 
     The pass first extends el's grid as far as its times need, with one
     _Grid.point call per direction, so each direction takes one multistep
@@ -900,41 +907,43 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
 
     The leading times whose grid points the grid then holds are screened
     as one numpy array, gathered through a view of the grid's buffers that
-    is dropped before the grid can grow again.  Each time is screened on
-    the grid point its state is stepped from: the grid point at
-    t_g = t -/+ rem, with n_full and rem (0 <= rem < step_s) computed as
-    _Grid.point computes them (_steps_of), position r_g and speed v_g, is
-    stepped by one RK4 step of rem seconds (the multistep loop makes only
-    grid points), which moves the position by at most
-    rem*v_g + rem**2/2 * a_max, with a_max bounding gravity, J2 and drag at
-    every stage above the decay altitude.  The site's zenith turns by at
-    most EARTH_ROT*rem, and site_eci is (R_EARTH + alt) times the zenith,
-    so the time is skipped only when
+    is dropped before the grid can grow again.  Each time t is screened on
+    the grid point its state is stepped from, with n_full and the signed
+    remainder h computed as _Grid.point computes them (_steps_of): its
+    state lies within err of the straight-line prediction p = x + h*v
+    (_remainder_bound, where the derivation is).  The site's position at
+    t is (R_EARTH + alt) * up, up its zenith at t, so with
+    rho = p - (R_EARTH + alt) * up, u = rho . up, s = sin(mask) and
+    eps = err + _HORIZON_MARGIN_KM, the state's line of sight rho' has
+    rho' . up within err of u and |rho'| within err of |rho|.  Its
+    elevation, asin(rho' . up / |rho'|), is then at most mask when
 
-        r_g . up(t_g) + rem*v_g + rem**2/2 * a_max + |r_g|*EARTH_ROT*rem
-            + _HORIZON_MARGIN_KM < R_EARTH + alt,
+        u + eps <= s * (|rho| - eps),
 
-    which puts the object below the site's horizontal plane at t.  The
-    1 m margin covers the rounding of this test, of topocentric_angles
-    and of numpy's cos and sin, which may differ from math's by a few
-    ulps: about 1e-11 km on positions near 7 000 km.  A time is screened
-    only when every RK4 stage stays at least _HORIZON_MARGIN_KM above the
-    decay altitude and gains at most _SPEED_SLACK km/s, which is what
-    makes a_max a bound and leaves the remainder step's altitude check
-    unable to fire (without drag, MAX_STEP_S * a_max stays below
-    _SPEED_SLACK).  Non-finite states make every test false.
+    and the time is skipped, and above mask when
 
-    Every time not skipped, screened or not, takes the one exact path:
-    its grid point, the remainder step and a StateVector.  When a
-    remainder step decays, the grid is first brought back to what the
-    times up to it reach.  So for a pass run until it ends or raises, the
-    limits, the grid points left on el's grid and each error are those of
-    propagate_many, at the same time.  A pass closed early may leave the
-    grid longer, which changes no state: any chunking holds the same bits.
+        u - eps > s * (|rho| + eps),
+
+    and the time is accepted without its state.  Both need the bound to
+    be valid; every other time takes the one exact path: its grid point,
+    the remainder step, a StateVector and topocentric_angles.  The 1 m
+    margin covers the rounding of this test, of topocentric_angles and of
+    numpy's cos and sin, which may differ from math's by a few ulps:
+    about 1e-11 km on positions near 7 000 km.  A valid bound also means
+    the remainder step cannot decay, so a screened time raises nothing.
+
+    When an exact remainder step decays, the grid is first brought back
+    to what the times up to it reach.  So for a pass run until it ends or
+    raises, the limits, the grid points left on el's grid and each error
+    are those of a loop over propagate_many, at the same time.  A pass
+    closed early may leave the grid longer, which changes no state: any
+    chunking holds the same bits.
     """
+    if not 0.0 <= mask < 0.5 * math.pi:
+        raise ValueError(f"elevation mask must be in [0, pi/2), got {mask}")
     times = list(times)
     grid = mark = None
-    m, exact = 0, []
+    m, todo = 0, []
     if times and MIN_STEP_S <= step_s <= MAX_STEP_S:
         # numpy only here, so importing the propagator does not load it
         import numpy as np
@@ -950,10 +959,39 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
             except DecayError:
                 grid.undo(mark)
                 mark = None
-            m, exact = _screen(np, grid, site, bstar, t[:n], dt[:n])
-    exact.extend(range(m, len(times)))
-    for k in exact:
+            n_full, rem = _steps_of(dt[:n], step_s)
+            fwd = dt[:n] >= 0.0
+            held = n_full < np.where(fwd, len(grid.forward) // 6,
+                                     len(grid.backward) // 6)
+            m = n if held.all() else int(held.argmin())
+            n_full, rem, fwd = n_full[:m], rem[:m], fwd[:m]
+            rows = np.empty((m, 6))
+            for way, points in ((fwd, grid.forward), (~fwd, grid.backward)):
+                # the view into points dies with this statement, so the
+                # grid can grow again
+                rows[way] = np.frombuffer(points).reshape(-1, 6)[n_full[way]]
+            (px, py, pz), err, _, valid = _remainder_bound(
+                np, rows, np.where(fwd, rem, -rem), bstar)
+            lam = site.lon + GMST_J2000 + EARTH_ROT * t[:m]
+            cp, up_z = math.cos(site.lat), math.sin(site.lat)
+            up_x, up_y = cp * np.cos(lam), cp * np.sin(lam)
+            radius, s = R_EARTH + site.alt, math.sin(mask)
+            with np.errstate(all="ignore"):
+                rx, ry, rz = (px - radius * up_x, py - radius * up_y,
+                              pz - radius * up_z)
+                u = rx * up_x + ry * up_y + rz * up_z
+                rng = np.sqrt(rx * rx + ry * ry + rz * rz)
+                eps = err + _HORIZON_MARGIN_KM
+                skip = valid & (u + eps <= s * (rng - eps))
+                accept = valid & (u - eps > s * (rng + eps))
+            keep = np.flatnonzero(~skip)
+            todo = list(zip(keep.tolist(), accept[keep].tolist()))
+    todo.extend((k, False) for k in range(m, len(times)))
+    for k, accepted in todo:
         t = times[k]
+        if accepted:
+            yield t
+            continue
         if k >= m:
             _check_limits(el, t, step_s)
             if grid is None:
@@ -967,7 +1005,9 @@ def propagate_above_horizon(el: KeplerianElements, bstar: float,
                 grid.undo(mark)
                 _reach(grid, times, dt[:k + 1])
             raise
-        yield StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
+        sv = StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
+        if topocentric_angles(sv, site)[1] > mask:
+            yield t
 
 
 # --- observation geometry ---

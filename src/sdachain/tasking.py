@@ -18,8 +18,7 @@ from .astro import (
     GroundSite,
     KeplerianElements,
     DecayError,
-    propagate_above_horizon,
-    topocentric_angles,
+    times_above_mask,
 )
 from .errors import SdaError
 from .tdm import ELEVATION_MASK_RAD
@@ -217,17 +216,15 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     spaced at least that far apart. A decayed target is simply never
     visible.
 
-    The samples go to propagate_above_horizon as one pass: it extends the
+    The samples go to times_above_mask as one pass: it extends the
     orbit's grid over the window once, then screens the samples as one
-    array and skips a sample only when its grid point's height above the
-    site's horizontal plane, r_g.up(t_g) - (R_EARTH + alt), stays
-    negative after adding the most the remainder step can move it
-    (|v_g|*rem + a_max*rem**2/2, plus the site's turn |r_g|*EARTH_ROT*rem).
-    Such a sample's elevation is at most 0, below ELEVATION_MASK_RAD
-    (10 deg), so skipping it cannot change the answer. Every other sample
-    gets the exact propagated state and elevation, so the returned epochs,
-    the errors raised and the grid left behind are those of testing every
-    sample exactly.
+    array. Each sample's state lies within a bound of its grid point
+    moved in a straight line over the remainder step; the screen skips a
+    sample whose elevation stays at or below ELEVATION_MASK_RAD (10 deg)
+    anywhere within that bound, and accepts one whose elevation stays
+    above it. Only the samples it cannot decide get the exact propagated
+    state and elevation, so the returned epochs, the errors raised and
+    the grid left behind are those of testing every sample exactly.
     """
     t0, t1 = window
     times = []
@@ -240,10 +237,9 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
         k += 1
     out = []
     try:
-        for sv in propagate_above_horizon(elements, bstar, site, times):
-            _, el, _ = topocentric_angles(sv, site)
-            if el > ELEVATION_MASK_RAD:
-                out.append(sv.epoch)
+        for t in times_above_mask(elements, bstar, site, times,
+                                  ELEVATION_MASK_RAD):
+            out.append(Epoch(t))
     except DecayError:
         pass
     return tuple(out)

@@ -29,7 +29,6 @@ from sdachain.astro import (
     gmst,
     kepler_to_state,
     norm,
-    propagate_above_horizon,
     propagate_j2,
     propagate_many,
     radec_from,
@@ -43,6 +42,7 @@ from sdachain.astro import (
 )
 from sdachain.errors import SdaError
 from sdachain.netsim import reference_scenario
+from sdachain.tdm import ELEVATION_MASK_RAD
 
 TWO_PI = 2.0 * math.pi
 
@@ -474,29 +474,89 @@ def drain(states):
     return got, None
 
 
+def exact_times_above(el, bstar, site, times, mask, step_s):
+    """The reference for times_above_mask: a loop over propagate_many that
+    tests each state's elevation, as (times kept, ending SdaError)."""
+    states, err = drain(propagate_many(el, bstar, [Epoch(t) for t in times],
+                                       step_s=step_s))
+    return [sv.epoch.t for sv in states
+            if topocentric_angles(sv, site)[1] > mask], err
+
+
+def counted_pass(el, bstar, site, times, mask, step_s):
+    """times_above_mask's times and error, and how many times it accepted
+    without an exact test and skipped (0 when the pass raised)."""
+    tested = []
+    angles = astro.topocentric_angles
+
+    def counted(sv, at):
+        azel = angles(sv, at)
+        tested.append(azel[1] > mask)
+        return azel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(astro, "topocentric_angles", counted)
+        got, err = drain(astro.times_above_mask(el, bstar, site, times, mask,
+                                                step_s=step_s))
+    accepted = len(got) - sum(tested)
+    skipped = 0 if err else len(times) - len(tested) - accepted
+    return got, err, accepted, skipped
+
+
 class TestPropagateAboveHorizon:
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(visibility_cases())
-    def test_skips_only_states_below_the_horizon(self, case):
-        el, bstar, site, (w0, w1), step_s, cadence_s = case
-        times = [w0.t + k * cadence_s
-                 for k in range(int((w1.t - w0.t) // cadence_s) + 1)
-                 if w0.t + k * cadence_s <= w1.t]
-        screened, exact_el = fresh(el), fresh(el)
-        got, got_err = drain(propagate_above_horizon(screened, bstar, site, times,
-                                                     step_s=step_s))
-        want, want_err = drain(propagate_many(exact_el, bstar,
-                                              [Epoch(t) for t in times],
-                                              step_s=step_s))
-        assert got_err == want_err
-        assert grid_state(screened) == grid_state(exact_el)
-        exact = {sv.epoch.t: sv for sv in want}
-        assert [state_bits(sv) for sv in got] == [
-            state_bits(exact[sv.epoch.t]) for sv in got]
-        kept = {sv.epoch.t for sv in got}
-        assert all(topocentric_angles(sv, site)[1] <= 0.0
-                   for sv in want if sv.epoch.t not in kept)
+    """times_above_mask, the pass that keeps the times a site sees an
+    orbit above an elevation mask."""
+
+    def test_yields_the_exact_loops_times(self):
+        # at mask 0, at the tasking mask and at a drawn one, the pass keeps
+        # the times the exact loop keeps, raises its error and leaves its
+        # grid; over the cases, it accepts some times and skips some
+        # without an exact test, so a screen that decides nothing fails
+        decided = {"accepted": 0, "skipped": 0}
+
+        @settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(visibility_cases(), st.floats(0.0, math.radians(60.0)))
+        def check(case, drawn):
+            el, bstar, site, (w0, w1), step_s, cadence_s = case
+            times = [w0.t + k * cadence_s
+                     for k in range(int((w1.t - w0.t) // cadence_s) + 1)
+                     if w0.t + k * cadence_s <= w1.t]
+            exact_el = fresh(el)
+            states, want_err = drain(propagate_many(
+                exact_el, bstar, [Epoch(t) for t in times], step_s=step_s))
+            elevation = [(sv.epoch.t, topocentric_angles(sv, site)[1])
+                         for sv in states]
+            for mask in (0.0, ELEVATION_MASK_RAD, drawn):
+                screened = fresh(el)
+                got, got_err, accepted, skipped = counted_pass(
+                    screened, bstar, site, times, mask, step_s)
+                assert got == [t for t, e in elevation if e > mask]
+                assert got_err == want_err
+                assert grid_state(screened) == grid_state(exact_el)
+                decided["accepted"] += accepted
+                decided["skipped"] += skipped
+
+        check()
+        assert decided["accepted"] > 0 and decided["skipped"] > 0
+
+    @pytest.mark.parametrize("mask", [-1e-9, 0.5 * math.pi, math.nan, math.inf])
+    def test_mask_outside_a_quarter_turn_is_a_value_error(self, mask):
+        site = GroundSite(site_id="S", lat=0.0, lon=0.0)
+        with pytest.raises(ValueError, match="elevation mask"):
+            next(astro.times_above_mask(fresh(_LOW), 0.0, site, [60.0], mask))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bstar", [0.0, 1e-5])
+    def test_non_finite_grid_point_is_never_decided(self, bad, bstar):
+        # a non-finite coordinate in any slot leaves the bound invalid, so
+        # the time takes the exact path, on the grid point or off it
+        import numpy as np
+        rows = np.tile([7000.0, 0.0, 0.0, 0.0, 7.5, 0.0], (12, 1))
+        h = np.repeat([0.0, 30.0], 6)
+        assert astro._remainder_bound(np, rows, h, bstar)[3].all()
+        rows[np.arange(12), np.arange(12) % 6] = bad
+        assert not astro._remainder_bound(np, rows, h, bstar)[3].any()
 
     def test_longest_remainder_step_keeps_the_screen_open(self):
         # without drag, a remainder step of up to MAX_STEP_S gains less
@@ -506,8 +566,10 @@ class TestPropagateAboveHorizon:
 
     def test_remainder_step_decay_is_never_screened(self):
         # a time past the last grid point above the decay altitude, seen
-        # from the far side of the Earth: only the remainder step from that
-        # grid point decays, and it must, as in propagate_many
+        # from the far side of the Earth and from under the grid point:
+        # only the remainder step from that grid point decays, and it
+        # must, as in propagate_many, whether the screen would skip the
+        # time or accept it
         el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
                                argp=0.0, M=0.0, epoch=Epoch(0.0))
         with pytest.raises(DecayError):
@@ -517,26 +579,35 @@ class TestPropagateAboveHorizon:
         last = propagate_j2(el, 3e-3, Epoch(t - 29.0), step_s=30.0)
         lat = math.asin(last.r[2] / norm(last.r))
         lon = math.atan2(last.r[1], last.r[0]) - gmst(last.epoch)
-        far = GroundSite(site_id="FAR", lat=-lat, lon=lon + math.pi)
         with pytest.raises(DecayError) as exact:
             propagate_j2(el, 3e-3, Epoch(t), step_s=30.0)
         assert f"t={t:.1f}" in str(exact.value)
-        with pytest.raises(DecayError) as screened:
-            list(propagate_above_horizon(fresh(el), 3e-3, far, [t], step_s=30.0))
-        assert str(screened.value) == str(exact.value)
+        for site in (GroundSite(site_id="FAR", lat=-lat, lon=lon + math.pi),
+                     GroundSite(site_id="UNDER", lat=lat, lon=lon)):
+            with pytest.raises(DecayError) as screened:
+                list(astro.times_above_mask(fresh(el), 3e-3, site, [t], 0.0,
+                                            step_s=30.0))
+            assert str(screened.value) == str(exact.value)
 
-    def passes(self, times, site=GroundSite(site_id="S", lat=0.0, lon=0.0)):
-        """The screened pass and propagate_many over times on _LOW (drag
-        3e-3, 30 s grid), each on elements that hold no grid: what each
-        yields, its error and the grid it leaves."""
+    def site_under_low(self, t):
+        """A site under _LOW's track at time t, which sees it for minutes."""
+        sv = propagate_j2(fresh(_LOW), 0.0, Epoch(t), step_s=30.0)
+        return GroundSite(site_id="S", lat=math.asin(sv.r[2] / norm(sv.r)),
+                          lon=math.atan2(sv.r[1], sv.r[0]) - gmst(sv.epoch))
+
+    def passes(self, times):
+        """The pass at mask 0 and the exact loop over times on _LOW (drag
+        3e-3, 30 s grid), seen from under its track at its epoch, each on
+        elements that hold no grid: the times each keeps, its error and
+        the grid it leaves."""
+        site = self.site_under_low(0.0)
         out = []
-        for run in (lambda el: propagate_above_horizon(el, 3e-3, site, times,
-                                                       step_s=30.0),
-                    lambda el: propagate_many(el, 3e-3,
-                                              [Epoch(t) for t in times],
-                                              step_s=30.0)):
+        for run in (lambda el: drain(astro.times_above_mask(
+                        el, 3e-3, site, times, 0.0, step_s=30.0)),
+                    lambda el: exact_times_above(el, 3e-3, site, times, 0.0,
+                                                 30.0)):
             el = fresh(_LOW)
-            got, err = drain(run(el))
+            got, err = run(el)
             (grid,) = grids(el).values()
             out.append((got, err, grid))
         return out
@@ -563,8 +634,7 @@ class TestPropagateAboveHorizon:
         assert held(got_grid) == held(want_grid)
         assert got_grid.decay_fwd is want_grid.decay_fwd is None
         assert len(got_grid.forward) // 6 == decay
-        exact = {sv.epoch.t: state_bits(sv) for sv in want}
-        assert [state_bits(sv) for sv in got] == [exact[sv.epoch.t] for sv in got]
+        assert got == want and got
 
     def test_remainder_step_decay_rolls_the_extension_back(self):
         # the one extension succeeds both ways, but the first time's
@@ -585,20 +655,18 @@ class TestPropagateAboveHorizon:
                                        [math.inf]])
     def test_time_off_the_span_is_a_limit_error(self, times):
         # a NaN time fails the span test as an infinite one does, and the
-        # times before it still yield their states
-        site = GroundSite(site_id="S", lat=0.0, lon=0.0)
-        got, err = drain(propagate_above_horizon(fresh(_LOW), 0.0, site,
-                                                 times, step_s=30.0))
-        want, _ = drain(propagate_above_horizon(fresh(_LOW), 0.0, site,
-                                                times[:-1], step_s=30.0))
-        assert [state_bits(sv) for sv in got] == [state_bits(sv)
-                                                   for sv in want]
+        # times before it are still decided
+        site = self.site_under_low(60.0)
+        got, err = drain(astro.times_above_mask(fresh(_LOW), 0.0, site, times,
+                                                0.0, step_s=30.0))
+        assert got == times[:-1]
         assert err[0] == "PropagationLimitError"
         assert err[1].endswith("exceeds 30-day limit")
 
 
 class TestArraySteps:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
     @given(epoch=st.floats(-1e9, 1e9),
            step_s=st.sampled_from((10.0, 30.0, 60.0, 90.0))
            | st.floats(astro.MIN_STEP_S, astro.MAX_STEP_S),

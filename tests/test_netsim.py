@@ -658,13 +658,15 @@ class TestUctRun:
         # made 2 568 and 896 while settlement re-ran the mining fits; now
         # it integrates only the catalog refreshes. The sim made 8 484 RK4
         # evaluations while validation predicted a gated candidate's first
-        # record twice, once for the gate and once for the RMS
+        # record twice, once for the gate and once for the RMS, and 8 476
+        # while the visibility screen could only skip a sample, not accept
+        # one: fewer remainder steps, same grids
         evals = count_force_evaluations(monkeypatch)
         run_scenario(uct_scenario(1), out_dir=str(tmp_path))
         sim = dict(evals)
         evals.update(rk4=0, multistep=0)
         assert verify_chain(load_chain(str(tmp_path / "chain.log"))) is None
-        assert (sim, evals) == ({"rk4": 8476, "multistep": 1644},
+        assert (sim, evals) == ({"rk4": 7404, "multistep": 1644},
                                 {"rk4": 176, "multistep": 64})
 
     @pytest.mark.parametrize("workload", ["uct", "breakup"])
@@ -756,10 +758,13 @@ class TestReferenceRun:
         # the multistep grid's purpose: RK4 on a 30 s grid made 407 297
         # steps, four evaluations each, in this run. RK4 made 83 100
         # while validation predicted a gated candidate's first record
-        # twice, once for the gate and once for the RMS
+        # twice, once for the gate and once for the RMS, and 82 444 while
+        # the visibility screen could only skip a sample below the
+        # horizon, not one below the mask, and accept none: fewer
+        # remainder steps, same grids
         evals = count_force_evaluations(monkeypatch)
         run_scenario(reference_scenario(1))
-        assert evals == {"rk4": 82444, "multistep": 262288}
+        assert evals == {"rk4": 36080, "multistep": 262288}
         assert 2 * sum(evals.values()) <= 4 * 407_297
 
 

@@ -10,6 +10,7 @@ direction, with or without J2 and drag, must hold the same bytes, the
 same back values and decay indices, and raise the same DecayError text.
 """
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -354,3 +355,64 @@ def test_decay_at_every_block_step(j):
     assert got[0][1] == _LOW_MESSAGE
     assert got[1][4] == _LOW_DECAY
     assert len(got[1][0]) == 8 * 6 * _LOW_DECAY
+
+
+_SQRT = math.sqrt
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(radius=st.floats(astro._FLOOR_R, R_EARTH + 2000.0),
+       lat=st.floats(-0.5 * math.pi, 0.5 * math.pi),
+       lon=st.floats(0.0, 2.0 * math.pi),
+       speed=st.floats(0.0, 20.0),
+       chord=st.booleans(),
+       cos_angle=st.floats(-1.0, 1.0),
+       turn=st.floats(0.0, 2.0 * math.pi),
+       rem=st.floats(0.0, 90.0),
+       bstar=st.just(0.0) | st.floats(1e-6, 1e-4),
+       sign=st.sampled_from((1.0, -1.0)))
+def test_remainder_step_stays_within_the_screen_bound(
+        radius, lat, lon, speed, chord, cos_angle, turn, rem, bstar, sign):
+    # one RK4 step of h = +-rem from a state above the decay altitude,
+    # stepped by the reference loop, against the bound the visibility
+    # screen decides on: wherever the bound is valid, the step lands
+    # within err of x + h*v and no stage radius, nor the result's, falls
+    # below low. The speed goes past escape, and a chord state's velocity
+    # makes the straight line from x to x + h*v end as high as it starts,
+    # where its midpoint x + h/2*v dips lowest below both ends: above
+    # about 16 km/s, by more than err
+    import numpy as np
+    h = sign * rem
+    up = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
+          math.sin(lat))
+    east = (-math.sin(lon), math.cos(lon), 0.0)
+    north = (-math.sin(lat) * math.cos(lon), -math.sin(lat) * math.sin(lon),
+             math.cos(lat))
+    if chord:
+        cos_angle = max(-1.0, min(1.0, -h * speed / (2.0 * radius)))
+    side = math.sqrt(1.0 - cos_angle * cos_angle)
+    v = [speed * (cos_angle * u + side * (math.cos(turn) * e
+                                          + math.sin(turn) * n))
+         for u, e, n in zip(up, east, north)]
+    state = (*(radius * u for u in up), *v)
+    (px, py, pz), err, low, valid = astro._remainder_bound(
+        np, np.array([state]), np.array([h]), bstar)
+    if not valid[0]:
+        return      # the screen sends such a time down the exact path
+    radii = []
+
+    def sqrt(value):
+        radii.append(_SQRT(value))
+        return radii[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        # the reference loop takes each stage's radius, and the result's,
+        # with this module's math.sqrt
+        mp.setitem(globals(), "math", SimpleNamespace(sqrt=sqrt))
+        x, y, z, *_ = _rk4_steps(state, h, 1, bstar,
+                                 astro._j2_coeff(J2_EARTH), 0.0, -1)
+    # 1 um covers the rounding of the step and of the bound
+    assert _SQRT((x - px[0]) ** 2 + (y - py[0]) ** 2
+                 + (z - pz[0]) ** 2) <= err[0] + 1e-9
+    assert len(radii) == 5
+    assert min(radii) >= low[0] - 1e-9

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import (count_force_evaluations, fresh, grids, leo_record,
                       site_under, visibility_cases)
-from sdachain import astro, tasking
+from sdachain import astro
 from sdachain.astro import (
     DecayError,
     Epoch,
@@ -341,14 +341,15 @@ class TestScreenedVisibility:
     exactly what testing every sample does, and leave the same grids."""
 
     def test_mask_is_above_the_horizon(self):
-        # the screen only skips samples at or below 0 deg elevation
-        assert ELEVATION_MASK_RAD > 0.0
+        # visible_epochs hands its mask to times_above_mask, whose screen
+        # holds for masks from the horizon up to below the zenith
+        assert 0.0 <= ELEVATION_MASK_RAD < 0.5 * math.pi
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(visibility_cases())
     def test_equals_exact_loop(self, case):
-        # the case's step_s and cadence_s are propagate_above_horizon's
+        # the case's step_s and cadence_s are times_above_mask's
         # (test_astro); visible_epochs samples every MIN_EPOCH_SPACING_S on
         # the STEP_S grid
         el, bstar, site, window, _, _ = case
@@ -389,7 +390,7 @@ class TestVisibilityWork:
             calls["angles"] += 1
             return angles_fn(sv, site)
 
-        monkeypatch.setattr(tasking, "topocentric_angles", angles)
+        monkeypatch.setattr(astro, "topocentric_angles", angles)
         # the reference loop calls this module's binding
         monkeypatch.setitem(globals(), "topocentric_angles", angles)
         evals = count_force_evaluations(monkeypatch)
@@ -410,7 +411,9 @@ class TestVisibilityWork:
             window)
         assert got == want and got
         assert exact_work["angles"] == samples
-        assert work["angles"] <= 0.15 * samples
+        # the screen decides every sample of this pass, accepting or
+        # skipping it, so none takes the exact test
+        assert work["angles"] == 0
         assert left == exact_left
         # the same grid, so the same multistep work; RK4 makes the same
         # start-up, three steps per point, plus one remainder step per
