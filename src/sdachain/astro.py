@@ -736,20 +736,6 @@ class _Grid:
             _abm_steps(grid, back, h, n_full + 1 - len(grid) // 6, self.bstar,
                        self.kj, self.t0)
 
-    def mark(self) -> tuple:
-        """What undo needs to bring the grid back to its state now."""
-        return (len(self.forward), len(self.backward), list(self.back_fwd),
-                list(self.back_bwd), self.decay_fwd, self.decay_bwd)
-
-    def undo(self, mark: tuple) -> None:
-        """Drop the points appended since mark and restore the back values
-        and decay indices held then."""
-        n_fwd, n_bwd, back_fwd, back_bwd, self.decay_fwd, self.decay_bwd = mark
-        del self.forward[n_fwd:]
-        del self.backward[n_bwd:]
-        self.back_fwd[:] = back_fwd
-        self.back_bwd[:] = back_bwd
-
     def finish(self, state, h: float, t: float) -> tuple:
         """A grid point's state stepped by h to t, altitude-checked."""
         if h:
@@ -836,18 +822,6 @@ def _steps_of(dt, step_s: float) -> tuple:
     return n_full.astype(int), adt - n_full * step_s
 
 
-def _reach(grid: _Grid, times, dt) -> None:
-    """Extend grid as far as times need, with one point call per direction:
-    to the time farthest from the anchor each way (dt, a numpy array, holds
-    each time's offset from the anchor)."""
-    j = int(dt.argmax())
-    if dt[j] >= 0.0:
-        grid.point(times[j])
-    j = int(dt.argmin())
-    if dt[j] < 0.0:
-        grid.point(times[j])
-
-
 def _remainder_bound(np, rows, h, bstar: float) -> tuple:
     """(p, err, low, valid) for grid points rows (an m x 6 numpy array of
     x, y, z, vx, vy, vz), each to be stepped h seconds (signed, an array)
@@ -892,18 +866,17 @@ def _remainder_bound(np, rows, h, bstar: float) -> tuple:
 
 
 def times_above_mask(el: KeplerianElements, bstar: float, site: GroundSite,
-                     times, mask: float, step_s: float = STEP_S):
-    """Yield, in order, each time (seconds) of times at which
-    propagate_j2's state has topocentric_angles elevation above mask
-    (radians, in [0, pi/2): anything else is a ValueError).
+                     times, mask: float) -> list:
+    """The times (seconds) of times, in order, at which propagate_j2's
+    state has topocentric_angles elevation above mask (radians, in
+    [0, pi/2): anything else is a ValueError), up to the first time whose
+    state decays; a time outside the limits before any decay raises
+    propagate_j2's PropagationLimitError.
 
-    The pass first extends el's grid as far as its times need, with one
-    _Grid.point call per direction, so each direction takes one multistep
-    call.  Times from the first one outside the limits on are left out:
-    the per-time loop raises at it, as propagate_many does.  If the
-    extension decays, it is undone (points, back values and decay index),
-    and the loop reaches the decay at the same time and with the same
-    first or repeat message as propagate_many.
+    The pass first extends el's grid as far as the times before the first
+    one outside the limits need, with one _Grid.point call (so one
+    multistep call) per direction.  A decay one way leaves the other way
+    extended, and the first time whose grid point decays ends the list.
 
     The leading times whose grid points the grid then holds are screened
     as one numpy array, gathered through a view of the grid's buffers that
@@ -930,84 +903,76 @@ def times_above_mask(el: KeplerianElements, bstar: float, site: GroundSite,
     margin covers the rounding of this test, of topocentric_angles and of
     numpy's cos and sin, which may differ from math's by a few ulps:
     about 1e-11 km on positions near 7 000 km.  A valid bound also means
-    the remainder step cannot decay, so a screened time raises nothing.
-
-    When an exact remainder step decays, the grid is first brought back
-    to what the times up to it reach.  So for a pass run until it ends or
-    raises, the limits, the grid points left on el's grid and each error
-    are those of a loop over propagate_many, at the same time.  A pass
-    closed early may leave the grid longer, which changes no state: any
-    chunking holds the same bits.
+    the remainder step cannot decay: only an exactly tested time's can,
+    which ends the list.  The grid keeps the bits a loop over
+    propagate_many leaves, but may reach farther.
     """
     if not 0.0 <= mask < 0.5 * math.pi:
         raise ValueError(f"elevation mask must be in [0, pi/2), got {mask}")
     times = list(times)
-    grid = mark = None
-    m, todo = 0, []
-    if times and MIN_STEP_S <= step_s <= MAX_STEP_S:
-        # numpy only here, so importing the propagator does not load it
-        import numpy as np
-        t = np.array(times, dtype=np.float64)
-        dt = t - el.epoch.t
-        out = ~(np.abs(dt) <= MAX_SPAN_S)      # NaN too, as _check_limits
-        n = int(out.argmax()) if out.any() else len(times)
-        if n:
-            grid = _grid(el, bstar, step_s, J2_EARTH)
-            mark = grid.mark()
-            try:
-                _reach(grid, times, dt[:n])
-            except DecayError:
-                grid.undo(mark)
-                mark = None
-            n_full, rem = _steps_of(dt[:n], step_s)
-            fwd = dt[:n] >= 0.0
-            held = n_full < np.where(fwd, len(grid.forward) // 6,
-                                     len(grid.backward) // 6)
-            m = n if held.all() else int(held.argmin())
-            n_full, rem, fwd = n_full[:m], rem[:m], fwd[:m]
-            rows = np.empty((m, 6))
-            for way, points in ((fwd, grid.forward), (~fwd, grid.backward)):
-                # the view into points dies with this statement, so the
-                # grid can grow again
-                rows[way] = np.frombuffer(points).reshape(-1, 6)[n_full[way]]
-            (px, py, pz), err, _, valid = _remainder_bound(
-                np, rows, np.where(fwd, rem, -rem), bstar)
-            lam = site.lon + GMST_J2000 + EARTH_ROT * t[:m]
-            cp, up_z = math.cos(site.lat), math.sin(site.lat)
-            up_x, up_y = cp * np.cos(lam), cp * np.sin(lam)
-            radius, s = R_EARTH + site.alt, math.sin(mask)
-            with np.errstate(all="ignore"):
-                rx, ry, rz = (px - radius * up_x, py - radius * up_y,
-                              pz - radius * up_z)
-                u = rx * up_x + ry * up_y + rz * up_z
-                rng = np.sqrt(rx * rx + ry * ry + rz * rz)
-                eps = err + _HORIZON_MARGIN_KM
-                skip = valid & (u + eps <= s * (rng - eps))
-                accept = valid & (u - eps > s * (rng + eps))
-            keep = np.flatnonzero(~skip)
-            todo = list(zip(keep.tolist(), accept[keep].tolist()))
-    todo.extend((k, False) for k in range(m, len(times)))
-    for k, accepted in todo:
-        t = times[k]
-        if accepted:
-            yield t
-            continue
-        if k >= m:
-            _check_limits(el, t, step_s)
-            if grid is None:
-                grid = _grid(el, bstar, step_s, J2_EARTH)
-        points, i, h = grid.point(t)
+    # numpy only here, so importing the propagator does not load it
+    import numpy as np
+    t = np.array(times, dtype=np.float64)
+    dt = t - el.epoch.t
+    out = ~(np.abs(dt) <= MAX_SPAN_S)      # NaN too, as _check_limits
+    n = int(out.argmax()) if out.any() else len(times)
+    visible, m = [], 0
+    if n:
         try:
-            state = grid.finish(points[i:i + 6], h, t)
+            grid = _grid(el, bstar, STEP_S, J2_EARTH)
         except DecayError:
-            if mark is not None:
-                # the grid as the times up to this one extend it
-                grid.undo(mark)
-                _reach(grid, times, dt[:k + 1])
-            raise
-        sv = StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
-        if topocentric_angles(sv, site)[1] > mask:
-            yield t
+            return visible      # the anchor decays, so the first time does
+        dt = dt[:n]
+        for j, ahead in ((int(dt.argmax()), True), (int(dt.argmin()), False)):
+            # to the farthest time each way; a decay one way must not stop
+            # the other way's extension
+            if (dt[j] >= 0.0) == ahead:
+                try:
+                    grid.point(times[j])
+                except DecayError:
+                    pass
+        n_full, rem = _steps_of(dt, STEP_S)
+        fwd = dt >= 0.0
+        held = n_full < np.where(fwd, len(grid.forward) // 6,
+                                 len(grid.backward) // 6)
+        m = n if held.all() else int(held.argmin())
+        n_full, rem, fwd = n_full[:m], rem[:m], fwd[:m]
+        rows = np.empty((m, 6))
+        for way, points in ((fwd, grid.forward), (~fwd, grid.backward)):
+            # the view into points dies with this statement, so the
+            # grid can grow again
+            rows[way] = np.frombuffer(points).reshape(-1, 6)[n_full[way]]
+        (px, py, pz), err, _, valid = _remainder_bound(
+            np, rows, np.where(fwd, rem, -rem), bstar)
+        lam = site.lon + GMST_J2000 + EARTH_ROT * t[:m]
+        cp, up_z = math.cos(site.lat), math.sin(site.lat)
+        up_x, up_y = cp * np.cos(lam), cp * np.sin(lam)
+        radius, s = R_EARTH + site.alt, math.sin(mask)
+        with np.errstate(all="ignore"):
+            rx, ry, rz = (px - radius * up_x, py - radius * up_y,
+                          pz - radius * up_z)
+            u = rx * up_x + ry * up_y + rz * up_z
+            rng = np.sqrt(rx * rx + ry * ry + rz * rz)
+            eps = err + _HORIZON_MARGIN_KM
+            skip = valid & (u + eps <= s * (rng - eps))
+            accept = valid & (u - eps > s * (rng + eps))
+        keep = np.flatnonzero(~skip)
+        for k, accepted in zip(keep.tolist(), accept[keep].tolist()):
+            t = times[k]
+            if accepted:
+                visible.append(t)
+                continue
+            points, i, h = grid.point(t)
+            try:
+                state = grid.finish(points[i:i + 6], h, t)
+            except DecayError:
+                return visible
+            sv = StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
+            if topocentric_angles(sv, site)[1] > mask:
+                visible.append(t)
+    if m == n < len(times):
+        _check_limits(el, times[n], STEP_S)     # times[n] is off the span
+    return visible
 
 
 # --- observation geometry ---

@@ -17,7 +17,6 @@ from .astro import (
     Epoch,
     GroundSite,
     KeplerianElements,
-    DecayError,
     times_above_mask,
 )
 from .errors import SdaError
@@ -213,8 +212,8 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     """Epochs in the window where the orbit clears the elevation mask.
 
     Samples every MIN_EPOCH_SPACING_S seconds, so returned epochs are
-    spaced at least that far apart. A decayed target is simply never
-    visible.
+    spaced at least that far apart. A target that decays inside the
+    window is visible only at epochs before its decay.
 
     The samples go to times_above_mask as one pass: it extends the
     orbit's grid over the window once, then screens the samples as one
@@ -223,8 +222,8 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     sample whose elevation stays at or below ELEVATION_MASK_RAD (10 deg)
     anywhere within that bound, and accepts one whose elevation stays
     above it. Only the samples it cannot decide get the exact propagated
-    state and elevation, so the returned epochs, the errors raised and
-    the grid left behind are those of testing every sample exactly.
+    state and elevation, so the returned epochs and the errors raised are
+    those of testing every sample exactly.
     """
     t0, t1 = window
     times = []
@@ -235,14 +234,8 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
             break
         times.append(t)
         k += 1
-    out = []
-    try:
-        for t in times_above_mask(elements, bstar, site, times,
-                                  ELEVATION_MASK_RAD):
-            out.append(Epoch(t))
-    except DecayError:
-        pass
-    return tuple(out)
+    return tuple(Epoch(t) for t in times_above_mask(
+        elements, bstar, site, times, ELEVATION_MASK_RAD))
 
 
 def assign(queue, site: GroundSite, window, catalog: dict):

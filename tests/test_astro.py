@@ -1,5 +1,6 @@
 """Tests for time, Kepler machinery, the propagator, and observation geometry."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh, grids, visibility_cases
+from conftest import (assert_common_points_equal, fresh, grids,
+                      visibility_cases)
 from sdachain import astro
 from sdachain.astro import (
     AstroError,
@@ -474,18 +476,26 @@ def drain(states):
     return got, None
 
 
-def exact_times_above(el, bstar, site, times, mask, step_s):
+def exact_times_above(el, bstar, site, times, mask):
     """The reference for times_above_mask: a loop over propagate_many that
     tests each state's elevation, as (times kept, ending SdaError)."""
-    states, err = drain(propagate_many(el, bstar, [Epoch(t) for t in times],
-                                       step_s=step_s))
+    states, err = drain(propagate_many(el, bstar, [Epoch(t) for t in times]))
     return [sv.epoch.t for sv in states
             if topocentric_angles(sv, site)[1] > mask], err
 
 
-def counted_pass(el, bstar, site, times, mask, step_s):
-    """times_above_mask's times and error, and how many times it accepted
-    without an exact test and skipped (0 when the pass raised)."""
+def run_pass(el, bstar, site, times, mask):
+    """times_above_mask's list and None, or None and the SdaError it
+    raises (name, text)."""
+    try:
+        return astro.times_above_mask(el, bstar, site, times, mask), None
+    except SdaError as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+def counted_pass(el, bstar, site, times, mask):
+    """run_pass, and how many times the pass accepted without an exact
+    test and how many it tested exactly."""
     tested = []
     angles = astro.topocentric_angles
 
@@ -496,11 +506,8 @@ def counted_pass(el, bstar, site, times, mask, step_s):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(astro, "topocentric_angles", counted)
-        got, err = drain(astro.times_above_mask(el, bstar, site, times, mask,
-                                                step_s=step_s))
-    accepted = len(got) - sum(tested)
-    skipped = 0 if err else len(times) - len(tested) - accepted
-    return got, err, accepted, skipped
+        got, err = run_pass(el, bstar, site, times, mask)
+    return got, err, len(got or []) - sum(tested), len(tested)
 
 
 class TestPropagateAboveHorizon:
@@ -509,33 +516,45 @@ class TestPropagateAboveHorizon:
 
     def test_yields_the_exact_loops_times(self):
         # at mask 0, at the tasking mask and at a drawn one, the pass keeps
-        # the times the exact loop keeps, raises its error and leaves its
-        # grid; over the cases, it accepts some times and skips some
-        # without an exact test, so a screen that decides nothing fails
+        # the exact loop's times up to its first decay and raises its limit
+        # error, with the window alone and with a time off the span after
+        # it; the grid points both hold are the same bits; over the cases,
+        # it accepts some times and skips some without an exact test, so a
+        # screen that decides nothing fails
         decided = {"accepted": 0, "skipped": 0}
 
         @settings(max_examples=60, deadline=None, derandomize=True,
                   database=None, suppress_health_check=[HealthCheck.too_slow])
         @given(visibility_cases(), st.floats(0.0, math.radians(60.0)))
         def check(case, drawn):
-            el, bstar, site, (w0, w1), step_s, cadence_s = case
+            el, bstar, site, (w0, w1), cadence_s = case
             times = [w0.t + k * cadence_s
                      for k in range(int((w1.t - w0.t) // cadence_s) + 1)
                      if w0.t + k * cadence_s <= w1.t]
+            off = el.epoch.t + 2.0 * astro.MAX_SPAN_S
+            # the exact loop over the window and the off-span time: it
+            # ends at the first decay, or at the limit error
             exact_el = fresh(el)
-            states, want_err = drain(propagate_many(
-                exact_el, bstar, [Epoch(t) for t in times], step_s=step_s))
+            states, end = drain(propagate_many(
+                exact_el, bstar, [Epoch(t) for t in times + [off]]))
+            assert end is not None
             elevation = [(sv.epoch.t, topocentric_angles(sv, site)[1])
                          for sv in states]
             for mask in (0.0, ELEVATION_MASK_RAD, drawn):
-                screened = fresh(el)
-                got, got_err, accepted, skipped = counted_pass(
-                    screened, bstar, site, times, mask, step_s)
-                assert got == [t for t, e in elevation if e > mask]
-                assert got_err == want_err
-                assert grid_state(screened) == grid_state(exact_el)
-                decided["accepted"] += accepted
-                decided["skipped"] += skipped
+                want = [t for t, e in elevation if e > mask]
+                for ts in (times, times + [off]):
+                    screened = fresh(el)
+                    got, err, accepted, tested = counted_pass(
+                        screened, bstar, site, ts, mask)
+                    if ts[-1] == off and end[0] == "PropagationLimitError":
+                        assert (got, err) == (None, end)
+                    else:
+                        assert (got, err) == (want, None)
+                    assert_common_points_equal(screened, exact_el)
+                    if ts is times and end[0] == "PropagationLimitError":
+                        # no decay: every time was decided
+                        decided["accepted"] += accepted
+                        decided["skipped"] += len(times) - tested - accepted
 
         check()
         assert decided["accepted"] > 0 and decided["skipped"] > 0
@@ -544,7 +563,7 @@ class TestPropagateAboveHorizon:
     def test_mask_outside_a_quarter_turn_is_a_value_error(self, mask):
         site = GroundSite(site_id="S", lat=0.0, lon=0.0)
         with pytest.raises(ValueError, match="elevation mask"):
-            next(astro.times_above_mask(fresh(_LOW), 0.0, site, [60.0], mask))
+            astro.times_above_mask(fresh(_LOW), 0.0, site, [60.0], mask)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("bstar", [0.0, 1e-5])
@@ -569,99 +588,107 @@ class TestPropagateAboveHorizon:
         # from the far side of the Earth and from under the grid point:
         # only the remainder step from that grid point decays, and it
         # must, as in propagate_many, whether the screen would skip the
-        # time or accept it
-        el = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0,
-                               argp=0.0, M=0.0, epoch=Epoch(0.0))
-        with pytest.raises(DecayError):
-            propagate_j2(el, 3e-3, Epoch(86400.0), step_s=30.0)
-        (grid,) = grids(el).values()
-        t = (grid.decay_fwd - 1) * 30.0 + 29.0
-        last = propagate_j2(el, 3e-3, Epoch(t - 29.0), step_s=30.0)
+        # time or accept it; the decay ends the list before the time off
+        # the span that follows, which would raise
+        step = astro.STEP_S
+        decay = self.decay_index()
+        t = decay * step - 1.0
+        el = fresh(_LOW)
+        last = propagate_j2(el, 3e-3, Epoch((decay - 1) * step))
         lat = math.asin(last.r[2] / norm(last.r))
         lon = math.atan2(last.r[1], last.r[0]) - gmst(last.epoch)
         with pytest.raises(DecayError) as exact:
-            propagate_j2(el, 3e-3, Epoch(t), step_s=30.0)
+            propagate_j2(el, 3e-3, Epoch(t))
         assert f"t={t:.1f}" in str(exact.value)
+        off = 2.0 * astro.MAX_SPAN_S
         for site in (GroundSite(site_id="FAR", lat=-lat, lon=lon + math.pi),
                      GroundSite(site_id="UNDER", lat=lat, lon=lon)):
-            with pytest.raises(DecayError) as screened:
-                list(astro.times_above_mask(fresh(el), 3e-3, site, [t], 0.0,
-                                            step_s=30.0))
-            assert str(screened.value) == str(exact.value)
+            assert astro.times_above_mask(fresh(_LOW), 3e-3, site, [t, off],
+                                          0.0) == []
 
     def site_under_low(self, t):
         """A site under _LOW's track at time t, which sees it for minutes."""
-        sv = propagate_j2(fresh(_LOW), 0.0, Epoch(t), step_s=30.0)
+        sv = propagate_j2(fresh(_LOW), 0.0, Epoch(t))
         return GroundSite(site_id="S", lat=math.asin(sv.r[2] / norm(sv.r)),
                           lon=math.atan2(sv.r[1], sv.r[0]) - gmst(sv.epoch))
 
     def passes(self, times):
         """The pass at mask 0 and the exact loop over times on _LOW (drag
-        3e-3, 30 s grid), seen from under its track at its epoch, each on
-        elements that hold no grid: the times each keeps, its error and
-        the grid it leaves."""
+        3e-3), seen from under its track at its epoch, each on elements
+        that hold no grid: the times each keeps, its error and the
+        elements, which hold the grid it leaves."""
         site = self.site_under_low(0.0)
         out = []
-        for run in (lambda el: drain(astro.times_above_mask(
-                        el, 3e-3, site, times, 0.0, step_s=30.0)),
-                    lambda el: exact_times_above(el, 3e-3, site, times, 0.0,
-                                                 30.0)):
+        for run in (run_pass, exact_times_above):
             el = fresh(_LOW)
-            got, err = run(el)
-            (grid,) = grids(el).values()
-            out.append((got, err, grid))
+            got, err = run(el, 3e-3, site, times, 0.0)
+            out.append((got, err, el))
         return out
 
     def decay_index(self):
         el = fresh(_LOW)
         with pytest.raises(DecayError):
-            propagate_j2(el, 3e-3, Epoch(86400.0), step_s=30.0)
+            propagate_j2(el, 3e-3, Epoch(86400.0))
         (grid,) = grids(el).values()
         return grid.decay_fwd
 
-    def test_decay_in_the_one_extension_is_undone(self):
-        # the pass's one extension, to its last time, reaches a grid point
-        # below the decay altitude; undone, the times are taken one by one
-        # and a remainder step decays first, before any grid point does
+    def test_decay_in_the_extension_ends_the_list(self):
+        # times on the grid: the pass's one extension, to its last time,
+        # reaches a grid point below the decay altitude, and the first
+        # time on it ends the list where the exact loop raises
+        step = astro.STEP_S
         decay = self.decay_index()
-        times = [k * 30.0 + 29.0 for k in range(decay + 3)]
-        assert int(times[-1] // 30.0) >= decay
-        (got, got_err, got_grid), (want, want_err, want_grid) = \
-            self.passes(times)
-        assert got_err == want_err
-        assert got_err[0] == "DecayError"
-        assert f"t={(decay - 1) * 30.0 + 29.0:.1f}" in got_err[1]
-        assert held(got_grid) == held(want_grid)
-        assert got_grid.decay_fwd is want_grid.decay_fwd is None
-        assert len(got_grid.forward) // 6 == decay
-        assert got == want and got
+        times = [k * step for k in range(decay + 3)]
+        (got, err, got_el), (want, want_err, want_el) = self.passes(times)
+        assert want_err[0] == "DecayError"
+        assert err is None and got == want and got
+        assert_common_points_equal(got_el, want_el)
+        (got_grid,) = grids(got_el).values()
+        assert got_grid.decay_fwd == len(got_grid.forward) // 6 == decay
 
-    def test_remainder_step_decay_rolls_the_extension_back(self):
-        # the one extension succeeds both ways, but the first time's
-        # remainder step decays: the grid keeps only what that time
-        # reaches, so the backward grid stays at its anchor (undoing also
-        # needs the numpy view of the grid dropped: a live one refuses it)
+    def test_remainder_step_decay_ends_the_list(self):
+        # the forward extension decays too, but a remainder step decays at
+        # an earlier time and ends the list there, before the backward
+        # times that follow it, one of them in sight; the pass extended
+        # the backward grid to its last time, which the exact loop never
+        # reaches, so the grids share the points the loop holds
+        step = astro.STEP_S
         decay = self.decay_index()
-        times = [(decay - 1) * 30.0 + 29.0, -3600.0]
-        (got, got_err, got_grid), (want, want_err, want_grid) = \
-            self.passes(times)
-        assert got == want == []
-        assert got_err == want_err and got_err[0] == "DecayError"
-        assert held(got_grid) == held(want_grid)
-        assert len(got_grid.backward) // 6 == 1
-        assert len(got_grid.forward) // 6 == decay
+        times = [k * step - 1.0 for k in range(1, decay + 1)]
+        times += [-60.0, -3600.0] + [k * step for k in range(decay, decay + 3)]
+        (got, err, got_el), (want, want_err, want_el) = self.passes(times)
+        assert want_err[0] == "DecayError"
+        assert f"t={decay * step - 1.0:.1f}" in want_err[1]
+        assert err is None and got == want and got
+        assert_common_points_equal(got_el, want_el)
+        (got_grid,) = grids(got_el).values()
+        (want_grid,) = grids(want_el).values()
+        assert len(got_grid.forward) == len(want_grid.forward) == 6 * decay
+        assert len(want_grid.backward) // 6 == 1
+        assert len(got_grid.backward) // 6 == 3600.0 // step + 1
+
+    def test_anchor_decay_is_an_empty_list(self):
+        # elements whose own epoch is below the decay altitude: the first
+        # time decays, so the list is empty and the time off the span after
+        # it raises nothing
+        el = dataclasses.replace(_LOW, a=R_EARTH + 90.0)
+        site = self.site_under_low(0.0)
+        times = [60.0, 2.0 * astro.MAX_SPAN_S]
+        want, err = exact_times_above(fresh(el), 0.0, site, times, 0.0)
+        assert want == [] and err[0] == "DecayError"
+        assert run_pass(fresh(el), 0.0, site, times, 0.0) == ([], None)
 
     @pytest.mark.parametrize("times", [[math.nan], [60.0, math.nan],
                                        [math.inf]])
     def test_time_off_the_span_is_a_limit_error(self, times):
-        # a NaN time fails the span test as an infinite one does, and the
-        # times before it are still decided
+        # a NaN time fails the span test as an infinite one does, with
+        # propagate_j2's text, whatever times come before it
         site = self.site_under_low(60.0)
-        got, err = drain(astro.times_above_mask(fresh(_LOW), 0.0, site, times,
-                                                0.0, step_s=30.0))
-        assert got == times[:-1]
-        assert err[0] == "PropagationLimitError"
-        assert err[1].endswith("exceeds 30-day limit")
+        with pytest.raises(astro.PropagationLimitError) as want:
+            astro._check_limits(_LOW, times[-1], astro.STEP_S)
+        assert str(want.value).endswith("exceeds 30-day limit")
+        assert run_pass(fresh(_LOW), 0.0, site, times, 0.0) == (
+            None, ("PropagationLimitError", str(want.value)))
 
 
 class TestArraySteps:

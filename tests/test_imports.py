@@ -7,10 +7,11 @@ No linter ships with the project's toolchain, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
 module or be listed in its ``__all__``, and every parameter of a function
 or lambda must be read somewhere in its body. ``from __future__`` imports
-are exempt. Outside astro.py no function declares a ``step_s`` parameter,
-and no dataclass anywhere has a ``step_s`` field: the chain propagates on
-the one grid step ``astro.STEP_S``, so the option must not creep back
-through a pass-through. No function but ``tdm.site_geometry`` compares a
+are exempt. No function declares a ``step_s`` parameter but the few
+propagator functions in ``_STEP_S_FUNCTIONS``, and no dataclass anywhere
+has a ``step_s`` field: the chain propagates on the one grid step
+``astro.STEP_S``, so the option must not creep back through a
+pass-through, nor into the visibility pass. No function but ``tdm.site_geometry`` compares a
 value with ``"AZEL"`` or ``"RADEC"``: every other reader of the
 observation model goes through the geometry it returns, so a second
 branch on the angle type cannot grow back.
@@ -141,26 +142,43 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def step_s_holders(source: str) -> list:
-    """(line, "parameter" or "field", function or class) of each function
-    that declares a step_s parameter and each dataclass field named step_s."""
+    """(line, "parameter" or "field", qualified name) of each function
+    that declares a step_s parameter and each dataclass field named
+    step_s; a method's name is qualified by its class's, as in
+    ``_Grid.__init__``."""
     out = []
-    for node in ast.walk(ast.parse(source)):
+
+    def visit(node, scope):
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            scope = (*scope, getattr(node, "name", "<lambda>"))
+        name = ".".join(scope)
         if isinstance(node, _FUNCTIONS):
             if any(p.arg == "step_s" for p in _parameters(node)):
-                out.append((node.lineno, "parameter",
-                            getattr(node, "name", "<lambda>")))
+                out.append((node.lineno, "parameter", name))
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            out.extend((stmt.lineno, "field", node.name) for stmt in node.body
+            out.extend((stmt.lineno, "field", name) for stmt in node.body
                        if isinstance(stmt, ast.AnnAssign)
                        and getattr(stmt.target, "id", None) == "step_s")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
     return sorted(out)
+
+
+# the astro.py functions that may take a grid step: the propagator's own
+# entry points and grid, and the limits check and grid-index helper they
+# and the visibility pass share
+_STEP_S_FUNCTIONS = ("_check_limits", "_Grid.__init__", "_grid", "_steps_of",
+                     "propagate_j2", "propagate_many")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_grid_step_only_in_the_propagator(path):
     found = step_s_holders(path.read_text(encoding="utf-8"))
     if path.name == "astro.py":
-        found = [f for f in found if f[1] == "field"]
+        found = [f for f in found
+                 if f[1] == "field" or f[2] not in _STEP_S_FUNCTIONS]
     assert found == []
 
 
@@ -177,10 +195,12 @@ def test_checker_flags_step_s_holders():
               "    step_s: float\n"
               "class Plain:\n"
               "    step_s: float\n"
+              "    def go(self, step_s):\n"
+              "        return step_s\n"
               "g = lambda step_s: step_s\n")
     assert step_s_holders(source) == [
         (3, "parameter", "f"), (7, "field", "S"), (10, "field", "T"),
-        (13, "parameter", "<lambda>")]
+        (13, "parameter", "Plain.go"), (15, "parameter", "<lambda>")]
 
 
 def test_propagator_import_loads_no_numpy():

@@ -1,17 +1,21 @@
 import dataclasses
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (count_force_evaluations, fresh, grids, leo_record,
-                      site_under, visibility_cases)
+from conftest import (assert_common_points_equal, count_force_evaluations,
+                      fresh, grids, leo_record, site_under, visibility_cases)
 from sdachain import astro
 from sdachain.astro import (
     DecayError,
     Epoch,
+    KeplerianElements,
+    OrbitRecord,
     PropagationLimitError,
+    R_EARTH,
     propagate_j2,
     propagate_many,
     state_to_kepler,
@@ -265,8 +269,7 @@ class TestAssign:
         period = 2.0 * math.pi * math.sqrt(other.elements.a ** 3 / 398600.4418)
         vis = visible_epochs(other.elements, other.bstar, site,
                              (Epoch(3100.0), Epoch(4900.0)))
-        if len(vis) >= 3:
-            pytest.skip("seed geometry unexpectedly visible")
+        assert len(vis) < 3
         got = assign([urgent, plain], site,
                      (Epoch(3100.0), Epoch(4900.0)),
                      {"TGT": rec, "FAR": other})
@@ -327,18 +330,26 @@ def grid_state(el):
 
 def cold_run(fn, el, *args, **kw):
     """fn's result (or its PropagationLimitError text) on elements equal to
-    el that hold no grid, and the grids it leaves on them."""
+    el that hold no grid, and those elements, which hold the grids it
+    leaves."""
     el = fresh(el)
     try:
         result = fn(el, *args, **kw)
     except PropagationLimitError as exc:
         result = ("PropagationLimitError", str(exc))
-    return result, grid_state(el)
+    return result, el
+
+
+# a 150 km circular orbit that drag decays within ten minutes
+_LOW = OrbitRecord(object_id="LOW", bstar=3e-3, elements=KeplerianElements(
+    a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0, argp=0.0, M=0.0,
+    epoch=Epoch(0.0)))
 
 
 class TestScreenedVisibility:
     """visible_epochs screens samples on the propagation grid; it must return
-    exactly what testing every sample does, and leave the same grids."""
+    exactly what testing every sample does, up to the first that decays,
+    and the grid points it shares with that loop must be the same bits."""
 
     def test_mask_is_above_the_horizon(self):
         # visible_epochs hands its mask to times_above_mask, whose screen
@@ -349,13 +360,39 @@ class TestScreenedVisibility:
               suppress_health_check=[HealthCheck.too_slow])
     @given(visibility_cases())
     def test_equals_exact_loop(self, case):
-        # the case's step_s and cadence_s are times_above_mask's
-        # (test_astro); visible_epochs samples every MIN_EPOCH_SPACING_S on
-        # the STEP_S grid
-        el, bstar, site, window, _, _ = case
-        got = cold_run(visible_epochs, el, bstar, site, window)
-        want = cold_run(exact_visible_epochs, el, bstar, site, window)
+        # the case's cadence_s is times_above_mask's (test_astro);
+        # visible_epochs samples every MIN_EPOCH_SPACING_S
+        el, bstar, site, window, _ = case
+        got, screened = cold_run(visible_epochs, el, bstar, site, window)
+        want, exact = cold_run(exact_visible_epochs, el, bstar, site, window)
         assert got == want
+        assert_common_points_equal(screened, exact)
+
+    @pytest.mark.parametrize("start, at_grid_point", [(0.0, True),
+                                                      (10.0, False)],
+                             ids=["grid-point", "remainder-step"])
+    def test_decay_inside_the_window(self, start, at_grid_point):
+        # samples every 60 s from start, seen from under _LOW's track at
+        # 400 s: from 0 s the first to decay is on a grid point below the
+        # decay altitude, from 10 s it is 490 s, whose grid point holds
+        # but whose remainder step decays; the epochs before it are kept
+        el, bstar = _LOW.elements, _LOW.bstar
+        for first in itertools.count(start, MIN_EPOCH_SPACING_S):
+            decaying = fresh(el)
+            try:
+                propagate_j2(decaying, bstar, Epoch(first))
+            except DecayError:
+                break
+        # a grid point below the decay altitude is noted on the grid
+        (grid,) = grids(decaying).values()
+        assert (grid.decay_fwd is not None) == at_grid_point
+        site = site_under(_LOW, Epoch(400.0))
+        window = (Epoch(start), Epoch(start + 1200.0))
+        got, screened = cold_run(visible_epochs, el, bstar, site, window)
+        want, exact = cold_run(exact_visible_epochs, el, bstar, site, window)
+        assert got == want and got
+        assert got[-1].t < first
+        assert_common_points_equal(screened, exact)
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_span_limit_raises_at_the_same_sample(self, direction):
@@ -366,13 +403,13 @@ class TestScreenedVisibility:
         edge = rec.elements.epoch.t + direction * astro.MAX_SPAN_S
         window = (Epoch(edge - 1800.0), Epoch(edge + 1800.0))
         site = astro.GroundSite(site_id="S", lat=0.3, lon=1.0)
-        want, left = cold_run(exact_visible_epochs, rec.elements, rec.bstar,
-                              site, window)
+        want, exact = cold_run(exact_visible_epochs, rec.elements, rec.bstar,
+                               site, window)
         el = fresh(rec.elements)
         with pytest.raises(PropagationLimitError) as exc:
             visible_epochs(el, rec.bstar, site, window)
         assert want == ("PropagationLimitError", str(exc.value))
-        assert grid_state(el) == left
+        assert grid_state(el) == grid_state(exact)
 
 
 class TestVisibilityWork:
