@@ -5,9 +5,10 @@ builds on the primitives here: epochs on a uniform leap-second-free
 timescale, ECI state vectors, classical element sets, and a fixed-step
 propagator with two-body + J2 + exponential-atmosphere drag forces: an
 order-10 Adams-Bashforth-Moulton grid (started by RK4) and one RK4 step
-from the grid to each requested time.  Both stepping loops are generated
-at import from one force-model template, the multistep one unrolled over
-its ten back values, which it renames in place of shifting them.
+from the grid to each requested time.  Both stepping loops are written
+once, as a force-model template that renders as C, built once and cached
+when the host's C compiler reproduces the Python loops' bits, and as
+Python otherwise.
 
 Conventions:
   * distances in km, velocities in km/s, angles in radians, time in
@@ -20,7 +21,12 @@ Conventions:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import string
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -181,9 +187,6 @@ class KeplerianElements:
 
     def mean_motion(self) -> float:
         return math.sqrt(MU_EARTH / self.a**3)
-
-    def period(self) -> float:
-        return TWO_PI / self.mean_motion()
 
     def key(self) -> tuple:
         """The element values as a hashable tuple, epoch last."""
@@ -393,38 +396,57 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # keyed by (bstar, step, j2), so it lives exactly as long as its elements do;
 # elements built anew, even with equal values, start with no grid.
 #
-# _abm_steps and _rk4_steps are the two stepping loops, each fused over local
-# floats.  Both are generated at import (_stepping_loops) from one template
-# of the force model, _force, which sums gravity, then J2 (when kj != 0),
-# then drag (when bstar != 0) in every force evaluation: the order fixes
-# the bits of every propagated state, which tests/test_astro.py pins, and
-# tests/test_stepping.py holds the handwritten loops the generated ones
-# must match bit for bit.  _rk4_steps serves only the start-up and the
-# remainder step to a time between grid points (a call with n = 1).
+# _rk4_steps and _abm_steps are the two stepping loops.  Their arithmetic is
+# written once, as template statements in the syntax Python and C share:
+# "name = expr" and "name += expr" over +, -, *, /, sqrt and exp, which
+# both languages evaluate in the same order, one IEEE 754 rounding per
+# operation; ("if", cond, body), taken when cond != 0.0 (Python's truth
+# test, -0.0 and NaN included); and ("divisor", expr), a denominator that
+# Python's division tests by itself and C must test, so that both raise
+# ZeroDivisionError at the same step.  _force is the force model: gravity,
+# then J2 (when kj != 0), then drag (when bstar != 0), in every evaluation.
+# Its order fixes the bits of every propagated state, which
+# tests/test_astro.py pins, and tests/test_stepping.py holds the
+# handwritten loops both renderings must match bit for bit.  _rk4_steps
+# serves only the start-up and the remainder step to a time between grid
+# points (a call with n = 1).
 #
-# _abm_steps runs its bulk in blocks of _ORDER steps, unrolled, that rename
-# the back values instead of shifting them: at step j of a block, back
-# value i of each family (dx, dy, dz, ax, ay, az) lives in slot
+# At import the template is rendered as C (_c_source), with the constants
+# as repr() literals, so the source covers them, and built once with the
+# system cc and _CFLAGS: -O2 -fno-fast-math -ffp-contract=off.  The last
+# matters most: a compiler free to contract a*b + c into one fused
+# multiply-add (gcc's default whenever the target has one, as every aarch64
+# target does) rounds once where Python rounds twice.  The library is cached in this
+# package's __pycache__ under the SHA-256 of flags and source, followed by
+# the SHA-256 of its own bytes, which is checked before it is loaded; a
+# cache hit starts no process.  A build enters the cache only after its
+# loops reproduce the Python loops' bits on a fixed drag-on, J2-on grid
+# both ways, down to its decay (_grid_bits), so a compiler or platform that
+# widens or contracts floats, or a C exp that is not the one math.exp
+# calls, leaves the Python loops in use instead of forking the chain's
+# bytes.  NATIVE_LIBRARY names the library in use; it is None when there is
+# no cc, the build fails, the bits differ or the library will not load, and
+# then the loops run as Python, compiled from the template only then
+# (_python_loops).  The C wrappers (_bind) keep the Python loops'
+# signatures and contracts, and pass each array('d') by its buffer address,
+# copying nothing; the C multistep loop keeps its back values in arrays
+# that it shifts one slot a step.
+#
+# The Python _abm_steps runs its bulk in blocks of _ORDER steps, unrolled,
+# that rename the back values instead of shifting them: at step j of a
+# block, back value i of each family (dx, dy, dz, ax, ay, az) lives in slot
 # (i - j) mod _ORDER, and the step's new value takes the slot of the
 # oldest, so each value is back in its own slot when the block ends.  A
 # decay at step j notes j, and the loop writes the back values out through
-# that step's slot map.  The back-value passes
-# of a grid's first multistep extension and the n mod _ORDER steps after
-# the last block run a one-step body from the same template, which shifts
-# the back values one slot.  Each step's altitude check reuses the radius
-# that its next force evaluation needs, and a multistep extension's new
-# points reach the grid in bulk appends, after each block that leaves at
-# least _APPEND_STEPS points buffered, so even a first extension across
-# the whole span buffers fewer than _APPEND_STEPS + _ORDER.
-
-
-def _drag(x, y, vx, vy, vz, r, bstar):
-    rho = DRAG_RHO0 * math.exp(-((r - R_EARTH) - DRAG_H0) / DRAG_SCALE_H)
-    rvx = vx + EARTH_ROT * y
-    rvy = vy - EARTH_ROT * x
-    vr = math.sqrt(rvx * rvx + rvy * rvy + vz * vz)
-    d = -bstar * rho * vr
-    return d * rvx, d * rvy, d * vz
+# that step's slot map.  The back-value passes of a grid's first multistep
+# extension and the n mod _ORDER steps after the last block run a one-step
+# body, which shifts the back values one slot.  In both languages each
+# step's altitude check reuses the radius that its next force evaluation
+# needs.  The Python loop's new points reach the grid in bulk appends, after
+# each block that leaves at least _APPEND_STEPS points buffered, so even a
+# first extension across the whole span buffers fewer than
+# _APPEND_STEPS + _ORDER; the C loop writes into room the wrapper appends
+# first, and the wrapper cuts off what a decay leaves unwritten.
 
 
 def _j2_coeff(j2: float) -> float:
@@ -457,51 +479,45 @@ _AM = (0.2869754464285714, 1.3020443397266315, -1.5530346119929452,
 
 _FAMILIES = ("dx", "dy", "dz", "ax", "ay", "az")    # the back values' names
 _STATE = ("x", "y", "z", "vx", "vy", "vz")
+_PREDICTED = ("px", "py", "pz", "pvx", "pvy", "pvz")
+_DECAYED = "r - R_EARTH < DECAY_ALTITUDE"   # the altitude check, in both
 
 
 def _force(acc, pos, vel) -> list:
-    """Source lines of one force evaluation, the template of both stepping
-    loops: they set the three names acc to the acceleration at position
-    pos and velocity vel (three names each), given r2 and r, pos's squared
-    norm and norm.  Gravity, then J2 when kj != 0, then drag when
-    bstar != 0."""
-    (ax, ay, az), (x, y, z) = acc, pos
-    return ["c = nmu / (r2 * r)",
+    """Template statements of one force evaluation: they set the three
+    names acc to the acceleration at position pos and velocity vel (three
+    names each), given r2 and r, pos's squared norm and norm."""
+    (ax, ay, az), (x, y, z), (vx, vy, vz) = acc, pos, vel
+    return [("divisor", "r2 * r"),
+            "c = nmu / (r2 * r)",
             f"{ax} = c * {x}",
             f"{ay} = c * {y}",
             f"{az} = c * {z}",
-            "if kj:",
-            "    kr = kj / (r2 * r2 * r)",
-            f"    f = 5.0 * {z} * {z} / r2",
-            "    g = 1.0 - f",
-            f"    {ax} += kr * {x} * g",
-            f"    {ay} += kr * {y} * g",
-            f"    {az} += kr * {z} * (3.0 - f)",
-            "if bstar:",
-            f"    gx, gy, gz = _drag({x}, {y}, {', '.join(vel)}, r, bstar)",
-            f"    {ax} += gx",
-            f"    {ay} += gy",
-            f"    {az} += gz"]
+            ("if", "kj", [("divisor", "r2 * r2 * r"),
+                          "kr = kj / (r2 * r2 * r)",
+                          f"f = 5.0 * {z} * {z} / r2",
+                          "g = 1.0 - f",
+                          f"{ax} += kr * {x} * g",
+                          f"{ay} += kr * {y} * g",
+                          f"{az} += kr * {z} * (3.0 - f)"]),
+            ("if", "bstar", ["rho = DRAG_RHO0 * exp(-((r - R_EARTH) - DRAG_H0)"
+                             " / DRAG_SCALE_H)",
+                             f"rvx = {vx} + EARTH_ROT * {y}",
+                             f"rvy = {vy} - EARTH_ROT * {x}",
+                             f"vr = sqrt(rvx * rvx + rvy * rvy + {vz} * {vz})",
+                             "d = -bstar * rho * vr",
+                             f"{ax} += d * rvx",
+                             f"{ay} += d * rvy",
+                             f"{az} += d * {vz}"])]
 
 
 def _radius(x, y, z) -> list:
     return [f"r2 = {x} * {x} + {y} * {y} + {z} * {z}", "r = sqrt(r2)"]
 
 
-def _decay_check(k: str, j: int = 0) -> list:
-    """Raise the DecayError of the step to grid index k (an expression)
-    when r is below the decay altitude, at step j of a block."""
-    return ["if r - R_EARTH < DECAY_ALTITUDE:",
-            *([f"    j = {j}"] if j else []),
-            f"    raise _decay_error(r - R_EARTH, t0 + {k} * h)"]
-
-
-def _indent(lines, depth: int) -> list:
-    return ["    " * depth + line for line in lines]
-
-
-def _rk4_source() -> list:
-    """The source of _rk4_steps."""
+def _rk4_step() -> list:
+    """Template of one RK4 step of h (h2 = h/2, h6 = h/6) from the state
+    x..vz, whose r2 and r are taken, ending with the new state's."""
     def stage(i):
         """The state at RK4 stage i (1 to 4) and its derivative."""
         state = _STATE if i == 1 else tuple(f"{s}{i}" for s in _STATE)
@@ -518,16 +534,77 @@ def _rk4_source() -> list:
     body += [f"{s} += h6 * ({d1} + 2.0 * ({d2} + {d3}) + {d4})"
              for s, d1, d2, d3, d4
              in zip(_STATE, *(stage(i)[1] for i in (1, 2, 3, 4)))]
-    body += _radius("x", "y", "z") + _decay_check("k")
+    return body + _radius(*_STATE[:3])
+
+
+def _abm_step(slot) -> list:
+    """Template of one multistep step (weights b0..b9 and c0..c9, times h)
+    from the state x..vz, back value i of family d being slot(d, i), 0 the
+    newest: predict, evaluate, correct, and take the new state's r2, r."""
+    lines = []
+    for p, s, d in zip(_PREDICTED, _STATE, _FAMILIES):
+        terms = " + ".join(f"b{i} * {slot(d, i)}" for i in range(_ORDER))
+        lines.append(f"{p} = {s} + ({terms})")
+    lines += _radius(*_PREDICTED[:3])
+    lines += _force(("qx", "qy", "qz"), _PREDICTED[:3], _PREDICTED[3:])
+    for s, new, d in zip(_STATE, _PREDICTED[3:] + ("qx", "qy", "qz"),
+                         _FAMILIES):
+        terms = " + ".join(f"c{i + 1} * {slot(d, i)}"
+                           for i in range(_ORDER - 1))
+        lines.append(f"{s} += (c0 * {new} + {terms})")
+    return lines + _radius(*_STATE[:3])
+
+
+def _python(template, depth: int = 0) -> list:
+    """Python source lines of template statements, indented depth levels;
+    a divisor needs no test, since Python's division makes it."""
+    pad, lines = "    " * depth, []
+    for s in template:
+        if isinstance(s, str):
+            lines.append(pad + s)
+        elif s[0] == "if":
+            lines += [f"{pad}if {s[1]}:", *_python(s[2], depth + 1)]
+    return lines
+
+
+def _c(template, depth: int = 0) -> list:
+    """C source lines of template statements, indented depth levels."""
+    pad, lines = "    " * depth, []
+    for s in template:
+        if isinstance(s, str):
+            lines.append(pad + s + ";")
+        elif s[0] == "if":
+            lines += [f"{pad}if ({s[1]} != 0.0) {{", *_c(s[2], depth + 1),
+                      pad + "}"]
+        else:
+            lines.append(f"{pad}if ({s[1]} == 0.0) goto divided;")
+    return lines
+
+
+def _assigned(template) -> list:
+    """The names template statements assign, in order, with repeats."""
+    names = []
+    for s in template:
+        if isinstance(s, str):
+            names.append(s.split()[0])
+        elif s[0] == "if":
+            names += _assigned(s[2])
+    return names
+
+
+def _rk4_python() -> list:
+    """The Python source of _rk4_steps."""
     return ["def _rk4_steps(state, h, n, bstar, kj, t0, k0):",
             "    nmu = -MU_EARTH",
-            "    sqrt = math.sqrt",
+            "    sqrt, exp = math.sqrt, math.exp",
             "    x, y, z, vx, vy, vz = state",
-            *_indent(_radius("x", "y", "z"), 1),
+            *_python(_radius(*_STATE[:3]), 1),
             "    h2 = 0.5 * h",
             "    h6 = h / 6.0",
             "    for k in range(k0 + 1, k0 + n + 1):",
-            *_indent(body, 2),
+            *_python(_rk4_step(), 2),
+            f"        if {_DECAYED}:",
+            "            raise _decay_error(r - R_EARTH, t0 + k * h)",
             "    return x, y, z, vx, vy, vz"]
 
 
@@ -539,52 +616,41 @@ def _slots(j: int) -> str:
 
 
 def _newest(j: int) -> list:
-    """Source lines that evaluate the newest back values at the state x,
-    y, z, vx, vy, vz into the slots of the oldest at step j of a block."""
+    """Python source lines that evaluate the newest back values at the
+    state x, y, z, vx, vy, vz into the slots of the oldest at step j of a
+    block."""
     s = (_ORDER - 1 - j) % _ORDER
-    return [*_force((f"ax{s}", f"ay{s}", f"az{s}"), _STATE[:3], _STATE[3:]),
-            f"dx{s} = vx",
-            f"dy{s} = vy",
-            f"dz{s} = vz"]
+    return _python([*_force((f"ax{s}", f"ay{s}", f"az{s}"), _STATE[:3],
+                            _STATE[3:]),
+                    f"dx{s} = vx",
+                    f"dy{s} = vy",
+                    f"dz{s} = vz"])
 
 
-def _abm_step(j: int, k: str) -> list:
-    """Source lines of one multistep step, to grid index k (an
-    expression), at step j of a block: predict, evaluate, correct, check
-    the altitude, evaluate, and buffer the new point."""
-    def slot(d, i):
-        return f"{d}{(i - j) % _ORDER}"
-
-    lines = []
-    for p, s, d in zip(("px", "py", "pz", "pvx", "pvy", "pvz"), _STATE,
-                       _FAMILIES):
-        terms = " + ".join(f"b{i} * {slot(d, i)}" for i in range(_ORDER))
-        lines.append(f"{p} = {s} + ({terms})")
-    lines += _radius("px", "py", "pz")
-    lines += _force(("qx", "qy", "qz"), ("px", "py", "pz"),
-                    ("pvx", "pvy", "pvz"))
-    for s, new, d in zip(_STATE, ("pvx", "pvy", "pvz", "qx", "qy", "qz"),
-                         _FAMILIES):
-        terms = " + ".join(f"c{i + 1} * {slot(d, i)}"
-                           for i in range(_ORDER - 1))
-        lines.append(f"{s} += (c0 * {new} + {terms})")
-    lines += _radius("x", "y", "z")
-    lines += _decay_check(k, j)
-    return lines + _newest(j) + ["buf += (x, y, z, vx, vy, vz)"]
+def _abm_python_step(j: int, k: str) -> list:
+    """Python source lines of one multistep step, to grid index k (an
+    expression), at step j of a block: the step, the altitude check, the
+    newest back values, and the new point buffered."""
+    return [*_python(_abm_step(lambda d, i: f"{d}{(i - j) % _ORDER}")),
+            f"if {_DECAYED}:",
+            *([f"    j = {j}"] if j else []),
+            f"    raise _decay_error(r - R_EARTH, t0 + {k} * h)",
+            *_newest(j),
+            "buf += (x, y, z, vx, vy, vz)"]
 
 
-def _abm_source() -> list:
-    """The source of _abm_steps."""
+def _abm_python() -> list:
+    """The Python source of _abm_steps."""
     shift = f"{_slots(0)} = {_slots(1)}"    # after a step at j = 0
     block = []
     for j in range(_ORDER):
-        block += _abm_step(j, f"(kb + {j})" if j else "kb")
+        block += _abm_python_step(j, f"(kb + {j})" if j else "kb")
     bs = ", ".join(f"b{i}" for i in range(_ORDER))
     cs = ", ".join(f"c{i}" for i in range(_ORDER))
     return [
         "def _abm_steps(points, back, h, n, bstar, kj, t0):",
         "    nmu = -MU_EARTH",
-        "    sqrt = math.sqrt",
+        "    sqrt, exp = math.sqrt, math.exp",
         f"    {bs} = [h * b for b in _AB]",
         f"    {cs} = [h * c for c in _AM]",
         "    k0 = len(points) // 6 - 1",
@@ -593,7 +659,7 @@ def _abm_source() -> list:
         "    if fill:",
         "        for k in range(k0 + 1 - _ORDER, k0 + 1):",
         "            x, y, z, vx, vy, vz = points[6 * k:6 * k + 6]",
-        *_indent(_radius("x", "y", "z") + _newest(0) + [shift], 3),
+        *_indent(_python(_radius(*_STATE[:3])) + _newest(0) + [shift], 3),
         "    x, y, z, vx, vy, vz = points[-6:]",
         "    buf = []",
         "    full = 6 * _APPEND_STEPS",
@@ -606,7 +672,7 @@ def _abm_source() -> list:
         "                points.fromlist(buf)",
         "                buf.clear()",
         "        for k in range(end, k0 + n + 1):",
-        *_indent(_abm_step(0, "k") + [shift], 3),
+        *_indent(_abm_python_step(0, "k") + [shift], 3),
         "    finally:",
         "        if buf:",
         "            points.fromlist(buf)",
@@ -617,17 +683,285 @@ def _abm_source() -> list:
         "                       for i in range(6 * _ORDER)]"]
 
 
-def _stepping_loops() -> tuple:
-    """(_rk4_steps, _abm_steps), compiled from their sources, with this
-    module's globals."""
+def _indent(lines, depth: int) -> list:
+    return ["    " * depth + line for line in lines]
+
+
+@functools.cache
+def _python_loops() -> tuple:
+    """(_rk4_steps, _abm_steps) as Python, compiled from the template with
+    this module's globals."""
     namespace = {}
-    source = "\n".join(_rk4_source() + _abm_source())
+    source = "\n".join(_rk4_python() + _abm_python())
     exec(compile(source, "<astro stepping loops>", "exec"), globals(),
          namespace)
     return namespace["_rk4_steps"], namespace["_abm_steps"]
 
 
-_rk4_steps, _abm_steps = _stepping_loops()
+# the names the template reads, each a C constant of the same value
+_C_CONSTANTS = ("MU_EARTH", "R_EARTH", "EARTH_ROT", "DRAG_RHO0", "DRAG_H0",
+                "DRAG_SCALE_H", "DECAY_ALTITUDE")
+_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+_BACK = 6 * _ORDER      # back values; the C loop's back buffer has 2 more
+
+
+# The C skeleton of both stepping loops, which _c_source fills in.
+# sdachain_rk4_steps steps s (six doubles) in place and returns 0, or 1 for
+# a decay, with the altitude in s[0] and the step k in s[1], or 2 for a
+# zero divisor.  sdachain_abm_steps writes n points after grid point k0 of
+# p, which has room for them, and updates back: the back values, then the
+# steps done and, after a decay, its altitude.  It returns the same codes.
+_C_LOOPS = string.Template("""\
+#include <math.h>
+$constants
+static void shift(double *f, double v)
+{
+    int i;
+    for (i = $last; i > 0; i--)
+        f[i] = f[i - 1];
+    f[0] = v;
+}
+int sdachain_rk4_steps(double *s, double h, long n, double bstar,
+                       double kj, long k0)
+{
+    const double nmu = -MU_EARTH;
+    const double h2 = 0.5 * h, h6 = h / 6.0;
+    double x = s[0], y = s[1], z = s[2], vx = s[3], vy = s[4], vz = s[5];
+    double $rk4_locals;
+    long k;
+$rk4_start
+    for (k = k0 + 1; k < k0 + n + 1; k++) {
+$rk4_step
+        if ($decayed) {
+            s[0] = r - R_EARTH;
+            s[1] = k;
+            return 1;
+        }
+    }
+    s[0] = x;
+    s[1] = y;
+    s[2] = z;
+    s[3] = vx;
+    s[4] = vy;
+    s[5] = vz;
+    return 0;
+divided:
+    return 2;
+}
+int sdachain_abm_steps(double *p, long k0, double *back, int fill,
+                       double h, long n, double bstar, double kj)
+{
+    const double nmu = -MU_EARTH;
+    const double $weights;
+    double $families;
+    double x, y, z, vx, vy, vz;
+    double $abm_locals;
+    long k, done = 0;
+    if (fill) {
+        for (k = k0 + 1 - $order; k < k0 + 1; k++) {
+            x = p[6 * k + 0];
+            y = p[6 * k + 1];
+            z = p[6 * k + 2];
+            vx = p[6 * k + 3];
+            vy = p[6 * k + 4];
+            vz = p[6 * k + 5];
+$fill
+        }
+    }
+    x = p[6 * k0 + 0];
+    y = p[6 * k0 + 1];
+    z = p[6 * k0 + 2];
+    vx = p[6 * k0 + 3];
+    vy = p[6 * k0 + 4];
+    vz = p[6 * k0 + 5];
+    for (; done < n; done++) {
+$abm_step
+        if ($decayed) {
+            back[$altitude] = r - R_EARTH;
+            break;
+        }
+$newest
+        k = 6 * (k0 + 1 + done);
+        p[k + 0] = x;
+        p[k + 1] = y;
+        p[k + 2] = z;
+        p[k + 3] = vx;
+        p[k + 4] = vy;
+        p[k + 5] = vz;
+    }
+    back[$done] = done;
+    return done < n;
+divided:
+    back[$done] = done;
+    return 2;
+}
+""")
+
+
+def _c_source() -> str:
+    """The C source of both stepping loops."""
+    start, rk4 = _radius(*_STATE[:3]), _rk4_step()
+    step = _abm_step(lambda d, i: f"{d}[{i}]")
+    force = _force(("qx", "qy", "qz"), _STATE[:3], _STATE[3:])
+    newest = [*_c(force), *(f"shift({d}, {v});" for d, v in zip(
+        _FAMILIES, _STATE[3:] + ("qx", "qy", "qz")))]
+
+    def lines(code, depth: int) -> str:
+        return "\n".join(_indent(code, depth))
+
+    def names(*templates) -> str:
+        return ", ".join(dict.fromkeys(
+            n for t in templates for n in _assigned(t) if n not in _STATE))
+
+    return _C_LOOPS.substitute(
+        constants="\n".join(f"static const double {name} = "
+                            f"{globals()[name]!r};" for name in _C_CONSTANTS),
+        last=_ORDER - 1, order=_ORDER, decayed=_DECAYED,
+        done=_BACK, altitude=_BACK + 1,
+        rk4_locals=names(start, rk4), rk4_start=lines(_c(start), 1),
+        rk4_step=lines(_c(rk4), 2),
+        weights=", ".join(f"{w}{i} = h * {v!r}"
+                          for w, ws in (("b", _AB), ("c", _AM))
+                          for i, v in enumerate(ws)),
+        families=", ".join(f"*{d} = back + {_ORDER * i}"
+                           for i, d in enumerate(_FAMILIES)),
+        abm_locals=names(start, step, force),
+        fill=lines(_c(start) + newest, 3), abm_step=lines(_c(step), 2),
+        newest=lines(newest, 2))
+
+
+def _step_error(failed: int, alt: float, t: float) -> ArithmeticError:
+    """The error a C loop's failure code stands for."""
+    if failed == 2:
+        return ZeroDivisionError("float division by zero")
+    return _decay_error(alt, t)
+
+
+def _bind(lib) -> tuple:
+    """(_rk4_steps, _abm_steps) wrappers of the C loops of lib, a
+    ctypes.PyDLL: the interpreter lock stays held through each call, so no
+    other thread can resize a buffer the C loop writes."""
+    rk4, abm = lib.sdachain_rk4_steps, lib.sdachain_abm_steps
+    ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    rk4.argtypes = (ptr, double, long, double, double, long)
+    abm.argtypes = (ptr, long, ptr, ctypes.c_int, double, long, double, double)
+    rk4.restype = abm.restype = ctypes.c_int
+
+    def _rk4_steps(state, h, n, bstar, kj, t0, k0):
+        s = array("d", state)
+        if len(s) != 6:
+            raise ValueError(f"a state has 6 values, got {len(s)}")
+        failed = rk4(s.buffer_info()[0], h, n, bstar, kj, k0)
+        if failed:
+            raise _step_error(failed, s[0], t0 + int(s[1]) * h)
+        return tuple(s)
+
+    def _abm_steps(points, back, h, n, bstar, kj, t0):
+        if (len(points) % 6 or len(points) < 6 * _ORDER
+                or len(back) not in (0, _BACK)):
+            raise ValueError(f"a multistep extension needs at least {_ORDER}"
+                             f" grid points and {_BACK} or no back values")
+        k0 = len(points) // 6 - 1
+        io = array("d", back or bytes(8 * _BACK))
+        io.extend((0.0, 0.0))
+        points.frombytes(bytes(48 * n))
+        failed = abm(points.buffer_info()[0], k0, io.buffer_info()[0],
+                     not back, h, n, bstar, kj)
+        done = int(io[_BACK])
+        del points[6 * (k0 + 1 + done):]
+        back[:] = io[:_BACK]
+        if failed:
+            raise _step_error(failed, io[_BACK + 1], t0 + (k0 + 1 + done) * h)
+
+    return _rk4_steps, _abm_steps
+
+
+# the grid a native build must step as the Python loops do: a drag-on,
+# J2-on orbit 300 km up that decays 134 steps forward
+_CHECK_STATE = (6678.137, 0.0, 0.0, 0.0, 5.45, 5.45)
+_CHECK_BSTAR = 5e-5
+
+
+def _grid_bits(rk4, abm) -> list:
+    """The bytes the stepping loops rk4 and abm make of the check grid
+    both ways: its start-up, multistep chunks of 1, 9, 40 and 400 steps,
+    each followed by a remainder step, down to a decay's error text."""
+    kj = _j2_coeff(J2_EARTH)
+    out = []
+    for h in (STEP_S, -STEP_S):
+        points, back = array("d", _CHECK_STATE), []
+        try:
+            for k in range(_ORDER - 1):
+                points.extend(rk4(points[-6:], h / 3.0, 3, _CHECK_BSTAR, kj,
+                                  0.0, 3 * k))
+            for n in (1, 9, 40, 400):
+                abm(points, back, h, n, _CHECK_BSTAR, kj, 0.0)
+                out.append(array("d", rk4(points[-6:], 0.4 * h, 1,
+                                          _CHECK_BSTAR, kj, 0.0, -1)))
+        except DecayError as exc:
+            out.append(str(exc))
+        out += [points, array("d", back)]
+    return [x if isinstance(x, str) else x.tobytes() for x in out]
+
+
+def _library_path(source: str) -> str:
+    """Where the library built from C source is cached."""
+    key = hashlib.sha256("\0".join((*_CFLAGS, source)).encode()).hexdigest()
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "__pycache__", f"_stepping.{key}.so")
+
+
+def _native_loops():
+    """(path, _rk4_steps, _abm_steps) of the C loops, loaded from the cache
+    or built into it, or None when this host cannot build or load them."""
+    source = _c_source()
+    path = _library_path(source)
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        if data[-32:] == hashlib.sha256(data[:-32]).digest():
+            return (path, *_bind(ctypes.PyDLL(path)))
+    except (OSError, AttributeError):
+        pass
+    return _build(source, path)
+
+
+def _build(source: str, path: str):
+    """Build source into a library, and cache it at path, followed by its
+    SHA-256, if its loops make the Python loops' _grid_bits; returns what
+    _native_loops does."""
+    import shutil       # here, since a cache hit needs none of them
+    import subprocess
+    import tempfile
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as work:
+            c_file = os.path.join(work, "stepping.c")
+            lib_file = os.path.join(work, "stepping.so")
+            with open(c_file, "w", encoding="ascii") as f:
+                f.write(source)
+            subprocess.run([cc, *_CFLAGS, "-o", lib_file, c_file, "-lm"],
+                           check=True, capture_output=True, timeout=300)
+            with open(lib_file, "rb") as f:
+                digest = hashlib.sha256(f.read()).digest()
+            with open(lib_file, "ab") as f:
+                f.write(digest)
+            loops = _bind(ctypes.PyDLL(lib_file))
+            if _grid_bits(*loops) != _grid_bits(*_python_loops()):
+                return None
+            os.replace(lib_file, path)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    return (path, *loops)
+
+
+# NATIVE_LIBRARY is the cached library the stepping loops call, or None
+# when they run as Python
+NATIVE_LIBRARY, _rk4_steps, _abm_steps = (_native_loops()
+                                          or (None, *_python_loops()))
 _rk4_steps.__doc__ = """\
 n RK4 steps of h seconds from state; returns the last state.
 

@@ -93,7 +93,7 @@ class TestGibbs:
         rng = random.Random(41)
         for _ in range(10):
             rec = leo_record(rng)
-            period = rec.elements.period()
+            period = 2.0 * math.pi / rec.elements.mean_motion()
             t_mid = Epoch(600.0)
             epochs = [Epoch(600.0 + dt) for dt in (-period / 20.0, 0.0, period / 20.0)]
             site = site_under(rec, t_mid)
@@ -593,7 +593,7 @@ class TestDispatch:
     def test_tdm_with_range_uses_gibbs(self):
         rng = random.Random(81)
         rec = leo_record(rng)
-        period = rec.elements.period()
+        period = 2.0 * math.pi / rec.elements.mean_motion()
         epochs = [Epoch(600.0 + dt) for dt in (-period / 20.0, 0.0, period / 20.0)]
         site = site_under(rec, epochs[1])
         tdm = synth_tdm(rec, site, epochs, 0.0, seed=5, with_range=True, j2=0.0)

@@ -1,0 +1,104 @@
+"""The stepping loops' C build: in use wherever a C compiler is found, and
+around it, in processes of their own, the Python fallback and the cache.
+
+A host with cc on PATH must run the C loops, so that a broken build
+cannot pass this suite in pure Python. A host without one runs the Python
+loops and writes the golden uct bytes. An import on a warm cache starts
+no process, and a damaged cache file is never loaded as it is. Each
+subprocess runs on a copy of src/sdachain in tmp_path, so it starts from
+an empty cache.
+"""
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from sdachain import astro
+from test_golden import GOLDEN, _sha256_file
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sdachain"
+HAS_CC = shutil.which("cc") is not None
+# the file name a copy of the package caches its library under
+LIBRARY = os.path.basename(astro._library_path(astro._c_source()))
+
+
+def copy_package(root: pathlib.Path) -> pathlib.Path:
+    """root, holding a copy of the sdachain package with no __pycache__."""
+    shutil.copytree(SRC, root / "sdachain",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def run(root: pathlib.Path, code: str, *args: str, **env) -> list:
+    """The words python -c code args prints, importing root's sdachain."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(root), **env},
+        capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+_IMPORT = "import sdachain.astro as a\nprint(a.NATIVE_LIBRARY)\n"
+
+
+@pytest.fixture(scope="module")
+def warm(tmp_path_factory) -> pathlib.Path:
+    """A package copy whose cache holds the library, where cc is found."""
+    root = copy_package(tmp_path_factory.mktemp("warm"))
+    run(root, _IMPORT)
+    return root
+
+
+def test_native_loops_in_use_where_cc_is_found():
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: the Python loops run")
+    assert astro.NATIVE_LIBRARY is not None
+    assert os.path.basename(astro.NATIVE_LIBRARY) == LIBRARY
+
+
+def test_no_compiler_runs_the_python_loops(tmp_path):
+    root = copy_package(tmp_path / "src")
+    (tmp_path / "bin").mkdir()      # PATH with no cc on it
+    code = (_IMPORT + "import sys\n"
+            "from sdachain.netsim import run_scenario, uct_scenario\n"
+            "print(run_scenario(uct_scenario(1), sys.argv[1]).state_root)\n")
+    out = run(root, code, str(tmp_path / "out"), PATH=str(tmp_path / "bin"))
+    assert out[0] == "None"
+    assert not (root / "sdachain" / "__pycache__" / LIBRARY).exists()
+    assert (_sha256_file(tmp_path / "out" / "chain.log"),
+            _sha256_file(tmp_path / "out" / "report.json"),
+            out[1]) == GOLDEN["uct"][1:]
+
+
+def test_warm_cache_import_starts_no_process(warm):
+    code = ("import subprocess\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise RuntimeError('a warm-cache import started a process')\n"
+            "subprocess.Popen = refuse\n" + _IMPORT)
+    library = warm / "sdachain" / "__pycache__" / LIBRARY
+    assert run(warm, code) == [str(library) if HAS_CC else "None"]
+
+
+def test_damaged_cache_file_is_never_loaded_as_it_is(warm, tmp_path):
+    # the built library with its SHA-256 trailer overwritten would load and
+    # run; garbage would not load at all. Either way the import must
+    # rebuild (here, where cc is found) or fall back, and never crash
+    root = tmp_path / "damaged"
+    shutil.copytree(warm, root)
+    library = root / "sdachain" / "__pycache__" / LIBRARY
+    if HAS_CC:
+        damaged = library.read_bytes()[:-32] + bytes(32)
+    else:
+        library.parent.mkdir(exist_ok=True)
+        damaged = b"not a library" * 100
+    library.write_bytes(damaged)
+    out = run(root, _IMPORT)
+    if HAS_CC:
+        assert out == [str(library)]
+        assert library.read_bytes() != damaged
+    else:
+        assert out == ["None"]

@@ -1,15 +1,22 @@
-"""The generated stepping loops against the handwritten ones they
-replaced.
+"""Both renderings of the stepping loops against the handwritten loops
+they replaced.
 
-astro builds _rk4_steps and _abm_steps at import from one force-model
-template, and _abm_steps runs its bulk in blocks of _ORDER steps that
-rename the back values instead of shifting them. The two functions below
-are the handwritten loops those replaced, kept verbatim as the bit
-reference: grids stepped by either pair, in any chunking, in either
-direction, with or without J2 and drag, must hold the same bytes, the
-same back values and decay indices, and raise the same DecayError text.
+astro writes _rk4_steps and _abm_steps once, as a force-model template,
+and renders it as C, which it builds and calls where the host's compiler
+reproduces the Python loops' bits, and as Python, which it runs
+otherwise; the Python _abm_steps runs its bulk in blocks of _ORDER steps
+that rename the back values instead of shifting them. The two functions
+below are the handwritten loops those replaced, kept verbatim as the bit
+reference, with the drag force the template now inlines. Every test here
+checks each loop set this host has: the Python loops always, so that the
+fallback cannot drift on a host that never runs it, and the C loops
+wherever they are in use. Grids stepped by either set, in any chunking,
+in either direction, with or without J2 and drag, must hold the same
+bytes, the same back values and decay indices, and raise the same
+DecayError text.
 """
 import math
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -29,10 +36,27 @@ from sdachain.astro import (
     _AM,
     _APPEND_STEPS,
     _ORDER,
+    DRAG_H0,
+    DRAG_RHO0,
+    DRAG_SCALE_H,
+    EARTH_ROT,
     _decay_error,
-    _drag,
 )
 from test_astro import _DECAY_PINS, _LOW
+
+_EXP, _SQRT = math.exp, math.sqrt
+
+
+def _drag(x, y, vx, vy, vz, r, bstar):
+    """The drag acceleration, as astro computed it before the template
+    inlined it; with math's exp and sqrt taken at import, which the
+    remainder-step test below does not count."""
+    rho = DRAG_RHO0 * _EXP(-((r - R_EARTH) - DRAG_H0) / DRAG_SCALE_H)
+    rvx = vx + EARTH_ROT * y
+    rvy = vy - EARTH_ROT * x
+    vr = _SQRT(rvx * rvx + rvy * rvy + vz * vz)
+    d = -bstar * rho * vr
+    return d * rvx, d * rvy, d * vz
 
 
 def _rk4_steps(state, h, n, bstar, kj, t0, k0):
@@ -284,8 +308,13 @@ def _abm_steps(points, back, h, n, bstar, kj, t0):
                    az0, az1, az2, az3, az4, az5, az6, az7, az8, az9)
 
 
-GENERATED = (astro._rk4_steps, astro._abm_steps)
 REFERENCE = (_rk4_steps, _abm_steps)
+# the loop sets every test runs: the Python loops, and the C loops where
+# astro calls them (tests/test_native.py checks that it does wherever cc
+# is found)
+LOOP_SETS = {"python": astro._python_loops()}
+if astro.NATIVE_LIBRARY is not None:
+    LOOP_SETS["native"] = (astro._rk4_steps, astro._abm_steps)
 
 
 def stepped(loops, el, bstar, step_s, j2, times):
@@ -335,7 +364,8 @@ def test_grids_match_the_reference(phase, a, e, i, angles, epoch, bstar, j2,
     times = [epoch + sign * k * step_s for k in ends]
     times.append(epoch + sign * (ends[-1] + rem) * step_s)
     want = stepped(REFERENCE, el, bstar, step_s, j2, times)
-    assert stepped(GENERATED, el, bstar, step_s, j2, times) == want
+    for name, loops in LOOP_SETS.items():
+        assert stepped(loops, el, bstar, step_s, j2, times) == want, name
 
 
 _LOW_BSTAR, _LOW_DECAY, _LOW_MESSAGE, _ = _DECAY_PINS[0]
@@ -350,14 +380,43 @@ def test_decay_at_every_block_step(j):
     assert start - 1 >= _ORDER
     times = [(start - 1) * 30.0, 86400.0, 86400.0]
     want = stepped(REFERENCE, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times)
-    got = stepped(GENERATED, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times)
-    assert got == want
-    assert got[0][1] == _LOW_MESSAGE
-    assert got[1][4] == _LOW_DECAY
-    assert len(got[1][0]) == 8 * 6 * _LOW_DECAY
+    assert want[0][1] == _LOW_MESSAGE
+    assert want[1][4] == _LOW_DECAY
+    assert len(want[1][0]) == 8 * 6 * _LOW_DECAY
+    for name, loops in LOOP_SETS.items():
+        assert stepped(loops, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times) == \
+            want, name
 
 
-_SQRT = math.sqrt
+@pytest.mark.parametrize("state,kj", [
+    ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0), 0.0),
+    ((1e-70, 0.0, 0.0, 0.0, 0.0, 0.0), astro._j2_coeff(J2_EARTH))],
+    ids=["gravity", "j2"])
+def test_zero_divisor_raises_as_the_reference(state, kj):
+    # r2 * r is 0 at the origin, and r2 * r2 * r underflows to 0 at
+    # 1e-70 km: Python's division raises, and the C loops test for it,
+    # in a step and in the back values of a first multistep extension
+    for rk4, abm in (REFERENCE, *LOOP_SETS.values()):
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            rk4(state, 1.0, 1, 0.0, kj, 0.0, 0)
+        points = array("d", state * _ORDER)
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            abm(points, [], 1.0, 1, 0.0, kj, 0.0)
+        assert len(points) == 6 * _ORDER
+
+
+def test_malformed_buffers_raise_value_error():
+    # the C loops write through raw addresses, so their wrappers check
+    # each buffer's length; the Python loops fail to unpack the same ones
+    kj = astro._j2_coeff(J2_EARTH)
+    state = astro._anchor(_LOW)
+    for rk4, abm in (REFERENCE, *LOOP_SETS.values()):
+        with pytest.raises(ValueError):
+            rk4(state[:5], 1.0, 1, 0.0, kj, 0.0, 0)
+        with pytest.raises(ValueError):
+            abm(array("d", state), [], 1.0, 1, 0.0, kj, 0.0)
+        with pytest.raises(ValueError):
+            abm(array("d", state * _ORDER), [0.0] * 59, 1.0, 1, 0.0, kj, 0.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
