@@ -388,13 +388,14 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # A _Grid holds one orbit's grid for one (elements, bstar, step, j2): the
 # anchor state is computed and altitude-checked once, when the grid is built,
 # and the forward and backward grids are flat array('d') buffers, six doubles
-# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  Next to each
-# it keeps the back values at its last _ORDER points, so a grid extended in
-# any chunking holds the same bits; the first multistep extension evaluates
-# them at the start-up points with the multistep loop's own force
-# expression.  Each grid is kept on its KeplerianElements instance, in a dict
-# keyed by (bstar, step, j2), so it lives exactly as long as its elements do;
-# elements built anew, even with equal values, start with no grid.
+# (x, y, z, vx, vy, vz) per grid point, point k at offset 6*k.  A grid is
+# its points and nothing more: each multistep extension evaluates the back
+# values at the last _ORDER points it holds, with the force statements that
+# evaluate them after each step, so a grid extended in any chunking holds
+# the same bits.  Each grid is kept on its KeplerianElements instance, in a
+# dict keyed by (bstar, step, j2), so it lives exactly as long as its
+# elements do; elements built anew, even with equal values, start with no
+# grid.
 #
 # _rk4_steps and _abm_steps are the two stepping loops.  Their arithmetic is
 # written once, as template statements in the syntax Python and C share:
@@ -420,33 +421,36 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # package's __pycache__ under the SHA-256 of flags and source, followed by
 # the SHA-256 of its own bytes, which is checked before it is loaded; a
 # cache hit starts no process.  A build enters the cache only after its
-# loops reproduce the Python loops' bits on a fixed drag-on, J2-on grid
-# both ways, down to its decay (_grid_bits), so a compiler or platform that
+# loops reproduce the Python loops' bits on two fixed drag-on, J2-on grids
+# both ways, one down to its decay and one 3 450 multistep steps long
+# (_grid_bits); a check that raises fails.  So a compiler or platform that
 # widens or contracts floats, or a C exp that is not the one math.exp
 # calls, leaves the Python loops in use instead of forking the chain's
 # bytes.  NATIVE_LIBRARY names the library in use; it is None when there is
 # no cc, the build fails, the bits differ or the library will not load, and
 # then the loops run as Python, compiled from the template only then
-# (_python_loops).  The C wrappers (_bind) keep the Python loops'
-# signatures and contracts, and pass each array('d') by its buffer address,
-# copying nothing; the C multistep loop keeps its back values in arrays
-# that it shifts one slot a step.
+# (_python_loops).  A build that passes removes the cached libraries of
+# other sources.  The C wrappers (_bind) keep the Python loops' signatures
+# and contracts, and pass each array('d') by its buffer address, copying
+# nothing; the C multistep loop keeps its back values in local arrays that
+# it shifts one slot a step.
 #
-# The Python _abm_steps runs its bulk in blocks of _ORDER steps, unrolled,
-# that rename the back values instead of shifting them: at step j of a
-# block, back value i of each family (dx, dy, dz, ax, ay, az) lives in slot
+# The Python _abm_steps runs in blocks of _ORDER steps, unrolled, that
+# rename the back values instead of shifting them: at step j of a block,
+# back value i of each family (dx, dy, dz, ax, ay, az) lives in slot
 # (i - j) mod _ORDER, and the step's new value takes the slot of the
-# oldest, so each value is back in its own slot when the block ends.  A
-# decay at step j notes j, and the loop writes the back values out through
-# that step's slot map.  The back-value passes of a grid's first multistep
-# extension and the n mod _ORDER steps after the last block run a one-step
-# body, which shifts the back values one slot.  In both languages each
-# step's altitude check reuses the radius that its next force evaluation
-# needs.  The Python loop's new points reach the grid in bulk appends, after
-# each block that leaves at least _APPEND_STEPS points buffered, so even a
-# first extension across the whole span buffers fewer than
-# _APPEND_STEPS + _ORDER; the C loop writes into room the wrapper appends
-# first, and the wrapper cuts off what a decay leaves unwritten.
+# oldest, so each value is back in its own slot when the block ends.  The
+# back-value passes are one such block that steps nothing: at its step j
+# it loads point k0 - i, i = _ORDER - 1 - j, whose values take slot i, and
+# leaves x..vz holding point k0.  The n mod _ORDER steps after the last
+# whole block run a block that breaks before its first step past the last.
+# In both languages each step's altitude check reuses the radius that its
+# next force evaluation needs.  The Python loop's new points reach the grid
+# in bulk appends, after each block that leaves at least _APPEND_STEPS
+# points buffered, so even an extension across the whole span buffers
+# fewer than _APPEND_STEPS + _ORDER; the C loop writes into room the
+# wrapper appends first, and the wrapper cuts off what a decay leaves
+# unwritten.
 
 
 def _j2_coeff(j2: float) -> float:
@@ -608,13 +612,6 @@ def _rk4_python() -> list:
             "    return x, y, z, vx, vy, vz"]
 
 
-def _slots(j: int) -> str:
-    """The names of the back values at step j of a block, family by
-    family and newest first: back value i is in slot (i - j) mod _ORDER."""
-    return ", ".join(f"{d}{(i - j) % _ORDER}" for d in _FAMILIES
-                     for i in range(_ORDER))
-
-
 def _newest(j: int) -> list:
     """Python source lines that evaluate the newest back values at the
     state x, y, z, vx, vy, vz into the slots of the oldest at step j of a
@@ -627,60 +624,56 @@ def _newest(j: int) -> list:
                     f"dz{s} = vz"])
 
 
-def _abm_python_step(j: int, k: str) -> list:
-    """Python source lines of one multistep step, to grid index k (an
-    expression), at step j of a block: the step, the altitude check, the
-    newest back values, and the new point buffered."""
-    return [*_python(_abm_step(lambda d, i: f"{d}{(i - j) % _ORDER}")),
-            f"if {_DECAYED}:",
-            *([f"    j = {j}"] if j else []),
-            f"    raise _decay_error(r - R_EARTH, t0 + {k} * h)",
-            *_newest(j),
-            "buf += (x, y, z, vx, vy, vz)"]
+def _abm_python_block(tail: bool) -> list:
+    """Python source lines of a block of _ORDER multistep steps from grid
+    index kb, each followed by its altitude check, its newest back values
+    and its new point buffered; a tail block breaks before its first step
+    past grid index last."""
+    lines = []
+    for j in range(_ORDER):
+        k = f"(kb + {j})" if j else "kb"    # the step's grid index
+        if tail and j:
+            lines += [f"if {k} > last:", "    break"]
+        lines += [*_python(_abm_step(lambda d, i: f"{d}{(i - j) % _ORDER}")),
+                  f"if {_DECAYED}:",
+                  f"    raise _decay_error(r - R_EARTH, t0 + {k} * h)",
+                  *_newest(j),
+                  "buf += (x, y, z, vx, vy, vz)"]
+    return lines
 
 
 def _abm_python() -> list:
     """The Python source of _abm_steps."""
-    shift = f"{_slots(0)} = {_slots(1)}"    # after a step at j = 0
-    block = []
+    fill = []
     for j in range(_ORDER):
-        block += _abm_python_step(j, f"(kb + {j})" if j else "kb")
+        i = _ORDER - 1 - j      # point k0 - i, whose back values take slot i
+        fill += [f"x, y, z, vx, vy, vz = points[{-6 * (i + 1)}:{-6 * i or ''}]",
+                 *_python(_radius(*_STATE[:3])), *_newest(j)]
     bs = ", ".join(f"b{i}" for i in range(_ORDER))
     cs = ", ".join(f"c{i}" for i in range(_ORDER))
     return [
-        "def _abm_steps(points, back, h, n, bstar, kj, t0):",
+        "def _abm_steps(points, h, n, bstar, kj, t0):",
         "    nmu = -MU_EARTH",
         "    sqrt, exp = math.sqrt, math.exp",
         f"    {bs} = [h * b for b in _AB]",
         f"    {cs} = [h * c for c in _AM]",
+        *_indent(fill, 1),
         "    k0 = len(points) // 6 - 1",
-        "    fill = not back",
-        f"    {_slots(0)} = back or [0.0] * (6 * _ORDER)",
-        "    if fill:",
-        "        for k in range(k0 + 1 - _ORDER, k0 + 1):",
-        "            x, y, z, vx, vy, vz = points[6 * k:6 * k + 6]",
-        *_indent(_python(_radius(*_STATE[:3])) + _newest(0) + [shift], 3),
-        "    x, y, z, vx, vy, vz = points[-6:]",
+        "    last = k0 + n",
+        "    end = last + 1 - n % _ORDER",
         "    buf = []",
         "    full = 6 * _APPEND_STEPS",
-        "    end = k0 + 1 + n - n % _ORDER",
-        "    j = 0",
         "    try:",
         "        for kb in range(k0 + 1, end, _ORDER):",
-        *_indent(block, 3),
+        *_indent(_abm_python_block(False), 3),
         "            if len(buf) >= full:",
         "                points.fromlist(buf)",
         "                buf.clear()",
-        "        for k in range(end, k0 + n + 1):",
-        *_indent(_abm_python_step(0, "k") + [shift], 3),
+        "        for kb in range(end, last + 1, _ORDER):     # at most once",
+        *_indent(_abm_python_block(True), 3),
         "    finally:",
         "        if buf:",
-        "            points.fromlist(buf)",
-        f"        back[:] = ({_slots(0)})",
-        "        if j:",
-        "            # back value i of a family is in slot (i - j) % _ORDER",
-        "            back[:] = [back[i - i % _ORDER + (i - j) % _ORDER]",
-        "                       for i in range(6 * _ORDER)]"]
+        "            points.fromlist(buf)"]
 
 
 def _indent(lines, depth: int) -> list:
@@ -702,15 +695,14 @@ def _python_loops() -> tuple:
 _C_CONSTANTS = ("MU_EARTH", "R_EARTH", "EARTH_ROT", "DRAG_RHO0", "DRAG_H0",
                 "DRAG_SCALE_H", "DECAY_ALTITUDE")
 _CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
-_BACK = 6 * _ORDER      # back values; the C loop's back buffer has 2 more
 
 
 # The C skeleton of both stepping loops, which _c_source fills in.
 # sdachain_rk4_steps steps s (six doubles) in place and returns 0, or 1 for
 # a decay, with the altitude in s[0] and the step k in s[1], or 2 for a
 # zero divisor.  sdachain_abm_steps writes n points after grid point k0 of
-# p, which has room for them, and updates back: the back values, then the
-# steps done and, after a decay, its altitude.  It returns the same codes.
+# p, which has room for them, and sets out[0] to the steps done and, after
+# a decay, out[1] to its altitude.  It returns the same codes.
 _C_LOOPS = string.Template("""\
 #include <math.h>
 $constants
@@ -748,8 +740,8 @@ $rk4_step
 divided:
     return 2;
 }
-int sdachain_abm_steps(double *p, long k0, double *back, int fill,
-                       double h, long n, double bstar, double kj)
+int sdachain_abm_steps(double *p, long k0, double *out, double h, long n,
+                       double bstar, double kj)
 {
     const double nmu = -MU_EARTH;
     const double $weights;
@@ -757,27 +749,19 @@ int sdachain_abm_steps(double *p, long k0, double *back, int fill,
     double x, y, z, vx, vy, vz;
     double $abm_locals;
     long k, done = 0;
-    if (fill) {
-        for (k = k0 + 1 - $order; k < k0 + 1; k++) {
-            x = p[6 * k + 0];
-            y = p[6 * k + 1];
-            z = p[6 * k + 2];
-            vx = p[6 * k + 3];
-            vy = p[6 * k + 4];
-            vz = p[6 * k + 5];
+    for (k = k0 + 1 - $order; k < k0 + 1; k++) {
+        x = p[6 * k + 0];
+        y = p[6 * k + 1];
+        z = p[6 * k + 2];
+        vx = p[6 * k + 3];
+        vy = p[6 * k + 4];
+        vz = p[6 * k + 5];
 $fill
-        }
     }
-    x = p[6 * k0 + 0];
-    y = p[6 * k0 + 1];
-    z = p[6 * k0 + 2];
-    vx = p[6 * k0 + 3];
-    vy = p[6 * k0 + 4];
-    vz = p[6 * k0 + 5];
     for (; done < n; done++) {
 $abm_step
         if ($decayed) {
-            back[$altitude] = r - R_EARTH;
+            out[1] = r - R_EARTH;
             break;
         }
 $newest
@@ -789,10 +773,10 @@ $newest
         p[k + 4] = vy;
         p[k + 5] = vz;
     }
-    back[$done] = done;
+    out[0] = done;
     return done < n;
 divided:
-    back[$done] = done;
+    out[0] = done;
     return 2;
 }
 """)
@@ -817,16 +801,14 @@ def _c_source() -> str:
         constants="\n".join(f"static const double {name} = "
                             f"{globals()[name]!r};" for name in _C_CONSTANTS),
         last=_ORDER - 1, order=_ORDER, decayed=_DECAYED,
-        done=_BACK, altitude=_BACK + 1,
         rk4_locals=names(start, rk4), rk4_start=lines(_c(start), 1),
         rk4_step=lines(_c(rk4), 2),
         weights=", ".join(f"{w}{i} = h * {v!r}"
                           for w, ws in (("b", _AB), ("c", _AM))
                           for i, v in enumerate(ws)),
-        families=", ".join(f"*{d} = back + {_ORDER * i}"
-                           for i, d in enumerate(_FAMILIES)),
+        families=", ".join(f"{d}[{_ORDER}] = {{0.0}}" for d in _FAMILIES),
         abm_locals=names(start, step, force),
-        fill=lines(_c(start) + newest, 3), abm_step=lines(_c(step), 2),
+        fill=lines(_c(start) + newest, 2), abm_step=lines(_c(step), 2),
         newest=lines(newest, 2))
 
 
@@ -844,7 +826,7 @@ def _bind(lib) -> tuple:
     rk4, abm = lib.sdachain_rk4_steps, lib.sdachain_abm_steps
     ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     rk4.argtypes = (ptr, double, long, double, double, long)
-    abm.argtypes = (ptr, long, ptr, ctypes.c_int, double, long, double, double)
+    abm.argtypes = (ptr, long, ptr, double, long, double, double)
     rk4.restype = abm.restype = ctypes.c_int
 
     def _rk4_steps(state, h, n, bstar, kj, t0, k0):
@@ -856,51 +838,56 @@ def _bind(lib) -> tuple:
             raise _step_error(failed, s[0], t0 + int(s[1]) * h)
         return tuple(s)
 
-    def _abm_steps(points, back, h, n, bstar, kj, t0):
-        if (len(points) % 6 or len(points) < 6 * _ORDER
-                or len(back) not in (0, _BACK)):
+    def _abm_steps(points, h, n, bstar, kj, t0):
+        if len(points) % 6 or len(points) < 6 * _ORDER:
             raise ValueError(f"a multistep extension needs at least {_ORDER}"
-                             f" grid points and {_BACK} or no back values")
+                             f" grid points")
         k0 = len(points) // 6 - 1
-        io = array("d", back or bytes(8 * _BACK))
-        io.extend((0.0, 0.0))
+        out = array("d", (0.0, 0.0))     # steps done, decay altitude
         points.frombytes(bytes(48 * n))
-        failed = abm(points.buffer_info()[0], k0, io.buffer_info()[0],
-                     not back, h, n, bstar, kj)
-        done = int(io[_BACK])
+        failed = abm(points.buffer_info()[0], k0, out.buffer_info()[0], h, n,
+                     bstar, kj)
+        done = int(out[0])
         del points[6 * (k0 + 1 + done):]
-        back[:] = io[:_BACK]
         if failed:
-            raise _step_error(failed, io[_BACK + 1], t0 + (k0 + 1 + done) * h)
+            raise _step_error(failed, out[1], t0 + (k0 + 1 + done) * h)
 
     return _rk4_steps, _abm_steps
 
 
-# the grid a native build must step as the Python loops do: a drag-on,
-# J2-on orbit 300 km up that decays 134 steps forward
-_CHECK_STATE = (6678.137, 0.0, 0.0, 0.0, 5.45, 5.45)
-_CHECK_BSTAR = 5e-5
+# the grids a native build must step as the Python loops do, J2 on, each
+# a state and a bstar: a drag-on orbit 300 km up that decays 134 steps
+# forward, and a drag-off circular orbit at 7 000 km, inclined 1 rad, that
+# stays bound through all 3 450 multistep steps each way, which a J2 term
+# that rounds apart only now and then needs to show (450 steps did not)
+_CHECK_SPEED = math.sqrt(MU_EARTH / 7000.0)
+_CHECK_GRIDS = (((6678.137, 0.0, 0.0, 0.0, 5.45, 5.45), 5e-5),
+                ((7000.0, 0.0, 0.0, 0.0, _CHECK_SPEED * math.cos(1.0),
+                  _CHECK_SPEED * math.sin(1.0)), 0.0))
 
 
 def _grid_bits(rk4, abm) -> list:
-    """The bytes the stepping loops rk4 and abm make of the check grid
-    both ways: its start-up, multistep chunks of 1, 9, 40 and 400 steps,
-    each followed by a remainder step, down to a decay's error text."""
+    """The bytes the stepping loops rk4 and abm make of each check grid
+    both ways: its start-up, multistep chunks of 1, 9, 40, 400 and 3 000
+    steps, each followed by a remainder step, down to the repr of the
+    first DecayError, ArithmeticError or ValueError a step raises, so
+    that loops which raise where the others do not fail the check."""
     kj = _j2_coeff(J2_EARTH)
     out = []
-    for h in (STEP_S, -STEP_S):
-        points, back = array("d", _CHECK_STATE), []
-        try:
-            for k in range(_ORDER - 1):
-                points.extend(rk4(points[-6:], h / 3.0, 3, _CHECK_BSTAR, kj,
-                                  0.0, 3 * k))
-            for n in (1, 9, 40, 400):
-                abm(points, back, h, n, _CHECK_BSTAR, kj, 0.0)
-                out.append(array("d", rk4(points[-6:], 0.4 * h, 1,
-                                          _CHECK_BSTAR, kj, 0.0, -1)))
-        except DecayError as exc:
-            out.append(str(exc))
-        out += [points, array("d", back)]
+    for state, bstar in _CHECK_GRIDS:
+        for h in (STEP_S, -STEP_S):
+            points = array("d", state)
+            try:
+                for k in range(_ORDER - 1):
+                    points.extend(rk4(points[-6:], h / 3.0, 3, bstar, kj,
+                                      0.0, 3 * k))
+                for n in (1, 9, 40, 400, 3000):
+                    abm(points, h, n, bstar, kj, 0.0)
+                    out.append(array("d", rk4(points[-6:], 0.4 * h, 1, bstar,
+                                              kj, 0.0, -1)))
+            except (DecayError, ArithmeticError, ValueError) as exc:
+                out.append(repr(exc))
+            out.append(points)
     return [x if isinstance(x, str) else x.tobytes() for x in out]
 
 
@@ -928,9 +915,10 @@ def _native_loops():
 
 def _build(source: str, path: str):
     """Build source into a library, and cache it at path, followed by its
-    SHA-256, if its loops make the Python loops' _grid_bits; returns what
-    _native_loops does."""
-    import shutil       # here, since a cache hit needs none of them
+    SHA-256, if its loops make the Python loops' _grid_bits, removing the
+    libraries of other sources; returns what _native_loops does."""
+    import glob         # here, since a cache hit needs none of them
+    import shutil
     import subprocess
     import tempfile
     cc = shutil.which("cc")
@@ -955,6 +943,13 @@ def _build(source: str, path: str):
             os.replace(lib_file, path)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
+    for stale in glob.glob(os.path.join(os.path.dirname(path),
+                                        "_stepping.*.so")):
+        if stale != path:
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
     return (path, *loops)
 
 
@@ -976,12 +971,10 @@ n multistep steps of h seconds, appended to the grid points.
     for k0 < k <= k0 + n with k0 the index of its last point, lands at
     t0 + k*h, the time a DecayError names when that step's state is below
     DECAY_ALTITUDE; on a DecayError only the states before it are
-    appended.  back is the list of the back values at the grid's last
-    _ORDER points, dx0..dx9 (velocity x, newest first), then dy, dz, ax,
-    ay and az alike; the loop leaves it matching the last point appended,
-    also when it raises DecayError.  When back is empty, the loop first
-    evaluates it at the last _ORDER points held, in passes that step
-    nothing.
+    appended.  Each call first evaluates the back values (velocity and
+    acceleration) at the last _ORDER points held and keeps them in locals
+    only, so what it appends depends on those points, not on earlier
+    calls.
     """
 
 
@@ -1005,11 +998,11 @@ def _anchor(el: KeplerianElements) -> tuple:
 
 
 class _Grid:
-    """One orbit's step grid: anchor, forward and backward array('d') grids,
-    and the multistep back values at each one's end."""
+    """One orbit's step grid: anchor, and forward and backward array('d')
+    grids."""
 
     __slots__ = ("t0", "step_s", "bstar", "kj", "forward", "backward",
-                 "back_fwd", "back_bwd", "decay_fwd", "decay_bwd")
+                 "decay_fwd", "decay_bwd")
 
     def __init__(self, el: KeplerianElements, bstar: float, step_s: float,
                  j2: float):
@@ -1020,8 +1013,6 @@ class _Grid:
         self.kj = _j2_coeff(j2)
         self.forward = array("d", anchor)     # point k at epoch + k*step
         self.backward = array("d", anchor)    # point k at epoch - k*step
-        self.back_fwd = []                    # empty until a multistep step
-        self.back_bwd = []
         self.decay_fwd = None                 # grid index at which decay was hit
         self.decay_bwd = None
 
@@ -1050,8 +1041,7 @@ class _Grid:
             )
         if len(grid) // 6 <= n_full:
             try:
-                self._extend(grid, self.back_fwd if dt >= 0.0 else self.back_bwd,
-                             sign * step_s, n_full)
+                self._extend(grid, sign * step_s, n_full)
             except DecayError:
                 if dt >= 0.0:
                     self.decay_fwd = len(grid) // 6
@@ -1060,14 +1050,14 @@ class _Grid:
                 raise
         return grid, 6 * n_full, sign * rem
 
-    def _extend(self, grid, back, h: float, n_full: int) -> None:
-        """Step grid, whose back values are back, to point n_full: RK4 at
-        h/3 up to point _ORDER - 1, the multistep loop beyond."""
+    def _extend(self, grid, h: float, n_full: int) -> None:
+        """Step grid to point n_full: RK4 at h/3 up to point _ORDER - 1,
+        the multistep loop beyond."""
         for k in range(len(grid) // 6, min(n_full, _ORDER - 1) + 1):
             grid.extend(_rk4_steps(grid[-6:], h / 3.0, 3, self.bstar, self.kj,
                                    self.t0, 3 * k - 3))
         if n_full >= _ORDER:
-            _abm_steps(grid, back, h, n_full + 1 - len(grid) // 6, self.bstar,
+            _abm_steps(grid, h, n_full + 1 - len(grid) // 6, self.bstar,
                        self.kj, self.t0)
 
     def finish(self, state, h: float, t: float) -> tuple:

@@ -49,8 +49,9 @@ def live_grids() -> int:
 def count_force_evaluations(monkeypatch) -> dict:
     """Count from now on, by stepping loop, the force evaluations the
     propagator makes: four per RK4 step ("rk4": the start-up and the
-    remainder steps), two per multistep step plus one per back value a
-    grid's first multistep extension evaluates ("multistep")."""
+    remainder steps), two per multistep step plus _ORDER per multistep
+    call, which evaluates the back values at the last _ORDER points it is
+    given ("multistep")."""
     counts = {"rk4": 0, "multistep": 0}
     rk4, abm = astro._rk4_steps, astro._abm_steps
 
@@ -58,9 +59,9 @@ def count_force_evaluations(monkeypatch) -> dict:
         counts["rk4"] += 4 * n
         return rk4(state, h, n, *args)
 
-    def abm_counted(points, back, h, n, *args):
-        counts["multistep"] += 2 * n + (0 if back else astro._ORDER)
-        return abm(points, back, h, n, *args)
+    def abm_counted(points, h, n, *args):
+        counts["multistep"] += 2 * n + astro._ORDER
+        return abm(points, h, n, *args)
 
     monkeypatch.setattr(astro, "_rk4_steps", rk4_counted)
     monkeypatch.setattr(astro, "_abm_steps", abm_counted)

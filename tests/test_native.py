@@ -2,11 +2,12 @@
 around it, in processes of their own, the Python fallback and the cache.
 
 A host with cc on PATH must run the C loops, so that a broken build
-cannot pass this suite in pure Python. A host without one runs the Python
+cannot pass this suite in pure Python. A host without one, or whose
+library fails the build-time bit check, even by raising, runs the Python
 loops and writes the golden uct bytes. An import on a warm cache starts
-no process, and a damaged cache file is never loaded as it is. Each
-subprocess runs on a copy of src/sdachain in tmp_path, so it starts from
-an empty cache.
+no process, a damaged cache file is never loaded as it is, and a build
+leaves no library of another source behind. Each subprocess runs on a
+copy of src/sdachain in tmp_path, so it starts from an empty cache.
 """
 import os
 import pathlib
@@ -43,6 +44,21 @@ def run(root: pathlib.Path, code: str, *args: str, **env) -> list:
 
 
 _IMPORT = "import sdachain.astro as a\nprint(a.NATIVE_LIBRARY)\n"
+_UCT = (_IMPORT + "import sys\n"
+        "from sdachain.netsim import run_scenario, uct_scenario\n"
+        "print(run_scenario(uct_scenario(1), sys.argv[1]).state_root)\n")
+
+
+def assert_python_loops_write_golden(root: pathlib.Path,
+                                     out_dir: pathlib.Path, **env) -> None:
+    """root's sdachain, imported with env, runs the Python loops, caches
+    no library, and writes the golden uct bytes to out_dir."""
+    out = run(root, _UCT, str(out_dir), **env)
+    assert out[0] == "None"
+    assert not list((root / "sdachain" / "__pycache__").glob("_stepping.*"))
+    assert (_sha256_file(out_dir / "chain.log"),
+            _sha256_file(out_dir / "report.json"),
+            out[1]) == GOLDEN["uct"][1:]
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +79,31 @@ def test_native_loops_in_use_where_cc_is_found():
 def test_no_compiler_runs_the_python_loops(tmp_path):
     root = copy_package(tmp_path / "src")
     (tmp_path / "bin").mkdir()      # PATH with no cc on it
-    code = (_IMPORT + "import sys\n"
-            "from sdachain.netsim import run_scenario, uct_scenario\n"
-            "print(run_scenario(uct_scenario(1), sys.argv[1]).state_root)\n")
-    out = run(root, code, str(tmp_path / "out"), PATH=str(tmp_path / "bin"))
-    assert out[0] == "None"
-    assert not (root / "sdachain" / "__pycache__" / LIBRARY).exists()
-    assert (_sha256_file(tmp_path / "out" / "chain.log"),
-            _sha256_file(tmp_path / "out" / "report.json"),
-            out[1]) == GOLDEN["uct"][1:]
+    assert_python_loops_write_golden(root, tmp_path / "out",
+                                     PATH=str(tmp_path / "bin"))
+
+
+def test_a_check_that_raises_runs_the_python_loops(tmp_path):
+    # a library whose divisor test always jumps raises ZeroDivisionError
+    # on the check grid's first step, which fails the check
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: nothing is built")
+    root = copy_package(tmp_path / "src")
+    source = root / "sdachain" / "astro.py"
+    test = "({s[1]} == 0.0) goto divided;"
+    assert test in source.read_text()
+    source.write_text(source.read_text().replace(test, "(1) goto divided;"))
+    assert_python_loops_write_golden(root, tmp_path / "out")
+
+
+def test_a_build_removes_the_libraries_of_other_sources(tmp_path):
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: nothing is built")
+    cache = copy_package(tmp_path) / "sdachain" / "__pycache__"
+    cache.mkdir()
+    (cache / f"_stepping.{'0' * 64}.so").write_bytes(b"an earlier library")
+    assert run(tmp_path, _IMPORT) == [str(cache / LIBRARY)]
+    assert [p.name for p in cache.glob("_stepping.*")] == [LIBRARY]
 
 
 def test_warm_cache_import_starts_no_process(warm):

@@ -4,16 +4,19 @@ they replaced.
 astro writes _rk4_steps and _abm_steps once, as a force-model template,
 and renders it as C, which it builds and calls where the host's compiler
 reproduces the Python loops' bits, and as Python, which it runs
-otherwise; the Python _abm_steps runs its bulk in blocks of _ORDER steps
-that rename the back values instead of shifting them. The two functions
-below are the handwritten loops those replaced, kept verbatim as the bit
-reference, with the drag force the template now inlines. Every test here
-checks each loop set this host has: the Python loops always, so that the
-fallback cannot drift on a host that never runs it, and the C loops
-wherever they are in use. Grids stepped by either set, in any chunking,
-in either direction, with or without J2 and drag, must hold the same
-bytes, the same back values and decay indices, and raise the same
-DecayError text.
+otherwise; the Python _abm_steps runs in blocks of _ORDER steps that
+rename the back values instead of shifting them, the last n mod _ORDER
+steps in a block that stops early. The two functions below are the
+handwritten loops those replaced, kept verbatim as the bit reference,
+with the drag force the template now inlines, and with no back values
+carried between calls: each multistep call evaluates them at the last
+_ORDER points it is given, as the first extension of a grid always did.
+Every test here checks each loop set this host has: the Python loops
+always, so that the fallback cannot drift on a host that never runs it,
+and the C loops wherever they are in use. Grids stepped by either set,
+in any chunking, in either direction, with or without J2 and drag, must
+hold the same bytes and decay indices, and raise the same DecayError
+text.
 """
 import math
 from array import array
@@ -173,32 +176,27 @@ def _rk4_steps(state, h, n, bstar, kj, t0, k0):
     return x, y, z, vx, vy, vz
 
 
-def _abm_steps(points, back, h, n, bstar, kj, t0):
+def _abm_steps(points, h, n, bstar, kj, t0):
     """n multistep steps of h seconds, appended to the grid points.
 
     points is an array('d') grid holding at least _ORDER points; step k,
     for k0 < k <= k0 + n with k0 the index of its last point, lands at
     t0 + k*h, the time a DecayError names when that step's state is below
     DECAY_ALTITUDE; on a DecayError only the states before it are
-    appended.  back is the list of the back values at the grid's last
-    _ORDER points, dx0..dx9 (velocity x, newest first), then dy, dz, ax,
-    ay and az alike; the loop leaves it matching the last point appended.
-    When back is empty, the loop first evaluates it at the last _ORDER
+    appended.  The back values, dx0..dx9 (velocity x, newest first), then
+    dy, dz, ax, ay and az alike, are first evaluated at the last _ORDER
     points held, in passes that step nothing.
     """
     (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9) = [h * b for b in _AB]
     (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9) = [h * c for c in _AM]
     k0 = len(points) // 6 - 1
-    first = k0 + 1
-    if not back:
-        first -= _ORDER
-        back.extend([0.0] * (6 * _ORDER))
+    first = k0 + 1 - _ORDER
     (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
      dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
      dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
      ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
      ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
-     az0, az1, az2, az3, az4, az5, az6, az7, az8, az9) = back
+     az0, az1, az2, az3, az4, az5, az6, az7, az8, az9) = [0.0] * (6 * _ORDER)
     x, y, z, vx, vy, vz = points[-6:]
     buf = []
     full = 6 * _APPEND_STEPS
@@ -300,12 +298,6 @@ def _abm_steps(points, back, h, n, bstar, kj, t0):
     finally:
         if buf:
             points.fromlist(buf)
-        back[:] = (dx0, dx1, dx2, dx3, dx4, dx5, dx6, dx7, dx8, dx9,
-                   dy0, dy1, dy2, dy3, dy4, dy5, dy6, dy7, dy8, dy9,
-                   dz0, dz1, dz2, dz3, dz4, dz5, dz6, dz7, dz8, dz9,
-                   ax0, ax1, ax2, ax3, ax4, ax5, ax6, ax7, ax8, ax9,
-                   ay0, ay1, ay2, ay3, ay4, ay5, ay6, ay7, ay8, ay9,
-                   az0, az1, az2, az3, az4, az5, az6, az7, az8, az9)
 
 
 REFERENCE = (_rk4_steps, _abm_steps)
@@ -320,7 +312,7 @@ if astro.NATIVE_LIBRARY is not None:
 def stepped(loops, el, bstar, step_s, j2, times):
     """Query a new grid of el at each time, with the stepping loops set to
     loops: what each query returns (state bits or DecayError text), and
-    the grid's points, back values and decay indices each way."""
+    the grid's points and decay indices each way."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(astro, "_rk4_steps", loops[0])
         mp.setattr(astro, "_abm_steps", loops[1])
@@ -332,8 +324,7 @@ def stepped(loops, el, bstar, step_s, j2, times):
             except DecayError as exc:
                 out.append(str(exc))
     return out, (grid.forward.tobytes(), grid.backward.tobytes(),
-                 list(grid.back_fwd), list(grid.back_bwd), grid.decay_fwd,
-                 grid.decay_bwd)
+                 grid.decay_fwd, grid.decay_bwd)
 
 
 @pytest.mark.parametrize("phase", range(_ORDER))
@@ -368,6 +359,26 @@ def test_grids_match_the_reference(phase, a, e, i, angles, epoch, bstar, j2,
         assert stepped(loops, el, bstar, step_s, j2, times) == want, name
 
 
+_TAIL = KeplerianElements(a=R_EARTH + 500.0, e=0.01, i=1.0, raan=0.5,
+                          argp=1.5, M=2.5, epoch=Epoch(0.0))
+
+
+@pytest.mark.parametrize("n", range(1, 2 * _ORDER + 2))
+@pytest.mark.parametrize("phase", range(_ORDER))
+def test_every_start_phase_and_extension_length(phase, n):
+    # a grid held to point _ORDER - 1 + phase, so on every start phase
+    # modulo _ORDER, then extended by n steps: a tail of every length
+    # after no, one or two whole blocks, so the tail block stops before
+    # each of its steps
+    start = _ORDER - 1 + phase
+    for sign in (1.0, -1.0):
+        times = [sign * start * 30.0, sign * (start + n) * 30.0]
+        want = stepped(REFERENCE, _TAIL, 2e-5, 30.0, J2_EARTH, times)
+        for name, loops in LOOP_SETS.items():
+            assert stepped(loops, _TAIL, 2e-5, 30.0, J2_EARTH, times) == \
+                want, name
+
+
 _LOW_BSTAR, _LOW_DECAY, _LOW_MESSAGE, _ = _DECAY_PINS[0]
 
 
@@ -381,7 +392,7 @@ def test_decay_at_every_block_step(j):
     times = [(start - 1) * 30.0, 86400.0, 86400.0]
     want = stepped(REFERENCE, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times)
     assert want[0][1] == _LOW_MESSAGE
-    assert want[1][4] == _LOW_DECAY
+    assert want[1][2] == _LOW_DECAY
     assert len(want[1][0]) == 8 * 6 * _LOW_DECAY
     for name, loops in LOOP_SETS.items():
         assert stepped(loops, _LOW, _LOW_BSTAR, 30.0, J2_EARTH, times) == \
@@ -395,13 +406,13 @@ def test_decay_at_every_block_step(j):
 def test_zero_divisor_raises_as_the_reference(state, kj):
     # r2 * r is 0 at the origin, and r2 * r2 * r underflows to 0 at
     # 1e-70 km: Python's division raises, and the C loops test for it,
-    # in a step and in the back values of a first multistep extension
+    # in a step and in the back values a multistep extension evaluates
     for rk4, abm in (REFERENCE, *LOOP_SETS.values()):
         with pytest.raises(ZeroDivisionError, match="float division by zero"):
             rk4(state, 1.0, 1, 0.0, kj, 0.0, 0)
         points = array("d", state * _ORDER)
         with pytest.raises(ZeroDivisionError, match="float division by zero"):
-            abm(points, [], 1.0, 1, 0.0, kj, 0.0)
+            abm(points, 1.0, 1, 0.0, kj, 0.0)
         assert len(points) == 6 * _ORDER
 
 
@@ -414,9 +425,7 @@ def test_malformed_buffers_raise_value_error():
         with pytest.raises(ValueError):
             rk4(state[:5], 1.0, 1, 0.0, kj, 0.0, 0)
         with pytest.raises(ValueError):
-            abm(array("d", state), [], 1.0, 1, 0.0, kj, 0.0)
-        with pytest.raises(ValueError):
-            abm(array("d", state * _ORDER), [0.0] * 59, 1.0, 1, 0.0, kj, 0.0)
+            abm(array("d", state), 1.0, 1, 0.0, kj, 0.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

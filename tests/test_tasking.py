@@ -417,10 +417,10 @@ class TestVisibilityWork:
 
     def counted(self, monkeypatch, fn, el, *args):
         """fn's result on elements equal to el that hold no grid, its
-        topocentric_angles calls and force evaluations (by stepping loop,
-        as count_force_evaluations counts them), and the grids it leaves
-        on those elements."""
-        calls = {"angles": 0}
+        topocentric_angles and _abm_steps calls, its force evaluations (by
+        stepping loop, as count_force_evaluations counts them), and the
+        grids it leaves on those elements."""
+        calls = {"angles": 0, "abm_calls": 0}
         angles_fn = astro.topocentric_angles
 
         def angles(sv, site):
@@ -431,6 +431,13 @@ class TestVisibilityWork:
         # the reference loop calls this module's binding
         monkeypatch.setitem(globals(), "topocentric_angles", angles)
         evals = count_force_evaluations(monkeypatch)
+        abm = astro._abm_steps
+
+        def abm_called(*args):
+            calls["abm_calls"] += 1
+            return abm(*args)
+
+        monkeypatch.setattr(astro, "_abm_steps", abm_called)
         el = fresh(el)
         result = fn(el, *args)
         monkeypatch.undo()
@@ -452,10 +459,15 @@ class TestVisibilityWork:
         # skipping it, so none takes the exact test
         assert work["angles"] == 0
         assert left == exact_left
-        # the same grid, so the same multistep work; RK4 makes the same
-        # start-up, three steps per point, plus one remainder step per
-        # exactly tested sample
-        assert work["multistep"] == exact_work["multistep"] > 0
+        # the same grid, so the same multistep steps: the pass takes them
+        # in one call, the sample-by-sample loop in one call per grid point
+        # past the start-up, and each call evaluates _ORDER back values
+        # besides its two per step. RK4 makes the same start-up, three
+        # steps per point, plus one remainder step per exactly tested
+        # sample
+        assert (work["abm_calls"], exact_work["abm_calls"]) == (1, 231)
+        steps = work["multistep"] - astro._ORDER * work["abm_calls"]
+        assert steps == exact_work["multistep"] - astro._ORDER * 231 > 0
         startup = 4 * 3 * (astro._ORDER - 1)
         assert exact_work["rk4"] == startup + 4 * samples
         assert work["rk4"] == startup + 4 * work["angles"]
