@@ -256,17 +256,18 @@ def unit(a) -> tuple:
 
 # --- Kepler machinery ---
 
-def solve_kepler(M: float, e: float, tol: float = 1e-14, max_iter: int = 50) -> float:
-    """Solve M = E - e*sin(E) for E by Newton iteration."""
+def solve_kepler(M: float, e: float) -> float:
+    """Solve M = E - e*sin(E) for E by Newton iteration, to a step below
+    1e-14 rad in at most 50 iterations."""
     E = M if e < 0.8 else math.pi
-    for _ in range(max_iter):
+    for _ in range(50):
         f = E - e * math.sin(E) - M
         dE = f / (1.0 - e * math.cos(E))
         E -= dE
-        if abs(dE) < tol:
+        if abs(dE) < 1e-14:
             return E
     raise KeplerConvergenceError(
-        f"Kepler solve did not converge in {max_iter} iterations (M={M!r}, e={e!r})"
+        f"Kepler solve did not converge in 50 iterations (M={M!r}, e={e!r})"
     )
 
 
@@ -392,7 +393,10 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # its points and nothing more: each multistep extension evaluates the back
 # values at the last _ORDER points it holds, with the force statements that
 # evaluate them after each step, so a grid extended in any chunking holds
-# the same bits.  Each grid is kept on its KeplerianElements instance, in a
+# the same bits.  A decay leaves the points before it and no mark of
+# itself: a later query past it steps again from the last point held,
+# reaches the same state and raises the same DecayError text, on this grid
+# as on a new one.  Each grid is kept on its KeplerianElements instance, in a
 # dict keyed by (bstar, step, j2), so it lives exactly as long as its
 # elements do; elements built anew, even with equal values, start with no
 # grid.
@@ -417,20 +421,22 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # system cc and _CFLAGS: -O2 -fno-fast-math -ffp-contract=off.  The last
 # matters most: a compiler free to contract a*b + c into one fused
 # multiply-add (gcc's default whenever the target has one, as every aarch64
-# target does) rounds once where Python rounds twice.  The library is cached in this
-# package's __pycache__ under the SHA-256 of flags and source, followed by
-# the SHA-256 of its own bytes, which is checked before it is loaded; a
-# cache hit starts no process.  A build enters the cache only after its
-# loops reproduce the Python loops' bits on two fixed drag-on, J2-on grids
-# both ways, one down to its decay and one 3 450 multistep steps long
+# target does) rounds once where Python rounds twice.  The library is
+# cached in this package's __pycache__ under the SHA-256 of the flags, the
+# C source and what the check compares it against (_library_path), so a
+# changed check builds and checks it again.  The file ends with the
+# SHA-256 of its own bytes, which is checked before it is loaded; a cache
+# hit starts no process.  A build enters the cache only after its loops
+# reproduce the Python loops' bits on two fixed J2-on grids both ways, one
+# with drag down to its decay and one without, 3 450 multistep steps long
 # (_grid_bits); a check that raises fails.  So a compiler or platform that
 # widens or contracts floats, or a C exp that is not the one math.exp
 # calls, leaves the Python loops in use instead of forking the chain's
 # bytes.  NATIVE_LIBRARY names the library in use; it is None when there is
 # no cc, the build fails, the bits differ or the library will not load, and
-# then the loops run as Python, compiled from the template only then
+# then the loops run as Python, compiled from their source only then
 # (_python_loops).  A build that passes removes the cached libraries of
-# other sources.  The C wrappers (_bind) keep the Python loops' signatures
+# other keys.  The C wrappers (_bind) keep the Python loops' signatures
 # and contracts, and pass each array('d') by its buffer address, copying
 # nothing; the C multistep loop keeps its back values in local arrays that
 # it shifts one slot a step.
@@ -442,8 +448,8 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # oldest, so each value is back in its own slot when the block ends.  The
 # back-value passes are one such block that steps nothing: at its step j
 # it loads point k0 - i, i = _ORDER - 1 - j, whose values take slot i, and
-# leaves x..vz holding point k0.  The n mod _ORDER steps after the last
-# whole block run a block that breaks before its first step past the last.
+# leaves x..vz holding point k0.  Every block breaks before its first step
+# past the last, so one block shape serves any n.
 # In both languages each step's altitude check reuses the radius that its
 # next force evaluation needs.  The Python loop's new points reach the grid
 # in bulk appends, after each block that leaves at least _APPEND_STEPS
@@ -624,15 +630,15 @@ def _newest(j: int) -> list:
                     f"dz{s} = vz"])
 
 
-def _abm_python_block(tail: bool) -> list:
+def _abm_python_block() -> list:
     """Python source lines of a block of _ORDER multistep steps from grid
     index kb, each followed by its altitude check, its newest back values
-    and its new point buffered; a tail block breaks before its first step
+    and its new point buffered; the block breaks before its first step
     past grid index last."""
     lines = []
     for j in range(_ORDER):
         k = f"(kb + {j})" if j else "kb"    # the step's grid index
-        if tail and j:
+        if j:
             lines += [f"if {k} > last:", "    break"]
         lines += [*_python(_abm_step(lambda d, i: f"{d}{(i - j) % _ORDER}")),
                   f"if {_DECAYED}:",
@@ -660,17 +666,14 @@ def _abm_python() -> list:
         *_indent(fill, 1),
         "    k0 = len(points) // 6 - 1",
         "    last = k0 + n",
-        "    end = last + 1 - n % _ORDER",
         "    buf = []",
         "    full = 6 * _APPEND_STEPS",
         "    try:",
-        "        for kb in range(k0 + 1, end, _ORDER):",
-        *_indent(_abm_python_block(False), 3),
+        "        for kb in range(k0 + 1, last + 1, _ORDER):",
+        *_indent(_abm_python_block(), 3),
         "            if len(buf) >= full:",
         "                points.fromlist(buf)",
         "                buf.clear()",
-        "        for kb in range(end, last + 1, _ORDER):     # at most once",
-        *_indent(_abm_python_block(True), 3),
         "    finally:",
         "        if buf:",
         "            points.fromlist(buf)"]
@@ -680,14 +683,18 @@ def _indent(lines, depth: int) -> list:
     return ["    " * depth + line for line in lines]
 
 
+def _python_source() -> str:
+    """The Python source of both stepping loops."""
+    return "\n".join(_rk4_python() + _abm_python())
+
+
 @functools.cache
 def _python_loops() -> tuple:
     """(_rk4_steps, _abm_steps) as Python, compiled from the template with
     this module's globals."""
     namespace = {}
-    source = "\n".join(_rk4_python() + _abm_python())
-    exec(compile(source, "<astro stepping loops>", "exec"), globals(),
-         namespace)
+    exec(compile(_python_source(), "<astro stepping loops>", "exec"),
+         globals(), namespace)
     return namespace["_rk4_steps"], namespace["_abm_steps"]
 
 
@@ -864,12 +871,13 @@ _CHECK_SPEED = math.sqrt(MU_EARTH / 7000.0)
 _CHECK_GRIDS = (((6678.137, 0.0, 0.0, 0.0, 5.45, 5.45), 5e-5),
                 ((7000.0, 0.0, 0.0, 0.0, _CHECK_SPEED * math.cos(1.0),
                   _CHECK_SPEED * math.sin(1.0)), 0.0))
+_CHECK_CHUNKS = (1, 9, 40, 400, 3000)   # the multistep calls on each grid
 
 
 def _grid_bits(rk4, abm) -> list:
     """The bytes the stepping loops rk4 and abm make of each check grid
-    both ways: its start-up, multistep chunks of 1, 9, 40, 400 and 3 000
-    steps, each followed by a remainder step, down to the repr of the
+    both ways: its start-up, multistep chunks of _CHECK_CHUNKS steps,
+    each followed by a remainder step, down to the repr of the
     first DecayError, ArithmeticError or ValueError a step raises, so
     that loops which raise where the others do not fail the check."""
     kj = _j2_coeff(J2_EARTH)
@@ -881,7 +889,7 @@ def _grid_bits(rk4, abm) -> list:
                 for k in range(_ORDER - 1):
                     points.extend(rk4(points[-6:], h / 3.0, 3, bstar, kj,
                                       0.0, 3 * k))
-                for n in (1, 9, 40, 400, 3000):
+                for n in _CHECK_CHUNKS:
                     abm(points, h, n, bstar, kj, 0.0)
                     out.append(array("d", rk4(points[-6:], 0.4 * h, 1, bstar,
                                               kj, 0.0, -1)))
@@ -892,8 +900,13 @@ def _grid_bits(rk4, abm) -> list:
 
 
 def _library_path(source: str) -> str:
-    """Where the library built from C source is cached."""
-    key = hashlib.sha256("\0".join((*_CFLAGS, source)).encode()).hexdigest()
+    """Where the library built from C source is cached: under the SHA-256
+    of the flags, the C source and what _grid_bits compares the library
+    against (the Python loops' source, and the check grids, chunks, step
+    and J2), so that a change to any of them builds and checks it again."""
+    check = repr((_CHECK_GRIDS, _CHECK_CHUNKS, STEP_S, J2_EARTH))
+    key = hashlib.sha256("\0".join(
+        (*_CFLAGS, source, _python_source(), check)).encode()).hexdigest()
     return os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "__pycache__", f"_stepping.{key}.so")
 
@@ -1001,8 +1014,7 @@ class _Grid:
     """One orbit's step grid: anchor, and forward and backward array('d')
     grids."""
 
-    __slots__ = ("t0", "step_s", "bstar", "kj", "forward", "backward",
-                 "decay_fwd", "decay_bwd")
+    __slots__ = ("t0", "step_s", "bstar", "kj", "forward", "backward")
 
     def __init__(self, el: KeplerianElements, bstar: float, step_s: float,
                  j2: float):
@@ -1013,8 +1025,6 @@ class _Grid:
         self.kj = _j2_coeff(j2)
         self.forward = array("d", anchor)     # point k at epoch + k*step
         self.backward = array("d", anchor)    # point k at epoch - k*step
-        self.decay_fwd = None                 # grid index at which decay was hit
-        self.decay_bwd = None
 
     def __deepcopy__(self, memo):
         # a grid is a function of its key and elements, and each extension
@@ -1033,21 +1043,8 @@ class _Grid:
         rem = abs(dt) - n_full * step_s
         sign = 1.0 if dt >= 0.0 else -1.0
         grid = self.forward if dt >= 0.0 else self.backward
-        decay_at = self.decay_fwd if dt >= 0.0 else self.decay_bwd
-        if decay_at is not None and n_full >= decay_at:
-            raise DecayError(
-                f"altitude below {DECAY_ALTITUDE:.0f} km at grid step {decay_at} "
-                f"(t={self.t0 + sign * decay_at * step_s:.1f})"
-            )
         if len(grid) // 6 <= n_full:
-            try:
-                self._extend(grid, sign * step_s, n_full)
-            except DecayError:
-                if dt >= 0.0:
-                    self.decay_fwd = len(grid) // 6
-                else:
-                    self.decay_bwd = len(grid) // 6
-                raise
+            self._extend(grid, sign * step_s, n_full)
         return grid, 6 * n_full, sign * rem
 
     def _extend(self, grid, h: float, n_full: int) -> None:

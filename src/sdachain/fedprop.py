@@ -181,16 +181,14 @@ def holdout_split(samples: list) -> tuple:
     return train, hold
 
 
-def train_local(samples: list, lam: float = RIDGE_LAMBDA) -> tuple:
+def train_local(samples: list) -> tuple:
     """Closed-form ridge regression, one solve per output row."""
-    if lam <= 0.0:
-        raise FedpropError("ridge lambda must be positive")
     if len(samples) < MIN_TRAIN_SAMPLES:
         raise FedpropError(f"need at least {MIN_TRAIN_SAMPLES} samples, "
                            f"got {len(samples)}")
     X = np.array([s.x for s in samples], dtype=float)
     Y = np.array([s.y for s in samples], dtype=float)
-    gram = X.T @ X + lam * np.eye(MODEL_COLS)
+    gram = X.T @ X + RIDGE_LAMBDA * np.eye(MODEL_COLS)
     W = np.linalg.solve(gram, X.T @ Y).T
     return _check_matrix(W.tolist())
 
@@ -225,8 +223,7 @@ def verify_proposal(p: ModelProposal, samples: list,
     return (rms_new, rms_old, vote)
 
 
-def merge_model(current: ResidualModel, p: ModelProposal,
-                trained_on: int = 0) -> ResidualModel:
+def merge_model(current: ResidualModel, p: ModelProposal) -> ResidualModel:
     """Average the accepted proposal into the global model, bump version."""
     if p.parent_version != current.version:
         raise FedpropError(f"stale proposal: parent {p.parent_version} != "
@@ -235,4 +232,4 @@ def merge_model(current: ResidualModel, p: ModelProposal,
                     for g, n in zip(grow, nrow))
               for grow, nrow in zip(current.W, p.W_new))
     return ResidualModel(W=W, version=current.version + 1,
-                         trained_on=max(current.trained_on, trained_on))
+                         trained_on=current.trained_on)

@@ -470,8 +470,7 @@ def _model_jacobian(x, epoch: Epoch, records, n_terms: int,
     return jac
 
 
-def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
-                    bstar: float = 0.0, *,
+def refine_elements(initial: KeplerianElements, tdms: list, sites: dict, *,
                     j2: float = J2_EARTH) -> IodSolution:
     """Gauss-Newton differential correction of elements against messages.
 
@@ -479,11 +478,11 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
     Residuals are the wrapped angle differences, plus one relative range
     term per record that carries a range (this is what pins the
     semi-major axis on short arcs, where angles alone leave it nearly
-    unobservable), all evaluated on the reference propagator. The
-    Jacobian comes from a reduced model instead: two-body motion plus
-    the J2 secular rates, in closed form at each record epoch
-    (_model_jacobian), so an iteration integrates the arc only for its
-    line-search trials. Partials may come from a simpler force model
+    unobservable), all evaluated on the reference propagator without
+    drag. The Jacobian comes from a reduced model instead: two-body
+    motion plus the J2 secular rates, in closed form at each record
+    epoch (_model_jacobian), so an iteration integrates the arc only for
+    its line-search trials. Partials may come from a simpler force model
     than the residuals (Montenbruck & Gill, "Satellite Orbits", 2000,
     ch. 7); the fit still converges to the reference-propagator
     minimum. Each record's site position and ENU basis are computed once
@@ -516,7 +515,7 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict,
         # Every trial x is a new elements instance used once, so its grid
         # dies with it.
         try:
-            states = propagate_many(_make_elements(x, initial.epoch), bstar,
+            states = propagate_many(_make_elements(x, initial.epoch), 0.0,
                                     epochs, j2=j2)
             r = _residuals(records, (sv.r for sv in states))
         except (ValueError, DecayError, KeplerConvergenceError, UnsupportedRegimeError):

@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .astro import (
-    DecayError,
+    AstroError,
     Epoch,
     GroundSite,
     KeplerianElements,
@@ -646,12 +646,13 @@ def _settle(state: LedgerState, tdm_hash_hex: str, report: ValidationReport,
         rec = state.catalog.get(report.matched_object)
         t_last = tdm.records[-1].epoch
         if rec is not None and t_last.t > rec.elements.epoch.t:
-            # refresh the catalog epoch so task priorities age correctly
+            # refresh the catalog epoch so task priorities age correctly;
+            # a record that cannot be carried to t_last stays as it is
             try:
                 sv = propagate_j2(rec.elements, rec.bstar, t_last)
                 state.catalog[rec.object_id] = dataclasses.replace(
                     rec, elements=state_to_kepler(sv))
-            except DecayError:
+            except AstroError:
                 pass
     elif verdict == "ambiguous":
         _spawn_retask(state, report)

@@ -267,7 +267,8 @@ def internal_retask(report: ValidationReport, now: Epoch) -> Task | None:
 
     An ambiguous report with a matched object retasks that object;
     otherwise the target is a region around the report's proposed
-    elements. The task is created at chain time now and keyed by the
+    elements, or none when the rms makes the region's tolerances
+    infinite. The task is created at chain time now and keyed by the
     report hash, so replaying a chain reproduces the queue exactly.
     """
     if report.verdict not in ("ambiguous", "uct"):
@@ -275,10 +276,12 @@ def internal_retask(report: ValidationReport, now: Epoch) -> Task | None:
             f"retask requires an ambiguous or uct report, got {report.verdict!r}")
     if report.verdict == "ambiguous" and report.matched_object:
         target = report.matched_object
-    elif (report.proposed_elements is not None
-          and math.isfinite(report.rms_residual)):
-        target = region_from_solution(report.proposed_elements,
-                                      report.rms_residual)
+    elif report.proposed_elements is not None:
+        try:
+            target = region_from_solution(report.proposed_elements,
+                                          report.rms_residual)
+        except TaskingError:
+            return None
     else:
         return None
     ref = bytes.fromhex(report.report_hash)

@@ -129,7 +129,7 @@ def _refined_iod(tdm: Tdm, site: GroundSite) -> Optional[IodSolution]:
     if len(tdm.records) >= 6:
         try:
             return refine_elements(sol.elements, [tdm],
-                                   {tdm.meta.site_id: site}, bstar=0.0)
+                                   {tdm.meta.site_id: site})
         except (IodError, DecayError):
             # a refinement step that wanders below the decay altitude is
             # a failed fit, not a validator crash
@@ -272,8 +272,7 @@ def mine_object(tdms: list, sites: dict,
     for pick in (ordered[0], ordered[-1]):
         try:
             start = iod_from_tdm(pick, sites[pick.meta.site_id])
-            sol = refine_elements(start.elements, list(ordered), sites,
-                                  bstar=0.0)
+            sol = refine_elements(start.elements, list(ordered), sites)
         except (IodError, DecayError):
             continue
         if best is None or sol.rms_residual < best.rms_residual:

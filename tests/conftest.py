@@ -21,6 +21,13 @@ from sdachain.astro import (
 )
 
 
+def pytest_report_header(config):
+    """Name the stepping loops this run propagates with: the C library
+    astro built and checked, or the Python loops it falls back to."""
+    loops = astro.NATIVE_LIBRARY or "the Python loops (no checked C library)"
+    return f"sdachain stepping loops: {loops}"
+
+
 def grids(el: KeplerianElements) -> dict:
     """The propagation grids kept on el, by (bstar, step_s, j2)."""
     return el.__dict__.get(astro._GRIDS, {})

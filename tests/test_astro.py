@@ -364,10 +364,9 @@ def state_bits(sv):
 
 
 def grid_state(el):
-    """Each grid kept on el, by key: the doubles it holds each way and
-    its decay indices."""
-    return {key: (g.forward.tobytes(), g.backward.tobytes(), g.decay_fwd,
-                  g.decay_bwd) for key, g in grids(el).items()}
+    """Each grid kept on el, by key: the doubles it holds each way."""
+    return {key: (g.forward.tobytes(), g.backward.tobytes())
+            for key, g in grids(el).items()}
 
 
 _MANY_ELEMENTS = KeplerianElements(a=6900.0, e=0.015, i=1.1, raan=0.3, argp=2.0,
@@ -631,7 +630,7 @@ class TestPropagateAboveHorizon:
         with pytest.raises(DecayError):
             propagate_j2(el, 3e-3, Epoch(86400.0))
         (grid,) = grids(el).values()
-        return grid.decay_fwd
+        return len(grid.forward) // 6
 
     def test_decay_in_the_extension_ends_the_list(self):
         # times on the grid: the pass's one extension, to its last time,
@@ -645,7 +644,7 @@ class TestPropagateAboveHorizon:
         assert err is None and got == want and got
         assert_common_points_equal(got_el, want_el)
         (got_grid,) = grids(got_el).values()
-        assert got_grid.decay_fwd == len(got_grid.forward) // 6 == decay
+        assert len(got_grid.forward) // 6 == decay
 
     def test_remainder_step_decay_ends_the_list(self):
         # the forward extension decays too, but a remainder step decays at
@@ -785,17 +784,37 @@ class TestGridStepping:
             propagate_j2(low, bstar, Epoch(86400.0), step_s=30.0)
         assert str(first.value) == message
         (grid,) = grids(low).values()
-        assert (grid.decay_fwd, grid.decay_bwd) == (decay_at, None)
         assert len(grid.forward) == 6 * decay_at
         assert points_hash(grid.forward) == points
         assert len(grid.backward) == 6
         with pytest.raises(DecayError) as again:
             propagate_j2(low, bstar, Epoch(86400.0), step_s=30.0)
-        assert str(again.value) == (f"altitude below 100 km at grid step "
-                                    f"{decay_at} (t={decay_at * 30.0:.1f})")
+        assert str(again.value) == message
+        assert points_hash(grid.forward) == points
         with pytest.raises(DecayError) as cold:
             propagate_j2(fresh(_LOW), bstar, Epoch(86400.0), step_s=30.0)
         assert str(cold.value) == message
+
+    @pytest.mark.parametrize("bstar,step_s,in_start_up", [
+        (3e-3, 90.0, True), (3e-3, 30.0, False)],
+        ids=["start-up", "multistep"])
+    def test_query_past_a_decay_raises_the_first_text(self, bstar, step_s,
+                                                      in_start_up):
+        # a grid keeps no mark of its decay: each later query past it, on
+        # the same grid or a new one, steps again from the last point held,
+        # in the RK4 start-up or in the multistep loop, and raises the
+        # first query's text; the grid's bytes do not change
+        low = fresh(_LOW)
+        with pytest.raises(DecayError) as first:
+            propagate_j2(low, bstar, Epoch(86400.0), step_s=step_s)
+        (grid,) = grids(low).values()
+        points = held(grid)
+        assert (len(grid.forward) // 6 < astro._ORDER) == in_start_up
+        for el, t in ((low, 86400.0), (low, 3600.0), (fresh(_LOW), 3600.0)):
+            with pytest.raises(DecayError) as again:
+                propagate_j2(el, bstar, Epoch(t), step_s=step_s)
+            assert str(again.value) == str(first.value)
+        assert held(grid) == points
 
     def test_remainder_step_decay_message(self):
         # grid point 16 (t=480) is above the decay altitude, the 29 s
@@ -820,7 +839,9 @@ class TestGridStepping:
         with pytest.raises(DecayError):
             propagate_j2(fresh(low), 1e-3, Epoch(86400.0), step_s=30.0)
         assert (grid_state(el), grid_state(low)) == before
-        assert all(g.decay_fwd is None for g in grids(low).values())
+        # the kept grid ends before the decay the fresh one reached
+        assert all(len(g.forward) // 6 < _DECAY_PINS[0][1]
+                   for g in grids(low).values())
 
 
 class TestGridCacheAccounting:

@@ -176,11 +176,6 @@ class TestTrainLocal:
         with pytest.raises(FedpropError):
             train_local(synthetic_samples(rng, 11, W_TRUE))
 
-    def test_lambda_must_be_positive(self):
-        rng = random.Random(5)
-        with pytest.raises(FedpropError):
-            train_local(synthetic_samples(rng, 20, W_TRUE), lam=0.0)
-
 
 class TestHoldout:
     def test_partition(self):
@@ -270,7 +265,7 @@ class TestVerifyAndMerge:
                               claimed_rms=model_rms(W, train),
                               parent_version=g.version)
             assert verify_proposal(p, samples, g)[2] == "accept"
-            g = merge_model(g, p, trained_on=len(train))
+            g = merge_model(g, p)
         assert model_rms(g.W, hold) < 0.2 * base
 
 

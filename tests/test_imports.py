@@ -1,13 +1,17 @@
 """No module of the sdachain package imports a name it never uses, no
-function in it declares a parameter it never reads, only the
-propagator takes a grid step, and only tdm.site_geometry reads a
-record's ANGLE_TYPE.
+function in it declares a parameter it never reads or a default that no
+call changes, only the propagator takes a grid step, and only
+tdm.site_geometry reads a record's ANGLE_TYPE.
 
 No linter ships with the project's toolchain, so this reads each module's
 syntax tree: every name an import binds must be read somewhere in the
 module or be listed in its ``__all__``, and every parameter of a function
 or lambda must be read somewhere in its body. ``from __future__`` imports
-are exempt. No function declares a ``step_s`` parameter but the few
+are exempt. Every defaulted parameter of a function must be passed by
+some call in the package, or be listed in ``_UNPASSED_DEFAULTS`` with the
+reason it stays: an option that no caller sets is a constant, and the
+list holds only the hooks tests set, so an unset option cannot grow back
+unnoticed. No function declares a ``step_s`` parameter but the few
 propagator functions in ``_STEP_S_FUNCTIONS``, and no dataclass anywhere
 has a ``step_s`` field: the chain propagates on the one grid step
 ``astro.STEP_S``, so the option must not creep back through a
@@ -131,6 +135,113 @@ def test_checker_flags_unread_parameters():
     assert unused_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
         (5, "m", "unused"), (6, "<lambda>", "y")]
+
+
+def unpassed_defaults(sources: dict) -> list:
+    """(qualified name, parameter) of each defaulted parameter of a named
+    function in sources (module name -> source text) that no call in
+    them passes, sorted; a method's name is qualified by its class's, and
+    every name by its module's, as in ``astro._Grid.__init__``.
+
+    A call passes a parameter by keyword, by position (a method's self or
+    cls not counted, unless it is a staticmethod), or through ``*args``
+    (every positional parameter) or ``**kwargs`` (every one). Calls are
+    matched by the called name alone, ``f(...)`` or ``x.f(...)``, and
+    ``C(...)`` for ``C.__init__``, so a call of any function of that name
+    counts.
+    """
+    defs, calls = [], []
+    for module, source in sources.items():
+        def visit(node, scope, in_class):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append(((module, *scope, node.name), node, in_class))
+                scope, in_class = (*scope, node.name), False
+            elif isinstance(node, ast.ClassDef):
+                scope, in_class = (*scope, node.name), True
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope, in_class)
+
+        tree = ast.parse(source)
+        visit(tree, (), False)
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    out = []
+    for scope, node, method in defs:
+        names = {scope[-1]}
+        if method and scope[-1] == "__init__":
+            names.add(scope[-2])
+        mine = [c for c in calls
+                if getattr(c.func, "id", getattr(c.func, "attr", None))
+                in names]
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in node.decorator_list)
+        bound = 1 if method and not static else 0
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i - bound, p) for i, p in enumerate(positional)
+                     if i >= first]
+        defaulted += [(None, p) for p, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                      if d is not None]
+        for i, p in defaulted:
+            if not any(any(k.arg in (None, p.arg) for k in c.keywords)
+                       or i is not None and (
+                           i < len(c.args)
+                           or any(isinstance(a, ast.Starred)
+                                  for a in c.args))
+                       for c in mine):
+                out.append((".".join(scope), p.arg))
+    return sorted(out)
+
+
+# the defaulted parameters no call in the package passes, each a hook that
+# tests set, with the reason it stays
+_UNPASSED_DEFAULTS = {
+    "astro.propagate_j2.step_s": "the integrator accuracy reference: tests "
+                                 "compare grids at finer steps",
+    "astro.propagate_many.step_s": "the integrator accuracy reference",
+    "astro.propagate_j2.j2": "the two-body reference: tests set j2=0.0",
+    "iod.refine_elements.j2": "the two-body reference",
+    "tdm.synth_tdm.j2": "the two-body reference",
+    "tdm.synth_tdm.mode": "RADEC tracks, which only tests make until the "
+                          "angles-only path decides RADEC",
+    "dit.dit_leaderboard.window": "a window other than the trailing one, "
+                                  "for the DIT view of the chain to come",
+    "cli.main.argv": "tests/test_cli.py calls main in-process",
+}
+
+
+def test_every_default_is_passed_or_allowed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = {f"{name}.{param}" for name, param in unpassed_defaults(sources)}
+    assert found == set(_UNPASSED_DEFAULTS)
+
+
+def test_checker_flags_unpassed_defaults():
+    a = ("def f(a, b=1, *, c=2, d=3):\n"
+         "    return a, b, c, d\n"
+         "class K:\n"
+         "    def __init__(self, x=0, y=0):\n"
+         "        self.x = x + y\n"
+         "    def m(self, p=1, q=2):\n"
+         "        return p + q\n"
+         "    @staticmethod\n"
+         "    def s(u=1, v=2):\n"
+         "        return u + v\n"
+         "def t(i=0, *, j=0):\n"
+         "    return i + j\n"
+         "def w(k=0, *, n=0):\n"
+         "    return k + n\n"
+         "def spread(*args, **kw):\n"
+         "    return t(*args), w(**kw)\n")
+    b = ("from a import K, f\n"
+         "f(0, c=5)\n"
+         "K(1).m(7)\n"
+         "K.s(8)\n"
+         "g = lambda z=1: z\n")
+    assert unpassed_defaults({"a": a, "b": b}) == [
+        ("a.K.__init__", "y"), ("a.K.m", "q"), ("a.K.s", "v"),
+        ("a.f", "b"), ("a.f", "d"), ("a.t", "j")]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -244,7 +244,7 @@ class TestRefine:
         rng = random.Random(61)
         rec = leo_record(rng)
         tdms, sites = self.two_pass_tdms(rec, seed=100)
-        sol = refine_elements(rec.elements, tdms, sites, bstar=0.0, j2=0.0)
+        sol = refine_elements(rec.elements, tdms, sites, j2=0.0)
         assert sol.rms_residual < 1e-9
         assert abs(sol.elements.a - rec.elements.a) < 1e-6
 
@@ -265,7 +265,7 @@ class TestRefine:
             el = rec.elements
             start = KeplerianElements(a=el.a + 5.0, e=el.e, i=el.i, raan=el.raan,
                                       argp=el.argp, M=el.M, epoch=el.epoch)
-            sol = refine_elements(start, tdms, sites, bstar=0.0, j2=0.0)
+            sol = refine_elements(start, tdms, sites, j2=0.0)
             for name in ("a", "e", "i", "raan", "argp", "M"):
                 got = getattr(sol.elements, name)
                 want = getattr(el, name)
@@ -279,7 +279,7 @@ class TestRefine:
         start = KeplerianElements(a=el.a + 5.0, e=el.e, i=el.i, raan=el.raan,
                                   argp=el.argp, M=el.M, epoch=el.epoch)
         before = angular_rms(start, 0.0, tdms, sites, j2=0.0)
-        sol = refine_elements(start, tdms, sites, bstar=0.0, j2=0.0)
+        sol = refine_elements(start, tdms, sites, j2=0.0)
         assert sol.rms_residual < before
         # converged fit should sit near the injected noise level
         assert sol.rms_residual < 5e-4
@@ -294,7 +294,7 @@ class TestRefine:
         tdm = synth_tdm(rec, site, [Epoch(1000.0 + 40.0 * k) for k in range(6)],
                         0.0, seed=0, j2=0.0)
         with pytest.raises(IodRankError) as err:
-            refine_elements(el, [tdm], {"E": site}, bstar=0.0, j2=0.0)
+            refine_elements(el, [tdm], {"E": site}, j2=0.0)
         assert err.value.weak in ("raan", "argp")
 
     def test_divergence_far_start(self):
@@ -307,7 +307,7 @@ class TestRefine:
         bad = KeplerianElements(a=9000.0, e=0.3, i=0.3, raan=4.0, argp=2.0,
                                 M=(el.M + math.pi) % (2.0 * math.pi), epoch=el.epoch)
         with pytest.raises(IodDivergenceError):
-            refine_elements(bad, [tdm], {"T": site}, bstar=0.0, j2=0.0)
+            refine_elements(bad, [tdm], {"T": site}, j2=0.0)
 
     def test_rejects_too_few_records(self):
         rng = random.Random(64)
@@ -316,7 +316,7 @@ class TestRefine:
         tdm = synth_tdm(rec, site, [Epoch(600.0 + 100.0 * k) for k in range(4)],
                         0.0, seed=1, j2=0.0)
         with pytest.raises(IodError):
-            refine_elements(rec.elements, [tdm], {"A": site}, bstar=0.0, j2=0.0)
+            refine_elements(rec.elements, [tdm], {"A": site}, j2=0.0)
 
     def test_leaves_no_grid_alive(self):
         # every trial integrates fresh elements, whose grids die with them
@@ -327,7 +327,7 @@ class TestRefine:
         start = KeplerianElements(a=el.a + 5.0, e=el.e, i=el.i, raan=el.raan,
                                   argp=el.argp, M=el.M, epoch=el.epoch)
         before = live_grids()
-        sol = refine_elements(start, tdms, sites, bstar=0.0, j2=0.0)
+        sol = refine_elements(start, tdms, sites, j2=0.0)
         assert sol.method == "refined"
         assert grids(start) == grids(sol.elements) == {}
         assert live_grids() == before
@@ -338,7 +338,7 @@ class TestRefine:
         tdms, sites = self.two_pass_tdms(rec, seed=400)
         del sites["B"]
         with pytest.raises(IodError):
-            refine_elements(rec.elements, tdms, sites, bstar=0.0, j2=0.0)
+            refine_elements(rec.elements, tdms, sites, j2=0.0)
 
 
 def radar_arc(seed=23):

@@ -442,7 +442,59 @@ def future_tdm(object_id, site_id, days_ahead=40.0):
                records=records)
 
 
+def settle_in_block(report, tdm):
+    """A chain on fresh_chain's genesis whose block 1 takes tdm and whose
+    block 2 takes val-a's and val-b's attestations of report, which reach
+    the quorum: (state after block 2, the three blocks)."""
+    state, gblock, _, _ = fresh_chain()
+    s1, b1 = produce_block(state, [submit_tx(tdm)], 1, time=30.0)
+    attests = [tx("attest_validation", v, 0, AttestValidation(report))
+               for v in ("val-a", "val-b")]
+    s2, b2 = produce_block(s1, attests, 2, time=60.0)
+    assert b2.txs == tuple(attests)
+    return s2, [gblock, b1, b2]
+
+
 class TestHostileTdm:
+    def test_verified_claim_past_the_span_keeps_its_record(self):
+        # a quorum verifies a claim on SAT-1 dated 40 days past its epoch,
+        # which the catalog refresh cannot propagate to: the record stays
+        # as it was, and the block and its settlement stand
+        state, _, rec, site = fresh_chain()
+        tdm = future_tdm(rec.object_id, site.site_id)
+        report = ValidationReport(tdm_hash=tdm.hex_hash(), verdict="verified",
+                                  matched_object=rec.object_id,
+                                  rms_residual=0.0, candidates_checked=1)
+        s2, chain = settle_in_block(report, tdm)
+        assert tdm.hex_hash() not in s2.pending
+        assert s2.settlements[-1].tdm_hash == tdm.hex_hash()
+        assert s2.settlements[-1].verdict == "verified"
+        assert s2.catalog[rec.object_id].elements.key() == \
+            state.catalog[rec.object_id].elements.key()
+        assert s2.accounts["alice"].balance == 100    # escrow returned
+        assert conservation_delta(s2) == 0
+        assert verify_chain(chain) is None
+
+    @pytest.mark.parametrize("verdict", ["ambiguous", "uct"])
+    def test_unbounded_follow_up_region_makes_no_task(self, verdict):
+        # a quorum settles a report with no matched object whose finite
+        # rms is so large that the follow-up region's tolerances overflow:
+        # no follow-up task is made, and the block and settlement stand
+        state, _, rec, site = fresh_chain()
+        tdm = honest_tdm(rec, site)
+        report = ValidationReport(tdm_hash=tdm.hex_hash(), verdict=verdict,
+                                  matched_object=None, rms_residual=1e305,
+                                  candidates_checked=1,
+                                  proposed_elements=rec.elements)
+        s2, chain = settle_in_block(report, tdm)
+        assert tdm.hex_hash() not in s2.pending
+        assert s2.settlements[-1].tdm_hash == tdm.hex_hash()
+        assert s2.settlements[-1].verdict == verdict
+        assert (tdm.hex_hash() in s2.uct_pool) == (verdict == "uct")
+        assert not s2.tasks
+        assert conservation_delta(s2) == 0
+        assert verify_chain(chain) is None
+
     def test_future_dated_claim_raises_domain_error(self):
         state, _, rec, site = fresh_chain()
         tdm = future_tdm(rec.object_id, site.site_id)

@@ -5,9 +5,11 @@ A host with cc on PATH must run the C loops, so that a broken build
 cannot pass this suite in pure Python. A host without one, or whose
 library fails the build-time bit check, even by raising, runs the Python
 loops and writes the golden uct bytes. An import on a warm cache starts
-no process, a damaged cache file is never loaded as it is, and a build
-leaves no library of another source behind. Each subprocess runs on a
-copy of src/sdachain in tmp_path, so it starts from an empty cache.
+no process, a damaged cache file is never loaded as it is, a change to
+what the bit check compares the library against builds and checks it
+again, and a build leaves no library of another key behind. Each
+subprocess runs on a copy of src/sdachain in tmp_path, so it starts from
+an empty cache.
 """
 import os
 import pathlib
@@ -44,6 +46,17 @@ def run(root: pathlib.Path, code: str, *args: str, **env) -> list:
 
 
 _IMPORT = "import sdachain.astro as a\nprint(a.NATIVE_LIBRARY)\n"
+# _IMPORT, then how many times it called _grid_bits
+_COUNT_CHECKS = ("import sys\n"
+                 "checks = []\n"
+                 "def count(frame, event, arg):\n"
+                 "    if event == 'call' and frame.f_code.co_name == "
+                 "'_grid_bits':\n"
+                 "        checks.append(1)\n"
+                 "sys.setprofile(count)\n"
+                 + _IMPORT +
+                 "sys.setprofile(None)\n"
+                 "print(len(checks))\n")
 _UCT = (_IMPORT + "import sys\n"
         "from sdachain.netsim import run_scenario, uct_scenario\n"
         "print(run_scenario(uct_scenario(1), sys.argv[1]).state_root)\n")
@@ -113,6 +126,36 @@ def test_warm_cache_import_starts_no_process(warm):
             "subprocess.Popen = refuse\n" + _IMPORT)
     library = warm / "sdachain" / "__pycache__" / LIBRARY
     assert run(warm, code) == [str(library) if HAS_CC else "None"]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("5.45, 5.45), 5e-5)", "5.45, 5.45), 4e-5)"),
+    ("_CHECK_CHUNKS = (1, 9, 40, 400, 3000)",
+     "_CHECK_CHUNKS = (1, 9, 40, 400, 2999)"),
+    ('"    sqrt, exp = math.sqrt, math.exp",',
+     '"    exp, sqrt = math.exp, math.sqrt",')],
+    ids=["check-grid", "check-chunks", "python-source"])
+def test_a_changed_check_builds_and_checks_again(warm, tmp_path, old, new):
+    # a check grid, a chunk length or the Python loops' source changed
+    # with the C source unchanged: the library cached under the old check
+    # must not load; the import builds, checks and caches a new one, and
+    # removes the old
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: nothing is built")
+    root = tmp_path / "changed"
+    shutil.copytree(warm, root)
+    source = root / "sdachain" / "astro.py"
+    text = source.read_text()
+    assert text.count(old) >= 1
+    source.write_text(text.replace(old, new))
+    out = run(root, _COUNT_CHECKS)
+    cache = root / "sdachain" / "__pycache__"
+    assert out[0] != str(cache / LIBRARY)
+    assert out[1] == "2"       # _grid_bits of the C loops and of the Python
+    assert [p.name for p in cache.glob("_stepping.*")] == [
+        pathlib.Path(out[0]).name]
+    # and the next import loads it with no check
+    assert run(root, _COUNT_CHECKS) == [out[0], "0"]
 
 
 def test_damaged_cache_file_is_never_loaded_as_it_is(warm, tmp_path):

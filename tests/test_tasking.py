@@ -321,11 +321,10 @@ def exact_visible_epochs(elements, bstar, site, window):
 
 
 def grid_state(el):
-    """The points el's grids hold and, per grid, the points held each way
-    and its decay indices."""
-    held = [(len(g.forward) // 6, len(g.backward) // 6, g.decay_fwd,
-             g.decay_bwd) for g in grids(el).values()]
-    return sum(f + b for f, b, _, _ in held), held
+    """The points el's grids hold and, per grid, the points held each way."""
+    held = [(len(g.forward) // 6, len(g.backward) // 6)
+            for g in grids(el).values()]
+    return sum(f + b for f, b in held), held
 
 
 def cold_run(fn, el, *args, **kw):
@@ -383,9 +382,10 @@ class TestScreenedVisibility:
                 propagate_j2(decaying, bstar, Epoch(first))
             except DecayError:
                 break
-        # a grid point below the decay altitude is noted on the grid
+        # a grid point below the decay altitude is not held
         (grid,) = grids(decaying).values()
-        assert (grid.decay_fwd is not None) == at_grid_point
+        assert (len(grid.forward) // 6 <= first // astro.STEP_S) == \
+            at_grid_point
         site = site_under(_LOW, Epoch(400.0))
         window = (Epoch(start), Epoch(start + 1200.0))
         got, screened = cold_run(visible_epochs, el, bstar, site, window)

@@ -295,9 +295,9 @@ class TestAssociation:
         tdm_b, site_b = observe(rec, 931, 1e-5, site_id="B", t0=6000.0,
                                 with_range=True)
         sol_a = refine_elements(iod_from_tdm(tdm_a, site_a).elements, [tdm_a],
-                                {"A": site_a}, bstar=0.0)
+                                {"A": site_a})
         sol_b = refine_elements(iod_from_tdm(tdm_b, site_b).elements, [tdm_b],
-                                {"B": site_b}, bstar=0.0)
+                                {"B": site_b})
         far = leo_record(random.Random(24), object_id="FAR")
         far_el = KeplerianElements(a=far.elements.a + 600.0, e=far.elements.e,
                                    i=far.elements.i, raan=far.elements.raan,
