@@ -5,10 +5,10 @@ builds on the primitives here: epochs on a uniform leap-second-free
 timescale, ECI state vectors, classical element sets, and a fixed-step
 propagator with two-body + J2 + exponential-atmosphere drag forces: an
 order-10 Adams-Bashforth-Moulton grid (started by RK4) and one RK4 step
-from the grid to each requested time.  Both stepping loops are written
-once, as a force-model template that renders as C, built once and cached
-when the host's C compiler reproduces the Python loops' bits, and as
-Python otherwise.
+from the grid to each requested time.  Both stepping loops, and the orbit
+fit's reduced-model Jacobian and residuals, are written once, as template
+statements that render as C, built once and cached when the host's C
+compiler reproduces the Python renderings' bits, and as Python otherwise.
 
 Conventions:
   * distances in km, velocities in km/s, angles in radians, time in
@@ -52,6 +52,7 @@ MAX_STEP_S = 90.0
 STEP_S = 90.0                 # the grid step of every chain propagation
 MAX_SPAN_S = 30 * 86400.0     # propagation span limit
 
+PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 _J2000_DATETIME = datetime(2000, 1, 1, 12, 0, 0)
@@ -403,43 +404,80 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 #
 # _rk4_steps and _abm_steps are the two stepping loops.  Their arithmetic is
 # written once, as template statements in the syntax Python and C share:
-# "name = expr" and "name += expr" over +, -, *, /, sqrt and exp, which
-# both languages evaluate in the same order, one IEEE 754 rounding per
-# operation; ("if", cond, body), taken when cond != 0.0 (Python's truth
-# test, -0.0 and NaN included); and ("divisor", expr), a denominator that
-# Python's division tests by itself and C must test, so that both raise
-# ZeroDivisionError at the same step.  _force is the force model: gravity,
-# then J2 (when kj != 0), then drag (when bstar != 0), in every evaluation.
-# Its order fixes the bits of every propagated state, which
-# tests/test_astro.py pins, and tests/test_stepping.py holds the
+# "name = expr" and "name += expr" over +, -, *, / and calls, which both
+# languages evaluate in the same order, one IEEE 754 rounding per
+# operation; ("if", cond, body[, orelse]), taken when cond != 0.0
+# (Python's truth test, -0.0 and NaN included); and ("divisor", expr), a
+# denominator that Python's division tests by itself and C must test, so
+# that both raise ZeroDivisionError at the same step.  _force is the force
+# model: gravity, then J2 (when kj != 0), then drag (when bstar != 0), in
+# every evaluation.  Its order fixes the bits of every propagated state,
+# which tests/test_astro.py pins, and tests/test_stepping.py holds the
 # handwritten loops both renderings must match bit for bit.  _rk4_steps
 # serves only the start-up and the remainder step to a time between grid
 # points (a call with n = 1).
 #
-# At import the template is rendered as C (_c_source), with the constants
-# as repr() literals, so the source covers them, and built once with the
-# system cc and _CFLAGS: -O2 -fno-fast-math -ffp-contract=off.  The last
-# matters most: a compiler free to contract a*b + c into one fused
-# multiply-add (gcc's default whenever the target has one, as every aarch64
-# target does) rounds once where Python rounds twice.  The library is
-# cached in this package's __pycache__ under the SHA-256 of the flags, the
-# C source and what the check compares it against (_library_path), so a
-# changed check builds and checks it again.  The file ends with the
-# SHA-256 of its own bytes, which is checked before it is loaded; a cache
-# hit starts no process.  A build enters the cache only after its loops
-# reproduce the Python loops' bits on two fixed J2-on grids both ways, one
-# with drag down to its decay and one without, 3 450 multistep steps long
-# (_grid_bits); a check that raises fails.  So a compiler or platform that
-# widens or contracts floats, or a C exp that is not the one math.exp
-# calls, leaves the Python loops in use instead of forking the chain's
-# bytes.  NATIVE_LIBRARY names the library in use; it is None when there is
-# no cc, the build fails, the bits differ or the library will not load, and
-# then the loops run as Python, compiled from their source only then
-# (_python_loops).  A build that passes removes the cached libraries of
-# other keys.  The C wrappers (_bind) keep the Python loops' signatures
-# and contracts, and pass each array('d') by its buffer address, copying
-# nothing; the C multistep loop keeps its back values in local arrays that
-# it shifts one slot a step.
+# The orbit fit's reduced model (iod.refine_elements' Jacobian) is written
+# in the same language: _secular_setup and _secular_point, one pass's
+# closed-form two-body plus J2-secular position at each record epoch,
+# with solve_kepler's Newton loop (_kepler) and wrap_two_pi (_wrap)
+# inline, and _observation, one record's residual terms, azel_from's or
+# radec_from's angles and the wrapped first-angle difference.  They add
+# what these kernels need: ("until", cond, limit, body, error), body run
+# until cond holds after it, at most limit times, then error raised;
+# ("require", conds, error), error raised unless every cond holds; calls
+# of sqrt, exp, sin, cos, asin, atan2, fmod, fabs and isfinite, the same
+# libm functions math's calls; pow(x, y), which is CPython's x ** y for
+# the positive bases here (no overflow within the KeplerianElements
+# domain); min and max of two floats, as Python's builtins order them
+# (NaN included); and mod(v, w), CPython's float v % w, rendered in C as
+# fmod plus CPython's sign fix.  Where the Python rendering raises
+# (_STATUS) a C kernel returns a status: ValueError for elements outside
+# the domain or a drift that is not finite, KeplerConvergenceError, and
+# the divisor's ZeroDivisionError.  A sin, cos or fmod of an infinite
+# angle, which no orbit in the domain reaches, raises ValueError in Python
+# where C carries a NaN on to a failed Kepler solve: either drops the
+# pass.  _fit_python renders the two passes as Python, the fallback and
+# the bit reference; _python_jacobian applies iod's difference rule to
+# them, and sdachain_fit_jacobian does the same in C, all 12 passes (13
+# with a one-sided column) in one call.
+#
+# At import the templates are rendered as C (_c_source), with the
+# constants as repr() literals, and built once with the system cc and
+# _CFLAGS: -O2 -fno-fast-math -ffp-contract=off, and -fno-builtin-* for
+# each libm function the C calls but sqrt.  -ffp-contract=off matters
+# most: a compiler free to contract a*b + c into one fused multiply-add
+# (gcc's default whenever the target has one, as every aarch64 target
+# does) rounds once where Python rounds twice.  The -fno-builtin flags
+# keep each libm call a call, as CPython makes it: gcc folds pow(x, 2.0)
+# into x * x and fuses a sin and a cos of one argument into one sincos
+# call, whose last bits need not be those of the calls; sqrt is inlined,
+# its result being exact either way.  The library is cached in this
+# package's __pycache__ under the SHA-256 of the flags and of this
+# module's source text (_library_path), which holds the templates, both
+# renderings, the checks and their inputs, so any change to them builds
+# and checks it again.  The file ends with the SHA-256 of its own bytes,
+# which is checked before it is loaded; a cache hit starts no process.  A
+# build enters the cache only after its kernels reproduce the Python
+# renderings' bits (_passes_check): the stepping loops on two fixed J2-on
+# grids both ways, one with drag down to its decay and one without, 3 450
+# multistep steps long (_grid_bits), and the fit kernels' Jacobians and
+# residuals on ranged and unranged AZEL records and RADEC ones, at
+# elements whose columns are central, one-sided at e = 0, i = pi and e
+# near 1, or lost to a drift that is not finite, with a Kepler solve that
+# does not converge and with zero divisors (_fit_bits); a check that
+# raises fails.  So a compiler or platform that widens or contracts
+# floats, or a C libm that is not the one math calls, leaves the Python
+# renderings in use instead of forking the chain's bytes.  NATIVE_LIBRARY
+# names the library in use; it is None when there is no cc, the build
+# fails, the bits differ or the library will not load, and then the
+# kernels run as Python, compiled from their source only then
+# (_python_loops, _python_fit).  A build that passes removes the cached
+# libraries of other keys.  The C wrappers (_bind) keep the Python
+# kernels' signatures and contracts, and pass each array('d') by its
+# buffer address, copying nothing, after checking its type and length;
+# the C multistep loop keeps its back values in local arrays that it
+# shifts one slot a step.
 #
 # The Python _abm_steps runs in blocks of _ORDER steps, unrolled, that
 # rename the back values instead of shifting them: at step j of a block,
@@ -573,8 +611,24 @@ def _python(template, depth: int = 0) -> list:
         if isinstance(s, str):
             lines.append(pad + s)
         elif s[0] == "if":
-            lines += [f"{pad}if {s[1]}:", *_python(s[2], depth + 1)]
+            lines += [f"{pad}if {s[1]}:",
+                      *(_python(s[2], depth + 1) or [pad + "    pass"])]
+            if len(s) > 3:
+                lines += [f"{pad}else:", *_python(s[3], depth + 1)]
+        elif s[0] == "require":
+            lines += [f"{pad}if not ({' and '.join(s[1])}):",
+                      f"{pad}    raise {s[2]}"]
+        elif s[0] == "until":
+            lines += [f"{pad}for _ in range({s[2]}):",
+                      *_python(s[3], depth + 1),
+                      f"{pad}    if {s[1]}:", f"{pad}        break",
+                      f"{pad}else:", f"{pad}    raise {s[4]}"]
     return lines
+
+
+# the status a C kernel returns where its Python rendering raises
+_STATUS = {"ZeroDivisionError": 2, "ValueError": 3,
+           "KeplerConvergenceError": 4}
 
 
 def _c(template, depth: int = 0) -> list:
@@ -584,10 +638,22 @@ def _c(template, depth: int = 0) -> list:
         if isinstance(s, str):
             lines.append(pad + s + ";")
         elif s[0] == "if":
-            lines += [f"{pad}if ({s[1]} != 0.0) {{", *_c(s[2], depth + 1),
-                      pad + "}"]
-        else:
+            lines += [f"{pad}if (({s[1]}) != 0.0) {{", *_c(s[2], depth + 1)]
+            if len(s) > 3:
+                lines += [pad + "} else {", *_c(s[3], depth + 1)]
+            lines.append(pad + "}")
+        elif s[0] == "divisor":
             lines.append(f"{pad}if ({s[1]} == 0.0) goto divided;")
+        elif s[0] == "require":
+            held = " && ".join(f"({c})" for c in s[1])
+            lines.append(f"{pad}if (!({held})) return "
+                         f"{_STATUS[s[2].split('(')[0]]};")
+        else:
+            lines += [f"{pad}for (it = 0; it < {s[2]}; it++) {{",
+                      *_c(s[3], depth + 1),
+                      f"{pad}    if ({s[1]}) break;", pad + "}",
+                      f"{pad}if (it == {s[2]}) return "
+                      f"{_STATUS[s[4].split('(')[0]]};"]
     return lines
 
 
@@ -598,8 +664,134 @@ def _assigned(template) -> list:
         if isinstance(s, str):
             names.append(s.split()[0])
         elif s[0] == "if":
-            names += _assigned(s[2])
+            names += _assigned(s[2]) + _assigned(s[3] if len(s) > 3 else [])
+        elif s[0] == "until":
+            names += _assigned(s[3])
     return names
+
+
+# --- the orbit fit's reduced model, as template statements ---
+
+
+def _wrap(out: str, angle: str) -> list:
+    """Template statements of out = wrap_two_pi(angle)."""
+    return [f"{out} = fmod({angle}, TWO_PI)",
+            ("if", f"{out} < 0.0", [f"{out} += TWO_PI"]),
+            ("if", f"{out} < TWO_PI", [], [f"{out} = 0.0"])]
+
+
+def _kepler() -> list:
+    """Template statements of E = solve_kepler(m, e)."""
+    return ["E = PI",
+            ("if", "e < 0.8", ["E = m"]),
+            ("until", "fabs(dE) < 1e-14", 50,
+             ["f = E - e * sin(E) - m",
+              "den = 1.0 - e * cos(E)",
+              ("divisor", "den"),
+              "dE = f / den",
+              "E -= dE"],
+             'KeplerConvergenceError(f"Kepler solve did not converge in 50'
+             ' iterations (M={m!r}, e={e!r})")')]
+
+
+def _secular_setup() -> list:
+    """Template statements of what one reduced-model pass computes once
+    from its elements a, e, i, raan, argp, M and j2: the checks and
+    wraps of the KeplerianElements they make, the mean motion n and the
+    J2 secular rates."""
+    return [("require", ("1.0 <= a", "a <= 1e9", "0.0 <= e", "e < 1.0",
+                         "0.0 <= i", "i <= PI", "isfinite(raan)",
+                         "isfinite(argp)", "isfinite(M)"),
+             'ValueError("elements outside the KeplerianElements domain")'),
+            *_wrap("raan0", "raan"), *_wrap("argp0", "argp"),
+            *_wrap("m0", "M"),
+            "n = sqrt(MU_EARTH / pow(a, 3.0))",
+            "eta = sqrt(1.0 - e * e)",
+            "a_eta = a * eta",
+            "k = 1.5 * j2 * n * pow(R_EARTH / (a * eta * eta), 2.0)",
+            "s2 = pow(sin(i), 2.0)",
+            "raan_dot = -k * cos(i)",
+            "argp_dot = k * (2.0 - 2.5 * s2)",
+            "m_dot = k * eta * (1.0 - 1.5 * s2)",    # beyond n
+            "ci = cos(i)",
+            "si = sin(i)"]
+
+
+def _secular_point() -> list:
+    """Template statements of the reduced model's ECI position px, py, pz
+    at time t, t0 being the elements' epoch: kepler_to_state's on the
+    drifted elements, operation for operation."""
+    return ["dt = t - t0",
+            "raan_t = raan0 + raan_dot * dt",
+            "argp_t = argp0 + argp_dot * dt",
+            "m = m0 + m_dot * dt",
+            ("require", ("isfinite(raan_t)", "isfinite(argp_t)",
+                         "isfinite(m)"),
+             'ValueError("elements must be finite")'),
+            *_wrap("m", "m"), *_wrap("m", "m + n * dt"),
+            *_kepler(),
+            "cosE = cos(E)",
+            "sinE = sin(E)",
+            "xp = a * (cosE - e)",
+            "yp = a_eta * sinE",
+            *_wrap("raan_t", "raan_t"), *_wrap("argp_t", "argp_t"),
+            "cO = cos(raan_t)",
+            "sO = sin(raan_t)",
+            "co = cos(argp_t)",
+            "so = sin(argp_t)",
+            "r11 = cO * co - sO * so * ci",
+            "r12 = -cO * so - sO * co * ci",
+            "r21 = sO * co + cO * so * ci",
+            "r22 = -sO * so + cO * co * ci",
+            "px = r11 * xp + r12 * yp",
+            "py = r21 * xp + r22 * yp",
+            "pz = so * si * xp + co * si * yp"]
+
+
+# a fit record's fields, in their order in the packed array('d'): its
+# angles, the cosine of its second angle, its range (0.0 when it has
+# none) and 1.0 when it has one, its site's ECI position and (east,
+# north, up) basis at its epoch, and 1.0 for RADEC angles
+_FIT_FIELDS = ("a1", "a2", "cos2", "range_km", "ranged", "sx", "sy", "sz",
+               "ex", "ey", "ez", "nx", "ny", "nz", "ux", "uy", "uz", "radec")
+
+
+def _fit_record(angle1: float, angle2: float, range_km, geometry) -> tuple:
+    """The _FIT_FIELDS of a record with those angles and range (or None),
+    given tdm.site_geometry at its epoch."""
+    rs, basis, radec = geometry
+    return (angle1, angle2, math.cos(angle2),
+            0.0 if range_km is None else range_km,
+            float(range_km is not None), *rs, *(c for v in basis for c in v),
+            float(radec))
+
+
+def _observation() -> list:
+    """Template statements of one record's residual terms at the predicted
+    ECI position px, py, pz: t1 and t2, its wrapped first-angle and its
+    second-angle differences, and t3, its relative range difference,
+    when it has a range; observe_from's angles, operation for operation."""
+    return ["rx = px - sx",
+            "ry = py - sy",
+            "rz = pz - sz",
+            ("if", "radec",
+             ["rng = sqrt(rx * rx + ry * ry + rz * rz)",
+              *_wrap("p1", "atan2(ry, rx)"),
+              ("divisor", "rng"),
+              "p2 = asin(max(-1.0, min(1.0, rz / rng)))"],
+             ["ee = rx * ex + ry * ey + rz * ez",
+              "nn = rx * nx + ry * ny + rz * nz",
+              "uu = rx * ux + ry * uy + rz * uz",
+              "rng = sqrt(ee * ee + nn * nn + uu * uu)",
+              *_wrap("p1", "atan2(ee, nn)"),
+              ("divisor", "rng"),
+              "p2 = asin(max(-1.0, min(1.0, uu / rng)))"]),
+            "t1 = (mod(a1 - p1 + PI, TWO_PI) - PI) * cos2",
+            "t2 = a2 - p2",
+            ("if", "ranged",
+             ["rho = sqrt(rx * rx + ry * ry + rz * rz)",
+              ("divisor", "range_km"),
+              "t3 = (range_km - rho) / range_km"])]
 
 
 def _rk4_python() -> list:
@@ -683,25 +875,115 @@ def _indent(lines, depth: int) -> list:
     return ["    " * depth + line for line in lines]
 
 
-def _python_source() -> str:
-    """The Python source of both stepping loops."""
-    return "\n".join(_rk4_python() + _abm_python())
-
-
 @functools.cache
 def _python_loops() -> tuple:
     """(_rk4_steps, _abm_steps) as Python, compiled from the template with
     this module's globals."""
     namespace = {}
-    exec(compile(_python_source(), "<astro stepping loops>", "exec"),
-         globals(), namespace)
+    exec(compile("\n".join(_rk4_python() + _abm_python()),
+                 "<astro stepping loops>", "exec"), globals(), namespace)
     return namespace["_rk4_steps"], namespace["_abm_steps"]
 
 
-# the names the template reads, each a C constant of the same value
+def _fit_python() -> list:
+    """The Python source of the reduced model's two passes:
+    _fit_positions(x, t0, j2, times), its ECI positions at times from
+    elements x (six floats) at epoch t0, three floats per time, and
+    _fit_residuals(fields, p), the residual terms of the _FIT_FIELDS
+    records at positions p: angle terms first, two per record, then one
+    range term per ranged record."""
+    stride = len(_FIT_FIELDS)
+    return ["def _fit_positions(x, t0, j2, times):",
+            "    sqrt, sin, cos = math.sqrt, math.sin, math.cos",
+            "    fmod, fabs, isfinite = math.fmod, math.fabs, math.isfinite",
+            "    a, e, i, raan, argp, M = x",
+            *_python(_secular_setup(), 1),
+            "    p = []",
+            "    for t in times:",
+            *_python(_secular_point(), 2),
+            "        p += (px, py, pz)",
+            "    return p",
+            "def _fit_residuals(fields, p):",
+            "    sqrt, fmod, atan2, asin = math.sqrt, math.fmod, math.atan2, "
+            "math.asin",
+            "    mod = float.__mod__",
+            "    out, ranges = [], []",
+            f"    for r in range(len(fields) // {stride}):",
+            f"        {', '.join(_FIT_FIELDS)} = "
+            f"fields[{stride} * r:{stride} * r + {stride}]",
+            "        px, py, pz = p[3 * r:3 * r + 3]",
+            *_python(_observation(), 2),
+            "        out += (t1, t2)",
+            "        if ranged:",
+            "            ranges.append(t3)",
+            "    return out + ranges"]
+
+
+@functools.cache
+def _python_fit() -> tuple:
+    """(_fit_positions, _fit_residuals) as Python, compiled from the
+    template with this module's globals."""
+    namespace = {}
+    exec(compile("\n".join(_fit_python()), "<astro fit passes>", "exec"),
+         globals(), namespace)
+    return namespace["_fit_positions"], namespace["_fit_residuals"]
+
+
+def _python_jacobian(x, steps, t0: float, j2: float, times, fields) -> tuple:
+    """(jac, None): d(predicted)/dx of the reduced model at epoch t0, from
+    elements x (six floats), at the records packed in times (their
+    epochs) and fields (their _FIT_FIELDS), row-major in an array('d'),
+    one row per residual term and six columns.  Or (None, k), k the first
+    column that neither difference can give.
+
+    Central differences at steps, one-sided where one side's pass raises
+    ValueError or KeplerConvergenceError (an element past its domain, a
+    Kepler solve that does not converge) and the pass at x does not.  A
+    ZeroDivisionError propagates.  The C kernel makes the same passes in
+    the same order."""
+    positions, residuals = _python_fit()
+
+    def model(xk):
+        try:
+            return residuals(fields, positions(xk, t0, j2, times))
+        except (ValueError, KeplerConvergenceError):
+            return None
+
+    jac, base = None, None
+    for k, h in enumerate(steps):
+        xp, xm = list(x), list(x)
+        xp[k] += h
+        xm[k] -= h
+        rp = model(xp)
+        rm = model(xm)
+        if rp is not None and rm is not None:
+            column = [(b - a) / (2.0 * h) for a, b in zip(rp, rm)]
+        else:
+            if base is None:
+                base = model(x)
+            if base is not None and rp is not None:
+                column = [(b - a) / h for a, b in zip(rp, base)]
+            elif base is not None and rm is not None:
+                column = [(b - a) / h for a, b in zip(base, rm)]
+            else:
+                return None, k
+        if jac is None:
+            jac = array("d", bytes(48 * len(column)))
+        jac[k::6] = array("d", column)
+    return jac, None
+
+
+# the names the templates read, each a C constant of the same value
 _C_CONSTANTS = ("MU_EARTH", "R_EARTH", "EARTH_ROT", "DRAG_RHO0", "DRAG_H0",
-                "DRAG_SCALE_H", "DECAY_ALTITUDE")
-_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fPIC", "-shared")
+                "DRAG_SCALE_H", "DECAY_ALTITUDE", "PI", "TWO_PI")
+# -fno-builtin-* keeps each libm call a call, as CPython makes it: gcc
+# would otherwise fold pow(x, 2.0) into x * x, fuse sin and cos of one
+# argument into one sincos call, or expand fmod inline; sqrt stays
+# inlined, since its result is exact either way
+_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fno-builtin-exp",
+           "-fno-builtin-sin", "-fno-builtin-cos", "-fno-builtin-asin",
+           "-fno-builtin-atan2", "-fno-builtin-fmod", "-fno-builtin-pow",
+           "-fPIC", "-shared")
 
 
 # The C skeleton of both stepping loops, which _c_source fills in.
@@ -789,8 +1071,124 @@ divided:
 """)
 
 
+# The C skeleton of the fit kernels, which _c_source fills in.  mod, min
+# and max are CPython's v % w (w nonzero: fmod and its sign fix), min(a,
+# b) and max(a, b) of floats.  fit_positions and sdachain_fit_residuals
+# are _fit_positions and _fit_residuals of count records; they return 0
+# or the _STATUS of what the Python raises.  sdachain_fit_jacobian is
+# _python_jacobian, the same passes in the same order: it writes the
+# terms x 6 Jacobian, row-major, into jac, with work holding 3 * count +
+# 3 * terms doubles, and returns 0, 2 for a zero divisor, or -1 - k when
+# column k cannot be differenced.
+_C_FIT = string.Template("""\
+static double mod(double v, double w)
+{
+    double m = fmod(v, w);
+    if (m != 0.0) {
+        if ((w < 0.0) != (m < 0.0))
+            m += w;
+    } else {
+        m = copysign(0.0, w);
+    }
+    return m;
+}
+static double min(double a, double b)
+{
+    return b < a ? b : a;
+}
+static double max(double a, double b)
+{
+    return b > a ? b : a;
+}
+static int fit_positions(const double *x, double t0, double j2,
+                         const double *times, long count, double *p)
+{
+    const double a = x[0], e = x[1], i = x[2], raan = x[3], argp = x[4],
+                 M = x[5];
+    double t, $position_locals;
+    long r;
+    int it;
+$setup
+    for (r = 0; r < count; r++) {
+        t = times[r];
+$point
+        p[3 * r] = px;
+        p[3 * r + 1] = py;
+        p[3 * r + 2] = pz;
+    }
+    return 0;
+divided:
+    return 2;
+}
+int sdachain_fit_residuals(const double *f, const double *p, long count,
+                           double *out)
+{
+    double $fields, px, py, pz;
+    double $observation_locals;
+    long r, j = 2 * count;
+    for (r = 0; r < count; r++) {
+$load
+        px = p[3 * r];
+        py = p[3 * r + 1];
+        pz = p[3 * r + 2];
+$observation
+        out[2 * r] = t1;
+        out[2 * r + 1] = t2;
+        if (ranged != 0.0)
+            out[j++] = t3;
+    }
+    return 0;
+divided:
+    return 2;
+}
+static int fit_model(const double *x, double t0, double j2,
+                     const double *times, const double *f, long count,
+                     double *p, double *out)
+{
+    int failed = fit_positions(x, t0, j2, times, count, p);
+    return failed ? failed : sdachain_fit_residuals(f, p, count, out);
+}
+int sdachain_fit_jacobian(const double *x, const double *steps, double t0,
+                          double j2, const double *times, const double *f,
+                          long count, long terms, double *jac, double *work)
+{
+    double xp[6], xm[6], h;
+    double *rp = work + 3 * count, *rm = rp + terms, *base = rm + terms;
+    int k, c, sp, sm, sb = -1;
+    long r;
+    for (k = 0; k < 6; k++) {
+        h = steps[k];
+        for (c = 0; c < 6; c++)
+            xp[c] = xm[c] = x[c];
+        xp[k] += h;
+        xm[k] -= h;
+        if ((sp = fit_model(xp, t0, j2, times, f, count, work, rp)) == 2
+            || (sm = fit_model(xm, t0, j2, times, f, count, work, rm)) == 2)
+            return 2;
+        if (!sp && !sm) {
+            for (r = 0; r < terms; r++)
+                jac[6 * r + k] = (rm[r] - rp[r]) / (2.0 * h);
+            continue;
+        }
+        if (sb < 0
+            && (sb = fit_model(x, t0, j2, times, f, count, work, base)) == 2)
+            return 2;
+        if (!sb && !sp)
+            for (r = 0; r < terms; r++)
+                jac[6 * r + k] = (base[r] - rp[r]) / h;
+        else if (!sb && !sm)
+            for (r = 0; r < terms; r++)
+                jac[6 * r + k] = (rm[r] - base[r]) / h;
+        else
+            return -1 - k;
+    }
+    return 0;
+}
+""")
+
+
 def _c_source() -> str:
-    """The C source of both stepping loops."""
+    """The C source of the stepping loops and the fit kernels."""
     start, rk4 = _radius(*_STATE[:3]), _rk4_step()
     step = _abm_step(lambda d, i: f"{d}[{i}]")
     force = _force(("qx", "qy", "qz"), _STATE[:3], _STATE[3:])
@@ -804,7 +1202,7 @@ def _c_source() -> str:
         return ", ".join(dict.fromkeys(
             n for t in templates for n in _assigned(t) if n not in _STATE))
 
-    return _C_LOOPS.substitute(
+    loops = _C_LOOPS.substitute(
         constants="\n".join(f"static const double {name} = "
                             f"{globals()[name]!r};" for name in _C_CONSTANTS),
         last=_ORDER - 1, order=_ORDER, decayed=_DECAYED,
@@ -817,6 +1215,16 @@ def _c_source() -> str:
         abm_locals=names(start, step, force),
         fill=lines(_c(start) + newest, 2), abm_step=lines(_c(step), 2),
         newest=lines(newest, 2))
+    setup, point, observation = (_secular_setup(), _secular_point(),
+                                 _observation())
+    stride = len(_FIT_FIELDS)
+    return loops + _C_FIT.substitute(
+        position_locals=names(setup, point), setup=lines(_c(setup), 1),
+        point=lines(_c(point), 2), fields=", ".join(_FIT_FIELDS),
+        observation_locals=names(observation),
+        load=lines([f"{v} = f[{stride} * r + {k}];"
+                    for k, v in enumerate(_FIT_FIELDS)], 2),
+        observation=lines(_c(observation), 2))
 
 
 def _step_error(failed: int, alt: float, t: float) -> ArithmeticError:
@@ -826,15 +1234,29 @@ def _step_error(failed: int, alt: float, t: float) -> ArithmeticError:
     return _decay_error(alt, t)
 
 
+def _address(buf, size: int) -> int:
+    """The address of buf, an array('d') of size doubles."""
+    if getattr(buf, "typecode", None) != "d" or len(buf) != size:
+        raise ValueError(f"expected an array('d') of {size} doubles")
+    return buf.buffer_info()[0]
+
+
 def _bind(lib) -> tuple:
-    """(_rk4_steps, _abm_steps) wrappers of the C loops of lib, a
-    ctypes.PyDLL: the interpreter lock stays held through each call, so no
-    other thread can resize a buffer the C loop writes."""
+    """(_rk4_steps, _abm_steps, _fit_jacobian, _fit_residuals) wrappers of
+    the C kernels of lib, a ctypes.PyDLL: the interpreter lock stays held
+    through each call, so no other thread can resize a buffer the C
+    writes."""
     rk4, abm = lib.sdachain_rk4_steps, lib.sdachain_abm_steps
+    jacobian, residuals = lib.sdachain_fit_jacobian, lib.sdachain_fit_residuals
     ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     rk4.argtypes = (ptr, double, long, double, double, long)
     abm.argtypes = (ptr, long, ptr, double, long, double, double)
+    jacobian.argtypes = (ptr, ptr, double, double, ptr, ptr, long, long, ptr,
+                         ptr)
+    residuals.argtypes = (ptr, ptr, long, ptr)
     rk4.restype = abm.restype = ctypes.c_int
+    jacobian.restype = residuals.restype = ctypes.c_int
+    stride, ranged = len(_FIT_FIELDS), _FIT_FIELDS.index("ranged")
 
     def _rk4_steps(state, h, n, bstar, kj, t0, k0):
         s = array("d", state)
@@ -859,7 +1281,35 @@ def _bind(lib) -> tuple:
         if failed:
             raise _step_error(failed, out[1], t0 + (k0 + 1 + done) * h)
 
-    return _rk4_steps, _abm_steps
+    def terms(fields) -> int:
+        """The residual terms of the packed records: two per record and
+        one per record whose ranged flag is not 0.0, as the kernels test
+        it."""
+        n = len(fields) // stride
+        return 3 * n - fields[ranged::stride].count(0.0)
+
+    def _fit_jacobian(x, steps, t0, j2, times, fields):
+        n = len(times)
+        m = terms(fields)
+        xs, hs = array("d", x), array("d", steps)
+        jac = array("d", bytes(48 * m))
+        work = array("d", bytes(8 * (3 * n + 3 * m)))
+        failed = jacobian(_address(xs, 6), _address(hs, 6), t0, j2,
+                          _address(times, n), _address(fields, stride * n), n,
+                          m, jac.buffer_info()[0], work.buffer_info()[0])
+        if failed == 2:
+            raise ZeroDivisionError("float division by zero")
+        return (None, -1 - failed) if failed else (jac, None)
+
+    def _fit_residuals(fields, p):
+        n = len(fields) // stride
+        out = array("d", bytes(8 * terms(fields)))
+        if residuals(_address(fields, stride * n), _address(p, 3 * n), n,
+                     out.buffer_info()[0]):
+            raise ZeroDivisionError("float division by zero")
+        return out
+
+    return _rk4_steps, _abm_steps, _fit_jacobian, _fit_residuals
 
 
 # the grids a native build must step as the Python loops do, J2 on, each
@@ -899,23 +1349,99 @@ def _grid_bits(rk4, abm) -> list:
     return [x if isinstance(x, str) else x.tobytes() for x in out]
 
 
-def _library_path(source: str) -> str:
-    """Where the library built from C source is cached: under the SHA-256
-    of the flags, the C source and what _grid_bits compares the library
-    against (the Python loops' source, and the check grids, chunks, step
-    and J2), so that a change to any of them builds and checks it again."""
-    check = repr((_CHECK_GRIDS, _CHECK_CHUNKS, STEP_S, J2_EARTH))
-    key = hashlib.sha256("\0".join(
-        (*_CFLAGS, source, _python_source(), check)).encode()).hexdigest()
+# the records a native build must fit as the Python passes do, at 60 s
+# spacing from two sites: four AZEL with a range, four without, then two
+# RADEC, the first with a range; (angle1, angle2) make first-angle
+# differences of either sign
+_CHECK_SITES = (GroundSite("CHECK-A", 0.3, 1.0, 0.2),
+                GroundSite("CHECK-B", -0.6, 2.4))
+_CHECK_RECORDS = tuple((60.0 * k, 0.37 * k + 0.1, 0.05 * k - 0.2,
+                        1000.0 + 100.0 * k if k in (0, 1, 2, 3, 8) else None,
+                        k >= 8) for k in range(10))
+# and the elements (a, e, i, raan, argp, M) and epoch of each fit: one
+# with central differences only; e = 0 and i = pi, whose e and i columns
+# are one-sided, since one side leaves the domain; e within 1e-10 of 1,
+# whose e column is one-sided and whose M - 1e-5 side's Kepler solve does
+# not converge at the first record; and a = 1 km from an epoch 1.7e308 s
+# earlier, whose drift is not finite on any side, so no column is given
+_CHECK_FITS = (((7000.0, 0.01, 0.9, 1.0, 2.0, 3.0), 0.0),
+               ((7100.0, 0.0, 0.02, 0.5, 0.0, 1.0), 0.0),
+               ((7200.0, 0.05, PI, 2.0, 1.0, 0.5), 0.0),
+               ((7300.0, 1.0 - 1e-10, 1.2, 0.1, 0.2, 1e-5 + 1e-12), 0.0),
+               ((1.0, 0.1, 0.5, 1.0, 2.0, 3.0), -1.7e308))
+_CHECK_STEPS = (1e-1, 1e-5, 1e-5, 1e-5, 1e-5, 1e-5)
+
+
+def _check_records() -> tuple:
+    """(times, fields) of _CHECK_RECORDS, as a fit packs them."""
+    times, fields = array("d"), array("d")
+    for k, (t, angle1, angle2, range_km, radec) in enumerate(_CHECK_RECORDS):
+        site = _CHECK_SITES[k % len(_CHECK_SITES)]
+        times.append(t)
+        fields.extend(_fit_record(angle1, angle2, range_km,
+                                  (*site_frame(site, Epoch(t)), radec)))
+    return times, fields
+
+
+def _fit_bits(jacobian, residuals) -> list:
+    """The bytes the fit kernels jacobian and residuals make of the check
+    records: the Jacobian of each _CHECK_FITS fit, then that of the first
+    with the first record's range 0.0, and the residuals at the first
+    fit's positions, then with the first position at its site.  A failed
+    column gives its index, and an ArithmeticError or ValueError its repr,
+    so that kernels which raise where the others do not fail the check."""
+    times, fields = _check_records()
+    zero_range = array("d", fields)
+    zero_range[_FIT_FIELDS.index("range_km")] = 0.0
+    positions = array("d", _python_fit()[0](_CHECK_FITS[0][0], 0.0,
+                                            J2_EARTH, times))
+    sited = array("d", positions)
+    site = _FIT_FIELDS.index("sx")
+    sited[:3] = fields[site:site + 3]
+    calls = [(jacobian, x, _CHECK_STEPS, t0, J2_EARTH, times, fields)
+             for x, t0 in _CHECK_FITS]
+    calls += [(jacobian, _CHECK_FITS[0][0], _CHECK_STEPS, 0.0, J2_EARTH,
+               times, zero_range),
+              (residuals, fields, positions), (residuals, fields, sited)]
+    out = []
+    for kernel, *args in calls:
+        try:
+            got = kernel(*args)
+        except (ArithmeticError, ValueError) as exc:
+            out.append(repr(exc))
+            continue
+        if kernel is jacobian:
+            got = got[1] if got[0] is None else got[0]
+        out.append(got if isinstance(got, int) else array("d", got).tobytes())
+    return out
+
+
+def _passes_check(kernels) -> bool:
+    """Whether the kernels (_bind's four) make the bits of the Python
+    renderings: _grid_bits of the stepping loops, _fit_bits of the fit
+    kernels."""
+    rk4, abm, jacobian, residuals = kernels
+    return (_grid_bits(rk4, abm) == _grid_bits(*_python_loops())
+            and _fit_bits(jacobian, residuals)
+            == _fit_bits(_python_jacobian, _python_fit()[1]))
+
+
+def _library_path() -> str:
+    """Where the library is cached: under the SHA-256 of the flags and of
+    this module's source text, which holds the templates, both
+    renderings, the checks and their inputs, so that a change to any of
+    them builds and checks it again."""
+    with open(__file__, "rb") as f:
+        text = f.read()
+    key = hashlib.sha256("\0".join(_CFLAGS).encode() + b"\0" + text)
     return os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "__pycache__", f"_stepping.{key}.so")
+                        "__pycache__", f"_stepping.{key.hexdigest()}.so")
 
 
 def _native_loops():
-    """(path, _rk4_steps, _abm_steps) of the C loops, loaded from the cache
-    or built into it, or None when this host cannot build or load them."""
-    source = _c_source()
-    path = _library_path(source)
+    """(path, *_bind's four) of the C kernels, loaded from the cache or
+    built into it, or None when this host cannot build or load them."""
+    path = _library_path()
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -923,13 +1449,13 @@ def _native_loops():
             return (path, *_bind(ctypes.PyDLL(path)))
     except (OSError, AttributeError):
         pass
-    return _build(source, path)
+    return _build(path)
 
 
-def _build(source: str, path: str):
-    """Build source into a library, and cache it at path, followed by its
-    SHA-256, if its loops make the Python loops' _grid_bits, removing the
-    libraries of other sources; returns what _native_loops does."""
+def _build(path: str):
+    """Build _c_source into a library, and cache it at path, followed by
+    its SHA-256, if its kernels pass _passes_check, removing the libraries
+    of other sources; returns what _native_loops does."""
     import glob         # here, since a cache hit needs none of them
     import shutil
     import subprocess
@@ -943,15 +1469,15 @@ def _build(source: str, path: str):
             c_file = os.path.join(work, "stepping.c")
             lib_file = os.path.join(work, "stepping.so")
             with open(c_file, "w", encoding="ascii") as f:
-                f.write(source)
+                f.write(_c_source())
             subprocess.run([cc, *_CFLAGS, "-o", lib_file, c_file, "-lm"],
                            check=True, capture_output=True, timeout=300)
             with open(lib_file, "rb") as f:
                 digest = hashlib.sha256(f.read()).digest()
             with open(lib_file, "ab") as f:
                 f.write(digest)
-            loops = _bind(ctypes.PyDLL(lib_file))
-            if _grid_bits(*loops) != _grid_bits(*_python_loops()):
+            kernels = _bind(ctypes.PyDLL(lib_file))
+            if not _passes_check(kernels):
                 return None
             os.replace(lib_file, path)
     except (OSError, AttributeError, subprocess.SubprocessError):
@@ -963,32 +1489,7 @@ def _build(source: str, path: str):
                 os.remove(stale)
             except OSError:
                 pass
-    return (path, *loops)
-
-
-# NATIVE_LIBRARY is the cached library the stepping loops call, or None
-# when they run as Python
-NATIVE_LIBRARY, _rk4_steps, _abm_steps = (_native_loops()
-                                          or (None, *_python_loops()))
-_rk4_steps.__doc__ = """\
-n RK4 steps of h seconds from state; returns the last state.
-
-    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
-    t0 + k*h, the time a DecayError names when that step's state is below
-    DECAY_ALTITUDE.
-    """
-_abm_steps.__doc__ = """\
-n multistep steps of h seconds, appended to the grid points.
-
-    points is an array('d') grid holding at least _ORDER points; step k,
-    for k0 < k <= k0 + n with k0 the index of its last point, lands at
-    t0 + k*h, the time a DecayError names when that step's state is below
-    DECAY_ALTITUDE; on a DecayError only the states before it are
-    appended.  Each call first evaluates the back values (velocity and
-    acceleration) at the last _ORDER points held and keeps them in locals
-    only, so what it appends depends on those points, not on earlier
-    calls.
-    """
+    return (path, *kernels)
 
 
 def _check_limits(el: KeplerianElements, t: float, step_s: float) -> None:
@@ -1392,3 +1893,32 @@ def angular_separation(az1: float, el1: float, az2: float, el2: float) -> float:
     sda = math.sin(0.5 * (az2 - az1))
     h = sde * sde + math.cos(el1) * math.cos(el2) * sda * sda
     return 2.0 * math.asin(min(1.0, math.sqrt(h)))
+
+
+# --- the kernels in use, built or loaded once every template, rendering
+# and check input above is defined ---
+
+# NATIVE_LIBRARY is the cached library the stepping loops and the fit
+# kernels call, or None when they run as Python
+NATIVE_LIBRARY, _rk4_steps, _abm_steps, _fit_jacobian, _fit_residuals = (
+    _native_loops()
+    or (None, *_python_loops(), _python_jacobian, _python_fit()[1]))
+_rk4_steps.__doc__ = """\
+n RK4 steps of h seconds from state; returns the last state.
+
+    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE.
+    """
+_abm_steps.__doc__ = """\
+n multistep steps of h seconds, appended to the grid points.
+
+    points is an array('d') grid holding at least _ORDER points; step k,
+    for k0 < k <= k0 + n with k0 the index of its last point, lands at
+    t0 + k*h, the time a DecayError names when that step's state is below
+    DECAY_ALTITUDE; on a DecayError only the states before it are
+    appended.  Each call first evaluates the back values (velocity and
+    acceleration) at the last _ORDER points held and keeps them in locals
+    only, so what it appends depends on those points, not on earlier
+    calls.
+    """

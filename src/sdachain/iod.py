@@ -17,15 +17,23 @@ The IOD methods are two-body constructions and report two-body residuals;
 refinement evaluates residuals with the full reference force model so its
 RMS is directly comparable to the validation thresholds. Only its partials
 come from the reduced model, which needs no integration. Each record's
-site geometry is computed once per fit and serves every residual
+fields and site geometry are packed once per fit and serve every residual
 evaluation. A fit stops when the step its SVD predicts would lower the
 cost by at most a relative REFINE_PRED_TOL, so an iteration's
 integrations are its line-search trials: at most REFINE_MAX_HALVINGS + 1.
+
+The reduced model's passes and the residual terms are written once, as
+astro's template kernels. Where astro.NATIVE_LIBRARY is loaded they run
+in C: one call per Jacobian, which makes all its passes and differences,
+and one per line-search trial, which turns the propagated positions into
+residuals. Elsewhere they run as the Python rendered from the same
+template, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +49,22 @@ from .astro import (
     R_EARTH,
     StateVector,
     UnsupportedRegimeError,
+    _fit_jacobian,
+    _fit_record,
+    _fit_residuals,
+    _python_fit,
     cross,
     dot,
     kepler_to_state,
     norm,
     propagate_many,
-    solve_kepler,
     state_to_kepler,
     unit,
-    wrap_two_pi,
 )
 from .errors import SdaError
 from .tdm import (
     Tdm,
     line_of_sight,
-    observe_from,
     observed_position,
     separation_rms,
     site_geometry,
@@ -356,11 +365,17 @@ def _make_elements(x, epoch: Epoch) -> KeplerianElements:
     return KeplerianElements(*map(float, x), epoch=epoch)
 
 
-def _fit_records(entries) -> list:
-    """Per record, what every residual evaluation of one fit reuses: the
-    record, the cosine of its second angle and its site geometry."""
-    return [(rec, math.cos(rec.angle2), site_geometry(site, rec.epoch, mode))
-            for rec, site, mode in entries]
+def _fit_records(entries) -> tuple:
+    """What every residual evaluation of one fit reuses, packed once:
+    (times, fields), array('d')s of each record's epoch and of its
+    astro._FIT_FIELDS (its angles, the cosine of its second angle, its
+    range and its site geometry)."""
+    times, fields = array("d"), array("d")
+    for rec, site, mode in entries:
+        times.append(rec.epoch.t)
+        fields.extend(_fit_record(rec.angle1, rec.angle2, rec.range_km,
+                                  site_geometry(site, rec.epoch, mode)))
+    return times, fields
 
 
 def _residuals(records, positions) -> np.ndarray:
@@ -369,62 +384,25 @@ def _residuals(records, positions) -> np.ndarray:
     Angle terms first (2 per record), then one relative range term per
     ranged record; the reported RMS uses only the angle block.
     """
-    out = []
-    ranges = []
-    for (rec, cos2, geometry), r in zip(records, positions):
-        p1, p2, _ = observe_from(r, geometry)
-        d1 = (rec.angle1 - p1 + math.pi) % (2.0 * math.pi) - math.pi
-        out.append(d1 * cos2)
-        out.append(rec.angle2 - p2)
-        if rec.range_km is not None:
-            rs = geometry[0]
-            rho = norm((r[0] - rs[0], r[1] - rs[1], r[2] - rs[2]))
-            ranges.append((rec.range_km - rho) / rec.range_km)
-    return np.array(out + ranges)
+    p = array("d")
+    for r in positions:
+        p.extend(r)
+    return np.array(_fit_residuals(records[1], p))
 
 
-def _secular_positions(x, epoch: Epoch, epochs, j2: float):
-    """Yield the reduced model's ECI position at each epoch, in closed form.
+def _secular_positions(x, epoch: Epoch, epochs, j2: float) -> list:
+    """The reduced model's ECI position at each epoch, in closed form.
 
     Two-body motion plus the J2 secular rates of raan, argp and M
     (Vallado, eq. 9-41), with no short-period terms and no drag. Each
     position is kepler_to_state's on the drifted elements, operation for
-    operation, without building the elements or the state; velocity is
-    left out because observe reads none. Drifted angles that are not
-    finite raise ValueError, as constructing those elements would.
+    operation, from astro's template as Python (the reference the C
+    kernel is checked against). Elements outside the KeplerianElements
+    domain, or drifted angles that are not finite, raise ValueError.
     """
-    el = _make_elements(x, epoch)
-    a, e = el.a, el.e
-    n = el.mean_motion()
-    eta = math.sqrt(1.0 - e * e)
-    a_eta = a * eta
-    k = 1.5 * j2 * n * (R_EARTH / (a * eta * eta)) ** 2
-    s2 = math.sin(el.i) ** 2
-    raan_dot = -k * math.cos(el.i)
-    argp_dot = k * (2.0 - 2.5 * s2)
-    m_dot = k * eta * (1.0 - 1.5 * s2)    # beyond the mean motion n
-    ci, si = math.cos(el.i), math.sin(el.i)
-    for t in epochs:
-        dt = t.t - epoch.t
-        raan = el.raan + raan_dot * dt
-        argp = el.argp + argp_dot * dt
-        m = el.M + m_dot * dt
-        if not (math.isfinite(raan) and math.isfinite(argp) and math.isfinite(m)):
-            raise ValueError("elements must be finite")
-        E = solve_kepler(wrap_two_pi(wrap_two_pi(m) + n * dt), e)
-        cosE, sinE = math.cos(E), math.sin(E)
-        xp = a * (cosE - e)
-        yp = a_eta * sinE
-        raan = wrap_two_pi(raan)
-        argp = wrap_two_pi(argp)
-        cO, sO = math.cos(raan), math.sin(raan)
-        co, so = math.cos(argp), math.sin(argp)
-        r11 = cO * co - sO * so * ci
-        r12 = -cO * so - sO * co * ci
-        r21 = sO * co + cO * so * ci
-        r22 = -sO * so + cO * co * ci
-        yield (r11 * xp + r12 * yp, r21 * xp + r22 * yp,
-               so * si * xp + co * si * yp)
+    p = _python_fit()[0]([float(v) for v in x], epoch.t, j2,
+                         [t.t for t in epochs])
+    return list(zip(p[0::3], p[1::3], p[2::3]))
 
 
 def _model_jacobian(x, epoch: Epoch, records, n_terms: int,
@@ -432,42 +410,20 @@ def _model_jacobian(x, epoch: Epoch, records, n_terms: int,
     """d(predicted)/dx of the reduced model at the record epochs.
 
     Central differences at _MODEL_STEPS, one-sided where one side leaves
-    the element domain (e or i past a bound). The model is smooth and
-    free of integration noise, so these steps keep the partials' rounding
-    far below the rank threshold (steps of 1e-7 on the equatorial rank
-    test raised the singular-value ratio from about 1e-12 to 1.7e-10,
-    above it).
+    the element domain (e or i past a bound) or its Kepler solve does not
+    converge. The model is smooth and free of integration noise, so these
+    steps keep the partials' rounding far below the rank threshold (steps
+    of 1e-7 on the equatorial rank test raised the singular-value ratio
+    from about 1e-12 to 1.7e-10, above it). All 12 passes (13 with the
+    base point of a one-sided column) are one call of astro's fit kernel,
+    in C where astro.NATIVE_LIBRARY is loaded.
     """
-    epochs = [rec.epoch for rec, _, _ in records]
-
-    def model(xk):
-        try:
-            return _residuals(records, _secular_positions(xk, epoch, epochs, j2))
-        except (ValueError, KeplerConvergenceError):
-            return None
-
-    jac = np.empty((n_terms, 6))
-    base = None
-    for k in range(6):
-        h = _MODEL_STEPS[k]
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        rp = model(xp)
-        rm = model(xm)
-        if rp is not None and rm is not None:
-            jac[:, k] = (rm - rp) / (2.0 * h)    # d(predicted)/dx = -d(residual)/dx
-            continue
-        if base is None:
-            base = model(x)
-        if base is not None and rp is not None:
-            jac[:, k] = (base - rp) / h
-        elif base is not None and rm is not None:
-            jac[:, k] = (rm - base) / h
-        else:
-            raise IodError(f"cannot differentiate with respect to {_ELEMENT_NAMES[k]}")
-    return jac
+    jac, failed = _fit_jacobian([float(v) for v in x], _MODEL_STEPS,
+                                epoch.t, j2, *records)
+    if jac is None:
+        raise IodError(
+            f"cannot differentiate with respect to {_ELEMENT_NAMES[failed]}")
+    return np.frombuffer(jac).reshape(n_terms, 6)
 
 
 def refine_elements(initial: KeplerianElements, tdms: list, sites: dict, *,
@@ -485,8 +441,11 @@ def refine_elements(initial: KeplerianElements, tdms: list, sites: dict, *,
     its line-search trials. Partials may come from a simpler force model
     than the residuals (Montenbruck & Gill, "Satellite Orbits", 2000,
     ch. 7); the fit still converges to the reference-propagator
-    minimum. Each record's site position and ENU basis are computed once
-    per fit, and the trial residuals and the Jacobian both reuse them.
+    minimum. Each record's fields, site position and ENU basis are packed
+    once per fit (_fit_records), and the trial residuals and the Jacobian
+    both reuse them. With astro's C kernels loaded, each Jacobian is one
+    C call for all its passes, and each trial's residuals one more, after
+    its propagation; without them the same template runs as Python.
 
     Each iteration first tests convergence on the SVD it already has:
     with J = U S V^T, the full step's linear model lowers the cost

@@ -1,31 +1,38 @@
-"""The stepping loops' C build: in use wherever a C compiler is found, and
-around it, in processes of their own, the Python fallback and the cache.
+"""The C build of the stepping loops and the fit kernels: in use wherever
+a C compiler is found, and around it, in processes of their own, the
+Python fallback and the cache.
 
-A host with cc on PATH must run the C loops, so that a broken build
+A host with cc on PATH must run the C kernels, so that a broken build
 cannot pass this suite in pure Python. A host without one, or whose
-library fails the build-time bit check, even by raising, runs the Python
-loops and writes the golden uct bytes. An import on a warm cache starts
-no process, a damaged cache file is never loaded as it is, a change to
-what the bit check compares the library against builds and checks it
-again, and a build leaves no library of another key behind. Each
-subprocess runs on a copy of src/sdachain in tmp_path, so it starts from
-an empty cache.
+library fails the build-time bit check, even by raising or by one
+re-associated product in the C fit kernel, runs the Python renderings and
+writes the golden uct bytes. An import on a warm cache starts no process,
+a damaged cache file is never loaded as it is, a change to what the bit
+check compares the library against, or to the check's own code, builds
+and checks it again, and a build leaves no library of another key
+behind. Each subprocess runs on a copy of src/sdachain in tmp_path, so it
+starts from an empty cache. In process, the C fit kernels make the
+Python renderings' bytes, or raise their exceptions, on random fits.
 """
+import math
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sdachain import astro
+from sdachain import astro, iod
+from sdachain.astro import Epoch, GroundSite
 from test_golden import GOLDEN, _sha256_file
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sdachain"
 HAS_CC = shutil.which("cc") is not None
 # the file name a copy of the package caches its library under
-LIBRARY = os.path.basename(astro._library_path(astro._c_source()))
+LIBRARY = os.path.basename(astro._library_path())
 
 
 def copy_package(root: pathlib.Path) -> pathlib.Path:
@@ -96,6 +103,22 @@ def test_no_compiler_runs_the_python_loops(tmp_path):
                                      PATH=str(tmp_path / "bin"))
 
 
+def test_a_reassociated_c_fit_kernel_runs_the_python_loops(tmp_path):
+    # one product of the reduced model's rotation, re-associated in the C
+    # rendering only, must fail the build-time check
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: nothing is built")
+    root = copy_package(tmp_path / "src")
+    source = root / "sdachain" / "astro.py"
+    text = source.read_text()
+    render, product = 'lines.append(pad + s + ";")', "sO * so * ci"
+    assert text.count(render) == 1 and product in text
+    source.write_text(text.replace(render, (
+        f'lines.append(pad + s.replace("{product}", "sO * (so * ci)")'
+        ' + ";")')))
+    assert_python_loops_write_golden(root, tmp_path / "out")
+
+
 def test_a_check_that_raises_runs_the_python_loops(tmp_path):
     # a library whose divisor test always jumps raises ZeroDivisionError
     # on the check grid's first step, which fails the check
@@ -133,13 +156,14 @@ def test_warm_cache_import_starts_no_process(warm):
     ("_CHECK_CHUNKS = (1, 9, 40, 400, 3000)",
      "_CHECK_CHUNKS = (1, 9, 40, 400, 2999)"),
     ('"    sqrt, exp = math.sqrt, math.exp",',
-     '"    exp, sqrt = math.exp, math.sqrt",')],
-    ids=["check-grid", "check-chunks", "python-source"])
+     '"    exp, sqrt = math.exp, math.sqrt",'),
+    ("0.4 * h", "0.5 * h")],
+    ids=["check-grid", "check-chunks", "python-source", "check-code"])
 def test_a_changed_check_builds_and_checks_again(warm, tmp_path, old, new):
-    # a check grid, a chunk length or the Python loops' source changed
-    # with the C source unchanged: the library cached under the old check
-    # must not load; the import builds, checks and caches a new one, and
-    # removes the old
+    # a check grid, a chunk length, the Python loops' source or the
+    # remainder step _grid_bits takes changed with the C source unchanged:
+    # the library cached under the old check must not load; the import
+    # builds, checks and caches a new one, and removes the old
     if not HAS_CC:
         pytest.skip("no C compiler on PATH: nothing is built")
     root = tmp_path / "changed"
@@ -177,3 +201,67 @@ def test_damaged_cache_file_is_never_loaded_as_it_is(warm, tmp_path):
         assert library.read_bytes() != damaged
     else:
         assert out == ["None"]
+
+
+def fit_case(draw) -> tuple:
+    """Random reduced-model fit inputs: elements (some outside the
+    KeplerianElements domain, some on its e and i bounds, some whose
+    Kepler solve does not converge), an epoch, and records packed as
+    iod._fit_records packs them, AZEL and RADEC, with a range and
+    without."""
+    def near(*values):
+        return st.sampled_from(values) | st.floats(min(values), max(values))
+    x = [draw(near(0.5, 1.0, 6500.0, 4e4)),
+         draw(near(-1e-6, 0.0, 1e-6, 0.99, 1.0 - 1e-10)),
+         draw(near(0.0, 1e-6, math.pi - 1e-6, math.pi, 3.2)),
+         draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)),
+         draw(near(-10.0, 0.0, 1e-12, 1e-5 + 1e-12, 10.0))]
+    t0 = draw(st.floats(-1e5, 1e5))
+    times, fields = array("d"), array("d")
+    for _ in range(draw(st.integers(1, 6))):
+        t = draw(st.floats(-1e5, 1e5))
+        site = GroundSite("S", draw(st.floats(-1.5, 1.5)),
+                          draw(st.floats(-math.pi, math.pi)),
+                          draw(st.floats(0.0, 3.0)))
+        rs, basis = astro.site_frame(site, Epoch(t))
+        times.append(t)
+        fields.extend(astro._fit_record(
+            draw(st.floats(0.0, 2.0 * math.pi)),
+            draw(st.floats(-math.pi / 2, math.pi / 2)),
+            draw(st.none() | st.floats(0.0, 5e4)),
+            (rs, basis, draw(st.booleans()))))
+    return x, t0, times, fields
+
+
+def outcome(kernel, *args) -> tuple:
+    """What a fit kernel makes of args: its bytes, the column it cannot
+    give, or its exception's type and text."""
+    try:
+        got = kernel(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, tuple):
+        return ("column", got[1]) if got[0] is None else got[0].tobytes()
+    return array("d", got).tobytes()
+
+
+@pytest.mark.skipif(astro.NATIVE_LIBRARY is None,
+                    reason="no checked C library: only the Python runs")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.composite(fit_case)(), st.floats(-1e4, 1e4) | st.just(0.0))
+def test_c_fit_kernels_match_the_python_renderings(case, offset):
+    x, t0, times, fields = case
+    args = (x, iod._MODEL_STEPS, t0, astro.J2_EARTH, times, fields)
+    assert (outcome(astro._fit_jacobian, *args)
+            == outcome(astro._python_jacobian, *args))
+    # positions from the model where it gives them, else at the sites,
+    # off by offset km (at the sites a zero offset is a zero divisor)
+    try:
+        p = astro._python_fit()[0](x, t0, astro.J2_EARTH, times)
+    except (ValueError, astro.KeplerConvergenceError):
+        stride, site = len(astro._FIT_FIELDS), astro._FIT_FIELDS.index("sx")
+        p = [fields[stride * r + site + c]
+             for r in range(len(times)) for c in range(3)]
+    p = array("d", (v + offset for v in p))
+    assert (outcome(astro._fit_residuals, fields, p)
+            == outcome(astro._python_fit()[1], fields, p))
