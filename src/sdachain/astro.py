@@ -26,7 +26,6 @@ import functools
 import hashlib
 import math
 import os
-import string
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -402,99 +401,104 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # elements do; elements built anew, even with equal values, start with no
 # grid.
 #
-# _rk4_steps and _abm_steps are the two stepping loops.  Their arithmetic is
-# written once, as template statements in the syntax Python and C share:
-# "name = expr" and "name += expr" over +, -, *, / and calls, which both
-# languages evaluate in the same order, one IEEE 754 rounding per
-# operation; ("if", cond, body[, orelse]), taken when cond != 0.0
-# (Python's truth test, -0.0 and NaN included); and ("divisor", expr), a
-# denominator that Python's division tests by itself and C must test, so
-# that both raise ZeroDivisionError at the same step.  _force is the force
-# model: gravity, then J2 (when kj != 0), then drag (when bstar != 0), in
-# every evaluation.  Its order fixes the bits of every propagated state,
-# which tests/test_astro.py pins, and tests/test_stepping.py holds the
-# handwritten loops both renderings must match bit for bit.  _rk4_steps
-# serves only the start-up and the remainder step to a time between grid
-# points (a call with n = 1).
+# The kernels.  Each of the five is one template definition (_KERNELS):
+# rk4_steps and abm_steps step the grids (rk4_steps serves only the
+# start-up and the remainder step to a time between grid points), and
+# fit_positions, fit_residuals and fit_jacobian are the orbit fit's reduced
+# model (iod.refine_elements' Jacobian and line-search residuals).  A
+# template is a list of statements in the syntax Python and C share:
+#   * "name = expr" and "name += expr", name a local or a buffer slot such
+#     as p[6 * k + 2], over +, -, *, / and calls, which both languages
+#     evaluate in the same order, one IEEE 754 rounding per operation;
+#   * ("if", cond, body[, orelse]), taken when cond != 0.0 (Python's truth
+#     test, -0.0 and NaN included);
+#   * ("for", name, start, stop, step, body), name over range(start, stop,
+#     step), an integer like the kernel's listed integer locals;
+#   * ("until", cond, limit, body, error), body run until cond holds after
+#     it, at most limit times, then error returned;
+#   * ("require", conds, error), error returned unless every cond holds;
+#   * ("divisor", expr), a denominator that must not be zero;
+#   * ("return", expr), the kernel's status.
+# The calls are sqrt, exp, sin, cos, asin, atan2, fmod, fabs and isfinite,
+# the libm functions math calls; pow(x, y), CPython's x ** y for the
+# positive bases here (no overflow within the KeplerianElements domain);
+# min and max of two floats, as Python's builtins order them (NaN
+# included); mod(v, w), CPython's float v % w; and kernels defined before.
+# _force is the force model: gravity, then J2 (when kj != 0), then drag
+# (when bstar != 0), in every evaluation; its order fixes the bits of every
+# propagated state, which tests/test_astro.py pins, and
+# tests/test_stepping.py holds the handwritten loops both renderings of the
+# stepping kernels must match bit for bit.  The reduced model's templates
+# are _secular_setup and _secular_point, one pass's closed-form two-body
+# plus J2-secular position at each record epoch, with solve_kepler's Newton
+# loop (_kepler) and wrap_two_pi (_wrap) inline, and _observation, one
+# record's residual terms: azel_from's or radec_from's angles and the
+# wrapped first-angle difference.
 #
-# The orbit fit's reduced model (iod.refine_elements' Jacobian) is written
-# in the same language: _secular_setup and _secular_point, one pass's
-# closed-form two-body plus J2-secular position at each record epoch,
-# with solve_kepler's Newton loop (_kepler) and wrap_two_pi (_wrap)
-# inline, and _observation, one record's residual terms, azel_from's or
-# radec_from's angles and the wrapped first-angle difference.  They add
-# what these kernels need: ("until", cond, limit, body, error), body run
-# until cond holds after it, at most limit times, then error raised;
-# ("require", conds, error), error raised unless every cond holds; calls
-# of sqrt, exp, sin, cos, asin, atan2, fmod, fabs and isfinite, the same
-# libm functions math's calls; pow(x, y), which is CPython's x ** y for
-# the positive bases here (no overflow within the KeplerianElements
-# domain); min and max of two floats, as Python's builtins order them
-# (NaN included); and mod(v, w), CPython's float v % w, rendered in C as
-# fmod plus CPython's sign fix.  Where the Python rendering raises
-# (_STATUS) a C kernel returns a status: ValueError for elements outside
-# the domain or a drift that is not finite, KeplerConvergenceError, and
-# the divisor's ZeroDivisionError.  A sin, cos or fmod of an infinite
-# angle, which no orbit in the domain reaches, raises ValueError in Python
-# where C carries a NaN on to a failed Kepler solve: either drops the
-# pass.  _fit_python renders the two passes as Python, the fallback and
-# the bit reference; _python_jacobian applies iod's difference rule to
-# them, and sdachain_fit_jacobian does the same in C, all 12 passes (13
-# with a one-sided column) in one call.
+# One contract serves both renderings.  A kernel takes scalars and
+# array('d') buffers, writes its results into buffers and returns a status
+# (_STATUS): 0; a decay, with its altitude and step written out; a zero
+# divisor; a value outside the domain (a failed require); a Kepler solve
+# that does not converge (a failed until); or -1 - k for a Jacobian column
+# k that neither difference gives.  _bind wraps either rendering's kernels:
+# it checks the type and length of every buffer, appends the room a
+# multistep extension writes and cuts what a failure leaves unwritten, and
+# turns each status into its exception.
 #
-# At import the templates are rendered as C (_c_source), with the
-# constants as repr() literals, and built once with the system cc and
-# _CFLAGS: -O2 -fno-fast-math -ffp-contract=off, and -fno-builtin-* for
-# each libm function the C calls but sqrt.  -ffp-contract=off matters
-# most: a compiler free to contract a*b + c into one fused multiply-add
-# (gcc's default whenever the target has one, as every aarch64 target
-# does) rounds once where Python rounds twice.  The -fno-builtin flags
-# keep each libm call a call, as CPython makes it: gcc folds pow(x, 2.0)
-# into x * x and fuses a sin and a cos of one argument into one sincos
-# call, whose last bits need not be those of the calls; sqrt is inlined,
-# its result being exact either way.  The library is cached in this
-# package's __pycache__ under the SHA-256 of the flags and of this
-# module's source text (_library_path), which holds the templates, both
-# renderings, the checks and their inputs, so any change to them builds
-# and checks it again.  The file ends with the SHA-256 of its own bytes,
-# which is checked before it is loaded; a cache hit starts no process.  A
-# build enters the cache only after its kernels reproduce the Python
-# renderings' bits (_passes_check): the stepping loops on two fixed J2-on
-# grids both ways, one with drag down to its decay and one without, 3 450
-# multistep steps long (_grid_bits), and the fit kernels' Jacobians and
-# residuals on ranged and unranged AZEL records and RADEC ones, at
-# elements whose columns are central, one-sided at e = 0, i = pi and e
-# near 1, or lost to a drift that is not finite, with a Kepler solve that
-# does not converge and with zero divisors (_fit_bits); a check that
-# raises fails.  So a compiler or platform that widens or contracts
-# floats, or a C libm that is not the one math calls, leaves the Python
-# renderings in use instead of forking the chain's bytes.  NATIVE_LIBRARY
-# names the library in use; it is None when there is no cc, the build
-# fails, the bits differ or the library will not load, and then the
-# kernels run as Python, compiled from their source only then
-# (_python_loops, _python_fit).  A build that passes removes the cached
-# libraries of other keys.  The C wrappers (_bind) keep the Python
-# kernels' signatures and contracts, and pass each array('d') by its
-# buffer address, copying nothing, after checking its type and length;
-# the C multistep loop keeps its back values in local arrays that it
-# shifts one slot a step.
+# What stays language-specific is the two renderers and the C prelude.
+# _python makes each kernel a function, all compiled by one exec, and only
+# where the C is being checked or is not loaded (_python_kernels); its
+# globals are the _C_CONSTANTS and the libm calls.  Python's division tests
+# a divisor by itself, raising ZeroDivisionError, and math raises
+# ValueError on a sin, cos or fmod of an infinite angle, which no orbit in
+# the domain reaches, where C carries a NaN on to a failed Kepler solve
+# (either drops the pass); each Python kernel catches both, runs the
+# statements its C runs on a zero divisor and returns the status.  _c
+# makes each kernel a C function after the prelude: math.h, the
+# _C_CONSTANTS as repr() literals, and mod, min and max.  The C is built
+# once with the system cc and _CFLAGS: -O2 -fno-fast-math
+# -ffp-contract=off, and -fno-builtin-* for each libm function it calls but
+# sqrt.  -ffp-contract=off matters most: a compiler free to contract a*b +
+# c into one fused multiply-add (gcc's default whenever the target has
+# one, as every aarch64 target does) rounds once where Python rounds
+# twice.  The -fno-builtin flags keep each libm call a call, as CPython
+# makes it: gcc would fold pow(x, 2.0) into x * x, fuse a sin and a cos of
+# one argument into one sincos call, whose last bits need not be those of
+# the calls, or expand fmod inline; sqrt is inlined, its result being
+# exact either way.
 #
-# The Python _abm_steps runs in blocks of _ORDER steps, unrolled, that
+# The library is cached in this package's __pycache__ under the SHA-256 of
+# the flags and of this module's source text (_library_path), which holds
+# the templates, both renderers, the checks and their inputs, so any
+# change to them builds and checks it again.  The file ends with the
+# SHA-256 of its own bytes, which is checked before it is loaded; a cache
+# hit starts no process, renders no source and compiles no Python.  A
+# build enters the cache only after its kernels, through _bind, reproduce
+# the Python rendering's bits (_passes_check): the stepping kernels on two
+# fixed J2-on grids both ways, one with drag down to its decay and one
+# without, 3 450 multistep steps long (_grid_bits), and the fit kernels'
+# positions, Jacobians and residuals on ranged and unranged AZEL records
+# and RADEC ones, at elements whose columns are central, one-sided at e =
+# 0, i = pi and e near 1, or lost to a drift that is not finite, with a
+# Kepler solve that does not converge and with zero divisors (_fit_bits);
+# a check that raises fails.  So a compiler or platform that widens or
+# contracts floats, or a C libm that is not the one math calls, leaves the
+# Python rendering in use instead of forking the chain's bytes.
+# NATIVE_LIBRARY names the library in use; it is None when there is no cc,
+# the build fails, the bits differ or the library will not load.  A build
+# that passes removes the cached libraries of other keys.
+#
+# The multistep kernel runs in blocks of _ORDER steps, unrolled, that
 # rename the back values instead of shifting them: at step j of a block,
 # back value i of each family (dx, dy, dz, ax, ay, az) lives in slot
 # (i - j) mod _ORDER, and the step's new value takes the slot of the
 # oldest, so each value is back in its own slot when the block ends.  The
 # back-value passes are one such block that steps nothing: at its step j
 # it loads point k0 - i, i = _ORDER - 1 - j, whose values take slot i, and
-# leaves x..vz holding point k0.  Every block breaks before its first step
-# past the last, so one block shape serves any n.
-# In both languages each step's altitude check reuses the radius that its
-# next force evaluation needs.  The Python loop's new points reach the grid
-# in bulk appends, after each block that leaves at least _APPEND_STEPS
-# points buffered, so even an extension across the whole span buffers
-# fewer than _APPEND_STEPS + _ORDER; the C loop writes into room the
-# wrapper appends first, and the wrapper cuts off what a decay leaves
-# unwritten.
+# leaves x..vz holding point k0.  Every block returns before its first step
+# past the last, so one block shape serves any n.  Each step's altitude
+# check reuses the radius that its next force evaluation needs, and each
+# new point is written into the room the wrapper appended.
 
 
 def _j2_coeff(j2: float) -> float:
@@ -505,9 +509,6 @@ def _j2_coeff(j2: float) -> float:
 def _decay_error(alt: float, t: float) -> DecayError:
     return DecayError(
         f"altitude {alt:.1f} km below {DECAY_ALTITUDE:.0f} km at t={t:.1f}")
-
-
-_APPEND_STEPS = 256     # grid points buffered between bulk appends
 
 
 _ORDER = 10     # back values of the multistep method, and its order
@@ -528,7 +529,10 @@ _AM = (0.2869754464285714, 1.3020443397266315, -1.5530346119929452,
 _FAMILIES = ("dx", "dy", "dz", "ax", "ay", "az")    # the back values' names
 _STATE = ("x", "y", "z", "vx", "vy", "vz")
 _PREDICTED = ("px", "py", "pz", "pvx", "pvy", "pvz")
-_DECAYED = "r - R_EARTH < DECAY_ALTITUDE"   # the altitude check, in both
+# the status a kernel returns for each failure; a Jacobian column k that
+# neither difference gives is -1 - k
+_STATUS = {"DecayError": 1, "ZeroDivisionError": 2, "ValueError": 3,
+           "KeplerConvergenceError": 4}
 
 
 def _force(acc, pos, vel) -> list:
@@ -563,6 +567,30 @@ def _radius(x, y, z) -> list:
     return [f"r2 = {x} * {x} + {y} * {y} + {z} * {z}", "r = sqrt(r2)"]
 
 
+def _slots(buf: str, base: str, count: int) -> list:
+    """buf's slots base, base + 1, ... (0, 1, ... when base is empty)."""
+    return [f"{buf}[{base} + {i}]" if base and i else f"{buf}[{base or i}]"
+            for i in range(count)]
+
+
+def _load(names, buf: str, base: str = "") -> list:
+    """Template statements that set names from buf's slots."""
+    return [f"{v} = {s}" for v, s in zip(names, _slots(buf, base, len(names)))]
+
+
+def _store(names, buf: str, base: str = "") -> list:
+    """Template statements that write names to buf's slots."""
+    return [f"{s} = {v}" for v, s in zip(names, _slots(buf, base, len(names)))]
+
+
+def _decayed(out: str) -> tuple:
+    """The altitude check after step k: on a decay its altitude and k go
+    to out[0] and out[1], and the kernel returns."""
+    return ("if", "r - R_EARTH < DECAY_ALTITUDE",
+            [f"{out}[0] = r - R_EARTH", f"{out}[1] = k",
+             ("return", _STATUS["DecayError"])])
+
+
 def _rk4_step() -> list:
     """Template of one RK4 step of h (h2 = h/2, h6 = h/6) from the state
     x..vz, whose r2 and r are taken, ending with the new state's."""
@@ -585,6 +613,20 @@ def _rk4_step() -> list:
     return body + _radius(*_STATE[:3])
 
 
+def _rk4_kernel() -> list:
+    """rk4_steps: steps k0 + 1 to k0 + n, each RK4 of h, from the state s,
+    which they leave in s; a decay writes to s."""
+    return ["nmu = -MU_EARTH",
+            *_load(_STATE, "s"),
+            *_radius(*_STATE[:3]),
+            "h2 = 0.5 * h",
+            "h6 = h / 6.0",
+            ("for", "k", "k0 + 1", "k0 + n + 1", 1,
+             [*_rk4_step(), _decayed("s")]),
+            *_store(_STATE, "s"),
+            ("return", 0)]
+
+
 def _abm_step(slot) -> list:
     """Template of one multistep step (weights b0..b9 and c0..c9, times h)
     from the state x..vz, back value i of family d being slot(d, i), 0 the
@@ -603,71 +645,42 @@ def _abm_step(slot) -> list:
     return lines + _radius(*_STATE[:3])
 
 
-def _python(template, depth: int = 0) -> list:
-    """Python source lines of template statements, indented depth levels;
-    a divisor needs no test, since Python's division makes it."""
-    pad, lines = "    " * depth, []
-    for s in template:
-        if isinstance(s, str):
-            lines.append(pad + s)
-        elif s[0] == "if":
-            lines += [f"{pad}if {s[1]}:",
-                      *(_python(s[2], depth + 1) or [pad + "    pass"])]
-            if len(s) > 3:
-                lines += [f"{pad}else:", *_python(s[3], depth + 1)]
-        elif s[0] == "require":
-            lines += [f"{pad}if not ({' and '.join(s[1])}):",
-                      f"{pad}    raise {s[2]}"]
-        elif s[0] == "until":
-            lines += [f"{pad}for _ in range({s[2]}):",
-                      *_python(s[3], depth + 1),
-                      f"{pad}    if {s[1]}:", f"{pad}        break",
-                      f"{pad}else:", f"{pad}    raise {s[4]}"]
-    return lines
+def _newest(j: int) -> list:
+    """Template statements that evaluate the newest back values at the
+    state x..vz into the slots of the oldest at step j of a block."""
+    s = (_ORDER - 1 - j) % _ORDER
+    return [*_force((f"ax{s}", f"ay{s}", f"az{s}"), _STATE[:3], _STATE[3:]),
+            f"dx{s} = vx",
+            f"dy{s} = vy",
+            f"dz{s} = vz"]
 
 
-# the status a C kernel returns where its Python rendering raises
-_STATUS = {"ZeroDivisionError": 2, "ValueError": 3,
-           "KeplerConvergenceError": 4}
-
-
-def _c(template, depth: int = 0) -> list:
-    """C source lines of template statements, indented depth levels."""
-    pad, lines = "    " * depth, []
-    for s in template:
-        if isinstance(s, str):
-            lines.append(pad + s + ";")
-        elif s[0] == "if":
-            lines += [f"{pad}if (({s[1]}) != 0.0) {{", *_c(s[2], depth + 1)]
-            if len(s) > 3:
-                lines += [pad + "} else {", *_c(s[3], depth + 1)]
-            lines.append(pad + "}")
-        elif s[0] == "divisor":
-            lines.append(f"{pad}if ({s[1]} == 0.0) goto divided;")
-        elif s[0] == "require":
-            held = " && ".join(f"({c})" for c in s[1])
-            lines.append(f"{pad}if (!({held})) return "
-                         f"{_STATUS[s[2].split('(')[0]]};")
+def _abm_kernel() -> list:
+    """abm_steps: multistep steps k0 + 1 to k0 + n of h from grid point k0
+    of p, whose points each step writes after the altitude check and the
+    newest back values; a decay writes to out, and any failure sets out[1]
+    to its step k (k0 + 1 in the back-value passes)."""
+    body = ["nmu = -MU_EARTH",
+            *(f"{w}{i} = h * {v!r}" for w, weights in (("b", _AB), ("c", _AM))
+              for i, v in enumerate(weights)),
+            "k = k0 + 1",
+            "last = k0 + n"]
+    for j in range(_ORDER):
+        i = _ORDER - 1 - j      # point k0 - i, whose back values take slot i
+        body += [f"q = 6 * (k0 - {i})" if i else "q = 6 * k0",
+                 *_load(_STATE, "p", "q"), *_radius(*_STATE[:3]),
+                 *_newest(j)]
+    block = []
+    for j in range(_ORDER):
+        if j:
+            block += [f"k = kb + {j}", ("if", "k > last", [("return", 0)])]
         else:
-            lines += [f"{pad}for (it = 0; it < {s[2]}; it++) {{",
-                      *_c(s[3], depth + 1),
-                      f"{pad}    if ({s[1]}) break;", pad + "}",
-                      f"{pad}if (it == {s[2]}) return "
-                      f"{_STATUS[s[4].split('(')[0]]};"]
-    return lines
-
-
-def _assigned(template) -> list:
-    """The names template statements assign, in order, with repeats."""
-    names = []
-    for s in template:
-        if isinstance(s, str):
-            names.append(s.split()[0])
-        elif s[0] == "if":
-            names += _assigned(s[2]) + _assigned(s[3] if len(s) > 3 else [])
-        elif s[0] == "until":
-            names += _assigned(s[3])
-    return names
+            block.append("k = kb")
+        block += [*_abm_step(lambda d, i: f"{d}{(i - j) % _ORDER}"),
+                  _decayed("out"), *_newest(j), "q = 6 * k",
+                  *_store(_STATE, "p", "q")]
+    return body + [("for", "kb", "k0 + 1", "last + 1", _ORDER, block),
+                   ("return", 0)]
 
 
 # --- the orbit fit's reduced model, as template statements ---
@@ -690,19 +703,17 @@ def _kepler() -> list:
               ("divisor", "den"),
               "dE = f / den",
               "E -= dE"],
-             'KeplerConvergenceError(f"Kepler solve did not converge in 50'
-             ' iterations (M={m!r}, e={e!r})")')]
+             "KeplerConvergenceError")]
 
 
 def _secular_setup() -> list:
     """Template statements of what one reduced-model pass computes once
     from its elements a, e, i, raan, argp, M and j2: the checks and
     wraps of the KeplerianElements they make, the mean motion n and the
-    J2 secular rates."""
+    J2 secular rates of raan, argp and M (Vallado, eq. 9-41)."""
     return [("require", ("1.0 <= a", "a <= 1e9", "0.0 <= e", "e < 1.0",
                          "0.0 <= i", "i <= PI", "isfinite(raan)",
-                         "isfinite(argp)", "isfinite(M)"),
-             'ValueError("elements outside the KeplerianElements domain")'),
+                         "isfinite(argp)", "isfinite(M)"), "ValueError"),
             *_wrap("raan0", "raan"), *_wrap("argp0", "argp"),
             *_wrap("m0", "M"),
             "n = sqrt(MU_EARTH / pow(a, 3.0))",
@@ -726,8 +737,7 @@ def _secular_point() -> list:
             "argp_t = argp0 + argp_dot * dt",
             "m = m0 + m_dot * dt",
             ("require", ("isfinite(raan_t)", "isfinite(argp_t)",
-                         "isfinite(m)"),
-             'ValueError("elements must be finite")'),
+                         "isfinite(m)"), "ValueError"),
             *_wrap("m", "m"), *_wrap("m", "m + n * dt"),
             *_kepler(),
             "cosE = cos(E)",
@@ -746,6 +756,18 @@ def _secular_point() -> list:
             "px = r11 * xp + r12 * yp",
             "py = r21 * xp + r22 * yp",
             "pz = so * si * xp + co * si * yp"]
+
+
+def _positions_kernel() -> list:
+    """fit_positions: the reduced model's ECI positions, from elements x
+    (a, e, i, raan, argp, M) at epoch t0, at the count times, written to
+    p, three doubles per time."""
+    return [*_load(("a", "e", "i", "raan", "argp", "M"), "x"),
+            *_secular_setup(),
+            ("for", "r", "0", "count", 1,
+             ["t = times[r]", *_secular_point(), "q = 3 * r",
+              *_store(("px", "py", "pz"), "p", "q")]),
+            ("return", 0)]
 
 
 # a fit record's fields, in their order in the packed array('d'): its
@@ -794,293 +816,175 @@ def _observation() -> list:
               "t3 = (range_km - rho) / range_km"])]
 
 
-def _rk4_python() -> list:
-    """The Python source of _rk4_steps."""
-    return ["def _rk4_steps(state, h, n, bstar, kj, t0, k0):",
-            "    nmu = -MU_EARTH",
-            "    sqrt, exp = math.sqrt, math.exp",
-            "    x, y, z, vx, vy, vz = state",
-            *_python(_radius(*_STATE[:3]), 1),
-            "    h2 = 0.5 * h",
-            "    h6 = h / 6.0",
-            "    for k in range(k0 + 1, k0 + n + 1):",
-            *_python(_rk4_step(), 2),
-            f"        if {_DECAYED}:",
-            "            raise _decay_error(r - R_EARTH, t0 + k * h)",
-            "    return x, y, z, vx, vy, vz"]
+def _residuals_kernel() -> list:
+    """fit_residuals: the residual terms of the count _FIT_FIELDS records
+    f at the positions p, written to out: angle terms first, two per
+    record, then one range term per ranged record."""
+    return ["j = 2 * count",
+            ("for", "r", "0", "count", 1,
+             [f"o = {len(_FIT_FIELDS)} * r", *_load(_FIT_FIELDS, "f", "o"),
+              "q = 3 * r", *_load(("px", "py", "pz"), "p", "q"),
+              *_observation(),
+              "out[2 * r] = t1",
+              "out[2 * r + 1] = t2",
+              ("if", "ranged", ["out[j] = t3", "j += 1"])]),
+            ("return", 0)]
 
 
-def _newest(j: int) -> list:
-    """Python source lines that evaluate the newest back values at the
-    state x, y, z, vx, vy, vz into the slots of the oldest at step j of a
-    block."""
-    s = (_ORDER - 1 - j) % _ORDER
-    return _python([*_force((f"ax{s}", f"ay{s}", f"az{s}"), _STATE[:3],
-                            _STATE[3:]),
-                    f"dx{s} = vx",
-                    f"dy{s} = vy",
-                    f"dz{s} = vz"])
+def _model(status: str, x: str, out: str) -> list:
+    """Template statements of one reduced-model pass at the elements x:
+    status 0 with its residual terms in out, or the pass's failure."""
+    return [f"{status} = sdachain_fit_positions({x}, t0, j2, times, count, p)",
+            ("if", f"{status} == 0",
+             [f"{status} = sdachain_fit_residuals(f, p, count, {out})"])]
 
 
-def _abm_python_block() -> list:
-    """Python source lines of a block of _ORDER multistep steps from grid
-    index kb, each followed by its altitude check, its newest back values
-    and its new point buffered; the block breaks before its first step
-    past grid index last."""
-    lines = []
-    for j in range(_ORDER):
-        k = f"(kb + {j})" if j else "kb"    # the step's grid index
-        if j:
-            lines += [f"if {k} > last:", "    break"]
-        lines += [*_python(_abm_step(lambda d, i: f"{d}{(i - j) % _ORDER}")),
-                  f"if {_DECAYED}:",
-                  f"    raise _decay_error(r - R_EARTH, t0 + {k} * h)",
-                  *_newest(j),
-                  "buf += (x, y, z, vx, vy, vz)"]
+def _jacobian_kernel() -> list:
+    """fit_jacobian: d(residual terms)/dx of the reduced model, terms rows
+    of six, written to jac row-major.  Central differences at steps,
+    one-sided where one side's pass fails (an element past its domain, a
+    Kepler solve that does not converge) and the pass at x does not; a
+    zero divisor ends the kernel."""
+    def column(expr: str) -> tuple:
+        return ("for", "r", "0", "terms", 1, [f"jac[6 * r + k] = {expr}"])
+
+    lost = ("return", "-1 - k")
+    divided = ("return", _STATUS["ZeroDivisionError"])
+    return ["sb = -1",
+            ("for", "k", "0", "6", 1,
+             ["h = steps[k]",
+              ("for", "c", "0", "6", 1, ["xp[c] = x[c]", "xm[c] = x[c]"]),
+              "xp[k] += h",
+              "xm[k] -= h",
+              *_model("sp", "xp", "rp"),
+              ("if", "sp == 2", [divided]),
+              *_model("sm", "xm", "rm"),
+              ("if", "sm == 2", [divided]),
+              ("if", "sp + sm",
+               [("if", "sb < 0",
+                 [*_model("sb", "x", "base"), ("if", "sb == 2", [divided])]),
+                ("if", "sb", [lost]),
+                ("if", "sp", [("if", "sm", [lost]),
+                              column("(rm[r] - base[r]) / h")],
+                 [column("(base[r] - rp[r]) / h")])],
+               [column("(rm[r] - rp[r]) / (2.0 * h)")])]),
+            ("return", 0)]
+
+
+# each kernel: its name, its parameters as C declares them, its integer
+# locals (loop names are integers too), its template, and the statements
+# it runs on a failure it cannot return from the template, such as a zero
+# divisor
+_KERNELS = (
+    ("rk4_steps", "double *s, double h, long n, double bstar, double kj, "
+     "long k0", "", _rk4_kernel, []),
+    ("abm_steps", "double *p, double *out, double h, long n, double bstar, "
+     "double kj, long k0", "k last q", _abm_kernel, ["out[1] = k"]),
+    ("fit_positions", "double *x, double t0, double j2, double *times, "
+     "long count, double *p", "q", _positions_kernel, []),
+    ("fit_residuals", "double *f, double *p, long count, double *out",
+     "j o q", _residuals_kernel, []),
+    ("fit_jacobian", "double *x, double *steps, double t0, double j2, "
+     "double *times, double *f, long count, long terms, double *jac, "
+     "double *xp, double *xm, double *p, double *rp, double *rm, "
+     "double *base", "sb sp sm", _jacobian_kernel, []))
+
+
+def _names(params: str) -> list:
+    """The parameter names of a C parameter list."""
+    return [p.split()[-1].lstrip("*") for p in params.split(", ")]
+
+
+def _python(template, depth: int = 0) -> list:
+    """Python source lines of template statements, indented depth levels;
+    a divisor needs no test, since Python's division makes it."""
+    pad, lines = "    " * depth, []
+    for s in template:
+        if isinstance(s, str):
+            lines.append(pad + s)
+        elif s[0] == "if":
+            lines += [f"{pad}if {s[1]}:",
+                      *(_python(s[2], depth + 1) or [pad + "    pass"])]
+            if len(s) > 3:
+                lines += [f"{pad}else:", *_python(s[3], depth + 1)]
+        elif s[0] == "for":
+            _, name, start, stop, step, body = s
+            bounds = f"{start}, {stop}" + (f", {step}" if step != 1 else "")
+            lines += [f"{pad}for {name} in range({bounds}):",
+                      *_python(body, depth + 1)]
+        elif s[0] == "require":
+            lines += [f"{pad}if not ({' and '.join(s[1])}):",
+                      f"{pad}    return {_STATUS[s[2]]}"]
+        elif s[0] == "until":
+            lines += [f"{pad}for _ in range({s[2]}):",
+                      *_python(s[3], depth + 1),
+                      f"{pad}    if {s[1]}:", f"{pad}        break",
+                      f"{pad}else:", f"{pad}    return {_STATUS[s[4]]}"]
+        elif s[0] == "return":
+            lines.append(f"{pad}return {s[1]}")
     return lines
 
 
-def _abm_python() -> list:
-    """The Python source of _abm_steps."""
-    fill = []
-    for j in range(_ORDER):
-        i = _ORDER - 1 - j      # point k0 - i, whose back values take slot i
-        fill += [f"x, y, z, vx, vy, vz = points[{-6 * (i + 1)}:{-6 * i or ''}]",
-                 *_python(_radius(*_STATE[:3])), *_newest(j)]
-    bs = ", ".join(f"b{i}" for i in range(_ORDER))
-    cs = ", ".join(f"c{i}" for i in range(_ORDER))
-    return [
-        "def _abm_steps(points, h, n, bstar, kj, t0):",
-        "    nmu = -MU_EARTH",
-        "    sqrt, exp = math.sqrt, math.exp",
-        f"    {bs} = [h * b for b in _AB]",
-        f"    {cs} = [h * c for c in _AM]",
-        *_indent(fill, 1),
-        "    k0 = len(points) // 6 - 1",
-        "    last = k0 + n",
-        "    buf = []",
-        "    full = 6 * _APPEND_STEPS",
-        "    try:",
-        "        for kb in range(k0 + 1, last + 1, _ORDER):",
-        *_indent(_abm_python_block(), 3),
-        "            if len(buf) >= full:",
-        "                points.fromlist(buf)",
-        "                buf.clear()",
-        "    finally:",
-        "        if buf:",
-        "            points.fromlist(buf)"]
-
-
-def _indent(lines, depth: int) -> list:
-    return ["    " * depth + line for line in lines]
-
-
-@functools.cache
-def _python_loops() -> tuple:
-    """(_rk4_steps, _abm_steps) as Python, compiled from the template with
-    this module's globals."""
-    namespace = {}
-    exec(compile("\n".join(_rk4_python() + _abm_python()),
-                 "<astro stepping loops>", "exec"), globals(), namespace)
-    return namespace["_rk4_steps"], namespace["_abm_steps"]
-
-
-def _fit_python() -> list:
-    """The Python source of the reduced model's two passes:
-    _fit_positions(x, t0, j2, times), its ECI positions at times from
-    elements x (six floats) at epoch t0, three floats per time, and
-    _fit_residuals(fields, p), the residual terms of the _FIT_FIELDS
-    records at positions p: angle terms first, two per record, then one
-    range term per ranged record."""
-    stride = len(_FIT_FIELDS)
-    return ["def _fit_positions(x, t0, j2, times):",
-            "    sqrt, sin, cos = math.sqrt, math.sin, math.cos",
-            "    fmod, fabs, isfinite = math.fmod, math.fabs, math.isfinite",
-            "    a, e, i, raan, argp, M = x",
-            *_python(_secular_setup(), 1),
-            "    p = []",
-            "    for t in times:",
-            *_python(_secular_point(), 2),
-            "        p += (px, py, pz)",
-            "    return p",
-            "def _fit_residuals(fields, p):",
-            "    sqrt, fmod, atan2, asin = math.sqrt, math.fmod, math.atan2, "
-            "math.asin",
-            "    mod = float.__mod__",
-            "    out, ranges = [], []",
-            f"    for r in range(len(fields) // {stride}):",
-            f"        {', '.join(_FIT_FIELDS)} = "
-            f"fields[{stride} * r:{stride} * r + {stride}]",
-            "        px, py, pz = p[3 * r:3 * r + 3]",
-            *_python(_observation(), 2),
-            "        out += (t1, t2)",
-            "        if ranged:",
-            "            ranges.append(t3)",
-            "    return out + ranges"]
-
-
-@functools.cache
-def _python_fit() -> tuple:
-    """(_fit_positions, _fit_residuals) as Python, compiled from the
-    template with this module's globals."""
-    namespace = {}
-    exec(compile("\n".join(_fit_python()), "<astro fit passes>", "exec"),
-         globals(), namespace)
-    return namespace["_fit_positions"], namespace["_fit_residuals"]
-
-
-def _python_jacobian(x, steps, t0: float, j2: float, times, fields) -> tuple:
-    """(jac, None): d(predicted)/dx of the reduced model at epoch t0, from
-    elements x (six floats), at the records packed in times (their
-    epochs) and fields (their _FIT_FIELDS), row-major in an array('d'),
-    one row per residual term and six columns.  Or (None, k), k the first
-    column that neither difference can give.
-
-    Central differences at steps, one-sided where one side's pass raises
-    ValueError or KeplerConvergenceError (an element past its domain, a
-    Kepler solve that does not converge) and the pass at x does not.  A
-    ZeroDivisionError propagates.  The C kernel makes the same passes in
-    the same order."""
-    positions, residuals = _python_fit()
-
-    def model(xk):
-        try:
-            return residuals(fields, positions(xk, t0, j2, times))
-        except (ValueError, KeplerConvergenceError):
-            return None
-
-    jac, base = None, None
-    for k, h in enumerate(steps):
-        xp, xm = list(x), list(x)
-        xp[k] += h
-        xm[k] -= h
-        rp = model(xp)
-        rm = model(xm)
-        if rp is not None and rm is not None:
-            column = [(b - a) / (2.0 * h) for a, b in zip(rp, rm)]
+def _c(template, depth: int = 0) -> list:
+    """C source lines of template statements, indented depth levels."""
+    pad, lines = "    " * depth, []
+    for s in template:
+        if isinstance(s, str):
+            lines.append(pad + s + ";")
+        elif s[0] == "if":
+            lines += [f"{pad}if (({s[1]}) != 0.0) {{", *_c(s[2], depth + 1)]
+            if len(s) > 3:
+                lines += [pad + "} else {", *_c(s[3], depth + 1)]
+            lines.append(pad + "}")
+        elif s[0] == "for":
+            _, name, start, stop, step, body = s
+            lines += [f"{pad}for ({name} = {start}; {name} < {stop}; "
+                      f"{name} += {step}) {{", *_c(body, depth + 1),
+                      pad + "}"]
+        elif s[0] == "divisor":
+            lines.append(f"{pad}if ({s[1]} == 0.0) goto divided;")
+        elif s[0] == "require":
+            held = " && ".join(f"({c})" for c in s[1])
+            lines.append(f"{pad}if (!({held})) return {_STATUS[s[2]]};")
+        elif s[0] == "until":
+            lines += [f"{pad}for (it = 0; it < {s[2]}; it++) {{",
+                      *_c(s[3], depth + 1),
+                      f"{pad}    if ({s[1]}) break;", pad + "}",
+                      f"{pad}if (it == {s[2]}) return {_STATUS[s[4]]};"]
         else:
-            if base is None:
-                base = model(x)
-            if base is not None and rp is not None:
-                column = [(b - a) / h for a, b in zip(rp, base)]
-            elif base is not None and rm is not None:
-                column = [(b - a) / h for a, b in zip(base, rm)]
-            else:
-                return None, k
-        if jac is None:
-            jac = array("d", bytes(48 * len(column)))
-        jac[k::6] = array("d", column)
-    return jac, None
+            lines.append(f"{pad}return {s[1]};")
+    return lines
+
+
+def _walk(template):
+    """Every statement of template, those nested in others included."""
+    for s in template:
+        yield s
+        if not isinstance(s, str):
+            for part in s[1:]:
+                if isinstance(part, list):
+                    yield from _walk(part)
+
+
+def _python_source() -> str:
+    """The Python rendering: one function per kernel, each catching the
+    failures Python raises where C tests or carries on."""
+    lines = []
+    for name, params, _, template, on_failure in _KERNELS:
+        lines += [f"def sdachain_{name}({', '.join(_names(params))}):",
+                  "    try:", *_python(template(), 2)]
+        for error in ("ZeroDivisionError", "ValueError"):
+            lines += [f"    except {error}:", *_python(on_failure, 2),
+                      f"        return {_STATUS[error]}"]
+    return "\n".join(lines)
 
 
 # the names the templates read, each a C constant of the same value
 _C_CONSTANTS = ("MU_EARTH", "R_EARTH", "EARTH_ROT", "DRAG_RHO0", "DRAG_H0",
                 "DRAG_SCALE_H", "DECAY_ALTITUDE", "PI", "TWO_PI")
-# -fno-builtin-* keeps each libm call a call, as CPython makes it: gcc
-# would otherwise fold pow(x, 2.0) into x * x, fuse sin and cos of one
-# argument into one sincos call, or expand fmod inline; sqrt stays
-# inlined, since its result is exact either way
-_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fno-builtin-exp",
-           "-fno-builtin-sin", "-fno-builtin-cos", "-fno-builtin-asin",
-           "-fno-builtin-atan2", "-fno-builtin-fmod", "-fno-builtin-pow",
-           "-fPIC", "-shared")
-
-
-# The C skeleton of both stepping loops, which _c_source fills in.
-# sdachain_rk4_steps steps s (six doubles) in place and returns 0, or 1 for
-# a decay, with the altitude in s[0] and the step k in s[1], or 2 for a
-# zero divisor.  sdachain_abm_steps writes n points after grid point k0 of
-# p, which has room for them, and sets out[0] to the steps done and, after
-# a decay, out[1] to its altitude.  It returns the same codes.
-_C_LOOPS = string.Template("""\
-#include <math.h>
-$constants
-static void shift(double *f, double v)
-{
-    int i;
-    for (i = $last; i > 0; i--)
-        f[i] = f[i - 1];
-    f[0] = v;
-}
-int sdachain_rk4_steps(double *s, double h, long n, double bstar,
-                       double kj, long k0)
-{
-    const double nmu = -MU_EARTH;
-    const double h2 = 0.5 * h, h6 = h / 6.0;
-    double x = s[0], y = s[1], z = s[2], vx = s[3], vy = s[4], vz = s[5];
-    double $rk4_locals;
-    long k;
-$rk4_start
-    for (k = k0 + 1; k < k0 + n + 1; k++) {
-$rk4_step
-        if ($decayed) {
-            s[0] = r - R_EARTH;
-            s[1] = k;
-            return 1;
-        }
-    }
-    s[0] = x;
-    s[1] = y;
-    s[2] = z;
-    s[3] = vx;
-    s[4] = vy;
-    s[5] = vz;
-    return 0;
-divided:
-    return 2;
-}
-int sdachain_abm_steps(double *p, long k0, double *out, double h, long n,
-                       double bstar, double kj)
-{
-    const double nmu = -MU_EARTH;
-    const double $weights;
-    double $families;
-    double x, y, z, vx, vy, vz;
-    double $abm_locals;
-    long k, done = 0;
-    for (k = k0 + 1 - $order; k < k0 + 1; k++) {
-        x = p[6 * k + 0];
-        y = p[6 * k + 1];
-        z = p[6 * k + 2];
-        vx = p[6 * k + 3];
-        vy = p[6 * k + 4];
-        vz = p[6 * k + 5];
-$fill
-    }
-    for (; done < n; done++) {
-$abm_step
-        if ($decayed) {
-            out[1] = r - R_EARTH;
-            break;
-        }
-$newest
-        k = 6 * (k0 + 1 + done);
-        p[k + 0] = x;
-        p[k + 1] = y;
-        p[k + 2] = z;
-        p[k + 3] = vx;
-        p[k + 4] = vy;
-        p[k + 5] = vz;
-    }
-    out[0] = done;
-    return done < n;
-divided:
-    out[0] = done;
-    return 2;
-}
-""")
-
-
-# The C skeleton of the fit kernels, which _c_source fills in.  mod, min
-# and max are CPython's v % w (w nonzero: fmod and its sign fix), min(a,
-# b) and max(a, b) of floats.  fit_positions and sdachain_fit_residuals
-# are _fit_positions and _fit_residuals of count records; they return 0
-# or the _STATUS of what the Python raises.  sdachain_fit_jacobian is
-# _python_jacobian, the same passes in the same order: it writes the
-# terms x 6 Jacobian, row-major, into jac, with work holding 3 * count +
-# 3 * terms doubles, and returns 0, 2 for a zero divisor, or -1 - k when
-# column k cannot be differenced.
-_C_FIT = string.Template("""\
+# the C prelude's functions: mod, min and max are CPython's v % w (w
+# nonzero: fmod and its sign fix), min(a, b) and max(a, b) of floats
+_C_PRELUDE = """\
 static double mod(double v, double w)
 {
     double m = fmod(v, w);
@@ -1099,187 +1003,122 @@ static double min(double a, double b)
 static double max(double a, double b)
 {
     return b > a ? b : a;
-}
-static int fit_positions(const double *x, double t0, double j2,
-                         const double *times, long count, double *p)
-{
-    const double a = x[0], e = x[1], i = x[2], raan = x[3], argp = x[4],
-                 M = x[5];
-    double t, $position_locals;
-    long r;
-    int it;
-$setup
-    for (r = 0; r < count; r++) {
-        t = times[r];
-$point
-        p[3 * r] = px;
-        p[3 * r + 1] = py;
-        p[3 * r + 2] = pz;
-    }
-    return 0;
-divided:
-    return 2;
-}
-int sdachain_fit_residuals(const double *f, const double *p, long count,
-                           double *out)
-{
-    double $fields, px, py, pz;
-    double $observation_locals;
-    long r, j = 2 * count;
-    for (r = 0; r < count; r++) {
-$load
-        px = p[3 * r];
-        py = p[3 * r + 1];
-        pz = p[3 * r + 2];
-$observation
-        out[2 * r] = t1;
-        out[2 * r + 1] = t2;
-        if (ranged != 0.0)
-            out[j++] = t3;
-    }
-    return 0;
-divided:
-    return 2;
-}
-static int fit_model(const double *x, double t0, double j2,
-                     const double *times, const double *f, long count,
-                     double *p, double *out)
-{
-    int failed = fit_positions(x, t0, j2, times, count, p);
-    return failed ? failed : sdachain_fit_residuals(f, p, count, out);
-}
-int sdachain_fit_jacobian(const double *x, const double *steps, double t0,
-                          double j2, const double *times, const double *f,
-                          long count, long terms, double *jac, double *work)
-{
-    double xp[6], xm[6], h;
-    double *rp = work + 3 * count, *rm = rp + terms, *base = rm + terms;
-    int k, c, sp, sm, sb = -1;
-    long r;
-    for (k = 0; k < 6; k++) {
-        h = steps[k];
-        for (c = 0; c < 6; c++)
-            xp[c] = xm[c] = x[c];
-        xp[k] += h;
-        xm[k] -= h;
-        if ((sp = fit_model(xp, t0, j2, times, f, count, work, rp)) == 2
-            || (sm = fit_model(xm, t0, j2, times, f, count, work, rm)) == 2)
-            return 2;
-        if (!sp && !sm) {
-            for (r = 0; r < terms; r++)
-                jac[6 * r + k] = (rm[r] - rp[r]) / (2.0 * h);
-            continue;
-        }
-        if (sb < 0
-            && (sb = fit_model(x, t0, j2, times, f, count, work, base)) == 2)
-            return 2;
-        if (!sb && !sp)
-            for (r = 0; r < terms; r++)
-                jac[6 * r + k] = (base[r] - rp[r]) / h;
-        else if (!sb && !sm)
-            for (r = 0; r < terms; r++)
-                jac[6 * r + k] = (rm[r] - base[r]) / h;
-        else
-            return -1 - k;
-    }
-    return 0;
-}
-""")
+}"""
+_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fno-builtin-exp",
+           "-fno-builtin-sin", "-fno-builtin-cos", "-fno-builtin-asin",
+           "-fno-builtin-atan2", "-fno-builtin-fmod", "-fno-builtin-pow",
+           "-fPIC", "-shared")
 
 
 def _c_source() -> str:
-    """The C source of the stepping loops and the fit kernels."""
-    start, rk4 = _radius(*_STATE[:3]), _rk4_step()
-    step = _abm_step(lambda d, i: f"{d}[{i}]")
-    force = _force(("qx", "qy", "qz"), _STATE[:3], _STATE[3:])
-    newest = [*_c(force), *(f"shift({d}, {v});" for d, v in zip(
-        _FAMILIES, _STATE[3:] + ("qx", "qy", "qz")))]
-
-    def lines(code, depth: int) -> str:
-        return "\n".join(_indent(code, depth))
-
-    def names(*templates) -> str:
-        return ", ".join(dict.fromkeys(
-            n for t in templates for n in _assigned(t) if n not in _STATE))
-
-    loops = _C_LOOPS.substitute(
-        constants="\n".join(f"static const double {name} = "
-                            f"{globals()[name]!r};" for name in _C_CONSTANTS),
-        last=_ORDER - 1, order=_ORDER, decayed=_DECAYED,
-        rk4_locals=names(start, rk4), rk4_start=lines(_c(start), 1),
-        rk4_step=lines(_c(rk4), 2),
-        weights=", ".join(f"{w}{i} = h * {v!r}"
-                          for w, ws in (("b", _AB), ("c", _AM))
-                          for i, v in enumerate(ws)),
-        families=", ".join(f"{d}[{_ORDER}] = {{0.0}}" for d in _FAMILIES),
-        abm_locals=names(start, step, force),
-        fill=lines(_c(start) + newest, 2), abm_step=lines(_c(step), 2),
-        newest=lines(newest, 2))
-    setup, point, observation = (_secular_setup(), _secular_point(),
-                                 _observation())
-    stride = len(_FIT_FIELDS)
-    return loops + _C_FIT.substitute(
-        position_locals=names(setup, point), setup=lines(_c(setup), 1),
-        point=lines(_c(point), 2), fields=", ".join(_FIT_FIELDS),
-        observation_locals=names(observation),
-        load=lines([f"{v} = f[{stride} * r + {k}];"
-                    for k, v in enumerate(_FIT_FIELDS)], 2),
-        observation=lines(_c(observation), 2))
+    """The C rendering: the prelude, then one function per kernel, its
+    locals declared long (the integers) or double (every other name its
+    template assigns)."""
+    lines = ["#include <math.h>",
+             *(f"static const double {name} = {globals()[name]!r};"
+               for name in _C_CONSTANTS), _C_PRELUDE]
+    for name, params, ints, template, on_failure in _KERNELS:
+        body = template()
+        statements = list(_walk(body + on_failure))
+        nested = [s for s in statements if not isinstance(s, str)]
+        longs = dict.fromkeys(
+            [*ints.split(), *(s[1] for s in nested if s[0] == "for"),
+             *("it" for s in nested if s[0] == "until")])
+        local = set(longs).union(_names(params))
+        doubles = dict.fromkeys(
+            n for n in (s.split()[0] for s in statements if isinstance(s, str))
+            if "[" not in n and n not in local)
+        lines += [f"int sdachain_{name}({params})", "{",
+                  *(f"    {t} {', '.join(d)};" for t, d
+                    in (("long", longs), ("double", doubles)) if d),
+                  *_c(body, 1)]
+        if any(s[0] == "divisor" for s in nested):
+            lines += ["divided:", *_c(on_failure, 1),
+                      f"    return {_STATUS['ZeroDivisionError']};"]
+        lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
-def _step_error(failed: int, alt: float, t: float) -> ArithmeticError:
-    """The error a C loop's failure code stands for."""
-    if failed == 2:
+def _failure(status: int, out=None, t0: float = 0.0,
+             h: float = 0.0) -> Exception:
+    """The exception a kernel's status stands for: a decay at step
+    out[1], at altitude out[0], stepping h from t0, or a _STATUS error."""
+    if status == _STATUS["DecayError"]:
+        return _decay_error(out[0], t0 + int(out[1]) * h)
+    if status == _STATUS["ZeroDivisionError"]:
         return ZeroDivisionError("float division by zero")
-    return _decay_error(alt, t)
+    if status == _STATUS["ValueError"]:
+        return ValueError("elements outside the KeplerianElements domain")
+    return KeplerConvergenceError(
+        "Kepler solve did not converge in 50 iterations")
+
+
+def _buffer(buf, size: int):
+    """buf, checked to be an array('d') of size doubles: what a Python
+    kernel takes."""
+    if getattr(buf, "typecode", None) != "d" or len(buf) != size:
+        raise ValueError(f"expected an array('d') of {size} doubles")
+    return buf
 
 
 def _address(buf, size: int) -> int:
-    """The address of buf, an array('d') of size doubles."""
-    if getattr(buf, "typecode", None) != "d" or len(buf) != size:
-        raise ValueError(f"expected an array('d') of {size} doubles")
-    return buf.buffer_info()[0]
+    """The address of buf, checked as _buffer checks it: what a C kernel
+    takes."""
+    return _buffer(buf, size).buffer_info()[0]
 
 
-def _bind(lib) -> tuple:
-    """(_rk4_steps, _abm_steps, _fit_jacobian, _fit_residuals) wrappers of
-    the C kernels of lib, a ctypes.PyDLL: the interpreter lock stays held
-    through each call, so no other thread can resize a buffer the C
-    writes."""
-    rk4, abm = lib.sdachain_rk4_steps, lib.sdachain_abm_steps
-    jacobian, residuals = lib.sdachain_fit_jacobian, lib.sdachain_fit_residuals
-    ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    rk4.argtypes = (ptr, double, long, double, double, long)
-    abm.argtypes = (ptr, long, ptr, double, long, double, double)
-    jacobian.argtypes = (ptr, ptr, double, double, ptr, ptr, long, long, ptr,
-                         ptr)
-    residuals.argtypes = (ptr, ptr, long, ptr)
-    rk4.restype = abm.restype = ctypes.c_int
-    jacobian.restype = residuals.restype = ctypes.c_int
+def _zeros(size: int) -> array:
+    return array("d", bytes(8 * size))
+
+
+def _bind(kernels, address) -> tuple:
+    """The wrappers (_rk4_steps, _abm_steps, _fit_positions,
+    _fit_residuals, _fit_jacobian) of kernels, one rendering's in _KERNELS
+    order, which take each buffer as address(buf, size) passes it, after
+    checking its type and length.  Each wrapper keeps a reference to every
+    buffer it passes until the kernel returns; a C kernel is called through
+    ctypes.PyDLL, so the interpreter lock stays held and no other thread
+    can resize a buffer the C writes."""
+    rk4, abm, positions, residuals, jacobian = kernels
     stride, ranged = len(_FIT_FIELDS), _FIT_FIELDS.index("ranged")
 
     def _rk4_steps(state, h, n, bstar, kj, t0, k0):
+        """n RK4 steps of h seconds from state; returns the last state.
+
+        kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
+        t0 + k*h, the time a DecayError names when that step's state is
+        below DECAY_ALTITUDE.
+        """
         s = array("d", state)
-        if len(s) != 6:
-            raise ValueError(f"a state has 6 values, got {len(s)}")
-        failed = rk4(s.buffer_info()[0], h, n, bstar, kj, k0)
+        failed = rk4(address(s, 6), h, n, bstar, kj, k0)
         if failed:
-            raise _step_error(failed, s[0], t0 + int(s[1]) * h)
+            raise _failure(failed, s, t0, h)
         return tuple(s)
 
     def _abm_steps(points, h, n, bstar, kj, t0):
-        if len(points) % 6 or len(points) < 6 * _ORDER:
+        """n multistep steps of h seconds, appended to the grid points.
+
+        points is an array('d') grid holding at least _ORDER points; step
+        k, for k0 < k <= k0 + n with k0 the index of its last point, lands
+        at t0 + k*h, the time a DecayError names when that step's state is
+        below DECAY_ALTITUDE; on a DecayError only the states before it
+        are appended.  Each call first evaluates the back values (velocity
+        and acceleration) at the last _ORDER points held and keeps them in
+        locals only, so what it appends depends on those points, not on
+        earlier calls.
+        """
+        k0 = len(points) // 6 - 1
+        if len(points) % 6 or k0 < _ORDER - 1:
             raise ValueError(f"a multistep extension needs at least {_ORDER}"
                              f" grid points")
-        k0 = len(points) // 6 - 1
-        out = array("d", (0.0, 0.0))     # steps done, decay altitude
+        address(points, 6 * k0 + 6)     # its type, before room is appended
         points.frombytes(bytes(48 * n))
-        failed = abm(points.buffer_info()[0], k0, out.buffer_info()[0], h, n,
-                     bstar, kj)
-        done = int(out[0])
-        del points[6 * (k0 + 1 + done):]
+        out = _zeros(2)
+        failed = abm(address(points, 6 * (k0 + 1 + n)), address(out, 2), h,
+                     n, bstar, kj, k0)
         if failed:
-            raise _step_error(failed, out[1], t0 + (k0 + 1 + done) * h)
+            del points[6 * int(out[1]):]
+            raise _failure(failed, out, t0, h)
 
     def terms(fields) -> int:
         """The residual terms of the packed records: two per record and
@@ -1288,28 +1127,77 @@ def _bind(lib) -> tuple:
         n = len(fields) // stride
         return 3 * n - fields[ranged::stride].count(0.0)
 
-    def _fit_jacobian(x, steps, t0, j2, times, fields):
-        n = len(times)
-        m = terms(fields)
-        xs, hs = array("d", x), array("d", steps)
-        jac = array("d", bytes(48 * m))
-        work = array("d", bytes(8 * (3 * n + 3 * m)))
-        failed = jacobian(_address(xs, 6), _address(hs, 6), t0, j2,
-                          _address(times, n), _address(fields, stride * n), n,
-                          m, jac.buffer_info()[0], work.buffer_info()[0])
-        if failed == 2:
-            raise ZeroDivisionError("float division by zero")
-        return (None, -1 - failed) if failed else (jac, None)
+    def _fit_positions(x, t0, j2, times):
+        """The reduced model's ECI positions at the epochs times, from the
+        elements x (six floats) at epoch t0, three doubles per epoch."""
+        n, xs = len(times), array("d", x)
+        p = _zeros(3 * n)
+        failed = positions(address(xs, 6), t0, j2, address(times, n), n,
+                           address(p, 3 * n))
+        if failed:
+            raise _failure(failed)
+        return p
 
     def _fit_residuals(fields, p):
+        """The residual terms of the records packed in fields (their
+        _FIT_FIELDS) at the ECI positions p, three doubles per record."""
         n = len(fields) // stride
-        out = array("d", bytes(8 * terms(fields)))
-        if residuals(_address(fields, stride * n), _address(p, 3 * n), n,
-                     out.buffer_info()[0]):
-            raise ZeroDivisionError("float division by zero")
+        out = _zeros(terms(fields))
+        failed = residuals(address(fields, stride * n), address(p, 3 * n), n,
+                           address(out, len(out)))
+        if failed:
+            raise _failure(failed)
         return out
 
-    return _rk4_steps, _abm_steps, _fit_jacobian, _fit_residuals
+    def _fit_jacobian(x, steps, t0, j2, times, fields):
+        """(jac, None): d(predicted)/dx of the reduced model at epoch t0,
+        from elements x (six floats), at the records packed in times
+        (their epochs) and fields (their _FIT_FIELDS), row-major in an
+        array('d'), one row per residual term and six columns.  Or (None,
+        k), k the first column that neither difference can give."""
+        n, m = len(times), terms(fields)
+        xs, hs, jac, xp, xm = (array("d", x), array("d", steps),
+                               _zeros(6 * m), _zeros(6), _zeros(6))
+        p, rp, rm, base = _zeros(3 * n), _zeros(m), _zeros(m), _zeros(m)
+        failed = jacobian(address(xs, 6), address(hs, 6), t0, j2,
+                          address(times, n), address(fields, stride * n), n,
+                          m, address(jac, 6 * m), address(xp, 6),
+                          address(xm, 6), address(p, 3 * n), address(rp, m),
+                          address(rm, m), address(base, m))
+        if failed < 0:
+            return None, -1 - failed
+        if failed:
+            raise _failure(failed)
+        return jac, None
+
+    return (_rk4_steps, _abm_steps, _fit_positions, _fit_residuals,
+            _fit_jacobian)
+
+
+@functools.cache
+def _python_kernels() -> tuple:
+    """_bind's wrappers of the Python rendering, compiled by one exec with
+    the _C_CONSTANTS and the libm calls for globals."""
+    namespace = {name: getattr(math, name) for name in (
+        "sqrt", "exp", "sin", "cos", "asin", "atan2", "fmod", "fabs",
+        "isfinite")}
+    namespace.update({name: globals()[name] for name in _C_CONSTANTS},
+                     mod=float.__mod__)
+    exec(compile(_python_source(), "<astro kernels>", "exec"), namespace)
+    return _bind([namespace[f"sdachain_{k[0]}"] for k in _KERNELS], _buffer)
+
+
+def _c_kernels(lib) -> tuple:
+    """_bind's wrappers of the C kernels of lib, a ctypes.PyDLL."""
+    types = {"double": ctypes.c_double, "long": ctypes.c_long}
+    kernels = []
+    for name, params, *_ in _KERNELS:
+        kernel = getattr(lib, f"sdachain_{name}")
+        kernel.argtypes = [ctypes.c_void_p if "*" in p else types[p.split()[0]]
+                           for p in params.split(", ")]
+        kernel.restype = ctypes.c_int
+        kernels.append(kernel)
+    return _bind(kernels, _address)
 
 
 # the grids a native build must step as the Python loops do, J2 on, each
@@ -1383,47 +1271,47 @@ def _check_records() -> tuple:
     return times, fields
 
 
-def _fit_bits(jacobian, residuals) -> list:
-    """The bytes the fit kernels jacobian and residuals make of the check
-    records: the Jacobian of each _CHECK_FITS fit, then that of the first
-    with the first record's range 0.0, and the residuals at the first
-    fit's positions, then with the first position at its site.  A failed
-    column gives its index, and an ArithmeticError or ValueError its repr,
-    so that kernels which raise where the others do not fail the check."""
+def _fit_bits(positions, residuals, jacobian) -> list:
+    """The bytes the fit kernels make of the check records: the positions
+    and the Jacobian of each _CHECK_FITS fit, then the Jacobian of the
+    first with the first record's range 0.0, and the residuals at the
+    first fit's positions, then with the first position at its site.  A
+    failed column gives its index, and an exception its repr, so that
+    kernels which raise where the others do not fail the check."""
     times, fields = _check_records()
     zero_range = array("d", fields)
     zero_range[_FIT_FIELDS.index("range_km")] = 0.0
-    positions = array("d", _python_fit()[0](_CHECK_FITS[0][0], 0.0,
-                                            J2_EARTH, times))
-    sited = array("d", positions)
+    first = positions(_CHECK_FITS[0][0], 0.0, J2_EARTH, times)
+    sited = array("d", first)
     site = _FIT_FIELDS.index("sx")
     sited[:3] = fields[site:site + 3]
-    calls = [(jacobian, x, _CHECK_STEPS, t0, J2_EARTH, times, fields)
-             for x, t0 in _CHECK_FITS]
+    calls = []
+    for x, t0 in _CHECK_FITS:
+        calls += [(positions, x, t0, J2_EARTH, times),
+                  (jacobian, x, _CHECK_STEPS, t0, J2_EARTH, times, fields)]
     calls += [(jacobian, _CHECK_FITS[0][0], _CHECK_STEPS, 0.0, J2_EARTH,
                times, zero_range),
-              (residuals, fields, positions), (residuals, fields, sited)]
+              (residuals, fields, first), (residuals, fields, sited)]
     out = []
     for kernel, *args in calls:
         try:
             got = kernel(*args)
-        except (ArithmeticError, ValueError) as exc:
+        except (ArithmeticError, ValueError, KeplerConvergenceError) as exc:
             out.append(repr(exc))
             continue
         if kernel is jacobian:
             got = got[1] if got[0] is None else got[0]
-        out.append(got if isinstance(got, int) else array("d", got).tobytes())
+        out.append(got if isinstance(got, int) else got.tobytes())
     return out
 
 
 def _passes_check(kernels) -> bool:
-    """Whether the kernels (_bind's four) make the bits of the Python
-    renderings: _grid_bits of the stepping loops, _fit_bits of the fit
+    """Whether the kernels (_bind's wrappers) make the bits of the Python
+    rendering's: _grid_bits of the stepping kernels, _fit_bits of the fit
     kernels."""
-    rk4, abm, jacobian, residuals = kernels
-    return (_grid_bits(rk4, abm) == _grid_bits(*_python_loops())
-            and _fit_bits(jacobian, residuals)
-            == _fit_bits(_python_jacobian, _python_fit()[1]))
+    python = _python_kernels()
+    return (_grid_bits(*kernels[:2]) == _grid_bits(*python[:2])
+            and _fit_bits(*kernels[2:]) == _fit_bits(*python[2:]))
 
 
 def _library_path() -> str:
@@ -1438,15 +1326,15 @@ def _library_path() -> str:
                         "__pycache__", f"_stepping.{key.hexdigest()}.so")
 
 
-def _native_loops():
-    """(path, *_bind's four) of the C kernels, loaded from the cache or
+def _native_kernels():
+    """(path, *_bind's wrappers) of the C kernels, loaded from the cache or
     built into it, or None when this host cannot build or load them."""
     path = _library_path()
     try:
         with open(path, "rb") as f:
             data = f.read()
         if data[-32:] == hashlib.sha256(data[:-32]).digest():
-            return (path, *_bind(ctypes.PyDLL(path)))
+            return (path, *_c_kernels(ctypes.PyDLL(path)))
     except (OSError, AttributeError):
         pass
     return _build(path)
@@ -1455,7 +1343,7 @@ def _native_loops():
 def _build(path: str):
     """Build _c_source into a library, and cache it at path, followed by
     its SHA-256, if its kernels pass _passes_check, removing the libraries
-    of other sources; returns what _native_loops does."""
+    of other sources; returns what _native_kernels does."""
     import glob         # here, since a cache hit needs none of them
     import shutil
     import subprocess
@@ -1476,7 +1364,7 @@ def _build(path: str):
                 digest = hashlib.sha256(f.read()).digest()
             with open(lib_file, "ab") as f:
                 f.write(digest)
-            kernels = _bind(ctypes.PyDLL(lib_file))
+            kernels = _c_kernels(ctypes.PyDLL(lib_file))
             if not _passes_check(kernels):
                 return None
             os.replace(lib_file, path)
@@ -1898,27 +1786,7 @@ def angular_separation(az1: float, el1: float, az2: float, el2: float) -> float:
 # --- the kernels in use, built or loaded once every template, rendering
 # and check input above is defined ---
 
-# NATIVE_LIBRARY is the cached library the stepping loops and the fit
-# kernels call, or None when they run as Python
-NATIVE_LIBRARY, _rk4_steps, _abm_steps, _fit_jacobian, _fit_residuals = (
-    _native_loops()
-    or (None, *_python_loops(), _python_jacobian, _python_fit()[1]))
-_rk4_steps.__doc__ = """\
-n RK4 steps of h seconds from state; returns the last state.
-
-    kj is _j2_coeff(j2).  Step k, for k0 < k <= k0 + n, lands at
-    t0 + k*h, the time a DecayError names when that step's state is below
-    DECAY_ALTITUDE.
-    """
-_abm_steps.__doc__ = """\
-n multistep steps of h seconds, appended to the grid points.
-
-    points is an array('d') grid holding at least _ORDER points; step k,
-    for k0 < k <= k0 + n with k0 the index of its last point, lands at
-    t0 + k*h, the time a DecayError names when that step's state is below
-    DECAY_ALTITUDE; on a DecayError only the states before it are
-    appended.  Each call first evaluates the back values (velocity and
-    acceleration) at the last _ORDER points held and keeps them in locals
-    only, so what it appends depends on those points, not on earlier
-    calls.
-    """
+# NATIVE_LIBRARY is the cached library whose kernels are in use, or None
+# when the Python rendering's are
+(NATIVE_LIBRARY, _rk4_steps, _abm_steps, _fit_positions, _fit_residuals,
+ _fit_jacobian) = _native_kernels() or (None, *_python_kernels())

@@ -22,12 +22,14 @@ evaluation. A fit stops when the step its SVD predicts would lower the
 cost by at most a relative REFINE_PRED_TOL, so an iteration's
 integrations are its line-search trials: at most REFINE_MAX_HALVINGS + 1.
 
-The reduced model's passes and the residual terms are written once, as
-astro's template kernels. Where astro.NATIVE_LIBRARY is loaded they run
-in C: one call per Jacobian, which makes all its passes and differences,
-and one per line-search trial, which turns the propagated positions into
-residuals. Elsewhere they run as the Python rendered from the same
-template, with the same bits.
+The reduced model's positions pass, the residual terms and the
+Jacobian's difference rule are each one of astro's template kernels,
+defined once and rendered as C and as Python, behind one set of
+wrappers. Where astro.NATIVE_LIBRARY is loaded they run in C: one call
+per Jacobian, which makes all its passes and differences, and one per
+line-search trial, which turns the propagated positions into residuals.
+Elsewhere the Python rendering of the same definitions runs, with the
+same bits.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .astro import (
     _fit_jacobian,
     _fit_record,
     _fit_residuals,
-    _python_fit,
     cross,
     dot,
     kepler_to_state,
@@ -388,21 +389,6 @@ def _residuals(records, positions) -> np.ndarray:
     for r in positions:
         p.extend(r)
     return np.array(_fit_residuals(records[1], p))
-
-
-def _secular_positions(x, epoch: Epoch, epochs, j2: float) -> list:
-    """The reduced model's ECI position at each epoch, in closed form.
-
-    Two-body motion plus the J2 secular rates of raan, argp and M
-    (Vallado, eq. 9-41), with no short-period terms and no drag. Each
-    position is kepler_to_state's on the drifted elements, operation for
-    operation, from astro's template as Python (the reference the C
-    kernel is checked against). Elements outside the KeplerianElements
-    domain, or drifted angles that are not finite, raise ValueError.
-    """
-    p = _python_fit()[0]([float(v) for v in x], epoch.t, j2,
-                         [t.t for t in epochs])
-    return list(zip(p[0::3], p[1::3], p[2::3]))
 
 
 def _model_jacobian(x, epoch: Epoch, records, n_terms: int,

@@ -744,16 +744,15 @@ def held(grid):
 
 
 class TestGridStepping:
-    """A multistep extension runs all its steps in one _abm_steps call and
-    appends them in bulk; the grid must hold what any other chunking of
-    the same extension holds, and decay where and as that does."""
+    """A multistep extension runs all its steps in one _abm_steps call,
+    which writes them into room appended first; the grid must hold what
+    any other chunking of the same extension holds, and decay where and
+    as that does."""
 
-    @pytest.mark.parametrize("append_steps", [astro._APPEND_STEPS, 7])
     @pytest.mark.parametrize("bstar,j2", [(0.0, J2_EARTH), (2e-5, J2_EARTH),
                                           (0.0, 0.0), (2e-5, 0.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_one_extension_equals_one_step_per_call(self, monkeypatch, sign,
-                                                    bstar, j2, append_steps):
+    def test_one_extension_equals_one_step_per_call(self, sign, bstar, j2):
         # ends of the chunks: one point per call; then chunks that end in
         # the start-up, on its last point, on the first multistep point,
         # and past it
@@ -766,19 +765,14 @@ class TestGridStepping:
             for k in ends:
                 grid.point(t0 + sign * k * 10.0)
             grids_by_chunking.append(held(grid))
-        # a small append size makes the one extension flush mid-way
-        monkeypatch.setattr(astro, "_APPEND_STEPS", append_steps)
         whole = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
         whole.point(t0 + sign * n * 10.0)
         grown = whole.forward if sign > 0 else whole.backward
         assert len(grown) == 6 * (n + 1)
         assert all(g == held(whole) for g in grids_by_chunking)
 
-    @pytest.mark.parametrize("append_steps", [astro._APPEND_STEPS, 5])
     @pytest.mark.parametrize("bstar,decay_at,message,points", _DECAY_PINS)
-    def test_decay_matches_pins(self, monkeypatch, bstar, decay_at, message,
-                                points, append_steps):
-        monkeypatch.setattr(astro, "_APPEND_STEPS", append_steps)
+    def test_decay_matches_pins(self, bstar, decay_at, message, points):
         low = fresh(_LOW)
         with pytest.raises(DecayError) as first:
             propagate_j2(low, bstar, Epoch(86400.0), step_s=30.0)

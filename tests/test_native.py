@@ -1,18 +1,20 @@
-"""The C build of the stepping loops and the fit kernels: in use wherever
-a C compiler is found, and around it, in processes of their own, the
-Python fallback and the cache.
+"""The C build of the kernels: in use wherever a C compiler is found, and
+around it, in processes of their own, the Python fallback and the cache.
 
 A host with cc on PATH must run the C kernels, so that a broken build
 cannot pass this suite in pure Python. A host without one, or whose
-library fails the build-time bit check, even by raising or by one
-re-associated product in the C fit kernel, runs the Python renderings and
-writes the golden uct bytes. An import on a warm cache starts no process,
-a damaged cache file is never loaded as it is, a change to what the bit
-check compares the library against, or to the check's own code, builds
-and checks it again, and a build leaves no library of another key
-behind. Each subprocess runs on a copy of src/sdachain in tmp_path, so it
-starts from an empty cache. In process, the C fit kernels make the
-Python renderings' bytes, or raise their exceptions, on random fits.
+library fails the build-time bit check, even by raising, by one
+re-associated product in the C fit kernel or by C loops that stop one
+iteration short, runs the Python rendering and writes the golden uct
+bytes. An import on a warm cache starts no process, renders no source
+and compiles no Python rendering, a damaged cache file is never loaded
+as it is, a change to what the bit check compares the library against,
+or to the check's own code, builds and checks it again, and a build
+leaves no library of another key behind. Each subprocess runs on a copy
+of src/sdachain in tmp_path, so it starts from an empty cache. In
+process, the C fit kernels make the Python rendering's bytes, or raise
+its exceptions, on random fits, and the wrappers both renderings share
+refuse buffers that are not array('d').
 """
 import math
 import os
@@ -53,17 +55,24 @@ def run(root: pathlib.Path, code: str, *args: str, **env) -> list:
 
 
 _IMPORT = "import sdachain.astro as a\nprint(a.NATIVE_LIBRARY)\n"
-# _IMPORT, then how many times it called _grid_bits
-_COUNT_CHECKS = ("import sys\n"
-                 "checks = []\n"
-                 "def count(frame, event, arg):\n"
-                 "    if event == 'call' and frame.f_code.co_name == "
-                 "'_grid_bits':\n"
-                 "        checks.append(1)\n"
-                 "sys.setprofile(count)\n"
-                 + _IMPORT +
-                 "sys.setprofile(None)\n"
-                 "print(len(checks))\n")
+
+
+def count_calls(*names: str) -> str:
+    """_IMPORT, then how many calls it made of functions so named."""
+    return ("import sys\n"
+            "calls = []\n"
+            "def count(frame, event, arg):\n"
+            f"    if event == 'call' and frame.f_code.co_name in {names!r}:\n"
+            "        calls.append(1)\n"
+            "sys.setprofile(count)\n"
+            + _IMPORT +
+            "sys.setprofile(None)\n"
+            "print(len(calls))\n")
+
+
+_COUNT_CHECKS = count_calls("_grid_bits")
+# the renderers, and the exec of the Python rendering
+_COUNT_RENDERS = count_calls("_python", "_c", "_python_kernels")
 _UCT = (_IMPORT + "import sys\n"
         "from sdachain.netsim import run_scenario, uct_scenario\n"
         "print(run_scenario(uct_scenario(1), sys.argv[1]).state_root)\n")
@@ -119,6 +128,21 @@ def test_a_reassociated_c_fit_kernel_runs_the_python_loops(tmp_path):
     assert_python_loops_write_golden(root, tmp_path / "out")
 
 
+def test_a_c_loop_one_iteration_short_runs_the_python_loops(tmp_path):
+    # every counted loop of the C rendering, and only of the C, stopping
+    # one iteration early must fail the build-time check
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: nothing is built")
+    root = copy_package(tmp_path / "src")
+    source = root / "sdachain" / "astro.py"
+    text = source.read_text()
+    bound = "{name} < {stop}; "
+    assert text.count(bound) == 1
+    source.write_text(text.replace(bound, "{name} < ({stop}) - ({step}); "))
+    assert run(root, _COUNT_CHECKS) == ["None", "2"]
+    assert_python_loops_write_golden(root, tmp_path / "out")
+
+
 def test_a_check_that_raises_runs_the_python_loops(tmp_path):
     # a library whose divisor test always jumps raises ZeroDivisionError
     # on the check grid's first step, which fails the check
@@ -151,12 +175,23 @@ def test_warm_cache_import_starts_no_process(warm):
     assert run(warm, code) == [str(library) if HAS_CC else "None"]
 
 
+def test_warm_cache_import_renders_and_compiles_no_kernel(warm, tmp_path):
+    # a cold import renders both languages and compiles the Python to
+    # check the C against; a cache hit does neither
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: the Python rendering runs")
+    cold = copy_package(tmp_path)
+    assert int(run(cold, _COUNT_RENDERS)[1]) > 0
+    library = warm / "sdachain" / "__pycache__" / LIBRARY
+    assert run(warm, _COUNT_RENDERS) == [str(library), "0"]
+
+
 @pytest.mark.parametrize("old,new", [
     ("5.45, 5.45), 5e-5)", "5.45, 5.45), 4e-5)"),
     ("_CHECK_CHUNKS = (1, 9, 40, 400, 3000)",
      "_CHECK_CHUNKS = (1, 9, 40, 400, 2999)"),
-    ('"    sqrt, exp = math.sqrt, math.exp",',
-     '"    exp, sqrt = math.exp, math.sqrt",'),
+    ('f"{pad}for _ in range({s[2]}):",',
+     'f"{pad}for _unused in range({s[2]}):",'),
     ("0.4 * h", "0.5 * h")],
     ids=["check-grid", "check-chunks", "python-source", "check-code"])
 def test_a_changed_check_builds_and_checks_again(warm, tmp_path, old, new):
@@ -252,16 +287,40 @@ def outcome(kernel, *args) -> tuple:
 def test_c_fit_kernels_match_the_python_renderings(case, offset):
     x, t0, times, fields = case
     args = (x, iod._MODEL_STEPS, t0, astro.J2_EARTH, times, fields)
+    _, _, positions, residuals, jacobian = astro._python_kernels()
     assert (outcome(astro._fit_jacobian, *args)
-            == outcome(astro._python_jacobian, *args))
+            == outcome(jacobian, *args))
     # positions from the model where it gives them, else at the sites,
     # off by offset km (at the sites a zero offset is a zero divisor)
     try:
-        p = astro._python_fit()[0](x, t0, astro.J2_EARTH, times)
+        p = positions(x, t0, astro.J2_EARTH, times)
     except (ValueError, astro.KeplerConvergenceError):
         stride, site = len(astro._FIT_FIELDS), astro._FIT_FIELDS.index("sx")
         p = [fields[stride * r + site + c]
              for r in range(len(times)) for c in range(3)]
     p = array("d", (v + offset for v in p))
     assert (outcome(astro._fit_residuals, fields, p)
-            == outcome(astro._python_fit()[1], fields, p))
+            == outcome(residuals, fields, p))
+
+
+def test_fit_kernels_refuse_malformed_buffers():
+    # both renderings' fit kernels take array('d') buffers, checked by the
+    # wrappers they share: a list or an array of floats is refused
+    times, fields = astro._check_records()
+    x = astro._CHECK_FITS[0][0]
+    kernel_sets = {"python": astro._python_kernels()[2:]}
+    if astro.NATIVE_LIBRARY is not None:
+        kernel_sets["native"] = (astro._fit_positions, astro._fit_residuals,
+                                 astro._fit_jacobian)
+    for name, (positions, residuals, jacobian) in kernel_sets.items():
+        p = positions(x, 0.0, astro.J2_EARTH, times)
+        for bad in (list, lambda buf: array("f", buf)):
+            with pytest.raises(ValueError):
+                positions(x, 0.0, astro.J2_EARTH, bad(times))
+            with pytest.raises(ValueError):
+                residuals(bad(fields), p)
+            with pytest.raises(ValueError):
+                residuals(fields, bad(p))
+            with pytest.raises(ValueError):
+                jacobian(x, iod._MODEL_STEPS, 0.0, astro.J2_EARTH, bad(times),
+                         fields)

@@ -1,16 +1,17 @@
 """Both renderings of the stepping loops against the handwritten loops
 they replaced.
 
-astro writes _rk4_steps and _abm_steps once, as a force-model template,
-and renders it as C, which it builds and calls where the host's compiler
-reproduces the Python loops' bits, and as Python, which it runs
-otherwise; the Python _abm_steps runs in blocks of _ORDER steps that
-rename the back values instead of shifting them, each block stopping
-before its first step past the last. The two functions below are the
-handwritten loops those replaced, kept verbatim as the bit reference,
-with the drag force the template now inlines, and with no back values
-carried between calls: each multistep call evaluates them at the last
-_ORDER points it is given, as the first extension of a grid always did.
+astro writes _rk4_steps and _abm_steps once each, as template kernels,
+and renders them as C, which it builds and calls where the host's
+compiler reproduces the Python rendering's bits, and as Python, which it
+runs otherwise; both renderings of _abm_steps run in blocks of _ORDER
+steps that rename the back values instead of shifting them, each block
+stopping before its first step past the last. The two functions below
+are the handwritten loops those replaced, kept verbatim as the bit
+reference, with the drag force the template now inlines, and with no
+back values carried between calls: each multistep call evaluates them at
+the last _ORDER points it is given, as the first extension of a grid
+always did.
 Every test here checks each loop set this host has: the Python loops
 always, so that the fallback cannot drift on a host that never runs it,
 and the C loops wherever they are in use. Grids stepped by either set,
@@ -38,7 +39,6 @@ from sdachain.astro import (
     KeplerianElements,
     _AB,
     _AM,
-    _APPEND_STEPS,
     _ORDER,
     DRAG_H0,
     DRAG_RHO0,
@@ -49,6 +49,7 @@ from sdachain.astro import (
 from test_astro import _DECAY_PINS, _LOW
 
 _EXP, _SQRT = math.exp, math.sqrt
+_APPEND_STEPS = 256     # grid points the reference buffers between appends
 
 
 def _drag(x, y, vx, vy, vz, r, bstar):
@@ -305,7 +306,7 @@ REFERENCE = (_rk4_steps, _abm_steps)
 # the loop sets every test runs: the Python loops, and the C loops where
 # astro calls them (tests/test_native.py checks that it does wherever cc
 # is found)
-LOOP_SETS = {"python": astro._python_loops()}
+LOOP_SETS = {"python": astro._python_kernels()[:2]}
 if astro.NATIVE_LIBRARY is not None:
     LOOP_SETS["native"] = (astro._rk4_steps, astro._abm_steps)
 
@@ -416,8 +417,10 @@ def test_zero_divisor_raises_as_the_reference(state, kj):
 
 
 def test_malformed_buffers_raise_value_error():
-    # the C loops write through raw addresses, so their wrappers check
-    # each buffer's length; the Python loops fail to unpack the same ones
+    # the C kernels write through raw addresses, so the wrappers both
+    # renderings share check each buffer's type and length: a short state
+    # or grid, a grid of floats (the C would write doubles past its end,
+    # the Python would round each new point to a float) and a list
     kj = astro._j2_coeff(J2_EARTH)
     state = astro._anchor(_LOW)
     for rk4, abm in (REFERENCE, *LOOP_SETS.values()):
@@ -425,6 +428,12 @@ def test_malformed_buffers_raise_value_error():
             rk4(state[:5], 1.0, 1, 0.0, kj, 0.0, 0)
         with pytest.raises(ValueError):
             abm(array("d", state), 1.0, 1, 0.0, kj, 0.0)
+    grids = (array("f", state * _ORDER), list(state * _ORDER))
+    for name, (_, abm) in LOOP_SETS.items():
+        for grid in grids:
+            with pytest.raises(ValueError):
+                abm(grid, 1.0, 1, 0.0, kj, 0.0)
+            assert len(grid) == 6 * _ORDER, name
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
