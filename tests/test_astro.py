@@ -749,10 +749,12 @@ class TestGridStepping:
     any other chunking of the same extension holds, and decay where and
     as that does."""
 
+    @pytest.mark.parametrize("append_steps", [256, 7])
     @pytest.mark.parametrize("bstar,j2", [(0.0, J2_EARTH), (2e-5, J2_EARTH),
                                           (0.0, 0.0), (2e-5, 0.0)])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_one_extension_equals_one_step_per_call(self, sign, bstar, j2):
+    def test_one_extension_equals_one_step_per_call(self, sign, bstar, j2,
+                                                    append_steps):
         # ends of the chunks: one point per call; then chunks that end in
         # the start-up, on its last point, on the first multistep point,
         # and past it
@@ -765,6 +767,16 @@ class TestGridStepping:
             for k in ends:
                 grid.point(t0 + sign * k * 10.0)
             grids_by_chunking.append(held(grid))
+        # the multistep part as _abm_steps calls of at most append_steps
+        # steps each: 256 is one call, 7 stops and resumes it mid-way
+        split = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
+        split.point(t0 + sign * (astro._ORDER - 1) * 10.0)
+        points = split.forward if sign > 0 else split.backward
+        while len(points) // 6 <= n:
+            astro._abm_steps(points, sign * 10.0,
+                             min(append_steps, n + 1 - len(points) // 6),
+                             bstar, split.kj, t0)
+        grids_by_chunking.append(held(split))
         whole = astro._Grid(_PIN_ELEMENTS, bstar, 10.0, j2)
         whole.point(t0 + sign * n * 10.0)
         grown = whole.forward if sign > 0 else whole.backward
