@@ -5,10 +5,11 @@ builds on the primitives here: epochs on a uniform leap-second-free
 timescale, ECI state vectors, classical element sets, and a fixed-step
 propagator with two-body + J2 + exponential-atmosphere drag forces: an
 order-10 Adams-Bashforth-Moulton grid (started by RK4) and one RK4 step
-from the grid to each requested time.  Both stepping loops, and the orbit
-fit's reduced-model Jacobian and residuals, are written once, as template
-statements that render as C, built once and cached when the host's C
-compiler reproduces the Python renderings' bits, and as Python otherwise.
+from the grid to each requested time.  Both stepping loops, the orbit
+fit's reduced-model Jacobian and residuals, and the visibility pass's
+screen are written once, as template statements that render as C, built
+once and cached when the host's C compiler reproduces the Python
+renderings' bits, and as Python otherwise.
 
 Conventions:
   * distances in km, velocities in km/s, angles in radians, time in
@@ -401,11 +402,12 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # elements do; elements built anew, even with equal values, start with no
 # grid.
 #
-# The kernels.  Each of the five is one template definition (_KERNELS):
+# The kernels.  Each of the six is one template definition (_KERNELS):
 # rk4_steps and abm_steps step the grids (rk4_steps serves only the
-# start-up and the remainder step to a time between grid points), and
+# start-up and the remainder step to a time between grid points),
 # fit_positions, fit_residuals and fit_jacobian are the orbit fit's reduced
-# model (iod.refine_elements' Jacobian and line-search residuals).  A
+# model (iod.refine_elements' Jacobian and line-search residuals), and
+# mask_screen is times_above_mask's screen of a pass's samples.  A
 # template is a list of statements in the syntax Python and C share:
 #   * "name = expr" and "name += expr", name a local or a buffer slot such
 #     as p[6 * k + 2], over +, -, *, / and calls, which both languages
@@ -423,7 +425,8 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # the libm functions math calls; pow(x, y), CPython's x ** y for the
 # positive bases here (no overflow within the KeplerianElements domain);
 # min and max of two floats, as Python's builtins order them (NaN
-# included); mod(v, w), CPython's float v % w; and kernels defined before.
+# included); mod(v, w) and floordiv(v, w), CPython's float v % w and
+# v // w; to_long(v), int(v) of a float; and kernels defined before.
 # _force is the force model: gravity, then J2 (when kj != 0), then drag
 # (when bstar != 0), in every evaluation; its order fixes the bits of every
 # propagated state, which tests/test_astro.py pins, and
@@ -446,47 +449,15 @@ def state_to_kepler(s: StateVector) -> KeplerianElements:
 # turns each status into its exception.
 #
 # What stays language-specific is the two renderers and the C prelude.
-# _python makes each kernel a function, all compiled by one exec, and only
-# where the C is being checked or is not loaded (_python_kernels); its
-# globals are the _C_CONSTANTS and the libm calls.  Python's division tests
-# a divisor by itself, raising ZeroDivisionError, and math raises
-# ValueError on a sin, cos or fmod of an infinite angle, which no orbit in
-# the domain reaches, where C carries a NaN on to a failed Kepler solve
-# (either drops the pass); each Python kernel catches both, runs the
-# statements its C runs on a zero divisor and returns the status.  _c
-# makes each kernel a C function after the prelude: math.h, the
-# _C_CONSTANTS as repr() literals, and mod, min and max.  The C is built
-# once with the system cc and _CFLAGS: -O2 -fno-fast-math
-# -ffp-contract=off, and -fno-builtin-* for each libm function it calls but
-# sqrt.  -ffp-contract=off matters most: a compiler free to contract a*b +
-# c into one fused multiply-add (gcc's default whenever the target has
-# one, as every aarch64 target does) rounds once where Python rounds
-# twice.  The -fno-builtin flags keep each libm call a call, as CPython
-# makes it: gcc would fold pow(x, 2.0) into x * x, fuse a sin and a cos of
-# one argument into one sincos call, whose last bits need not be those of
-# the calls, or expand fmod inline; sqrt is inlined, its result being
-# exact either way.
-#
-# The library is cached in this package's __pycache__ under the SHA-256 of
-# the flags and of this module's source text (_library_path), which holds
-# the templates, both renderers, the checks and their inputs, so any
-# change to them builds and checks it again.  The file ends with the
-# SHA-256 of its own bytes, which is checked before it is loaded; a cache
-# hit starts no process, renders no source and compiles no Python.  A
-# build enters the cache only after its kernels, through _bind, reproduce
-# the Python rendering's bits (_passes_check): the stepping kernels on two
-# fixed J2-on grids both ways, one with drag down to its decay and one
-# without, 3 450 multistep steps long (_grid_bits), and the fit kernels'
-# positions, Jacobians and residuals on ranged and unranged AZEL records
-# and RADEC ones, at elements whose columns are central, one-sided at e =
-# 0, i = pi and e near 1, or lost to a drift that is not finite, with a
-# Kepler solve that does not converge and with zero divisors (_fit_bits);
-# a check that raises fails.  So a compiler or platform that widens or
-# contracts floats, or a C libm that is not the one math calls, leaves the
-# Python rendering in use instead of forking the chain's bytes.
-# NATIVE_LIBRARY names the library in use; it is None when there is no cc,
-# the build fails, the bits differ or the library will not load.  A build
-# that passes removes the cached libraries of other keys.
+# _python makes each kernel a function, all compiled by one exec
+# (_python_kernels), that catches the ZeroDivisionError and ValueError
+# Python raises where C tests a divisor or carries a NaN on; _c makes each
+# a C function after the prelude (_c_source).  The C is built with
+# _CFLAGS, used only when its kernels reproduce the Python rendering's
+# bits (_passes_check) and cached (_library_path): docs/kernels.md gives
+# each flag's reason and what the check covers.  NATIVE_LIBRARY names the
+# library in use; it is None when there is no cc, the build fails, the
+# bits differ or the library will not load.
 #
 # The multistep kernel runs in blocks of _ORDER steps, unrolled, that
 # rename the back values instead of shifting them: at step j of a block,
@@ -871,6 +842,104 @@ def _jacobian_kernel() -> list:
             ("return", 0)]
 
 
+# --- the visibility screen, as template statements ---
+
+HORIZON_MARGIN_KM = 1e-3    # covers rounding in the screen's test
+SPEED_SLACK = 1.0   # km/s a remainder step may add to the grid point's speed
+FLOOR_R = R_EARTH + DECAY_ALTITUDE      # km, the decay radius
+# gravity plus J2 bounded at the decay altitude: 9.53e-3 km/s^2, so a
+# remainder step of up to MAX_STEP_S gains at most 0.86 km/s from them
+A_GRAV_FLOOR = (MU_EARTH / FLOOR_R ** 2
+                + 2.0 * abs(_j2_coeff(J2_EARTH)) / FLOOR_R ** 4)
+# the drag model's density at the decay altitude, its highest above it
+RHO_FLOOR = DRAG_RHO0 * math.exp(-(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
+
+
+def _remainder_bound() -> list:
+    """Template statements that bound one RK4 step of h seconds (rem =
+    |h|, drag coefficient bstar) from the grid point x..vz: valid is 1.0
+    when its position lies within err of px, py, pz = x + h*v and low
+    bounds the radius of each of its stages and of its result.
+
+    RK4 moves the position to x + h*v + h**2/6*(a1 + a2 + a3), a1..a3 the
+    accelerations at its first three stages, so when each is at most
+    a_max the result lies within err = rem**2/2 * a_max of p.  The stages
+    are at x, x + h/2*v, within rem**2/4 * a_max of x + h/2*v and within
+    err of p, so low = min(|x|, |x + h/2*v|, |p|) - err.  a_max bounds
+    gravity and J2 at the decay altitude (A_GRAV_FLOOR) and drag at its
+    density there and the largest speed relative to the air a stage can
+    have, given that a stage velocity gains at most rem*a_max <=
+    SPEED_SLACK over |v| and a stage position moves at most rem*(|v| +
+    SPEED_SLACK) from x.  Those premises are what valid asks: rem*a_max
+    <= SPEED_SLACK and low stays HORIZON_MARGIN_KM above the decay
+    radius, which also leaves the step's altitude check unable to fire
+    (without drag, MAX_STEP_S * A_GRAV_FLOOR stays below SPEED_SLACK).  A
+    grid point that is not finite makes a_max NaN or infinite, so valid
+    is 0.0 for it.
+    """
+    return [*(f"p{c} = {c} + h * v{c}" for c in "xyz"),
+            *(f"m{c} = {c} + 0.5 * h * v{c}" for c in "xyz"),
+            "r = sqrt(x * x + y * y + z * z)",
+            "w = sqrt(vx * vx + vy * vy + vz * vz) + SPEED_SLACK",
+            "vr = w + EARTH_ROT * (r + rem * w)",
+            "a_max = A_GRAV_FLOOR + fabs(bstar) * RHO_FLOOR * vr * vr",
+            "err = 0.5 * rem * rem * a_max",
+            "low = min(min(r, sqrt(mx * mx + my * my + mz * mz)),"
+            " sqrt(px * px + py * py + pz * pz)) - err",
+            "valid = 0.0",
+            ("if", "rem * a_max <= SPEED_SLACK",
+             [("if", "low - HORIZON_MARGIN_KM > FLOOR_R", ["valid = 1.0"])])]
+
+
+def _screen_kernel() -> list:
+    """mask_screen: the count times of a pass screened in order, from the
+    site at lon, lat, alt at a mask of sine s, on the grid of anchor epoch
+    t0 whose buffers fwd and bwd hold nfwd and nbwd points, up to the
+    first time whose grid point is not held.  out[0] is how many were
+    screened, and out[2:out[1]] holds, for each not skipped, its index
+    and 1.0 when it is accepted, else 0.0.
+
+    Each time t is screened on the grid point its state is stepped from,
+    with n_full and the signed remainder h computed as _Grid.point
+    computes them, so when the bound is valid its state lies within err
+    of p = x + h*v (_remainder_bound).  With up the site's zenith at t,
+    rho = p - (R_EARTH + alt) * up, u = rho . up and eps = err +
+    HORIZON_MARGIN_KM, the state's line of sight rho' has rho' . up
+    within err of u and |rho'| within err of |rho|.  Its elevation,
+    asin(rho' . up / |rho'|), is then at most the mask when u + eps <= s
+    * (|rho| - eps), and t is skipped, and above it when u - eps > s *
+    (|rho| + eps), and t is accepted.  Every other time is kept for the
+    exact test.  The 1 m margin covers the rounding of this test and of
+    topocentric_angles, whose libm cos and sin the kernel calls too.
+    """
+    stop = ["out[0] = k", "out[1] = j", ("return", 0)]
+    return ["cp = cos(lat)", "up_z = sin(lat)", "radius = R_EARTH + alt",
+            "j = 2",
+            ("for", "k", "0", "count", 1,
+             ["t = times[k]", "dt = t - t0", "adt = fabs(dt)",
+              "nf = floordiv(adt, STEP_S)", "rem = adt - nf * STEP_S",
+              "i = to_long(nf)", "q = 6 * i",
+              ("if", "dt >= 0.0",
+               ["h = rem", ("if", "i >= nfwd", stop),
+                *_load(_STATE, "fwd", "q")],
+               ["h = -rem", ("if", "i >= nbwd", stop),
+                *_load(_STATE, "bwd", "q")]),
+              *_remainder_bound(),
+              "kept = 1.0", "accepted = 0.0",
+              ("if", "valid",
+               ["lam = lon + GMST_J2000 + EARTH_ROT * t",
+                "up_x = cp * cos(lam)", "up_y = cp * sin(lam)",
+                *(f"r{c} = p{c} - radius * up_{c}" for c in "xyz"),
+                "u = rx * up_x + ry * up_y + rz * up_z",
+                "rng = sqrt(rx * rx + ry * ry + rz * rz)",
+                "eps = err + HORIZON_MARGIN_KM",
+                ("if", "u + eps <= s * (rng - eps)", ["kept = 0.0"],
+                 [("if", "u - eps > s * (rng + eps)", ["accepted = 1.0"])])]),
+              ("if", "kept", ["out[j] = k", "out[j + 1] = accepted",
+                              "j += 2"])]),
+            "out[0] = count", "out[1] = j", ("return", 0)]
+
+
 # each kernel: its name, its parameters as C declares them, its integer
 # locals (loop names are integers too), its template, and the statements
 # it runs on a failure it cannot return from the template, such as a zero
@@ -887,7 +956,11 @@ _KERNELS = (
     ("fit_jacobian", "double *x, double *steps, double t0, double j2, "
      "double *times, double *f, long count, long terms, double *jac, "
      "double *xp, double *xm, double *p, double *rp, double *rm, "
-     "double *base", "sb sp sm", _jacobian_kernel, []))
+     "double *base", "sb sp sm", _jacobian_kernel, []),
+    ("mask_screen", "double *fwd, long nfwd, double *bwd, long nbwd, "
+     "double *times, long count, double t0, double bstar, double lon, "
+     "double lat, double alt, double s, double *out", "i j q",
+     _screen_kernel, []))
 
 
 def _names(params: str) -> list:
@@ -980,10 +1053,13 @@ def _python_source() -> str:
 
 
 # the names the templates read, each a C constant of the same value
-_C_CONSTANTS = ("MU_EARTH", "R_EARTH", "EARTH_ROT", "DRAG_RHO0", "DRAG_H0",
-                "DRAG_SCALE_H", "DECAY_ALTITUDE", "PI", "TWO_PI")
-# the C prelude's functions: mod, min and max are CPython's v % w (w
-# nonzero: fmod and its sign fix), min(a, b) and max(a, b) of floats
+_C_CONSTANTS = ("MU_EARTH", "R_EARTH", "EARTH_ROT", "GMST_J2000",
+                "DRAG_RHO0", "DRAG_H0", "DRAG_SCALE_H", "DECAY_ALTITUDE",
+                "STEP_S", "PI", "TWO_PI", "HORIZON_MARGIN_KM", "SPEED_SLACK",
+                "FLOOR_R", "A_GRAV_FLOOR", "RHO_FLOOR")
+# the C prelude: mod and floordiv are CPython's float v % w and v // w (w
+# nonzero: fmod, its sign fix and the quotient snapped to an integer),
+# to_long is int(v) in a long's range, min and max Python's builtins
 _C_PRELUDE = """\
 static double mod(double v, double w)
 {
@@ -996,14 +1072,19 @@ static double mod(double v, double w)
     }
     return m;
 }
-static double min(double a, double b)
+static double floordiv(double v, double w)
 {
-    return b < a ? b : a;
+    double m = fmod(v, w), d = (v - m) / w, f;
+    if (m != 0.0 && (w < 0.0) != (m < 0.0))
+        d -= 1.0;
+    if (d == 0.0)
+        return copysign(0.0, v / w);
+    f = floor(d);
+    return d - f > 0.5 ? f + 1.0 : f;
 }
-static double max(double a, double b)
-{
-    return b > a ? b : a;
-}"""
+static long to_long(double v) { return (long) v; }
+static double min(double a, double b) { return b < a ? b : a; }
+static double max(double a, double b) { return b > a ? b : a; }"""
 _CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-fno-builtin-exp",
            "-fno-builtin-sin", "-fno-builtin-cos", "-fno-builtin-asin",
            "-fno-builtin-atan2", "-fno-builtin-fmod", "-fno-builtin-pow",
@@ -1073,13 +1154,13 @@ def _zeros(size: int) -> array:
 
 def _bind(kernels, address) -> tuple:
     """The wrappers (_rk4_steps, _abm_steps, _fit_positions,
-    _fit_residuals, _fit_jacobian) of kernels, one rendering's in _KERNELS
-    order, which take each buffer as address(buf, size) passes it, after
-    checking its type and length.  Each wrapper keeps a reference to every
-    buffer it passes until the kernel returns; a C kernel is called through
-    ctypes.PyDLL, so the interpreter lock stays held and no other thread
-    can resize a buffer the C writes."""
-    rk4, abm, positions, residuals, jacobian = kernels
+    _fit_residuals, _fit_jacobian, _mask_screen) of kernels, one
+    rendering's in _KERNELS order, which take each buffer as address(buf,
+    size) passes it, after checking its type and length.  Each wrapper
+    keeps a reference to every buffer it passes until the kernel returns;
+    a C kernel is called through ctypes.PyDLL, so the interpreter lock
+    stays held and no other thread can resize a buffer the C writes."""
+    rk4, abm, positions, residuals, jacobian, screen = kernels
     stride, ranged = len(_FIT_FIELDS), _FIT_FIELDS.index("ranged")
 
     def _rk4_steps(state, h, n, bstar, kj, t0, k0):
@@ -1170,8 +1251,20 @@ def _bind(kernels, address) -> tuple:
             raise _failure(failed)
         return jac, None
 
+    def _mask_screen(forward, backward, times, t0, bstar, site, s):
+        """(m, out[2:out[1]]) of mask_screen (_screen_kernel) on the
+        array('d') times, grid buffers forward and backward, and site."""
+        n, out = len(times), _zeros(2 + 2 * len(times))
+        failed = screen(address(forward, len(forward)), len(forward) // 6,
+                        address(backward, len(backward)), len(backward) // 6,
+                        address(times, n), n, t0, bstar, site.lon, site.lat,
+                        site.alt, s, address(out, 2 + 2 * n))
+        if failed:
+            raise _failure(failed, out)
+        return int(out[0]), out[2:int(out[1])]
+
     return (_rk4_steps, _abm_steps, _fit_positions, _fit_residuals,
-            _fit_jacobian)
+            _fit_jacobian, _mask_screen)
 
 
 @functools.cache
@@ -1182,7 +1275,8 @@ def _python_kernels() -> tuple:
         "sqrt", "exp", "sin", "cos", "asin", "atan2", "fmod", "fabs",
         "isfinite")}
     namespace.update({name: globals()[name] for name in _C_CONSTANTS},
-                     mod=float.__mod__)
+                     mod=float.__mod__, floordiv=float.__floordiv__,
+                     to_long=int)
     exec(compile(_python_source(), "<astro kernels>", "exec"), namespace)
     return _bind([namespace[f"sdachain_{k[0]}"] for k in _KERNELS], _buffer)
 
@@ -1305,13 +1399,38 @@ def _fit_bits(positions, residuals, jacobian) -> list:
     return out
 
 
+def _screen_bits(screen) -> list:
+    """The bytes the screen makes of the check passes: grid points of an
+    orbit that sinks from 6 800 km to below the decay radius, 30 forward
+    and 12 backward, one each way not finite, screened every 30 s (every
+    third time on a grid point) to past the last point held, from a site
+    that sees the orbit both ways and from one that never does, at masks
+    0 and 10 degrees, with drag and without."""
+    forward, backward = array("d"), array("d")
+    ci, si = math.cos(1.0), math.sin(1.0)
+    for k in range(30):
+        for grid, a in ((forward, 0.1 * k), (backward, -0.1 * k)):
+            c, s, r = math.cos(a), math.sin(a), 6800.0 - 12.0 * k
+            grid.extend((r * c, r * s * ci, r * s * si, -7.5 * s,
+                         7.5 * c * ci, 7.5 * c * si))
+    forward[6 * 7 + 4], backward[6 * 3] = math.nan, math.inf
+    del backward[6 * 12:]
+    return [(m, kept.tobytes()) for m, kept in (
+        screen(forward, backward, array("d", range(0, 3000 * w, 30 * w)),
+               0.0, bstar, site, math.sin(mask))
+        for w in (1, -1)
+        for site in (GroundSite("CHECK-C", 0.0, 1.39), _CHECK_SITES[0])
+        for mask in (0.0, math.radians(10.0)) for bstar in (0.0, 1e-3))]
+
+
 def _passes_check(kernels) -> bool:
     """Whether the kernels (_bind's wrappers) make the bits of the Python
     rendering's: _grid_bits of the stepping kernels, _fit_bits of the fit
-    kernels."""
+    kernels and _screen_bits of the screen."""
     python = _python_kernels()
     return (_grid_bits(*kernels[:2]) == _grid_bits(*python[:2])
-            and _fit_bits(*kernels[2:]) == _fit_bits(*python[2:]))
+            and _fit_bits(*kernels[2:5]) == _fit_bits(*python[2:5])
+            and _screen_bits(kernels[5]) == _screen_bits(python[5]))
 
 
 def _library_path() -> str:
@@ -1368,7 +1487,8 @@ def _build(path: str):
             if not _passes_check(kernels):
                 return None
             os.replace(lib_file, path)
-    except (OSError, AttributeError, subprocess.SubprocessError):
+    except (OSError, AttributeError, ArithmeticError, ValueError, AstroError,
+            subprocess.SubprocessError):    # a check that raises fails too
         return None
     for stale in glob.glob(os.path.join(os.path.dirname(path),
                                         "_stepping.*.so")):
@@ -1513,68 +1633,6 @@ def propagate_many(el: KeplerianElements, bstar: float, epochs,
         yield StateVector(epoch=t, r=state[:3], v=state[3:])
 
 
-_HORIZON_MARGIN_KM = 1e-3   # covers rounding in the screen and in topocentric_angles
-_SPEED_SLACK = 1.0          # km/s a remainder step may add to the grid point's speed
-_FLOOR_R = R_EARTH + DECAY_ALTITUDE
-# gravity plus J2 bounded at the decay altitude: 9.53e-3 km/s^2, so a
-# remainder step of up to MAX_STEP_S gains at most 0.86 km/s from them
-_A_GRAV_FLOOR = (MU_EARTH / _FLOOR_R ** 2
-                 + 2.0 * abs(_j2_coeff(J2_EARTH)) / _FLOOR_R ** 4)
-# the drag model's density at the decay altitude, its highest above it
-_RHO_FLOOR = DRAG_RHO0 * math.exp(-(DECAY_ALTITUDE - DRAG_H0) / DRAG_SCALE_H)
-
-
-def _steps_of(dt, step_s: float) -> tuple:
-    """_Grid.point's n_full and rem for each offset dt from the anchor, a
-    float64 numpy array: the same float operations, element by element."""
-    adt = abs(dt)
-    n_full = adt // step_s
-    return n_full.astype(int), adt - n_full * step_s
-
-
-def _remainder_bound(np, rows, h, bstar: float) -> tuple:
-    """(p, err, low, valid) for grid points rows (an m x 6 numpy array of
-    x, y, z, vx, vy, vz), each to be stepped h seconds (signed, an array)
-    by one RK4 step with drag coefficient bstar: the straight-line
-    prediction p = x + h*v (a tuple of three arrays), the most the step's
-    position can differ from it, a lower bound on the radius of every
-    stage and of the result, and whether those bounds hold.
-
-    With rem = |h|, RK4 moves the position to x + h*v + h**2/6*(a1 + a2
-    + a3), a1..a3 the accelerations at its first three stages, so when
-    each is at most a_max the result lies within err = rem**2/2 * a_max
-    of p.  The stage positions are x, then x + h/2*v exactly, then within
-    rem**2/4 * a_max of x + h/2*v, then within err of p, so
-    low = min(|x|, |x + h/2*v|, |p|) - err bounds every stage radius and
-    the result's.  a_max bounds gravity and J2 at the decay altitude
-    (_A_GRAV_FLOOR) and drag at its density there and the largest speed
-    relative to the air a stage can have, given that a stage velocity
-    gains at most rem*a_max <= _SPEED_SLACK over |v| and a stage position
-    moves at most rem*(|v| + _SPEED_SLACK) from x.  Those premises are
-    what valid asks: rem*a_max <= _SPEED_SLACK and low stays
-    _HORIZON_MARGIN_KM above the decay radius, which also leaves the
-    step's altitude check unable to fire (without drag, MAX_STEP_S *
-    _A_GRAV_FLOOR stays below _SPEED_SLACK).  A non-finite row makes
-    a_max NaN or infinite, so valid is false for it.
-    """
-    x, y, z, vx, vy, vz = rows.T
-    rem = abs(h)
-    with np.errstate(all="ignore"):
-        px, py, pz = x + h * vx, y + h * vy, z + h * vz
-        hh = 0.5 * h
-        mx, my, mz = x + hh * vx, y + hh * vy, z + hh * vz
-        r = np.sqrt(x * x + y * y + z * z)
-        w = np.sqrt(vx * vx + vy * vy + vz * vz) + _SPEED_SLACK
-        vr = w + EARTH_ROT * (r + rem * w)
-        a_max = _A_GRAV_FLOOR + abs(bstar) * _RHO_FLOOR * vr * vr
-        err = 0.5 * rem * rem * a_max
-        low = np.minimum(np.minimum(r, np.sqrt(mx * mx + my * my + mz * mz)),
-                         np.sqrt(px * px + py * py + pz * pz)) - err
-        valid = ((rem * a_max <= _SPEED_SLACK)
-                 & (low - _HORIZON_MARGIN_KM > _FLOOR_R))
-    return (px, py, pz), err, low, valid
-
-
 def times_above_mask(el: KeplerianElements, bstar: float, site: GroundSite,
                      times, mask: float) -> list:
     """The times (seconds) of times, in order, at which propagate_j2's
@@ -1587,98 +1645,45 @@ def times_above_mask(el: KeplerianElements, bstar: float, site: GroundSite,
     one outside the limits need, with one _Grid.point call (so one
     multistep call) per direction.  A decay one way leaves the other way
     extended, and the first time whose grid point decays ends the list.
-
-    The leading times whose grid points the grid then holds are screened
-    as one numpy array, gathered through a view of the grid's buffers that
-    is dropped before the grid can grow again.  Each time t is screened on
-    the grid point its state is stepped from, with n_full and the signed
-    remainder h computed as _Grid.point computes them (_steps_of): its
-    state lies within err of the straight-line prediction p = x + h*v
-    (_remainder_bound, where the derivation is).  The site's position at
-    t is (R_EARTH + alt) * up, up its zenith at t, so with
-    rho = p - (R_EARTH + alt) * up, u = rho . up, s = sin(mask) and
-    eps = err + _HORIZON_MARGIN_KM, the state's line of sight rho' has
-    rho' . up within err of u and |rho'| within err of |rho|.  Its
-    elevation, asin(rho' . up / |rho'|), is then at most mask when
-
-        u + eps <= s * (|rho| - eps),
-
-    and the time is skipped, and above mask when
-
-        u - eps > s * (|rho| + eps),
-
-    and the time is accepted without its state.  Both need the bound to
-    be valid; every other time takes the one exact path: its grid point,
-    the remainder step, a StateVector and topocentric_angles.  The 1 m
-    margin covers the rounding of this test, of topocentric_angles and of
-    numpy's cos and sin, which may differ from math's by a few ulps:
-    about 1e-11 km on positions near 7 000 km.  A valid bound also means
-    the remainder step cannot decay: only an exactly tested time's can,
-    which ends the list.  The grid keeps the bits a loop over
-    propagate_many leaves, but may reach farther.
+    One mask_screen call (_screen_kernel) then skips each leading time
+    whose grid point is held and whose elevation is provably at or below
+    mask, and accepts each provably above it; every other time takes the
+    exact path: its remainder step, a StateVector and topocentric_angles,
+    and only that step can decay, which ends the list.  The grid keeps
+    the bits a loop over propagate_many leaves, but may reach farther.
     """
     if not 0.0 <= mask < 0.5 * math.pi:
         raise ValueError(f"elevation mask must be in [0, pi/2), got {mask}")
-    times = list(times)
-    # numpy only here, so importing the propagator does not load it
-    import numpy as np
-    t = np.array(times, dtype=np.float64)
-    dt = t - el.epoch.t
-    out = ~(np.abs(dt) <= MAX_SPAN_S)      # NaN too, as _check_limits
-    n = int(out.argmax()) if out.any() else len(times)
+    times, t0 = list(times), el.epoch.t
+    n = next((k for k, t in enumerate(times)
+              if not abs(t - t0) <= MAX_SPAN_S), len(times))  # NaN too
     visible, m = [], 0
     if n:
         try:
             grid = _grid(el, bstar, STEP_S, J2_EARTH)
         except DecayError:
             return visible      # the anchor decays, so the first time does
-        dt = dt[:n]
-        for j, ahead in ((int(dt.argmax()), True), (int(dt.argmin()), False)):
+        for t, ahead in ((max(times[:n]), True), (min(times[:n]), False)):
             # to the farthest time each way; a decay one way must not stop
             # the other way's extension
-            if (dt[j] >= 0.0) == ahead:
+            if (t - t0 >= 0.0) == ahead:
                 try:
-                    grid.point(times[j])
+                    grid.point(t)
                 except DecayError:
                     pass
-        n_full, rem = _steps_of(dt, STEP_S)
-        fwd = dt >= 0.0
-        held = n_full < np.where(fwd, len(grid.forward) // 6,
-                                 len(grid.backward) // 6)
-        m = n if held.all() else int(held.argmin())
-        n_full, rem, fwd = n_full[:m], rem[:m], fwd[:m]
-        rows = np.empty((m, 6))
-        for way, points in ((fwd, grid.forward), (~fwd, grid.backward)):
-            # the view into points dies with this statement, so the
-            # grid can grow again
-            rows[way] = np.frombuffer(points).reshape(-1, 6)[n_full[way]]
-        (px, py, pz), err, _, valid = _remainder_bound(
-            np, rows, np.where(fwd, rem, -rem), bstar)
-        lam = site.lon + GMST_J2000 + EARTH_ROT * t[:m]
-        cp, up_z = math.cos(site.lat), math.sin(site.lat)
-        up_x, up_y = cp * np.cos(lam), cp * np.sin(lam)
-        radius, s = R_EARTH + site.alt, math.sin(mask)
-        with np.errstate(all="ignore"):
-            rx, ry, rz = (px - radius * up_x, py - radius * up_y,
-                          pz - radius * up_z)
-            u = rx * up_x + ry * up_y + rz * up_z
-            rng = np.sqrt(rx * rx + ry * ry + rz * rz)
-            eps = err + _HORIZON_MARGIN_KM
-            skip = valid & (u + eps <= s * (rng - eps))
-            accept = valid & (u - eps > s * (rng + eps))
-        keep = np.flatnonzero(~skip)
-        for k, accepted in zip(keep.tolist(), accept[keep].tolist()):
-            t = times[k]
+        m, kept = _mask_screen(grid.forward, grid.backward,
+                               array("d", times[:n]), t0, bstar, site,
+                               math.sin(mask))
+        for k, accepted in zip(kept[::2], kept[1::2]):
+            t = times[int(k)]
+            if not accepted:
+                try:
+                    state = grid.state_at(t)    # its grid point is held
+                except DecayError:
+                    return visible
+                sv = StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
+                accepted = topocentric_angles(sv, site)[1] > mask
             if accepted:
-                visible.append(t)
-                continue
-            points, i, h = grid.point(t)
-            try:
-                state = grid.finish(points[i:i + 6], h, t)
-            except DecayError:
-                return visible
-            sv = StateVector(epoch=Epoch(t), r=state[:3], v=state[3:])
-            if topocentric_angles(sv, site)[1] > mask:
                 visible.append(t)
     if m == n < len(times):
         _check_limits(el, times[n], STEP_S)     # times[n] is off the span
@@ -1789,4 +1794,4 @@ def angular_separation(az1: float, el1: float, az2: float, el2: float) -> float:
 # NATIVE_LIBRARY is the cached library whose kernels are in use, or None
 # when the Python rendering's are
 (NATIVE_LIBRARY, _rk4_steps, _abm_steps, _fit_positions, _fit_residuals,
- _fit_jacobian) = _native_kernels() or (None, *_python_kernels())
+ _fit_jacobian, _mask_screen) = _native_kernels() or (None, *_python_kernels())

@@ -10,6 +10,7 @@ a strict total order (score, then task_id bytes) so queue pops are
 deterministic everywhere.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -216,24 +217,18 @@ def visible_epochs(elements: KeplerianElements, bstar: float, site: GroundSite,
     window is visible only at epochs before its decay.
 
     The samples go to times_above_mask as one pass: it extends the
-    orbit's grid over the window once, then screens the samples as one
-    array. Each sample's state lies within a bound of its grid point
-    moved in a straight line over the remainder step; the screen skips a
-    sample whose elevation stays at or below ELEVATION_MASK_RAD (10 deg)
-    anywhere within that bound, and accepts one whose elevation stays
-    above it. Only the samples it cannot decide get the exact propagated
-    state and elevation, so the returned epochs and the errors raised are
-    those of testing every sample exactly.
+    orbit's grid over the window once, then screens the samples in one
+    call of a template kernel, which skips a sample whose elevation stays
+    at or below ELEVATION_MASK_RAD (10 deg) anywhere within a bound of
+    its grid point moved in a straight line over the remainder step, and
+    accepts one whose elevation stays above it. Only the samples it
+    cannot decide get the exact propagated state and elevation, so the
+    returned epochs and the errors raised are those of testing every
+    sample exactly.
     """
     t0, t1 = window
-    times = []
-    k = 0
-    while True:
-        t = t0.t + k * MIN_EPOCH_SPACING_S
-        if t > t1.t:
-            break
-        times.append(t)
-        k += 1
+    times = itertools.takewhile(lambda t: t <= t1.t, (
+        t0.t + k * MIN_EPOCH_SPACING_S for k in itertools.count()))
     return tuple(Epoch(t) for t in times_above_mask(
         elements, bstar, site, times, ELEVATION_MASK_RAD))
 

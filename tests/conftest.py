@@ -28,6 +28,13 @@ def pytest_report_header(config):
     return f"sdachain stepping loops: {loops}"
 
 
+# the screens every visibility oracle runs: the Python rendering of the
+# mask_screen kernel, and the C kernel where astro calls it
+SCREENS = {"python": astro._python_kernels()[5]}
+if astro.NATIVE_LIBRARY is not None:
+    SCREENS["native"] = astro._mask_screen
+
+
 def grids(el: KeplerianElements) -> dict:
     """The propagation grids kept on el, by (bstar, step_s, j2)."""
     return el.__dict__.get(astro._GRIDS, {})

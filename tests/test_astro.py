@@ -2,15 +2,17 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import weakref
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_common_points_equal, fresh, grids,
+from conftest import (SCREENS, assert_common_points_equal, fresh, grids,
                       visibility_cases)
 from sdachain import astro
 from sdachain.astro import (
@@ -518,10 +520,11 @@ class TestPropagateAboveHorizon:
         # at mask 0, at the tasking mask and at a drawn one, the pass keeps
         # the exact loop's times up to its first decay and raises its limit
         # error, with the window alone and with a time off the span after
-        # it; the grid points both hold are the same bits; over the cases,
-        # it accepts some times and skips some without an exact test, so a
-        # screen that decides nothing fails
-        decided = {"accepted": 0, "skipped": 0}
+        # it, on each rendering of the screen; the grid points both hold
+        # are the same bits; over the cases, each rendering accepts some
+        # times and skips some without an exact test, so a screen that
+        # decides nothing fails
+        decided = {name: {"accepted": 0, "skipped": 0} for name in SCREENS}
 
         @settings(max_examples=60, deadline=None, derandomize=True,
                   database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -540,24 +543,28 @@ class TestPropagateAboveHorizon:
             assert end is not None
             elevation = [(sv.epoch.t, topocentric_angles(sv, site)[1])
                          for sv in states]
-            for mask in (0.0, ELEVATION_MASK_RAD, drawn):
+            for mask, (name, screen), ts in itertools.product(
+                    (0.0, ELEVATION_MASK_RAD, drawn), SCREENS.items(),
+                    (times, times + [off])):
                 want = [t for t, e in elevation if e > mask]
-                for ts in (times, times + [off]):
-                    screened = fresh(el)
+                screened = fresh(el)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(astro, "_mask_screen", screen)
                     got, err, accepted, tested = counted_pass(
                         screened, bstar, site, ts, mask)
-                    if ts[-1] == off and end[0] == "PropagationLimitError":
-                        assert (got, err) == (None, end)
-                    else:
-                        assert (got, err) == (want, None)
-                    assert_common_points_equal(screened, exact_el)
-                    if ts is times and end[0] == "PropagationLimitError":
-                        # no decay: every time was decided
-                        decided["accepted"] += accepted
-                        decided["skipped"] += len(times) - tested - accepted
+                if ts[-1] == off and end[0] == "PropagationLimitError":
+                    assert (got, err) == (None, end)
+                else:
+                    assert (got, err) == (want, None)
+                assert_common_points_equal(screened, exact_el)
+                if ts is times and end[0] == "PropagationLimitError":
+                    # no decay: every time was decided
+                    decided[name]["accepted"] += accepted
+                    decided[name]["skipped"] += len(times) - tested - accepted
 
         check()
-        assert decided["accepted"] > 0 and decided["skipped"] > 0
+        for counts in decided.values():
+            assert counts["accepted"] > 0 and counts["skipped"] > 0
 
     @pytest.mark.parametrize("mask", [-1e-9, 0.5 * math.pi, math.nan, math.inf])
     def test_mask_outside_a_quarter_turn_is_a_value_error(self, mask):
@@ -569,19 +576,31 @@ class TestPropagateAboveHorizon:
     @pytest.mark.parametrize("bstar", [0.0, 1e-5])
     def test_non_finite_grid_point_is_never_decided(self, bad, bstar):
         # a non-finite coordinate in any slot leaves the bound invalid, so
-        # the time takes the exact path, on the grid point or off it
-        import numpy as np
-        rows = np.tile([7000.0, 0.0, 0.0, 0.0, 7.5, 0.0], (12, 1))
-        h = np.repeat([0.0, 30.0], 6)
-        assert astro._remainder_bound(np, rows, h, bstar)[3].all()
-        rows[np.arange(12), np.arange(12) % 6] = bad
-        assert not astro._remainder_bound(np, rows, h, bstar)[3].any()
+        # the time takes the exact path, on the grid point or off it: 12
+        # grid points at 7 000 km, seen from the far side of the Earth,
+        # are all skipped, and each with a bad slot is kept undecided,
+        # by each rendering of the screen
+        step = astro.STEP_S
+        times = array("d", [k * step for k in range(6)]
+                      + [k * step + 30.0 for k in range(6, 12)])
+        site = GroundSite(site_id="FAR", lat=0.0,
+                          lon=math.pi - astro.GMST_J2000)
+        grid = array("d", [7000.0, 0.0, 0.0, 0.0, 7.5, 0.0] * 12)
+        for name, screen in SCREENS.items():
+            assert screen(grid, grid, times, 0.0, bstar, site, 0.0) == (
+                12, array("d")), name
+        for k in range(12):
+            grid[6 * k + k % 6] = bad
+        undecided = array("d", (v for k in range(12) for v in (k, 0.0)))
+        for name, screen in SCREENS.items():
+            assert screen(grid, grid, times, 0.0, bstar, site, 0.0) == (
+                12, undecided), name
 
     def test_longest_remainder_step_keeps_the_screen_open(self):
         # without drag, a remainder step of up to MAX_STEP_S gains less
         # speed at the decay altitude than the screen allows, so the
         # screen's speed condition never sends a time down the exact path
-        assert astro.MAX_STEP_S * astro._A_GRAV_FLOOR <= astro._SPEED_SLACK
+        assert astro.MAX_STEP_S * astro.A_GRAV_FLOOR <= astro.SPEED_SLACK
 
     def test_remainder_step_decay_is_never_screened(self):
         # a time past the last grid point above the decay altitude, seen
@@ -695,29 +714,44 @@ class TestArraySteps:
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(epoch=st.floats(-1e9, 1e9),
-           step_s=st.sampled_from((10.0, 30.0, 60.0, 90.0))
-           | st.floats(astro.MIN_STEP_S, astro.MAX_STEP_S),
            offsets=st.lists(
                st.floats(-astro.MAX_SPAN_S, astro.MAX_SPAN_S)
                | st.tuples(st.integers(-28800, 28800),
                            st.sampled_from((-1e-9, 0.0, 1e-9))),
                min_size=1, max_size=20))
-    def test_equal_grid_point(self, epoch, step_s, offsets):
-        # the array screen's n_full and rem, against _Grid.point's for the
-        # same times, off the grid and on or next to its points
-        import numpy as np
+    def test_equal_grid_point(self, epoch, offsets):
+        # the screen's n_full and rem, against _Grid.point's for the same
+        # times, off the grid and on or next to its points: the grid
+        # statements the kernel runs make the same index and remainder
+        # bits in Python, and each rendering of the kernel holds a time
+        # screened on a grid of n_full + 1 points that way, not on one of
+        # n_full
         el = KeplerianElements(a=7000.0, e=1e-3, i=0.5, raan=0.0, argp=0.0,
                                M=0.0, epoch=Epoch(epoch))
-        grid = astro._Grid(el, 0.0, step_s, J2_EARTH)
+        grid = astro._Grid(el, 0.0, astro.STEP_S, J2_EARTH)
         times = [epoch + (off if isinstance(off, float)
-                          else off[0] * step_s + off[1]) for off in offsets]
+                          else off[0] * astro.STEP_S + off[1])
+                 for off in offsets]
         with pytest.MonkeyPatch.context() as mp:
             # the index and step only: no points are made
             mp.setattr(astro._Grid, "_extend", lambda *args: None)
             want = [(i // 6, abs(h)) for _, i, h in map(grid.point, times)]
-        n_full, rem = astro._steps_of(np.array(times) - grid.t0, step_s)
-        got = list(zip(n_full.tolist(), rem.tolist()))
+        body = next(s for s in astro._screen_kernel() if s[0] == "for")[5]
+        step = astro._python(body[:body.index("q = 6 * i")], 1)
+        namespace = {"fabs": math.fabs, "floordiv": float.__floordiv__,
+                     "to_long": int, "STEP_S": astro.STEP_S}
+        exec("\n".join(["def step(times, k, t0):", *step,
+                         "    return i, rem"]), namespace)
+        got = [namespace["step"](times, k, epoch) for k in range(len(times))]
         assert [(n, r.hex()) for n, r in got] == [(n, r.hex()) for n, r in want]
+        site = GroundSite(site_id="S", lat=0.0, lon=0.0)
+        for (n, _), t in zip(want, times):
+            short = array("d", bytes(48 * n))
+            held = array("d", bytes(48 * n + 48))
+            for name, screen in SCREENS.items():
+                for points, m in ((short, 0), (held, 1)):
+                    assert screen(points, points, array("d", [t]), epoch,
+                                  0.0, site, 0.0)[0] == m, name
 
 
 _LOW = KeplerianElements(a=R_EARTH + 150.0, e=0.0, i=0.9, raan=0.0, argp=0.0,

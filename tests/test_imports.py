@@ -20,8 +20,8 @@ value with ``"AZEL"`` or ``"RADEC"``: every other reader of the
 observation model goes through the geometry it returns, so a second
 branch on the angle type cannot grow back.
 
-Importing the propagator loads no numpy: the one function that uses it
-imports it inside.
+Importing the propagator, and running a visibility pass, loads no numpy:
+astro's screen is a template kernel.
 """
 import ast
 import os
@@ -278,9 +278,9 @@ def step_s_holders(source: str) -> list:
 
 
 # the astro.py functions that may take a grid step: the propagator's own
-# entry points and grid, and the limits check and grid-index helper they
-# and the visibility pass share
-_STEP_S_FUNCTIONS = ("_check_limits", "_Grid.__init__", "_grid", "_steps_of",
+# entry points and grid, and the limits check they and the visibility
+# pass share
+_STEP_S_FUNCTIONS = ("_check_limits", "_Grid.__init__", "_grid",
                      "propagate_j2", "propagate_many")
 
 
@@ -315,7 +315,15 @@ def test_checker_flags_step_s_holders():
 
 
 def test_propagator_import_loads_no_numpy():
-    code = "import sys, sdachain.astro; print('numpy' in sys.modules)"
+    # the import, then one visibility pass, which screens its samples
+    code = ("import sys\n"
+            "from sdachain import astro\n"
+            "el = astro.KeplerianElements(7000.0, 0.001, 0.9, 0.0, 0.0, 0.0,"
+            " astro.Epoch(0.0))\n"
+            "site = astro.GroundSite('S', 0.3, 1.0)\n"
+            "times = [60.0 * k for k in range(181)]\n"
+            "astro.times_above_mask(el, 0.0, site, times, 0.17)\n"
+            "print('numpy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)

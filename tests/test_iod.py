@@ -492,12 +492,19 @@ class TestReducedModelJacobian:
             assert got.tobytes() == oracle_jacobian(x, el.epoch, entries).tobytes()
 
     def test_nonfinite_drift_raises(self):
-        # a = 1e-100 km is outside the elements' domain, and would overflow
-        # the J2 rates, making the drift at the element epoch inf * 0 = NaN
-        positions = astro._python_kernels()[2]
-        with pytest.raises(ValueError):
-            positions([1e-100, 0.01, 0.5, 0.0, 0.0, 0.0], 0.0,
-                      astro.J2_EARTH, array("d", [0.0]))
+        # elements inside the domain at epoch -1e308 s and a record at
+        # +1e308 s: the drift time overflows to inf, so the drifted angles
+        # are not finite, and each rendering's pass raises, where a record
+        # at the epoch gives a finite position
+        x = [7000.0, 0.01, 0.5, 1.0, 2.0, 3.0]
+        renderings = [astro._python_kernels()[2]]
+        if astro.NATIVE_LIBRARY is not None:
+            renderings.append(astro._fit_positions)
+        for positions in renderings:
+            near = positions(x, -1e308, astro.J2_EARTH, array("d", [-1e308]))
+            assert all(map(math.isfinite, near))
+            with pytest.raises(ValueError):
+                positions(x, -1e308, astro.J2_EARTH, array("d", [1e308]))
 
     @pytest.mark.parametrize("fixture", ["radar_arc", "mining"])
     def test_agrees_with_numerical_jacobian(self, fixture):

@@ -4,17 +4,19 @@ around it, in processes of their own, the Python fallback and the cache.
 A host with cc on PATH must run the C kernels, so that a broken build
 cannot pass this suite in pure Python. A host without one, or whose
 library fails the build-time bit check, even by raising, by one
-re-associated product in the C fit kernel or by C loops that stop one
-iteration short, runs the Python rendering and writes the golden uct
-bytes. An import on a warm cache starts no process, renders no source
-and compiles no Python rendering, a damaged cache file is never loaded
-as it is, a change to what the bit check compares the library against,
-or to the check's own code, builds and checks it again, and a build
-leaves no library of another key behind. Each subprocess runs on a copy
-of src/sdachain in tmp_path, so it starts from an empty cache. In
-process, the C fit kernels make the Python rendering's bytes, or raise
-its exceptions, on random fits, and the wrappers both renderings share
-refuse buffers that are not array('d').
+re-associated product in the C fit kernel, by a C screen that steps
+backward times forward or by C loops that stop one iteration short, runs
+the Python rendering and writes the golden uct bytes. An import on a
+warm cache starts no process, renders no source and compiles no Python
+rendering, a damaged cache file is never loaded as it is, a change to
+what the bit check compares the library against, or to the check's own
+code, builds and checks it again, and a build leaves no library of
+another key behind. Each subprocess runs on a copy of src/sdachain in
+tmp_path, so it starts from an empty cache; the warm-cache tests share
+one such build. In process, the C fit kernels make the Python
+rendering's bytes, or raise its exceptions, on random fits, the C screen
+makes its decisions on random passes, and the wrappers both renderings
+share refuse buffers that are not array('d').
 """
 import math
 import os
@@ -91,11 +93,21 @@ def assert_python_loops_write_golden(root: pathlib.Path,
 
 
 @pytest.fixture(scope="module")
-def warm(tmp_path_factory) -> pathlib.Path:
-    """A package copy whose cache holds the library, where cc is found."""
+def cold_build(tmp_path_factory) -> tuple:
+    """A package copy whose cache held only a library of another key, and
+    what its first import printed: the library in use and the renders it
+    made. The warm-cache tests share the library that import built."""
     root = copy_package(tmp_path_factory.mktemp("warm"))
-    run(root, _IMPORT)
-    return root
+    cache = root / "sdachain" / "__pycache__"
+    cache.mkdir()
+    (cache / f"_stepping.{'0' * 64}.so").write_bytes(b"an earlier library")
+    return root, run(root, _COUNT_RENDERS)
+
+
+@pytest.fixture(scope="module")
+def warm(cold_build) -> pathlib.Path:
+    """A package copy whose cache holds the library, where cc is found."""
+    return cold_build[0]
 
 
 def test_native_loops_in_use_where_cc_is_found():
@@ -128,6 +140,22 @@ def test_a_reassociated_c_fit_kernel_runs_the_python_loops(tmp_path):
     assert_python_loops_write_golden(root, tmp_path / "out")
 
 
+def test_a_c_screen_stepping_backward_forward_runs_the_python_loops(tmp_path):
+    # the screen predicting a backward time's state with the forward
+    # remainder step, in the C rendering only, must fail the build-time
+    # check
+    if not HAS_CC:
+        pytest.skip("no C compiler on PATH: nothing is built")
+    root = copy_package(tmp_path / "src")
+    source = root / "sdachain" / "astro.py"
+    text = source.read_text()
+    render, statement = 'lines.append(pad + s + ";")', '"h = -rem"'
+    assert text.count(render) == 1 and text.count(statement) == 1
+    source.write_text(text.replace(render, (
+        'lines.append(pad + s.replace("h = -rem", "h = rem") + ";")')))
+    assert_python_loops_write_golden(root, tmp_path / "out")
+
+
 def test_a_c_loop_one_iteration_short_runs_the_python_loops(tmp_path):
     # every counted loop of the C rendering, and only of the C, stopping
     # one iteration early must fail the build-time check
@@ -156,13 +184,12 @@ def test_a_check_that_raises_runs_the_python_loops(tmp_path):
     assert_python_loops_write_golden(root, tmp_path / "out")
 
 
-def test_a_build_removes_the_libraries_of_other_sources(tmp_path):
+def test_a_build_removes_the_libraries_of_other_sources(cold_build):
     if not HAS_CC:
         pytest.skip("no C compiler on PATH: nothing is built")
-    cache = copy_package(tmp_path) / "sdachain" / "__pycache__"
-    cache.mkdir()
-    (cache / f"_stepping.{'0' * 64}.so").write_bytes(b"an earlier library")
-    assert run(tmp_path, _IMPORT) == [str(cache / LIBRARY)]
+    root, out = cold_build
+    cache = root / "sdachain" / "__pycache__"
+    assert out[0] == str(cache / LIBRARY)
     assert [p.name for p in cache.glob("_stepping.*")] == [LIBRARY]
 
 
@@ -175,15 +202,15 @@ def test_warm_cache_import_starts_no_process(warm):
     assert run(warm, code) == [str(library) if HAS_CC else "None"]
 
 
-def test_warm_cache_import_renders_and_compiles_no_kernel(warm, tmp_path):
+def test_warm_cache_import_renders_and_compiles_no_kernel(cold_build):
     # a cold import renders both languages and compiles the Python to
     # check the C against; a cache hit does neither
     if not HAS_CC:
         pytest.skip("no C compiler on PATH: the Python rendering runs")
-    cold = copy_package(tmp_path)
-    assert int(run(cold, _COUNT_RENDERS)[1]) > 0
-    library = warm / "sdachain" / "__pycache__" / LIBRARY
-    assert run(warm, _COUNT_RENDERS) == [str(library), "0"]
+    root, cold = cold_build
+    assert int(cold[1]) > 0
+    library = root / "sdachain" / "__pycache__" / LIBRARY
+    assert run(root, _COUNT_RENDERS) == [str(library), "0"]
 
 
 @pytest.mark.parametrize("old,new", [
@@ -287,7 +314,7 @@ def outcome(kernel, *args) -> tuple:
 def test_c_fit_kernels_match_the_python_renderings(case, offset):
     x, t0, times, fields = case
     args = (x, iod._MODEL_STEPS, t0, astro.J2_EARTH, times, fields)
-    _, _, positions, residuals, jacobian = astro._python_kernels()
+    _, _, positions, residuals, jacobian, _ = astro._python_kernels()
     assert (outcome(astro._fit_jacobian, *args)
             == outcome(jacobian, *args))
     # positions from the model where it gives them, else at the sites,
@@ -308,7 +335,7 @@ def test_fit_kernels_refuse_malformed_buffers():
     # wrappers they share: a list or an array of floats is refused
     times, fields = astro._check_records()
     x = astro._CHECK_FITS[0][0]
-    kernel_sets = {"python": astro._python_kernels()[2:]}
+    kernel_sets = {"python": astro._python_kernels()[2:5]}
     if astro.NATIVE_LIBRARY is not None:
         kernel_sets["native"] = (astro._fit_positions, astro._fit_residuals,
                                  astro._fit_jacobian)
@@ -324,3 +351,56 @@ def test_fit_kernels_refuse_malformed_buffers():
             with pytest.raises(ValueError):
                 jacobian(x, iod._MODEL_STEPS, 0.0, astro.J2_EARTH, bad(times),
                          fields)
+
+
+def screen_case(draw) -> tuple:
+    """Random mask_screen inputs: forward and backward grids of up to 12
+    points, in any direction at radii from 6 300 to 9 000 km and speeds
+    to 8 km/s, with a slot not finite now and then; times up to 20
+    minutes either side of the anchor epoch, some on grid points; a site
+    anywhere or under the first forward point at the anchor; bstar; and
+    the sine of a mask."""
+    def direction():
+        lat = draw(st.floats(-1.5, 1.5))
+        lon = draw(st.floats(-math.pi, math.pi))
+        return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
+                math.sin(lat))
+    t0 = draw(st.floats(-1e6, 1e6))
+    grids = []
+    for _ in range(2):
+        grid = array("d")
+        for _ in range(draw(st.integers(0, 12))):
+            r, v = draw(st.floats(6300.0, 9000.0)), draw(st.floats(0.0, 8.0))
+            grid.extend([r * c for c in direction()]
+                        + [v * c for c in direction()])
+        if grid and draw(st.booleans()):
+            grid[draw(st.integers(0, len(grid) - 1))] = draw(
+                st.sampled_from((math.nan, math.inf, -math.inf)))
+        grids.append(grid)
+    site = GroundSite("S", draw(st.floats(-1.5, 1.5)),
+                      draw(st.floats(-math.pi, math.pi)),
+                      draw(st.floats(0.0, 3.0)))
+    forward = grids[0]
+    if (len(forward) and all(map(math.isfinite, forward[:3]))
+            and draw(st.booleans())):
+        x, y, z = forward[:3]
+        site = GroundSite("S", math.atan2(z, math.hypot(x, y)),
+                          math.atan2(y, x) - astro.GMST_J2000
+                          - astro.EARTH_ROT * t0)
+    times = array("d", (t0 + draw(st.floats(-1200.0, 1200.0)
+                                  | st.integers(-13, 13).map(
+                                      lambda k: k * astro.STEP_S))
+                        for _ in range(draw(st.integers(1, 30)))))
+    return (forward, grids[1], times, t0,
+            draw(st.just(0.0) | st.floats(0.0, 1e-2)), site,
+            draw(st.floats(0.0, 0.99)))
+
+
+@pytest.mark.skipif(astro.NATIVE_LIBRARY is None,
+                    reason="no checked C library: only the Python runs")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.composite(screen_case)())
+def test_c_screen_matches_the_python_rendering(case):
+    (m, kept), (want_m, want) = (astro._mask_screen(*case),
+                                 astro._python_kernels()[5](*case))
+    assert (m, kept.tobytes()) == (want_m, want.tobytes())

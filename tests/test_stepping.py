@@ -436,8 +436,23 @@ def test_malformed_buffers_raise_value_error():
             assert len(grid) == 6 * _ORDER, name
 
 
+def _bound():
+    """The Python rendering of the screen's remainder bound, as a function
+    of the grid point, h, rem = |h| and bstar that returns the prediction
+    px, py, pz, err, low and valid."""
+    namespace = {"sqrt": _SQRT, "fabs": math.fabs,
+                 **{name: getattr(astro, name) for name in astro._C_CONSTANTS}}
+    exec("\n".join(["def bound(x, y, z, vx, vy, vz, h, rem, bstar):",
+                     *astro._python(astro._remainder_bound(), 1),
+                     "    return px, py, pz, err, low, valid"]), namespace)
+    return namespace["bound"]
+
+
+BOUND = _bound()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(radius=st.floats(astro._FLOOR_R, R_EARTH + 2000.0),
+@given(radius=st.floats(astro.FLOOR_R, R_EARTH + 2000.0),
        lat=st.floats(-0.5 * math.pi, 0.5 * math.pi),
        lon=st.floats(0.0, 2.0 * math.pi),
        speed=st.floats(0.0, 20.0),
@@ -451,13 +466,13 @@ def test_remainder_step_stays_within_the_screen_bound(
         radius, lat, lon, speed, chord, cos_angle, turn, rem, bstar, sign):
     # one RK4 step of h = +-rem from a state above the decay altitude,
     # stepped by the reference loop, against the bound the visibility
-    # screen decides on: wherever the bound is valid, the step lands
-    # within err of x + h*v and no stage radius, nor the result's, falls
-    # below low. The speed goes past escape, and a chord state's velocity
-    # makes the straight line from x to x + h*v end as high as it starts,
-    # where its midpoint x + h/2*v dips lowest below both ends: above
-    # about 16 km/s, by more than err
-    import numpy as np
+    # screen decides on (the mask_screen kernel's _remainder_bound
+    # statements): wherever the bound is valid, the step lands within err
+    # of x + h*v and no stage radius, nor the result's, falls below low.
+    # The speed goes past escape, and a chord state's velocity makes the
+    # straight line from x to x + h*v end as high as it starts, where its
+    # midpoint x + h/2*v dips lowest below both ends: above about 16 km/s,
+    # by more than err
     h = sign * rem
     up = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon),
           math.sin(lat))
@@ -471,9 +486,8 @@ def test_remainder_step_stays_within_the_screen_bound(
                                           + math.sin(turn) * n))
          for u, e, n in zip(up, east, north)]
     state = (*(radius * u for u in up), *v)
-    (px, py, pz), err, low, valid = astro._remainder_bound(
-        np, np.array([state]), np.array([h]), bstar)
-    if not valid[0]:
+    px, py, pz, err, low, valid = BOUND(*state, h, rem, bstar)
+    if not valid:
         return      # the screen sends such a time down the exact path
     radii = []
 
@@ -488,7 +502,6 @@ def test_remainder_step_stays_within_the_screen_bound(
         x, y, z, *_ = _rk4_steps(state, h, 1, bstar,
                                  astro._j2_coeff(J2_EARTH), 0.0, -1)
     # 1 um covers the rounding of the step and of the bound
-    assert _SQRT((x - px[0]) ** 2 + (y - py[0]) ** 2
-                 + (z - pz[0]) ** 2) <= err[0] + 1e-9
+    assert _SQRT((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2) <= err + 1e-9
     assert len(radii) == 5
-    assert min(radii) >= low[0] - 1e-9
+    assert min(radii) >= low - 1e-9

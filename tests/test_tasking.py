@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from conftest import (assert_common_points_equal, count_force_evaluations,
-                      fresh, grids, leo_record, site_under, visibility_cases)
+from conftest import (SCREENS, assert_common_points_equal,
+                      count_force_evaluations, fresh, grids, leo_record,
+                      site_under, visibility_cases)
 from sdachain import astro
 from sdachain.astro import (
     DecayError,
@@ -448,29 +449,32 @@ class TestVisibilityWork:
         # 6 h of samples, none on the 90 s grid
         window = (Epoch(10.0), Epoch(10.0 + 6 * 3600.0))
         samples = 361
-        got, work, left = self.counted(monkeypatch, visible_epochs,
-                                       rec.elements, rec.bstar, site, window)
         want, exact_work, exact_left = self.counted(
             monkeypatch, exact_visible_epochs, rec.elements, rec.bstar, site,
             window)
-        assert got == want and got
         assert exact_work["angles"] == samples
-        # the screen decides every sample of this pass, accepting or
-        # skipping it, so none takes the exact test
-        assert work["angles"] == 0
-        assert left == exact_left
-        # the same grid, so the same multistep steps: the pass takes them
-        # in one call, the sample-by-sample loop in one call per grid point
-        # past the start-up, and each call evaluates _ORDER back values
-        # besides its two per step. RK4 makes the same start-up, three
-        # steps per point, plus one remainder step per exactly tested
-        # sample
-        assert (work["abm_calls"], exact_work["abm_calls"]) == (1, 231)
-        steps = work["multistep"] - astro._ORDER * work["abm_calls"]
-        assert steps == exact_work["multistep"] - astro._ORDER * 231 > 0
-        startup = 4 * 3 * (astro._ORDER - 1)
-        assert exact_work["rk4"] == startup + 4 * samples
-        assert work["rk4"] == startup + 4 * work["angles"]
+        for name, screen in SCREENS.items():
+            monkeypatch.setattr(astro, "_mask_screen", screen)
+            got, work, left = self.counted(monkeypatch, visible_epochs,
+                                           rec.elements, rec.bstar, site,
+                                           window)
+            assert got == want and got, name
+            # each rendering of the screen decides every sample of this
+            # pass, accepting or skipping it, so none takes the exact test
+            assert work["angles"] == 0, name
+            assert left == exact_left, name
+            # the same grid, so the same multistep steps: the pass takes
+            # them in one call, the sample-by-sample loop in one call per
+            # grid point past the start-up, and each call evaluates _ORDER
+            # back values besides its two per step. RK4 makes the same
+            # start-up, three steps per point, plus one remainder step per
+            # exactly tested sample
+            assert (work["abm_calls"], exact_work["abm_calls"]) == (1, 231)
+            steps = work["multistep"] - astro._ORDER * work["abm_calls"]
+            assert steps == exact_work["multistep"] - astro._ORDER * 231 > 0
+            startup = 4 * 3 * (astro._ORDER - 1)
+            assert exact_work["rk4"] == startup + 4 * samples
+            assert work["rk4"] == startup + 4 * work["angles"]
 
     @pytest.mark.parametrize("start, ways", [
         (10.0, 1), (-6 * 3600.0 - 10.0, 1), (-3 * 3600.0 - 10.0, 2)],
@@ -489,11 +493,14 @@ class TestVisibilityWork:
             return abm(*args)
 
         monkeypatch.setattr(astro, "_abm_steps", counted)
-        el = fresh(rec.elements)
-        visible_epochs(el, rec.bstar, site, window)
-        assert calls["multistep"] == ways
-        visible_epochs(el, rec.bstar, site, window)
-        assert calls["multistep"] == ways
+        for name, screen in SCREENS.items():
+            monkeypatch.setattr(astro, "_mask_screen", screen)
+            calls["multistep"] = 0
+            el = fresh(rec.elements)
+            visible_epochs(el, rec.bstar, site, window)
+            assert calls["multistep"] == ways, name
+            visible_epochs(el, rec.bstar, site, window)
+            assert calls["multistep"] == ways, name
 
 
 class TestRetask:
